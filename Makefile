@@ -2,13 +2,18 @@
 
 PYTHON ?= python
 
-.PHONY: install test bench bench-streaming bench-streaming-quant bench-trace bench-parallel bench-parallel-faults bench-serving bench-serving-zipf bench-serving-elastic bench-suite experiments examples clean
+.PHONY: install test bench-smoke bench bench-streaming bench-streaming-quant bench-trace bench-parallel bench-parallel-faults bench-serving bench-serving-zipf bench-serving-elastic bench-suite experiments examples clean
 
 install:
 	$(PYTHON) -m pip install -e . || $(PYTHON) setup.py develop
 
 test:
 	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} $(PYTHON) -m pytest tests/
+
+# The repo's benchmark (BENCHMARK.json) at smoke sizes: all four
+# workloads, untraced then traced, every correctness gate on.
+bench-smoke:
+	python3 bench/run.py --smoke
 
 # Hot-path microbenchmark: seed pipeline vs vectorized engine.
 # Writes BENCH_pipeline.json (the perf record future changes regress against).

@@ -2,12 +2,12 @@
 """Microbenchmark: vectorized screening engine vs the original pipeline.
 
 Times the screening hot path end to end — screener-only, the default
-vectorized ``forward``, the ``faithful=True`` reference mode, and
-``forward_gathered`` — against a pinned reimplementation of the
-original (pre-vectorization) dataflow: dense ``P`` rebuilt on every
-call, a fresh ``Quantizer`` per call, a two-op matmul + bias add, a
-full copy of the score plane, per-row candidate selection and a
-per-row exact loop.
+vectorized ``forward`` and the ``faithful=True`` reference mode —
+against a pinned reimplementation of the original
+(pre-vectorization) dataflow: dense ``P`` rebuilt on every call, a
+fresh ``Quantizer`` per call, a two-op matmul + bias add, a full copy
+of the score plane, per-row candidate selection and a per-row exact
+loop.
 
 The seed stack is measured as it shipped, under glibc's default
 allocator; the engine paths are measured under the serving
@@ -264,9 +264,6 @@ def run(smoke: bool = False) -> dict:
             ),
             "forward_faithful": time_ms(
                 lambda: engine.forward(batch, faithful=True), repeats, warmup
-            ),
-            "forward_gathered": time_ms(
-                lambda: engine.forward_gathered(batch), repeats, warmup
             ),
         }
         entry = {

@@ -17,14 +17,14 @@ approximate and exact entries.  Mixing raw values is exactly what the
 hardware does, so we do the same; the candidate set is what protects
 top-K quality.
 
-Execution modes: :meth:`ApproximateScreeningClassifier.forward`
-defaults to the fully vectorized engine — the exact phase runs as one
-gathered computation over the batch's candidate union (or a flat
-row-wise gather when candidates barely overlap) and scatters results
-with a single fancy-indexed assignment.  ``faithful=True`` keeps the
-original per-row reference loop; the two are numerically identical
-(tested) because they share the screening and selection stages and
-differ only in how the exact values are computed and written.
+Two engines, one oracle: :meth:`ApproximateScreeningClassifier.forward`
+materializes the dense score plane and mixes every candidate in one
+scatter; :meth:`~ApproximateScreeningClassifier.forward_streaming`
+reduces canonical column tiles and returns candidate entries only (the
+serving path).  Both call the same selection order and the same
+exact-phase kernel, so their candidate entries are identical bits.
+``forward(faithful=True)`` keeps the original per-row loop as the
+reference the differential tests compare against.
 """
 
 from __future__ import annotations
@@ -459,7 +459,7 @@ class ApproximateScreeningClassifier:
     def forward(self, features: np.ndarray, faithful: bool = False) -> ScreenedOutput:
         """Run the full screened pipeline on a feature batch.
 
-        The default path is the vectorized gathered engine; pass
+        The default path is the vectorized dense-plane engine; pass
         ``faithful=True`` for the per-row reference dataflow (the exact
         phase loops over batch rows exactly as the original
         implementation did).  Both share the screening and selection
@@ -477,9 +477,7 @@ class ApproximateScreeningClassifier:
             recorder.increment("pipeline.exact_candidates", candidates.total)
             if faithful:
                 return self._mix_per_row(batch, approx, candidates)
-            return self._mix_vectorized(
-                batch, approx, candidates, workspace=self.workspace
-            )
+            return self._mix_vectorized(batch, approx, candidates)
 
     __call__ = forward
 
@@ -505,16 +503,12 @@ class ApproximateScreeningClassifier:
         batch: np.ndarray,
         approx: np.ndarray,
         candidates: CandidateSet,
-        workspace: Optional[Workspace] = None,
     ) -> ScreenedOutput:
         """Vectorized exact phase: mix all candidates in one scatter.
 
         The approximate plane is mixed in place (the overwritten values
         are kept so ``approximate_logits`` can be rebuilt lazily); the
-        exact values come from either a gathered union matmul — the
-        batched hardware dataflow, efficient when rows share candidates
-        — or a flat per-candidate gather when the union would force the
-        matmul to compute mostly unwanted (row, category) pairs.
+        exact values come from :meth:`_exact_candidate_values`.
         """
         rows, cols = candidates.flat()
         if rows.size == 0:
@@ -523,7 +517,7 @@ class ApproximateScreeningClassifier:
             )
         with self.recorder.span("exact"):
             exact = self._exact_candidate_values(
-                batch, candidates, workspace=workspace
+                batch, candidates, self.workspace
             )
         with self.recorder.span("merge"):
             saved = approx[rows, cols].copy()
@@ -536,7 +530,7 @@ class ApproximateScreeningClassifier:
         self,
         batch: np.ndarray,
         candidates: CandidateSet,
-        workspace: Optional[Workspace] = None,
+        workspace: Workspace,
     ) -> np.ndarray:
         """Exact classifier scores for every candidate, flat-aligned.
 
@@ -572,9 +566,8 @@ class ApproximateScreeningClassifier:
         self,
         features: np.ndarray,
         block_categories: Optional[int] = None,
-        dense: bool = False,
         workspace: Optional[Workspace] = None,
-    ):
+    ) -> StreamedOutput:
         """Blocked streaming forward: screen, select and mix per block.
 
         The software analogue of the hardware dataflow (paper Sections
@@ -597,11 +590,8 @@ class ApproximateScreeningClassifier:
         match the float32 dense engine bit for bit).
 
         Returns a :class:`StreamedOutput` (candidates + their exact and
-        approximate values only).  ``dense=True`` materializes the
-        score plane and returns a full :class:`ScreenedOutput` — the
-        caller asked for ``approximate_logits``, so the memory saving
-        is forfeited but every plane is still bit-identical to
-        :meth:`forward`.
+        approximate values only); callers that need the full score
+        plane ask :meth:`forward` for it explicitly.
 
         All recurring scratch comes from ``workspace`` (default: the
         pipeline-owned arena), so steady-state calls perform zero new
@@ -629,20 +619,14 @@ class ApproximateScreeningClassifier:
             reducer = self.selector.make_block_reducer(
                 rows, l, workspace=ws, dtype=compute
             )
-            plane = np.empty((rows, l), dtype=compute) if dense else None
             for t0, t1 in self.screener.tile_bounds():
                 with recorder.span("streaming.screen_tile"):
-                    if dense:
-                        tile = self.screener.score_tile(
-                            augmented, t0, t1, out=plane[:, t0:t1]
-                        )
-                    else:
-                        tile = self.screener.score_tile(
-                            augmented,
-                            t0,
-                            t1,
-                            out=ws.buffer("tile", (rows, t1 - t0), compute),
-                        )
+                    tile = self.screener.score_tile(
+                        augmented,
+                        t0,
+                        t1,
+                        out=ws.buffer("tile", (rows, t1 - t0), compute),
+                    )
                 # Selection updates at block_categories granularity; block
                 # boundaries are absolute, so a tile may span several
                 # blocks and vice versa.
@@ -662,11 +646,9 @@ class ApproximateScreeningClassifier:
             if recorder.enabled:
                 recorder.set_gauge("pipeline.workspace_bytes", ws.nbytes)
                 recorder.set_gauge("pipeline.workspace_allocations", ws.allocations)
-            if dense:
-                return self._mix_vectorized(batch, plane, candidates, workspace=ws)
             with recorder.span("streaming.exact"):
                 exact_values = self._exact_candidate_values(
-                    batch, candidates, workspace=ws
+                    batch, candidates, ws
                 ).astype(compute, copy=False)
             return StreamedOutput(
                 candidates=candidates,
@@ -674,31 +656,6 @@ class ApproximateScreeningClassifier:
                 approximate_values=approx_values,
                 num_categories=l,
             )
-
-    def forward_gathered(self, features: np.ndarray) -> ScreenedOutput:
-        """Batched exact phase over the *union* of candidate rows.
-
-        Gathers each candidate weight row once per batch (how batched
-        hardware executes) and computes all rows' exact scores in one
-        matmul; each row's mixed output still only takes its own
-        candidates, remapped with a ``searchsorted`` scatter instead of
-        a per-row dictionary walk.  Numerically identical to
-        :meth:`forward`.
-        """
-        batch = check_batch_features(features, self.hidden_dim)
-        approx = self.screener.approximate_logits(batch)
-        candidates = self.selector.select(approx)
-
-        mixed = approx.copy()
-        union = candidates.union()
-        if union.size:
-            # (batch, union) exact scores in one gathered matmul.
-            exact = self.classifier.logits_for(union, batch)
-            rows, cols = candidates.flat()
-            mixed[rows, cols] = exact[rows, np.searchsorted(union, cols)]
-        return ScreenedOutput(
-            logits=mixed, approximate_logits=approx, candidates=candidates
-        )
 
     def predict_proba(self, features: np.ndarray) -> np.ndarray:
         """Normalized probabilities from the mixed score vector

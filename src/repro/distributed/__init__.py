@@ -24,14 +24,10 @@ from repro.distributed.sharding import (
     load_drift,
     merge_candidates,
     merge_candidates_per_row,
-    merge_partial_shard_outputs,
-    merge_partial_streamed_outputs,
     merge_shard_outputs,
     merge_streamed_outputs,
     normalize_loads,
     observed_category_frequencies,
-    placeholder_screened_output,
-    placeholder_streamed_output,
     reduce_top_k,
     shard_ranges,
     shard_top_k,
@@ -67,10 +63,6 @@ __all__ = [
     "merge_candidates_per_row",
     "merge_shard_outputs",
     "merge_streamed_outputs",
-    "merge_partial_shard_outputs",
-    "merge_partial_streamed_outputs",
-    "placeholder_screened_output",
-    "placeholder_streamed_output",
     "shard_top_k",
     "reduce_top_k",
     "ClusterModel",

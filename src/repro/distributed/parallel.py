@@ -116,8 +116,6 @@ from repro.core.pipeline import (
 )
 from repro.distributed.sharding import (
     ShardedClassifier,
-    merge_partial_shard_outputs,
-    merge_partial_streamed_outputs,
     merge_shard_outputs,
     merge_streamed_outputs,
     reduce_top_k,
@@ -1141,16 +1139,44 @@ class ParallelShardedEngine:
         self._io_input = None
         self._io_output = None
 
-    def _prepare(
-        self, features: np.ndarray, need_output: bool = True
-    ) -> Tuple[np.ndarray, int]:
+    def _prepare(self, features: np.ndarray, need_output: bool) -> Dict[str, object]:
+        """Stage the batch in the shared input plane; returns the base
+        request every worker receives (row count + I/O layouts)."""
         if self.closed:
             raise RuntimeError("engine is closed")
         batch = check_batch_features(features, self.hidden_dim)
         rows = batch.shape[0]
         self._ensure_io(rows, need_output=need_output)
         np.copyto(self._io_input["features"][:rows], batch)
-        return batch, rows
+        request = {"rows": rows, "input": self._io_input.layout}
+        if need_output:
+            request["output"] = self._io_output.layout
+        return request
+
+    def _serve(self, op: str, features: np.ndarray, request_extra, rebuild, merge):
+        """One serving request: scatter ``op`` to every shard, rebuild
+        each reply into a per-shard output (``rebuild(shard_id, reply)``;
+        ``None`` where the shard failed), ``merge(outputs, ranges,
+        rows)`` them, and wrap the merge in a :class:`DegradedOutput`
+        when any shard is missing."""
+        with self.recorder.span(f"engine.{op}"):
+            self.requests_served += 1
+            self.recorder.increment("parallel.requests")
+            request = self._prepare(features, need_output=op == "forward")
+            request.update(request_extra)
+            with self.recorder.span("engine.scatter_gather"):
+                replies, failures = self._scatter_gather(op, request)
+            with self.recorder.span("engine.merge"):
+                outputs = [
+                    None if reply is None else rebuild(shard_id, reply)
+                    for shard_id, reply in enumerate(replies)
+                ]
+                merged = merge(outputs, self.ranges, request["rows"])
+            if failures:
+                self.degraded_requests += 1
+                self.recorder.increment("parallel.degraded_requests")
+                return DegradedOutput(merged, failures.values(), self.num_categories)
+            return merged
 
     # ------------------------------------------------------------------
     # serving API — mirrors the sequential backend
@@ -1167,47 +1193,19 @@ class ParallelShardedEngine:
         shards returns a :class:`DegradedOutput` whose missing columns
         are NaN.
         """
-        with self.recorder.span("engine.forward"):
-            self.requests_served += 1
-            self.recorder.increment("parallel.requests")
-            _, rows = self._prepare(features)
-            request = {
-                "rows": rows,
-                "input": self._io_input.layout,
-                "output": self._io_output.layout,
-            }
-            with self.recorder.span("engine.scatter_gather"):
-                replies, failures = self._scatter_gather("forward", request)
-            with self.recorder.span("engine.merge"):
-                outputs: List[Optional[ScreenedOutput]] = []
-                for shard_id, reply in enumerate(replies):
-                    if reply is None:
-                        outputs.append(None)
-                        continue
-                    logits = self._io_output[f"logits{shard_id}"][:rows]
-                    candidates = CandidateSet.from_flat(
-                        reply["counts"], reply["cols"]
-                    )
-                    outputs.append(
-                        ScreenedOutput(
-                            logits=logits,
-                            candidates=candidates,
-                            restore=(reply["rows"], reply["cols"], reply["saved"]),
-                        )
-                    )
-                # merge_shard_outputs concatenates the logits planes, so
-                # the merged output owns its memory and survives buffer
-                # reuse.
-                if failures:
-                    self.degraded_requests += 1
-                    self.recorder.increment("parallel.degraded_requests")
-                    merged = merge_partial_shard_outputs(
-                        outputs, self.ranges, rows, self._compute_dtypes
-                    )
-                    return DegradedOutput(
-                        merged, failures.values(), self.num_categories
-                    )
-                return merge_shard_outputs(outputs, self.ranges)
+
+        def rebuild(shard_id: int, reply: dict) -> ScreenedOutput:
+            # A view of the shared plane: merge_shard_outputs
+            # concatenates, so the merged output owns its memory and
+            # survives buffer reuse.
+            rows = len(reply["counts"])
+            return ScreenedOutput(
+                logits=self._io_output[f"logits{shard_id}"][:rows],
+                candidates=CandidateSet.from_flat(reply["counts"], reply["cols"]),
+                restore=(reply["rows"], reply["cols"], reply["saved"]),
+            )
+
+        return self._serve("forward", features, {}, rebuild, merge_shard_outputs)
 
     __call__ = forward
 
@@ -1227,45 +1225,22 @@ class ParallelShardedEngine:
         :class:`DegradedOutput` whose result simply has no candidates
         from the missing ranges.
         """
-        with self.recorder.span("engine.forward_streaming"):
-            self.requests_served += 1
-            self.recorder.increment("parallel.requests")
-            _, rows = self._prepare(features, need_output=False)
-            request = {
-                "rows": rows,
-                "input": self._io_input.layout,
-                "block": block_categories,
-            }
-            with self.recorder.span("engine.scatter_gather"):
-                replies, failures = self._scatter_gather(
-                    "forward_streaming", request
-                )
-            with self.recorder.span("engine.merge"):
-                outputs: List[Optional[StreamedOutput]] = []
-                for reply, shard_range in zip(replies, self.ranges):
-                    if reply is None:
-                        outputs.append(None)
-                        continue
-                    outputs.append(
-                        StreamedOutput(
-                            candidates=CandidateSet.from_flat(
-                                reply["counts"], reply["cols"]
-                            ),
-                            exact_values=reply["exact"],
-                            approximate_values=reply["approx"],
-                            num_categories=len(shard_range),
-                        )
-                    )
-                if failures:
-                    self.degraded_requests += 1
-                    self.recorder.increment("parallel.degraded_requests")
-                    merged = merge_partial_streamed_outputs(
-                        outputs, self.ranges, rows, self._compute_dtypes
-                    )
-                    return DegradedOutput(
-                        merged, failures.values(), self.num_categories
-                    )
-                return merge_streamed_outputs(outputs, self.ranges)
+
+        def rebuild(shard_id: int, reply: dict) -> StreamedOutput:
+            return StreamedOutput(
+                candidates=CandidateSet.from_flat(reply["counts"], reply["cols"]),
+                exact_values=reply["exact"],
+                approximate_values=reply["approx"],
+                num_categories=len(self.ranges[shard_id]),
+            )
+
+        return self._serve(
+            "forward_streaming",
+            features,
+            {"block": block_categories},
+            rebuild,
+            merge_streamed_outputs,
+        )
 
     def top_k(
         self, features: np.ndarray, k: int
@@ -1277,37 +1252,27 @@ class ParallelShardedEngine:
         in a :class:`DegradedOutput`.
         """
         check_positive("k", k)
-        with self.recorder.span("engine.top_k"):
-            self.requests_served += 1
-            self.recorder.increment("parallel.requests")
-            _, rows = self._prepare(features, need_output=False)
-            request = {
-                "rows": rows,
-                "input": self._io_input.layout,
-                "k": int(k),
-            }
-            with self.recorder.span("engine.scatter_gather"):
-                replies, failures = self._scatter_gather("top_k", request)
-            with self.recorder.span("engine.merge"):
-                surviving = [reply for reply in replies if reply is not None]
-                if surviving:
-                    reduced = reduce_top_k(
-                        [reply["indices"] for reply in surviving],
-                        [reply["scores"] for reply in surviving],
-                        k,
-                    )
-                else:
-                    reduced = (
-                        np.empty((rows, 0), dtype=np.intp),
-                        np.empty((rows, 0), dtype=np.float64),
-                    )
-                if failures:
-                    self.degraded_requests += 1
-                    self.recorder.increment("parallel.degraded_requests")
-                    return DegradedOutput(
-                        reduced, failures.values(), self.num_categories
-                    )
-                return reduced
+        if k > self.num_categories:
+            raise ValueError(
+                f"k={k} exceeds score dimension {self.num_categories}"
+            )
+
+        def merge(parts, ranges, rows):
+            surviving = [part for part in parts if part is not None]
+            if not surviving:
+                return (
+                    np.empty((rows, 0), dtype=np.intp),
+                    np.empty((rows, 0), dtype=np.float64),
+                )
+            return reduce_top_k(*zip(*surviving), k)
+
+        return self._serve(
+            "top_k",
+            features,
+            {"k": int(k)},
+            lambda shard_id, reply: (reply["indices"], reply["scores"]),
+            merge,
+        )
 
     def predict(self, features: np.ndarray) -> np.ndarray:
         """Argmax category per row; ``-1`` for rows with no surviving

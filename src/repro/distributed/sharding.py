@@ -112,19 +112,11 @@ class ShardPlan:
             total = float(expected_start)
             loads = tuple(len(shard_range) / total for shard_range in ranges)
         else:
-            loads = tuple(float(load) for load in loads)
             if len(loads) != len(ranges):
                 raise ValueError(
                     f"{len(loads)} loads for {len(ranges)} shards"
                 )
-            if any(load < 0 or not np.isfinite(load) for load in loads):
-                raise ValueError("loads must be finite and non-negative")
-            mass = sum(loads)
-            loads = (
-                tuple(load / mass for load in loads)
-                if mass > 0
-                else tuple(1.0 / len(ranges) for _ in ranges)
-            )
+            loads = normalize_loads(loads)
         object.__setattr__(self, "ranges", ranges)
         object.__setattr__(self, "loads", loads)
         object.__setattr__(self, "source", str(source))
@@ -469,6 +461,51 @@ def observed_category_frequencies(
 # ----------------------------------------------------------------------
 # reduce: per-shard outputs -> global order
 # ----------------------------------------------------------------------
+def _concat(parts: List[np.ndarray], empty_dtype) -> np.ndarray:
+    return np.concatenate(parts) if parts else np.empty(0, dtype=empty_dtype)
+
+
+def _merge_flat_records(
+    outputs: Sequence,
+    ranges: Sequence[range],
+    batch_size: Optional[int],
+    record_of,
+    num_values: int = 0,
+) -> Tuple[np.ndarray, np.ndarray, List[np.ndarray]]:
+    """Interleave per-shard flat candidate records into global order.
+
+    ``outputs[i]`` is shard ``i``'s result, or ``None`` for a failed
+    shard, which contributes no entries.  ``record_of(output)`` yields
+    a survivor's ``(rows, cols, *values)`` — local columns plus
+    ``num_values`` arrays aligned with them.  Columns are offset to
+    global ids and one stable row sort groups the entries by row while
+    preserving shard order (hence ascending columns) within a row.
+    Returns ``(counts, cols, values)`` — per-row entry counts and the
+    row-major entries; value dtypes are ``np.result_type`` of the
+    survivors, float64 when none survive.
+    ``batch_size=None`` takes the first survivor's.
+    """
+    live = [
+        (output, shard_range.start)
+        for output, shard_range in zip(outputs, ranges)
+        if output is not None
+    ]
+    if batch_size is None:
+        if not live:
+            raise ValueError("no surviving shard output: the merge needs batch_size")
+        batch_size = live[0][0].batch_size
+    records = [(record_of(output), start) for output, start in live]
+    rows = _concat([record[0] for record, _ in records], np.intp)
+    cols = _concat([record[1] + start for record, start in records], np.intp)
+    order = np.argsort(rows, kind="stable")
+    counts = np.bincount(rows, minlength=batch_size).astype(np.intp)
+    values = [
+        _concat([record[2 + i] for record, _ in records], np.float64)[order]
+        for i in range(num_values)
+    ]
+    return counts, cols[order], values
+
+
 def merge_candidates(
     candidate_sets: Sequence[CandidateSet],
     ranges: Sequence[range],
@@ -476,23 +513,13 @@ def merge_candidates(
 ) -> CandidateSet:
     """Merge per-shard candidate sets into global category order.
 
-    Vectorized over the whole batch with the flat-scatter machinery:
-    each shard contributes its ``(rows, cols)`` pairs (columns offset
-    to global ids), a stable sort groups them by row while preserving
-    shard order within a row, and one split yields the per-row lists.
-    Identical to :func:`merge_candidates_per_row` (tested).
+    Vectorized over the whole batch (:func:`_merge_flat_records`);
+    identical to :func:`merge_candidates_per_row` (tested).
     """
-    rows_parts: List[np.ndarray] = []
-    cols_parts: List[np.ndarray] = []
-    for candidate_set, shard_range in zip(candidate_sets, ranges):
-        rows, cols = candidate_set.flat()
-        rows_parts.append(rows)
-        cols_parts.append(cols + shard_range.start)
-    all_rows = np.concatenate(rows_parts)
-    all_cols = np.concatenate(cols_parts)
-    order = np.argsort(all_rows, kind="stable")
-    counts = np.bincount(all_rows, minlength=batch_size).astype(np.intp)
-    return CandidateSet.from_flat(counts, all_cols[order])
+    counts, cols, _ = _merge_flat_records(
+        candidate_sets, ranges, batch_size, CandidateSet.flat
+    )
+    return CandidateSet.from_flat(counts, cols)
 
 
 def merge_candidates_per_row(
@@ -517,157 +544,83 @@ def merge_candidates_per_row(
 
 
 def merge_shard_outputs(
-    outputs: Sequence[ScreenedOutput],
+    outputs: Sequence[Optional[ScreenedOutput]],
     ranges: Sequence[range],
+    batch_size: Optional[int] = None,
 ) -> ScreenedOutput:
     """Concatenate per-shard mixed outputs back into global order.
 
-    The logits planes concatenate along the category axis; candidate
-    indices merge via :func:`merge_candidates`; and instead of
-    materializing every shard's approximate plane, the per-shard
+    The logits planes concatenate along the category axis, and instead
+    of materializing every shard's approximate plane the per-shard
     restore records (candidate positions + their pre-mix approximate
-    values) concatenate into one global record, so the merged output's
+    values) merge into one global record, so the merged output's
     ``approximate_logits`` stays lazy exactly like a single-node
     output's.
+
+    ``outputs[i] is None`` marks shard ``i`` as failed: its stripe is
+    NaN (the honest "no answer" value — downstream argmax/top-k must
+    treat these columns as unavailable) and it contributes no
+    candidates, so surviving columns keep their global indices.
+    ``batch_size`` is only needed when every entry is ``None``.
     """
-    if not outputs:
-        raise ValueError("merge_shard_outputs needs at least one shard output")
-    batch_size = outputs[0].batch_size
-    logits = np.concatenate([output.logits for output in outputs], axis=1)
-    candidates = merge_candidates(
-        [output.candidates for output in outputs], ranges, batch_size
+    counts, cols, (saved,) = _merge_flat_records(
+        outputs, ranges, batch_size, ScreenedOutput.candidate_restore, num_values=1
     )
-    rows_parts: List[np.ndarray] = []
-    cols_parts: List[np.ndarray] = []
-    saved_parts: List[np.ndarray] = []
-    for output, shard_range in zip(outputs, ranges):
-        rows, cols, saved = output.candidate_restore()
-        rows_parts.append(rows)
-        cols_parts.append(cols + shard_range.start)
-        saved_parts.append(saved)
-    restore = (
-        np.concatenate(rows_parts),
-        np.concatenate(cols_parts),
-        np.concatenate(saved_parts),
+    dtype = np.result_type(
+        *(
+            [output.logits.dtype for output in outputs if output is not None]
+            or [np.float64]
+        )
     )
-    return ScreenedOutput(logits=logits, candidates=candidates, restore=restore)
+    logits = np.concatenate(
+        [
+            output.logits
+            if output is not None
+            else np.full((counts.size, len(shard_range)), np.nan, dtype=dtype)
+            for output, shard_range in zip(outputs, ranges)
+        ],
+        axis=1,
+    )
+    return ScreenedOutput(
+        logits=logits,
+        candidates=CandidateSet.from_flat(counts, cols),
+        restore=(np.repeat(np.arange(counts.size), counts), cols, saved),
+    )
 
 
 def merge_streamed_outputs(
-    outputs: Sequence[StreamedOutput],
+    outputs: Sequence[Optional[StreamedOutput]],
     ranges: Sequence[range],
+    batch_size: Optional[int] = None,
 ) -> StreamedOutput:
     """Merge per-shard streamed (candidates-only) outputs to global order.
 
     The streaming analogue of :func:`merge_shard_outputs`: there are no
     logits planes to concatenate — each shard contributes its flat
     candidate record (rows, globally-offset columns, exact and
-    approximate values), and one stable row sort interleaves them while
-    preserving shard order within a row, exactly as the dense merge
-    orders its candidate lists.
+    approximate values), interleaved exactly as the dense merge orders
+    its candidate lists.  A ``None`` entry (failed shard) simply
+    contributes no candidates: the streamed result is sparse, so
+    absence needs no NaN plane.  ``batch_size`` is only needed when
+    every entry is ``None``.
     """
-    if not outputs:
-        raise ValueError("merge_streamed_outputs needs at least one shard output")
-    batch_size = outputs[0].batch_size
-    rows_parts: List[np.ndarray] = []
-    cols_parts: List[np.ndarray] = []
-    exact_parts: List[np.ndarray] = []
-    approx_parts: List[np.ndarray] = []
-    for output, shard_range in zip(outputs, ranges):
-        rows, cols = output.candidates.flat()
-        rows_parts.append(rows)
-        cols_parts.append(cols + shard_range.start)
-        exact_parts.append(output.exact_values)
-        approx_parts.append(output.approximate_values)
-    all_rows = np.concatenate(rows_parts)
-    order = np.argsort(all_rows, kind="stable")
-    counts = np.bincount(all_rows, minlength=batch_size).astype(np.intp)
-    return StreamedOutput(
-        candidates=CandidateSet.from_flat(
-            counts, np.concatenate(cols_parts)[order]
+    counts, cols, (exact, approximate) = _merge_flat_records(
+        outputs,
+        ranges,
+        batch_size,
+        lambda output: (
+            *output.candidates.flat(),
+            output.exact_values,
+            output.approximate_values,
         ),
-        exact_values=np.concatenate(exact_parts)[order],
-        approximate_values=np.concatenate(approx_parts)[order],
+        num_values=2,
+    )
+    return StreamedOutput(
+        candidates=CandidateSet.from_flat(counts, cols),
+        exact_values=exact,
+        approximate_values=approximate,
         num_categories=sum(len(shard_range) for shard_range in ranges),
     )
-
-
-def _empty_candidates(batch_size: int) -> CandidateSet:
-    return CandidateSet.from_flat(
-        np.zeros(batch_size, dtype=np.intp), np.empty(0, dtype=np.intp)
-    )
-
-
-def placeholder_screened_output(
-    batch_size: int, shard_range: range, dtype
-) -> ScreenedOutput:
-    """A dead shard's stand-in for the dense partial merge.
-
-    NaN logits (the honest "no answer" value — downstream argmax/top-k
-    must treat these columns as unavailable), zero candidates, an empty
-    restore record.  Shaped exactly like a live shard's output so the
-    regular :func:`merge_shard_outputs` concatenation keeps global
-    column numbering intact.
-    """
-    logits = np.full((batch_size, len(shard_range)), np.nan, dtype=dtype)
-    empty_idx = np.empty(0, dtype=np.intp)
-    return ScreenedOutput(
-        logits=logits,
-        candidates=_empty_candidates(batch_size),
-        restore=(empty_idx, empty_idx.copy(), np.empty(0, dtype=dtype)),
-    )
-
-
-def placeholder_streamed_output(
-    batch_size: int, shard_range: range, dtype
-) -> StreamedOutput:
-    """A dead shard's stand-in for the streaming partial merge: it
-    simply contributes no candidates (the streamed result is sparse, so
-    absence needs no NaN plane)."""
-    return StreamedOutput(
-        candidates=_empty_candidates(batch_size),
-        exact_values=np.empty(0, dtype=dtype),
-        approximate_values=np.empty(0, dtype=dtype),
-        num_categories=len(shard_range),
-    )
-
-
-def merge_partial_shard_outputs(
-    outputs: Sequence[Optional[ScreenedOutput]],
-    ranges: Sequence[range],
-    batch_size: int,
-    dtypes: Sequence,
-) -> ScreenedOutput:
-    """Merge per-shard dense outputs where some shards are missing.
-
-    ``outputs[i] is None`` marks shard ``i`` as failed; its category
-    stripe merges as a NaN placeholder so surviving columns keep their
-    global indices.  With no ``None`` entries this is exactly
-    :func:`merge_shard_outputs`.
-    """
-    filled = [
-        output
-        if output is not None
-        else placeholder_screened_output(batch_size, shard_range, dtype)
-        for output, shard_range, dtype in zip(outputs, ranges, dtypes)
-    ]
-    return merge_shard_outputs(filled, ranges)
-
-
-def merge_partial_streamed_outputs(
-    outputs: Sequence[Optional[StreamedOutput]],
-    ranges: Sequence[range],
-    batch_size: int,
-    dtypes: Sequence,
-) -> StreamedOutput:
-    """Streaming analogue of :func:`merge_partial_shard_outputs`."""
-    filled = [
-        output
-        if output is not None
-        else placeholder_streamed_output(batch_size, shard_range, dtype)
-        for output, shard_range, dtype in zip(outputs, ranges, dtypes)
-    ]
-    return merge_streamed_outputs(filled, ranges)
 
 
 def shard_top_k(
@@ -870,6 +823,10 @@ class ShardedClassifier:
         if not self.trained:
             raise RuntimeError("call train() before top_k()")
         check_positive("k", k)
+        if k > self.num_categories:
+            raise ValueError(
+                f"k={k} exceeds score dimension {self.num_categories}"
+            )
         batch = check_batch_features(features, self.classifier.hidden_dim)
         shard_indices = []
         shard_scores = []

@@ -26,6 +26,7 @@ from repro.serving.frontdoor import (
     FrontDoor,
     FrontDoorClosedError,
     FrontDoorError,
+    InvalidRequestError,
     QueueFullError,
     Reply,
     RowForward,
@@ -52,6 +53,7 @@ __all__ = [
     "QueueFullError",
     "DeadlineExceededError",
     "FrontDoorClosedError",
+    "InvalidRequestError",
     "ResultCache",
     "quantized_key",
     "ZipfianMix",

@@ -63,8 +63,8 @@ def quantized_key(row: np.ndarray, bits: int = 4) -> Tuple[bytes, float, int]:
     selecting ``scale = 1.0``) and ``np.round(nan).astype(np.int8)``
     is undefined behaviour whose result varies by platform — two runs
     could key the same row differently, or two different rows
-    identically.  Such rows raise :class:`ValueError`; cache users
-    should bypass caching for them (:class:`ResultCache` does).
+    identically.  Such rows raise :class:`ValueError`; the serving
+    front door rejects them at ``submit``, before the cache sees them.
     """
     array = np.ascontiguousarray(row, dtype=np.float64).reshape(-1)
     if array.size and not np.isfinite(array).all():
@@ -123,9 +123,6 @@ class ResultCache:
         #: Key hits rejected by row verification — distinct vectors
         #: whose INT4 codes (and scale) coincide.
         self.collisions = 0
-        #: Lookups/inserts bypassed because the row held NaN/inf (no
-        #: well-defined quantized key exists for it).
-        self.non_finite = 0
 
     # ------------------------------------------------------------------
     def _key(self, op: str, kwargs: Dict[str, Any], row: np.ndarray) -> tuple:
@@ -135,29 +132,16 @@ class ResultCache:
             quantized_key(row, self.bits),
         )
 
-    def _bypass_non_finite(self, flat: np.ndarray) -> bool:
-        """``True`` when ``flat`` has no quantized key (NaN/inf row):
-        the row is served uncached rather than keyed undefined."""
-        if flat.size and not np.isfinite(flat).all():
-            with self._lock:
-                self.non_finite += 1
-            self.recorder.increment("serving.cache.non_finite")
-            return True
-        return False
-
     def get(
         self, op: str, kwargs: Dict[str, Any], row: np.ndarray
     ) -> Optional[Any]:
         """The cached value for ``(op, kwargs, row)``, or ``None``.
 
         A hit refreshes the entry's LRU position.  ``row`` is one
-        feature vector (any shape that flattens to ``hidden_dim``).
-        Non-finite rows always miss (and are never inserted): they have
-        no well-defined quantized key.
+        feature vector (any shape that flattens to ``hidden_dim``) and
+        must be finite (:func:`quantized_key`).
         """
         flat = np.asarray(row, dtype=np.float64).reshape(-1)
-        if self._bypass_non_finite(flat):
-            return None
         key = self._key(op, kwargs, row)
         with self._lock:
             entry = self._entries.get(key)
@@ -182,8 +166,6 @@ class ResultCache:
         of view — a hit hands the same object to every future caller.
         """
         flat = np.array(row, dtype=np.float64, copy=True).reshape(-1)
-        if self._bypass_non_finite(flat):
-            return
         key = self._key(op, kwargs, row)
         with self._lock:
             self._entries[key] = (flat, value)
@@ -219,7 +201,6 @@ class ResultCache:
                 "misses": self.misses,
                 "evictions": self.evictions,
                 "collisions": self.collisions,
-                "non_finite": self.non_finite,
                 "hit_rate": self.hits / lookups if lookups else 0.0,
             }
 

@@ -69,6 +69,7 @@ __all__ = [
     "QueueFullError",
     "DeadlineExceededError",
     "FrontDoorClosedError",
+    "InvalidRequestError",
 ]
 
 
@@ -86,6 +87,11 @@ class DeadlineExceededError(FrontDoorError):
 
 class FrontDoorClosedError(FrontDoorError):
     """The front door is closed (or closed while the request waited)."""
+
+
+class InvalidRequestError(FrontDoorError, ValueError):
+    """The request row holds NaN/inf; rejected at ``submit`` so it can
+    never fail the micro-batch it would have joined."""
 
 
 @dataclass(frozen=True)
@@ -276,7 +282,8 @@ class FrontDoor:
         ``k`` is required for ``top_k`` and ``block_categories`` is
         optional for ``forward_streaming``.  ``slo_s`` is this
         request's end-to-end budget (seconds from now); expired
-        requests are shed, never served late.
+        requests are shed, never served late.  A non-finite row raises
+        :class:`InvalidRequestError` here, before it is queued.
         """
         if op not in _VALID_OPS:
             raise ValueError(f"op must be one of {_VALID_OPS}, got {op!r}")
@@ -292,6 +299,8 @@ class FrontDoor:
             raise ValueError(
                 f"request has {row.shape[1]} features, backend expects {hidden}"
             )
+        if not np.isfinite(row).all():
+            raise InvalidRequestError("request row contains NaN/inf")
         kwargs: Dict[str, Any] = {}
         if op == "top_k":
             if k is None:

@@ -78,24 +78,6 @@ class TestForward:
             == small_task.classifier.predict(features)
         ) >= 0.95
 
-    def test_gathered_forward_identical(self, pipeline, small_task):
-        features = small_task.sample_features(6)
-        per_row = pipeline.forward(features)
-        gathered = pipeline.forward_gathered(features)
-        assert np.allclose(per_row.logits, gathered.logits, atol=1e-12)
-        for a, b in zip(per_row.candidates, gathered.candidates):
-            assert np.array_equal(a, b)
-
-    def test_gathered_forward_empty_candidates(self, small_task, small_screener):
-        selector = CandidateSelector(
-            mode="threshold", num_candidates=1, threshold=1e12
-        )
-        model = ApproximateScreeningClassifier(
-            small_task.classifier, small_screener, selector=selector
-        )
-        out = model.forward_gathered(small_task.sample_features(2))
-        assert out.exact_count == 0
-
     def test_empty_candidates_row_handled(self, small_task, small_screener):
         selector = CandidateSelector(
             mode="threshold", num_candidates=1, threshold=1e12

@@ -1,13 +1,20 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.candidates import CandidateSet
+from repro.core.pipeline import ScreenedOutput, StreamedOutput
 from repro.data.registry import get_workload
 from repro.distributed import (
     ClusterModel,
     ShardedClassifier,
     merge_candidates,
     merge_candidates_per_row,
+    merge_shard_outputs,
+    merge_streamed_outputs,
     shard_ranges,
 )
 from repro.distributed.cluster import NetworkModel
@@ -112,6 +119,100 @@ class TestMergeCandidates:
         assert np.array_equal(merged.indices[0], [3, 1, 6, 4])
 
 
+class TestMergeToleratesFailedShards:
+    """``None`` entries in the one merge: a failed shard's candidates
+    vanish, its dense stripe is NaN, and every surviving entry keeps
+    its global column — for every subset of failed shards."""
+
+    @staticmethod
+    def random_shard(rng, batch_size, width, dtype):
+        """One shard's (dense, streamed) outputs over the same random
+        candidate record."""
+        indices = [
+            np.sort(
+                rng.choice(width, size=int(rng.integers(0, width + 1)), replace=False)
+            ).astype(np.intp)
+            for _ in range(batch_size)
+        ]
+        candidates = CandidateSet(indices=indices)
+        rows, cols = candidates.flat()
+        logits = rng.standard_normal((batch_size, width)).astype(dtype)
+        approx = rng.standard_normal(rows.size).astype(dtype)
+        dense = ScreenedOutput(
+            logits=logits, candidates=candidates, restore=(rows, cols, approx)
+        )
+        streamed = StreamedOutput(
+            candidates=candidates,
+            exact_values=logits[rows, cols],
+            approximate_values=approx,
+            num_categories=width,
+        )
+        return dense, streamed
+
+    @given(
+        sizes=st.lists(st.integers(1, 6), min_size=1, max_size=4),
+        batch_size=st.integers(1, 4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_none_entries_equal_full_merge_minus_failed_shards(
+        self, sizes, batch_size, seed
+    ):
+        rng = np.random.default_rng(seed)
+        stops = np.cumsum(sizes)
+        ranges = [range(int(stop - size), int(stop)) for size, stop in zip(sizes, stops)]
+        dtypes = [rng.choice([np.float32, np.float64]) for _ in sizes]
+        shards = [
+            self.random_shard(rng, batch_size, size, dtype)
+            for size, dtype in zip(sizes, dtypes)
+        ]
+        full_dense = merge_shard_outputs([d for d, _ in shards], ranges)
+        full_streamed = merge_streamed_outputs([s for _, s in shards], ranges)
+        rows, cols = full_streamed.candidates.flat()
+        for failed in itertools.product([False, True], repeat=len(sizes)):
+            missing = np.zeros(int(stops[-1]), dtype=bool)
+            for shard_range, dead in zip(ranges, failed):
+                missing[shard_range.start : shard_range.stop] = dead
+            keep = ~missing[cols]
+            survivors = [dtype for dtype, dead in zip(dtypes, failed) if not dead]
+            dtype = np.result_type(*survivors) if survivors else np.float64
+
+            streamed = merge_streamed_outputs(
+                [None if dead else s for (_, s), dead in zip(shards, failed)],
+                ranges,
+                batch_size,
+            )
+            assert streamed.num_categories == stops[-1]
+            assert streamed.batch_size == batch_size
+            kept_rows, kept_cols = streamed.candidates.flat()
+            assert np.array_equal(kept_rows, rows[keep])
+            assert np.array_equal(kept_cols, cols[keep])
+            for name in ("exact_values", "approximate_values"):
+                assert getattr(streamed, name).dtype == dtype
+                assert np.array_equal(
+                    getattr(streamed, name), getattr(full_streamed, name)[keep]
+                )
+
+            dense = merge_shard_outputs(
+                [None if dead else d for (d, _), dead in zip(shards, failed)],
+                ranges,
+                batch_size,
+            )
+            assert dense.logits.dtype == dtype
+            assert np.array_equal(dense.candidates.flat()[0], rows[keep])
+            assert np.array_equal(dense.candidates.flat()[1], cols[keep])
+            for name in ("logits", "approximate_logits"):
+                expected = getattr(full_dense, name).astype(np.float64)
+                expected[:, missing] = np.nan
+                assert np.array_equal(getattr(dense, name), expected, equal_nan=True)
+
+    def test_all_failed_merge_needs_a_batch_size(self):
+        ranges = shard_ranges(6, 2)
+        for merge in (merge_shard_outputs, merge_streamed_outputs):
+            with pytest.raises(ValueError, match="batch_size"):
+                merge([None, None], ranges)
+
+
 class TestShardedClassifier:
     @pytest.fixture(scope="class")
     def sharded(self):
@@ -171,6 +272,16 @@ class TestShardedClassifier:
         out = model(features)
         rows = np.arange(4)[:, None]
         assert np.allclose(out.logits[rows, indices], scores)
+
+    def test_top_k_beyond_category_count_rejected(self, sharded):
+        """The single-node pipeline's error, not a silent ``l``-column
+        result; ``k`` beyond one shard still clamps per shard."""
+        task, model = sharded
+        features = task.sample_features(2)
+        with pytest.raises(ValueError, match="k=1201 exceeds score dimension 1200"):
+            model.top_k(features, k=1201)
+        indices, _ = model.top_k(features, k=1200)
+        assert indices.shape == (2, 1200)
 
 
 class TestClusterModel:

@@ -172,6 +172,23 @@ class TestParallelEngineBehavior:
         with model.parallel() as engine:
             assert_outputs_identical(engine.forward(vector), model.forward(vector))
 
+    def test_top_k_beyond_category_count_rejected_before_scatter(
+        self, model_zoo, features
+    ):
+        """Same ``ValueError`` as the sequential and single-node
+        backends, raised before any worker sees the request; ``k``
+        beyond one shard still clamps per shard."""
+        model = model_zoo[(2, "float64", "top_m")]
+        with model.parallel() as engine:
+            l = engine.num_categories
+            with pytest.raises(ValueError, match=f"k={l + 1} exceeds score dimension {l}"):
+                engine.top_k(features, k=l + 1)
+            assert engine.stats()["requests"] == 0
+            par_indices, par_scores = engine.top_k(features, k=l)
+            seq_indices, seq_scores = model.top_k(features, k=l)
+            assert np.array_equal(par_indices, seq_indices)
+            assert np.array_equal(par_scores, seq_scores)
+
     def test_untrained_model_rejected(self, task):
         model = ShardedClassifier(task.classifier, num_shards=2)
         with pytest.raises(RuntimeError, match="train"):

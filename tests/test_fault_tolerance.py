@@ -25,8 +25,8 @@ from repro.distributed import (
     ShardedClassifier,
     WorkerDied,
     WorkerError,
-    merge_partial_shard_outputs,
-    merge_partial_streamed_outputs,
+    merge_shard_outputs,
+    merge_streamed_outputs,
 )
 from repro.obs import Recorder
 from repro.utils.faults import FaultSpec
@@ -100,8 +100,7 @@ def assert_backend_identical(backend, actual, reference):
 
 def expected_degraded(model, features, backend, failed_shard):
     """What the degraded merge must equal: the sequential shards'
-    outputs with the failed shard replaced by its placeholder."""
-    dtypes = [shard.screener.compute_dtype for shard in model.shards]
+    outputs with the failed shard's entry ``None``."""
     outputs = [
         None
         if shard_id == failed_shard
@@ -109,11 +108,9 @@ def expected_degraded(model, features, backend, failed_shard):
         for shard_id, shard in enumerate(model.shards)
     ]
     merge = (
-        merge_partial_shard_outputs
-        if backend == "forward"
-        else merge_partial_streamed_outputs
+        merge_shard_outputs if backend == "forward" else merge_streamed_outputs
     )
-    return merge(outputs, model.ranges, features.shape[0], dtypes)
+    return merge(outputs, model.ranges)
 
 
 def assert_degraded_result(model, backend, actual, reference, failed_shard):

@@ -199,31 +199,6 @@ class TestResultCacheSemantics:
         row[0] = 99.0  # caller mutates its buffer after the put
         assert cache.get("forward", {}, np.array([0.0, 1.0, 2.0, 3.0])) == "value"
 
-    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
-    def test_non_finite_rows_bypass_the_cache(self, bad):
-        """A NaN/inf row is served uncached: ``get`` misses without
-        raising, ``put`` stores nothing, and the bypass is counted
-        separately from ordinary misses."""
-        recorder = Recorder()
-        cache = ResultCache(capacity=4, recorder=recorder)
-        row = np.arange(6.0)
-        row[2] = bad
-        assert cache.get("forward", {}, row) is None
-        cache.put("forward", {}, row, "poison")
-        assert cache.get("forward", {}, row) is None
-        assert len(cache) == 0
-        stats = cache.stats()
-        assert stats["non_finite"] == 3
-        # Bypasses are not lookups: the ordinary miss counter is
-        # untouched, so hit-rate math stays about cacheable traffic.
-        assert stats["misses"] == 0 and stats["hits"] == 0
-        count = recorder.registry.counter("serving.cache.non_finite").value
-        assert count == 3
-        # Finite traffic is unaffected before and after.
-        finite = np.arange(6.0)
-        cache.put("forward", {}, finite, "value")
-        assert cache.get("forward", {}, finite) == "value"
-
     def test_capacity_validated(self):
         with pytest.raises(ValueError):
             ResultCache(capacity=0)

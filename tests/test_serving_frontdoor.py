@@ -32,6 +32,8 @@ from repro.serving import (
     EngineBackend,
     FrontDoor,
     FrontDoorClosedError,
+    FrontDoorError,
+    InvalidRequestError,
     QueueFullError,
     is_engine_backend,
     propagates_deadlines,
@@ -407,6 +409,34 @@ class TestAdmissionControl:
                     # here it is enough that every admitted request got
                     # a well-formed answer despite the overload.
                     assert reply.value.logits.shape == (NUM_CATEGORIES,)
+
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_row_is_rejected_at_submit_not_in_its_batch(
+        self, sharded, request_rows, bad
+    ):
+        """One NaN/inf row used to fail every request coalesced with it
+        (the top-m selector raised on the whole micro-batch).  The door
+        is the boundary: the bad row raises a typed error at ``submit``
+        and the good rows it would have joined are served."""
+        poison = request_rows[4].copy()
+        poison[3] = bad
+        with FrontDoor(sharded, max_batch=8, flush_window_s=0.05) as door:
+            good = [
+                door.submit(row, "forward_streaming") for row in request_rows[:4]
+            ]
+            with pytest.raises(InvalidRequestError) as raised:
+                door.submit(poison, "forward_streaming")
+            assert isinstance(raised.value, FrontDoorError)
+            assert isinstance(raised.value, ValueError)
+            replies = [future.result(timeout=30) for future in good]
+            stats = door.stats()
+        assert stats["served"] == 4 and stats["dispatch_errors"] == 0
+        direct = sharded.forward_streaming(request_rows[:4])
+        for index, reply in enumerate(replies):
+            assert np.array_equal(
+                reply.value.candidates, direct.candidates.indices[index]
+            )
 
 
 class TestFlushPolicyAndLifecycle:

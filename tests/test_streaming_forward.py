@@ -2,9 +2,8 @@
 
 The contract under test: ``forward_streaming`` is the *same function*
 as the dense ``forward`` — identical candidate sets for every block
-partition, bit-identical approximate and exact candidate values, and
-(in ``dense=True`` mode) bit-identical output planes — across
-selectors, screening compute dtypes, block sizes and shard counts.
+partition and bit-identical approximate and exact candidate values —
+across selectors, screening compute dtypes, block sizes and shard counts.
 The memory win comes from never materializing the ``batch × l`` plane,
 not from changing a single output bit.
 """
@@ -14,7 +13,7 @@ import pytest
 
 from repro.core import ApproximateScreeningClassifier, ScreeningConfig, train_screener
 from repro.core.candidates import CandidateSelector
-from repro.core.pipeline import ScreenedOutput, StreamedOutput
+from repro.core.pipeline import StreamedOutput
 from repro.core.screener import TILE_CATEGORIES
 from repro.data import make_task
 from repro.distributed import ShardedClassifier
@@ -89,15 +88,6 @@ def assert_candidates_equal(actual, expected):
         assert np.array_equal(mine, theirs)
 
 
-def assert_dense_outputs_identical(actual, expected):
-    """Bitwise equality of everything a ScreenedOutput exposes."""
-    assert actual.logits.dtype == expected.logits.dtype
-    assert np.array_equal(actual.logits, expected.logits)
-    assert np.array_equal(actual.approximate_logits, expected.approximate_logits)
-    assert_candidates_equal(actual.candidates, expected.candidates)
-    assert actual.exact_count == expected.exact_count
-
-
 @pytest.mark.parametrize("dtype", DTYPES)
 @pytest.mark.parametrize("selector_mode", SELECTORS)
 class TestStreamingMatchesDense:
@@ -122,20 +112,6 @@ class TestStreamingMatchesDense:
         assert np.array_equal(streamed.exact_values, dense.logits[rows, cols])
         assert streamed.exact_count == dense.exact_count
         assert streamed.num_categories == dense.num_categories
-
-    @pytest.mark.parametrize("block", BLOCKS)
-    def test_dense_mode_bit_identical(
-        self, pipeline_zoo, features, selector_mode, dtype, block
-    ):
-        """dense=True materializes the plane: the full ScreenedOutput
-        must be indistinguishable from forward()."""
-        model = pipeline_zoo[(dtype, selector_mode)]
-        expected = model.forward(features)
-        actual = model.forward_streaming(
-            features, block_categories=block, dense=True
-        )
-        assert isinstance(actual, ScreenedOutput)
-        assert_dense_outputs_identical(actual, expected)
 
     def test_block_size_is_irrelevant(
         self, pipeline_zoo, features, selector_mode, dtype
@@ -210,8 +186,6 @@ class TestEdgeCases:
         )
         dense = model.forward(features)
         assert np.array_equal(dense.logits, dense.approximate_logits)
-        identical = model.forward_streaming(features, dense=True)
-        assert_dense_outputs_identical(identical, dense)
 
     def test_invalid_block_rejected(self, pipeline_zoo, features):
         model = pipeline_zoo[("float64", "top_m")]
@@ -244,8 +218,6 @@ class TestEdgeCases:
         )
         features = task.sample_features(4, rng=24)
         dense = model.forward(features)
-        actual = model.forward_streaming(features, dense=True)
-        assert_dense_outputs_identical(actual, dense)
         streamed = model.forward_streaming(features, block_categories=1000)
         assert_candidates_equal(streamed.candidates, dense.candidates)
         rows, cols = dense.candidates.flat()
