@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test bench-smoke bench bench-streaming bench-streaming-quant bench-trace bench-parallel bench-parallel-faults bench-serving bench-serving-zipf bench-serving-elastic bench-suite experiments examples clean
+.PHONY: install test bench-smoke bench-pair bench bench-streaming bench-streaming-quant bench-trace bench-parallel bench-parallel-faults bench-serving bench-serving-zipf bench-serving-elastic bench-suite experiments examples clean
 
 install:
 	$(PYTHON) -m pip install -e . || $(PYTHON) setup.py develop
@@ -14,6 +14,15 @@ test:
 # workloads, untraced then traced, every correctness gate on.
 bench-smoke:
 	python3 bench/run.py --smoke
+
+# Paired before/after runs of one workload: PARENT checked out into a
+# temporary git worktree, parent and working tree run alternately, medians,
+# quartiles and pairs won per metric (choosing-metrics guide §8).
+WORKLOAD ?= batch_topm
+PAIRS ?= 10
+PARENT ?= HEAD
+bench-pair:
+	python3 scripts/bench_pair.py --workload $(WORKLOAD) --pairs $(PAIRS) --parent $(PARENT)
 
 # Hot-path microbenchmark: seed pipeline vs vectorized engine.
 # Writes BENCH_pipeline.json (the perf record future changes regress against).

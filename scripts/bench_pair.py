@@ -1,0 +1,143 @@
+"""Paired before/after runs of the repo's benchmark.
+
+    python3 scripts/bench_pair.py --workload batch_topm --pairs 10
+    make bench-pair WORKLOAD=batch_topm PAIRS=10 [PARENT=HEAD~1]
+
+Checks ``--parent`` (default ``HEAD``: the commit an uncommitted change
+sits on; pass ``HEAD~1`` once it is committed) out into a temporary
+``git worktree`` and runs ``python3 bench/run.py --workload W`` on it and
+on the working tree alternately — which side goes first alternates too,
+and both sides of a pair get the same seed (``--seed`` + pair index).
+Prints each side's median and quartiles per metric and the share of
+pairs the change won: the procedure in the ``choosing-metrics`` guide §8
+(a gain is claimed only when the change wins at least nine tenths of the
+pairs, ties counting for neither, and the medians differ by more than
+the parent's own interquartile distance).
+
+It only invokes ``bench/run.py``; it changes nothing under ``bench/``.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def directions() -> dict:
+    """``{metric: "higher" | "lower"}`` from ``BENCHMARK.json``."""
+    with open(ROOT / "BENCHMARK.json") as handle:
+        contract = json.load(handle)
+    return {m["name"]: m["better"] for m in contract["end_to_end"] + contract["per_layer"]}
+
+
+def run_side(root: Path, out: Path, args: argparse.Namespace, seed: int) -> dict:
+    """One ``bench/run.py`` run in ``root``; ``{metric: value}``."""
+    command = [sys.executable, "bench/run.py", "--workload", args.workload,
+               "--seed", str(seed), "--trace", str(args.trace), "--out", str(out)]
+    if args.smoke:
+        command.append("--smoke")
+    done = subprocess.run(command, cwd=root, capture_output=True, text=True)
+    lines = done.stdout.strip().splitlines()
+    record = json.loads(lines[-1]) if lines else {"correct": False}
+    if done.returncode != 0 or not record["correct"]:
+        sys.stderr.write(done.stderr)
+        raise SystemExit(f"bench_pair: run in {root} failed (code {done.returncode})")
+    return {name: metric["value"] for name, metric in record["metrics"].items()}
+
+
+def summarize(parent: list, change: list, better: str) -> dict:
+    """Medians, quartiles and pairs won for one metric's paired samples."""
+    sign = 1 if better == "higher" else -1
+    won = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
+
+    def spread(samples):
+        if len(samples) < 2:
+            return samples[0], samples[0], samples[0]
+        q1, _, q3 = statistics.quantiles(samples, n=4)
+        return statistics.median(samples), q1, q3
+
+    p_med, p_q1, p_q3 = spread(parent)
+    c_med, c_q1, c_q3 = spread(change)
+    return {
+        "parent": (p_med, p_q1, p_q3),
+        "change": (c_med, c_q1, c_q3),
+        "won": won,
+        "pairs": len(parent),
+        # The §8 rule: ten pairs or more, nine tenths of them won, and the
+        # medians apart by more than the parent's interquartile distance.
+        "gain": (
+            len(parent) >= 10
+            and won >= 0.9 * len(parent)
+            and sign * (c_med - p_med) > p_q3 - p_q1
+        ),
+    }
+
+
+def report(samples: dict, better: dict) -> None:
+    print(f"\n{'metric':<44} {'parent median [q1, q3]':>36} {'change median [q1, q3]':>36} "
+          f"{'ratio':>7} {'won':>7}")
+    for name, (parent, change) in samples.items():
+        if not any(parent) and not any(change):
+            continue  # a layer this workload does not execute reports 0
+        row = summarize(parent, change, better.get(name, "lower"))
+        (p_med, p_q1, p_q3), (c_med, c_q1, c_q3) = row["parent"], row["change"]
+        ratio = f"{c_med / p_med:.3f}" if p_med else "-"
+        print(f"{name:<44} {f'{p_med:.5g} [{p_q1:.5g}, {p_q3:.5g}]':>36} "
+              f"{f'{c_med:.5g} [{c_q1:.5g}, {c_q3:.5g}]':>36} {ratio:>7} "
+              f"{row['won']:>3}/{row['pairs']:<3}{'  GAIN' if row['gain'] else ''}")
+    print("\n# ratio = change median / parent median; won = pairs where the change read "
+          "better (ties count for neither); GAIN = guide §8 rule met")
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--parent", default="HEAD", help="revision to compare against")
+    parser.add_argument("--seed", type=int, default=1, help="pair i runs both sides on seed + i")
+    parser.add_argument("--trace", type=int, choices=(0, 1), default=0,
+                        help="1: compare the per-layer metrics instead")
+    parser.add_argument("--smoke", action="store_true")
+    args = parser.parse_args(argv)
+
+    better = directions()
+    samples: dict = {}
+    with tempfile.TemporaryDirectory(prefix="bench_pair_") as scratch:
+        tree = Path(scratch) / "parent"
+        subprocess.run(["git", "worktree", "add", "--detach", str(tree), args.parent],
+                       cwd=ROOT, check=True, capture_output=True)
+        try:
+            sides = {"parent": tree, "change": ROOT}
+            for pair in range(args.pairs):
+                order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
+                values = {
+                    side: run_side(sides[side], Path(scratch) / f"out_{side}", args,
+                                   args.seed + pair)
+                    for side in order
+                }
+                for name, value in values["parent"].items():
+                    if name in values["change"]:
+                        both = samples.setdefault(name, ([], []))
+                        both[0].append(value)
+                        both[1].append(values["change"][name])
+                first = next(iter(values["parent"]))
+                print(f"# pair {pair + 1}/{args.pairs} ({order[0]} first, seed {args.seed + pair}): "
+                      f"{first} {values['parent'][first]:.5g} -> {values['change'][first]:.5g}",
+                      flush=True)
+        finally:
+            subprocess.run(["git", "worktree", "remove", "--force", str(tree)],
+                           cwd=ROOT, capture_output=True)
+            subprocess.run(["git", "worktree", "prune"], cwd=ROOT, capture_output=True)
+    report(samples, better)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

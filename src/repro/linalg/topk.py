@@ -75,6 +75,21 @@ def stable_top_m_indices(scores: np.ndarray, m: int) -> np.ndarray:
     return np.nonzero(mask)[1].reshape(batch, m)
 
 
+def _survivors(ws, key: str, block: np.ndarray, bound, dense: int = -1):
+    """The streaming filter step: entries with ``block > bound`` (a
+    scalar, or one bound per row as ``(batch, 1)``) as flat row-major
+    ``(rows, cols, values)``.  ``None`` when more than ``dense`` entries
+    pass (``dense >= 0``) — decided before anything is extracted."""
+    mask = ws.buffer((key, "mask"), block.shape, bool)
+    np.greater(block, bound, out=mask)
+    if 0 <= dense < np.count_nonzero(mask):
+        return None
+    flat = np.flatnonzero(mask)
+    rows = flat // block.shape[1]
+    cols = flat - rows * block.shape[1]
+    return rows, cols, block[rows, cols]
+
+
 class BlockwiseTopM:
     """Running per-row top-``m`` over column blocks of a score plane.
 
@@ -86,10 +101,14 @@ class BlockwiseTopM:
     when ``m`` entries beat it under the total order, and "beats" is
     transitive, so exactly the ``m`` global maxima survive.
 
-    The kept columns stay ascending within each row (they are gathered
-    in position order and every new block lies to the right of all kept
-    columns), which makes position order equal global-index order in
-    the merge — the tie-break therefore needs no explicit index sort.
+    Once a row holds ``m`` entries its m-th best score is a running
+    ``floor``: a later block costs one ``block > floor`` compare plus a
+    merge of the few survivors with the kept ``m``.  Strict ``>`` is
+    exact: kept columns stay ascending and left of every later column,
+    so position order is global-index order (the merge needs no index
+    sort) and an equal score always loses the tie-break.  The first
+    fill, and any block whose survivors are dense (ascending scores),
+    merge ``[kept | block]`` in full instead.
 
     Scratch state lives in a :class:`repro.utils.memory.Workspace` when
     one is supplied, so steady-state updates allocate nothing new.
@@ -108,33 +127,44 @@ class BlockwiseTopM:
         self.dtype = np.dtype(dtype)
         self._scores = self._ws.buffer((key, "scores"), (batch, m), self.dtype)
         self._cols = self._ws.buffer((key, "cols"), (batch, m), np.intp)
+        self._floor = self._ws.buffer((key, "floor"), (batch, 1), self.dtype)
         self._filled = 0
 
     def update(self, start: int, block: np.ndarray) -> None:
         """Fold in scores for global columns ``[start, start+width)``."""
-        width = block.shape[1]
-        if width == 0:
+        extra = block.shape[1]  # columns merged next to the kept ones
+        if extra == 0:
             return
-        merged = self._filled + width
-        cand_scores = self._ws.buffer(
-            (self._key, "merge"), (self.batch, merged), self.dtype
-        )
-        cand_scores[:, : self._filled] = self._scores[:, : self._filled]
-        cand_scores[:, self._filled :] = block
-        if merged <= self.m:
-            self._scores[:, self._filled : merged] = block
-            self._cols[:, self._filled : merged] = start + np.arange(width)
-            self._filled = merged
-            return
-        keep = stable_top_m_indices(cand_scores, self.m)
-        cand_cols = self._ws.buffer(
-            (self._key, "merge_cols"), (self.batch, merged), np.intp
-        )
-        cand_cols[:, : self._filled] = self._cols[:, : self._filled]
-        cand_cols[:, self._filled :] = start + np.arange(width)
-        self._scores[...] = np.take_along_axis(cand_scores, keep, axis=1)
-        self._cols[...] = np.take_along_axis(cand_cols, keep, axis=1)
-        self._filled = self.m
+        filled, hits = self._filled, None
+        if filled == self.m:  # the floor is only tight once m entries are held
+            # Measured break-even: between 1/8 and 1/4 of the block surviving.
+            hits = _survivors(self._ws, self._key, block, self._floor, dense=block.size // 8)
+        if hits is not None:
+            rows, cols, values = hits
+            if rows.size == 0:
+                return
+            counts = np.bincount(rows, minlength=self.batch)
+            extra = int(counts.max())
+            slot = filled + np.arange(rows.size) - np.repeat(np.cumsum(counts) - counts, counts)
+        shape = (self.batch, filled + extra)
+        cand_scores = self._ws.buffer((self._key, "merge"), shape, self.dtype)
+        cand_cols = self._ws.buffer((self._key, "merge_cols"), shape, np.intp)
+        cand_scores[:, :filled] = self._scores[:, :filled]
+        cand_cols[:, :filled] = self._cols[:, :filled]
+        if hits is None:
+            cand_scores[:, filled:] = block
+            cand_cols[:, filled:] = start + np.arange(extra)
+        else:
+            # Survivors left-packed per row; the -inf padding sits right
+            # of m kept entries that all beat it, so it is never selected.
+            cand_scores[:, filled:] = -np.inf
+            cand_scores[rows, slot] = values
+            cand_cols[rows, slot] = start + cols
+        keep = stable_top_m_indices(cand_scores, self.m)  # every column while short of m
+        self._filled = kept = keep.shape[1]
+        self._scores[:, :kept] = np.take_along_axis(cand_scores, keep, axis=1)
+        self._cols[:, :kept] = np.take_along_axis(cand_cols, keep, axis=1)
+        self._scores[:, :kept].min(axis=1, keepdims=True, out=self._floor)
 
     def finalize(self):
         """``(counts, cols, values)`` in the flat candidate layout:
@@ -178,23 +208,18 @@ class BlockwiseThreshold:
         self._count = 0
 
     def update(self, start: int, block: np.ndarray) -> None:
-        width = block.shape[1]
-        if width == 0:
+        if block.shape[1] == 0:
             return
-        hit_mask = self._ws.buffer((self._key, "mask"), block.shape, bool)
-        np.greater(block, self.threshold, out=hit_mask)
-        flat = np.flatnonzero(hit_mask)
-        if flat.size == 0:
+        hit_rows, hit_cols, hit_values = _survivors(self._ws, self._key, block, self.threshold)
+        if hit_rows.size == 0:
             return
-        local_rows = flat // width
-        local_cols = flat - local_rows * width
-        total = self._count + flat.size
+        total = self._count + hit_rows.size
         rows = self._ws.growable((self._key, "rows"), total, np.intp)
         cols = self._ws.growable((self._key, "cols"), total, np.intp)
         values = self._ws.growable((self._key, "values"), total, self.dtype)
-        rows[self._count : total] = local_rows
-        cols[self._count : total] = start + local_cols
-        values[self._count : total] = block[local_rows, local_cols]
+        rows[self._count : total] = hit_rows
+        cols[self._count : total] = start + hit_cols
+        values[self._count : total] = hit_values
         self._count = total
 
     def finalize(self):

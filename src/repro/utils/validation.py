@@ -31,6 +31,9 @@ def check_batch_features(features: np.ndarray, hidden_dim: int) -> np.ndarray:
     """Validate and normalize a feature batch to shape ``(batch, hidden_dim)``.
 
     A single vector of shape ``(hidden_dim,)`` is promoted to a batch of 1.
+    Non-finite rows are rejected here, once, so the dense, streaming,
+    sharded and worker engines all fail the same way instead of each
+    selection kernel meeting the NaN on its own terms.
     """
     array = np.asarray(features, dtype=np.float64)
     if array.ndim == 1:
@@ -41,4 +44,7 @@ def check_batch_features(features: np.ndarray, hidden_dim: int) -> np.ndarray:
         raise ValueError(
             f"features have hidden dim {array.shape[1]}, expected {hidden_dim}"
         )
+    finite = np.isfinite(array).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"features row {int(np.argmin(finite))} contains NaN/inf")
     return array

@@ -1,0 +1,34 @@
+"""The paired-run summary (``scripts/bench_pair.py``): pure arithmetic,
+no benchmark is run here."""
+
+import importlib.util
+from pathlib import Path
+
+SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "bench_pair.py"
+spec = importlib.util.spec_from_file_location("bench_pair", SCRIPT)
+bench_pair = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(bench_pair)
+
+
+class TestSummarize:
+    def test_direction_decides_who_won_and_ties_count_for_neither(self):
+        parent = [10.0, 10.0, 10.0, 10.0]
+        change = [12.0, 9.0, 10.0, 11.0]
+        assert bench_pair.summarize(parent, change, "higher")["won"] == 2
+        assert bench_pair.summarize(parent, change, "lower")["won"] == 1
+
+    def test_gain_needs_ten_pairs_nine_tenths_and_the_parents_spread(self):
+        parent = [100.0 + i for i in range(10)]  # quartiles 2.25 .. 7.75 above 100
+        clear = [value + 20 for value in parent]
+        assert bench_pair.summarize(parent, clear, "higher")["gain"]
+        assert not bench_pair.summarize(parent, clear, "lower")["gain"]
+        assert not bench_pair.summarize(parent[:9], clear[:9], "higher")["gain"]
+        inside_noise = [value + 1 for value in parent]  # wins every pair, by too little
+        assert not bench_pair.summarize(parent, inside_noise, "higher")["gain"]
+        two_lost = clear[:8] + [0.0, 0.0]
+        assert not bench_pair.summarize(parent, two_lost, "higher")["gain"]
+
+    def test_every_contract_metric_has_a_direction(self):
+        better = bench_pair.directions()
+        assert better["throughput_rows_per_s"] == "higher"
+        assert better["linalg.topk.update_ms"] == "lower"

@@ -90,6 +90,60 @@ class TestForward:
         assert np.array_equal(out.logits, out.approximate_logits)
 
 
+class TestEnginesAgreeOnBadAndLargeInput:
+    @pytest.fixture(scope="class")
+    def multi_tile(self):
+        """20K categories: three screener tiles, so the streaming
+        reducer runs its first fill and then the floor compare."""
+        from repro.core import ScreeningConfig, train_screener
+        from repro.data import make_task
+
+        task = make_task(num_categories=20_000, hidden_dim=16, rng=3)
+        screener = train_screener(
+            task.classifier,
+            task.sample_features(64, rng=1),
+            config=ScreeningConfig(projection_dim=4),
+            solver="lstsq",
+            rng=2,
+        )
+        model = ApproximateScreeningClassifier(
+            task.classifier, screener, CandidateSelector("top_m", 8)
+        )
+        assert len(list(screener.tile_bounds())) == 3
+        return task, model
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_row_fails_dense_and_streaming_the_same_way(
+        self, multi_tile, bad
+    ):
+        task, model = multi_tile
+        features = task.sample_features(4, rng=5)
+        features[2, 3] = bad
+        for call in (
+            model.forward,
+            model.forward_streaming,
+            lambda batch: model.forward(batch, faithful=True),
+            lambda batch: model.top_k(batch, 3),
+        ):
+            with pytest.raises(ValueError, match="row 2 contains NaN/inf"):
+                call(features)
+
+    def test_multi_tile_streaming_matches_dense_and_settles(self, multi_tile):
+        """After one warm call a second multi-tile top-m call performs
+        zero new workspace allocations (and selects what dense does)."""
+        task, model = multi_tile
+        features = task.sample_features(6, rng=7)
+        streamed = model.forward_streaming(features)
+        dense = model.forward(features)
+        for mine, theirs in zip(streamed.candidates, dense.candidates):
+            assert np.array_equal(mine, theirs)
+        settled = model.workspace.allocations
+        requests = model.workspace.requests
+        model.forward_streaming(features)
+        assert model.workspace.allocations == settled
+        assert model.workspace.requests > requests
+
+
 class TestFaithfulVsVectorized:
     """The vectorized default and the per-row reference mode must be
     numerically identical — same candidates, same mixed logits, and

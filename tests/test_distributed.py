@@ -284,6 +284,26 @@ class TestShardedClassifier:
         assert indices.shape == (2, 1200)
 
 
+    def test_non_finite_row_fails_every_engine_the_same_way(self, sharded):
+        """Sequential shards and worker processes reject a NaN row with
+        the single-node error, whichever op carries it — no engine gets
+        to meet the NaN in its own selection kernel."""
+        task, model = sharded
+        features = task.sample_features(3)
+        features[1, 5] = np.nan
+        with model.parallel() as engine:
+            for backend in (model, engine):
+                for call in (
+                    backend.forward,
+                    backend.forward_streaming,
+                    lambda batch: backend.top_k(batch, k=3),
+                ):
+                    with pytest.raises(ValueError, match="row 1 contains NaN/inf"):
+                        call(features)
+            # The workers never saw the bad batch and still serve.
+            assert engine.predict(task.sample_features(2)).shape == (2,)
+
+
 class TestClusterModel:
     @pytest.fixture(scope="class")
     def workload(self):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -147,14 +149,15 @@ class TestStableTopM:
         )
 
 
-class TestBlockwiseReducers:
-    def run_blocked(self, reducer, scores, boundaries):
-        start = 0
-        for stop in list(boundaries) + [scores.shape[1]]:
-            reducer.update(start, scores[:, start:stop])
-            start = stop
-        return reducer.finalize()
+def run_blocked(reducer, scores, boundaries):
+    start = 0
+    for stop in list(boundaries) + [scores.shape[1]]:
+        reducer.update(start, scores[:, start:stop])
+        start = stop
+    return reducer.finalize()
 
+
+class TestBlockwiseReducers:
     @given(
         arrays(
             dtype=np.float64,
@@ -177,7 +180,7 @@ class TestBlockwiseReducers:
             )
         )
         reducer = BlockwiseTopM(batch, m)
-        counts, cols, values = self.run_blocked(reducer, scores, boundaries)
+        counts, cols, values = run_blocked(reducer, scores, boundaries)
         expected = stable_top_m_indices(scores, m)
         assert np.array_equal(counts, np.full(batch, m))
         assert np.array_equal(cols.reshape(batch, m), expected)
@@ -204,7 +207,7 @@ class TestBlockwiseReducers:
             )
         )
         reducer = BlockwiseThreshold(batch, threshold)
-        counts, cols, values = self.run_blocked(reducer, scores, boundaries)
+        counts, cols, values = run_blocked(reducer, scores, boundaries)
         expected = select_above_threshold(scores, threshold)
         assert np.array_equal(counts, [row.size for row in expected])
         assert np.array_equal(cols, np.concatenate(expected))
@@ -217,7 +220,7 @@ class TestBlockwiseReducers:
         scores = rng.standard_normal((4, 40))
         for round_index in range(4):
             reducer = BlockwiseTopM(4, 5, workspace=workspace)
-            self.run_blocked(reducer, scores, [10, 20, 30])
+            run_blocked(reducer, scores, [10, 20, 30])
             if round_index == 0:
                 settled = workspace.allocations
         assert workspace.allocations == settled
@@ -240,6 +243,134 @@ class TestBlockwiseReducers:
                 scores, stable_top_m_indices(scores, 3), axis=1
             ),
         )
+
+
+ALPHABET = (0.0, 1.0, 2.0, -np.inf, np.inf)
+
+
+@st.composite
+def tied_planes(draw):
+    """A score plane over a 3-value alphabet plus ``±inf`` (ties
+    everywhere) and a block partition of it.  Each row holds nothing
+    positive until it wakes at a column of its own (or never), so a
+    block holds rows with no survivors next to a row with many; cut
+    points are drawn from the whole range, so width-1 blocks and a
+    first block narrower than ``m`` both occur.  Entries come from a
+    drawn seed: the planes are too large to draw entry by entry."""
+    batch, n = draw(st.integers(1, 5)), draw(st.integers(2, 400))
+    dtype = draw(st.sampled_from((np.float32, np.float64)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scores = rng.choice(np.array(ALPHABET, dtype=dtype), size=(batch, n))
+    wakes_at = rng.integers(0, n + 1, size=(batch, 1))
+    scores = np.where(np.arange(n) < wakes_at, np.minimum(scores, 0), scores)
+    cuts = draw(st.lists(st.integers(1, n - 1), max_size=6, unique=True))
+    return scores, sorted(cuts)
+
+
+class TestReducerProperties:
+    """The reducers against the dense definitions on tie-saturated
+    planes, every ``m`` regime and both compute dtypes."""
+
+    @given(tied_planes(), st.sampled_from(("n-1", "n", "over")) | st.integers(1, 12))
+    @settings(max_examples=400, deadline=None)
+    def test_top_m_equals_dense_selection(self, plane, budget):
+        """``m`` at and past the plane's width, and small ``m`` — the
+        regime where the floor compare decides most blocks."""
+        scores, cuts = plane
+        batch, n = scores.shape
+        m = {"n-1": n - 1, "n": n, "over": n + 3}.get(budget, budget)
+        counts, cols, values = run_blocked(
+            BlockwiseTopM(batch, m, dtype=scores.dtype), scores, cuts
+        )
+        expected = stable_top_m_indices(scores, m)
+        kept = min(m, n)
+        assert np.array_equal(counts, np.full(batch, kept))
+        assert np.array_equal(cols.reshape(batch, kept), expected)
+        assert values.dtype == scores.dtype
+        assert np.array_equal(
+            values.reshape(batch, kept), np.take_along_axis(scores, expected, axis=1)
+        )
+
+    @given(tied_planes(), st.sampled_from(ALPHABET))
+    @settings(max_examples=200, deadline=None)
+    def test_threshold_equals_dense_selection(self, plane, threshold):
+        scores, cuts = plane
+        batch = scores.shape[0]
+        counts, cols, values = run_blocked(
+            BlockwiseThreshold(batch, threshold, dtype=scores.dtype), scores, cuts
+        )
+        expected = select_above_threshold(scores, threshold)
+        assert np.array_equal(counts, [row.size for row in expected])
+        assert np.array_equal(cols, np.concatenate(expected))
+        assert values.dtype == scores.dtype
+        assert np.array_equal(values, scores[np.repeat(np.arange(batch), counts), cols])
+
+
+class TestReducerWorstCase:
+    """Adversarial column order and allocation ceilings.  No wall-clock
+    asserts: the cost model is pinned through what an update allocates."""
+
+    TILE = 8192
+
+    @pytest.mark.parametrize("direction", (1, -1), ids=("ascending", "descending"))
+    @pytest.mark.parametrize("dtype", (np.float64, np.float32))
+    def test_monotone_planes_give_dense_selection(self, direction, dtype):
+        batch, n, m = 3, 5 * self.TILE + 77, 32
+        scores = (direction * np.arange(n, dtype=dtype))[None, :] + np.arange(
+            batch, dtype=dtype
+        )[:, None]
+        cuts = range(self.TILE, n, self.TILE)
+        _, cols, values = run_blocked(BlockwiseTopM(batch, m, dtype=dtype), scores, cuts)
+        expected = stable_top_m_indices(scores, m)
+        assert np.array_equal(cols.reshape(batch, m), expected)
+        assert np.array_equal(
+            values.reshape(batch, m), np.take_along_axis(scores, expected, axis=1)
+        )
+
+    def test_survivor_padding_never_displaces_a_kept_entry(self):
+        """Rows with fewer survivors than the widest row are padded;
+        the padding must lose even to a kept ``-inf``."""
+        scores = np.full((2, 18), -np.inf)
+        scores[1, :2] = 0.0
+        scores[0, 7] = 0.0  # row 0: one survivor over a floor of -inf
+        scores[1, [4, 9]] = 1.0  # row 1: two, so row 0 gets a padded slot
+        _, cols, values = run_blocked(BlockwiseTopM(2, 2), scores, [2])
+        assert cols.tolist() == [0, 7, 4, 9]
+        assert values.tolist() == [-np.inf, 0.0, 1.0, 1.0]
+
+    def update_peaks(self, scores, m=32):
+        """``tracemalloc`` peak of each tile's ``update`` on a workspace
+        a first pass over the same plane has already warmed."""
+        workspace = Workspace()
+        cuts = range(self.TILE, scores.shape[1], self.TILE)
+        run_blocked(BlockwiseTopM(scores.shape[0], m, workspace=workspace), scores, cuts)
+        reducer = BlockwiseTopM(scores.shape[0], m, workspace=workspace)
+        peaks = []
+        tracemalloc.start()
+        try:
+            for start in range(0, scores.shape[1], self.TILE):
+                tracemalloc.reset_peak()
+                before = tracemalloc.get_traced_memory()[0]
+                reducer.update(start, scores[:, start : start + self.TILE])
+                peaks.append(tracemalloc.get_traced_memory()[1] - before)
+        finally:
+            tracemalloc.stop()
+        return peaks
+
+    def test_later_block_allocates_a_fraction_of_the_block(self):
+        scores = np.random.default_rng(7).standard_normal((16, 4 * self.TILE))
+        block_bytes = scores[:, : self.TILE].nbytes
+        first_fill, *later = self.update_peaks(scores)
+        assert first_fill > block_bytes  # the full merge copies the block
+        assert max(later) < block_bytes / 4
+
+    def test_ascending_block_allocates_no_more_than_first_fill(self):
+        scores = np.sort(
+            np.random.default_rng(8).standard_normal((16, 4 * self.TILE)), axis=1
+        )
+        first_fill, *later = self.update_peaks(scores)
+        # Same full merge, m kept columns wider.
+        assert max(later) <= first_fill * 1.02
 
 
 class TestCalibrate:

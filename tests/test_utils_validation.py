@@ -60,3 +60,10 @@ class TestCheckBatchFeatures:
     def test_rejects_3d(self):
         with pytest.raises(ValueError):
             check_batch_features(np.zeros((2, 2, 2)), 2)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_naming_the_first_bad_row(self, bad):
+        features = np.zeros((4, 8))
+        features[2, 3] = features[3, 0] = bad
+        with pytest.raises(ValueError, match="row 2 contains NaN/inf"):
+            check_batch_features(features, 8)
