@@ -29,65 +29,30 @@ bytes, the engine is bit-identical to the sequential
 ``tests/test_distributed_parallel.py`` asserts exactly that, across
 selectors, compute dtypes and shard counts.
 
-Fault tolerance (the supervision layer)
----------------------------------------
-Every pipe message carries a request id (see
-:mod:`repro.utils.workers`), so a request the host gave up on can never
-poison the next one — late replies are discarded by id.  On that
-protocol the engine builds serving-grade supervision:
+Data plane and control plane
+----------------------------
+This module is the **data plane**: the worker entry point, the shared
+I/O segments, scatter, collect, merge and the serving API.  Everything
+*about a shard's workers* — which replica gets a request, respawn with
+backoff against the shard's restart budget, failover to a sibling,
+runtime scale-up / scale-down, the autoscaler's observation window —
+is the **control plane** in :mod:`repro.distributed.fleet`: one
+:class:`~repro.distributed.fleet.ShardGroup` per shard, reached through
+``pick`` / ``post`` / ``record`` / ``recover`` / ``add`` / ``retire`` /
+``signal`` and handed a ``spawn`` callable, so it owns no process.
 
-* **respawn** — a worker that dies is replaced from the *same* shared
-  parameter segments (nothing is re-exported or re-pickled), with
-  exponential backoff and a bounded per-worker restart budget
-  (``max_restarts``); a respawned fleet keeps answering bit-identically
-  to the sequential backend.
-* **deadlines + retries** — ``request_timeout`` bounds every reply
-  wait; ``request_retries`` re-issues the request to the same live
-  worker (safe, because its late first answer is discarded by id)
-  before the worker is declared wedged, killed, and replaced.
-* **graceful degradation** — with ``degraded=True`` an irrecoverable
-  shard no longer takes down the engine: ``forward`` /
-  ``forward_streaming`` / ``top_k`` return a
-  :class:`~repro.core.pipeline.DegradedOutput` wrapping the merge of
-  the surviving shards plus :class:`~repro.core.pipeline.ShardFailure`
-  records naming the missing category ranges.  With ``degraded=False``
-  (default) the engine preserves the fail-fast contract: it closes
-  itself and raises.
-
-Every failure path is exercised deterministically through
-:mod:`repro.utils.faults` (kill / delay / wedge / raise on the nth
-request), wired through the worker entry point.
-
-Replica groups (Zipfian-aware serving)
---------------------------------------
-Under a skewed request mix some shards are hotter than others even
-after frequency-balanced planning (:class:`~repro.distributed.sharding.ShardPlan`
-equalizes *estimated* load; a single ultra-hot category still pins its
-whole shard).  The ``replicas`` parameter therefore runs *groups* of
-interchangeable workers per shard.  Replicas attach the **same** shared
-parameter segments — the model exists once in physical memory no matter
-how many processes serve it — and each request is dispatched to the
-least-loaded live replica (fewest dispatch attempts, ties to the lowest
-index — attempts, not answers, so a replica that keeps timing out does
-not keep attracting traffic).  Supervision extends naturally: a dead or wedged replica is
-respawned against the shard's shared ``max_restarts`` budget, and when
-its budget share is spent the request *fails over* to a live sibling;
-only a shard whose replicas are all dead degrades or fails fast.
-Failover is race-safe on the shared output planes because the
-incumbent is always stopped (SIGTERM→SIGKILL) before a sibling serves
-the same plane.
-
-Replica groups are *elastic*: with an
-:class:`~repro.distributed.autoscale.AutoScaler` attached,
-:meth:`ParallelShardedEngine.autoscale_tick` (driven between
-micro-batches by the serving front door) evaluates the observed
-per-shard work distribution and latency, spawns additional replicas
-for overloaded shards against the existing shared segments
-(:meth:`~ParallelShardedEngine.scale_up`), retires idle or tombstoned
-ones (:meth:`~ParallelShardedEngine.scale_down`), and re-plans the
-whole allocation when the observed load drifts away from the plan that
-sized the fleet.  Scaling moves placement only — outputs stay
-bit-identical with the autoscaler on or off.
+Every pipe message carries a request id (:mod:`repro.utils.workers`),
+so a late reply to an abandoned request is discarded by id and a
+timed-out request is safely re-issued (``request_retries``) before the
+group's ``recover`` replaces the worker.  With ``degraded=True`` a shard
+whose group is dead no longer takes down the engine: serving calls
+return a :class:`~repro.core.pipeline.DegradedOutput` wrapping the
+merge of the surviving shards plus
+:class:`~repro.core.pipeline.ShardFailure` records naming the missing
+category ranges; with ``degraded=False`` (default) the engine closes
+itself and raises.  Every failure path is exercised deterministically
+through :mod:`repro.utils.faults` (kill / delay / wedge / raise on the
+nth request), wired through the worker entry point.
 
 The engine satisfies the :class:`~repro.serving.backend.EngineBackend`
 protocol (as do the sequential backends), so it slots behind the
@@ -101,12 +66,13 @@ from __future__ import annotations
 import os
 import time
 import traceback
+from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.core.candidates import CandidateSet
-from repro.distributed.autoscale import AutoScaler, ScaleDecision, ShardSignal
+from repro.distributed.autoscale import AutoScaler, ScaleDecision
 from repro.core.pipeline import (
     ApproximateScreeningClassifier,
     DegradedOutput,
@@ -114,6 +80,7 @@ from repro.core.pipeline import (
     ShardFailure,
     StreamedOutput,
 )
+from repro.distributed.fleet import ShardGroup
 from repro.distributed.sharding import (
     ShardedClassifier,
     merge_shard_outputs,
@@ -124,7 +91,7 @@ from repro.distributed.sharding import (
 from repro.obs.metrics import latency_buckets
 from repro.obs.recorder import NULL_RECORDER, Recorder
 from repro.obs.trace import Tracer
-from repro.utils.faults import FaultInjector, FaultSpec, surviving_specs
+from repro.utils.faults import FaultInjector, FaultSpec
 from repro.utils.shm import PackLayout, SharedArrayPack
 from repro.utils.validation import check_batch_features, check_positive
 from repro.utils.workers import (
@@ -155,86 +122,6 @@ class WorkerError(RuntimeError):
     The worker survives (its state is untouched by a failed request);
     the remote traceback is carried in the message.
     """
-
-
-class _ReplicaGroup:
-    """One shard's replica set: interchangeable workers over the same
-    shared parameter segments.
-
-    The engine serves one request at a time, so "least loaded" reduces
-    to the replica with the fewest *dispatch attempts* — posts, not
-    successful answers.  Counting answers alone has a failure mode: a
-    replica that keeps timing out never advances its count, stays at
-    the minimum, and keeps attracting every new request while its
-    healthy siblings idle.  Dispatch attempts charge the replica for
-    the work it was handed whether or not it delivered, so a slow or
-    flaky replica drains traffic toward its siblings instead of
-    monopolizing it.  The balance a round-robin over live replicas
-    converges to is unchanged for healthy groups, and the signal stays
-    robust to replicas joining late (a respawn or scale-up) or leaving
-    early (death or scale-down).
-
-    Group size is dynamic: :meth:`add` grows the set (autoscaler
-    scale-up) and :meth:`remove` retires a slot (scale-down), folding
-    the retiree's answer count into ``retired_served`` so the shard's
-    lifetime ``answered()`` reconciliation survives membership churn.
-    """
-
-    __slots__ = ("shard_id", "handles", "dead", "served", "dispatched",
-                 "retired_served")
-
-    def __init__(self, shard_id: int, handles: Sequence[WorkerHandle]):
-        self.shard_id = shard_id
-        self.handles: List[WorkerHandle] = list(handles)
-        #: Per-replica "restart budget share spent" flags; the shard is
-        #: only dead when every entry is True.
-        self.dead: List[bool] = [False] * len(self.handles)
-        #: Requests answered per replica (the reconciliation signal).
-        self.served: List[int] = [0] * len(self.handles)
-        #: Dispatch attempts per replica (the load signal for pick()).
-        self.dispatched: List[int] = [0] * len(self.handles)
-        #: Answers delivered by replicas since removed via scale-down.
-        self.retired_served: int = 0
-
-    @property
-    def num_replicas(self) -> int:
-        return len(self.handles)
-
-    def live_indices(self) -> List[int]:
-        return [idx for idx, dead in enumerate(self.dead) if not dead]
-
-    def pick(self) -> Optional[int]:
-        """Least-loaded live replica; ``None`` when all are dead."""
-        live = self.live_indices()
-        if not live:
-            return None
-        return min(live, key=lambda idx: (self.dispatched[idx], idx))
-
-    def add(self, handle: WorkerHandle) -> int:
-        """Grow the group by one live replica; returns its index."""
-        self.handles.append(handle)
-        self.dead.append(False)
-        self.served.append(0)
-        self.dispatched.append(0)
-        return len(self.handles) - 1
-
-    def remove(self, replica_idx: int) -> WorkerHandle:
-        """Retire one replica slot, preserving ``answered()`` history.
-
-        The caller owns stopping the returned handle; later replicas
-        shift down one index (their counters travel with them).
-        """
-        self.retired_served += self.served[replica_idx]
-        handle = self.handles.pop(replica_idx)
-        del self.dead[replica_idx]
-        del self.served[replica_idx]
-        del self.dispatched[replica_idx]
-        return handle
-
-    def answered(self) -> int:
-        """Requests this shard has answered over its lifetime, summed
-        over current replicas plus slots retired by scale-down."""
-        return sum(self.served) + self.retired_served
 
 
 # ----------------------------------------------------------------------
@@ -371,6 +258,56 @@ def _serve_request(
 # ----------------------------------------------------------------------
 # host side
 # ----------------------------------------------------------------------
+def _spawn_worker(
+    context, recorder, worker_args: tuple, replica_idx: int,
+    fault_specs: Sequence[FaultSpec],
+) -> WorkerHandle:
+    """Start one shard worker on the shard's shared parameter segment
+    (the ``spawn`` callable each :class:`ShardGroup` is handed, with
+    the first three arguments bound)."""
+    suffix = "" if replica_idx == 0 else f".r{replica_idx}"
+    return WorkerHandle(
+        context,
+        _worker_main,
+        args=(*worker_args, list(fault_specs)),
+        name=f"enmc-shard-{worker_args[0]}{suffix}",
+        recorder=recorder,
+    )
+
+
+def _replica_fault_specs(
+    replicas: Optional[Union[int, Dict[int, int]]],
+    faults: Optional[Dict[object, Sequence[FaultSpec]]],
+    num_shards: int,
+) -> List[List[List[FaultSpec]]]:
+    """One fault-spec list per replica per shard — the shape that sizes
+    the fleet (``replicas``) with the injected faults slotted in."""
+    if isinstance(replicas, dict):
+        unknown = [sid for sid in replicas if not 0 <= sid < num_shards]
+        if unknown:
+            raise ValueError(
+                f"replicas name unknown shards {unknown} "
+                f"(fleet has {num_shards})"
+            )
+        counts = [int(replicas.get(sid, 1)) for sid in range(num_shards)]
+    else:
+        counts = [1 if replicas is None else int(replicas)] * num_shards
+    if any(count < 1 for count in counts):
+        raise ValueError(f"every shard needs >= 1 replica, got {counts}")
+    specs = [[[] for _ in range(count)] for count in counts]
+    for key, value in (faults or {}).items():
+        shard_id, replica_idx = key if isinstance(key, tuple) else (key, 0)
+        if not 0 <= shard_id < num_shards:
+            raise ValueError(f"fault key names unknown shard {shard_id}")
+        if not 0 <= replica_idx < counts[shard_id]:
+            raise ValueError(
+                f"fault key names replica {replica_idx} but shard "
+                f"{shard_id} runs {counts[shard_id]}"
+            )
+        specs[shard_id][replica_idx] = list(value)
+    return specs
+
+
 class ParallelShardedEngine:
     """Serve a trained :class:`ShardedClassifier` with one supervised
     process per shard.
@@ -403,10 +340,11 @@ class ParallelShardedEngine:
         the request-id protocol discards the late replies of abandoned
         attempts.
     max_restarts:
-        Per-worker respawn budget.  A dead (or wedged-and-killed)
-        worker is replaced from the existing shared parameter segments
-        up to this many times; ``0`` disables supervision and restores
-        pure fail-fast behaviour.
+        Per-shard respawn budget, shared by the shard's replicas.  A
+        dead (or wedged-and-killed) worker is replaced from the
+        existing shared parameter segments up to this many times;
+        ``0`` disables supervision and restores pure fail-fast
+        behaviour.
     restart_backoff / restart_backoff_cap:
         Exponential backoff before respawn attempt *n*:
         ``min(cap, backoff * 2**n)`` seconds.
@@ -495,25 +433,19 @@ class ParallelShardedEngine:
         self.num_categories = sharded.classifier.num_categories
         self.request_timeout = request_timeout
         self.request_retries = int(request_retries)
-        self.max_restarts = int(max_restarts)
-        self.restart_backoff = float(restart_backoff)
-        self.restart_backoff_cap = float(restart_backoff_cap)
         self.degraded = bool(degraded)
-        self.spawn_timeout = float(spawn_timeout)
         if recorder is None:
             recorder = Recorder(trace=True) if trace else NULL_RECORDER
         elif trace and recorder.enabled and recorder.tracer is None:
             recorder.tracer = Tracer()
         self.recorder = recorder
-        # Supervision counters kept as plain ints so they are readable
-        # through stats() even with the no-op recorder installed.
+        # Engine-level counters kept as plain ints so they are readable
+        # through stats() even with the no-op recorder installed; the
+        # per-shard supervision events live on the groups.
         self.requests_served = 0
         self.degraded_requests = 0
         self.retries = 0
-        self.failovers = 0
         self.deadline_overruns = 0
-        self.scale_ups = 0
-        self.scale_downs = 0
         self.replans = 0
         self.closed = False
         self._max_batch = int(max_batch)
@@ -521,38 +453,18 @@ class ParallelShardedEngine:
         self._io_output: Optional[SharedArrayPack] = None
         self._segment_names: List[str] = []
 
-        self._context = (
+        context = (
             multiprocessing.get_context(start_method)
             if start_method is not None
             else default_context()
         )
-
         self._compute_dtypes: List[np.dtype] = [
             shard.screener.compute_dtype for shard in sharded.shards
         ]
         self._param_packs: List[SharedArrayPack] = []
-        self._worker_args: List[tuple] = []
+        self._groups: List[ShardGroup] = []
         num_shards = len(self.ranges)
-        self.replica_counts = self._normalize_replicas(replicas, num_shards)
-        self._fault_specs: List[List[List[FaultSpec]]] = [
-            [[] for _ in range(count)] for count in self.replica_counts
-        ]
-        for key, specs in (faults or {}).items():
-            shard_id, replica_idx = key if isinstance(key, tuple) else (key, 0)
-            if not 0 <= shard_id < num_shards:
-                raise ValueError(f"fault key names unknown shard {shard_id}")
-            if not 0 <= replica_idx < self.replica_counts[shard_id]:
-                raise ValueError(
-                    f"fault key names replica {replica_idx} but shard "
-                    f"{shard_id} runs {self.replica_counts[shard_id]}"
-                )
-            self._fault_specs[shard_id][replica_idx] = list(specs)
-        #: Respawns performed so far, per shard (observable supervision
-        #: state; the budget is shared across a shard's replica group).
-        self.restarts: List[int] = [0] * num_shards
-        self._dead: List[bool] = [False] * num_shards
-        self._groups: List[_ReplicaGroup] = []
-        # --- elastic scaling state -----------------------------------
+        fault_specs = _replica_fault_specs(replicas, faults, num_shards)
         self.autoscaler = autoscaler
         #: The per-shard load distribution the current replica
         #: allocation was sized from — the drift reference a re-plan
@@ -562,16 +474,8 @@ class ParallelShardedEngine:
             if self.plan is not None
             else tuple([1.0 / num_shards] * num_shards)
         )
-        # Observation-window accumulators (lifetime totals; each tick
-        # diffs against the baseline captured at the last evaluation).
-        self._work_totals: List[float] = [0.0] * num_shards
-        self._lat_totals: List[float] = [0.0] * num_shards
-        self._lat_counts: List[int] = [0] * num_shards
-        self._work_baseline: List[float] = [0.0] * num_shards
-        self._lat_total_baseline: List[float] = [0.0] * num_shards
-        self._lat_count_baseline: List[int] = [0] * num_shards
-        self._answered_baseline: List[int] = [0] * num_shards
-        self._tick_requests_baseline = 0
+        #: Requests since the autoscaler last consumed the windows.
+        self._window_requests = 0
         try:
             for shard_id, (shard, shard_range) in enumerate(
                 zip(sharded.shards, self.ranges)
@@ -580,48 +484,25 @@ class ParallelShardedEngine:
                 pack = SharedArrayPack.create(arrays)
                 self._param_packs.append(pack)
                 self._segment_names.append(pack.name)
-                self._worker_args.append(
-                    (shard_id, pack.layout, meta, shard_range.start)
-                )
-                handles = [
-                    self._spawn_worker(
+                worker_args = (shard_id, pack.layout, meta, shard_range.start)
+                self._groups.append(
+                    ShardGroup(
                         shard_id,
-                        replica_idx,
-                        self._fault_specs[shard_id][replica_idx],
+                        partial(_spawn_worker, context, self.recorder, worker_args),
+                        fault_specs[shard_id],
+                        max_restarts=int(max_restarts),
+                        restart_backoff=float(restart_backoff),
+                        restart_backoff_cap=float(restart_backoff_cap),
+                        spawn_timeout=float(spawn_timeout),
+                        attachable=partial(SharedArrayPack.exists, pack.layout),
+                        recorder=self.recorder,
                     )
-                    for replica_idx in range(self.replica_counts[shard_id])
-                ]
-                self._groups.append(_ReplicaGroup(shard_id, handles))
+                )
             for group in self._groups:
-                for worker in group.handles:
-                    kind, payload = worker.handshake(timeout=self.spawn_timeout)
-                    if kind == "fatal":
-                        raise RuntimeError(
-                            f"worker {worker.name} failed to start:\n{payload}"
-                        )
+                group.await_ready()
         except BaseException:
             self.close()
             raise
-
-    @staticmethod
-    def _normalize_replicas(
-        replicas: Optional[Union[int, Dict[int, int]]], num_shards: int
-    ) -> List[int]:
-        if replicas is None:
-            counts = [1] * num_shards
-        elif isinstance(replicas, dict):
-            unknown = [sid for sid in replicas if not 0 <= sid < num_shards]
-            if unknown:
-                raise ValueError(
-                    f"replicas name unknown shards {unknown} "
-                    f"(fleet has {num_shards})"
-                )
-            counts = [int(replicas.get(sid, 1)) for sid in range(num_shards)]
-        else:
-            counts = [int(replicas)] * num_shards
-        if any(count < 1 for count in counts):
-            raise ValueError(f"every shard needs >= 1 replica, got {counts}")
-        return counts
 
     # ------------------------------------------------------------------
     @property
@@ -629,189 +510,88 @@ class ParallelShardedEngine:
         return len(self.ranges)
 
     @property
-    def workers(self) -> List[WorkerHandle]:
-        """The primary (replica-0 slot) worker handle of every shard.
-
-        Kept for the pre-replica surface: with the default single
-        replica per shard this *is* the fleet, and per-shard test
-        hooks (``engine.workers[i].process.kill()``) keep working.
-        """
-        return [group.handles[0] for group in self._groups]
+    def replica_groups(self) -> List[ShardGroup]:
+        """The control plane: one group per shard."""
+        return list(self._groups)
 
     @property
-    def replica_groups(self) -> List["_ReplicaGroup"]:
-        return list(self._groups)
+    def workers(self) -> List[WorkerHandle]:
+        """The replica-0 worker handle of every shard — with the default
+        single replica per shard, the whole fleet.  Read by the
+        benchmark's per-worker memory probe (``bench/workloads.py``)
+        and by per-shard test hooks
+        (``engine.workers[i].process.kill()``)."""
+        return [group.replicas[0].handle for group in self._groups]
+
+    # Fleet-level views of per-group state (read-only, derived).
+    @property
+    def replica_counts(self) -> List[int]:
+        return [len(group.replicas) for group in self._groups]
+
+    @property
+    def restarts(self) -> List[int]:
+        """Respawns so far, per shard (one budget per replica group)."""
+        return [group.restarts for group in self._groups]
 
     @property
     def dead_shards(self) -> List[int]:
         """Shards whose restart budget is exhausted (degraded mode)."""
-        return [sid for sid, dead in enumerate(self._dead) if dead]
+        return [group.shard_id for group in self._groups if group.dead]
+
+    def _events(self, event: str) -> int:
+        return sum(group.events[event] for group in self._groups)
+
+    @property
+    def failovers(self) -> int:
+        return self._events("failovers")
+
+    @property
+    def scale_ups(self) -> int:
+        return self._events("scale_up")
+
+    @property
+    def scale_downs(self) -> int:
+        return self._events("scale_down")
 
     def segment_names(self) -> List[str]:
         """Names of every shared-memory segment this engine created."""
         return list(self._segment_names)
 
     # ------------------------------------------------------------------
-    # supervision
-    # ------------------------------------------------------------------
-    def _spawn_worker(
-        self, shard_id: int, replica_idx: int, fault_specs: Sequence[FaultSpec]
-    ) -> WorkerHandle:
-        suffix = "" if replica_idx == 0 else f".r{replica_idx}"
-        return WorkerHandle(
-            self._context,
-            _worker_main,
-            args=(*self._worker_args[shard_id], list(fault_specs)),
-            name=f"enmc-shard-{shard_id}{suffix}",
-            recorder=self.recorder,
-        )
-
-    def _respawn_replica(self, shard_id: int, replica_idx: int) -> bool:
-        """Replace one replica of shard ``shard_id`` from the shared
-        segments.
-
-        Bounded by the shard's *shared* ``max_restarts`` budget with
-        exponential backoff; returns ``True`` once a replacement worker
-        completes its handshake.  On a spent budget the replica is
-        marked dead (the shard only dies with its last replica) and
-        ``False`` returns.  The dead or wedged incumbent is terminated
-        first either way — the invariant that makes failing over to a
-        sibling replica safe: no stopped process can later write the
-        shard's shared output plane under a sibling's answer.
-        """
-        group = self._groups[shard_id]
-        group.handles[replica_idx].stop(timeout=0.1)
-        if not SharedArrayPack.exists(self._worker_args[shard_id][1]):
-            # The parameter segment is gone — the engine was torn down
-            # concurrently; no replacement worker could ever attach.
-            return self._replica_spent(group, replica_idx)
-        specs = surviving_specs(self._fault_specs[shard_id][replica_idx])
-        # Backoff escalates within THIS incident only and resets on a
-        # successful handshake: a worker that crashes again after a
-        # long healthy stretch starts over at the base backoff instead
-        # of inheriting the capped maximum from old incidents.  The
-        # shard-lifetime ``restarts`` count still enforces the shared
-        # ``max_restarts`` budget.
-        attempt = 0
-        while self.restarts[shard_id] < self.max_restarts:
-            self.restarts[shard_id] += 1
-            self.recorder.increment("parallel.respawns")
-            self.recorder.increment(f"parallel.shard.{shard_id}.respawns")
-            delay = min(
-                self.restart_backoff_cap, self.restart_backoff * (2 ** attempt)
-            )
-            attempt += 1
-            self.recorder.observe("parallel.respawn_backoff_s", delay)
-            time.sleep(delay)
-            worker = self._spawn_worker(shard_id, replica_idx, specs)
-            try:
-                kind, _ = worker.handshake(timeout=self.spawn_timeout)
-            except (WorkerDied, WorkerTimeout):
-                worker.stop(timeout=0.1)
-                continue
-            if kind != "ready":
-                worker.stop(timeout=0.1)
-                continue
-            group.handles[replica_idx] = worker
-            return True
-        return self._replica_spent(group, replica_idx)
-
-    def _replica_spent(self, group: _ReplicaGroup, replica_idx: int) -> bool:
-        group.dead[replica_idx] = True
-        if not group.live_indices():
-            self._dead[group.shard_id] = True
-        return False
-
-    def _failover(self, shard_id: int, to_replica: int) -> None:
-        self.failovers += 1
-        self.recorder.increment("parallel.failovers")
-        self.recorder.increment(f"parallel.shard.{shard_id}.failovers")
-
-    # ------------------------------------------------------------------
     # elastic scaling
     # ------------------------------------------------------------------
-    def scale_up(self, shard_id: int) -> int:
-        """Spawn one additional replica for ``shard_id`` at runtime.
-
-        The replica attaches the shard's *existing* shared parameter
-        segments — no re-export, no new model memory — and joins the
-        group with zero dispatch load, so the least-loaded pick routes
-        new traffic to it immediately.  Returns the new replica index.
-        Must be called between requests (the engine serves one request
-        at a time; the front door's batcher thread satisfies this).
-        """
+    def _group(self, shard_id: int) -> ShardGroup:
         if self.closed:
             raise RuntimeError("engine is closed")
         if not 0 <= shard_id < self.num_shards:
             raise ValueError(f"unknown shard {shard_id}")
-        if self._dead[shard_id]:
-            raise RuntimeError(
-                f"shard {shard_id} is dead (restart budget exhausted); "
-                "scaling cannot revive it"
-            )
-        group = self._groups[shard_id]
-        replica_idx = group.num_replicas
-        worker = self._spawn_worker(shard_id, replica_idx, [])
-        kind, payload = worker.handshake(timeout=self.spawn_timeout)
-        if kind != "ready":
-            worker.stop(timeout=0.1)
-            raise RuntimeError(
-                f"scale-up replica for shard {shard_id} failed to start:"
-                f"\n{payload}"
-            )
-        self._fault_specs[shard_id].append([])
-        group.add(worker)
-        self.replica_counts[shard_id] += 1
-        self.scale_ups += 1
-        self.recorder.increment("parallel.scale_up")
-        self.recorder.increment(f"parallel.shard.{shard_id}.scale_up")
-        return replica_idx
+        return self._groups[shard_id]
+
+    def scale_up(self, shard_id: int) -> int:
+        """Spawn one additional replica for ``shard_id`` at runtime, on
+        the shard's *existing* shared parameter segments; returns the
+        new replica index (:meth:`ShardGroup.add`).  Must be called
+        between requests (the engine serves one request at a time; the
+        front door's batcher thread satisfies this)."""
+        return self._group(shard_id).add()
 
     def scale_down(self, shard_id: int) -> bool:
-        """Retire one replica of ``shard_id``; ``False`` if impossible.
-
-        Victim choice: the highest-index dead tombstone if the group
-        carries one (reclaiming a spent slot costs nothing), else the
-        highest-index live replica — but never the last live one, and
-        never anything on a dead shard.  The retiree's answer count is
-        folded into the group's ``retired_served`` so the per-shard
-        ``answered == requests`` reconciliation survives the removal.
-        """
-        if self.closed:
-            raise RuntimeError("engine is closed")
-        if not 0 <= shard_id < self.num_shards:
-            raise ValueError(f"unknown shard {shard_id}")
-        if self._dead[shard_id]:
-            return False
-        group = self._groups[shard_id]
-        tombstones = [idx for idx, dead in enumerate(group.dead) if dead]
-        if tombstones:
-            victim = tombstones[-1]
-        else:
-            live = group.live_indices()
-            if len(live) <= 1:
-                return False
-            victim = live[-1]
-        handle = group.remove(victim)
-        handle.stop(goodbye="shutdown")
-        del self._fault_specs[shard_id][victim]
-        self.replica_counts[shard_id] -= 1
-        self.scale_downs += 1
-        self.recorder.increment("parallel.scale_down")
-        self.recorder.increment(f"parallel.shard.{shard_id}.scale_down")
-        return True
+        """Retire one replica of ``shard_id``; ``False`` if impossible
+        (:meth:`ShardGroup.retire`: never the last live replica, never
+        on a dead shard)."""
+        return self._group(shard_id).retire()
 
     def autoscale_tick(self) -> Optional[ScaleDecision]:
         """One autoscaler evaluation over the window since the last one.
 
         No-op (returns ``None``) without an autoscaler, on a closed
         engine, or while the window is below the policy's
-        ``interval_requests``.  Otherwise builds one
-        :class:`~repro.distributed.autoscale.ShardSignal` per shard
-        from the window accumulators, applies the decision — retires
-        first, then spawns, so the worker budget is never transiently
-        exceeded — and returns it.  A re-plan decision re-baselines the
-        drift reference to the observed loads it was sized from.
+        ``interval_requests``.  Otherwise evaluates one
+        :class:`~repro.distributed.autoscale.ShardSignal` per group,
+        consumes the windows, applies the decision — retires first,
+        then spawns, so the worker budget is never transiently exceeded
+        — and returns it.  A re-plan decision re-baselines the drift
+        reference to the observed loads it was sized from.
 
         Call between requests only: the engine is not concurrency-safe,
         and membership must not change under an in-flight scatter.  The
@@ -820,49 +600,16 @@ class ParallelShardedEngine:
         """
         if self.autoscaler is None or self.closed:
             return None
-        window = self.requests_served - self._tick_requests_baseline
-        signals = []
-        for shard_id in range(self.num_shards):
-            group = self._groups[shard_id]
-            lat_count = (
-                self._lat_counts[shard_id] - self._lat_count_baseline[shard_id]
-            )
-            lat_total = (
-                self._lat_totals[shard_id] - self._lat_total_baseline[shard_id]
-            )
-            signals.append(
-                ShardSignal(
-                    shard_id=shard_id,
-                    replicas=len(group.live_indices()),
-                    observed_work=(
-                        self._work_totals[shard_id]
-                        - self._work_baseline[shard_id]
-                    ),
-                    answered=(
-                        group.answered() - self._answered_baseline[shard_id]
-                    ),
-                    mean_latency_s=(
-                        lat_total / lat_count if lat_count else float("nan")
-                    ),
-                    dead=self._dead[shard_id],
-                )
-            )
         decision = self.autoscaler.evaluate(
-            signals,
+            [group.signal() for group in self._groups],
             sizing_loads=self._sizing_loads,
-            window_requests=window,
+            window_requests=self._window_requests,
         )
         if decision is None:
             return None
-        # The window was consumed by an evaluation — re-baseline so the
-        # next decision sees fresh observations only.
-        self._tick_requests_baseline = self.requests_served
-        self._work_baseline = list(self._work_totals)
-        self._lat_total_baseline = list(self._lat_totals)
-        self._lat_count_baseline = list(self._lat_counts)
-        self._answered_baseline = [
-            group.answered() for group in self._groups
-        ]
+        self._window_requests = 0
+        for group in self._groups:
+            group.consume_window()
         for shard_id in decision.scale_down:
             self.scale_down(shard_id)
         for shard_id in decision.scale_up:
@@ -880,49 +627,39 @@ class ParallelShardedEngine:
     def _scatter_gather(
         self, op: str, request
     ) -> Tuple[List[Optional[dict]], Dict[int, ShardFailure]]:
-        """Send one request to every live worker, collect every reply.
+        """Send one request to every live shard, collect every reply.
 
         Returns per-shard payloads (``None`` where a shard failed) plus
-        the failure records.  Recovery — retry on timeout, respawn on
-        death — happens per shard during collection.  In fail-fast mode
-        (``degraded=False``) an irrecoverable shard closes the engine
-        and re-raises the original ``WorkerDied``/``WorkerTimeout``.
+        the failure records.  Recovery — retry on timeout, the group's
+        ``recover`` on death — happens per shard during collection.  In
+        fail-fast mode (``degraded=False``) an irrecoverable shard
+        closes the engine and re-raises the original
+        ``WorkerDied``/``WorkerTimeout``.
         """
         pending: List[Optional[Tuple[int, Optional[int]]]] = []
         failures: Dict[int, ShardFailure] = {}
-        for shard_id, group in enumerate(self._groups):
-            if self._dead[shard_id]:
-                failures[shard_id] = ShardFailure(
-                    shard_id,
-                    self.ranges[shard_id],
+        for group in self._groups:
+            replica_idx = group.pick()
+            if replica_idx is None:
+                failures[group.shard_id] = ShardFailure(
+                    group.shard_id,
+                    self.ranges[group.shard_id],
                     "died",
                     "restart budget exhausted on an earlier request",
                 )
                 pending.append(None)
                 continue
-            replica_idx = group.pick()
-            # Dispatch attempts are charged up front (not on answer):
-            # pick() must see the load a slow replica is sitting on.
-            group.dispatched[replica_idx] += 1
             try:
-                pending.append(
-                    (replica_idx, group.handles[replica_idx].post(op, request))
-                )
+                pending.append((replica_idx, group.post(replica_idx, op, request)))
             except WorkerDied:
-                # Send failed; the collect phase respawns (or fails
-                # over) and re-issues.
+                # Send failed; the collect phase recovers and re-issues.
                 pending.append((replica_idx, None))
-        replies: List[Optional[dict]] = []
-        for shard_id in range(self.num_shards):
-            if shard_id in failures:
-                replies.append(None)
-                continue
-            replica_idx, request_id = pending[shard_id]
-            replies.append(
-                self._collect_shard(
-                    shard_id, replica_idx, request_id, op, request, failures
-                )
-            )
+        replies = [
+            None
+            if posted is None
+            else self._collect_shard(group, *posted, op, request, failures)
+            for group, posted in zip(self._groups, pending)
+        ]
         error_failures = [f for f in failures.values() if f.kind == "error"]
         if error_failures and not self.degraded:
             raise WorkerError(
@@ -936,7 +673,7 @@ class ParallelShardedEngine:
 
     def _collect_shard(
         self,
-        shard_id: int,
+        group: ShardGroup,
         replica_idx: int,
         request_id: Optional[int],
         op: str,
@@ -946,117 +683,85 @@ class ParallelShardedEngine:
         """Await one shard's reply, applying the recovery policy.
 
         ``request_id is None`` means the request still needs (re)issuing
-        on ``replica_idx`` — the initial send failed, a replacement
-        worker came up, or the request failed over to a sibling replica.
+        on ``replica_idx`` — a send failed, a timed-out request is being
+        retried, or ``recover`` named the replica to continue on (the
+        respawned one or a sibling).
 
         The per-shard latency histogram covers the whole collect —
         retries, respawns and failovers included — because that is the
         latency the merge actually waits on.
         """
-        group = self._groups[shard_id]
+        shard_id = group.shard_id
         recording = self.recorder.enabled
         timing = recording or self.autoscaler is not None
         started = time.perf_counter() if timing else 0.0
         retries_left = self.request_retries
         while True:
-            worker = group.handles[replica_idx]
             try:
                 if request_id is None:
-                    group.dispatched[replica_idx] += 1
-                    request_id = worker.post(op, request)
-                kind, payload = worker.recv_tagged(
+                    request_id = group.post(replica_idx, op, request)
+                kind, payload = group.replicas[replica_idx].handle.recv_tagged(
                     request_id, timeout=self.request_timeout
                 )
+                break
             except WorkerTimeout as error:
                 self.deadline_overruns += 1
                 self.recorder.increment("parallel.deadline_overruns")
+                request_id = None
                 if retries_left > 0:
                     # Re-issue to the same live worker; its late answer
                     # to the abandoned id is discarded on arrival.
                     retries_left -= 1
                     self.retries += 1
                     self.recorder.increment("parallel.retries")
-                    try:
-                        group.dispatched[replica_idx] += 1
-                        request_id = worker.post(op, request)
-                    except WorkerDied:
-                        request_id = None
                     continue
                 # Live but unresponsive past every retry: wedged.
-                # Replace it (heals future requests); this request can
-                # still complete on the replacement if the budget
-                # allows, or on a live sibling replica otherwise (the
-                # wedged incumbent is already stopped, so the sibling
-                # owns the shared output plane alone).
-                if self._respawn_replica(shard_id, replica_idx):
-                    request_id = None
-                    continue
-                failover = group.pick()
-                if failover is not None:
-                    self._failover(shard_id, failover)
-                    replica_idx = failover
-                    request_id = None
-                    continue
-                return self._shard_failed(shard_id, "timeout", str(error), error, failures)
+                failed = ("timeout", error)
             except WorkerDied as error:
-                if self._respawn_replica(shard_id, replica_idx):
-                    request_id = None
-                    continue
-                failover = group.pick()
-                if failover is not None:
-                    self._failover(shard_id, failover)
-                    replica_idx = failover
-                    request_id = None
-                    continue
-                return self._shard_failed(shard_id, "died", str(error), error, failures)
-            group.served[replica_idx] += 1
-            elapsed = (time.perf_counter() - started) if timing else 0.0
-            if self.autoscaler is not None and kind == "ok":
-                # Exact-phase work actually served: candidate hits for
-                # forward paths, result cells for top-k — the same
-                # signal observed_category_frequencies aggregates, and
-                # the load distribution the autoscaler re-plans from.
-                if op == "top_k":
-                    work = float(payload["indices"].size)
-                else:
-                    work = float(np.asarray(payload["counts"]).sum())
-                self._work_totals[shard_id] += work
-                self._lat_totals[shard_id] += elapsed
-                self._lat_counts[shard_id] += 1
-            if recording:
-                self.recorder.increment(f"parallel.shard.{shard_id}.requests")
-                self.recorder.increment(
-                    f"parallel.shard.{shard_id}.replica.{replica_idx}.requests"
+                request_id = None
+                failed = ("died", error)
+            # Replace the replica (heals future requests); this request
+            # continues on the replacement, or on a live sibling once
+            # the budget is spent — the incumbent is stopped first, so
+            # whoever answers owns the shared output plane alone.
+            replica_idx = group.recover(replica_idx)
+            if replica_idx is None:
+                if not self.degraded:
+                    self.close()
+                    raise failed[1]
+                failures[shard_id] = ShardFailure(
+                    shard_id, self.ranges[shard_id], failed[0], str(failed[1])
                 )
-                self.recorder.observe(
-                    f"parallel.shard.{shard_id}.latency_s",
-                    elapsed,
-                    bounds=latency_buckets(),
-                )
-            if kind == "ok":
-                return payload
-            # Remote exception: the worker survives; record and move on
-            # (fail-fast mode raises an aggregated WorkerError after
-            # every shard is collected).
-            failures[shard_id] = ShardFailure(
-                shard_id, self.ranges[shard_id], "error", str(payload)
+                return None
+        elapsed = (time.perf_counter() - started) if timing else 0.0
+        work = None
+        if self.autoscaler is not None and kind == "ok":
+            # Exact-phase work actually served: candidate hits for
+            # forward paths, result cells for top-k — the same signal
+            # observed_category_frequencies aggregates, and the load
+            # distribution the autoscaler re-plans from.
+            if op == "top_k":
+                work = float(payload["indices"].size)
+            else:
+                work = float(np.asarray(payload["counts"]).sum())
+        group.record(replica_idx, work, elapsed)
+        if recording:
+            self.recorder.increment(f"parallel.shard.{shard_id}.requests")
+            self.recorder.increment(
+                f"parallel.shard.{shard_id}.replica.{replica_idx}.requests"
             )
-            return None
-
-    def _shard_failed(
-        self,
-        shard_id: int,
-        kind: str,
-        detail: str,
-        error: Exception,
-        failures: Dict[int, ShardFailure],
-    ) -> None:
-        """Record an irrecoverable shard; fail-fast mode closes + raises."""
-        if not self.degraded:
-            self.close()
-            raise error
+            self.recorder.observe(
+                f"parallel.shard.{shard_id}.latency_s",
+                elapsed,
+                bounds=latency_buckets(),
+            )
+        if kind == "ok":
+            return payload
+        # Remote exception: the worker survives; record and move on
+        # (fail-fast mode raises an aggregated WorkerError after every
+        # shard is collected).
         failures[shard_id] = ShardFailure(
-            shard_id, self.ranges[shard_id], kind, detail
+            shard_id, self.ranges[shard_id], "error", str(payload)
         )
         return None
 
@@ -1068,14 +773,14 @@ class ParallelShardedEngine:
         — every replica caches its own mapping of the I/O planes.
         Failures are tolerated without recovery: a dead replica's
         mappings die with its process (the next serving request runs
-        the regular respawn/failover policy), and a worker that never
-        detaches only pins the unlinked segment's memory until it
-        attaches the replacement layout on its next request.
+        the regular recovery policy), and a worker that never detaches
+        only pins the unlinked segment's memory until it attaches the
+        replacement layout on its next request.
         """
         posted: List[Tuple[WorkerHandle, int]] = []
         for group in self._groups:
             for replica_idx in group.live_indices():
-                handle = group.handles[replica_idx]
+                handle = group.replicas[replica_idx].handle
                 try:
                     posted.append((handle, handle.post(op, None)))
                 except WorkerDied:
@@ -1161,6 +866,7 @@ class ParallelShardedEngine:
         when any shard is missing."""
         with self.recorder.span(f"engine.{op}"):
             self.requests_served += 1
+            self._window_requests += 1
             self.recorder.increment("parallel.requests")
             request = self._prepare(features, need_output=op == "forward")
             request.update(request_extra)
@@ -1306,35 +1012,14 @@ class ParallelShardedEngine:
         histograms = snapshot.get("histograms", {})
         counters = snapshot.get("counters", {})
         shards = []
-        for shard_id in range(self.num_shards):
-            group = self._groups[shard_id]
+        for shard_id, group in enumerate(self._groups):
             shard = {
                 "shard_id": shard_id,
                 "categories": [
                     self.ranges[shard_id].start,
                     self.ranges[shard_id].stop,
                 ],
-                "replicas": group.num_replicas,
-                # Reconciliation invariant for a healthy shard: the
-                # replies its replicas delivered sum to the engine's
-                # request count (each request is answered by exactly
-                # one replica of each shard).
-                "answered": group.answered(),
-                "respawns": self.restarts[shard_id],
-                "stale_replies": sum(h.stale_replies for h in group.handles),
-                "dead": self._dead[shard_id],
-                "retired_served": group.retired_served,
-                "replica_workers": [
-                    {
-                        "replica": replica_idx,
-                        "name": handle.name,
-                        "served": group.served[replica_idx],
-                        "dispatched": group.dispatched[replica_idx],
-                        "stale_replies": handle.stale_replies,
-                        "dead": group.dead[replica_idx],
-                    }
-                    for replica_idx, handle in enumerate(group.handles)
-                ],
+                **group.stats(),
             }
             if self.plan is not None:
                 shard["planned_load"] = self.plan.loads[shard_id]
@@ -1353,13 +1038,9 @@ class ParallelShardedEngine:
             "failovers": self.failovers,
             "deadline_overruns": self.deadline_overruns,
             "respawns": sum(self.restarts),
-            "stale_replies": sum(
-                handle.stale_replies
-                for group in self._groups
-                for handle in group.handles
-            ),
+            "stale_replies": sum(group.stale_replies() for group in self._groups),
             "dead_shards": self.dead_shards,
-            "replica_counts": list(self.replica_counts),
+            "replica_counts": self.replica_counts,
             "autoscaling": self.autoscaler is not None,
             "scale_ups": self.scale_ups,
             "scale_downs": self.scale_downs,
@@ -1400,8 +1081,7 @@ class ParallelShardedEngine:
             return
         self.closed = True
         for group in self._groups:
-            for worker in group.handles:
-                worker.stop(goodbye="shutdown")
+            group.close()
         self._release_io()
         for pack in self._param_packs:
             pack.destroy()

@@ -16,6 +16,7 @@ Three layers, tested separately and then end to end:
   Scaling moves placement, never bits.
 """
 
+import multiprocessing
 import time
 
 import numpy as np
@@ -34,7 +35,9 @@ from repro.distributed import (
     normalize_loads,
     suggest_replicas_for_loads,
 )
+from repro.distributed import parallel
 from repro.serving import DriftingZipfianMix, FrontDoor, supports_autoscaling
+from repro.utils.workers import WorkerTimeout
 
 pytestmark = pytest.mark.timeout(600)
 
@@ -370,6 +373,9 @@ class TestAutoScalerPolicy:
 # ----------------------------------------------------------------------
 # Engine mechanics
 # ----------------------------------------------------------------------
+def _hang_main(connection, *args):
+    """A worker that starts but never sends its handshake."""
+    time.sleep(60)
 
 
 class TestEngineScaleMechanics:
@@ -422,6 +428,22 @@ class TestEngineScaleMechanics:
             engine.scale_up(0)
         with pytest.raises(RuntimeError, match="closed"):
             engine.scale_down(0)
+
+    def test_scale_up_stops_a_worker_that_never_handshakes(
+        self, model, features, monkeypatch
+    ):
+        """A scale-up whose handshake *raises* (the new worker hangs
+        during start-up) used to leave the process running and in no
+        group, out of ``close()``'s reach."""
+        reference = model.forward(features)
+        with model.parallel(spawn_timeout=0.5) as engine:
+            monkeypatch.setattr(parallel, "_worker_main", _hang_main)
+            with pytest.raises(WorkerTimeout):
+                engine.scale_up(0)
+            assert engine.replica_counts == [1, 1]
+            assert engine.scale_ups == 0
+            assert np.array_equal(engine.forward(features).logits, reference.logits)
+        assert multiprocessing.active_children() == []
 
     def test_tick_is_none_without_autoscaler(self, model, features):
         with model.parallel() as engine:

@@ -402,7 +402,7 @@ class TestReplicaGroupFaults:
             assert engine.restarts[1] == 1
             assert engine.failovers == 0
             group = engine.replica_groups[1]
-            assert group.dead == [False, False]
+            assert [r.dead for r in group.replicas] == [False, False]
             assert_backend_identical(
                 backend, run_backend(engine, backend, features), expected[backend]
             )
@@ -522,7 +522,7 @@ class TestElasticSupervision:
             # the healthy sibling ends up answering most requests.
             # Answer-count picking converges to an even [3, 3] split
             # because the delayed replica always looks least loaded.
-            assert group.served == [2, 4]
+            assert [r.served for r in group.replicas] == [2, 4]
 
     def test_scale_up_failover_scale_down_reconciles(
         self, model, features, expected
@@ -541,24 +541,24 @@ class TestElasticSupervision:
                     "forward", engine.forward(features), expected["forward"]
                 )
             group = engine.replica_groups[0]
-            assert group.served == [1, 1]
+            assert [r.served for r in group.replicas] == [1, 1]
 
             # Kill replica 0: the next request fails over to the
             # sibling (no budget to respawn), leaving a tombstone.
-            group.handles[0].process.kill()
+            group.replicas[0].handle.process.kill()
             assert_backend_identical(
                 "forward", engine.forward(features), expected["forward"]
             )
             assert engine.failovers == 1
             assert engine.dead_shards == []
-            assert group.dead == [True, False]
+            assert [r.dead for r in group.replicas] == [True, False]
             assert group.answered() == 3
 
             # Scale-down reclaims the tombstone slot, not a live one,
             # and folds its answer count into retired_served.
             assert engine.scale_down(0)
             assert engine.replica_counts == [1, 1]
-            assert group.dead == [False]
+            assert [r.dead for r in group.replicas] == [False]
             assert group.retired_served == 1
 
             assert_backend_identical(

@@ -526,7 +526,7 @@ class TestSkewedPlanSemantics:
             for shard_stats in stats["shards"]:
                 assert shard_stats["answered"] == stats["requests"]
             group = engine.replica_groups[0]
-            assert sorted(group.served) == [1, 2]  # least-loaded spread
+            assert sorted(r.served for r in group.replicas) == [1, 2]  # least-loaded spread
 
     def test_frequencies_argument_builds_balanced_plan(
         self, task, train_features, features
