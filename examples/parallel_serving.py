@@ -83,7 +83,8 @@ def main() -> None:
         sequential_ms = 1e3 * (time.perf_counter() - start) / repeats
         print(f"forward (batch=64): sequential {sequential_ms:.2f} ms, "
               f"parallel {parallel_ms:.2f} ms "
-              f"(speedup tracks available cores; see BENCH_parallel.json)")
+              f"(speedup tracks available cores; bench/run.py "
+              f"--workload parallel_cycle measures it)")
 
     print(f"after close: {engine!r}, segments unlinked")
 

@@ -32,6 +32,9 @@ def code_lines(path: pathlib.Path) -> int:
 if __name__ == "__main__":
     roots = [pathlib.Path(arg) for arg in sys.argv[1:]]
     files = sorted(f for r in roots for f in ([r] if r.is_file() else r.rglob("*.py")))
+    missing = [str(r) for r in roots if not r.exists()]
+    if missing or not files:
+        sys.exit(f"code_lines.py: nothing to count (paths not found: {missing})")
     counts = {f: code_lines(f) for f in files}
     for f, n in counts.items():
         print(f"{n:7d}  {f}")

@@ -367,10 +367,10 @@ class ParallelShardedEngine:
         spent fails its in-flight request over to a live sibling, and
         only a fully-dead group degrades the shard.
     faults:
-        Optional fault mapping injected into the workers (tests /
-        ``bench_parallel.py --faults`` only).  Keys are ``shard_id``
-        ints (replica 0 of that shard) or ``(shard_id, replica_idx)``
-        tuples; values are ``[FaultSpec, ...]``.  Respawned workers
+        Optional fault mapping injected into the workers (tests only).
+        Keys are ``shard_id`` ints (replica 0 of that shard) or
+        ``(shard_id, replica_idx)`` tuples; values are
+        ``[FaultSpec, ...]``.  Respawned workers
         inherit only ``persistent`` specs.
     recorder:
         Optional :class:`repro.obs.Recorder`.  Default: the no-op

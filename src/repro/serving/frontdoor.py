@@ -90,8 +90,9 @@ class FrontDoorClosedError(FrontDoorError):
 
 
 class InvalidRequestError(FrontDoorError, ValueError):
-    """The request row holds NaN/inf; rejected at ``submit`` so it can
-    never fail the micro-batch it would have joined."""
+    """The request row holds NaN/inf, or its ``slo_s`` is non-finite or
+    negative; rejected at ``submit`` so it can never fail (or strip the
+    deadline from) the micro-batch it would have joined."""
 
 
 @dataclass(frozen=True)
@@ -178,7 +179,7 @@ class FrontDoor:
         :class:`QueueFullError` once this many requests are queued.
     default_slo_s:
         SLO budget applied to requests that do not pass ``slo_s``;
-        ``None`` means no deadline by default.
+        ``None`` means no deadline by default.  Finite and >= 0.
     cache:
         Optional :class:`~repro.serving.cache.ResultCache`.  A request
         whose quantized key (and, in the default verified mode, exact
@@ -225,6 +226,7 @@ class FrontDoor:
         self.max_batch = int(max_batch)
         self.flush_window_s = float(flush_window_s)
         self.queue_limit = int(queue_limit)
+        _check_slo("default_slo_s", default_slo_s, ValueError)
         self.default_slo_s = default_slo_s
         if autoscale_interval_s <= 0:
             raise ValueError(
@@ -282,7 +284,8 @@ class FrontDoor:
         ``k`` is required for ``top_k`` and ``block_categories`` is
         optional for ``forward_streaming``.  ``slo_s`` is this
         request's end-to-end budget (seconds from now); expired
-        requests are shed, never served late.  A non-finite row raises
+        requests are shed, never served late.  A non-finite row, or a
+        non-finite or negative ``slo_s``, raises
         :class:`InvalidRequestError` here, before it is queued.
         """
         if op not in _VALID_OPS:
@@ -301,6 +304,7 @@ class FrontDoor:
             )
         if not np.isfinite(row).all():
             raise InvalidRequestError("request row contains NaN/inf")
+        _check_slo("slo_s", slo_s, InvalidRequestError)
         kwargs: Dict[str, Any] = {}
         if op == "top_k":
             if k is None:
@@ -683,3 +687,11 @@ def _check_rows(op: str, got: int, expected: int) -> None:
         raise FrontDoorError(
             f"backend returned {got} rows for a {expected}-row {op} batch"
         )
+
+
+def _check_slo(name: str, value: Optional[float], error) -> None:
+    """A NaN budget never compares expired and, folded into the
+    batch's ``request_timeout``, would disable the worker reply
+    deadline for every request coalesced with it."""
+    if value is not None and not 0 <= value < np.inf:
+        raise error(f"{name} must be finite and >= 0, got {value}")

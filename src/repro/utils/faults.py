@@ -8,8 +8,7 @@ fires on, and the worker entry point consults a :class:`FaultInjector`
 built from its specs before serving each request.  Because the trigger
 is a request *count* — never a clock or an RNG — the same spec produces
 the same failure on every run, which is what lets the fault matrix in
-``tests/test_fault_tolerance.py`` and ``bench_parallel.py --faults``
-assert exact recovery behaviour.
+``tests/test_fault_tolerance.py`` assert exact recovery behaviour.
 
 Fault kinds
 -----------

@@ -1,7 +1,9 @@
 """The paired-run summary (``scripts/bench_pair.py``): pure arithmetic,
-no benchmark is run here."""
+no benchmark is run here.  ``scripts/code_lines.py`` rides along."""
 
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "bench_pair.py"
@@ -32,3 +34,16 @@ class TestSummarize:
         better = bench_pair.directions()
         assert better["throughput_rows_per_s"] == "higher"
         assert better["linalg.topk.update_ms"] == "lower"
+
+
+def test_code_lines_refuses_to_report_a_vacuous_zero(tmp_path):
+    """No path, or one that does not exist, used to print ``0 total
+    (0 files)`` and exit 0 — a "src/ did not grow" figure of nothing."""
+    script = SCRIPT.with_name("code_lines.py")
+    (tmp_path / "one.py").write_text('"""doc"""\n# note\nx = 1\n')
+    for args, ok in (([str(tmp_path)], True), ([], False),
+                     ([str(tmp_path), str(tmp_path / "absent")], False)):
+        run = subprocess.run([sys.executable, str(script), *args],
+                             capture_output=True, text=True, timeout=60)
+        assert (run.returncode == 0) == ok, run
+        assert ("1  total (1 files)" in run.stdout) == ok

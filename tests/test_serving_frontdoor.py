@@ -506,6 +506,25 @@ class TestFlushPolicyAndLifecycle:
                 door.submit(np.zeros(HIDDEN_DIM), "top_k")  # k missing
             with pytest.raises(ValueError):
                 door.submit(np.zeros(HIDDEN_DIM), "nonsense")
+        # A NaN budget never compares expired and, folded into the
+        # batch's request_timeout, switched the worker reply deadline
+        # off for every request coalesced with it.
+        bad_budgets = (float("nan"), float("inf"), -1.0)
+        backend = _RecordingBackend()
+        row = np.zeros(backend.hidden_dim)
+        for bad in bad_budgets:
+            with pytest.raises(ValueError):
+                FrontDoor(backend, default_slo_s=bad)
+        with FrontDoor(backend, max_batch=4, flush_window_s=0.05) as door:
+            good = door.submit(row, slo_s=5.0)
+            for bad in bad_budgets:
+                with pytest.raises(InvalidRequestError):
+                    door.submit(row, slo_s=bad)
+                assert door.stats()["submitted"] == 1  # refused uncounted
+            good.result(timeout=30)
+        assert len(backend.seen_timeouts) == 1
+        assert 0.0 < backend.seen_timeouts[0] <= 5.0
+        assert backend.request_timeout == 30.0
 
     def test_queue_depth_gauge_round_trips_to_zero(self, single_node, request_rows):
         from repro.obs import Recorder
