@@ -22,7 +22,9 @@ bench-smoke:
 
 # Paired before/after runs of one workload: PARENT checked out into a
 # temporary git worktree, parent and working tree run alternately, medians,
-# quartiles and pairs won per metric (choosing-metrics guide §8).
+# quartiles and pairs won per metric (choosing-metrics guide §8), plus the
+# ok / WORSE / UNRESOLVED no-regression verdict per end-to-end metric.
+# WORKLOAD=all runs every workload of BENCHMARK.json.
 WORKLOAD ?= batch_topm
 PAIRS ?= 10
 PARENT ?= HEAD

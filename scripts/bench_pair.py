@@ -12,7 +12,13 @@ Prints each side's median and quartiles per metric and the share of
 pairs the change won: the procedure in the ``choosing-metrics`` guide §8
 (a gain is claimed only when the change wins at least nine tenths of the
 pairs, ties counting for neither, and the medians differ by more than
-the parent's own interquartile distance).
+the parent's own interquartile distance).  Each end-to-end metric also
+gets the no-regression verdict a PR that claims no gain needs: ``WORSE``
+when the change's median is worse than the parent's by more than the
+metric's ``bound`` in ``BENCHMARK.json``, ``UNRESOLVED`` when the
+parent's own spread (IQR / median) exceeds that bound and not every run
+of the change beats every run of the parent.  ``--workload all`` runs
+every workload the contract lists.
 
 It only invokes ``bench/run.py``; it changes nothing under ``bench/``.
 """
@@ -30,26 +36,69 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
+def contract() -> dict:
+    """``BENCHMARK.json``, read only."""
+    with open(ROOT / "BENCHMARK.json") as handle:
+        return json.load(handle)
+
+
 def directions() -> dict:
     """``{metric: "higher" | "lower"}`` from ``BENCHMARK.json``."""
-    with open(ROOT / "BENCHMARK.json") as handle:
-        contract = json.load(handle)
-    return {m["name"]: m["better"] for m in contract["end_to_end"] + contract["per_layer"]}
+    spec = contract()
+    return {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
 
 
-def run_side(root: Path, out: Path, args: argparse.Namespace, seed: int) -> dict:
+def bounds() -> dict:
+    """``{end-to-end metric: relative no-regression bound}``."""
+    return {m["name"]: m["bound"] for m in contract()["end_to_end"]}
+
+
+def parse_record(stdout: str) -> dict:
+    """The run record ``bench/run.py`` prints as its last stdout line;
+    a failed record when that line is missing or is not JSON."""
+    lines = stdout.strip().splitlines()
+    try:
+        record = json.loads(lines[-1])
+    except (IndexError, json.JSONDecodeError):
+        return {"correct": False}
+    return record if isinstance(record, dict) else {"correct": False}
+
+
+def run_side(root: Path, out: Path, args: argparse.Namespace, workload: str, seed: int) -> dict:
     """One ``bench/run.py`` run in ``root``; ``{metric: value}``."""
-    command = [sys.executable, "bench/run.py", "--workload", args.workload,
+    command = [sys.executable, "bench/run.py", "--workload", workload,
                "--seed", str(seed), "--trace", str(args.trace), "--out", str(out)]
     if args.smoke:
         command.append("--smoke")
     done = subprocess.run(command, cwd=root, capture_output=True, text=True)
-    lines = done.stdout.strip().splitlines()
-    record = json.loads(lines[-1]) if lines else {"correct": False}
-    if done.returncode != 0 or not record["correct"]:
+    record = parse_record(done.stdout)
+    if done.returncode != 0 or not record.get("correct"):
         sys.stderr.write(done.stderr)
         raise SystemExit(f"bench_pair: run in {root} failed (code {done.returncode})")
     return {name: metric["value"] for name, metric in record["metrics"].items()}
+
+
+def run_pairs(sides: dict, scratch: Path, args: argparse.Namespace, workload: str) -> dict:
+    """``args.pairs`` alternating parent / change runs of one workload;
+    ``{metric: (parent samples, change samples)}``."""
+    samples: dict = {}
+    for pair in range(args.pairs):
+        order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
+        values = {
+            side: run_side(sides[side], scratch / f"out_{side}", args, workload, args.seed + pair)
+            for side in order
+        }
+        for name, value in values["parent"].items():
+            if name in values["change"]:
+                both = samples.setdefault(name, ([], []))
+                both[0].append(value)
+                both[1].append(values["change"][name])
+        first = next(iter(values["parent"]))
+        print(f"# {workload} pair {pair + 1}/{args.pairs} ({order[0]} first, "
+              f"seed {args.seed + pair}): "
+              f"{first} {values['parent'][first]:.5g} -> {values['change'][first]:.5g}",
+              flush=True)
+    return samples
 
 
 def summarize(parent: list, change: list, better: str) -> dict:
@@ -80,7 +129,21 @@ def summarize(parent: list, change: list, better: str) -> dict:
     }
 
 
-def report(samples: dict, better: dict) -> None:
+def verdict(parent: list, change: list, better: str, bound: float) -> str:
+    """The no-regression reading of one end-to-end metric (simplicity-
+    review guide, "Benchmark workloads"): ``WORSE``, ``UNRESOLVED`` or ``ok``."""
+    sign = 1 if better == "higher" else -1
+    row = summarize(parent, change, better)
+    p_med, p_q1, p_q3 = row["parent"]
+    if sign * (row["change"][0] - p_med) < -bound * abs(p_med):
+        return "WORSE"
+    every_run_better = min(sign * c for c in change) > max(sign * p for p in parent)
+    if p_q3 - p_q1 > bound * abs(p_med) and not every_run_better:
+        return "UNRESOLVED"
+    return "ok"
+
+
+def report(samples: dict, better: dict, bound: dict) -> None:
     print(f"\n{'metric':<44} {'parent median [q1, q3]':>36} {'change median [q1, q3]':>36} "
           f"{'ratio':>7} {'won':>7}")
     for name, (parent, change) in samples.items():
@@ -91,14 +154,17 @@ def report(samples: dict, better: dict) -> None:
         ratio = f"{c_med / p_med:.3f}" if p_med else "-"
         print(f"{name:<44} {f'{p_med:.5g} [{p_q1:.5g}, {p_q3:.5g}]':>36} "
               f"{f'{c_med:.5g} [{c_q1:.5g}, {c_q3:.5g}]':>36} {ratio:>7} "
-              f"{row['won']:>3}/{row['pairs']:<3}{'  GAIN' if row['gain'] else ''}")
+              f"{row['won']:>3}/{row['pairs']:<3}{'  GAIN' if row['gain'] else ''}"
+              + (f"  {verdict(parent, change, better[name], bound[name])}" if name in bound else ""))
     print("\n# ratio = change median / parent median; won = pairs where the change read "
-          "better (ties count for neither); GAIN = guide §8 rule met")
+          "better (ties count for neither); GAIN = guide §8 rule met; ok / WORSE / "
+          "UNRESOLVED = no-regression verdict against the metric's BENCHMARK.json bound")
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--workload", required=True)
+    parser.add_argument("--workload", required=True,
+                        help="a workload of BENCHMARK.json, or 'all'")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--parent", default="HEAD", help="revision to compare against")
     parser.add_argument("--seed", type=int, default=1, help="pair i runs both sides on seed + i")
@@ -107,35 +173,21 @@ def main(argv=None) -> int:
     parser.add_argument("--smoke", action="store_true")
     args = parser.parse_args(argv)
 
-    better = directions()
-    samples: dict = {}
+    better, bound = directions(), bounds()
+    workloads = ([w["name"] for w in contract()["workloads"]]
+                 if args.workload == "all" else [args.workload])
     with tempfile.TemporaryDirectory(prefix="bench_pair_") as scratch:
         tree = Path(scratch) / "parent"
         subprocess.run(["git", "worktree", "add", "--detach", str(tree), args.parent],
                        cwd=ROOT, check=True, capture_output=True)
         try:
             sides = {"parent": tree, "change": ROOT}
-            for pair in range(args.pairs):
-                order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
-                values = {
-                    side: run_side(sides[side], Path(scratch) / f"out_{side}", args,
-                                   args.seed + pair)
-                    for side in order
-                }
-                for name, value in values["parent"].items():
-                    if name in values["change"]:
-                        both = samples.setdefault(name, ([], []))
-                        both[0].append(value)
-                        both[1].append(values["change"][name])
-                first = next(iter(values["parent"]))
-                print(f"# pair {pair + 1}/{args.pairs} ({order[0]} first, seed {args.seed + pair}): "
-                      f"{first} {values['parent'][first]:.5g} -> {values['change'][first]:.5g}",
-                      flush=True)
+            for workload in workloads:
+                report(run_pairs(sides, Path(scratch), args, workload), better, bound)
         finally:
             subprocess.run(["git", "worktree", "remove", "--force", str(tree)],
                            cwd=ROOT, capture_output=True)
             subprocess.run(["git", "worktree", "prune"], cwd=ROOT, capture_output=True)
-    report(samples, better)
     return 0
 
 

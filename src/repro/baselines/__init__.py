@@ -4,12 +4,9 @@
   categories through the top singular window, re-compute top-N exactly.
 * :class:`FGDClassifier` — Zhang et al., NeurIPS 2018: graph-based
   nearest-neighbor decoding over the classifier weight vectors.
-* :class:`LowRankClassifier` — plain truncated-SVD classifier, the
-  "conventional low-rank approximation-based method" strawman.
 """
 
 from repro.baselines.svd_softmax import SVDSoftmax
 from repro.baselines.fgd import FGDClassifier
-from repro.baselines.low_rank import LowRankClassifier
 
-__all__ = ["SVDSoftmax", "FGDClassifier", "LowRankClassifier"]
+__all__ = ["SVDSoftmax", "FGDClassifier"]

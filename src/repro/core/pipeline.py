@@ -17,13 +17,15 @@ approximate and exact entries.  Mixing raw values is exactly what the
 hardware does, so we do the same; the candidate set is what protects
 top-K quality.
 
-Two engines, one oracle: :meth:`ApproximateScreeningClassifier.forward`
-materializes the dense score plane and mixes every candidate in one
-scatter; :meth:`~ApproximateScreeningClassifier.forward_streaming`
-reduces canonical column tiles and returns candidate entries only (the
-serving path).  Both call the same selection order and the same
-exact-phase kernel, so their candidate entries are identical bits.
-``forward(faithful=True)`` keeps the original per-row loop as the
+One tile loop, one oracle: the Screener's filter consumes score tiles
+as they stream past (paper Sections 5.1–5.2), and both serving calls run
+that loop.  :meth:`~ApproximateScreeningClassifier.forward_streaming`
+overwrites one tile buffer and returns candidate entries only;
+:meth:`ApproximateScreeningClassifier.forward` lets each tile land in
+the ``batch × l`` plane it returns and mixes every candidate in one
+scatter.  Same GEMM calls, same reducer, same exact-phase kernel, so
+their candidate entries are identical bits.  ``forward(faithful=True)``
+keeps the whole-plane selection and the per-row exact loop as the
 reference the differential tests compare against.
 """
 
@@ -51,8 +53,8 @@ class ScreenedOutput:
     is the number of exact weight rows gathered (the quantity that
     drives computation and DRAM-traffic savings).
 
-    The vectorized engine mixes in place and hands this object a small
-    ``restore`` record (the overwritten approximate values) instead of
+    Dense ``forward`` mixes in place and hands this object a small
+    ``restore`` record (the reducer's approximate values) instead of
     a full copy of the score plane; ``approximate_logits`` is then
     materialized lazily on first access.  Constructing with an explicit
     ``approximate_logits`` array behaves exactly as before.
@@ -260,7 +262,17 @@ class DegradedOutput:
 
 
 class ApproximateScreeningClassifier:
-    """The paper's candidates-only classifier (screen → filter → exact → mix)."""
+    """The paper's candidates-only classifier (screen → filter → exact → mix).
+
+    Threading: :meth:`forward` on an FP64 exact store is re-entrant
+    (its reducer scratch is private to the call and the FP64 exact
+    phase needs none).  :meth:`forward_streaming`, and every call on a
+    :class:`~repro.core.weightstore.QuantizedExactStore` pipeline,
+    take scratch from the one pipeline arena (:attr:`workspace`) and
+    are single-threaded — put a
+    :class:`~repro.serving.frontdoor.FrontDoor` in front to serve
+    concurrent callers.
+    """
 
     def __init__(
         self,
@@ -459,35 +471,50 @@ class ApproximateScreeningClassifier:
     def forward(self, features: np.ndarray, faithful: bool = False) -> ScreenedOutput:
         """Run the full screened pipeline on a feature batch.
 
-        The default path is the vectorized dense-plane engine; pass
-        ``faithful=True`` for the per-row reference dataflow (the exact
-        phase loops over batch rows exactly as the original
-        implementation did).  Both share the screening and selection
-        stages and produce numerically identical outputs.
+        The default path runs the tile loop of :meth:`forward_streaming`
+        with each tile landing in the ``batch × l`` plane it returns,
+        then mixes every candidate in one scatter.  ``faithful=True`` is
+        the reference dataflow (whole-plane screening, whole-plane
+        selection, one gather + matmul per batch row) the differential
+        tests compare against; both produce identical outputs.
         """
         recorder = self.recorder
         with recorder.span("forward"):
             batch = check_batch_features(features, self.hidden_dim)
-            with recorder.span("screen"):
-                approx = self.screener.approximate_logits(batch)
-            with recorder.span("select"):
-                candidates = self.selector.select(approx)
+            if faithful:
+                output = self._forward_per_row(batch)
+            else:
+                plane = np.empty(
+                    (batch.shape[0], self.num_categories),
+                    dtype=self.screener.compute_dtype,
+                )
+                # Reducer scratch is private to the call, so dense forward
+                # on an FP64 store never touches the shared pipeline arena.
+                candidates, approx_values = self._screen_and_select(
+                    batch, Workspace(), plane=plane
+                )
+                with recorder.span("exact"):
+                    exact = self._exact_candidate_values(
+                        batch, candidates, self.workspace
+                    )
+                with recorder.span("merge"):
+                    rows, cols = candidates.flat()
+                    plane[rows, cols] = exact
+                output = ScreenedOutput(
+                    plane, candidates=candidates, restore=(rows, cols, approx_values)
+                )
             recorder.increment("pipeline.forward_requests")
             recorder.increment("pipeline.rows", batch.shape[0])
-            recorder.increment("pipeline.exact_candidates", candidates.total)
-            if faithful:
-                return self._mix_per_row(batch, approx, candidates)
-            return self._mix_vectorized(batch, approx, candidates)
+            recorder.increment("pipeline.exact_candidates", output.exact_count)
+            return output
 
     __call__ = forward
 
-    def _mix_per_row(
-        self,
-        batch: np.ndarray,
-        approx: np.ndarray,
-        candidates: CandidateSet,
-    ) -> ScreenedOutput:
-        """Reference exact phase: one gather + matmul per batch row."""
+    def _forward_per_row(self, batch: np.ndarray) -> ScreenedOutput:
+        """The oracle: whole-plane screening and selection, then one
+        gather + matmul per batch row."""
+        approx = self.screener.approximate_logits(batch)
+        candidates = self.selector.select(approx)
         mixed = approx.copy()
         for row, indices in enumerate(candidates):
             if indices.size == 0:
@@ -498,33 +525,55 @@ class ApproximateScreeningClassifier:
             logits=mixed, approximate_logits=approx, candidates=candidates
         )
 
-    def _mix_vectorized(
+    def _screen_and_select(
         self,
         batch: np.ndarray,
-        approx: np.ndarray,
-        candidates: CandidateSet,
-    ) -> ScreenedOutput:
-        """Vectorized exact phase: mix all candidates in one scatter.
+        ws: Workspace,
+        block_categories: Optional[int] = None,
+        plane: Optional[np.ndarray] = None,
+    ) -> Tuple[CandidateSet, np.ndarray]:
+        """The one tile loop: screen each canonical tile, fold it into
+        the running reducer, return ``(candidates, approximate values)``.
 
-        The approximate plane is mixed in place (the overwritten values
-        are kept so ``approximate_logits`` can be rebuilt lazily); the
-        exact values come from :meth:`_exact_candidate_values`.
+        A tile lands in ``plane[:, t0:t1]`` when the caller wants the
+        score plane kept (dense :meth:`forward`), else in the ``"tile"``
+        buffer of ``ws``, overwritten by the next tile; all other
+        scratch comes from ``ws`` either way.  ``block_categories`` sets
+        the selection granularity (default: one update per tile).
         """
-        rows, cols = candidates.flat()
-        if rows.size == 0:
-            return ScreenedOutput(
-                logits=approx, approximate_logits=approx, candidates=candidates
-            )
-        with self.recorder.span("exact"):
-            exact = self._exact_candidate_values(
-                batch, candidates, self.workspace
-            )
-        with self.recorder.span("merge"):
-            saved = approx[rows, cols].copy()
-            approx[rows, cols] = exact
-        return ScreenedOutput(
-            logits=approx, candidates=candidates, restore=(rows, cols, saved)
+        recorder = self.recorder
+        screener = self.screener
+        rows = batch.shape[0]
+        l = self.num_categories
+        compute = screener.compute_dtype
+        block = block_categories if block_categories is not None else l
+
+        augmented = screener.prepare_augmented(
+            batch,
+            out=ws.buffer("augmented", (rows, screener.projection_dim + 1), compute),
         )
+        reducer = self.selector.make_block_reducer(
+            rows, l, workspace=ws, dtype=compute
+        )
+        for t0, t1 in screener.tile_bounds():
+            with recorder.span("streaming.screen_tile"):
+                if plane is None:
+                    out = ws.buffer("tile", (rows, t1 - t0), compute)
+                else:
+                    out = plane[:, t0:t1]
+                tile = screener.score_tile(augmented, t0, t1, out=out)
+            # Selection updates at block_categories granularity; block
+            # boundaries are absolute, so a tile may span several
+            # blocks and vice versa.
+            with recorder.span("streaming.select_tile"):
+                start = t0
+                while start < t1:
+                    stop = min(t1, (start // block + 1) * block)
+                    reducer.update(start, tile[:, start - t0 : stop - t0])
+                    start = stop
+        with recorder.span("streaming.select_finalize"):
+            counts, cols, approx_values = reducer.finalize()
+            return CandidateSet.from_flat(counts, cols), approx_values
 
     def _exact_candidate_values(
         self,
@@ -575,11 +624,11 @@ class ApproximateScreeningClassifier:
         Screener's filter consumes each tile's scores as they stream
         past, so the full ``batch × l`` score plane never exists.  The
         screener GEMM runs per canonical column tile
-        (:data:`repro.core.screener.TILE_CATEGORIES` — identical calls
-        to the dense path, hence identical bits); a running per-row
+        (:data:`repro.core.screener.TILE_CATEGORIES`); a running per-row
         reducer folds each ``block_categories``-wide segment into the
         candidate set; the exact phase then recomputes only the final
-        candidates through the same kernel the dense mix uses.
+        candidates.  Dense :meth:`forward` runs this same loop and the
+        same exact-phase kernel, hence identical bits.
 
         ``block_categories`` sets the selection granularity (defaults
         to one update per tile).  Results are independent of it — the
@@ -605,43 +654,11 @@ class ApproximateScreeningClassifier:
                     f"block_categories must be positive, got {block_categories}"
                 )
             ws = workspace if workspace is not None else self.workspace
-            rows = batch.shape[0]
-            l = self.num_categories
-            compute = self.screener.compute_dtype
-            block = block_categories if block_categories is not None else l
-
-            augmented = self.screener.prepare_augmented(
-                batch,
-                out=ws.buffer(
-                    "augmented", (rows, self.screener.projection_dim + 1), compute
-                ),
+            candidates, approx_values = self._screen_and_select(
+                batch, ws, block_categories
             )
-            reducer = self.selector.make_block_reducer(
-                rows, l, workspace=ws, dtype=compute
-            )
-            for t0, t1 in self.screener.tile_bounds():
-                with recorder.span("streaming.screen_tile"):
-                    tile = self.screener.score_tile(
-                        augmented,
-                        t0,
-                        t1,
-                        out=ws.buffer("tile", (rows, t1 - t0), compute),
-                    )
-                # Selection updates at block_categories granularity; block
-                # boundaries are absolute, so a tile may span several
-                # blocks and vice versa.
-                with recorder.span("streaming.select_tile"):
-                    start = t0
-                    while start < t1:
-                        stop = min(t1, (start // block + 1) * block)
-                        reducer.update(start, tile[:, start - t0 : stop - t0])
-                        start = stop
-
-            with recorder.span("streaming.select_finalize"):
-                counts, cols, approx_values = reducer.finalize()
-                candidates = CandidateSet.from_flat(counts, cols)
             recorder.increment("pipeline.streaming_requests")
-            recorder.increment("pipeline.rows", rows)
+            recorder.increment("pipeline.rows", batch.shape[0])
             recorder.increment("pipeline.exact_candidates", candidates.total)
             if recorder.enabled:
                 recorder.set_gauge("pipeline.workspace_bytes", ws.nbytes)
@@ -649,17 +666,16 @@ class ApproximateScreeningClassifier:
             with recorder.span("streaming.exact"):
                 exact_values = self._exact_candidate_values(
                     batch, candidates, ws
-                ).astype(compute, copy=False)
+                ).astype(self.screener.compute_dtype, copy=False)
             return StreamedOutput(
                 candidates=candidates,
                 exact_values=exact_values,
                 approximate_values=approx_values,
-                num_categories=l,
+                num_categories=self.num_categories,
             )
 
     def predict_proba(self, features: np.ndarray) -> np.ndarray:
-        """Normalized probabilities from the mixed score vector
-        (vectorized default path)."""
+        """Normalized probabilities from the mixed score vector."""
         output = self.forward(features)
         if self.classifier.normalization == "sigmoid":
             return sigmoid(output.logits)
@@ -670,13 +686,12 @@ class ApproximateScreeningClassifier:
     def predict(self, features: np.ndarray) -> np.ndarray:
         """Argmax category per row (always inside the candidate set by
         construction when the screener is reasonable, but taken over
-        the mixed vector exactly as the hardware would).  Runs the
-        vectorized default path."""
+        the mixed vector exactly as the hardware would)."""
         return np.argmax(self.forward(features).logits, axis=-1)
 
     def top_k(self, features: np.ndarray, k: int) -> np.ndarray:
         """Top-k categories per row from the mixed scores (beam search /
-        P@k consumers).  Runs the vectorized default path."""
+        P@k consumers)."""
         from repro.linalg.topk import top_k_indices
 
         return top_k_indices(self.forward(features).logits, k, sort=True)

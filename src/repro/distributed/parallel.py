@@ -361,8 +361,12 @@ class ParallelShardedEngine:
         (missing shards default to 1) —
         :meth:`~repro.distributed.sharding.ShardPlan.suggest_replicas`
         produces exactly this shape.  Replicas attach the same shared
-        parameter segments, so extra replicas cost processes, not
-        model memory.  Requests dispatch to the least-loaded live
+        parameter segments, so the exact weights and the screener's
+        stored ``W̃`` are held once per shard; each worker still
+        re-derives a private fake-quantized ``W̃`` and fused GEMM plane
+        from them, ``(2k + 1) · shard_l · 8`` bytes per replica (the
+        integer screening plane, ROADMAP item 3, is what would let
+        those be shared too).  Requests dispatch to the least-loaded live
         replica; a replica whose share of the shard's restart budget is
         spent fails its in-flight request over to a live sibling, and
         only a fully-dead group degrades the shard.
@@ -1052,11 +1056,6 @@ class ParallelShardedEngine:
         if recording:
             stats["metrics"] = snapshot
         return stats
-
-    def trace_events(self) -> List[Dict[str, object]]:
-        """Chrome trace events recorded so far (empty without a tracer)."""
-        tracer = self.recorder.tracer
-        return tracer.chrome_events() if tracer is not None else []
 
     def write_trace(self, path) -> int:
         """Write the recorded trace as Chrome trace-event JSON.

@@ -2,15 +2,12 @@
 end-to-end system compositions (host-only vs. ENMC-offloaded)."""
 
 from repro.host.cpu import CPUModel, XEON_8280
-from repro.host.gpu import GPUModel, V100
 from repro.host.memctrl import HostMemoryController
 from repro.host.system import ENMCSystem, HostOnlySystem, SystemResult
 
 __all__ = [
     "CPUModel",
     "XEON_8280",
-    "GPUModel",
-    "V100",
     "HostMemoryController",
     "HostOnlySystem",
     "ENMCSystem",

@@ -10,7 +10,7 @@ micro-batches under a size-or-deadline flush policy with admission
 control and SLO deadline propagation;
 :mod:`~repro.serving.cache` short-circuits repeated/near-duplicate
 queries through a bounded LRU keyed on the INT4-quantized hidden
-vector; and :mod:`~repro.serving.loadgen` offers open- and closed-loop
+vector; and :mod:`~repro.serving.loadgen` offers open-loop
 Zipfian load for benchmarking the whole stack.
 """
 
@@ -36,7 +36,6 @@ from repro.serving.loadgen import (
     DriftingZipfianMix,
     LoadReport,
     ZipfianMix,
-    run_closed_loop,
     run_open_loop,
 )
 
@@ -60,5 +59,4 @@ __all__ = [
     "DriftingZipfianMix",
     "LoadReport",
     "run_open_loop",
-    "run_closed_loop",
 ]

@@ -1,18 +1,12 @@
 """Load generation for the serving front door.
 
-Two arrival models, matching how serving systems are actually measured:
+**Open loop** (:func:`run_open_loop`): requests arrive on a Poisson
+process at a fixed offered rate, independent of how fast the system
+answers.  This is the honest model for latency percentiles: a slow
+system accumulates queueing delay instead of silently throttling the
+generator (the "coordinated omission" failure of naive closed loops).
 
-* **Open loop** (:func:`run_open_loop`) — requests arrive on a Poisson
-  process at a fixed offered rate, independent of how fast the system
-  answers.  This is the honest model for latency percentiles: a slow
-  system accumulates queueing delay instead of silently throttling the
-  generator (the "coordinated omission" failure of naive closed loops).
-* **Closed loop** (:func:`run_closed_loop`) — a fixed number of
-  concurrent callers each issue a request, wait for the reply, and
-  immediately issue the next.  This measures saturated throughput at a
-  given concurrency.
-
-Both draw requests from a **Zipfian mix** (:class:`ZipfianMix`): a pool
+Requests are drawn from a **Zipfian mix** (:class:`ZipfianMix`): a pool
 of distinct feature rows with rank–frequency weights ``rank^-s``, the
 standard skew model for production query traffic (a few heads dominate,
 a long tail keeps caches honest).
@@ -44,7 +38,6 @@ __all__ = [
     "DriftingZipfianMix",
     "LoadReport",
     "run_open_loop",
-    "run_closed_loop",
 ]
 
 
@@ -239,54 +232,3 @@ def run_open_loop(
             pass
     report.duration_s = time.monotonic() - start
     return report
-
-
-def run_closed_loop(
-    door: FrontDoor,
-    mix: ZipfianMix,
-    *,
-    concurrency: int,
-    requests_per_worker: int,
-    op: str = "forward",
-    k: Optional[int] = None,
-    slo_s: Optional[float] = None,
-) -> LoadReport:
-    """``concurrency`` workers each issue ``requests_per_worker`` calls
-    back to back (issue → wait → issue)."""
-    if concurrency < 1:
-        raise ValueError(f"concurrency must be >= 1, got {concurrency}")
-    report = LoadReport()
-    lock = threading.Lock()
-
-    def worker() -> None:
-        for _ in range(requests_per_worker):
-            with lock:
-                report.offered += 1
-            try:
-                future = door.submit(mix.sample(), op, k=k, slo_s=slo_s)
-            except QueueFullError:
-                with lock:
-                    report.shed_queue_full += 1
-                continue
-            _account(report, _settled(future), lock)
-
-    start = time.monotonic()
-    threads = [
-        threading.Thread(target=worker, name=f"loadgen-{i}", daemon=True)
-        for i in range(concurrency)
-    ]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
-    report.duration_s = time.monotonic() - start
-    return report
-
-
-def _settled(future: Future) -> Future:
-    """Wait for ``future`` to settle without raising, then return it."""
-    try:
-        future.exception()
-    except Exception:  # noqa: BLE001
-        pass
-    return future

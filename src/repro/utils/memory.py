@@ -27,6 +27,7 @@ self-contained.
 from __future__ import annotations
 
 import ctypes
+import math
 from typing import Dict, Tuple
 
 import numpy as np
@@ -107,7 +108,7 @@ class Workspace:
 
     def buffer(self, key: object, shape: Tuple[int, ...], dtype=np.float64) -> np.ndarray:
         """An uninitialized C-contiguous array of ``shape`` under ``key``."""
-        size = int(np.prod(shape, dtype=np.int64)) if shape else 1
+        size = math.prod(shape)
         self.requests += 1
         return self._slab(key, size, np.dtype(dtype), preserve=False)[:size].reshape(shape)
 

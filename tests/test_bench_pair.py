@@ -34,6 +34,40 @@ class TestSummarize:
         better = bench_pair.directions()
         assert better["throughput_rows_per_s"] == "higher"
         assert better["linalg.topk.update_ms"] == "lower"
+        assert set(bench_pair.bounds()) < set(better)  # end-to-end metrics only
+        assert bench_pair.bounds()["call_peak_mb"] == 0.1
+
+
+class TestVerdict:
+    """The no-regression reading: bound relative to the parent's median."""
+
+    TIGHT = [100.0, 101.0, 99.0, 100.0]  # IQR 1.5 around 100
+
+    def test_worse_only_beyond_the_bound_in_the_metrics_direction(self):
+        down_30 = [value * 0.7 for value in self.TIGHT]
+        assert bench_pair.verdict(self.TIGHT, down_30, "higher", 0.25) == "WORSE"
+        assert bench_pair.verdict(self.TIGHT, down_30, "lower", 0.25) == "ok"
+        down_20 = [value * 0.8 for value in self.TIGHT]
+        assert bench_pair.verdict(self.TIGHT, down_20, "higher", 0.25) == "ok"
+        assert bench_pair.verdict(self.TIGHT, down_20, "higher", 0.1) == "WORSE"
+
+    def test_unresolved_when_the_parents_spread_exceeds_the_bound(self):
+        noisy = [60.0, 100.0, 140.0, 100.0]  # IQR 60 of median 100
+        assert bench_pair.verdict(noisy, noisy, "higher", 0.25) == "UNRESOLVED"
+        assert bench_pair.verdict(noisy, noisy, "higher", 0.75) == "ok"
+        # ... unless every run of the change beats every run of the parent
+        clear = [150.0, 160.0, 170.0, 180.0]
+        assert bench_pair.verdict(noisy, clear, "higher", 0.25) == "ok"
+        assert bench_pair.verdict(noisy, clear, "lower", 0.25) == "WORSE"
+
+
+def test_a_last_line_that_is_not_the_record_is_a_failed_run():
+    """``run_side`` then prints the child's stderr and exits, where it
+    used to raise ``JSONDecodeError`` from the traceback's last line."""
+    for stdout in ("", "Traceback (most recent call last):\n  boom\n", "17\n"):
+        assert bench_pair.parse_record(stdout) == {"correct": False}
+    record = bench_pair.parse_record('# note\n{"correct": true, "metrics": {}}\n')
+    assert record == {"correct": True, "metrics": {}}
 
 
 def test_code_lines_refuses_to_report_a_vacuous_zero(tmp_path):

@@ -144,6 +144,58 @@ class TestEnginesAgreeOnBadAndLargeInput:
         assert model.workspace.requests > requests
 
 
+    def test_dense_forward_leaves_the_pipeline_arena_alone(self, multi_tile):
+        """Dense ``forward`` on an FP64 store is re-entrant: its reducer
+        scratch is private to the call, so the arena ``forward_streaming``
+        owns sees no request (two threads may be inside ``forward`` at
+        once — the front-door overload test does exactly that)."""
+        task, model = multi_tile
+        features = task.sample_features(6, rng=7)
+        requests = model.workspace.requests
+        allocations = model.workspace.allocations
+        model.forward(features)
+        model.top_k(features, 3)
+        assert model.workspace.requests == requests
+        assert model.workspace.allocations == allocations
+
+
+class TestWholePlanePassIsOracleOnly:
+    def test_serving_calls_never_select_over_the_plane(
+        self, pipeline, small_task, monkeypatch
+    ):
+        """Every serving call runs the tile loop; whole-plane screening
+        and selection belong to ``faithful=True`` (and calibration)."""
+        from repro.core import ScreeningConfig, ScreeningModule
+        from repro.distributed import ShardedClassifier
+
+        sharded = ShardedClassifier(
+            small_task.classifier,
+            num_shards=2,
+            config=ScreeningConfig(projection_dim=16),
+        )
+        sharded.train(small_task.sample_features(128, rng=3), rng=4)
+        features = small_task.sample_features(5, rng=6)
+        expected = pipeline.forward(features, faithful=True)
+
+        def whole_plane(*args, **kwargs):
+            raise AssertionError("whole-plane pass on a serving call")
+
+        monkeypatch.setattr(CandidateSelector, "select", whole_plane)
+        monkeypatch.setattr(ScreeningModule, "approximate_logits", whole_plane)
+        assert np.array_equal(
+            pipeline.forward(features).approximate_logits,
+            expected.approximate_logits,
+        )
+        assert pipeline.predict(features).shape == (5,)
+        assert pipeline.predict_proba(features).shape == (5, 2000)
+        assert pipeline.top_k(features, 3).shape == (5, 3)
+        assert pipeline.forward_streaming(features).exact_count == 5 * 48
+        assert sharded.forward(features).logits.shape == (5, 2000)
+        assert sharded.top_k(features, 3)[0].shape == (5, 3)
+        with pytest.raises(AssertionError, match="whole-plane"):
+            pipeline.forward(features, faithful=True)
+
+
 class TestFaithfulVsVectorized:
     """The vectorized default and the per-row reference mode must be
     numerically identical — same candidates, same mixed logits, and
@@ -199,6 +251,59 @@ class TestFaithfulVsVectorized:
             small_task.classifier, small_screener, selector=selector
         )
         self._assert_identical(model, small_task.sample_features(3))
+
+    @pytest.mark.parametrize("compute_dtype", ["float64", "float32"])
+    @pytest.mark.parametrize(
+        "mode, threshold, picked",
+        [("top_m", None, 6), ("threshold", 500.0, 8), ("threshold", 1e12, 0)],
+        ids=["top_m", "threshold", "threshold_selects_nothing"],
+    )
+    def test_ties_straddling_the_tile_boundary(
+        self, mode, threshold, picked, compute_dtype
+    ):
+        """l = 8192 + 37: eight columns around the canonical tile
+        boundary score exactly 1000 in every row (zero weight rows, so
+        the score is the bias whatever the GEMM's summation order).
+        Top-6 must keep the six lowest-indexed of them — four from the
+        first tile, two from the second."""
+        from repro.core import ScreeningConfig, ScreeningModule, train_screener
+        from repro.core.screener import TILE_CATEGORIES
+        from repro.data import make_task
+
+        task = make_task(num_categories=TILE_CATEGORIES + 37, hidden_dim=16, rng=3)
+        trained = train_screener(
+            task.classifier,
+            task.sample_features(64, rng=1),
+            config=ScreeningConfig(projection_dim=4),
+            solver="lstsq",
+            rng=2,
+        )
+        tied = slice(TILE_CATEGORIES - 4, TILE_CATEGORIES + 4)
+        weight, bias = trained.weight.copy(), trained.bias.copy()
+        weight[tied], bias[tied] = 0.0, 1000.0
+        screener = ScreeningModule(
+            trained.projection, weight, bias, compute_dtype=compute_dtype
+        )
+        assert len(screener.tile_bounds()) == 2
+        model = ApproximateScreeningClassifier(
+            task.classifier,
+            screener,
+            CandidateSelector(mode, num_candidates=6, threshold=threshold),
+        )
+        features = task.sample_features(5, rng=7)
+        self._assert_identical(model, features)
+        dense = model.forward(features)
+        assert dense.logits.dtype == np.dtype(compute_dtype)
+        first = TILE_CATEGORIES - 4
+        for indices in dense.candidates:
+            assert np.array_equal(indices, np.arange(first, first + picked))
+        streamed = model.forward_streaming(features)
+        rows, cols = dense.candidates.flat()
+        assert np.array_equal(streamed.candidates.flat()[1], cols)
+        assert np.array_equal(streamed.exact_values, dense.logits[rows, cols])
+        assert np.array_equal(
+            streamed.approximate_values, dense.approximate_logits[rows, cols]
+        )
 
     @given(
         seed=st.integers(0, 2**31 - 1),

@@ -2,7 +2,7 @@
 
 The load generator is measurement equipment — these tests pin its
 accounting (every offered request lands in exactly one outcome bucket),
-its Zipfian request mix, and its two arrival models against a cheap
+its Zipfian request mix, and its open-loop arrival model against a cheap
 stub backend so the suite stays fast.
 """
 
@@ -15,7 +15,6 @@ from repro.serving import (
     FrontDoor,
     LoadReport,
     ZipfianMix,
-    run_closed_loop,
     run_open_loop,
 )
 
@@ -80,43 +79,6 @@ class TestZipfianMix:
             ZipfianMix(hidden_dim=HIDDEN_DIM, pool_size=0)
         with pytest.raises(ValueError):
             ZipfianMix(hidden_dim=HIDDEN_DIM, s=-1.0)
-
-
-class TestClosedLoop:
-    def test_accounting_adds_up_with_no_loss(self):
-        backend = _StubBackend()
-        mix = ZipfianMix(hidden_dim=HIDDEN_DIM, pool_size=8, seed=1)
-        with FrontDoor(backend, max_batch=4, flush_window_s=0.001) as door:
-            report = run_closed_loop(
-                door, mix, concurrency=3, requests_per_worker=10
-            )
-        assert report.offered == 30
-        assert report.served == 30
-        assert report.shed_queue_full == 0
-        assert report.shed_deadline == 0
-        assert report.errors == 0
-        assert backend.rows_served == 30
-        assert len(report.latencies_s) == 30
-        assert report.throughput_rps > 0
-
-    def test_every_offer_lands_in_exactly_one_bucket_under_pressure(self):
-        backend = _StubBackend()
-        mix = ZipfianMix(hidden_dim=HIDDEN_DIM, pool_size=8, seed=1)
-        with FrontDoor(
-            backend, max_batch=2, flush_window_s=0.0, queue_limit=2
-        ) as door:
-            report = run_closed_loop(
-                door, mix, concurrency=6, requests_per_worker=20
-            )
-        total = (
-            report.served
-            + report.shed_queue_full
-            + report.shed_deadline
-            + report.errors
-        )
-        assert report.offered == 120
-        assert total == 120
-        assert backend.rows_served == report.served
 
 
 class TestOpenLoop:
