@@ -20,8 +20,9 @@ loc:
 bench-smoke:
 	python3 bench/run.py --smoke
 
-# Paired before/after runs of one workload: PARENT checked out into a
-# temporary git worktree, parent and working tree run alternately, medians,
+# Paired before/after runs of one workload: PARENT unpacked into a
+# temporary directory (git archive | tar -x, nothing under .git is
+# written), parent and working tree run alternately, medians,
 # quartiles and pairs won per metric (choosing-metrics guide §8), plus the
 # ok / WORSE / UNRESOLVED no-regression verdict per end-to-end metric.
 # WORKLOAD=all runs every workload of BENCHMARK.json.

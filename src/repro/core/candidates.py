@@ -183,23 +183,47 @@ class CandidateSelector:
             )
         return CandidateSet(indices=select_above_threshold(array, self.threshold))
 
-    def make_block_reducer(self, batch: int, num_categories: int, workspace=None, dtype=np.float64):
+    def make_block_reducer(
+        self, batch: int, num_categories: int, workspace=None, dtype=np.float64,
+        runner_ups: int = 0,
+    ):
         """A blockwise reducer equivalent to :meth:`select`.
 
         Streaming the score plane through the reducer block by block
         (any partition) and finalizing yields the same candidates, in
         the same order, as :meth:`select` on the dense plane.
+
+        With ``runner_ups = k`` each row's record also carries its best
+        ``k`` *non*-candidates under ``(score desc, index asc)`` — all a
+        ranking of the mixed output can need besides the candidates;
+        :meth:`is_candidate` tells the two apart.  In top-m mode that
+        is one reducer with ``m + k`` slots (its best ``m`` are the
+        candidates); in threshold mode the filter's compare drops to a
+        running floor that keeps the best ``k`` entries it rejects.
         """
         if self.mode == "top_m":
-            m = min(self.num_candidates, num_categories)
+            m = min(self.num_candidates + runner_ups, num_categories)
             return BlockwiseTopM(batch, m, workspace=workspace, dtype=dtype)
         if self.threshold is None:
             raise ValueError(
                 "threshold mode requires a threshold; call calibrate() first"
             )
         return BlockwiseThreshold(
-            batch, self.threshold, workspace=workspace, dtype=dtype
+            batch, self.threshold, workspace=workspace, dtype=dtype,
+            runner_ups=min(runner_ups, num_categories),
         )
+
+    def is_candidate(self, values: np.ndarray, batch: int) -> np.ndarray:
+        """Which entries of a ``runner_ups`` reducer's flat record
+        :meth:`select` would have picked (a mask aligned with
+        ``values``; the rest are the runner-ups)."""
+        if self.mode == "threshold":
+            return values > float(self.threshold)  # the reducer's compare
+        slots = values.reshape(batch, -1)
+        picked = stable_top_m_indices(slots, min(self.num_candidates, slots.shape[1]))
+        mask = np.zeros(slots.shape, dtype=bool)
+        np.put_along_axis(mask, picked, True, axis=1)
+        return mask.reshape(-1)
 
     def __repr__(self) -> str:
         return (

@@ -18,15 +18,21 @@ hardware does, so we do the same; the candidate set is what protects
 top-K quality.
 
 One tile loop, one oracle: the Screener's filter consumes score tiles
-as they stream past (paper Sections 5.1–5.2), and both serving calls run
-that loop.  :meth:`~ApproximateScreeningClassifier.forward_streaming`
+as they stream past (paper Sections 5.1–5.2), and every serving call
+runs that loop.  :meth:`~ApproximateScreeningClassifier.forward_streaming`
 overwrites one tile buffer and returns candidate entries only;
+:meth:`~ApproximateScreeningClassifier.top_k_with_scores` (behind
+``top_k`` and ``predict``) does the same with ``k`` runner-up slots in
+the reducer and ranks the few entries it kept;
 :meth:`ApproximateScreeningClassifier.forward` lets each tile land in
 the ``batch × l`` plane it returns and mixes every candidate in one
 scatter.  Same GEMM calls, same reducer, same exact-phase kernel, so
-their candidate entries are identical bits.  ``forward(faithful=True)``
-keeps the whole-plane selection and the per-row exact loop as the
-reference the differential tests compare against.
+their candidate entries are identical bits.  Which call allocates what:
+``forward`` and ``predict_proba`` (which normalizes the plane by
+definition) the plane, everything else one tile.
+``forward(faithful=True)`` keeps the whole-plane selection and the
+per-row exact loop as the reference the differential tests compare
+against.
 """
 
 from __future__ import annotations
@@ -42,7 +48,7 @@ from repro.core.weightstore import QuantizedExactStore
 from repro.linalg.functional import sigmoid, softmax, taylor_softmax
 from repro.obs.recorder import NULL_RECORDER
 from repro.utils.memory import Workspace
-from repro.utils.validation import check_batch_features
+from repro.utils.validation import check_batch_features, check_positive
 
 
 class ScreenedOutput:
@@ -264,9 +270,10 @@ class DegradedOutput:
 class ApproximateScreeningClassifier:
     """The paper's candidates-only classifier (screen → filter → exact → mix).
 
-    Threading: :meth:`forward` on an FP64 exact store is re-entrant
-    (its reducer scratch is private to the call and the FP64 exact
-    phase needs none).  :meth:`forward_streaming`, and every call on a
+    Threading: :meth:`forward`, :meth:`top_k` and :meth:`predict` on an
+    FP64 exact store are re-entrant (their reducer scratch is private
+    to the call and the FP64 exact phase needs none).
+    :meth:`forward_streaming`, and every call on a
     :class:`~repro.core.weightstore.QuantizedExactStore` pipeline,
     take scratch from the one pipeline arena (:attr:`workspace`) and
     are single-threaded — put a
@@ -490,9 +497,10 @@ class ApproximateScreeningClassifier:
                 )
                 # Reducer scratch is private to the call, so dense forward
                 # on an FP64 store never touches the shared pipeline arena.
-                candidates, approx_values = self._screen_and_select(
+                counts, cols, approx_values = self._screen_and_select(
                     batch, Workspace(), plane=plane
                 )
+                candidates = CandidateSet.from_flat(counts, cols)
                 with recorder.span("exact"):
                     exact = self._exact_candidate_values(
                         batch, candidates, self.workspace
@@ -531,9 +539,13 @@ class ApproximateScreeningClassifier:
         ws: Workspace,
         block_categories: Optional[int] = None,
         plane: Optional[np.ndarray] = None,
-    ) -> Tuple[CandidateSet, np.ndarray]:
+        runner_ups: int = 0,
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The one tile loop: screen each canonical tile, fold it into
-        the running reducer, return ``(candidates, approximate values)``.
+        the running reducer, return the reducer's flat record — per-row
+        ``counts``, then the candidates' ``cols`` and approximate
+        ``values`` in row order (plus each row's best ``runner_ups``
+        non-candidates, for :meth:`top_k_with_scores`).
 
         A tile lands in ``plane[:, t0:t1]`` when the caller wants the
         score plane kept (dense :meth:`forward`), else in the ``"tile"``
@@ -553,7 +565,7 @@ class ApproximateScreeningClassifier:
             out=ws.buffer("augmented", (rows, screener.projection_dim + 1), compute),
         )
         reducer = self.selector.make_block_reducer(
-            rows, l, workspace=ws, dtype=compute
+            rows, l, workspace=ws, dtype=compute, runner_ups=runner_ups
         )
         for t0, t1 in screener.tile_bounds():
             with recorder.span("streaming.screen_tile"):
@@ -572,8 +584,7 @@ class ApproximateScreeningClassifier:
                     reducer.update(start, tile[:, start - t0 : stop - t0])
                     start = stop
         with recorder.span("streaming.select_finalize"):
-            counts, cols, approx_values = reducer.finalize()
-            return CandidateSet.from_flat(counts, cols), approx_values
+            return reducer.finalize()
 
     def _exact_candidate_values(
         self,
@@ -654,9 +665,10 @@ class ApproximateScreeningClassifier:
                     f"block_categories must be positive, got {block_categories}"
                 )
             ws = workspace if workspace is not None else self.workspace
-            candidates, approx_values = self._screen_and_select(
+            counts, cols, approx_values = self._screen_and_select(
                 batch, ws, block_categories
             )
+            candidates = CandidateSet.from_flat(counts, cols)
             recorder.increment("pipeline.streaming_requests")
             recorder.increment("pipeline.rows", batch.shape[0])
             recorder.increment("pipeline.exact_candidates", candidates.total)
@@ -686,15 +698,59 @@ class ApproximateScreeningClassifier:
     def predict(self, features: np.ndarray) -> np.ndarray:
         """Argmax category per row (always inside the candidate set by
         construction when the screener is reasonable, but taken over
-        the mixed vector exactly as the hardware would)."""
-        return np.argmax(self.forward(features).logits, axis=-1)
+        the mixed vector exactly as the hardware would): the first
+        entry of :meth:`top_k`, lowest index among ties."""
+        return self.top_k(features, 1)[:, 0]
 
     def top_k(self, features: np.ndarray, k: int) -> np.ndarray:
         """Top-k categories per row from the mixed scores (beam search /
-        P@k consumers)."""
-        from repro.linalg.topk import top_k_indices
+        P@k consumers), best first, ties to the lowest index."""
+        if k > self.num_categories:
+            raise ValueError(f"k={k} exceeds score dimension {self.num_categories}")
+        return self.top_k_with_scores(features, k)[0]
 
-        return top_k_indices(self.forward(features).logits, k, sort=True)
+    def top_k_with_scores(
+        self, features: np.ndarray, k: int
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """``(indices, scores)`` of each row's ``min(k, l)`` best mixed
+        scores under ``(score desc, index asc)``, ranked inside the tile
+        loop — no ``batch × l`` plane.
+
+        The top-k of the mixed output can only hold candidates (at
+        their exact values) and the best ``k`` non-candidates by
+        approximate score, so the reducer keeps those runner-ups next
+        to the candidates and one stable rank of the few entries per
+        row finishes the job.  Bit-identical — indices, scores, order —
+        to ranking :meth:`forward`'s ``logits`` with
+        :func:`~repro.distributed.sharding.shard_top_k`.  Threading as
+        :meth:`forward`: reducer scratch is private to the call.
+        """
+        recorder = self.recorder
+        with recorder.span("top_k"):
+            batch = check_batch_features(features, self.hidden_dim)
+            check_positive("k", k)
+            local_k = min(int(k), self.num_categories)
+            counts, cols, values = self._screen_and_select(
+                batch, Workspace(), runner_ups=local_k
+            )
+            rows = np.repeat(np.arange(batch.shape[0]), counts)
+            chosen = self.selector.is_candidate(values, batch.shape[0])
+            candidates = CandidateSet.from_flat(
+                np.bincount(rows[chosen], minlength=batch.shape[0]), cols[chosen]
+            )
+            with recorder.span("exact"):
+                # The same float64 -> compute-dtype store as the dense mix.
+                values[chosen] = self._exact_candidate_values(
+                    batch, candidates, self.workspace
+                )
+            with recorder.span("rank"):
+                order = np.lexsort((cols, -values, rows))
+                first = np.cumsum(counts) - counts
+                best = order[first[:, None] + np.arange(local_k)]
+            recorder.increment("pipeline.top_k_requests")
+            recorder.increment("pipeline.rows", batch.shape[0])
+            recorder.increment("pipeline.exact_candidates", candidates.total)
+            return cols[best], values[best]
 
     # ------------------------------------------------------------------
     # EngineBackend conformance (repro.serving.backend)

@@ -14,9 +14,14 @@ screener for its shard.  The data plane is built for zero-copy:
   how many workers serve them;
 * **scatter** — the host writes the feature batch into a shared input
   segment once; every worker reads the same pages;
-* **gather** — each worker writes its shard's mixed logits plane into
-  its slot of a shared output segment and ships only the tiny candidate
-  record (counts, columns, pre-mix approximate values) over the pipe;
+* **gather** — only the explicit dense ``forward`` op builds a plane:
+  the worker writes its shard's mixed logits into its slot of a shared
+  output segment and ships the tiny candidate record (counts, columns,
+  pre-mix approximate values) over the pipe.  ``forward_streaming``
+  ships its candidate record and ``top_k`` (hence ``predict``) its
+  ``k`` ranked (index, score) pairs over the pipe alone — both run the
+  worker's one tile loop, and an engine that never calls ``forward``
+  never allocates the output segments;
 * **reduce** — the host reconstructs per-shard
   :class:`~repro.core.pipeline.ScreenedOutput` objects and merges them
   through the *same* :func:`~repro.distributed.sharding.merge_shard_outputs`
@@ -86,7 +91,6 @@ from repro.distributed.sharding import (
     merge_shard_outputs,
     merge_streamed_outputs,
     reduce_top_k,
-    shard_top_k,
 )
 from repro.obs.metrics import latency_buckets
 from repro.obs.recorder import NULL_RECORDER, Recorder
@@ -230,20 +234,19 @@ def _serve_request(
         streamed = engine.forward_streaming(
             batch, block_categories=payload["block"]
         )
-        flat_rows, flat_cols = streamed.candidates.flat()
         return {
             "counts": streamed.candidates.counts,
-            "cols": flat_cols,
-            "rows": flat_rows,
+            "cols": streamed.candidates.flat()[1],
             "exact": streamed.exact_values,
             "approx": streamed.approximate_values,
         }
 
-    output = engine.forward(batch)
     if op == "top_k":
-        indices, scores = shard_top_k(output, shard_range, int(payload["k"]))
-        return {"indices": indices, "scores": scores}
+        # Ranked inside the tile loop: like streaming, no plane.
+        indices, scores = engine.top_k_with_scores(batch, int(payload["k"]))
+        return {"indices": indices + shard_range.start, "scores": scores}
 
+    output = engine.forward(batch)
     output_pack = _attach_cached(io_packs, payload["output"])
     np.copyto(output_pack[f"logits{shard_id}"][:rows], output.logits)
     restore_rows, restore_cols, saved = output.candidate_restore()
@@ -985,17 +988,14 @@ class ParallelShardedEngine:
         )
 
     def predict(self, features: np.ndarray) -> np.ndarray:
-        """Argmax category per row; ``-1`` for rows with no surviving
-        scores under degraded operation."""
-        output = self.forward(features)
-        if isinstance(output, DegradedOutput):
-            logits = output.result.logits
-            best = np.full(logits.shape[0], -1, dtype=np.intp)
-            valid = ~np.all(np.isnan(logits), axis=1)
-            if np.any(valid):
-                best[valid] = np.nanargmax(logits[valid], axis=1)
-            return best
-        return np.argmax(output.logits, axis=-1)
+        """Argmax category per row — the first entry of :meth:`top_k`;
+        ``-1`` where, under degraded operation, no shard survived to
+        score the row."""
+        top = self.top_k(features, 1)
+        indices = (top.result if isinstance(top, DegradedOutput) else top)[0]
+        if indices.shape[1] == 0:
+            return np.full(indices.shape[0], -1, dtype=np.intp)
+        return indices[:, 0]
 
     # ------------------------------------------------------------------
     # observability

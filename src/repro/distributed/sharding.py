@@ -25,7 +25,7 @@ from repro.core.pipeline import (
 )
 from repro.core.screener import ScreeningConfig
 from repro.core.training import train_screener
-from repro.linalg.topk import top_k_indices
+from repro.linalg.topk import stable_top_m_indices
 from repro.utils.rng import RngLike, spawn_rngs
 from repro.utils.validation import check_batch_features, check_positive
 
@@ -627,11 +627,21 @@ def shard_top_k(
     output: ScreenedOutput, shard_range: range, k: int
 ) -> Tuple[np.ndarray, np.ndarray]:
     """One node's contribution to a global top-k: ``min(k, |shard|)``
-    (global index, score) pairs per row — the scale-out wire format."""
-    local_k = min(k, output.num_categories)
-    local = top_k_indices(output.logits, local_k, sort=True)
-    rows = np.arange(output.batch_size)[:, None]
-    return local + shard_range.start, output.logits[rows, local]
+    (global index, score) pairs per row — the scale-out wire format —
+    ranked from a dense plane under ``(score desc, index asc)``.
+
+    The dense reference for
+    :meth:`~repro.core.pipeline.ApproximateScreeningClassifier.top_k_with_scores`,
+    which serves the same pairs without the plane (differentially
+    tested, and replayed by the benchmark's traced run).
+    """
+    picked = stable_top_m_indices(output.logits, min(k, output.num_categories))
+    scores = np.take_along_axis(output.logits, picked, axis=1)
+    order = np.argsort(-scores, axis=1, kind="stable")
+    return (
+        np.take_along_axis(picked, order, axis=1) + shard_range.start,
+        np.take_along_axis(scores, order, axis=1),
+    )
 
 
 def reduce_top_k(
@@ -639,10 +649,15 @@ def reduce_top_k(
     scores_parts: Sequence[np.ndarray],
     k: int,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Host-side reduce of per-shard top-k pairs to the global top-k."""
+    """Host-side reduce of per-shard top-k pairs to the global top-k.
+
+    Parts arrive in ascending shard order, each ranked ``(score desc,
+    index asc)``, so a stable sort by score keeps that total order
+    across shards.
+    """
     all_indices = np.concatenate(indices_parts, axis=1)
     all_scores = np.concatenate(scores_parts, axis=1)
-    order = np.argsort(-all_scores, axis=1)[:, :k]
+    order = np.argsort(-all_scores, axis=1, kind="stable")[:, :k]
     rows = np.arange(all_scores.shape[0])[:, None]
     return all_indices[rows, order], all_scores[rows, order]
 
@@ -814,12 +829,13 @@ class ShardedClassifier:
         return merge_streamed_outputs(outputs, self.ranges)
 
     def predict(self, features: np.ndarray) -> np.ndarray:
-        return np.argmax(self.forward(features).logits, axis=-1)
+        """Argmax category per row: the first entry of :meth:`top_k`."""
+        return self.top_k(features, 1)[0][:, 0]
 
     def top_k(self, features: np.ndarray, k: int) -> Tuple[np.ndarray, np.ndarray]:
         """Global top-k via per-shard top-k + reduce (the scale-out
-        communication pattern): each node ships only ``k`` (index,
-        score) pairs, not its whole shard."""
+        communication pattern): each node ranks inside its tile loop and
+        ships only ``k`` (index, score) pairs, not its whole shard."""
         if not self.trained:
             raise RuntimeError("call train() before top_k()")
         check_positive("k", k)
@@ -831,8 +847,8 @@ class ShardedClassifier:
         shard_indices = []
         shard_scores = []
         for shard, shard_range in zip(self.shards, self.ranges):
-            indices, scores = shard_top_k(shard.forward(batch), shard_range, k)
-            shard_indices.append(indices)
+            indices, scores = shard.top_k_with_scores(batch, k)
+            shard_indices.append(indices + shard_range.start)
             shard_scores.append(scores)
         return reduce_top_k(shard_indices, shard_scores, k)
 

@@ -177,6 +177,33 @@ class BlockwiseTopM:
         return counts, cols, values
 
 
+class _FlatEntries:
+    """Append-only flat ``(rows, cols, values)`` in growable workspace
+    slabs — the ragged record both halves of the threshold reducer keep."""
+
+    def __init__(self, ws, key, dtype):
+        self._ws = ws
+        self._slabs = [
+            ((key, name), kind)
+            for name, kind in (("rows", np.intp), ("cols", np.intp), ("values", dtype))
+        ]
+        self.count = 0
+
+    def append(self, rows, cols, values) -> None:
+        if rows.size == 0:
+            return
+        total = self.count + rows.size
+        for (key, kind), new in zip(self._slabs, (rows, cols, values)):
+            self._ws.growable(key, total, kind)[self.count : total] = new
+        self.count = total
+
+    def view(self):
+        return [
+            self._ws.growable(key, max(self.count, 1), kind)[: self.count]
+            for key, kind in self._slabs
+        ]
+
+
 class BlockwiseThreshold:
     """Running threshold filter over column blocks of a score plane.
 
@@ -186,6 +213,19 @@ class BlockwiseThreshold:
     with a stable sort; within a row, appended columns are already
     ascending (blocks arrive left to right), so the result matches the
     dense flat-scan selection exactly.
+
+    With ``runner_ups = k`` the reducer also keeps each row's best
+    ``k`` entries among those the filter *rejects*, under ``(score
+    desc, index asc)``, and :meth:`finalize` lists them behind the
+    row's hits — what ranking the mixed output needs besides the
+    candidates.  They ride the filter's one compare: once every row
+    holds ``k`` rejected entries the worst of them is the row's
+    ``floor`` (at or under the threshold), ``block > floor`` passes
+    hits and contenders alike, and the contenders queue up flat until
+    :meth:`_tighten` cuts the queue back to ``k`` a row and raises the
+    floor.  Strict ``>`` is exact as in :class:`BlockwiseTopM` (an
+    equal score in a later column loses the tie-break to ``k`` held
+    entries), and a stale floor only lets more through.
     """
 
     def __init__(
@@ -195,6 +235,7 @@ class BlockwiseThreshold:
         workspace=None,
         key: str = "thr",
         dtype=np.float64,
+        runner_ups: int = 0,
     ):
         if threshold is None:
             raise ValueError("threshold mode requires a calibrated threshold")
@@ -205,29 +246,62 @@ class BlockwiseThreshold:
         self.batch = batch
         self.threshold = float(threshold)
         self.dtype = np.dtype(dtype)
-        self._count = 0
+        self._hits = _FlatEntries(self._ws, key, self.dtype)
+        self._runner_ups = runner_ups
+        self._queue = _FlatEntries(self._ws, (key, "runner"), self.dtype)
+        self._floor = None  # set once every row holds ``runner_ups`` rejected entries
 
     def update(self, start: int, block: np.ndarray) -> None:
         if block.shape[1] == 0:
             return
-        hit_rows, hit_cols, hit_values = _survivors(self._ws, self._key, block, self.threshold)
-        if hit_rows.size == 0:
-            return
-        total = self._count + hit_rows.size
-        rows = self._ws.growable((self._key, "rows"), total, np.intp)
-        cols = self._ws.growable((self._key, "cols"), total, np.intp)
-        values = self._ws.growable((self._key, "values"), total, self.dtype)
-        rows[self._count : total] = hit_rows
-        cols[self._count : total] = start + hit_cols
-        values[self._count : total] = hit_values
-        self._count = total
+        k = self._runner_ups
+        bound = self.threshold if self._floor is None else self._floor
+        rows, cols, values = _survivors(self._ws, self._key, block, bound)
+        if k and self._floor is None:
+            # No floor yet: ``k`` more than the most hits any row has is
+            # enough of the block's top to hold each row's best ``k``
+            # rejected entries (every column, when the block is short).
+            most = int(np.bincount(rows, minlength=self.batch).max())
+            picked = stable_top_m_indices(block, k + most)
+            scores = np.take_along_axis(block, picked, axis=1)
+            rejected = scores <= self.threshold
+            self._queue.append(
+                np.nonzero(rejected)[0], start + picked[rejected], scores[rejected]
+            )
+        elif k:
+            hit = values > self.threshold
+            self._queue.append(rows[~hit], start + cols[~hit], values[~hit])
+            rows, cols, values = rows[hit], cols[hit], values[hit]
+        self._hits.append(rows, start + cols, values)
+        if k and (self._floor is None or self._queue.count > 2 * self.batch * k):
+            self._tighten()
+
+    def _tighten(self) -> None:
+        """Cut the queue back to each row's best ``runner_ups`` entries;
+        when every row holds that many, the worst is its floor."""
+        k = self._runner_ups
+        rows, cols, values = queue = self._queue.view()
+        # Queue order is column order within a row, so the stable sort
+        # ranks equal scores by index.
+        order = np.lexsort((-values, rows))
+        held = np.bincount(rows, minlength=self.batch)
+        first = np.cumsum(held) - held
+        keep = np.sort(order[np.arange(rows.size) - np.repeat(first, held) < k])
+        if held.min() >= k:
+            self._floor = values[order[first + k - 1]][:, None]
+        for slab in queue:
+            slab[: keep.size] = slab[keep]
+        self._queue.count = keep.size
 
     def finalize(self):
         """``(counts, cols, values)`` in the flat candidate layout."""
-        total = self._count
-        rows = self._ws.growable((self._key, "rows"), max(total, 1), np.intp)[:total]
-        cols = self._ws.growable((self._key, "cols"), max(total, 1), np.intp)[:total]
-        values = self._ws.growable((self._key, "values"), max(total, 1), self.dtype)[:total]
+        rows, cols, values = self._hits.view()
+        if self._runner_ups:
+            self._tighten()
+            queue = self._queue.view()
+            rows, cols, values = (
+                np.concatenate(pair) for pair in zip((rows, cols, values), queue)
+            )
         order = np.argsort(rows, kind="stable")
         counts = np.bincount(rows, minlength=self.batch).astype(np.intp)
         return counts, cols[order].copy(), values[order].copy()

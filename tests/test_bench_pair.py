@@ -1,10 +1,13 @@
-"""The paired-run summary (``scripts/bench_pair.py``): pure arithmetic,
-no benchmark is run here.  ``scripts/code_lines.py`` rides along."""
+"""The paired-run summary (``scripts/bench_pair.py``): pure arithmetic
+and the parent checkout; no benchmark is run here.
+``scripts/code_lines.py`` rides along."""
 
 import importlib.util
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "bench_pair.py"
 spec = importlib.util.spec_from_file_location("bench_pair", SCRIPT)
@@ -59,6 +62,40 @@ class TestVerdict:
         clear = [150.0, 160.0, 170.0, 180.0]
         assert bench_pair.verdict(noisy, clear, "higher", 0.25) == "ok"
         assert bench_pair.verdict(noisy, clear, "lower", 0.25) == "WORSE"
+
+
+def test_parent_is_unpacked_from_an_archive_without_touching_git(tmp_path):
+    """``materialize`` gives the committed parent — not the working
+    tree's edits — as plain files, and adds no worktree to the
+    repository (an archive writes nothing under ``.git``)."""
+    repo = tmp_path / "repo"
+    (repo / "pkg").mkdir(parents=True)
+
+    def git(*args):
+        subprocess.run(
+            ["git", "-c", "user.name=t", "-c", "user.email=t@example.invalid", *args],
+            cwd=repo, check=True, capture_output=True, timeout=60,
+        )
+
+    git("init", "-q")
+    (repo / "pkg" / "mod.py").write_text("VERSION = 1\n")
+    git("add", "-A")
+    git("commit", "-q", "-m", "one")
+    (repo / "pkg" / "mod.py").write_text("VERSION = 2\n")
+    git("commit", "-q", "-am", "two")
+    (repo / "pkg" / "mod.py").write_text("VERSION = 3  # uncommitted\n")
+    before = sorted(path.name for path in (repo / ".git").iterdir())
+
+    bench_pair.materialize("HEAD", tmp_path / "head", repo)
+    bench_pair.materialize("HEAD~1", tmp_path / "first", repo)
+    assert (tmp_path / "head" / "pkg" / "mod.py").read_text() == "VERSION = 2\n"
+    assert (tmp_path / "first" / "pkg" / "mod.py").read_text() == "VERSION = 1\n"
+    assert not (tmp_path / "head" / ".git").exists()
+    assert sorted(path.name for path in (repo / ".git").iterdir()) == before
+    assert not (repo / ".git" / "worktrees").exists()
+    with pytest.raises(SystemExit, match="git archive no-such-rev"):
+        bench_pair.materialize("no-such-rev", tmp_path / "absent", repo)
+    assert not (tmp_path / "absent").exists()
 
 
 def test_a_last_line_that_is_not_the_record_is_a_failed_run():

@@ -195,6 +195,22 @@ class TestWholePlanePassIsOracleOnly:
         with pytest.raises(AssertionError, match="whole-plane"):
             pipeline.forward(features, faithful=True)
 
+        # Nor do top_k and predict build the plane at all: they answer,
+        # with the dense answers, when ``forward`` itself is gone —
+        # single node, sequential shards and (forked) worker op alike.
+        best = np.argmax(expected.logits, axis=1)
+        sharded_top = sharded.top_k(features, 3)
+        monkeypatch.setattr(ApproximateScreeningClassifier, "forward", whole_plane)
+        assert np.array_equal(pipeline.predict(features), best)
+        assert np.array_equal(pipeline.top_k(features, 3)[:, 0], best)
+        assert np.array_equal(sharded.top_k(features, 3)[0], sharded_top[0])
+        assert np.array_equal(sharded.predict(features), sharded_top[0][:, 0])
+        with sharded.parallel(start_method="fork") as engine:
+            assert np.array_equal(engine.top_k(features, 3)[1], sharded_top[1])
+            assert np.array_equal(engine.predict(features), sharded_top[0][:, 0])
+        with pytest.raises(AssertionError, match="whole-plane"):
+            pipeline.predict_proba(features)
+
 
 class TestFaithfulVsVectorized:
     """The vectorized default and the per-row reference mode must be

@@ -310,6 +310,25 @@ class TestSupervisionPolicy:
                 engine.predict(features), np.full(BATCH, -1, dtype=np.intp)
             )
 
+    def test_predict_over_survivors_is_their_argmax(self, model, features):
+        """With one shard down, predict is the argmax over the columns
+        that answered (lowest index among ties) — and on a healthy
+        engine the argmax of the merged plane."""
+        faults = {0: [FaultSpec(kind="kill", at_request=2, persistent=True)]}
+        with model.parallel(
+            max_restarts=0, degraded=True, faults=faults, **FAST
+        ) as engine:
+            assert np.array_equal(
+                engine.predict(features),
+                np.argmax(model.forward(features).logits, axis=1),
+            )
+            surviving = model.shards[1].forward(features).logits
+            assert np.array_equal(
+                engine.predict(features),
+                model.ranges[1].start + np.argmax(surviving, axis=1),
+            )
+            assert engine.degraded_requests == 1
+
     def test_respawn_preserves_io_regrowth(self, model, task):
         """A respawned worker attaches the *current* I/O layout lazily,
         including planes regrown after its predecessor died."""

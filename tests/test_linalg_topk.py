@@ -157,6 +157,17 @@ def run_blocked(reducer, scores, boundaries):
     return reducer.finalize()
 
 
+def dense_hits_and_runner_ups(scores, threshold, k):
+    """Per row: the columns above ``threshold``, then the best ``k`` of
+    the rest under ``(score desc, index asc)``, each part ascending."""
+    expected = []
+    for row, hits in zip(scores, select_above_threshold(scores, threshold)):
+        rejected = np.flatnonzero(row <= threshold)
+        best = rejected[np.lexsort((rejected, -row[rejected]))[:k]]
+        expected.append(np.concatenate([hits, np.sort(best)]))
+    return expected
+
+
 class TestBlockwiseReducers:
     @given(
         arrays(
@@ -305,6 +316,31 @@ class TestReducerProperties:
         assert values.dtype == scores.dtype
         assert np.array_equal(values, scores[np.repeat(np.arange(batch), counts), cols])
 
+    @given(
+        tied_planes(),
+        st.sampled_from(ALPHABET),
+        st.sampled_from(("n", "over")) | st.integers(1, 12),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_runner_ups_are_the_best_rejected_entries(self, plane, threshold, budget):
+        """``runner_ups=k``: behind each row's hits, its best ``k``
+        entries at or under the threshold by ``(score desc, index asc)``
+        — all of them where fewer than ``k`` were rejected, a real
+        ``-inf`` included — for any partition."""
+        scores, cuts = plane
+        batch, n = scores.shape
+        k = {"n": n, "over": n + 3}.get(budget, budget)
+        counts, cols, values = run_blocked(
+            BlockwiseThreshold(batch, threshold, dtype=scores.dtype, runner_ups=k),
+            scores,
+            cuts,
+        )
+        expected = dense_hits_and_runner_ups(scores, threshold, k)
+        assert np.array_equal(counts, [row.size for row in expected])
+        assert np.array_equal(cols, np.concatenate(expected))
+        assert values.dtype == scores.dtype
+        assert np.array_equal(values, scores[np.repeat(np.arange(batch), counts), cols])
+
 
 class TestReducerWorstCase:
     """Adversarial column order and allocation ceilings.  No wall-clock
@@ -337,6 +373,28 @@ class TestReducerWorstCase:
         _, cols, values = run_blocked(BlockwiseTopM(2, 2), scores, [2])
         assert cols.tolist() == [0, 7, 4, 9]
         assert values.tolist() == [-np.inf, 0.0, 1.0, 1.0]
+
+    @pytest.mark.parametrize("order", ("random", "ascending", "tied"))
+    def test_runner_up_queue_is_cut_back_mid_stream(self, order):
+        """A long stream of narrow blocks: the runner-up queue is cut
+        to ``k`` a row whenever an update leaves it past ``2 * batch *
+        k`` — also when every entry is a contender (ascending) or none
+        is (all tied) — and the kept entries are the dense answer."""
+        batch, n, width, k = 3, 4000, 50, 5
+        scores = np.random.default_rng(11).standard_normal((batch, n))
+        if order == "ascending":
+            scores.sort(axis=1)
+        elif order == "tied":
+            scores = np.round(scores)
+        threshold = float(np.quantile(scores, 0.99))
+        reducer = BlockwiseThreshold(batch, threshold, runner_ups=k)
+        for start in range(0, n, width):
+            reducer.update(start, scores[:, start : start + width])
+            assert reducer._queue.count <= 2 * batch * k
+        counts, cols, _ = reducer.finalize()
+        expected = dense_hits_and_runner_ups(scores, threshold, k)
+        assert np.array_equal(counts, [row.size for row in expected])
+        assert np.array_equal(cols, np.concatenate(expected))
 
     def update_peaks(self, scores, m=32):
         """``tracemalloc`` peak of each tile's ``update`` on a workspace
