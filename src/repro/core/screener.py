@@ -6,12 +6,17 @@ weight ``W̃ ∈ R^{l×k}`` and bias ``b̃``.  At inference the screener runs
 quantized (INT4 by default) to model the ENMC Screener's fixed-point
 MAC array.
 
-Inference-path engineering: all per-call derived state (the fake-
-quantized weight view, the bias-fused transposed weight, the input
-quantizer) is built once and cached on the module, and the hot matmul
-folds ``b̃`` into one extra weight column — the same trick the compiler
-uses when tiling for the hardware — so one GEMM writes the full score
-matrix.  ``compute_dtype`` selects the arithmetic width of that GEMM:
+Inference-path engineering: all per-call derived state (the bias-fused
+transposed plane of fake-quantized weights, the input quantizer) is
+built once and cached on the module, and the hot matmul folds ``b̃``
+into one extra weight column — the same trick the compiler uses when
+tiling for the hardware — so one GEMM writes the full score matrix.
+The module holds two planes, the FP64 master ``weight`` and that fused
+plane — ``(k + 1)·l·8`` private bytes beside the master; the
+fake-quantized ``(l, k)`` view the compiler lowers from is derived on
+demand (``_weight_deq``), not kept as a third copy.
+
+``compute_dtype`` selects the arithmetic width of the screening GEMM:
 ``float64`` (default) preserves the repository's bit-level agreement
 with the functional DIMM simulator, ``float32`` halves the memory
 traffic of the score plane for serving workloads (the INT4 grid values
@@ -134,14 +139,26 @@ class ScreeningModule:
         self.recorder = NULL_RECORDER
         self._refresh_quantized_weight()
 
+    @property
+    def _weight_deq(self) -> np.ndarray:
+        """``W̃`` on its deployment grid: FP64 fake-quantized values, one
+        scale per category (``weight`` itself in floating-point mode).
+
+        Derived on every read — the serving path multiplies the fused
+        plane, so only the compiler's tile lowering and
+        :meth:`_refresh_quantized_weight` ask for this.
+        """
+        if self.quantization_bits is None:
+            return self.weight
+        return Quantizer(bits=self.quantization_bits, axis=0).fake_quantize(
+            self.weight
+        )
+
     def _refresh_quantized_weight(self) -> None:
         """Re-derive all cached inference state after a weight update."""
         if self.quantization_bits is None:
-            self._weight_deq = self.weight
             self._input_quantizer: Optional[Quantizer] = None
         else:
-            quantizer = Quantizer(bits=self.quantization_bits, axis=0)
-            self._weight_deq = quantizer.fake_quantize(self.weight)
             # One scale per batch row: each inference quantizes its own
             # feature vector independently, as the hardware does.
             self._input_quantizer = Quantizer(bits=self.quantization_bits, axis=0)
@@ -280,6 +297,20 @@ class ScreeningModule:
         )
 
 
+def draw_projection(
+    hidden_dim: int, config: ScreeningConfig, rng: RngLike = None
+) -> SparseRandomProjection:
+    """The fixed sparse random projection ``P`` (Section 4.2) of a
+    screener with this config — the first thing every construction path
+    draws from its generator, so a seed names one ``P``."""
+    return SparseRandomProjection(
+        input_dim=hidden_dim,
+        output_dim=config.projection_dim,
+        density=config.projection_density,
+        rng=rng,
+    )
+
+
 def initialize_screener(
     num_categories: int,
     hidden_dim: int,
@@ -292,12 +323,7 @@ def initialize_screener(
     learnable ``W̃``/``b̃`` start at small Gaussian / zero.
     """
     generator = ensure_rng(rng)
-    projection = SparseRandomProjection(
-        input_dim=hidden_dim,
-        output_dim=config.projection_dim,
-        density=config.projection_density,
-        rng=generator,
-    )
+    projection = draw_projection(hidden_dim, config, generator)
     weight = generator.standard_normal((num_categories, config.projection_dim))
     weight *= 1.0 / np.sqrt(config.projection_dim)
     bias = np.zeros(num_categories)

@@ -9,13 +9,35 @@ over batches of context vectors ``h`` drawn from the model's own
 hidden-layer outputs.  The projection ``P`` is constructed once and
 never trained.
 
-Two solvers are provided:
+Two kinds of solver are provided:
 
-* ``"sgd"`` — the paper-faithful mini-batch SGD loop (Algorithm 1).
+* ``"sgd"`` / ``"adam"`` — the paper-faithful mini-batch loop
+  (Algorithm 1) over the materialized ``rows × l`` target plane.
 * ``"lstsq"`` — the closed-form least-squares solution of the same
-  objective.  Eq. 4 is an ordinary linear regression from ``Ph`` to
-  ``Wh + b``, so for large synthetic sweeps we solve it exactly; the
-  SGD path converges to the same optimum (tested) but is slower.
+  objective.  Eq. 4 is an ordinary linear regression from ``[Ph | 1]``
+  to ``Wh + b``; the SGD path converges to the same optimum (tested)
+  but is slower.
+
+The closed form never forms the targets.  They are linear in the
+classifier's own parameters, ``T = [H | 1] [W | b]ᵀ``, so with the
+design ``A = [Ph | 1]`` the least-squares solution factors as
+
+    pinv(A) T = (pinv(A) [H | 1]) [W | b]ᵀ = M [W | b]ᵀ
+
+with one ``(k+1) × (d+1)`` mixing matrix ``M``: ``W̃`` and ``b̃`` are two
+thin GEMMs over ``W``, and the residual ``A M Cᵀ − T`` is
+``−([H | 1] − A M) Cᵀ``, so the loss needs only the ``(d+1)²`` Gram of
+the annihilated design.  Nothing wider than ``l × k`` is allocated
+(a large-output-space trainer must not hold a ``rows × l`` plane —
+ELMO, PAPERS.md), and the cost is ``O(l·d·(k + d))`` however many rows
+train.  ``M`` comes from ``np.linalg.pinv`` — an SVD of ``A`` with
+``lstsq(rcond=None)``'s ``eps · max(rows, k+1)`` singular-value cut-off
+— not from the normal equations ``(AᵀA)⁻¹Aᵀ``: those square the
+condition number of ``A`` and have no answer when ``A`` is
+rank-deficient (fewer rows than ``k + 1``, duplicated rows, a constant
+direction in ``Ph``), where ``pinv`` gives the same minimum-norm
+``(W̃, b̃)`` that an explicit ``lstsq`` on the target plane would
+(``tests/test_core_training.py`` keeps that solve as the oracle).
 """
 
 from __future__ import annotations
@@ -26,7 +48,12 @@ from typing import List, Optional
 import numpy as np
 
 from repro.core.classifier import FullClassifier
-from repro.core.screener import ScreeningConfig, ScreeningModule, initialize_screener
+from repro.core.screener import (
+    ScreeningConfig,
+    ScreeningModule,
+    draw_projection,
+    initialize_screener,
+)
 from repro.linalg.sgd import SGD, Adam
 from repro.utils.rng import RngLike, ensure_rng
 from repro.utils.validation import check_batch_features, check_positive
@@ -85,17 +112,41 @@ def _mse_and_grads(
     return loss, grad_weight, grad_bias
 
 
+#: Classifier rows per step of the closed form's loss accumulation: the
+#: ``chunk × d`` product below is scratch, never an ``l × d`` array.
+_LOSS_CHUNK_ROWS = 8192
+
+
 def _solve_lstsq(
-    screener: ScreeningModule, projected: np.ndarray, targets: np.ndarray
-) -> float:
-    """Exact minimizer of Eq. 4 via least squares on [Ph, 1]."""
-    ones = np.ones((projected.shape[0], 1))
+    classifier: FullClassifier, features: np.ndarray, projected: np.ndarray
+) -> tuple:
+    """Exact minimizer of Eq. 4 via least squares on ``[Ph | 1]``:
+    ``(W̃, b̃, loss)``, computed through ``(W, b)`` without the
+    ``rows × l`` targets (see the module docstring)."""
+    ones = np.ones((features.shape[0], 1))
     design = np.hstack([projected, ones])
-    solution, *_ = np.linalg.lstsq(design, targets, rcond=None)
-    screener.weight[...] = solution[:-1].T
-    screener.bias[...] = solution[-1]
-    residual = design @ solution - targets
-    return float(np.mean(np.sum(residual**2, axis=1)))
+    inputs = np.hstack([features, ones])
+    cutoff = np.finfo(np.float64).eps * max(design.shape)
+    mixing = np.linalg.pinv(design, rcond=cutoff) @ inputs
+    full_weight, full_bias = classifier.weight, classifier.bias
+
+    weight = full_weight @ mixing[:-1, :-1].T
+    weight += np.multiply.outer(full_bias, mixing[:-1, -1])
+    bias = full_weight @ mixing[-1, :-1] + full_bias * mixing[-1, -1]
+
+    # Σ_rows ‖residual‖² = tr(C G Cᵀ), C = [W | b], G the Gram of the
+    # part of [H | 1] the design cannot reproduce.
+    annihilated = inputs - design @ mixing
+    gram = annihilated.T @ annihilated
+    gram_weight = np.ascontiguousarray(gram[:-1, :-1])
+    squared_error = (
+        2.0 * ((full_weight @ gram[:-1, -1]) @ full_bias)
+        + gram[-1, -1] * (full_bias @ full_bias)
+    )
+    for start in range(0, full_weight.shape[0], _LOSS_CHUNK_ROWS):
+        rows = full_weight[start : start + _LOSS_CHUNK_ROWS]
+        squared_error += np.einsum("ij,ij->", rows @ gram_weight, rows)
+    return weight, bias, float(squared_error / features.shape[0])
 
 
 def train_screener(
@@ -144,20 +195,29 @@ def train_screener(
         config = ScreeningConfig.from_scale(classifier.hidden_dim, scale=0.25)
 
     generator = ensure_rng(rng)
-    screener = initialize_screener(
-        classifier.num_categories, classifier.hidden_dim, config, rng=generator
-    )
-
-    # Training runs in floating point; quantization applies at inference.
-    targets = classifier.logits(batch)
-    projected = screener.project(batch)
-
     report = TrainingReport(solver=solver)
     if solver == "lstsq":
-        loss = _solve_lstsq(screener, projected, targets)
+        # The projection is the generator's first draw on every path, so
+        # a seed names the same P whichever solver runs; this path draws
+        # nothing else and builds the module once, from the solution.
+        projection = draw_projection(classifier.hidden_dim, config, generator)
+        weight, bias, loss = _solve_lstsq(classifier, batch, projection(batch))
+        screener = ScreeningModule(
+            projection,
+            weight,
+            bias,
+            quantization_bits=config.quantization_bits,
+            compute_dtype=config.compute_dtype,
+        )
         report.losses.append(loss)
         report.epochs = 1
     else:
+        screener = initialize_screener(
+            classifier.num_categories, classifier.hidden_dim, config, rng=generator
+        )
+        # Training runs in floating point; quantization applies at inference.
+        targets = classifier.logits(batch)
+        projected = screener.project(batch)
         if solver == "sgd":
             optimizer = SGD([screener.weight, screener.bias], lr=lr, momentum=0.9)
         else:
@@ -192,8 +252,8 @@ def train_screener(
             report.epochs += 1
             if report.converged:
                 break
+        screener._refresh_quantized_weight()
 
-    screener._refresh_quantized_weight()
     if return_report:
         return screener, report
     return screener

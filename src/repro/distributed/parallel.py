@@ -366,10 +366,10 @@ class ParallelShardedEngine:
         produces exactly this shape.  Replicas attach the same shared
         parameter segments, so the exact weights and the screener's
         stored ``W̃`` are held once per shard; each worker still
-        re-derives a private fake-quantized ``W̃`` and fused GEMM plane
-        from them, ``(2k + 1) · shard_l · 8`` bytes per replica (the
+        re-derives a private fused GEMM plane of fake-quantized weights
+        from them, ``(k + 1) · shard_l · 8`` bytes per replica (the
         integer screening plane, ROADMAP item 3, is what would let
-        those be shared too).  Requests dispatch to the least-loaded live
+        that be shared too).  Requests dispatch to the least-loaded live
         replica; a replica whose share of the shard's restart budget is
         spent fails its in-flight request over to a live sibling, and
         only a fully-dead group degrades the shard.

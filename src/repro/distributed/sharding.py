@@ -756,10 +756,15 @@ class ShardedClassifier:
         rng: RngLike = None,
     ) -> None:
         """Distill one screener per shard (independently, as separate
-        nodes would)."""
+        nodes would).
+
+        The fleet is replaced only once every shard has trained: a
+        failure part-way leaves ``trained`` and the previous shards as
+        they were, never a partial fleet that answers for some ranges.
+        """
         check_positive("candidates_per_shard", candidates_per_shard)
         rngs = spawn_rngs(rng, self.num_shards)
-        self.shards = []
+        shards = []
         for shard_range, shard_rng in zip(self.ranges, rngs):
             shard_classifier = FullClassifier(
                 self.classifier.weight[shard_range.start : shard_range.stop],
@@ -770,12 +775,13 @@ class ShardedClassifier:
                 shard_classifier, features, config=self.config,
                 solver=solver, rng=shard_rng,
             )
-            self.shards.append(
+            shards.append(
                 ApproximateScreeningClassifier(
                     shard_classifier, screener,
                     num_candidates=candidates_per_shard,
                 )
             )
+        self.shards = shards
 
     def quantize_exact_weights(self, kind: str = "int8") -> "ShardedClassifier":
         """Convert every shard's exact weights to a block-quantized store.

@@ -96,6 +96,21 @@ class TestScreeningModule:
         single_out = module.approximate_logits(small)
         assert np.allclose(batch_out[0], single_out[0])
 
+    @pytest.mark.parametrize("bits", [4, None])
+    def test_holds_two_planes_not_three(self, bits):
+        """Master weights plus the fused GEMM plane; the fake-quantized
+        ``(l, k)`` view is derived on demand, and it is exactly what the
+        fused plane was built from."""
+        module = self._module(l=1000, bits=bits)
+        plane_bytes = module.weight.nbytes
+        held = {
+            id(value) for value in vars(module).values()
+            if isinstance(value, np.ndarray) and value.nbytes >= plane_bytes
+        }
+        assert len(held) == 2
+        assert np.array_equal(module._fused_weight_t[:-1], module._weight_deq.T)
+        assert np.array_equal(module._fused_weight_t[-1], module.bias)
+
 
 class TestComputeDtype:
     def _module(self, compute_dtype=np.float64):

@@ -110,6 +110,152 @@ class TestTrainScreener:
         assert correlation > 0.8
 
 
+def oracle_lstsq(classifier, features, config, rng):
+    """The explicit-plane solve ``train_screener(solver="lstsq")`` used
+    to run: materialize the ``rows × l`` targets, hand LAPACK ``l``
+    right-hand sides, form the residual plane.  Kept here as the
+    reference the closed form through ``(W, b)`` is compared against."""
+    from repro.core.screener import initialize_screener
+
+    projection = initialize_screener(
+        classifier.num_categories, classifier.hidden_dim, config, rng=rng
+    ).projection
+    targets = features @ classifier.weight.T + classifier.bias
+    design = np.hstack([projection(features), np.ones((features.shape[0], 1))])
+    solution, *_ = np.linalg.lstsq(design, targets, rcond=None)
+    residual = design @ solution - targets
+    loss = float(np.mean(np.sum(residual**2, axis=1)))
+    return projection, design, targets, solution[:-1].T, solution[-1], loss
+
+
+class TestClosedFormAgainstExplicitPlane:
+    """``solver="lstsq"`` never forms the targets; its answer must be the
+    one ``np.linalg.lstsq`` gives on the explicit plane — including the
+    minimum-norm answer where the design is rank-deficient."""
+
+    L, D, K = 300, 24, 6
+
+    def features(self, kind, rng):
+        """``(features, projection_dim, design is rank-deficient)``."""
+        draw = lambda rows: rng.standard_normal((rows, self.D))
+        if kind == "rows >> k+1":
+            return draw(400), self.K, False
+        if kind == "rows = k+1":
+            return draw(self.K + 1), self.K, False
+        if kind == "rows < k+1":
+            return draw(self.K - 2), self.K, True
+        if kind == "duplicated rows":
+            # 40 rows, 4 distinct: rank 4 < k + 1 = 7.
+            return np.repeat(draw(4), 10, axis=0), self.K, True
+        if kind == "constant column":
+            # k = d makes [Ph | 1] span what [h | 1] does, so a constant
+            # feature is collinear with the ones column.
+            features = draw(200)
+            features[:, 3] = 1.75
+            return features, self.D, True
+        raise AssertionError(kind)
+
+    @pytest.mark.parametrize("bits", [4, None], ids=["int4", "float"])
+    @pytest.mark.parametrize("with_bias", [False, True], ids=["b=0", "b!=0"])
+    @pytest.mark.parametrize(
+        "kind",
+        ["rows >> k+1", "rows = k+1", "rows < k+1", "duplicated rows",
+         "constant column"],
+    )
+    def test_weights_bias_loss_match_the_oracle(self, kind, with_bias, bits):
+        rng = np.random.default_rng(11)
+        weight = rng.standard_normal((self.L, self.D))
+        bias = 3.0 * rng.standard_normal(self.L) if with_bias else None
+        classifier = FullClassifier(weight, bias)
+        features, k, rank_deficient = self.features(kind, rng)
+        config = ScreeningConfig(projection_dim=k, quantization_bits=bits)
+
+        screener, report = train_screener(
+            classifier, features, config=config, solver="lstsq", rng=7,
+            return_report=True,
+        )
+        projection, design, targets, want_weight, want_bias, want_loss = (
+            oracle_lstsq(classifier, features, config, rng=7)
+        )
+
+        assert (np.linalg.matrix_rank(design) < k + 1) == rank_deficient
+        # Same generator, same first draw: the parent's projection bits.
+        assert np.array_equal(screener.projection.matrix, projection.matrix)
+        scale = np.abs(want_weight).max()
+        assert np.abs(screener.weight - want_weight).max() <= 1e-10 * scale
+        assert np.abs(screener.bias - want_bias).max() <= 1e-10 * max(
+            scale, np.abs(want_bias).max()
+        )
+        # Relative to the target energy: an interpolating fit's loss is
+        # rounding noise on both sides (1e-28 against 1e-31), which no
+        # relative tolerance on the loss itself can compare.
+        energy = float(np.mean(np.sum(targets**2, axis=1)))
+        assert abs(report.final_loss - want_loss) <= 1e-10 * energy
+        if kind == "rows >> k+1":
+            assert report.final_loss == pytest.approx(want_loss, rel=1e-10)
+            assert want_loss > 0.1 * energy  # a real residual, not noise
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_rank_deficient_designs_across_seeds(self, seed):
+        """The singular-value cut-off is where the two solves could part
+        ways; six draws of each degenerate design, not one."""
+        rng = np.random.default_rng(100 + seed)
+        classifier = FullClassifier(
+            rng.standard_normal((self.L, self.D)), rng.standard_normal(self.L)
+        )
+        for kind in ("rows < k+1", "duplicated rows", "constant column"):
+            features, k, _ = self.features(kind, rng)
+            config = ScreeningConfig(projection_dim=k, quantization_bits=None)
+            screener = train_screener(
+                classifier, features, config=config, solver="lstsq", rng=seed
+            )
+            _, _, _, want_weight, want_bias, _ = oracle_lstsq(
+                classifier, features, config, rng=seed
+            )
+            scale = np.abs(want_weight).max()
+            assert np.abs(screener.weight - want_weight).max() <= 1e-10 * scale
+            assert np.abs(screener.bias - want_bias).max() <= 1e-10 * scale
+
+    def test_lstsq_training_never_asks_for_the_logits_plane(
+        self, setup, monkeypatch
+    ):
+        from repro.distributed import ShardedClassifier
+
+        classifier, features = setup
+
+        def no_plane(self, features, workspace=None):
+            raise AssertionError("lstsq training materialized rows × l targets")
+
+        monkeypatch.setattr(FullClassifier, "logits", no_plane)
+        train_screener(classifier, features, solver="lstsq", rng=0)
+        sharded = ShardedClassifier(classifier, num_shards=3)
+        sharded.train(features, candidates_per_shard=8, rng=1)
+        assert sharded.trained
+        # The iterative solvers do need it, and still ask.
+        with pytest.raises(AssertionError, match="materialized"):
+            train_screener(classifier, features, solver="sgd", epochs=1, rng=0)
+
+    def test_peak_memory_is_below_half_a_target_plane(self):
+        """l = 100K, 256 rows: one ``rows × l`` plane is 205 MB and the
+        explicit solve held three of them (669 MB traced); the closed
+        form's peak is the ``l × k`` parameters it returns plus the
+        quantizer's scratch over them."""
+        import tracemalloc
+
+        l, d, rows = 100_000, 64, 256
+        rng = np.random.default_rng(3)
+        classifier = FullClassifier.random(l, d, rng=rng)
+        features = rng.standard_normal((rows, d))
+        tracemalloc.start()
+        try:
+            screener = train_screener(classifier, features, solver="lstsq", rng=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert screener.num_categories == l
+        assert peak < 0.5 * rows * l * 8
+
+
 class TestShuffleVectorization:
     """The per-epoch gather + contiguous-slice mini-batching must not
     change a single bit of the training trajectory relative to the

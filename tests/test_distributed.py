@@ -232,6 +232,41 @@ class TestShardedClassifier:
         with pytest.raises(RuntimeError, match="train"):
             model.forward(np.zeros(64))
 
+    def test_failed_training_never_leaves_a_partial_fleet(
+        self, small_task, monkeypatch
+    ):
+        """A shard that fails to train must not leave ``trained`` true
+        over the shards before it, nor cost a fleet that was serving."""
+        import repro.distributed.sharding as sharding
+
+        real_train = sharding.train_screener
+        calls = []
+
+        def fail_on_second_shard(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 2:
+                raise MemoryError("shard 2 of 4")
+            return real_train(*args, **kwargs)
+
+        features = small_task.sample_features(64)
+        model = ShardedClassifier(small_task.classifier, num_shards=4)
+        monkeypatch.setattr(sharding, "train_screener", fail_on_second_shard)
+        with pytest.raises(MemoryError):
+            model.train(features, rng=0)
+        assert not model.trained
+        with pytest.raises(RuntimeError, match="train"):
+            model.forward(features[:2])
+
+        calls.clear()
+        monkeypatch.setattr(sharding, "train_screener", real_train)
+        model.train(features, rng=0)
+        before = model.forward(features[:2]).logits
+        monkeypatch.setattr(sharding, "train_screener", fail_on_second_shard)
+        with pytest.raises(MemoryError):
+            model.train(features, rng=1)
+        assert model.trained and len(model.shards) == 4
+        assert np.array_equal(model.forward(features[:2]).logits, before)
+
     def test_output_shape_global(self, sharded):
         task, model = sharded
         out = model(task.sample_features(3))
