@@ -146,11 +146,7 @@ class BlockwiseTopM:
             counts = np.bincount(rows, minlength=self.batch)
             extra = int(counts.max())
             slot = filled + np.arange(rows.size) - np.repeat(np.cumsum(counts) - counts, counts)
-        shape = (self.batch, filled + extra)
-        cand_scores = self._ws.buffer((self._key, "merge"), shape, self.dtype)
-        cand_cols = self._ws.buffer((self._key, "merge_cols"), shape, np.intp)
-        cand_scores[:, :filled] = self._scores[:, :filled]
-        cand_cols[:, :filled] = self._cols[:, :filled]
+        cand_scores, cand_cols = self._beside_kept(extra)
         if hits is None:
             cand_scores[:, filled:] = block
             cand_cols[:, filled:] = start + np.arange(extra)
@@ -160,11 +156,58 @@ class BlockwiseTopM:
             cand_scores[:, filled:] = -np.inf
             cand_scores[rows, slot] = values
             cand_cols[rows, slot] = start + cols
-        keep = stable_top_m_indices(cand_scores, self.m)  # every column while short of m
+        self._keep_best(cand_scores, cand_cols, self.m)  # every column while short of m
+
+    def _beside_kept(self, extra: int):
+        """Merge scratch ``(scores, cols)``: the kept entries, then
+        ``extra`` columns for the caller to fill."""
+        filled, shape = self._filled, (self.batch, self._filled + extra)
+        cand_scores = self._ws.buffer((self._key, "merge"), shape, self.dtype)
+        cand_cols = self._ws.buffer((self._key, "merge_cols"), shape, np.intp)
+        cand_scores[:, :filled] = self._scores[:, :filled]
+        cand_cols[:, :filled] = self._cols[:, :filled]
+        return cand_scores, cand_cols
+
+    def _keep_best(self, cand_scores: np.ndarray, cand_cols: np.ndarray, m: int) -> None:
+        """Keep the best ``m`` of the merge scratch; refresh the floor."""
+        keep = stable_top_m_indices(cand_scores, m)
         self._filled = kept = keep.shape[1]
         self._scores[:, :kept] = np.take_along_axis(cand_scores, keep, axis=1)
         self._cols[:, :kept] = np.take_along_axis(cand_cols, keep, axis=1)
         self._scores[:, :kept].min(axis=1, keepdims=True, out=self._floor)
+
+    def fork(self, workspace) -> "BlockwiseTopM":
+        """A reducer for a later run of columns, on another thread with
+        its own ``workspace``, seeded with a copy of the kept entries
+        and floor — so it filters against a tight floor from its first
+        block instead of paying a second first fill.  Every seed is a
+        real entry left of the run, which is all :meth:`update` assumes
+        of the entries it holds; :meth:`absorb` folds the fork back."""
+        fork = BlockwiseTopM(self.batch, self.m, workspace, self._key, self.dtype)
+        fork._filled = filled = self._filled
+        fork._scores[:, :filled] = self._scores[:, :filled]
+        fork._cols[:, :filled] = self._cols[:, :filled]
+        fork._floor[:] = self._floor
+        return fork
+
+    def absorb(self, fork: "BlockwiseTopM", start: int) -> None:
+        """Fold in a :meth:`fork` that ran over columns ``[start, ...)``
+        while this reducer saw only columns left of ``start``.
+
+        One selection over ``[kept | fork's entries]`` with the fork's
+        surviving seed copies (columns left of ``start``) masked to
+        -inf: positions are still in global-index order, so it is the
+        same total order as one reducer fed every block.  A fork still
+        short of ``m`` evicted nothing, so its seeds are the same count
+        in every row and the selection shrinks by exactly that many.
+        """
+        filled, width = self._filled, fork._filled
+        cand_scores, cand_cols = self._beside_kept(width)
+        cand_cols[:, filled:] = fork._cols[:, :width]
+        seeds = cand_cols[:, filled:] < start
+        cand_scores[:, filled:] = np.where(seeds, -np.inf, fork._scores[:, :width])
+        real = filled + width - int(np.count_nonzero(seeds, axis=1).max())
+        self._keep_best(cand_scores, cand_cols, min(self.m, real))
 
     def finalize(self):
         """``(counts, cols, values)`` in the flat candidate layout:
@@ -292,6 +335,29 @@ class BlockwiseThreshold:
         for slab in queue:
             slab[: keep.size] = slab[keep]
         self._queue.count = keep.size
+
+    def fork(self, workspace) -> "BlockwiseThreshold":
+        """An empty record under the same threshold and runner-up floor,
+        for a later run of columns on another thread with its own
+        ``workspace`` (the floor's ``runner_ups`` entries sit left of
+        the run, so they win every tie against it)."""
+        fork = BlockwiseThreshold(
+            self.batch, self.threshold, workspace, self._key, self.dtype, self._runner_ups
+        )
+        fork._floor = self._floor
+        # As much room as this record has: a run's share of the hits is
+        # anything from none to all, and a record that grows from a few
+        # entries would allocate long after this one has settled.
+        for key, kind in self._hits._slabs:
+            workspace.growable(key, self._ws.growable(key, 1, kind).size, kind)
+        return fork
+
+    def absorb(self, fork: "BlockwiseThreshold", start: int) -> None:
+        """Append a :meth:`fork`'s hits and queue: its columns (from
+        ``start``) lie right of every column recorded here, so both
+        records stay in column order within a row."""
+        self._hits.append(*fork._hits.view())
+        self._queue.append(*fork._queue.view())
 
     def finalize(self):
         """``(counts, cols, values)`` in the flat candidate layout."""
