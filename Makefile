@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test loc bench-smoke bench-pair bench-suite experiments examples clean
+.PHONY: install test loc importtime bench-smoke bench-pair bench-suite experiments examples clean
 
 install:
 	$(PYTHON) -m pip install -e . || $(PYTHON) setup.py develop
@@ -14,6 +14,14 @@ test:
 # total — the count simplicity PRs quote for "src/ measurably smaller".
 loc:
 	python3 scripts/code_lines.py src
+
+# What a fresh process (a worker start, a respawn) pays to import the
+# serving modules, slowest 15 by cumulative time.  Nothing is imported
+# on the request path (tests/test_core_pipeline.py), so this is all of it.
+importtime:
+	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} $(PYTHON) -X importtime \
+		-c "import repro.core.pipeline, repro.distributed.parallel" 2>&1 \
+		| sort -t '|' -k 2 -n -r | head -n 15
 
 # The repo's benchmark (BENCHMARK.json) at smoke sizes: all four
 # workloads, untraced then traced, every correctness gate on.

@@ -96,7 +96,13 @@ class CandidateSet:
             if not self.indices:
                 self._union = np.array([], dtype=np.intp)
             else:
-                self._union = np.unique(np.concatenate(self.indices))
+                # np.unique's own sort + adjacent-difference mask, spelled
+                # out: NumPy 2 imports numpy.ma inside np.unique, and a
+                # fresh worker's first request would pay that import.
+                merged = np.sort(np.concatenate(self.indices))
+                first = np.ones(merged.size, dtype=bool)
+                np.not_equal(merged[1:], merged[:-1], out=first[1:])
+                self._union = merged[first]
         return self._union
 
     def flat(self) -> Tuple[np.ndarray, np.ndarray]:

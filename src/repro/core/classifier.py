@@ -21,6 +21,9 @@ from repro.utils.validation import check_batch_features, check_positive
 #: softmax (LM/NMT) and sigmoid (multi-label recommendation).
 NORMALIZATIONS = ("softmax", "sigmoid")
 
+#: Candidates gathered per step of :meth:`FullClassifier.candidate_scores`.
+_GATHER_CHUNK = 1024
+
 
 class FullClassifier:
     """Exact linear classifier ``z = W h + b`` with softmax/sigmoid output."""
@@ -131,13 +134,21 @@ class FullClassifier:
         pair, flat-aligned with the inputs.
 
         The gather form the vectorized exact phase uses when candidate
-        overlap is too low for the union matmul.  ``workspace`` is
-        unused here (see :meth:`logits`).
+        overlap is too low for the union matmul.  Gathered
+        ``_GATHER_CHUNK`` candidates at a time, so the two ``n × d``
+        operands are bounded however many candidates a batch selects
+        (each score is its own dot product: chunking moves no bits).
+        ``workspace`` is unused here (see :meth:`logits`).
         """
-        return (
-            np.einsum("nd,nd->n", self.weight[cols], batch[rows])
-            + self.bias[cols]
-        )
+        scores = np.empty(cols.size)
+        for start in range(0, cols.size, _GATHER_CHUNK):
+            chunk = slice(start, start + _GATHER_CHUNK)
+            np.einsum(
+                "nd,nd->n", self.weight[cols[chunk]], batch[rows[chunk]],
+                out=scores[chunk],
+            )
+        scores += self.bias[cols]
+        return scores
 
     def predict_proba(self, features: np.ndarray) -> np.ndarray:
         """Normalized output probabilities (paper Eq. 2)."""

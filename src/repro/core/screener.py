@@ -12,9 +12,14 @@ built once and cached on the module, and the hot matmul folds ``b̃``
 into one extra weight column — the same trick the compiler uses when
 tiling for the hardware — so one GEMM writes the full score matrix.
 The module holds two planes, the FP64 master ``weight`` and that fused
-plane — ``(k + 1)·l·8`` private bytes beside the master; the
-fake-quantized ``(l, k)`` view the compiler lowers from is derived on
-demand (``_weight_deq``), not kept as a third copy.
+plane — ``(k + 1)·l·8`` private bytes beside the master.  The fused
+plane is placed one canonical tile at a time, each block of categories
+transposed into a tile of scratch and quantized from there straight
+into its columns of the plane, so construction (training, a worker's
+start or respawn, a load from disk) holds the plane and a tile or two,
+never a plane-sized temporary.  The fake-quantized ``(l, k)`` view the
+compiler lowers from (``_weight_deq``, the same values quantized whole)
+is derived on demand, not kept as a third copy.
 
 ``compute_dtype`` selects the arithmetic width of the screening GEMM:
 ``float64`` (default) preserves the repository's bit-level agreement
@@ -145,8 +150,8 @@ class ScreeningModule:
         scale per category (``weight`` itself in floating-point mode).
 
         Derived on every read — the serving path multiplies the fused
-        plane, so only the compiler's tile lowering and
-        :meth:`_refresh_quantized_weight` ask for this.
+        plane (the same values, placed tile by tile), so only the
+        compiler's tile lowering asks for this.
         """
         if self.quantization_bits is None:
             return self.weight
@@ -156,19 +161,33 @@ class ScreeningModule:
 
     def _refresh_quantized_weight(self) -> None:
         """Re-derive all cached inference state after a weight update."""
-        if self.quantization_bits is None:
-            self._input_quantizer: Optional[Quantizer] = None
-        else:
-            # One scale per batch row: each inference quantizes its own
-            # feature vector independently, as the hardware does.
-            self._input_quantizer = Quantizer(bits=self.quantization_bits, axis=0)
         # Bias folded in as one extra column (trailing 1 in the feature)
         # so the hot path is a single GEMM, mirroring the compiler's tile
         # layout.  Stored pre-transposed and contiguous.
         fused = np.empty(
             (self.projection_dim + 1, self.num_categories), dtype=self._compute_dtype
         )
-        fused[:-1] = self._weight_deq.T
+        if self.quantization_bits is None:
+            self._input_quantizer: Optional[Quantizer] = None
+            fused[:-1] = self.weight.T
+        else:
+            # One scale per batch row: each inference quantizes its own
+            # feature vector independently, as the hardware does.
+            self._input_quantizer = Quantizer(bits=self.quantization_bits, axis=0)
+            # ``W̃`` takes one scale per category and is placed one
+            # canonical tile at a time: a block of categories is
+            # transposed into a tile of scratch (categories are its
+            # columns now) and quantized from there into its columns of
+            # the plane, so set-up holds the plane and a tile or two,
+            # never a second plane.
+            per_category = Quantizer(bits=self.quantization_bits, axis=1)
+            tile = np.empty(
+                (self.projection_dim, min(TILE_CATEGORIES, self.num_categories))
+            )
+            for start, stop in self.tile_bounds():
+                block = tile[:, : stop - start]
+                block[...] = self.weight[start:stop].T
+                per_category.fake_quantize(block, out=fused[:-1, start:stop])
         fused[-1] = self.bias
         self._fused_weight_t = fused
 
@@ -229,7 +248,7 @@ class ScreeningModule:
         with self.recorder.span("screen.project_quantize"):
             projected = self.project(features)
             if self._input_quantizer is not None:
-                projected = self._input_quantizer.fake_quantize(projected)
+                self._input_quantizer.fake_quantize(projected, out=projected)
         if out is None:
             out = np.empty(
                 (projected.shape[0], self.projection_dim + 1),

@@ -259,17 +259,29 @@ class Quantizer:
     def __call__(self, tensor: np.ndarray) -> QuantizedTensor:
         return quantize_symmetric(tensor, bits=self.bits, axis=self.axis)
 
-    def fake_quantize(self, tensor: np.ndarray) -> np.ndarray:
+    def fake_quantize(
+        self, tensor: np.ndarray, out: Optional[np.ndarray] = None
+    ) -> np.ndarray:
         """Quantize then immediately dequantize (simulated fixed point).
 
         This stays in the float domain — ``clip(round(x/s)) * s`` —
         producing values bit-identical to an int round-trip without
         materializing the integer tensor, which matters on the per-call
-        inference path.
+        inference path.  Every step after the divide works in place, and
+        ``out`` (same shape; may be ``tensor`` itself) receives the
+        result: a float64 ``out`` also carries the codes, so the call
+        allocates nothing the size of the tensor but ``|x|``; a narrower
+        ``out`` takes the final product's cast.
         """
         array = np.asarray(tensor, dtype=np.float64)
         scale = _symmetric_scale(array, self.qmax, self.axis)
-        return np.clip(np.round(array / scale), self.qmin, self.qmax) * scale
+        if out is None:
+            out = np.empty(array.shape)
+        codes = out if out.dtype == array.dtype else np.empty(array.shape)
+        np.divide(array, scale, out=codes)
+        np.rint(codes, out=codes)  # np.round at zero decimals, minus its wrapper
+        np.clip(codes, self.qmin, self.qmax, out=codes)
+        return np.multiply(codes, scale, out=out)
 
     def __repr__(self) -> str:
         return f"Quantizer(bits={self.bits}, axis={self.axis})"

@@ -399,13 +399,32 @@ def calibrate_threshold(scores: np.ndarray, target_candidates: float) -> float:
 
     This is the "tuned on validation sets" step: given screening scores
     from a validation batch, pick the value whose exceedance count
-    matches the desired candidate budget.
+    matches the desired candidate budget — the ``1 - target / l``
+    quantile of all scores, exactly as ``np.quantile`` interpolates it.
+
+    That quantile sits ``need ≈ rows × target`` entries from the top, so
+    it is selected, not sorted for: the ``need``-th largest of a leading
+    slice is a lower bound on the ``need``-th largest overall, one
+    compare pass keeps the handful at or above it, and the two order
+    statistics the quantile interpolates between are that handful's.
+    (A cut deeper than the slice is long selects among all the scores.)
     """
     array = np.asarray(scores, dtype=np.float64)
-    if array.ndim == 1:
-        array = array[None, :]
     check_positive("target_candidates", target_candidates)
     if target_candidates >= array.shape[-1]:
-        return float(np.min(array)) - 1.0
+        # Strictly below every score, whatever their magnitude.
+        return float(np.nextafter(np.min(array), -np.inf))
     quantile = 1.0 - target_candidates / array.shape[-1]
-    return float(np.quantile(array, quantile))
+    kept = array.reshape(-1)
+    # np.quantile's "linear" rule: sorted position (n - 1) q; its floor
+    # and the entry above are blended by the fractional part.
+    position = (kept.size - 1) * quantile
+    below = int(position)
+    need = kept.size - below  # the cut is the need-th largest score
+    lead = kept.size // 16
+    if need <= lead:
+        bound = np.partition(kept[:lead], lead - need)[lead - need]
+        kept = kept[kept >= bound]
+    cut = kept.size - need
+    pair = np.partition(kept, (cut, min(cut + 1, kept.size - 1)))[cut : cut + 2]
+    return float(np.quantile(pair, position - below))

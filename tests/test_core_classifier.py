@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -55,6 +57,26 @@ class TestForward:
         clf = FullClassifier.random(10, 4, rng=0)
         with pytest.raises(ValueError):
             clf.logits_for(np.array([[1, 2]]), np.zeros(4))
+
+    @pytest.mark.parametrize("count", [0, 1, 1024, 1025, 20_000])
+    def test_candidate_scores_gathers_in_bounded_chunks(self, small_task, count):
+        """One dot product per pair — the bits of the whole-gather
+        einsum — with the two gathered operands a chunk long, not
+        ``count`` long."""
+        clf = small_task.classifier
+        features = small_task.sample_features(8, rng=3)
+        rng = np.random.default_rng(count)
+        rows = np.sort(rng.integers(0, 8, count))
+        cols = rng.integers(0, clf.num_categories, count)
+        want = np.einsum("nd,nd->n", clf.weight[cols], features[rows]) + clf.bias[cols]
+        tracemalloc.start()
+        try:
+            got = clf.candidate_scores(rows, cols, features)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(got, want)
+        assert peak < 2 * 1024 * clf.hidden_dim * 8 + got.nbytes + 64 * 1024
 
     def test_predict_proba_softmax_distribution(self, small_task):
         proba = small_task.classifier.predict_proba(

@@ -1,3 +1,7 @@
+import subprocess
+import sys
+import textwrap
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -421,3 +425,57 @@ class TestProbabilities:
         assert top.shape == (2, 5)
         out = pipeline(features)
         assert np.array_equal(top[:, 0], np.argmax(out.logits, axis=1))
+
+
+def test_serving_calls_import_nothing(tmp_path):
+    """A process's first ``forward`` / ``forward_streaming`` / ``top_k``
+    costs what its second does: no module — NumPy 2 loads ``numpy.ma``
+    lazily inside ``np.unique`` — is imported on the request path of a
+    pipeline or of a 2-shard ``ShardedClassifier``.  In a subprocess:
+    this one has long since imported everything."""
+    script = tmp_path / "first_request.py"
+    script.write_text(
+        textwrap.dedent(
+            """
+            import sys
+            import numpy as np
+            import repro.core.pipeline
+            from repro.core import ApproximateScreeningClassifier, ScreeningConfig, train_screener
+            from repro.core.candidates import CandidateSelector
+            from repro.data import make_task
+            from repro.distributed import ShardedClassifier
+
+            task = make_task(num_categories=300, hidden_dim=32, rng=4)
+            train = task.sample_features(128, rng=5)
+            config = ScreeningConfig(projection_dim=8)
+            screener = train_screener(task.classifier, train, config=config, solver="lstsq", rng=6)
+            # Set by hand: np.quantile itself calls np.unique, and a
+            # calibration here would hide the import from the check.
+            cut = float(np.sort(screener.approximate_logits(train), axis=None)[-8 * len(train)])
+            models = [
+                ApproximateScreeningClassifier(task.classifier, screener, selector=selector)
+                for selector in (
+                    CandidateSelector(mode="top_m", num_candidates=8),
+                    CandidateSelector(mode="threshold", threshold=cut),
+                )
+            ]
+            sharded = ShardedClassifier(task.classifier, num_shards=2, config=config)
+            sharded.train(train, candidates_per_shard=8, solver="lstsq", rng=7)
+            features = task.sample_features(4, rng=8)
+
+            before = set(sys.modules)
+            for model in models + [sharded]:
+                assert model.forward(features).candidates.total
+                assert model.forward_streaming(features).candidates.total
+                model.top_k(features, 3)
+            gained = sorted(set(sys.modules) - before)
+            assert not gained and "numpy.ma" not in sys.modules, gained
+            print("NOTHING-IMPORTED")
+            """
+        )
+    )
+    result = subprocess.run(
+        [sys.executable, str(script)], capture_output=True, text=True, timeout=300
+    )
+    assert result.returncode == 0, result.stderr[-2000:]
+    assert "NOTHING-IMPORTED" in result.stdout

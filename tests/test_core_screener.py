@@ -1,12 +1,16 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from repro.core.screener import (
+    TILE_CATEGORIES,
     ScreeningConfig,
     ScreeningModule,
     initialize_screener,
 )
 from repro.linalg.projection import SparseRandomProjection
+from repro.linalg.quantize import Quantizer
 
 
 class TestScreeningConfig:
@@ -110,6 +114,50 @@ class TestScreeningModule:
         assert len(held) == 2
         assert np.array_equal(module._fused_weight_t[:-1], module._weight_deq.T)
         assert np.array_equal(module._fused_weight_t[-1], module.bias)
+
+
+class TestPlaneBuiltTileByTile:
+    """The fused plane is placed one canonical tile at a time; its bits
+    are those of quantizing the whole ``(l, k)`` weight at once."""
+
+    @pytest.mark.parametrize(
+        "l",
+        [1, TILE_CATEGORIES - 1, TILE_CATEGORIES, TILE_CATEGORIES + 1,
+         3 * TILE_CATEGORIES + 5],
+    )
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("bits", [2, 4, 8, None])
+    def test_equals_whole_plane_quantization(self, bits, dtype, l):
+        k = 3
+        rng = np.random.default_rng(l)
+        weight = rng.standard_normal((l, k)) * rng.uniform(1e-3, 1e3, (l, 1))
+        weight[0] = 0.0  # neutral scale
+        weight[-1] = 5e-324  # subnormal: max_abs / qmax underflows
+        bias = rng.standard_normal(l)
+        projection = SparseRandomProjection(input_dim=8, output_dim=k, rng=1)
+        with np.errstate(divide="raise", invalid="raise"):
+            module = ScreeningModule(
+                projection, weight, bias, quantization_bits=bits, compute_dtype=dtype
+            )
+        want = weight if bits is None else Quantizer(bits, axis=0).fake_quantize(weight)
+        plane = module._fused_weight_t
+        assert plane.dtype == dtype and plane.flags.c_contiguous
+        assert np.array_equal(plane[:-1], want.T.astype(dtype))
+        assert np.array_equal(plane[-1], bias.astype(dtype))
+
+    def test_set_up_holds_the_plane_and_a_few_tiles(self):
+        """No second plane-sized temporary while the plane is built."""
+        l, k = 200_000, 16
+        rng = np.random.default_rng(0)
+        weight, bias = rng.standard_normal((l, k)), rng.standard_normal(l)
+        projection = SparseRandomProjection(input_dim=64, output_dim=k, rng=1)
+        tracemalloc.start()
+        try:
+            module = ScreeningModule(projection, weight, bias, quantization_bits=4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < module._fused_weight_t.nbytes + 4e6
 
 
 class TestComputeDtype:

@@ -248,6 +248,31 @@ class TestQuantizer:
         data = np.random.default_rng(1).standard_normal((5, 3))
         assert q.fake_quantize(data).shape == (5, 3)
 
+    @pytest.mark.parametrize("axis", [None, 0, 1])
+    @pytest.mark.parametrize("bits", [2, 4, 8])
+    def test_fake_quantize_out_forms_match_the_formula(self, bits, axis):
+        """In place, into a strided float64 view and into a float32
+        buffer: the bits of ``clip(round(x / s)) * s`` written out."""
+        q = Quantizer(bits=bits, axis=axis)
+        data = np.random.default_rng(bits).standard_normal((6, 5))
+        data[2] = 0.0  # an all-zero slice takes the neutral scale
+        max_abs = np.max(np.abs(data)) if axis is None else np.max(
+            np.abs(data), axis=1 - axis, keepdims=True
+        )
+        scale = np.where(max_abs > 0, max_abs / q.qmax, 1.0)
+        want = np.clip(np.round(data / scale), q.qmin, q.qmax) * scale
+
+        assert np.array_equal(q.fake_quantize(data), want)
+        wide = np.full((6, 7), np.nan)
+        assert q.fake_quantize(data, out=wide[:, 1:-1]).base is wide
+        assert np.array_equal(wide[:, 1:-1], want)
+        narrow = np.empty((6, 5), dtype=np.float32)
+        assert q.fake_quantize(data, out=narrow) is narrow
+        assert np.array_equal(narrow, want.astype(np.float32))
+        in_place = data.copy()
+        assert q.fake_quantize(in_place, out=in_place) is in_place
+        assert np.array_equal(in_place, want)
+
     def test_repr(self):
         assert "bits=4" in repr(Quantizer(bits=4))
 

@@ -446,6 +446,55 @@ class TestCalibrate:
             row.size == 3 for row in select_above_threshold(scores, threshold)
         )
 
+    def test_select_everything_at_huge_magnitude(self):
+        # ``min - 1.0`` is ``min`` itself once |min| >= 2**53, and the
+        # strict compare then dropped the minimum.
+        scores = np.array([[-1e17, 0.0, 1e17], [3e17, -2e17, 5.0]])
+        threshold = calibrate_threshold(scores, 3)
+        assert threshold < scores.min()
+        assert all(
+            row.size == 3 for row in select_above_threshold(scores, threshold)
+        )
+
+    @given(
+        st.integers(1, 12),
+        st.integers(2, 600),
+        st.sampled_from(["normal", "ties", "ascending", "descending", "float32"]),
+        st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+        st.booleans(),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_equals_np_quantile_bit_for_bit(self, rows, l, kind, share, one_d, seed):
+        """Whether the cut is selected from above a leading slice's
+        bound or — deeper than the slice is long — among all scores."""
+        rng = np.random.default_rng(seed)
+        scores = rng.standard_normal((rows, l))
+        if kind == "ties":  # a few distinct values: ties across the cut
+            scores = np.round(scores)
+        elif kind in ("ascending", "descending"):  # loosest / tightest bound
+            scores = np.sort(scores, axis=None).reshape(rows, l)
+            scores = scores if kind == "ascending" else -scores
+        elif kind == "float32":
+            scores = scores.astype(np.float32)
+        if one_d:
+            scores = scores[0]
+        target = share * l if seed % 2 else max(1, int(share * l / 8))
+        want = float(np.quantile(scores.astype(np.float64), 1.0 - target / l))
+        assert calibrate_threshold(scores, target) == want
+
+    def test_selects_without_a_copy_of_the_scores(self):
+        scores = np.random.default_rng(5).standard_normal((16, 200_000))
+        want = float(np.quantile(scores, 1.0 - 32 / 200_000))
+        tracemalloc.start()
+        try:
+            threshold = calibrate_threshold(scores, 32)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert threshold == want
+        assert peak < scores.nbytes / 4
+
     @given(score_arrays)
     @settings(max_examples=30, deadline=None)
     def test_threshold_monotone_in_budget(self, scores):
