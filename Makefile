@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test loc importtime bench-smoke bench-pair bench-suite experiments examples clean
+.PHONY: install test loc importtime setup-phases bench-smoke bench-pair bench-suite experiments examples clean
 
 install:
 	$(PYTHON) -m pip install -e . || $(PYTHON) setup.py develop
@@ -22,6 +22,17 @@ importtime:
 	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} $(PYTHON) -X importtime \
 		-c "import repro.core.pipeline, repro.distributed.parallel" 2>&1 \
 		| sort -t '|' -k 2 -n -r | head -n 15
+
+# Set-up of a single-node pipeline phase by phase (plane, calibration
+# scores, calibration, first and second call, workspace allocations per
+# call), once at 1 lane and once at 2: where a set-up claim's time sits.
+L ?= 670000
+K ?= 16
+ROWS ?= 16
+SELECTOR ?= threshold
+setup-phases:
+	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} $(PYTHON) scripts/setup_phases.py \
+		--l $(L) --k $(K) --rows $(ROWS) --selector $(SELECTOR)
 
 # The repo's benchmark (BENCHMARK.json) at smoke sizes: all four
 # workloads, untraced then traced, every correctness gate on.

@@ -36,62 +36,39 @@ against.
 
 Lanes: ENMC is a rank-level design — every rank screens its own slice
 of the category space and the host only merges index buffers.  A call
-with enough work (:func:`lane_count`) runs the loop the same way: tile
-0 folds on the caller, the remaining tiles are cut into contiguous
-runs, and each run but the caller's folds on a thread started for this
-call, into a fork of the reducer seeded with what tile 0 kept and a
-child arena of the call's own.  A tile is scored, filtered and dropped
-on the core that made it; absorbing the forks left to right keeps the
-reducer's total order, so the record — and every output bit — is the
-single-lane loop's for any lane count.  Threads are joined before the
-call returns or raises; none lives between calls.
+with enough work (:func:`~repro.core.screener.lane_count`) runs the
+loop the same way: tile 0 folds on the caller, the remaining tiles are
+cut into contiguous runs, and each run but the caller's folds on a
+thread started for this call
+(:func:`~repro.core.screener.run_in_lanes`, which the screener's
+set-up loops share), into a fork of the reducer seeded with what tile
+0 kept and a child arena of the call's own.  A tile is scored,
+filtered and dropped on the core that made it; absorbing the forks
+left to right keeps the reducer's total order, so the record — and
+every output bit — is the single-lane loop's for any lane count.
+Threads are joined before the call returns or raises; none lives
+between calls.
 """
 
 from __future__ import annotations
 
-import os
-import threading
 from typing import Dict, Optional, Tuple
 
 import numpy as np
 
 from repro.core.candidates import CandidateSelector, CandidateSet
 from repro.core.classifier import FullClassifier
-from repro.core.screener import TILE_CATEGORIES, ScreeningModule
+from repro.core.screener import (
+    TILE_CATEGORIES,
+    ScreeningModule,
+    lane_count,
+    run_in_lanes,
+)
 from repro.core.weightstore import QuantizedExactStore
 from repro.linalg.functional import sigmoid, softmax, taylor_softmax
 from repro.obs.recorder import NULL_RECORDER
 from repro.utils.memory import Workspace
 from repro.utils.validation import check_batch_features, check_positive
-
-
-#: Scores (rows × tiles × tile width) a call must bring per lane before
-#: its tile loop runs in lanes — :func:`lane_count`.  2 lanes against 1 on
-#: the 2-core reference host with both cores free, ``forward_streaming``
-#: calls per second, d = 64, k = 16, m = 32, one BLAS thread (range of six
-#: alternating 0.6 s stretches; README "Lanes" has the medians):
-#:
-#:     rows × l     scores   top-m          threshold    lanes picked
-#:     32 × 50K     1.8M     0.80–0.88×     0.91–1.25×   1
-#:     64 × 50K     3.7M     0.99–1.15×     1.17–1.30×   1
-#:     16 × 200K    3.3M     0.86–1.36×     1.31–1.55×   1
-#:     64 × 200K    13M      1.36–1.60×     1.49–1.72×   2
-#:     64 × 670K    43M      1.39–1.62×     1.50–1.71×   2
-#:
-#: When the scheduler leaves both lanes on one CPU, 2 lanes cost 3–12%
-#: over 1: above the floor both selectors gain more than that with both
-#: cores free, just under it only the threshold selector does.
-MIN_LANE_WORK = 1 << 22
-
-
-def lane_count(rows: int, tiles: int) -> int:
-    """How many lanes the tile loop of a ``rows``-row call over ``tiles``
-    screening tiles runs in: one per core this process may use, never
-    more than the tiles left after the first, and only as many as bring
-    :data:`MIN_LANE_WORK` scores each.  Read per call, so CPU affinity is
-    the operator's control: a worker pinned to one core is single-lane."""
-    work = rows * tiles * TILE_CATEGORIES // MIN_LANE_WORK
-    return max(1, min(len(os.sched_getaffinity(0)), tiles - 1, work))
 
 
 class ScreenedOutput:
@@ -323,10 +300,10 @@ class ApproximateScreeningClassifier:
     :class:`~repro.serving.frontdoor.FrontDoor` in front to serve
     concurrent callers.  That is the contract towards *callers*; inside
     one call the tile loop may fold runs of tiles on helper threads
-    (module docstring, :func:`lane_count`), each on a child arena of
-    the call's own, all joined before the call returns or raises — so
-    a single-threaded caller stays the only user of the arena it
-    passed, and a re-entrant call stays re-entrant.
+    (module docstring, :func:`~repro.core.screener.lane_count`), each on
+    a child arena of the call's own, all joined before the call returns
+    or raises — so a single-threaded caller stays the only user of the
+    arena it passed, and a re-entrant call stays re-entrant.
     """
 
     def __init__(
@@ -391,7 +368,10 @@ class ApproximateScreeningClassifier:
 
         Created lazily and reused across calls; after the first call at
         a given batch shape its ``allocations`` counter stays flat
-        (the zero-allocation steady-state contract, tested)."""
+        (the zero-allocation steady-state contract, tested) — helper
+        lanes' child arenas included: when a threshold fork is absorbed,
+        its arena gets room for the whole record it joined, so the
+        second call of a multi-lane loop allocates nothing either."""
         if self._workspace is None:
             self._workspace = Workspace()
         return self._workspace
@@ -619,10 +599,7 @@ class ApproximateScreeningClassifier:
         lanes = lane_count(rows, len(tiles))
         if recorder.enabled:
             recorder.set_gauge("pipeline.lanes", lanes)
-        if lanes == 1:
-            self._fold(reducer, ws, tiles, augmented, block, plane)
-        else:
-            self._fold_in_lanes(reducer, ws, tiles, lanes, augmented, block, plane)
+        self._fold_in_lanes(reducer, ws, tiles, lanes, augmented, block, plane)
         with recorder.span("streaming.select_finalize"):
             return reducer.finalize()
 
@@ -651,43 +628,26 @@ class ApproximateScreeningClassifier:
         self, reducer, ws: Workspace, tiles, lanes: int, augmented, block, plane
     ) -> None:
         """Fold tile 0 here — it pays the reducer's one first fill — then
-        the rest as ``lanes`` contiguous runs: run 0 here into
-        ``reducer``, each other run on a thread of its own into a fork
-        of ``reducer`` seeded with what tile 0 kept, on a child arena of
-        ``ws`` — a tile is scored, filtered and dropped on the core that
-        made it, as each ENMC rank screens its own slice.  Absorbing the
-        forks left to right keeps the reducer's total order, so the
-        record is the single-lane one.  Every thread is joined before
-        this returns or raises."""
+        the rest as ``lanes`` contiguous runs (:func:`run_in_lanes`): run
+        0 here into ``reducer``, each other run on a thread of its own
+        into a fork of ``reducer`` seeded with what tile 0 kept, on a
+        child arena of ``ws`` — a tile is scored, filtered and dropped on
+        the core that made it, as each ENMC rank screens its own slice.
+        Absorbing the forks left to right keeps the reducer's total
+        order, so the record is the single-lane one.  One lane is the
+        plain loop on the caller."""
         self._fold(reducer, ws, tiles[:1], augmented, block, plane)
-        cuts = [1 + (len(tiles) - 1) * lane // lanes for lane in range(lanes + 1)]
-        errors: list = []
-        helpers = []  # (thread, fork, its first column), left to right
-        try:
-            for lane in range(1, lanes):
-                arena, run = ws.lane(lane), tiles[cuts[lane] : cuts[lane + 1]]
-                fork = reducer.fork(arena)
-                thread = threading.Thread(
-                    target=self._fold_lane,
-                    args=(errors, fork, arena, run, augmented, block, plane),
-                )
-                thread.start()
-                helpers.append((thread, fork, run[0][0]))
-            self._fold(reducer, ws, tiles[1 : cuts[1]], augmented, block, plane)
-        finally:
-            for thread, _, _ in helpers:
-                thread.join()
-        if errors:
-            raise errors[0]
-        for _, fork, start in helpers:
-            reducer.absorb(fork, start)
-
-    def _fold_lane(self, errors: list, *fold_args) -> None:
-        """A helper lane's thread body: its failure is the caller's to raise."""
-        try:
-            self._fold(*fold_args)
-        except BaseException as error:  # re-raised by _fold_in_lanes after the joins
-            errors.append(error)
+        arenas = [ws] + [ws.lane(lane) for lane in range(1, lanes)]
+        reducers = [reducer] + [reducer.fork(arena) for arena in arenas[1:]]
+        runs = run_in_lanes(
+            lambda lane, run: self._fold(
+                reducers[lane], arenas[lane], run, augmented, block, plane
+            ),
+            tiles[1:],
+            lanes,
+        )
+        for fork, run in zip(reducers[1:], runs[1:]):
+            reducer.absorb(fork, run[0][0])
 
     def _exact_candidate_values(
         self,

@@ -16,10 +16,18 @@ plane — ``(k + 1)·l·8`` private bytes beside the master.  The fused
 plane is placed one canonical tile at a time, each block of categories
 transposed into a tile of scratch and quantized from there straight
 into its columns of the plane, so construction (training, a worker's
-start or respawn, a load from disk) holds the plane and a tile or two,
-never a plane-sized temporary.  The fake-quantized ``(l, k)`` view the
-compiler lowers from (``_weight_deq``, the same values quantized whole)
-is derived on demand, not kept as a third copy.
+start or respawn, a load from disk) holds the plane and a tile or two
+per lane, never a plane-sized temporary.  The fake-quantized ``(l, k)``
+view the compiler lowers from (``_weight_deq``, the same values
+quantized whole) is derived on demand, not kept as a third copy.
+
+Lanes: ENMC gives every rank its own slice of the screener, and the
+ranks work at once.  Every tile loop here and in the pipeline — placing
+the plane, scoring a dense plane (threshold calibration), the serving
+loop — runs contiguous runs of canonical tiles on per-call threads when
+it brings enough work (:func:`lane_count`, :func:`run_in_lanes`).  A
+tile gets the same operations in any lane, so every bit is the
+single-lane one; no thread outlives the call that started it.
 
 ``compute_dtype`` selects the arithmetic width of the screening GEMM:
 ``float64`` (default) preserves the repository's bit-level agreement
@@ -31,8 +39,11 @@ differs, far below the quantization error being modeled).
 
 from __future__ import annotations
 
+import contextvars
+import os
+import threading
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -56,7 +67,83 @@ COMPUTE_DTYPES = (np.float32, np.float64)
 #: that per-call overhead is negligible against the MACs.
 TILE_CATEGORIES = 8192
 
+#: Scores (rows × tiles × tile width) a tile loop must bring per lane
+#: before it runs in lanes — :func:`lane_count`.  2 lanes against 1 on
+#: the 2-core reference host with both cores free, ``forward_streaming``
+#: calls per second, d = 64, k = 16, m = 32, one BLAS thread (range of six
+#: alternating 0.6 s stretches; README "Lanes" has the medians):
+#:
+#:     rows × l     scores   top-m          threshold    lanes picked
+#:     32 × 50K     1.8M     0.80–0.88×     0.91–1.25×   1
+#:     64 × 50K     3.7M     0.99–1.15×     1.17–1.30×   1
+#:     16 × 200K    3.3M     0.86–1.36×     1.31–1.55×   1
+#:     64 × 200K    13M      1.36–1.60×     1.49–1.72×   2
+#:     64 × 670K    43M      1.39–1.62×     1.50–1.71×   2
+#:
+#: When the scheduler leaves both lanes on one CPU, 2 lanes cost 3–12%
+#: over 1: above the floor both selectors gain more than that with both
+#: cores free, just under it only the threshold selector does.  Set-up
+#: counts ``k`` as its rows: the fused plane of a 670K × 16 screener is
+#: placed in 2 lanes, one of 100K in 1.
+MIN_LANE_WORK = 1 << 22
+
 DtypeLike = Union[str, type, np.dtype]
+
+
+def lane_count(rows: int, tiles: int) -> int:
+    """How many lanes a tile loop of ``rows`` rows over ``tiles``
+    screening tiles runs in: one per core this process may use, never
+    more than the tiles left after the first, and only as many as bring
+    :data:`MIN_LANE_WORK` scores each.  Read per call, so CPU affinity is
+    the operator's control: a worker pinned to one core is single-lane.
+    Where there is no affinity mask to read (macOS, Windows) every core
+    counts."""
+    work = rows * tiles * TILE_CATEGORIES // MIN_LANE_WORK
+    if hasattr(os, "sched_getaffinity"):
+        cores = len(os.sched_getaffinity(0))
+    else:
+        cores = os.cpu_count() or 1
+    return max(1, min(cores, tiles - 1, work))
+
+
+def run_in_lanes(fold: Callable[[int, list], None], tiles: list, lanes: int) -> list:
+    """Cut ``tiles`` into ``lanes`` contiguous runs and call
+    ``fold(lane, run)`` on each — run 0 on the caller, every other on a
+    thread started for this call — and return the runs, left to right.
+
+    Each run brings its own scratch (``fold`` picks it by ``lane``).  A
+    helper thread runs in a copy of the caller's context, so NumPy's
+    error state holds in every lane.  Every thread is joined before this
+    returns or raises; then the caller's own error, else the first one a
+    helper raised, is raised.  No thread lives past the call — a process
+    that forks after set-up or between calls forks no lane — and one
+    lane starts no thread at all.
+    """
+    cuts = [len(tiles) * lane // lanes for lane in range(lanes + 1)]
+    runs = [tiles[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
+    errors: list = []
+
+    def helper(lane: int) -> None:
+        try:
+            fold(lane, runs[lane])
+        except BaseException as error:  # raised by the caller after the joins
+            errors.append(error)
+
+    threads = []
+    try:
+        for lane in range(1, lanes):
+            thread = threading.Thread(
+                target=contextvars.copy_context().run, args=(helper, lane)
+            )
+            thread.start()
+            threads.append(thread)
+        fold(0, runs[0])
+    finally:
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[0]
+    return runs
 
 
 def _resolve_compute_dtype(dtype: DtypeLike) -> np.dtype:
@@ -164,30 +251,35 @@ class ScreeningModule:
         # Bias folded in as one extra column (trailing 1 in the feature)
         # so the hot path is a single GEMM, mirroring the compiler's tile
         # layout.  Stored pre-transposed and contiguous.
-        fused = np.empty(
-            (self.projection_dim + 1, self.num_categories), dtype=self._compute_dtype
-        )
+        k, l = self.projection_dim, self.num_categories
+        fused = np.empty((k + 1, l), dtype=self._compute_dtype)
         if self.quantization_bits is None:
             self._input_quantizer: Optional[Quantizer] = None
-            fused[:-1] = self.weight.T
+            per_category = None
         else:
             # One scale per batch row: each inference quantizes its own
             # feature vector independently, as the hardware does.
             self._input_quantizer = Quantizer(bits=self.quantization_bits, axis=0)
+            per_category = Quantizer(bits=self.quantization_bits, axis=1)
+
+        def place(lane: int, run: list) -> None:
             # ``W̃`` takes one scale per category and is placed one
             # canonical tile at a time: a block of categories is
-            # transposed into a tile of scratch (categories are its
-            # columns now) and quantized from there into its columns of
-            # the plane, so set-up holds the plane and a tile or two,
-            # never a second plane.
-            per_category = Quantizer(bits=self.quantization_bits, axis=1)
-            tile = np.empty(
-                (self.projection_dim, min(TILE_CATEGORIES, self.num_categories))
-            )
-            for start, stop in self.tile_bounds():
+            # transposed into this lane's tile of scratch (categories are
+            # its columns now) and quantized from there into its columns
+            # of the plane, so set-up holds the plane and a tile or two
+            # per lane, never a second plane.
+            tile = np.empty((k, min(TILE_CATEGORIES, l)))
+            for start, stop in run:
                 block = tile[:, : stop - start]
                 block[...] = self.weight[start:stop].T
-                per_category.fake_quantize(block, out=fused[:-1, start:stop])
+                if per_category is None:
+                    fused[:-1, start:stop] = block
+                else:
+                    per_category.fake_quantize(block, out=fused[:-1, start:stop])
+
+        tiles = self.tile_bounds()
+        run_in_lanes(place, tiles, lane_count(k, len(tiles)))
         fused[-1] = self.bias
         self._fused_weight_t = fused
 
@@ -294,15 +386,22 @@ class ScreeningModule:
         result dtype is :attr:`compute_dtype`.  Computed per canonical
         column tile (see :data:`TILE_CATEGORIES`) — the same GEMM calls
         the blocked streaming path issues, which is what makes the two
-        modes bit-identical.
+        modes bit-identical.  A batch with enough work scores runs of
+        tiles in lanes (:func:`lane_count`), each straight into its
+        columns — same calls, same bits.
         """
         augmented = self.prepare_augmented(features)
         scores = np.empty(
             (augmented.shape[0], self.num_categories), dtype=self._compute_dtype
         )
-        with self.recorder.span("screen.gemm"):
-            for start, stop in self.tile_bounds():
+
+        def score(lane: int, run: list) -> None:
+            for start, stop in run:
                 self.score_tile(augmented, start, stop, out=scores[:, start:stop])
+
+        tiles = self.tile_bounds()
+        with self.recorder.span("screen.gemm"):
+            run_in_lanes(score, tiles, lane_count(len(augmented), len(tiles)))
         return scores
 
     def __call__(self, features: np.ndarray) -> np.ndarray:

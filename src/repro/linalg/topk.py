@@ -345,19 +345,22 @@ class BlockwiseThreshold:
             self.batch, self.threshold, workspace, self._key, self.dtype, self._runner_ups
         )
         fork._floor = self._floor
-        # As much room as this record has: a run's share of the hits is
-        # anything from none to all, and a record that grows from a few
-        # entries would allocate long after this one has settled.
-        for key, kind in self._hits._slabs:
-            workspace.growable(key, self._ws.growable(key, 1, kind).size, kind)
         return fork
 
     def absorb(self, fork: "BlockwiseThreshold", start: int) -> None:
         """Append a :meth:`fork`'s hits and queue: its columns (from
         ``start``) lie right of every column recorded here, so both
-        records stay in column order within a row."""
+        records stay in column order within a row.
+
+        Then the fork's arena gets as much room as this record has now,
+        every hit joined: a run's share of the hits is anything from
+        none to all, and a lane record that grew from a few entries
+        would allocate long after the call's own had settled.  Sized
+        here, the first call sizes every lane."""
         self._hits.append(*fork._hits.view())
         self._queue.append(*fork._queue.view())
+        for key, kind in self._hits._slabs:
+            fork._ws.growable(key, self._ws.growable(key, 1, kind).size, kind)
 
     def finalize(self):
         """``(counts, cols, values)`` in the flat candidate layout."""

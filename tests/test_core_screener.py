@@ -1,13 +1,17 @@
+import threading
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from repro.core import screener as screener_module
 from repro.core.screener import (
     TILE_CATEGORIES,
     ScreeningConfig,
     ScreeningModule,
     initialize_screener,
+    run_in_lanes,
 )
 from repro.linalg.projection import SparseRandomProjection
 from repro.linalg.quantize import Quantizer
@@ -116,9 +120,25 @@ class TestScreeningModule:
         assert np.array_equal(module._fused_weight_t[-1], module.bias)
 
 
+def force_lanes(monkeypatch, lanes):
+    """Fix the screener's lane rule the way ``tests/test_pipeline_lanes.py``
+    fixes the pipeline's: never more lanes than tiles after the first."""
+    monkeypatch.setattr(
+        screener_module, "lane_count", lambda rows, tiles: max(1, min(lanes, tiles - 1))
+    )
+
+
+LANES = (1, 2, 3)
+
+
+class Abort(BaseException):
+    """Not an ``Exception``: what ``KeyboardInterrupt`` looks like."""
+
+
 class TestPlaneBuiltTileByTile:
-    """The fused plane is placed one canonical tile at a time; its bits
-    are those of quantizing the whole ``(l, k)`` weight at once."""
+    """The fused plane is placed one canonical tile at a time, in 1, 2
+    or 3 lanes; its bits are those of quantizing the whole ``(l, k)``
+    weight at once."""
 
     @pytest.mark.parametrize(
         "l",
@@ -127,7 +147,7 @@ class TestPlaneBuiltTileByTile:
     )
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("bits", [2, 4, 8, None])
-    def test_equals_whole_plane_quantization(self, bits, dtype, l):
+    def test_equals_whole_plane_quantization(self, monkeypatch, bits, dtype, l):
         k = 3
         rng = np.random.default_rng(l)
         weight = rng.standard_normal((l, k)) * rng.uniform(1e-3, 1e3, (l, 1))
@@ -135,29 +155,105 @@ class TestPlaneBuiltTileByTile:
         weight[-1] = 5e-324  # subnormal: max_abs / qmax underflows
         bias = rng.standard_normal(l)
         projection = SparseRandomProjection(input_dim=8, output_dim=k, rng=1)
-        with np.errstate(divide="raise", invalid="raise"):
-            module = ScreeningModule(
-                projection, weight, bias, quantization_bits=bits, compute_dtype=dtype
-            )
         want = weight if bits is None else Quantizer(bits, axis=0).fake_quantize(weight)
-        plane = module._fused_weight_t
-        assert plane.dtype == dtype and plane.flags.c_contiguous
-        assert np.array_equal(plane[:-1], want.T.astype(dtype))
-        assert np.array_equal(plane[-1], bias.astype(dtype))
+        for lanes in LANES:
+            force_lanes(monkeypatch, lanes)
+            # The caller's error state holds in every lane.
+            with np.errstate(divide="raise", invalid="raise"):
+                module = ScreeningModule(
+                    projection, weight, bias, quantization_bits=bits, compute_dtype=dtype
+                )
+            plane = module._fused_weight_t
+            assert plane.dtype == dtype and plane.flags.c_contiguous
+            assert np.array_equal(plane[:-1], want.T.astype(dtype)), f"{lanes} lanes"
+            assert np.array_equal(plane[-1], bias.astype(dtype))
 
-    def test_set_up_holds_the_plane_and_a_few_tiles(self):
-        """No second plane-sized temporary while the plane is built."""
+    def test_set_up_holds_the_plane_and_a_few_tiles(self, monkeypatch):
+        """No second plane-sized temporary while the plane is built: each
+        lane holds its scratch tile and the one tile-sized ``|x|`` the
+        quantizer's abs-max takes (2.1 tiles measured), nothing more."""
         l, k = 200_000, 16
         rng = np.random.default_rng(0)
         weight, bias = rng.standard_normal((l, k)), rng.standard_normal(l)
         projection = SparseRandomProjection(input_dim=64, output_dim=k, rng=1)
-        tracemalloc.start()
-        try:
-            module = ScreeningModule(projection, weight, bias, quantization_bits=4)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < module._fused_weight_t.nbytes + 4e6
+        tile = k * TILE_CATEGORIES * 8
+        for lanes in LANES:
+            force_lanes(monkeypatch, lanes)
+            tracemalloc.start()
+            try:
+                module = ScreeningModule(projection, weight, bias, quantization_bits=4)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < module._fused_weight_t.nbytes + lanes * 2.5 * tile, f"{lanes} lanes"
+
+
+class TestScoresInLanes:
+    """``approximate_logits`` (the dense scores threshold calibration
+    takes) and the helper every tile loop runs its lanes through."""
+
+    L = 3 * TILE_CATEGORIES + 5  # four tiles: runs [0], [1], [2, 3] at 3 lanes
+
+    @pytest.fixture(scope="class")
+    def module(self):
+        rng = np.random.default_rng(5)
+        return ScreeningModule(
+            SparseRandomProjection(input_dim=32, output_dim=8, rng=2),
+            rng.standard_normal((self.L, 8)),
+            rng.standard_normal(self.L),
+        )
+
+    @pytest.mark.parametrize("rows", [1, 16])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_every_lane_count_scores_the_single_lane_bits(self, monkeypatch, module, rows, dtype):
+        module.set_compute_dtype(dtype)
+        features = np.random.default_rng(rows).standard_normal((rows, 32))
+        force_lanes(monkeypatch, 1)
+        expected = module.approximate_logits(features)
+        for lanes in LANES[1:]:
+            force_lanes(monkeypatch, lanes)
+            scores = module.approximate_logits(features)
+            assert scores.dtype == expected.dtype and np.array_equal(scores, expected)
+
+    def test_runs_are_contiguous_and_cover_every_tile_once(self):
+        tiles = list(range(11))
+        for lanes in range(1, 12):
+            seen = {}
+            runs = run_in_lanes(lambda lane, run: seen.setdefault(lane, run), tiles, lanes)
+            assert [tile for run in runs for tile in run] == tiles
+            assert all(runs) and [seen[lane] for lane in range(lanes)] == runs
+
+    @pytest.mark.timeout(60)
+    @pytest.mark.parametrize("failing_lane", [0, 1, 2])
+    def test_a_failing_lane_is_raised_after_every_join(self, monkeypatch, module, failing_lane):
+        """The lane that fails waits until every other lane is running,
+        then raises; the caller sees the error only once the others have
+        scored every tile of their runs, and no thread is left."""
+        module.set_compute_dtype(np.float64)
+        features = np.random.default_rng(0).standard_normal((16, 32))
+        lane_of = {0: 0, 1: 1, 2: 2, 3: 2}
+        started = [threading.Event() for _ in range(3)]
+        finished = []
+        score_tile = module.score_tile
+
+        def flaky(augmented, start, stop, out):
+            tile = start // TILE_CATEGORIES
+            started[lane_of[tile]].set()
+            if lane_of[tile] == failing_lane:
+                assert all(event.wait(30) for event in started)
+                raise Abort(f"tile {tile}")
+            time.sleep(0.05)
+            result = score_tile(augmented, start, stop, out)
+            finished.append(tile)
+            return result
+
+        force_lanes(monkeypatch, 3)
+        threads_before = threading.active_count()
+        monkeypatch.setattr(module, "score_tile", flaky)
+        with pytest.raises(Abort, match=f"tile {failing_lane}"):
+            module.approximate_logits(features)
+        assert sorted(finished) == [t for t, lane in lane_of.items() if lane != failing_lane]
+        assert threading.active_count() == threads_before
 
 
 class TestComputeDtype:

@@ -14,6 +14,7 @@ module runs under ``pytest-timeout`` so a lost join fails fast instead
 of hanging the suite.
 """
 
+import os
 import threading
 import time
 import tracemalloc
@@ -25,8 +26,7 @@ from repro.core import ApproximateScreeningClassifier, ScreeningConfig, train_sc
 from repro.core import pipeline as pipeline_module
 from repro.core.candidates import CandidateSelector
 from repro.core.classifier import FullClassifier
-from repro.core.pipeline import MIN_LANE_WORK, lane_count
-from repro.core.screener import TILE_CATEGORIES, ScreeningModule
+from repro.core.screener import MIN_LANE_WORK, TILE_CATEGORIES, ScreeningModule, lane_count
 from repro.data import make_task
 from repro.distributed import ShardedClassifier
 from repro.linalg.topk import BlockwiseThreshold, BlockwiseTopM, stable_top_m_indices
@@ -235,18 +235,23 @@ class TestReducerForks:
     def test_threshold_fork_has_the_records_room(self):
         """A run's share of the hits is anything from none to all (the
         benchmark's categories are frequency-sorted: lane 1 of a
-        64 x 670K call sees a handful): its record is sized like the
-        one it forks from, so hits trickling in do not allocate in a
-        steady state the main record has reached."""
+        64 x 670K call sees a handful).  Absorbing a fork leaves its
+        arena with the room of the whole record it joined, so the next
+        call's fork on that arena takes every hit without allocating,
+        however few it took the first time."""
         workspace, lane = Workspace(), Workspace()
-        reducer = BlockwiseThreshold(2, 0.5, workspace=workspace)
-        reducer.update(0, np.ones((2, 50)))
-        fork = reducer.fork(lane)
-        fork.update(50, np.zeros((2, 10)))  # its compare mask
-        settled = lane.allocations
-        for start in range(60, 160, 10):
-            fork.update(start, np.full((2, 10), float(start % 20 == 0)))
-        assert fork._hits.count == 100 and lane.allocations == settled
+        for call in range(2):
+            reducer = BlockwiseThreshold(2, 0.5, workspace=workspace)
+            reducer.update(0, np.ones((2, 50)))
+            fork = reducer.fork(lane)
+            fork.update(50, np.zeros((2, 10)))  # its compare mask, no hit
+            if call == 1:
+                for start in range(60, 160, 10):
+                    fork.update(start, np.full((2, 10), float(start % 20 == 0)))
+                assert fork._hits.count == 100 and lane.allocations == settled
+            reducer.absorb(fork, 50)
+            settled = lane.allocations
+        assert reducer._hits.count == 200
 
 
 # ----------------------------------------------------------------------
@@ -254,9 +259,7 @@ class TestReducerForks:
 # ----------------------------------------------------------------------
 def test_lane_count_table(monkeypatch):
     cores = {"n": 2}
-    monkeypatch.setattr(
-        pipeline_module.os, "sched_getaffinity", lambda pid: set(range(cores["n"]))
-    )
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores["n"])))
     for cores["n"] in (1, 2, 4, 16):
         # parallel_cycle's 32 x 50K shards, serve_open's 1-32-row calls.
         assert all(lane_count(rows, 7) == 1 for rows in range(1, 33))
@@ -279,7 +282,7 @@ def test_small_calls_stay_on_the_callers_thread(monkeypatch, parts):
         raise AssertionError("a single-lane call built a thread")
 
     assert lane_count(64, TILES) == 1
-    monkeypatch.setattr(pipeline_module.threading, "Thread", no_threads)
+    monkeypatch.setattr(threading, "Thread", no_threads)
     answers(build(parts, "top_m"), parts[2])
 
 
@@ -365,6 +368,42 @@ def test_the_arena_accounts_for_its_lanes(monkeypatch, parts, mode):
     assert model.workspace.allocations == settled
     model.close()
     assert model.workspace.nbytes == 0
+
+
+@pytest.mark.parametrize("mode", SELECTORS)
+def test_lanes_allocate_nothing_from_the_second_call(monkeypatch, parts, mode):
+    """The ``workspace`` contract from the first call on, lanes included:
+    a second 2-lane call with a different batch of the same shape
+    allocates nothing.  (A threshold fork used to be sized when it was
+    made, from the record tile 0 left, so the second call still grew
+    lane 1's hit slabs to what the first call's absorb had made of it.)"""
+    model = build(parts, mode)
+    if mode == "threshold":
+        # Calibrated on the whole batch, tile 0 holds too few of the
+        # call's hits for a record sized at the fork.
+        model.selector.calibrate(model.screener.approximate_logits(parts[2]))
+    force_lanes(monkeypatch, 2)
+    model.forward_streaming(parts[2])
+    allocations = model.workspace.allocations
+    model.forward_streaming(parts[0].sample_features(max(ROWS), rng=11))
+    assert model.workspace.allocations == allocations
+
+
+def test_no_affinity_mask_counts_every_core(monkeypatch, parts, sharded):
+    """macOS and Windows have no ``os.sched_getaffinity``: the lane rule
+    counts ``os.cpu_count()`` there, so building a screener and serving
+    through a 2-shard classifier work as on Linux."""
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    assert lane_count(64, 82) == 4
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert lane_count(64, 82) == 1
+    trained = parts[1]
+    rebuilt = ScreeningModule(trained.projection, trained.weight, trained.bias)
+    assert np.array_equal(rebuilt._fused_weight_t, trained._fused_weight_t)
+    features = parts[2][:16]
+    streamed = sharded.forward_streaming(features)
+    assert streamed.batch_size == 16 and streamed.exact_count > 0
 
 
 def test_workspace_lane_is_a_kept_child():
