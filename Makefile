@@ -11,9 +11,13 @@ test:
 	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} $(PYTHON) -m pytest tests/
 
 # Code lines (non-blank, non-comment, non-docstring) per file and in
-# total — the count simplicity PRs quote for "src/ measurably smaller".
+# total — the count simplicity PRs quote for "src/ measurably smaller" —
+# then the line count of each design and history document, so doc
+# growth shows next to code growth.
+DOCS = DESIGN.md README.md ROADMAP.md CHANGES.md EXPERIMENTS.md
 loc:
 	python3 scripts/code_lines.py src
+	wc -l $(DOCS)
 
 # What a fresh process (a worker start, a respawn) pays to import the
 # serving modules, slowest 15 by cumulative time.  Nothing is imported

@@ -15,7 +15,6 @@ import numpy as np
 
 from repro.linalg.topk import (
     BlockwiseThreshold,
-    BlockwiseTopM,
     calibrate_threshold,
     select_above_threshold,
     stable_top_m_indices,
@@ -202,21 +201,18 @@ class CandidateSelector:
         With ``runner_ups = k`` each row's record also carries its best
         ``k`` *non*-candidates under ``(score desc, index asc)`` — all a
         ranking of the mixed output can need besides the candidates;
-        :meth:`is_candidate` tells the two apart.  In top-m mode that
-        is one reducer with ``m + k`` slots (its best ``m`` are the
-        candidates); in threshold mode the filter's compare drops to a
-        running floor that keeps the best ``k`` entries it rejects.
+        :meth:`is_candidate` tells the two apart.  Both modes are the
+        one threshold filter: top-m is its threshold at +inf with
+        ``m + k`` runner-ups (the best ``m`` are the candidates); in
+        threshold mode the filter's compare drops to a running floor
+        that keeps the best ``k`` entries it rejects.
         """
+        threshold, slots = self.threshold, runner_ups
         if self.mode == "top_m":
-            m = min(self.num_candidates + runner_ups, num_categories)
-            return BlockwiseTopM(batch, m, workspace=workspace, dtype=dtype)
-        if self.threshold is None:
-            raise ValueError(
-                "threshold mode requires a threshold; call calibrate() first"
-            )
+            threshold, slots = np.inf, self.num_candidates + runner_ups
         return BlockwiseThreshold(
-            batch, self.threshold, workspace=workspace, dtype=dtype,
-            runner_ups=min(runner_ups, num_categories),
+            batch, threshold, workspace=workspace, dtype=dtype,
+            runner_ups=min(slots, num_categories),
         )
 
     def is_candidate(self, values: np.ndarray, batch: int) -> np.ndarray:

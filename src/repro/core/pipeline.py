@@ -41,8 +41,8 @@ loop the same way: tile 0 folds on the caller, the remaining tiles are
 cut into contiguous runs, and each run but the caller's folds on a
 thread started for this call
 (:func:`~repro.core.screener.run_in_lanes`, which the screener's
-set-up loops share), into a fork of the reducer seeded with what tile
-0 kept and a child arena of the call's own.  A tile is scored,
+set-up loops share), into a fork of the reducer carrying the floor
+tile 0 set and a child arena of the call's own.  A tile is scored,
 filtered and dropped on the core that made it; absorbing the forks
 left to right keeps the reducer's total order, so the record — and
 every output bit — is the single-lane loop's for any lane count.
@@ -630,7 +630,7 @@ class ApproximateScreeningClassifier:
         """Fold tile 0 here — it pays the reducer's one first fill — then
         the rest as ``lanes`` contiguous runs (:func:`run_in_lanes`): run
         0 here into ``reducer``, each other run on a thread of its own
-        into a fork of ``reducer`` seeded with what tile 0 kept, on a
+        into a fork of ``reducer`` carrying the floor tile 0 set, on a
         child arena of ``ws`` — a tile is scored, filtered and dropped on
         the core that made it, as each ENMC rank screens its own slice.
         Absorbing the forks left to right keeps the reducer's total

@@ -1,4 +1,7 @@
-"""Numerical building blocks shared by the algorithm and hardware models."""
+"""Numerical building blocks shared by the algorithm and hardware models:
+quantizers, projections, activations, optimizers and candidate selection
+(dense top-k / threshold primitives and one streaming reducer,
+:class:`BlockwiseThreshold`, for both selection modes)."""
 
 from repro.linalg.quantize import (
     QuantizedTensor,
@@ -19,7 +22,6 @@ from repro.linalg.functional import (
 from repro.linalg.sgd import SGD, Adam
 from repro.linalg.topk import (
     BlockwiseThreshold,
-    BlockwiseTopM,
     select_above_threshold,
     stable_top_m_indices,
     top_k_indices,
@@ -44,6 +46,5 @@ __all__ = [
     "top_k_indices",
     "select_above_threshold",
     "stable_top_m_indices",
-    "BlockwiseTopM",
     "BlockwiseThreshold",
 ]

@@ -2,7 +2,10 @@
 
 Paper Section 4.2: "The estimation can be done with top-m searching or
 thresholding, where the threshold value can be tuned on validation
-sets."  Both primitives operate on batched score matrices.
+sets."  Both primitives operate on batched score matrices, and one
+streaming reducer, :class:`BlockwiseThreshold`, serves both: top-m is
+the threshold filter at +inf keeping each row's best ``m`` rejected
+entries.
 """
 
 from __future__ import annotations
@@ -49,9 +52,9 @@ def stable_top_m_indices(scores: np.ndarray, m: int) -> np.ndarray:
     ``(score descending, index ascending)`` — a *total* order, so the
     selected set is unique and independent of how the score plane is
     partitioned.  That property is what lets the blocked streaming
-    reducer (:class:`BlockwiseTopM`) reproduce the dense selection bit
-    for bit for every block size, even on degenerate inputs where the
-    INT4 screener produces exact score ties.
+    reducer (:class:`BlockwiseThreshold` at ``+inf``) reproduce the
+    dense selection bit for bit for every block size, even on
+    degenerate inputs where the INT4 screener produces exact score ties.
     """
     array = np.asarray(scores)
     if array.ndim != 2:
@@ -75,12 +78,17 @@ def stable_top_m_indices(scores: np.ndarray, m: int) -> np.ndarray:
     return np.nonzero(mask)[1].reshape(batch, m)
 
 
-def _survivors(ws, key: str, block: np.ndarray, bound, dense: int = -1):
+#: Workspace keys of the reducer's scratch: the compare mask, the plane
+#: the runner-up queue is cut on, and the slabs of its two flat records.
+_MASK, _CUT, _HITS, _QUEUE = ("thr", "mask"), ("thr", "cut"), "thr", ("thr", "runner")
+
+
+def _survivors(ws, block: np.ndarray, bound, dense: int = -1):
     """The streaming filter step: entries with ``block > bound`` (a
     scalar, or one bound per row as ``(batch, 1)``) as flat row-major
     ``(rows, cols, values)``.  ``None`` when more than ``dense`` entries
     pass (``dense >= 0``) — decided before anything is extracted."""
-    mask = ws.buffer((key, "mask"), block.shape, bool)
+    mask = ws.buffer(_MASK, block.shape, bool)
     np.greater(block, bound, out=mask)
     if 0 <= dense < np.count_nonzero(mask):
         return None
@@ -90,139 +98,9 @@ def _survivors(ws, key: str, block: np.ndarray, bound, dense: int = -1):
     return rows, cols, block[rows, cols]
 
 
-class BlockwiseTopM:
-    """Running per-row top-``m`` over column blocks of a score plane.
-
-    Feed score blocks left to right via :meth:`update`; the reducer
-    keeps each row's current ``m`` best ``(score, global column)``
-    pairs under the same ``(score desc, index asc)`` total order as
-    :func:`stable_top_m_indices`, so the finalized selection equals the
-    dense selection for any block partition: an entry is evicted only
-    when ``m`` entries beat it under the total order, and "beats" is
-    transitive, so exactly the ``m`` global maxima survive.
-
-    Once a row holds ``m`` entries its m-th best score is a running
-    ``floor``: a later block costs one ``block > floor`` compare plus a
-    merge of the few survivors with the kept ``m``.  Strict ``>`` is
-    exact: kept columns stay ascending and left of every later column,
-    so position order is global-index order (the merge needs no index
-    sort) and an equal score always loses the tie-break.  The first
-    fill, and any block whose survivors are dense (ascending scores),
-    merge ``[kept | block]`` in full instead.
-
-    Scratch state lives in a :class:`repro.utils.memory.Workspace` when
-    one is supplied, so steady-state updates allocate nothing new.
-    """
-
-    def __init__(
-        self, batch: int, m: int, workspace=None, key: str = "topm", dtype=np.float64
-    ):
-        check_positive("m", m)
-        from repro.utils.memory import Workspace
-
-        self._ws = workspace if workspace is not None else Workspace()
-        self._key = key
-        self.batch = batch
-        self.m = m
-        self.dtype = np.dtype(dtype)
-        self._scores = self._ws.buffer((key, "scores"), (batch, m), self.dtype)
-        self._cols = self._ws.buffer((key, "cols"), (batch, m), np.intp)
-        self._floor = self._ws.buffer((key, "floor"), (batch, 1), self.dtype)
-        self._filled = 0
-
-    def update(self, start: int, block: np.ndarray) -> None:
-        """Fold in scores for global columns ``[start, start+width)``."""
-        extra = block.shape[1]  # columns merged next to the kept ones
-        if extra == 0:
-            return
-        filled, hits = self._filled, None
-        if filled == self.m:  # the floor is only tight once m entries are held
-            # Measured break-even: between 1/8 and 1/4 of the block surviving.
-            hits = _survivors(self._ws, self._key, block, self._floor, dense=block.size // 8)
-        if hits is not None:
-            rows, cols, values = hits
-            if rows.size == 0:
-                return
-            counts = np.bincount(rows, minlength=self.batch)
-            extra = int(counts.max())
-            slot = filled + np.arange(rows.size) - np.repeat(np.cumsum(counts) - counts, counts)
-        cand_scores, cand_cols = self._beside_kept(extra)
-        if hits is None:
-            cand_scores[:, filled:] = block
-            cand_cols[:, filled:] = start + np.arange(extra)
-        else:
-            # Survivors left-packed per row; the -inf padding sits right
-            # of m kept entries that all beat it, so it is never selected.
-            cand_scores[:, filled:] = -np.inf
-            cand_scores[rows, slot] = values
-            cand_cols[rows, slot] = start + cols
-        self._keep_best(cand_scores, cand_cols, self.m)  # every column while short of m
-
-    def _beside_kept(self, extra: int):
-        """Merge scratch ``(scores, cols)``: the kept entries, then
-        ``extra`` columns for the caller to fill."""
-        filled, shape = self._filled, (self.batch, self._filled + extra)
-        cand_scores = self._ws.buffer((self._key, "merge"), shape, self.dtype)
-        cand_cols = self._ws.buffer((self._key, "merge_cols"), shape, np.intp)
-        cand_scores[:, :filled] = self._scores[:, :filled]
-        cand_cols[:, :filled] = self._cols[:, :filled]
-        return cand_scores, cand_cols
-
-    def _keep_best(self, cand_scores: np.ndarray, cand_cols: np.ndarray, m: int) -> None:
-        """Keep the best ``m`` of the merge scratch; refresh the floor."""
-        keep = stable_top_m_indices(cand_scores, m)
-        self._filled = kept = keep.shape[1]
-        self._scores[:, :kept] = np.take_along_axis(cand_scores, keep, axis=1)
-        self._cols[:, :kept] = np.take_along_axis(cand_cols, keep, axis=1)
-        self._scores[:, :kept].min(axis=1, keepdims=True, out=self._floor)
-
-    def fork(self, workspace) -> "BlockwiseTopM":
-        """A reducer for a later run of columns, on another thread with
-        its own ``workspace``, seeded with a copy of the kept entries
-        and floor — so it filters against a tight floor from its first
-        block instead of paying a second first fill.  Every seed is a
-        real entry left of the run, which is all :meth:`update` assumes
-        of the entries it holds; :meth:`absorb` folds the fork back."""
-        fork = BlockwiseTopM(self.batch, self.m, workspace, self._key, self.dtype)
-        fork._filled = filled = self._filled
-        fork._scores[:, :filled] = self._scores[:, :filled]
-        fork._cols[:, :filled] = self._cols[:, :filled]
-        fork._floor[:] = self._floor
-        return fork
-
-    def absorb(self, fork: "BlockwiseTopM", start: int) -> None:
-        """Fold in a :meth:`fork` that ran over columns ``[start, ...)``
-        while this reducer saw only columns left of ``start``.
-
-        One selection over ``[kept | fork's entries]`` with the fork's
-        surviving seed copies (columns left of ``start``) masked to
-        -inf: positions are still in global-index order, so it is the
-        same total order as one reducer fed every block.  A fork still
-        short of ``m`` evicted nothing, so its seeds are the same count
-        in every row and the selection shrinks by exactly that many.
-        """
-        filled, width = self._filled, fork._filled
-        cand_scores, cand_cols = self._beside_kept(width)
-        cand_cols[:, filled:] = fork._cols[:, :width]
-        seeds = cand_cols[:, filled:] < start
-        cand_scores[:, filled:] = np.where(seeds, -np.inf, fork._scores[:, :width])
-        real = filled + width - int(np.count_nonzero(seeds, axis=1).max())
-        self._keep_best(cand_scores, cand_cols, min(self.m, real))
-
-    def finalize(self):
-        """``(counts, cols, values)`` in the flat candidate layout:
-        per-row counts, then all kept columns (ascending within each
-        row) and their scores, concatenated in row order."""
-        filled = self._filled
-        counts = np.full(self.batch, filled, dtype=np.intp)
-        cols = self._cols[:, :filled].reshape(-1).copy()
-        values = self._scores[:, :filled].reshape(-1).copy()
-        return counts, cols, values
-
-
 class _FlatEntries:
     """Append-only flat ``(rows, cols, values)`` in growable workspace
-    slabs — the ragged record both halves of the threshold reducer keep."""
+    slabs — the ragged record both halves of the reducer keep."""
 
     def __init__(self, ws, key, dtype):
         self._ws = ws
@@ -248,7 +126,8 @@ class _FlatEntries:
 
 
 class BlockwiseThreshold:
-    """Running threshold filter over column blocks of a score plane.
+    """Running threshold filter over column blocks of a score plane —
+    the Screener's one comparator array, for both selection modes.
 
     Selection is final the moment a block streams past (``score >
     threshold`` needs no global context), so the reducer just appends
@@ -260,15 +139,26 @@ class BlockwiseThreshold:
     With ``runner_ups = k`` the reducer also keeps each row's best
     ``k`` entries among those the filter *rejects*, under ``(score
     desc, index asc)``, and :meth:`finalize` lists them behind the
-    row's hits — what ranking the mixed output needs besides the
-    candidates.  They ride the filter's one compare: once every row
-    holds ``k`` rejected entries the worst of them is the row's
+    row's hits.  At ``threshold = +inf`` nothing is a hit and the
+    runner-ups are each row's top ``k``: that is top-m selection, with
+    the same total order as :func:`stable_top_m_indices` for any block
+    partition.  Runner-ups ride the filter's one compare: once every
+    row holds ``k`` rejected entries the worst of them is the row's
     ``floor`` (at or under the threshold), ``block > floor`` passes
     hits and contenders alike, and the contenders queue up flat until
-    :meth:`_tighten` cuts the queue back to ``k`` a row and raises the
-    floor.  Strict ``>`` is exact as in :class:`BlockwiseTopM` (an
-    equal score in a later column loses the tie-break to ``k`` held
-    entries), and a stale floor only lets more through.
+    some row holds more than ``2 k``, when :meth:`_tighten` cuts the
+    queue back to ``k`` a row and raises the floor.  Strict ``>`` is
+    exact (an equal score in a later column loses the tie-break to
+    ``k`` held entries), and a stale floor only lets more through.
+
+    A block too dense to queue — over an eighth of it past the floor
+    (the measured break-even), or past some row's room — takes the
+    first block's path instead: its own top ``k`` plus the most hits
+    any row has.  A row's room is ``4 k``: ``2 k`` held between cuts,
+    plus one block's contenders, the ``k`` of a dense block or a fork's
+    ``2 k`` at :meth:`absorb`.  The queue and its cut plane are sized
+    for that room on construction, so at ``threshold = +inf`` no block,
+    batch or lane grows them, whatever the data.
     """
 
     def __init__(
@@ -276,7 +166,6 @@ class BlockwiseThreshold:
         batch: int,
         threshold: float,
         workspace=None,
-        key: str = "thr",
         dtype=np.float64,
         runner_ups: int = 0,
     ):
@@ -285,56 +174,83 @@ class BlockwiseThreshold:
         from repro.utils.memory import Workspace
 
         self._ws = workspace if workspace is not None else Workspace()
-        self._key = key
         self.batch = batch
         self.threshold = float(threshold)
         self.dtype = np.dtype(dtype)
-        self._hits = _FlatEntries(self._ws, key, self.dtype)
+        self._hits = _FlatEntries(self._ws, _HITS, self.dtype)
         self._runner_ups = runner_ups
-        self._queue = _FlatEntries(self._ws, (key, "runner"), self.dtype)
+        self._queue = _FlatEntries(self._ws, _QUEUE, self.dtype)
+        self._held = np.zeros(batch, dtype=np.intp)  # queued entries per row
         self._floor = None  # set once every row holds ``runner_ups`` rejected entries
+        if runner_ups:
+            for key, kind in self._queue._slabs:
+                self._ws.growable(key, batch * 4 * runner_ups, kind)
+            self._ws.buffer(_CUT, (batch, 4 * runner_ups), self.dtype)
 
     def update(self, start: int, block: np.ndarray) -> None:
         if block.shape[1] == 0:
             return
         k = self._runner_ups
-        bound = self.threshold if self._floor is None else self._floor
-        rows, cols, values = _survivors(self._ws, self._key, block, bound)
-        if k and self._floor is None:
-            # No floor yet: ``k`` more than the most hits any row has is
-            # enough of the block's top to hold each row's best ``k``
-            # rejected entries (every column, when the block is short).
-            most = int(np.bincount(rows, minlength=self.batch).max())
-            picked = stable_top_m_indices(block, k + most)
-            scores = np.take_along_axis(block, picked, axis=1)
-            rejected = scores <= self.threshold
-            self._queue.append(
-                np.nonzero(rejected)[0], start + picked[rejected], scores[rejected]
-            )
-        elif k:
-            hit = values > self.threshold
-            self._queue.append(rows[~hit], start + cols[~hit], values[~hit])
-            rows, cols, values = rows[hit], cols[hit], values[hit]
-        self._hits.append(rows, start + cols, values)
-        if k and (self._floor is None or self._queue.count > 2 * self.batch * k):
+        if self._floor is None or not self._pass_floor(start, block):
+            rows, cols, values = _survivors(self._ws, block, self.threshold)
+            if k:
+                # ``k`` more than the most hits any row has is enough of
+                # the block's top to hold each row's best ``k`` rejected
+                # entries (every column, when the block is short).
+                most = int(np.bincount(rows, minlength=self.batch).max())
+                picked = stable_top_m_indices(block, k + most)
+                scores = np.take_along_axis(block, picked, axis=1)
+                rejected = scores <= self.threshold
+                self._queue.append(
+                    np.nonzero(rejected)[0], start + picked[rejected], scores[rejected]
+                )
+                self._held += np.count_nonzero(rejected, axis=1)
+            self._hits.append(rows, start + cols, values)
+        if k and (self._floor is None or self._held.max() > 2 * k):
             self._tighten()
+
+    def _pass_floor(self, start: int, block: np.ndarray) -> bool:
+        """Record what ``block > floor`` passes: hits, and contenders in
+        the queue.  ``False``, recording nothing, when the block is too
+        dense to queue."""
+        passed = _survivors(self._ws, block, self._floor, dense=block.size // 8)
+        if passed is None:
+            return False
+        rows, cols, values = passed
+        if rows.size:
+            miss = values <= self.threshold
+            held = self._held + np.bincount(rows[miss], minlength=self.batch)
+            if held.max() > 4 * self._runner_ups:
+                return False
+            self._held = held
+            self._queue.append(rows[miss], start + cols[miss], values[miss])
+            hit = ~miss
+            self._hits.append(rows[hit], start + cols[hit], values[hit])
+        return True
 
     def _tighten(self) -> None:
         """Cut the queue back to each row's best ``runner_ups`` entries;
-        when every row holds that many, the worst is its floor."""
-        k = self._runner_ups
+        when every row holds that many, the worst is its floor.
+
+        Each row is left-packed into a ``(batch, most held)`` plane
+        padded with -inf.  Queue order is column order within a row, so
+        position order is index order, and the padding, right of every
+        real entry, loses every tie (even to a real -inf)."""
+        k, held = self._runner_ups, self._held
         rows, cols, values = queue = self._queue.view()
-        # Queue order is column order within a row, so the stable sort
-        # ranks equal scores by index.
-        order = np.lexsort((-values, rows))
-        held = np.bincount(rows, minlength=self.batch)
+        order = np.argsort(rows, kind="stable")
         first = np.cumsum(held) - held
-        keep = np.sort(order[np.arange(rows.size) - np.repeat(first, held) < k])
-        if held.min() >= k:
-            self._floor = values[order[first + k - 1]][:, None]
+        plane = self._ws.buffer(_CUT, (self.batch, int(held.max())), self.dtype)
+        plane.fill(-np.inf)
+        plane[rows[order], np.arange(rows.size) - np.repeat(first, held)] = values[order]
+        best = stable_top_m_indices(plane, k)  # every column of a narrower plane
+        keep = order[(first[:, None] + best)[best < held[:, None]]]
         for slab in queue:
             slab[: keep.size] = slab[keep]
         self._queue.count = keep.size
+        if held.min() >= k:  # then ``keep`` is k a row, in row order
+            self._floor = values[: keep.size].reshape(self.batch, k).min(axis=1, keepdims=True)
+        np.minimum(held, k, out=held)
 
     def fork(self, workspace) -> "BlockwiseThreshold":
         """An empty record under the same threshold and runner-up floor,
@@ -342,7 +258,7 @@ class BlockwiseThreshold:
         ``workspace`` (the floor's ``runner_ups`` entries sit left of
         the run, so they win every tie against it)."""
         fork = BlockwiseThreshold(
-            self.batch, self.threshold, workspace, self._key, self.dtype, self._runner_ups
+            self.batch, self.threshold, workspace, self.dtype, self._runner_ups
         )
         fork._floor = self._floor
         return fork
@@ -359,6 +275,9 @@ class BlockwiseThreshold:
         here, the first call sizes every lane."""
         self._hits.append(*fork._hits.view())
         self._queue.append(*fork._queue.view())
+        self._held += fork._held
+        if self._runner_ups and self._held.max() > 2 * self._runner_ups:
+            self._tighten()
         for key, kind in self._hits._slabs:
             fork._ws.growable(key, self._ws.growable(key, 1, kind).size, kind)
 

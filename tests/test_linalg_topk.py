@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from repro.core.candidates import CandidateSelector
 from repro.linalg.topk import (
     BlockwiseThreshold,
-    BlockwiseTopM,
     calibrate_threshold,
     select_above_threshold,
     stable_top_m_indices,
@@ -149,6 +149,13 @@ class TestStableTopM:
         )
 
 
+def top_m_reducer(batch, n, m, **kwargs):
+    """The top-m reducer the pipeline builds over ``n`` columns: the
+    threshold filter at +inf with ``min(m, n)`` runner-ups."""
+    selector = CandidateSelector(mode="top_m", num_candidates=m)
+    return selector.make_block_reducer(batch, n, **kwargs)
+
+
 def run_blocked(reducer, scores, boundaries):
     start = 0
     for stop in list(boundaries) + [scores.shape[1]]:
@@ -190,7 +197,7 @@ class TestBlockwiseReducers:
                 st.lists(st.integers(1, n - 1), max_size=4, unique=True)
             )
         )
-        reducer = BlockwiseTopM(batch, m)
+        reducer = top_m_reducer(batch, n, m)
         counts, cols, values = run_blocked(reducer, scores, boundaries)
         expected = stable_top_m_indices(scores, m)
         assert np.array_equal(counts, np.full(batch, m))
@@ -230,7 +237,7 @@ class TestBlockwiseReducers:
         rng = np.random.default_rng(0)
         scores = rng.standard_normal((4, 40))
         for round_index in range(4):
-            reducer = BlockwiseTopM(4, 5, workspace=workspace)
+            reducer = top_m_reducer(4, 40, 5, workspace=workspace)
             run_blocked(reducer, scores, [10, 20, 30])
             if round_index == 0:
                 settled = workspace.allocations
@@ -244,7 +251,7 @@ class TestBlockwiseReducers:
         scores = np.random.default_rng(1).standard_normal((2, 16)).astype(
             np.float32
         )
-        reducer = BlockwiseTopM(2, 3, dtype=np.float32)
+        reducer = top_m_reducer(2, 16, 3, dtype=np.float32)
         reducer.update(0, scores)
         _, cols, values = reducer.finalize()
         assert values.dtype == np.float32
@@ -291,7 +298,7 @@ class TestReducerProperties:
         batch, n = scores.shape
         m = {"n-1": n - 1, "n": n, "over": n + 3}.get(budget, budget)
         counts, cols, values = run_blocked(
-            BlockwiseTopM(batch, m, dtype=scores.dtype), scores, cuts
+            top_m_reducer(batch, n, m, dtype=scores.dtype), scores, cuts
         )
         expected = stable_top_m_indices(scores, m)
         kept = min(m, n)
@@ -356,7 +363,8 @@ class TestReducerWorstCase:
             batch, dtype=dtype
         )[:, None]
         cuts = range(self.TILE, n, self.TILE)
-        _, cols, values = run_blocked(BlockwiseTopM(batch, m, dtype=dtype), scores, cuts)
+        reducer = top_m_reducer(batch, n, m, dtype=dtype)
+        _, cols, values = run_blocked(reducer, scores, cuts)
         expected = stable_top_m_indices(scores, m)
         assert np.array_equal(cols.reshape(batch, m), expected)
         assert np.array_equal(
@@ -364,29 +372,37 @@ class TestReducerWorstCase:
         )
 
     def test_survivor_padding_never_displaces_a_kept_entry(self):
-        """Rows with fewer survivors than the widest row are padded;
-        the padding must lose even to a kept ``-inf``."""
+        """The queue cut packs each row into a plane as wide as the
+        fullest row; the padding must lose even to a kept ``-inf``."""
         scores = np.full((2, 18), -np.inf)
         scores[1, :2] = 0.0
         scores[0, 7] = 0.0  # row 0: one survivor over a floor of -inf
         scores[1, [4, 9]] = 1.0  # row 1: two, so row 0 gets a padded slot
-        _, cols, values = run_blocked(BlockwiseTopM(2, 2), scores, [2])
+        _, cols, values = run_blocked(top_m_reducer(2, 18, 2), scores, [2])
         assert cols.tolist() == [0, 7, 4, 9]
         assert values.tolist() == [-np.inf, 0.0, 1.0, 1.0]
 
-    @pytest.mark.parametrize("order", ("random", "ascending", "tied"))
-    def test_runner_up_queue_is_cut_back_mid_stream(self, order):
+    @pytest.mark.parametrize(
+        "order, top_m",
+        [
+            pytest.param(order, top_m, id=order + ("-inf" if top_m else ""))
+            for top_m in (False, True)
+            for order in ("random", "ascending", "tied")
+        ],
+    )
+    def test_runner_up_queue_is_cut_back_mid_stream(self, order, top_m):
         """A long stream of narrow blocks: the runner-up queue is cut
-        to ``k`` a row whenever an update leaves it past ``2 * batch *
-        k`` — also when every entry is a contender (ascending) or none
-        is (all tied) — and the kept entries are the dense answer."""
+        back to ``k`` a row before it passes ``2 * batch * k`` — also
+        when every entry is a contender (ascending) or none is (all
+        tied), and at threshold +inf, where the runner-ups are top-m —
+        and the kept entries are the dense answer."""
         batch, n, width, k = 3, 4000, 50, 5
         scores = np.random.default_rng(11).standard_normal((batch, n))
         if order == "ascending":
             scores.sort(axis=1)
         elif order == "tied":
             scores = np.round(scores)
-        threshold = float(np.quantile(scores, 0.99))
+        threshold = np.inf if top_m else float(np.quantile(scores, 0.99))
         reducer = BlockwiseThreshold(batch, threshold, runner_ups=k)
         for start in range(0, n, width):
             reducer.update(start, scores[:, start : start + width])
@@ -401,8 +417,9 @@ class TestReducerWorstCase:
         a first pass over the same plane has already warmed."""
         workspace = Workspace()
         cuts = range(self.TILE, scores.shape[1], self.TILE)
-        run_blocked(BlockwiseTopM(scores.shape[0], m, workspace=workspace), scores, cuts)
-        reducer = BlockwiseTopM(scores.shape[0], m, workspace=workspace)
+        batch, n = scores.shape
+        run_blocked(top_m_reducer(batch, n, m, workspace=workspace), scores, cuts)
+        reducer = top_m_reducer(batch, n, m, workspace=workspace)
         peaks = []
         tracemalloc.start()
         try:
@@ -419,7 +436,7 @@ class TestReducerWorstCase:
         scores = np.random.default_rng(7).standard_normal((16, 4 * self.TILE))
         block_bytes = scores[:, : self.TILE].nbytes
         first_fill, *later = self.update_peaks(scores)
-        assert first_fill > block_bytes  # the full merge copies the block
+        assert first_fill > block_bytes  # the first fill partitions a copy
         assert max(later) < block_bytes / 4
 
     def test_ascending_block_allocates_no_more_than_first_fill(self):
@@ -427,7 +444,7 @@ class TestReducerWorstCase:
             np.random.default_rng(8).standard_normal((16, 4 * self.TILE)), axis=1
         )
         first_fill, *later = self.update_peaks(scores)
-        # Same full merge, m kept columns wider.
+        # Dense blocks take the first fill's path: the block's own top.
         assert max(later) <= first_fill * 1.02
 
 

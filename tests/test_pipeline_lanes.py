@@ -2,11 +2,11 @@
 
 The contract under test: cutting the screening tiles into contiguous
 runs that fold on threads of their own — each into a fork of the
-reducer seeded by the first tile — changes *when* a tile is scored and
-nothing else.  Every serving call returns the bits of the single-lane
-loop for every lane count, no thread outlives the call (also when a
-lane fails), and the lanes' scratch is accounted for by the arena the
-call runs on.
+reducer carrying the floor the first tile set — changes *when* a tile
+is scored and nothing else.  Every serving call returns the bits of
+the single-lane loop for every lane count, no thread outlives the call
+(also when a lane fails), and the lanes' scratch is accounted for by
+the arena the call runs on.
 
 The lane count is forced by patching ``pipeline.lane_count``, never by
 the runner's core count, so a 1-core runner exercises every case.  The
@@ -29,7 +29,7 @@ from repro.core.classifier import FullClassifier
 from repro.core.screener import MIN_LANE_WORK, TILE_CATEGORIES, ScreeningModule, lane_count
 from repro.data import make_task
 from repro.distributed import ShardedClassifier
-from repro.linalg.topk import BlockwiseThreshold, BlockwiseTopM, stable_top_m_indices
+from repro.linalg.topk import BlockwiseThreshold, stable_top_m_indices
 from repro.obs import NULL_RECORDER, Recorder
 from repro.utils.memory import Workspace
 
@@ -168,9 +168,9 @@ def test_ties_across_lane_boundaries_keep_the_total_order(monkeypatch, parts, mo
 
 @pytest.mark.parametrize("mode", SELECTORS)
 def test_more_slots_than_a_tile_holds(monkeypatch, parts, mode):
-    """``m + runner_ups`` wider than a tile: top-m lanes fork a reducer
-    still short of ``m`` (no floor yet) and the absorb keeps every
-    entry until ``m`` are held; threshold lanes fork without a floor."""
+    """``m + runner_ups`` wider than a tile: lanes fork a reducer that
+    has no floor yet (no row holds that many entries after tile 0), and
+    every absorb keeps each entry until one does."""
     model = build(parts, mode, m=TILE_CATEGORIES)
     features = parts[2][:3]
     k = TILE_CATEGORIES + 100
@@ -211,7 +211,8 @@ class TestReducerForks:
     @pytest.mark.parametrize("cuts", ([0, 8, 20, 40], [0, 3, 4, 30, 40], [0, 30, 35, 40]))
     def test_top_m(self, m, cuts):
         plane = self.plane(np.random.default_rng(m))
-        counts, cols, values = self.fold_in_lanes(BlockwiseTopM(5, m), plane, cuts)
+        reducer = CandidateSelector(mode="top_m", num_candidates=m).make_block_reducer(5, 40)
+        counts, cols, values = self.fold_in_lanes(reducer, plane, cuts)
         expected = stable_top_m_indices(plane, m)
         assert np.array_equal(cols.reshape(5, -1), expected)
         assert np.array_equal(values.reshape(5, -1), np.take_along_axis(plane, expected, 1))
@@ -431,7 +432,7 @@ def traced_peak(call):
 def test_seeded_lanes_do_not_pay_a_second_first_fill(monkeypatch, parts):
     """Warm ``forward_streaming`` in top-m mode: the reducer's first
     fill (a partition of a whole tile) is the peak, and only tile 0
-    pays it.  Lanes that each started empty would read 2.0x."""
+    pays it.  Lanes that started without its floor would read 2.0x."""
     model = build(parts, "top_m")
     features = parts[2]
     force_lanes(monkeypatch, 1)
@@ -444,9 +445,9 @@ def test_seeded_lanes_do_not_pay_a_second_first_fill(monkeypatch, parts):
 @pytest.mark.parametrize("mode", SELECTORS)
 def test_top_k_peak_memory_is_lanes_plus_four_tiles(monkeypatch, parts, mode, lanes):
     """``top_k``'s arena is private to the call, so all of it counts:
-    the tile, the first fill's score and column copies and the
-    partition's own (4.2 tiles single-lane), plus a tile and its mask
-    per helper lane."""
+    the tile, the first fill's partition copy and the runner-up queue
+    (2.4 tiles single-lane, either mode), plus a tile, its mask and its
+    queue per helper lane."""
     model = build(parts, mode)
     features = parts[2][:32]
     force_lanes(monkeypatch, lanes)

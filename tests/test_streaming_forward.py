@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from repro.core import ApproximateScreeningClassifier, ScreeningConfig, train_screener
+from repro.core import pipeline as pipeline_module
 from repro.core.candidates import CandidateSelector
 from repro.core.pipeline import StreamedOutput
 from repro.core.screener import TILE_CATEGORIES
@@ -264,6 +265,65 @@ class TestWorkspaceSteadyState:
         model.forward_streaming(batch)
         assert model._workspace is workspace
         assert workspace.allocations == settled
+
+    @pytest.mark.parametrize("lanes", (1, 2))
+    def test_replay_and_lanes_stay_flat_across_batches(self, monkeypatch, lanes):
+        """The benchmark's traced loop on one arena: a call (2-lane at
+        the benchmark's size), then the same batch folded on one lane by
+        a reducer from ``make_block_reducer``.  Warm on one batch, no
+        later batch may grow a slab, whatever its data: the reducer's
+        scratch, a lane's included, is sized by the call's shape (here
+        16 rows x 40K, five tiles), not by how many entries pass."""
+        l, rows = 40_000, 16
+        task = make_task(num_categories=l, hidden_dim=64, rng=41)
+        screener = train_screener(
+            task.classifier,
+            task.sample_features(128, rng=42),
+            config=ScreeningConfig(projection_dim=16),
+            solver="lstsq",
+            rng=43,
+        )
+        monkeypatch.setattr(pipeline_module, "lane_count", lambda rows, tiles: lanes)
+        for seed in range(1, 6):
+            model = ApproximateScreeningClassifier(
+                task.classifier, screener, num_candidates=32
+            )
+            rng = np.random.default_rng(seed)
+            batches = [task.sample_features(rows, rng=rng) for _ in range(4)]
+
+            def cycle(batch):
+                streamed = model.forward_streaming(batch)
+                counts, cols, _ = fold_on_one_lane(model, batch)
+                assert np.array_equal(counts, streamed.candidates.counts)
+                assert np.array_equal(cols, streamed.candidates.flat()[1])
+
+            for _ in range(8):  # warm until a cycle allocates nothing
+                settled = model.workspace.allocations
+                cycle(batches[0])
+                if model.workspace.allocations == settled:
+                    break
+            for batch in batches:
+                cycle(batch)
+            assert model.workspace.allocations == settled, f"seed {seed}"
+
+
+def fold_on_one_lane(model, batch):
+    """The selection of ``forward_streaming`` replayed as the benchmark's
+    traced loop does it: one reducer on the pipeline's arena, under the
+    pipeline's keys, fed every tile in turn on the caller's thread."""
+    screener, workspace = model.screener, model.workspace
+    rows, compute = batch.shape[0], screener.compute_dtype
+    augmented = screener.prepare_augmented(
+        batch,
+        out=workspace.buffer("augmented", (rows, screener.projection_dim + 1), compute),
+    )
+    reducer = model.selector.make_block_reducer(
+        rows, model.num_categories, workspace=workspace, dtype=compute
+    )
+    for start, stop in screener.tile_bounds():
+        out = workspace.buffer("tile", (rows, stop - start), compute)
+        reducer.update(start, screener.score_tile(augmented, start, stop, out=out))
+    return reducer.finalize()
 
 
 @pytest.mark.parametrize("shards", SHARD_COUNTS)
