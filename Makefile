@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test loc importtime setup-phases bench-smoke bench-pair bench-suite experiments examples clean
+.PHONY: install test loc importtime setup-phases call-peak bench-smoke bench-pair bench-suite experiments examples clean
 
 install:
 	$(PYTHON) -m pip install -e . || $(PYTHON) setup.py develop
@@ -37,6 +37,14 @@ SELECTOR ?= threshold
 setup-phases:
 	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} $(PYTHON) scripts/setup_phases.py \
 		--l $(L) --k $(K) --rows $(ROWS) --selector $(SELECTOR)
+
+# tracemalloc peak of one warm forward_streaming call of ROWS rows, split
+# into screen+select, exact and the whole call: where a call_peak_mb
+# regression sits.  STORE is fp64, int8 or float16.
+STORE ?= fp64
+call-peak:
+	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} $(PYTHON) scripts/call_peak.py \
+		--l $(L) --k $(K) --rows $(ROWS) --selector $(SELECTOR) --store $(STORE)
 
 # The repo's benchmark (BENCHMARK.json) at smoke sizes: all four
 # workloads, untraced then traced, every correctness gate on.

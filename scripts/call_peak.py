@@ -1,0 +1,144 @@
+"""Peak memory of one warm ``forward_streaming`` call, phase by phase.
+
+    PYTHONPATH=src python3 scripts/call_peak.py --l 670000 --rows 64 --selector top_m
+    make call-peak [L=670000] [ROWS=16] [SELECTOR=threshold] [STORE=fp64]
+
+Builds a pipeline (``make_task``, a ``train_screener(solver="lstsq")`` fit,
+threshold calibration when the selector is ``threshold``, the exact weights
+quantized when ``--store`` is ``int8`` or ``float16``), repeats
+``forward_streaming`` on one batch of ``--rows`` rows until the workspace is
+flat, then prints the ``tracemalloc`` peak above what was live before
+(median of ``--repeats``) of:
+
+* ``screen+select`` — the tile loop: screening, the reducer, finalize;
+* ``exact``         — the exact phase over the candidates the loop chose;
+* ``whole call``    — ``forward_streaming`` itself.
+
+Both phases run on the pipeline's own arena, as the call runs them.  One
+tile of scores is printed beside them for scale: a warm call that allocates
+a large share of it holds a tile-sized temporary somewhere, and the phase
+lines say where.  The benchmark's ``call_peak_mb`` is the whole-call line at
+its own sizes; put another tree's ``src`` on ``PYTHONPATH`` to read that
+tree.
+"""
+
+from __future__ import annotations
+
+import argparse
+import statistics
+import tracemalloc
+
+import numpy as np
+
+from repro.core.candidates import CandidateSelector, CandidateSet
+from repro.core.pipeline import ApproximateScreeningClassifier
+from repro.core.screener import TILE_CATEGORIES, ScreeningConfig
+from repro.core.training import train_screener
+from repro.data import make_task
+
+#: Calls made to find where the workspace settles.
+MAX_WARM_CALLS = 6
+
+
+def build(args) -> tuple:
+    rng = np.random.default_rng(args.seed)
+    task = make_task(args.l, args.d, rng=rng)
+    screener = train_screener(
+        task.classifier,
+        task.sample_features(args.train_rows, rng=rng),
+        config=ScreeningConfig(projection_dim=args.k),
+        solver="lstsq",
+        rng=rng,
+    )
+    selector = CandidateSelector(mode=args.selector, num_candidates=args.m)
+    if args.selector == "threshold":
+        selector.calibrate(screener.approximate_logits(task.sample_features(16, rng=rng)))
+    model = ApproximateScreeningClassifier(task.classifier, screener, selector)
+    if args.store != "fp64":
+        model.quantize_exact_weights(args.store)
+    return model, task.sample_features(args.rows, rng=rng)
+
+
+def peak_bytes(operation, repeats: int) -> int:
+    """Median ``tracemalloc`` peak above the bytes live at the start."""
+    peaks = []
+    for _ in range(repeats):
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            operation()
+            peaks.append(tracemalloc.get_traced_memory()[1] - before)
+        finally:
+            tracemalloc.stop()
+    return int(statistics.median(peaks))
+
+
+def measure(model, batch, repeats: int) -> dict:
+    ws = model.workspace
+    calls = 0
+    while calls < MAX_WARM_CALLS:
+        before = ws.allocations
+        model.forward_streaming(batch)
+        calls += 1
+        if calls >= 2 and ws.allocations == before:
+            break
+    counts, cols, _ = model._screen_and_select(batch, ws)
+    candidates = CandidateSet.from_flat(counts, cols)
+    allocations = ws.allocations
+    peaks = {
+        "screen+select": peak_bytes(lambda: model._screen_and_select(batch, ws), repeats),
+        "exact": peak_bytes(
+            lambda: model._exact_candidate_values(batch, candidates, ws), repeats
+        ),
+        "whole call": peak_bytes(lambda: model.forward_streaming(batch), repeats),
+    }
+    return dict(
+        peaks=peaks,
+        warm_calls=calls,
+        steady_allocations=ws.allocations - allocations,
+        workspace_bytes=ws.nbytes,
+        tile_bytes=batch.shape[0] * TILE_CATEGORIES * model.screener.compute_dtype.itemsize,
+        candidates=int(counts.sum()),
+    )
+
+
+def report(args, result: dict) -> str:
+    lines = [
+        f"call peak: l={args.l} rows={args.rows} k={args.k} d={args.d} m={args.m} "
+        f"selector={args.selector} store={args.store}, tracemalloc peak above live, "
+        f"median of {args.repeats}",
+        f"{'phase':<16}{'MB':>10}{'bytes':>12}{'of a tile':>11}",
+    ]
+    for phase, value in result["peaks"].items():
+        share = value / result["tile_bytes"]
+        lines.append(f"{phase:<16}{value / 1e6:>10.3f}{value:>12,}{share:>11.3f}")
+    lines.append(f"{'one tile':<16}{result['tile_bytes'] / 1e6:>10.3f}{result['tile_bytes']:>12,}")
+    lines.append(
+        f"workspace {result['workspace_bytes'] / 1e6:.3f} MB after {result['warm_calls']} "
+        f"warm-up calls, {result['steady_allocations']} allocations while measured, "
+        f"{result['candidates']} candidates"
+    )
+    return "\n".join(lines)
+
+
+def main(argv=None) -> dict:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--l", type=int, default=670_000, help="categories")
+    parser.add_argument("--rows", type=int, default=16, help="rows per call")
+    parser.add_argument("--selector", choices=("threshold", "top_m"), default="threshold")
+    parser.add_argument("--store", choices=("fp64", "int8", "float16"), default="fp64")
+    parser.add_argument("--k", type=int, default=16, help="projection dim")
+    parser.add_argument("--d", type=int, default=64, help="hidden dim")
+    parser.add_argument("--m", type=int, default=32, help="candidates per row")
+    parser.add_argument("--train-rows", type=int, default=256)
+    parser.add_argument("--repeats", type=int, default=5)
+    parser.add_argument("--seed", type=int, default=0)
+    args = parser.parse_args(argv)
+    model, batch = build(args)
+    result = measure(model, batch, args.repeats)
+    print(report(args, result))
+    return result
+
+
+if __name__ == "__main__":
+    main()

@@ -14,6 +14,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro.linalg.functional import log_softmax, sigmoid, softmax
+from repro.utils.memory import PHASE_SCRATCH
 from repro.utils.rng import RngLike, ensure_rng
 from repro.utils.validation import check_batch_features, check_positive
 
@@ -21,8 +22,50 @@ from repro.utils.validation import check_batch_features, check_positive
 #: softmax (LM/NMT) and sigmoid (multi-label recommendation).
 NORMALIZATIONS = ("softmax", "sigmoid")
 
-#: Candidates gathered per step of :meth:`FullClassifier.candidate_scores`.
+#: Candidates gathered per step of :func:`gathered_candidate_scores`.
 _GATHER_CHUNK = 1024
+
+
+def _check_indices(indices: np.ndarray, size: int) -> None:
+    """Raise ``IndexError`` unless every index is valid along an axis
+    of ``size`` (``-size <= i < size``, as indexing allows) — the check
+    that lets a gather run unbuffered in ``np.take(mode="wrap")``."""
+    if indices.size and not -size <= indices.min() <= indices.max() < size:
+        raise IndexError(f"index out of bounds for axis of size {size}")
+
+
+def gathered_candidate_scores(
+    store, rows: np.ndarray, cols: np.ndarray, batch: np.ndarray, workspace=None
+) -> np.ndarray:
+    """``store.gather_rows(cols) · batch[rows] + store.bias[cols]``, one
+    dot product per candidate, flat-aligned with the inputs — the gather
+    form of the exact phase, shared by every exact store.
+
+    Candidates go ``_GATHER_CHUNK`` at a time through two chunk-sized
+    operand buffers made once per call — the phase scratch of
+    ``workspace`` when one is given, which a streaming call's tiles have
+    already sized — so nothing grows with the candidate count but the
+    result.  Each score is its own dot product, so chunking moves no
+    bits.  ``rows`` are range-checked once here and ``cols`` by the
+    store's ``gather_rows``; ``np.take`` under its default
+    ``mode="raise"`` would buffer a copy of every chunk instead.
+    """
+    batch = np.asarray(batch, dtype=np.float64)
+    _check_indices(rows, batch.shape[0])
+    shape = (2, min(cols.size, _GATHER_CHUNK), batch.shape[1])
+    if workspace is None:
+        weights, features = np.empty(shape)
+    else:
+        weights, features = workspace.buffer(PHASE_SCRATCH, shape)
+    scores = np.empty(cols.size)
+    for start in range(0, cols.size, _GATHER_CHUNK):
+        chunk = slice(start, start + _GATHER_CHUNK)
+        size = len(cols[chunk])
+        store.gather_rows(cols[chunk], out=weights[:size])
+        np.take(batch, rows[chunk], axis=0, out=features[:size], mode="wrap")
+        np.einsum("nd,nd->n", weights[:size], features[:size], out=scores[chunk])
+        scores[chunk] += store.bias[cols[chunk]]
+    return scores
 
 
 class FullClassifier:
@@ -123,6 +166,17 @@ class FullClassifier:
             raise ValueError(f"indices must be 1-D, got shape {index_array.shape}")
         return batch @ self.weight[index_array].T + self.bias[index_array]
 
+    def gather_rows(
+        self, indices: np.ndarray, out: Optional[np.ndarray] = None
+    ) -> np.ndarray:
+        """Weight rows for arbitrary category indices, into ``out`` when
+        given (range-checked, then gathered without a buffered copy) —
+        the surface :class:`~repro.core.weightstore.QuantizedExactStore`
+        dequantizes through."""
+        index_array = np.asarray(indices, dtype=np.intp)
+        _check_indices(index_array, self.num_categories)
+        return np.take(self.weight, index_array, axis=0, out=out, mode="wrap")
+
     def candidate_scores(
         self,
         rows: np.ndarray,
@@ -134,21 +188,12 @@ class FullClassifier:
         pair, flat-aligned with the inputs.
 
         The gather form the vectorized exact phase uses when candidate
-        overlap is too low for the union matmul.  Gathered
-        ``_GATHER_CHUNK`` candidates at a time, so the two ``n × d``
-        operands are bounded however many candidates a batch selects
-        (each score is its own dot product: chunking moves no bits).
-        ``workspace`` is unused here (see :meth:`logits`).
+        overlap is too low for the union matmul
+        (:func:`gathered_candidate_scores`: two chunk-sized operands,
+        from ``workspace`` when one is given, however many candidates a
+        batch selects).
         """
-        scores = np.empty(cols.size)
-        for start in range(0, cols.size, _GATHER_CHUNK):
-            chunk = slice(start, start + _GATHER_CHUNK)
-            np.einsum(
-                "nd,nd->n", self.weight[cols[chunk]], batch[rows[chunk]],
-                out=scores[chunk],
-            )
-        scores += self.bias[cols]
-        return scores
+        return gathered_candidate_scores(self, rows, cols, batch, workspace)
 
     def predict_proba(self, features: np.ndarray) -> np.ndarray:
         """Normalized output probabilities (paper Eq. 2)."""

@@ -52,6 +52,8 @@ between calls.
 
 from __future__ import annotations
 
+import threading
+from contextlib import contextmanager
 from typing import Dict, Optional, Tuple
 
 import numpy as np
@@ -67,7 +69,7 @@ from repro.core.screener import (
 from repro.core.weightstore import QuantizedExactStore
 from repro.linalg.functional import sigmoid, softmax, taylor_softmax
 from repro.obs.recorder import NULL_RECORDER
-from repro.utils.memory import Workspace
+from repro.utils.memory import PHASE_SCRATCH, Workspace
 from repro.utils.validation import check_batch_features, check_positive
 
 
@@ -290,13 +292,11 @@ class DegradedOutput:
 class ApproximateScreeningClassifier:
     """The paper's candidates-only classifier (screen → filter → exact → mix).
 
-    Threading: :meth:`forward`, :meth:`top_k` and :meth:`predict` on an
-    FP64 exact store are re-entrant (their reducer scratch is private
-    to the call and the FP64 exact phase needs none).
-    :meth:`forward_streaming`, and every call on a
-    :class:`~repro.core.weightstore.QuantizedExactStore` pipeline,
-    take scratch from the one pipeline arena (:attr:`workspace`) and
-    are single-threaded — put a
+    Threading: :meth:`forward`, :meth:`top_k` and :meth:`predict` are
+    re-entrant, on either exact store (all their scratch is an arena
+    private to the call, :meth:`_call_arena`).
+    :meth:`forward_streaming` takes scratch from the one pipeline arena
+    (:attr:`workspace`) and is single-threaded — put a
     :class:`~repro.serving.frontdoor.FrontDoor` in front to serve
     concurrent callers.  That is the contract towards *callers*; inside
     one call the tile loop may fold runs of tiles on helper threads
@@ -334,6 +334,11 @@ class ApproximateScreeningClassifier:
         #: exponential of this order instead of exact exp.
         self.softmax_taylor_order = softmax_taylor_order
         self._workspace: Optional[Workspace] = None
+        #: The arena a finished re-entrant call left for the next one,
+        #: and how many times :meth:`close` ran (both under the lock).
+        self._spare_arena: Optional[Workspace] = None
+        self._closes = 0
+        self._spare_lock = threading.Lock()
         #: Observability sink (phase spans + counters); the no-op
         #: :data:`~repro.obs.recorder.NULL_RECORDER` unless a recorder
         #: is supplied — with the default, outputs are bit-identical to
@@ -375,6 +380,33 @@ class ApproximateScreeningClassifier:
         if self._workspace is None:
             self._workspace = Workspace()
         return self._workspace
+
+    @contextmanager
+    def _call_arena(self):
+        """An arena private to one re-entrant call (:meth:`forward`,
+        :meth:`top_k_with_scores`), for all its scratch.
+
+        The call takes the spare arena an earlier call left, else a new
+        one.  When it returns or raises, its arena becomes the spare —
+        unless another call already left one, or :meth:`close` ran
+        meanwhile: then the arena is released.  So two calls in flight
+        never share an arena, at most one arena outlives its call, none
+        outlives :meth:`close`, and a warm call from one thread at a
+        time allocates no scratch, not even its tile."""
+        with self._spare_lock:
+            arena, self._spare_arena = self._spare_arena, None
+            closes = self._closes
+        if arena is None:
+            arena = Workspace()
+        try:
+            yield arena
+        finally:
+            with self._spare_lock:
+                kept = self._spare_arena is None and self._closes == closes
+                if kept:
+                    self._spare_arena = arena
+            if not kept:
+                arena.release()
 
     # ------------------------------------------------------------------
     # array-level (de)construction — the parallel engine's wire format
@@ -523,16 +555,15 @@ class ApproximateScreeningClassifier:
                     (batch.shape[0], self.num_categories),
                     dtype=self.screener.compute_dtype,
                 )
-                # Reducer scratch is private to the call, so dense forward
-                # on an FP64 store never touches the shared pipeline arena.
-                counts, cols, approx_values = self._screen_and_select(
-                    batch, Workspace(), plane=plane
-                )
-                candidates = CandidateSet.from_flat(counts, cols)
-                with recorder.span("exact"):
-                    exact = self._exact_candidate_values(
-                        batch, candidates, self.workspace
+                # Scratch is private to the call, so dense forward
+                # never touches the shared pipeline arena.
+                with self._call_arena() as ws:
+                    counts, cols, approx_values = self._screen_and_select(
+                        batch, ws, plane=plane
                     )
+                    candidates = CandidateSet.from_flat(counts, cols)
+                    with recorder.span("exact"):
+                        exact = self._exact_candidate_values(batch, candidates, ws)
                 with recorder.span("merge"):
                     rows, cols = candidates.flat()
                     plane[rows, cols] = exact
@@ -576,8 +607,9 @@ class ApproximateScreeningClassifier:
         non-candidates, for :meth:`top_k_with_scores`).
 
         A tile lands in ``plane[:, t0:t1]`` when the caller wants the
-        score plane kept (dense :meth:`forward`), else in the ``"tile"``
-        buffer of ``ws``, overwritten by the next tile; all other
+        score plane kept (dense :meth:`forward`), else in the phase
+        scratch of ``ws`` (:data:`~repro.utils.memory.PHASE_SCRATCH`),
+        overwritten by the next tile and then by the exact phase; all other
         scratch comes from ``ws`` either way.  ``block_categories`` sets
         the selection granularity (default: one update per tile).
         """
@@ -610,7 +642,9 @@ class ApproximateScreeningClassifier:
         for t0, t1 in tiles:
             with recorder.span("streaming.screen_tile"):
                 if plane is None:
-                    out = ws.buffer("tile", (len(augmented), t1 - t0), augmented.dtype)
+                    out = ws.buffer(
+                        PHASE_SCRATCH, (len(augmented), t1 - t0), augmented.dtype
+                    )
                 else:
                     out = plane[:, t0:t1]
                 tile = self.screener.score_tile(augmented, t0, t1, out=out)
@@ -667,9 +701,10 @@ class ApproximateScreeningClassifier:
 
         Both forms go through the exact store's polymorphic surface
         (``logits_for`` / ``candidate_scores``), so the same kernel
-        serves FP64 weights and a :class:`QuantizedExactStore` — the
-        latter dequantizes its gathered rows into ``workspace`` scratch,
-        keeping the streaming steady state allocation-flat.
+        serves FP64 weights and a :class:`QuantizedExactStore`; the
+        flat gather takes its chunk-sized operands from ``workspace``
+        on both (a quantized store dequantizes into it), keeping the
+        steady state allocation-flat.
         """
         rows, cols = candidates.flat()
         if rows.size == 0:
@@ -786,26 +821,27 @@ class ApproximateScreeningClassifier:
         row finishes the job.  Bit-identical — indices, scores, order —
         to ranking :meth:`forward`'s ``logits`` with
         :func:`~repro.distributed.sharding.shard_top_k`.  Threading as
-        :meth:`forward`: reducer scratch is private to the call.
+        :meth:`forward`: scratch is private to the call.
         """
         recorder = self.recorder
         with recorder.span("top_k"):
             batch = check_batch_features(features, self.hidden_dim)
             check_positive("k", k)
             local_k = min(int(k), self.num_categories)
-            counts, cols, values = self._screen_and_select(
-                batch, Workspace(), runner_ups=local_k
-            )
-            rows = np.repeat(np.arange(batch.shape[0]), counts)
-            chosen = self.selector.is_candidate(values, batch.shape[0])
-            candidates = CandidateSet.from_flat(
-                np.bincount(rows[chosen], minlength=batch.shape[0]), cols[chosen]
-            )
-            with recorder.span("exact"):
-                # The same float64 -> compute-dtype store as the dense mix.
-                values[chosen] = self._exact_candidate_values(
-                    batch, candidates, self.workspace
+            with self._call_arena() as ws:
+                counts, cols, values = self._screen_and_select(
+                    batch, ws, runner_ups=local_k
                 )
+                rows = np.repeat(np.arange(batch.shape[0]), counts)
+                chosen = self.selector.is_candidate(values, batch.shape[0])
+                candidates = CandidateSet.from_flat(
+                    np.bincount(rows[chosen], minlength=batch.shape[0]), cols[chosen]
+                )
+                with recorder.span("exact"):
+                    # The same float64 -> compute-dtype store as the dense mix.
+                    values[chosen] = self._exact_candidate_values(
+                        batch, candidates, ws
+                    )
             with recorder.span("rank"):
                 order = np.lexsort((cols, -values, rows))
                 first = np.cumsum(counts) - counts
@@ -819,7 +855,9 @@ class ApproximateScreeningClassifier:
     # EngineBackend conformance (repro.serving.backend)
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Release serving resources (the streaming workspace arena).
+        """Release serving resources (the streaming workspace arena and
+        the spare arena of re-entrant calls; a call still in flight
+        releases its own arena when it returns).
 
         Part of the :class:`~repro.serving.backend.EngineBackend`
         contract so a single-node pipeline is interchangeable with the
@@ -830,6 +868,11 @@ class ApproximateScreeningClassifier:
         if self._workspace is not None:
             self._workspace.release()
             self._workspace = None
+        with self._spare_lock:
+            spare, self._spare_arena = self._spare_arena, None
+            self._closes += 1
+        if spare is not None:
+            spare.release()
 
     def __enter__(self) -> "ApproximateScreeningClassifier":
         return self

@@ -37,7 +37,7 @@ from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.classifier import NORMALIZATIONS
+from repro.core.classifier import NORMALIZATIONS, gathered_candidate_scores
 from repro.core.screener import TILE_CATEGORIES
 from repro.linalg.functional import sigmoid, softmax
 from repro.linalg.quantize import TileQuantized, quantize_tiles
@@ -285,12 +285,10 @@ class QuantizedExactStore:
         workspace=None,
     ) -> np.ndarray:
         """Per-candidate exact scores (flat gather form): one dot
-        product per ``(row, col)`` pair."""
-        gathered = self._scratch(
-            workspace, "exact_store.gather", (cols.size, self.hidden_dim)
-        )
-        self.gather_rows(cols, out=gathered)
-        return np.einsum("nd,nd->n", gathered, batch[rows]) + self.bias[cols]
+        product per ``(row, col)`` pair, dequantized a chunk of
+        candidates at a time into ``workspace`` scratch
+        (:func:`~repro.core.classifier.gathered_candidate_scores`)."""
+        return gathered_candidate_scores(self, rows, cols, batch, workspace)
 
     def predict_proba(self, features: np.ndarray) -> np.ndarray:
         """Normalized output probabilities (FullClassifier surface)."""

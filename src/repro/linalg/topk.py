@@ -14,6 +14,7 @@ from typing import List
 
 import numpy as np
 
+from repro.utils.memory import Workspace
 from repro.utils.validation import check_positive
 
 
@@ -44,7 +45,19 @@ def top_k_indices(scores: np.ndarray, k: int, sort: bool = True) -> np.ndarray:
     return indices
 
 
-def stable_top_m_indices(scores: np.ndarray, m: int) -> np.ndarray:
+#: Workspace keys of the reducer's scratch: the compare mask, the plane
+#: the runner-up queue is cut on, the slabs of its two flat records, and
+#: the rows :func:`stable_top_m_indices` partitions.
+_MASK, _CUT, _HITS, _QUEUE, _FILL = (
+    ("thr", "mask"), ("thr", "cut"), "thr", ("thr", "runner"), ("thr", "fill"),
+)
+
+#: Scores :func:`stable_top_m_indices` partitions at a time: four rows
+#: of a tile, 256 KB in float64, so each piece stays in L2.
+_FILL_ENTRIES = 32 * 1024
+
+
+def stable_top_m_indices(scores: np.ndarray, m: int, workspace=None) -> np.ndarray:
     """Deterministic batched top-``m``: ties broken by lowest index.
 
     Returns a ``(batch, m)`` index array, ascending within each row.
@@ -55,6 +68,14 @@ def stable_top_m_indices(scores: np.ndarray, m: int) -> np.ndarray:
     reducer (:class:`BlockwiseThreshold` at ``+inf``) reproduce the
     dense selection bit for bit for every block size, even on
     degenerate inputs where the INT4 screener produces exact score ties.
+
+    Each row's order statistic is found a few rows at a time: the rows
+    are copied into ``_FILL_ENTRIES`` of scratch and partitioned in place
+    there, and the ``>=`` compare writes a mask.  A row whose ties
+    straddle the cut then drops its tied entries past the ones it
+    needs, one row at a time.  Nothing allocated is the size of
+    ``scores`` but the mask, and with a ``workspace`` (whose arena the
+    mask and rows come from) a warm call allocates only its result.
     """
     array = np.asarray(scores)
     if array.ndim != 2:
@@ -63,24 +84,22 @@ def stable_top_m_indices(scores: np.ndarray, m: int) -> np.ndarray:
     check_positive("m", m)
     if m >= n:
         return np.broadcast_to(np.arange(n), (batch, n)).copy()
-
-    kth = np.partition(array, n - m, axis=1)[:, n - m : n - m + 1]
-    ge = array >= kth
-    counts = ge.sum(axis=1)
-    if np.all(counts == m):
-        # No ties straddle the cut: the mask alone is the selection.
-        mask = ge
-    else:
-        gt = array > kth
-        eq = ge & ~gt
-        need = m - gt.sum(axis=1, keepdims=True)
-        mask = gt | (eq & (np.cumsum(eq, axis=1) <= need))
+    ws = workspace if workspace is not None else Workspace()
+    mask = ws.buffer(_MASK, (batch, n), bool)
+    step = max(1, _FILL_ENTRIES // n)
+    for start in range(0, batch, step):
+        block, ge = array[start : start + step], mask[start : start + step]
+        fill = ws.buffer(_FILL, block.shape, array.dtype)
+        np.copyto(fill, block)
+        fill.partition(n - m, axis=1)
+        kth = fill[:, n - m : n - m + 1]
+        np.greater_equal(block, kth, out=ge)
+        excess = np.count_nonzero(ge, axis=1) - m
+        for row in np.flatnonzero(excess):
+            # Keep every entry above kth and the first tied ones only.
+            tied = np.flatnonzero(block[row] == kth[row])
+            ge[row, tied[tied.size - excess[row] :]] = False
     return np.nonzero(mask)[1].reshape(batch, m)
-
-
-#: Workspace keys of the reducer's scratch: the compare mask, the plane
-#: the runner-up queue is cut on, and the slabs of its two flat records.
-_MASK, _CUT, _HITS, _QUEUE = ("thr", "mask"), ("thr", "cut"), "thr", ("thr", "runner")
 
 
 def _survivors(ws, block: np.ndarray, bound, dense: int = -1):
@@ -156,9 +175,11 @@ class BlockwiseThreshold:
     first block's path instead: its own top ``k`` plus the most hits
     any row has.  A row's room is ``4 k``: ``2 k`` held between cuts,
     plus one block's contenders, the ``k`` of a dense block or a fork's
-    ``2 k`` at :meth:`absorb`.  The queue and its cut plane are sized
-    for that room on construction, so at ``threshold = +inf`` no block,
-    batch or lane grows them, whatever the data.
+    ``2 k`` at :meth:`absorb`.  The queue, its cut plane and the scratch
+    the cut is partitioned in are sized for that room on construction,
+    so at ``threshold = +inf`` no cut, batch or lane grows them, whatever
+    the data (only a lane's first dense block, if one comes, sizes the
+    scratch it is partitioned in).
     """
 
     def __init__(
@@ -171,8 +192,6 @@ class BlockwiseThreshold:
     ):
         if threshold is None:
             raise ValueError("threshold mode requires a calibrated threshold")
-        from repro.utils.memory import Workspace
-
         self._ws = workspace if workspace is not None else Workspace()
         self.batch = batch
         self.threshold = float(threshold)
@@ -183,9 +202,13 @@ class BlockwiseThreshold:
         self._held = np.zeros(batch, dtype=np.intp)  # queued entries per row
         self._floor = None  # set once every row holds ``runner_ups`` rejected entries
         if runner_ups:
+            room = 4 * runner_ups
             for key, kind in self._queue._slabs:
-                self._ws.growable(key, batch * 4 * runner_ups, kind)
-            self._ws.buffer(_CUT, (batch, 4 * runner_ups), self.dtype)
+                self._ws.growable(key, batch * room, kind)
+            self._ws.buffer(_CUT, (batch, room), self.dtype)
+            # The most of the cut plane stable_top_m_indices partitions at once.
+            cut_piece = min(batch * room, max(_FILL_ENTRIES, room))
+            self._ws.buffer(_FILL, (cut_piece,), self.dtype)
 
     def update(self, start: int, block: np.ndarray) -> None:
         if block.shape[1] == 0:
@@ -198,7 +221,7 @@ class BlockwiseThreshold:
                 # the block's top to hold each row's best ``k`` rejected
                 # entries (every column, when the block is short).
                 most = int(np.bincount(rows, minlength=self.batch).max())
-                picked = stable_top_m_indices(block, k + most)
+                picked = stable_top_m_indices(block, k + most, self._ws)
                 scores = np.take_along_axis(block, picked, axis=1)
                 rejected = scores <= self.threshold
                 self._queue.append(
@@ -243,7 +266,7 @@ class BlockwiseThreshold:
         plane = self._ws.buffer(_CUT, (self.batch, int(held.max())), self.dtype)
         plane.fill(-np.inf)
         plane[rows[order], np.arange(rows.size) - np.repeat(first, held)] = values[order]
-        best = stable_top_m_indices(plane, k)  # every column of a narrower plane
+        best = stable_top_m_indices(plane, k, self._ws)  # every column of a narrower plane
         keep = order[(first[:, None] + best)[best < held[:, None]]]
         for slab in queue:
             slab[: keep.size] = slab[keep]

@@ -57,6 +57,13 @@ def configure_serving_allocator(threshold_bytes: int = 1 << 30) -> bool:
     return bool(accepted_mmap) and bool(accepted_trim)
 
 
+#: The key of an arena's phase scratch: one slab the phases of a call take
+#: turns in — each screening tile, then the exact phase's gathered
+#: operands — so a later phase grows nothing an earlier one sized.  A view
+#: of it is dead once its phase ends.
+PHASE_SCRATCH = "tile"
+
+
 class Workspace:
     """A keyed arena of reusable scratch buffers.
 

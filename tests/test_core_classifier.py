@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import FullClassifier
+from repro.utils.memory import Workspace
 
 
 class TestConstruction:
@@ -77,6 +78,53 @@ class TestForward:
             tracemalloc.stop()
         assert np.array_equal(got, want)
         assert peak < 2 * 1024 * clf.hidden_dim * 8 + got.nbytes + 64 * 1024
+
+    def test_candidate_scores_in_a_workspace_allocate_only_the_result(
+        self, small_task
+    ):
+        """With a workspace the two operands are arena slabs: a warm
+        call allocates its result and little else, same bits."""
+        clf = small_task.classifier
+        features = small_task.sample_features(8, rng=3)
+        rng = np.random.default_rng(1)
+        rows = np.sort(rng.integers(0, 8, 5000))
+        cols = rng.integers(0, clf.num_categories, 5000)
+        workspace = Workspace()
+        want = clf.candidate_scores(rows, cols, features)
+        assert np.array_equal(clf.candidate_scores(rows, cols, features, workspace), want)
+        tracemalloc.start()
+        try:
+            got = clf.candidate_scores(rows, cols, features, workspace)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(got, want)
+        assert peak < got.nbytes + 64 * 1024
+
+    @pytest.mark.parametrize("which", ["rows", "cols"])
+    @pytest.mark.parametrize("bad", [-10**6, 10**6])
+    def test_candidate_scores_range_checks_its_indices(self, small_task, which, bad):
+        """The gathers run unbuffered, so the indices are checked first;
+        negative indices inside the axis count from its end, as in
+        indexing."""
+        clf = small_task.classifier
+        features = small_task.sample_features(8, rng=3)
+        rows, cols = np.array([0, 3, -1]), np.array([5, -2, 7])
+        want = np.einsum("nd,nd->n", clf.weight[cols], features[rows]) + clf.bias[cols]
+        assert np.array_equal(clf.candidate_scores(rows, cols, features), want)
+        bad_rows, bad_cols = rows.copy(), cols.copy()
+        (bad_rows if which == "rows" else bad_cols)[1] = bad
+        with pytest.raises(IndexError):
+            clf.candidate_scores(bad_rows, bad_cols, features)
+
+    def test_gather_rows_matches_indexing(self, small_task):
+        clf = small_task.classifier
+        cols = np.array([3, 0, 1999, 3])
+        out = np.empty((4, clf.hidden_dim))
+        assert clf.gather_rows(cols, out=out) is out
+        assert np.array_equal(out, clf.weight[cols])
+        with pytest.raises(IndexError):
+            clf.gather_rows(np.array([clf.num_categories]))
 
     def test_predict_proba_softmax_distribution(self, small_task):
         proba = small_task.classifier.predict_proba(

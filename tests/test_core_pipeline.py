@@ -1,6 +1,8 @@
 import subprocess
 import sys
 import textwrap
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from repro.core import (
 )
 from repro.core.metrics import candidate_recall
 from repro.core.pipeline import ScreenedOutput
+from repro.core.screener import TILE_CATEGORIES
 
 
 @pytest.fixture()
@@ -161,6 +164,111 @@ class TestEnginesAgreeOnBadAndLargeInput:
         model.top_k(features, 3)
         assert model.workspace.requests == requests
         assert model.workspace.allocations == allocations
+
+    @staticmethod
+    def during_exact_phase(model, action):
+        """Run ``action()`` inside ``model``'s first exact phase, while
+        that call is in flight; return the arena each exact phase got."""
+        arenas = []
+        exact_phase = model._exact_candidate_values
+
+        def hooked(batch, candidates, workspace):
+            arenas.append(workspace)
+            if len(arenas) == 1:
+                action()
+            return exact_phase(batch, candidates, workspace)
+
+        model._exact_candidate_values = hooked
+        return arenas
+
+    def test_calls_in_flight_together_leave_one_spare_arena(self, pipeline, small_task):
+        """A call that starts while another is in flight gets its own
+        arena; when both are done one arena is kept for the next call
+        and the other is released."""
+        features = small_task.sample_features(4, rng=2)
+        want = pipeline.forward(features).logits
+        arenas = self.during_exact_phase(pipeline, lambda: pipeline.top_k(features, 3))
+        assert np.array_equal(pipeline.forward(features).logits, want)
+        outer, inner = arenas
+        assert outer is not inner and inner.nbytes > 0
+        assert pipeline._spare_arena is inner
+        assert outer.nbytes == 0
+
+    def test_threads_never_share_a_call_arena(self, pipeline, small_task):
+        """Six threads (more than cores) in ``forward`` / ``top_k`` on
+        one pipeline, switching every microsecond: each output equals
+        the one-thread output, which two calls on one arena would break."""
+        features = [small_task.sample_features(4, rng=seed) for seed in range(6)]
+        want = [
+            (pipeline.forward(batch).logits, pipeline.top_k_with_scores(batch, 3))
+            for batch in features
+        ]
+        wrong = []
+
+        def work(index):
+            for _ in range(5):
+                logits = pipeline.forward(features[index]).logits
+                ranked = pipeline.top_k_with_scores(features[index], 3)
+                logits_want, ranked_want = want[index]
+                if not np.array_equal(logits, logits_want) or not all(
+                    map(np.array_equal, ranked, ranked_want)
+                ):
+                    wrong.append(index)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
+
+    def test_close_releases_an_arena_still_in_flight(self, pipeline, small_task):
+        features = small_task.sample_features(4, rng=2)
+        want = pipeline.forward(features).logits
+        arenas = self.during_exact_phase(pipeline, pipeline.close)
+        assert np.array_equal(pipeline.forward(features).logits, want)
+        assert pipeline._spare_arena is None
+        assert arenas[0].nbytes == 0
+        assert np.array_equal(pipeline.forward(features).logits, want)
+        assert pipeline._spare_arena is arenas[1]
+
+    @pytest.mark.parametrize("store", ["float64", "int8"])
+    @pytest.mark.parametrize("mode", ["top_m", "threshold"])
+    def test_warm_calls_hold_no_tile_sized_temporary(self, multi_tile, mode, store):
+        """A warm ``forward_streaming`` or ``top_k_with_scores`` (16
+        rows, three tiles) allocates under a quarter of one tile's
+        scores: the first fill partitions in arena scratch, the exact
+        phase gathers into it, and ``top_k`` reuses a call arena."""
+        task, base = multi_tile
+        selector = CandidateSelector(mode, 32)
+        if mode == "threshold":
+            selector.calibrate(
+                base.screener.approximate_logits(task.sample_features(64, rng=9))
+            )
+        model = ApproximateScreeningClassifier(task.classifier, base.screener, selector)
+        if store == "int8":
+            model.quantize_exact_weights("int8")
+        features = task.sample_features(16, rng=8)
+        tile_bytes = features.shape[0] * TILE_CATEGORIES * 8
+        for name, call in (
+            ("forward_streaming", model.forward_streaming),
+            ("top_k_with_scores", lambda batch: model.top_k_with_scores(batch, 5)),
+        ):
+            for _ in range(2):
+                call(features)
+            tracemalloc.start()
+            try:
+                call(features)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < tile_bytes / 4, name
 
 
 class TestWholePlanePassIsOracleOnly:

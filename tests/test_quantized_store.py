@@ -17,6 +17,8 @@ Contracts under test:
   through kill/respawn.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -33,6 +35,7 @@ from repro.core.weightstore import STORE_KINDS
 from repro.data import make_task
 from repro.distributed import ShardedClassifier
 from repro.metrics import perplexity_from_proba, precision_at_k
+from repro.utils.memory import Workspace
 
 NUM_CATEGORIES = 600
 HIDDEN_DIM = 32
@@ -140,6 +143,39 @@ class TestStoreSurface:
         rows = np.arange(4)
         flat = store.candidate_scores(rows, cols, features)
         assert np.allclose(flat, full[rows, cols], atol=1e-10)
+
+    @pytest.mark.parametrize("kind", STORE_KINDS)
+    def test_candidate_scores_gathers_in_bounded_chunks(self, task, kind):
+        """20,000 candidates: the bits of the whole-gather einsum, with
+        the dequantized operands a chunk long — from a workspace or not —
+        under the FP64 classifier's bound
+        (``tests/test_core_classifier.py``) plus what dequantizing a
+        chunk stages: int8's scale multiply broadcasts through NumPy's
+        64 KB buffer, float16 gathers a chunk of its codes to cast."""
+        store = QuantizedExactStore.from_classifier(
+            task.classifier, kind=kind, tile_rows=TILE_ROWS
+        )
+        features = task.sample_features(8, rng=3)
+        rng = np.random.default_rng(5)
+        rows = np.sort(rng.integers(0, 8, 20_000))
+        cols = rng.integers(0, NUM_CATEGORIES, 20_000)
+        want = (
+            np.einsum("nd,nd->n", store.gather_rows(cols), features[rows])
+            + store.bias[cols]
+        )
+        staged = {"int8": 64 * 1024, "float16": 1024 * HIDDEN_DIM * 2}[kind]
+        workspace = Workspace()
+        for arena in (None, workspace, workspace):
+            tracemalloc.start()
+            try:
+                got = store.candidate_scores(rows, cols, features, workspace=arena)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert np.array_equal(got, want)
+            bound = 2 * 1024 * HIDDEN_DIM * 8 + got.nbytes + 64 * 1024
+            assert peak < bound + staged
+        assert workspace.nbytes == 2 * 1024 * HIDDEN_DIM * 8
 
     def test_float16_kind(self, task, features):
         store = QuantizedExactStore.from_classifier(task.classifier, kind="float16")
@@ -255,9 +291,22 @@ class TestWorkspaceDiscipline:
     def test_dense_exact_phase_uses_workspace(
         self, task, screener, features, calibration
     ):
+        """Dense ``forward`` dequantizes into the call's own arena, as it
+        screens into it, and leaves the pipeline arena alone: on a
+        quantized store too, ``forward`` is re-entrant."""
         quantized = quantized_twin(task, screener, "top_m", calibration, "int8")
+        arenas = []
+        exact_phase = quantized._exact_candidate_values
+
+        def recording(batch, candidates, workspace):
+            arenas.append(workspace)
+            return exact_phase(batch, candidates, workspace)
+
+        quantized._exact_candidate_values = recording
         quantized.forward(features)
-        assert quantized.workspace.requests > 0
+        assert arenas == [quantized._spare_arena]
+        assert arenas[0].requests > 0
+        assert quantized.workspace.requests == 0
 
     def test_requantization_rejected(self, task, screener, calibration):
         quantized = quantized_twin(task, screener, "top_m", calibration, "int8")
