@@ -17,6 +17,7 @@ test:
 DOCS = DESIGN.md README.md ROADMAP.md CHANGES.md EXPERIMENTS.md
 loc:
 	python3 scripts/code_lines.py src
+	python3 scripts/code_lines.py tests | tail -1
 	wc -l $(DOCS)
 
 # What a fresh process (a worker start, a respawn) pays to import the

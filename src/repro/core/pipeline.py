@@ -17,22 +17,20 @@ approximate and exact entries.  Mixing raw values is exactly what the
 hardware does, so we do the same; the candidate set is what protects
 top-K quality.
 
-One tile loop, one oracle: the Screener's filter consumes score tiles
-as they stream past (paper Sections 5.1–5.2), and every serving call
-runs that loop.  :meth:`~ApproximateScreeningClassifier.forward_streaming`
-overwrites one tile buffer and returns candidate entries only;
-:meth:`~ApproximateScreeningClassifier.top_k_with_scores` (behind
-``top_k`` and ``predict``) does the same with ``k`` runner-up slots in
-the reducer and ranks the few entries it kept;
+One tile loop, one call contract: the Screener's filter consumes score
+tiles as they stream past (paper Sections 5.1–5.2), and every serving
+call runs that loop on the arena the pipeline keeps between calls.
+:meth:`~ApproximateScreeningClassifier.forward_streaming` overwrites
+one tile buffer and returns candidate entries only;
+:meth:`~ApproximateScreeningClassifier.top_k` (behind ``predict``) does
+the same with ``k`` runner-up slots in the reducer and ranks the few
+entries it kept into ``(indices, scores)``;
 :meth:`ApproximateScreeningClassifier.forward` lets each tile land in
 the ``batch × l`` plane it returns and mixes every candidate in one
 scatter.  Same GEMM calls, same reducer, same exact-phase kernel, so
 their candidate entries are identical bits.  Which call allocates what:
 ``forward`` and ``predict_proba`` (which normalizes the plane by
-definition) the plane, everything else one tile.
-``forward(faithful=True)`` keeps the whole-plane selection and the
-per-row exact loop as the reference the differential tests compare
-against.
+definition) the plane, everything else only the few entries it returns.
 
 Lanes: ENMC is a rank-level design — every rank screens its own slice
 of the category space and the host only merges index buffers.  A call
@@ -292,18 +290,12 @@ class DegradedOutput:
 class ApproximateScreeningClassifier:
     """The paper's candidates-only classifier (screen → filter → exact → mix).
 
-    Threading: :meth:`forward`, :meth:`top_k` and :meth:`predict` are
-    re-entrant, on either exact store (all their scratch is an arena
-    private to the call, :meth:`_call_arena`).
-    :meth:`forward_streaming` takes scratch from the one pipeline arena
-    (:attr:`workspace`) and is single-threaded — put a
-    :class:`~repro.serving.frontdoor.FrontDoor` in front to serve
-    concurrent callers.  That is the contract towards *callers*; inside
-    one call the tile loop may fold runs of tiles on helper threads
-    (module docstring, :func:`~repro.core.screener.lane_count`), each on
-    a child arena of the call's own, all joined before the call returns
-    or raises — so a single-threaded caller stays the only user of the
-    arena it passed, and a re-entrant call stays re-entrant.
+    Threading: every serving call is re-entrant, on either exact store —
+    it takes all its scratch from an arena no other call in flight
+    holds (:meth:`_call_arena`).  Inside one call the tile loop may fold
+    runs of tiles on helper threads (module docstring,
+    :func:`~repro.core.screener.lane_count`), each on a child arena of
+    the call's own, all joined before the call returns or raises.
     """
 
     def __init__(
@@ -333,12 +325,11 @@ class ApproximateScreeningClassifier:
         #: When set, softmax uses the Executor SFU's Taylor-approximated
         #: exponential of this order instead of exact exp.
         self.softmax_taylor_order = softmax_taylor_order
-        self._workspace: Optional[Workspace] = None
-        #: The arena a finished re-entrant call left for the next one,
-        #: and how many times :meth:`close` ran (both under the lock).
-        self._spare_arena: Optional[Workspace] = None
+        #: The arena kept between calls, and how many times
+        #: :meth:`close` ran (both under the lock).
+        self._arena: Optional[Workspace] = None
         self._closes = 0
-        self._spare_lock = threading.Lock()
+        self._arena_lock = threading.Lock()
         #: Observability sink (phase spans + counters); the no-op
         #: :data:`~repro.obs.recorder.NULL_RECORDER` unless a recorder
         #: is supplied — with the default, outputs are bit-identical to
@@ -369,42 +360,44 @@ class ApproximateScreeningClassifier:
 
     @property
     def workspace(self) -> Workspace:
-        """The scratch arena backing :meth:`forward_streaming`.
+        """The scratch arena kept between calls — the one the next
+        serving call takes (:meth:`_call_arena`) — created lazily.
 
-        Created lazily and reused across calls; after the first call at
-        a given batch shape its ``allocations`` counter stays flat
-        (the zero-allocation steady-state contract, tested) — helper
-        lanes' child arenas included: when a threshold fork is absorbed,
-        its arena gets room for the whole record it joined, so the
-        second call of a multi-lane loop allocates nothing either."""
-        if self._workspace is None:
-            self._workspace = Workspace()
-        return self._workspace
+        For callers that come one at a time every call runs on it, so
+        after the first call at a given batch shape its ``allocations``
+        counter stays flat (the zero-allocation steady-state contract,
+        tested) — helper lanes' child arenas included: when a threshold
+        fork is absorbed, its arena gets room for the whole record it
+        joined, so the second call of a multi-lane loop allocates
+        nothing either."""
+        with self._arena_lock:
+            if self._arena is None:
+                self._arena = Workspace()
+            return self._arena
 
     @contextmanager
     def _call_arena(self):
-        """An arena private to one re-entrant call (:meth:`forward`,
-        :meth:`top_k_with_scores`), for all its scratch.
+        """The arena one serving call takes all its scratch from.
 
-        The call takes the spare arena an earlier call left, else a new
-        one.  When it returns or raises, its arena becomes the spare —
-        unless another call already left one, or :meth:`close` ran
-        meanwhile: then the arena is released.  So two calls in flight
-        never share an arena, at most one arena outlives its call, none
-        outlives :meth:`close`, and a warm call from one thread at a
-        time allocates no scratch, not even its tile."""
-        with self._spare_lock:
-            arena, self._spare_arena = self._spare_arena, None
+        The call takes the kept arena, else (none yet, or another call
+        holds it) a new one.  When it returns or raises, its arena is kept for the
+        next call — unless another call already left one, or
+        :meth:`close` ran meanwhile: then the arena is released.  So two
+        calls in flight never share an arena, at most one arena outlives
+        its call, none outlives :meth:`close`, and a warm call from one
+        thread at a time allocates no scratch, not even its tile."""
+        with self._arena_lock:
+            arena, self._arena = self._arena, None
             closes = self._closes
         if arena is None:
             arena = Workspace()
         try:
             yield arena
         finally:
-            with self._spare_lock:
-                kept = self._spare_arena is None and self._closes == closes
+            with self._arena_lock:
+                kept = self._arena is None and self._closes == closes
                 if kept:
-                    self._spare_arena = arena
+                    self._arena = arena
             if not kept:
                 arena.release()
 
@@ -535,62 +528,39 @@ class ApproximateScreeningClassifier:
         return self
 
     # ------------------------------------------------------------------
-    def forward(self, features: np.ndarray, faithful: bool = False) -> ScreenedOutput:
+    def forward(self, features: np.ndarray) -> ScreenedOutput:
         """Run the full screened pipeline on a feature batch.
 
-        The default path runs the tile loop of :meth:`forward_streaming`
-        with each tile landing in the ``batch × l`` plane it returns,
-        then mixes every candidate in one scatter.  ``faithful=True`` is
-        the reference dataflow (whole-plane screening, whole-plane
-        selection, one gather + matmul per batch row) the differential
-        tests compare against; both produce identical outputs.
+        Runs the tile loop of :meth:`forward_streaming` with each tile
+        landing in the ``batch × l`` plane it returns, then mixes every
+        candidate in one scatter.
         """
         recorder = self.recorder
         with recorder.span("forward"):
             batch = check_batch_features(features, self.hidden_dim)
-            if faithful:
-                output = self._forward_per_row(batch)
-            else:
-                plane = np.empty(
-                    (batch.shape[0], self.num_categories),
-                    dtype=self.screener.compute_dtype,
+            plane = np.empty(
+                (batch.shape[0], self.num_categories),
+                dtype=self.screener.compute_dtype,
+            )
+            with self._call_arena() as ws:
+                counts, cols, approx_values = self._screen_and_select(
+                    batch, ws, plane=plane
                 )
-                # Scratch is private to the call, so dense forward
-                # never touches the shared pipeline arena.
-                with self._call_arena() as ws:
-                    counts, cols, approx_values = self._screen_and_select(
-                        batch, ws, plane=plane
-                    )
-                    candidates = CandidateSet.from_flat(counts, cols)
-                    with recorder.span("exact"):
-                        exact = self._exact_candidate_values(batch, candidates, ws)
-                with recorder.span("merge"):
-                    rows, cols = candidates.flat()
-                    plane[rows, cols] = exact
-                output = ScreenedOutput(
-                    plane, candidates=candidates, restore=(rows, cols, approx_values)
-                )
+                candidates = CandidateSet.from_flat(counts, cols)
+                with recorder.span("exact"):
+                    exact = self._exact_candidate_values(batch, candidates, ws)
+            with recorder.span("merge"):
+                rows, cols = candidates.flat()
+                plane[rows, cols] = exact
+            output = ScreenedOutput(
+                plane, candidates=candidates, restore=(rows, cols, approx_values)
+            )
             recorder.increment("pipeline.forward_requests")
             recorder.increment("pipeline.rows", batch.shape[0])
             recorder.increment("pipeline.exact_candidates", output.exact_count)
             return output
 
     __call__ = forward
-
-    def _forward_per_row(self, batch: np.ndarray) -> ScreenedOutput:
-        """The oracle: whole-plane screening and selection, then one
-        gather + matmul per batch row."""
-        approx = self.screener.approximate_logits(batch)
-        candidates = self.selector.select(approx)
-        mixed = approx.copy()
-        for row, indices in enumerate(candidates):
-            if indices.size == 0:
-                continue
-            exact = self.classifier.logits_for(indices, batch[row])
-            mixed[row, indices] = exact[0]
-        return ScreenedOutput(
-            logits=mixed, approximate_logits=approx, candidates=candidates
-        )
 
     def _screen_and_select(
         self,
@@ -604,7 +574,7 @@ class ApproximateScreeningClassifier:
         the running reducer, return the reducer's flat record — per-row
         ``counts``, then the candidates' ``cols`` and approximate
         ``values`` in row order (plus each row's best ``runner_ups``
-        non-candidates, for :meth:`top_k_with_scores`).
+        non-candidates, for :meth:`top_k`).
 
         A tile lands in ``plane[:, t0:t1]`` when the caller wants the
         score plane kept (dense :meth:`forward`), else in the phase
@@ -724,7 +694,6 @@ class ApproximateScreeningClassifier:
         self,
         features: np.ndarray,
         block_categories: Optional[int] = None,
-        workspace: Optional[Workspace] = None,
     ) -> StreamedOutput:
         """Blocked streaming forward: screen, select and mix per block.
 
@@ -751,8 +720,8 @@ class ApproximateScreeningClassifier:
         approximate values only); callers that need the full score
         plane ask :meth:`forward` for it explicitly.
 
-        All recurring scratch comes from ``workspace`` (default: the
-        pipeline-owned arena), so steady-state calls perform zero new
+        All recurring scratch comes from the call's arena
+        (:meth:`_call_arena`), so steady-state calls perform zero new
         workspace allocations after warm-up.
         """
         recorder = self.recorder
@@ -762,21 +731,21 @@ class ApproximateScreeningClassifier:
                 raise ValueError(
                     f"block_categories must be positive, got {block_categories}"
                 )
-            ws = workspace if workspace is not None else self.workspace
-            counts, cols, approx_values = self._screen_and_select(
-                batch, ws, block_categories
-            )
-            candidates = CandidateSet.from_flat(counts, cols)
-            recorder.increment("pipeline.streaming_requests")
-            recorder.increment("pipeline.rows", batch.shape[0])
-            recorder.increment("pipeline.exact_candidates", candidates.total)
-            if recorder.enabled:
-                recorder.set_gauge("pipeline.workspace_bytes", ws.nbytes)
-                recorder.set_gauge("pipeline.workspace_allocations", ws.allocations)
-            with recorder.span("streaming.exact"):
-                exact_values = self._exact_candidate_values(
-                    batch, candidates, ws
-                ).astype(self.screener.compute_dtype, copy=False)
+            with self._call_arena() as ws:
+                counts, cols, approx_values = self._screen_and_select(
+                    batch, ws, block_categories
+                )
+                candidates = CandidateSet.from_flat(counts, cols)
+                recorder.increment("pipeline.streaming_requests")
+                recorder.increment("pipeline.rows", batch.shape[0])
+                recorder.increment("pipeline.exact_candidates", candidates.total)
+                if recorder.enabled:
+                    recorder.set_gauge("pipeline.workspace_bytes", ws.nbytes)
+                    recorder.set_gauge("pipeline.workspace_allocations", ws.allocations)
+                with recorder.span("streaming.exact"):
+                    exact_values = self._exact_candidate_values(
+                        batch, candidates, ws
+                    ).astype(self.screener.compute_dtype, copy=False)
             return StreamedOutput(
                 candidates=candidates,
                 exact_values=exact_values,
@@ -798,21 +767,12 @@ class ApproximateScreeningClassifier:
         construction when the screener is reasonable, but taken over
         the mixed vector exactly as the hardware would): the first
         entry of :meth:`top_k`, lowest index among ties."""
-        return self.top_k(features, 1)[:, 0]
+        return self.top_k(features, 1)[0][:, 0]
 
-    def top_k(self, features: np.ndarray, k: int) -> np.ndarray:
-        """Top-k categories per row from the mixed scores (beam search /
-        P@k consumers), best first, ties to the lowest index."""
-        if k > self.num_categories:
-            raise ValueError(f"k={k} exceeds score dimension {self.num_categories}")
-        return self.top_k_with_scores(features, k)[0]
-
-    def top_k_with_scores(
-        self, features: np.ndarray, k: int
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """``(indices, scores)`` of each row's ``min(k, l)`` best mixed
-        scores under ``(score desc, index asc)``, ranked inside the tile
-        loop — no ``batch × l`` plane.
+    def top_k(self, features: np.ndarray, k: int) -> Tuple[np.ndarray, np.ndarray]:
+        """``(indices, scores)`` of each row's ``k`` best mixed scores
+        (beam search / P@k consumers) under ``(score desc, index asc)``,
+        ranked inside the tile loop — no ``batch × l`` plane.
 
         The top-k of the mixed output can only hold candidates (at
         their exact values) and the best ``k`` non-candidates by
@@ -820,17 +780,18 @@ class ApproximateScreeningClassifier:
         to the candidates and one stable rank of the few entries per
         row finishes the job.  Bit-identical — indices, scores, order —
         to ranking :meth:`forward`'s ``logits`` with
-        :func:`~repro.distributed.sharding.shard_top_k`.  Threading as
-        :meth:`forward`: scratch is private to the call.
+        :func:`~repro.distributed.sharding.shard_top_k`.
         """
+        if k > self.num_categories:
+            raise ValueError(f"k={k} exceeds score dimension {self.num_categories}")
         recorder = self.recorder
         with recorder.span("top_k"):
             batch = check_batch_features(features, self.hidden_dim)
             check_positive("k", k)
-            local_k = min(int(k), self.num_categories)
+            k = int(k)
             with self._call_arena() as ws:
                 counts, cols, values = self._screen_and_select(
-                    batch, ws, runner_ups=local_k
+                    batch, ws, runner_ups=k
                 )
                 rows = np.repeat(np.arange(batch.shape[0]), counts)
                 chosen = self.selector.is_candidate(values, batch.shape[0])
@@ -845,7 +806,7 @@ class ApproximateScreeningClassifier:
             with recorder.span("rank"):
                 order = np.lexsort((cols, -values, rows))
                 first = np.cumsum(counts) - counts
-                best = order[first[:, None] + np.arange(local_k)]
+                best = order[first[:, None] + np.arange(k)]
             recorder.increment("pipeline.top_k_requests")
             recorder.increment("pipeline.rows", batch.shape[0])
             recorder.increment("pipeline.exact_candidates", candidates.total)
@@ -855,24 +816,19 @@ class ApproximateScreeningClassifier:
     # EngineBackend conformance (repro.serving.backend)
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Release serving resources (the streaming workspace arena and
-        the spare arena of re-entrant calls; a call still in flight
-        releases its own arena when it returns).
+        """Release serving resources: the kept arena (a call still in
+        flight releases its own arena when it returns).
 
         Part of the :class:`~repro.serving.backend.EngineBackend`
         contract so a single-node pipeline is interchangeable with the
         sharded backends behind the serving front door.  Idempotent;
-        the pipeline stays usable (a new workspace is created lazily on
-        the next streaming call).
+        the pipeline stays usable (the next call creates a new arena).
         """
-        if self._workspace is not None:
-            self._workspace.release()
-            self._workspace = None
-        with self._spare_lock:
-            spare, self._spare_arena = self._spare_arena, None
+        with self._arena_lock:
+            arena, self._arena = self._arena, None
             self._closes += 1
-        if spare is not None:
-            spare.release()
+        if arena is not None:
+            arena.release()
 
     def __enter__(self) -> "ApproximateScreeningClassifier":
         return self

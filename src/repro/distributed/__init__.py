@@ -23,7 +23,6 @@ from repro.distributed.sharding import (
     ShardedClassifier,
     load_drift,
     merge_candidates,
-    merge_candidates_per_row,
     merge_shard_outputs,
     merge_streamed_outputs,
     normalize_loads,
@@ -60,7 +59,6 @@ __all__ = [
     "ShardFailure",
     "shard_ranges",
     "merge_candidates",
-    "merge_candidates_per_row",
     "merge_shard_outputs",
     "merge_streamed_outputs",
     "shard_top_k",

@@ -243,7 +243,9 @@ def _serve_request(
 
     if op == "top_k":
         # Ranked inside the tile loop: like streaming, no plane.
-        indices, scores = engine.top_k_with_scores(batch, int(payload["k"]))
+        indices, scores = engine.top_k(
+            batch, min(int(payload["k"]), engine.num_categories)
+        )
         return {"indices": indices + shard_range.start, "scores": scores}
 
     output = engine.forward(batch)

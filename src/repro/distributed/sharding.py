@@ -514,33 +514,12 @@ def merge_candidates(
     """Merge per-shard candidate sets into global category order.
 
     Vectorized over the whole batch (:func:`_merge_flat_records`);
-    identical to :func:`merge_candidates_per_row` (tested).
+    identical to a per-row concatenation (tested).
     """
     counts, cols, _ = _merge_flat_records(
         candidate_sets, ranges, batch_size, CandidateSet.flat
     )
     return CandidateSet.from_flat(counts, cols)
-
-
-def merge_candidates_per_row(
-    candidate_sets: Sequence[CandidateSet],
-    ranges: Sequence[range],
-    batch_size: int,
-) -> CandidateSet:
-    """Reference merge: one concatenation per batch row.
-
-    This is the original (pre-vectorization) dataflow, kept as the
-    semantic anchor for the identity test guarding
-    :func:`merge_candidates`.
-    """
-    merged: List[np.ndarray] = []
-    for row in range(batch_size):
-        parts = [
-            candidate_set.indices[row] + shard_range.start
-            for candidate_set, shard_range in zip(candidate_sets, ranges)
-        ]
-        merged.append(np.concatenate(parts))
-    return CandidateSet(indices=merged)
 
 
 def merge_shard_outputs(
@@ -631,7 +610,7 @@ def shard_top_k(
     ranked from a dense plane under ``(score desc, index asc)``.
 
     The dense reference for
-    :meth:`~repro.core.pipeline.ApproximateScreeningClassifier.top_k_with_scores`,
+    :meth:`~repro.core.pipeline.ApproximateScreeningClassifier.top_k`,
     which serves the same pairs without the plane (differentially
     tested, and replayed by the benchmark's traced run).
     """
@@ -853,7 +832,7 @@ class ShardedClassifier:
         shard_indices = []
         shard_scores = []
         for shard, shard_range in zip(self.shards, self.ranges):
-            indices, scores = shard.top_k_with_scores(batch, k)
+            indices, scores = shard.top_k(batch, min(k, len(shard_range)))
             shard_indices.append(indices + shard_range.start)
             shard_scores.append(scores)
         return reduce_top_k(shard_indices, shard_scores, k)

@@ -23,11 +23,10 @@ The contract
   membership; the differential tests hold the front door to this).
 * ``forward_streaming(features, block_categories=None)`` — the
   candidates-only blocked path.
-* ``top_k(features, k)`` — per-row top-k of the mixed scores, best
-  first, ties to the lowest index, ranked inside the tile loop (no
-  ``batch × l`` plane on any backend); backends return either a bare
-  indices array (single-node) or an ``(indices, scores)`` pair
-  (sharded reduce) — the front door splits both row-wise unchanged.
+* ``top_k(features, k)`` — ``(indices, scores)``: per-row top-k of
+  the mixed scores, best first, ties to the lowest index, ranked inside
+  the tile loop (no ``batch × l`` plane on any backend); the front
+  door splits the pair row-wise.
 * ``predict(features)`` — per-row argmax category: ``top_k(·, 1)``.
 * ``close()`` — release serving resources (worker fleets, shared
   segments, workspaces); idempotent.  Backends are context managers.

@@ -671,15 +671,9 @@ def _split_streamed(result: StreamedOutput, batch_size: int) -> List[RowStreamed
 
 
 def _split_top_k(result, batch_size: int):
-    if isinstance(result, tuple):  # sharded reduce: (indices, scores)
-        indices, scores = result
-        _check_rows("top_k", indices.shape[0], batch_size)
-        return [
-            (indices[i].copy(), scores[i].copy()) for i in range(batch_size)
-        ]
-    indices = np.asarray(result)  # single-node: bare indices
+    indices, scores = result
     _check_rows("top_k", indices.shape[0], batch_size)
-    return [indices[i].copy() for i in range(batch_size)]
+    return [(indices[i].copy(), scores[i].copy()) for i in range(batch_size)]
 
 
 def _check_rows(op: str, got: int, expected: int) -> None:

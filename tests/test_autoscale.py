@@ -575,7 +575,8 @@ class _TickingBackend:
         return self.forward(features)
 
     def top_k(self, features, k):
-        return np.zeros((features.shape[0], k), dtype=np.intp)
+        indices = np.zeros((features.shape[0], k), dtype=np.intp)
+        return indices, np.zeros(indices.shape)
 
     def predict(self, features):
         return np.zeros(features.shape[0], dtype=np.intp)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import forward_per_row
 
 from repro.core import (
     ApproximateScreeningClassifier,
@@ -129,7 +130,7 @@ class TestEnginesAgreeOnBadAndLargeInput:
         for call in (
             model.forward,
             model.forward_streaming,
-            lambda batch: model.forward(batch, faithful=True),
+            lambda batch: forward_per_row(model, batch),
             lambda batch: model.top_k(batch, 3),
         ):
             with pytest.raises(ValueError, match="row 2 contains NaN/inf"):
@@ -151,19 +152,28 @@ class TestEnginesAgreeOnBadAndLargeInput:
         assert model.workspace.requests > requests
 
 
-    def test_dense_forward_leaves_the_pipeline_arena_alone(self, multi_tile):
-        """Dense ``forward`` on an FP64 store is re-entrant: its reducer
-        scratch is private to the call, so the arena ``forward_streaming``
-        owns sees no request (two threads may be inside ``forward`` at
-        once — the front-door overload test does exactly that)."""
+    def test_every_call_reuses_the_kept_arena(self, multi_tile):
+        """Called one at a time, ``forward``, ``forward_streaming`` and
+        ``top_k`` each take their scratch from ``model.workspace``, and
+        once warm none of them allocates."""
         task, model = multi_tile
         features = task.sample_features(6, rng=7)
-        requests = model.workspace.requests
-        allocations = model.workspace.allocations
-        model.forward(features)
-        model.top_k(features, 3)
-        assert model.workspace.requests == requests
-        assert model.workspace.allocations == allocations
+        calls = (
+            model.forward,
+            model.forward_streaming,
+            lambda batch: model.top_k(batch, 3),
+        )
+        for _ in range(2):
+            for call in calls:
+                call(features)
+        workspace = model.workspace
+        allocations = workspace.allocations
+        for call in calls:
+            requests = workspace.requests
+            call(features)
+            assert model.workspace is workspace
+            assert workspace.requests > requests
+        assert workspace.allocations == allocations
 
     @staticmethod
     def during_exact_phase(model, action):
@@ -191,28 +201,29 @@ class TestEnginesAgreeOnBadAndLargeInput:
         assert np.array_equal(pipeline.forward(features).logits, want)
         outer, inner = arenas
         assert outer is not inner and inner.nbytes > 0
-        assert pipeline._spare_arena is inner
+        assert pipeline._arena is inner
         assert outer.nbytes == 0
 
     def test_threads_never_share_a_call_arena(self, pipeline, small_task):
-        """Six threads (more than cores) in ``forward`` / ``top_k`` on
-        one pipeline, switching every microsecond: each output equals
-        the one-thread output, which two calls on one arena would break."""
+        """Six threads (more than cores) in ``forward`` /
+        ``forward_streaming`` / ``top_k`` on one pipeline, switching every
+        microsecond: each output equals the one-thread output, which two
+        calls on one arena would break."""
         features = [small_task.sample_features(4, rng=seed) for seed in range(6)]
-        want = [
-            (pipeline.forward(batch).logits, pipeline.top_k_with_scores(batch, 3))
-            for batch in features
-        ]
+
+        def answers(batch):
+            return (
+                pipeline.forward(batch).logits,
+                pipeline.forward_streaming(batch).exact_values,
+                *pipeline.top_k(batch, 3),
+            )
+
+        want = [answers(batch) for batch in features]
         wrong = []
 
         def work(index):
             for _ in range(5):
-                logits = pipeline.forward(features[index]).logits
-                ranked = pipeline.top_k_with_scores(features[index], 3)
-                logits_want, ranked_want = want[index]
-                if not np.array_equal(logits, logits_want) or not all(
-                    map(np.array_equal, ranked, ranked_want)
-                ):
+                if not all(map(np.array_equal, answers(features[index]), want[index])):
                     wrong.append(index)
 
         interval = sys.getswitchinterval()
@@ -233,18 +244,18 @@ class TestEnginesAgreeOnBadAndLargeInput:
         want = pipeline.forward(features).logits
         arenas = self.during_exact_phase(pipeline, pipeline.close)
         assert np.array_equal(pipeline.forward(features).logits, want)
-        assert pipeline._spare_arena is None
+        assert pipeline._arena is None
         assert arenas[0].nbytes == 0
         assert np.array_equal(pipeline.forward(features).logits, want)
-        assert pipeline._spare_arena is arenas[1]
+        assert pipeline._arena is arenas[1]
 
     @pytest.mark.parametrize("store", ["float64", "int8"])
     @pytest.mark.parametrize("mode", ["top_m", "threshold"])
     def test_warm_calls_hold_no_tile_sized_temporary(self, multi_tile, mode, store):
-        """A warm ``forward_streaming`` or ``top_k_with_scores`` (16
-        rows, three tiles) allocates under a quarter of one tile's
-        scores: the first fill partitions in arena scratch, the exact
-        phase gathers into it, and ``top_k`` reuses a call arena."""
+        """A warm ``forward_streaming`` or ``top_k`` (16 rows, three
+        tiles) allocates under a quarter of one tile's scores: the first
+        fill partitions in arena scratch, the exact phase gathers into
+        it, and both reuse the kept arena."""
         task, base = multi_tile
         selector = CandidateSelector(mode, 32)
         if mode == "threshold":
@@ -258,7 +269,7 @@ class TestEnginesAgreeOnBadAndLargeInput:
         tile_bytes = features.shape[0] * TILE_CATEGORIES * 8
         for name, call in (
             ("forward_streaming", model.forward_streaming),
-            ("top_k_with_scores", lambda batch: model.top_k_with_scores(batch, 5)),
+            ("top_k", lambda batch: model.top_k(batch, 5)),
         ):
             for _ in range(2):
                 call(features)
@@ -276,7 +287,7 @@ class TestWholePlanePassIsOracleOnly:
         self, pipeline, small_task, monkeypatch
     ):
         """Every serving call runs the tile loop; whole-plane screening
-        and selection belong to ``faithful=True`` (and calibration)."""
+        and selection belong to the per-row oracle (and calibration)."""
         from repro.core import ScreeningConfig, ScreeningModule
         from repro.distributed import ShardedClassifier
 
@@ -287,7 +298,7 @@ class TestWholePlanePassIsOracleOnly:
         )
         sharded.train(small_task.sample_features(128, rng=3), rng=4)
         features = small_task.sample_features(5, rng=6)
-        expected = pipeline.forward(features, faithful=True)
+        expected = forward_per_row(pipeline, features)
 
         def whole_plane(*args, **kwargs):
             raise AssertionError("whole-plane pass on a serving call")
@@ -300,12 +311,12 @@ class TestWholePlanePassIsOracleOnly:
         )
         assert pipeline.predict(features).shape == (5,)
         assert pipeline.predict_proba(features).shape == (5, 2000)
-        assert pipeline.top_k(features, 3).shape == (5, 3)
+        assert pipeline.top_k(features, 3)[0].shape == (5, 3)
         assert pipeline.forward_streaming(features).exact_count == 5 * 48
         assert sharded.forward(features).logits.shape == (5, 2000)
         assert sharded.top_k(features, 3)[0].shape == (5, 3)
         with pytest.raises(AssertionError, match="whole-plane"):
-            pipeline.forward(features, faithful=True)
+            forward_per_row(pipeline, features)
 
         # Nor do top_k and predict build the plane at all: they answer,
         # with the dense answers, when ``forward`` itself is gone —
@@ -314,7 +325,7 @@ class TestWholePlanePassIsOracleOnly:
         sharded_top = sharded.top_k(features, 3)
         monkeypatch.setattr(ApproximateScreeningClassifier, "forward", whole_plane)
         assert np.array_equal(pipeline.predict(features), best)
-        assert np.array_equal(pipeline.top_k(features, 3)[:, 0], best)
+        assert np.array_equal(pipeline.top_k(features, 3)[0][:, 0], best)
         assert np.array_equal(sharded.top_k(features, 3)[0], sharded_top[0])
         assert np.array_equal(sharded.predict(features), sharded_top[0][:, 0])
         with sharded.parallel(start_method="fork") as engine:
@@ -325,13 +336,13 @@ class TestWholePlanePassIsOracleOnly:
 
 
 class TestFaithfulVsVectorized:
-    """The vectorized default and the per-row reference mode must be
+    """The tiled ``forward`` and the per-row oracle must be
     numerically identical — same candidates, same mixed logits, and
     bit-identical approximate scores (the screening and selection
     stages are shared; only the exact-phase arithmetic differs)."""
 
     def _assert_identical(self, model, features):
-        faithful = model.forward(features, faithful=True)
+        faithful = forward_per_row(model, features)
         default = model.forward(features)
         assert default.logits.dtype == faithful.logits.dtype
         assert np.allclose(faithful.logits, default.logits, rtol=0, atol=1e-12)
@@ -529,8 +540,8 @@ class TestProbabilities:
 
     def test_top_k(self, pipeline, small_task):
         features = small_task.sample_features(2)
-        top = pipeline.top_k(features, 5)
-        assert top.shape == (2, 5)
+        top, scores = pipeline.top_k(features, 5)
+        assert top.shape == scores.shape == (2, 5)
         out = pipeline(features)
         assert np.array_equal(top[:, 0], np.argmax(out.logits, axis=1))
 

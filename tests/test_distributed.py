@@ -12,12 +12,13 @@ from repro.distributed import (
     ClusterModel,
     ShardedClassifier,
     merge_candidates,
-    merge_candidates_per_row,
     merge_shard_outputs,
     merge_streamed_outputs,
     shard_ranges,
 )
 from repro.distributed.cluster import NetworkModel
+
+from oracles import merge_candidates_per_row
 
 
 class TestShardRanges:

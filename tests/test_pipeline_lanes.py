@@ -21,6 +21,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from oracles import forward_per_row
 
 from repro.core import ApproximateScreeningClassifier, ScreeningConfig, train_screener
 from repro.core import pipeline as pipeline_module
@@ -112,7 +113,7 @@ def answers(model, features, k=5):
         ]
     dense = model.forward(features)
     arrays += [dense.logits, dense.candidates.flat()[1], dense.approximate_logits]
-    arrays += list(model.top_k_with_scores(features, k))
+    arrays += list(model.top_k(features, k))
     arrays.append(model.predict(features))
     return arrays
 
@@ -157,7 +158,7 @@ def test_ties_across_lane_boundaries_keep_the_total_order(monkeypatch, parts, mo
     the absorb, and the selection is the whole-plane oracle's."""
     model = build(parts, mode, m=6, **{variant: True})
     features = parts[2][:8]
-    oracle = model.forward(features, faithful=True)
+    oracle = forward_per_row(model, features)
     force_lanes(monkeypatch, 1)
     expected = answers(model, features, k=11)
     assert np.array_equal(model.forward(features).candidates.flat()[1], oracle.candidates.flat()[1])

@@ -291,9 +291,8 @@ class TestWorkspaceDiscipline:
     def test_dense_exact_phase_uses_workspace(
         self, task, screener, features, calibration
     ):
-        """Dense ``forward`` dequantizes into the call's own arena, as it
-        screens into it, and leaves the pipeline arena alone: on a
-        quantized store too, ``forward`` is re-entrant."""
+        """Dense ``forward`` dequantizes into the arena it screens into:
+        the call's arena, which a call alone is given the kept one."""
         quantized = quantized_twin(task, screener, "top_m", calibration, "int8")
         arenas = []
         exact_phase = quantized._exact_candidate_values
@@ -304,9 +303,8 @@ class TestWorkspaceDiscipline:
 
         quantized._exact_candidate_values = recording
         quantized.forward(features)
-        assert arenas == [quantized._spare_arena]
+        assert arenas == [quantized._arena]
         assert arenas[0].requests > 0
-        assert quantized.workspace.requests == 0
 
     def test_requantization_rejected(self, task, screener, calibration):
         quantized = quantized_twin(task, screener, "top_m", calibration, "int8")

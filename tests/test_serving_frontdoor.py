@@ -169,13 +169,10 @@ class TestDifferentialBitIdentity:
             for stacked, replies in replay_batches(
                 door, backend, request_rows, op="top_k", k=7
             ):
-                direct = backend.top_k(stacked, k=7)
+                indices, scores = backend.top_k(stacked, k=7)
                 for i, reply in enumerate(replies):
-                    if isinstance(direct, tuple):  # sharded: (indices, scores)
-                        assert np.array_equal(reply.value[0], direct[0][i])
-                        assert np.array_equal(reply.value[1], direct[1][i])
-                    else:  # single-node: bare indices
-                        assert np.array_equal(reply.value, direct[i])
+                    assert np.array_equal(reply.value[0], indices[i])
+                    assert np.array_equal(reply.value[1], scores[i])
             for stacked, replies in replay_batches(
                 door, backend, request_rows, op="predict"
             ):
@@ -257,7 +254,8 @@ class _RecordingBackend:
 
     def top_k(self, features, k):
         self.seen_timeouts.append(self.request_timeout)
-        return np.zeros((features.shape[0], k), dtype=np.intp)
+        indices = np.zeros((features.shape[0], k), dtype=np.intp)
+        return indices, np.zeros(indices.shape)
 
     def predict(self, features):
         self.seen_timeouts.append(self.request_timeout)

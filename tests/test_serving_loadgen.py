@@ -47,7 +47,8 @@ class _StubBackend:
 
     def top_k(self, features, k):
         self.rows_served += features.shape[0]
-        return np.zeros((features.shape[0], k), dtype=np.intp)
+        indices = np.zeros((features.shape[0], k), dtype=np.intp)
+        return indices, np.zeros(indices.shape)
 
     def predict(self, features):
         self.rows_served += features.shape[0]

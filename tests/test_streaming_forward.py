@@ -11,6 +11,7 @@ not from changing a single output bit.
 import numpy as np
 import pytest
 
+from oracles import forward_per_row
 from repro.core import ApproximateScreeningClassifier, ScreeningConfig, train_screener
 from repro.core import pipeline as pipeline_module
 from repro.core.candidates import CandidateSelector
@@ -18,7 +19,6 @@ from repro.core.pipeline import StreamedOutput
 from repro.core.screener import TILE_CATEGORIES
 from repro.data import make_task
 from repro.distributed import ShardedClassifier
-from repro.utils.memory import Workspace
 
 NUM_CATEGORIES = 600
 HIDDEN_DIM = 32
@@ -135,7 +135,7 @@ class TestStreamingMatchesDense:
         candidate values (same tolerance the dense engines grant each
         other)."""
         model = pipeline_zoo[(dtype, selector_mode)]
-        faithful = model.forward(features, faithful=True)
+        faithful = forward_per_row(model, features)
         streamed = model.forward_streaming(features)
         assert_candidates_equal(streamed.candidates, faithful.candidates)
         rows, cols = faithful.candidates.flat()
@@ -234,20 +234,21 @@ class TestWorkspaceSteadyState:
         batch shape, repeated streaming calls perform zero new
         workspace allocations."""
         model = pipeline_zoo[("float64", selector_mode)]
-        workspace = Workspace()
-        model.forward_streaming(features, workspace=workspace)
+        model.forward_streaming(features)
+        workspace = model.workspace
         settled = workspace.allocations
+        requests = workspace.requests
         for _ in range(3):
-            model.forward_streaming(features, workspace=workspace)
+            model.forward_streaming(features)
         assert workspace.allocations == settled
-        assert workspace.requests > 0
+        assert workspace.requests > requests
 
     def test_smaller_batch_reuses_slabs(self, pipeline_zoo, features):
         model = pipeline_zoo[("float64", "top_m")]
-        workspace = Workspace()
-        model.forward_streaming(features, workspace=workspace)
+        model.forward_streaming(features)
+        workspace = model.workspace
         settled = workspace.allocations
-        model.forward_streaming(features[:4], workspace=workspace)
+        model.forward_streaming(features[:4])
         assert workspace.allocations == settled
 
     def test_pipeline_owned_workspace_is_lazy_and_reused(
@@ -256,14 +257,14 @@ class TestWorkspaceSteadyState:
         model = build_pipeline(
             task, train_features, calibration, "float64", "top_m"
         )
-        assert model._workspace is None
+        assert model._arena is None
         batch = task.sample_features(8, rng=30)
         model.forward_streaming(batch)
-        workspace = model._workspace
+        workspace = model._arena
         assert workspace is not None
         settled = workspace.allocations
         model.forward_streaming(batch)
-        assert model._workspace is workspace
+        assert model._arena is workspace
         assert workspace.allocations == settled
 
     @pytest.mark.parametrize("lanes", (1, 2))

@@ -141,12 +141,11 @@ def test_single_node_top_k_equals_ranking_the_dense_plane(
         assert dense.exact_count == 0
     for k in (1, M, M + 5, l):
         expected = rank_dense(dense.logits, k)
-        assert_same_ranking(model.top_k_with_scores(features, k), expected)
+        assert_same_ranking(model.top_k(features, k), expected)
         assert_same_ranking(shard_top_k(dense, range(l), k), expected)
-        assert np.array_equal(model.top_k(features, k), expected[0])
-    # Past l the wire format clamps; the user-facing call refuses.
+    # Past l the dense wire format clamps; the call refuses.
     assert_same_ranking(
-        model.top_k_with_scores(features, l + 3), rank_dense(dense.logits, l)
+        shard_top_k(dense, range(l), l + 3), rank_dense(dense.logits, l)
     )
     with pytest.raises(ValueError, match=f"k={l + 3} exceeds score dimension {l}"):
         model.top_k(features, l + 3)
@@ -161,7 +160,7 @@ def test_runner_up_ties_straddle_the_tile_boundary(trained):
     task, screener, features = trained["multi_tile"]
     model = build(task.classifier, screener, features, "top_m", "float64", "fp64")
     edge = TILE_CATEGORIES
-    indices, scores = model.top_k_with_scores(features, 10)
+    indices, scores = model.top_k(features, 10)
     expected = np.r_[edge + 2, edge + 3, edge - 8 : edge - 4, edge + 4 : edge + 8]
     assert np.array_equal(indices, np.tile(expected, (ROWS, 1)))
     assert np.array_equal(scores[0], [1000.0] * 2 + [900.0] * 8)
