@@ -2,13 +2,19 @@
 
 PYTHON ?= python
 
-.PHONY: install test loc importtime setup-phases call-peak bench-smoke bench-pair bench-suite experiments examples clean
+.PHONY: install test test-ids loc importtime setup-phases call-peak bench-smoke bench-pair bench-suite experiments examples clean
 
 install:
 	$(PYTHON) -m pip install -e . || $(PYTHON) setup.py develop
 
 test:
 	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} $(PYTHON) -m pytest tests/
+
+# Test ids the working tree removes and adds against PARENT (default
+# HEAD; HEAD^ once committed): pytest --collect-only on an archive of
+# PARENT and on the tree.  Printed for review, not gated.
+test-ids:
+	python3 scripts/test_ids.py --parent $(PARENT)
 
 # Code lines (non-blank, non-comment, non-docstring) per file and in
 # total — the count simplicity PRs quote for "src/ measurably smaller" —

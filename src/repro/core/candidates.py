@@ -9,7 +9,7 @@ Screener's comparator array writing indices to the index buffer.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -232,11 +232,3 @@ class CandidateSelector:
             f"CandidateSelector(mode={self.mode!r}, m={self.num_candidates}, "
             f"threshold={self.threshold})"
         )
-
-
-def merge_candidates(sets: Sequence[CandidateSet]) -> CandidateSet:
-    """Concatenate candidate sets from consecutive batches."""
-    merged: List[np.ndarray] = []
-    for candidate_set in sets:
-        merged.extend(candidate_set.indices)
-    return CandidateSet(indices=merged)

@@ -159,11 +159,11 @@ class StreamedOutput:
     entries ever leave the pipeline, so no ``batch × l`` plane exists.
 
     ``exact_values`` are the recomputed full-classifier scores and
-    ``approximate_values`` the screener scores, both aligned with
-    ``candidates.flat()`` (row-major, columns ascending within a row)
-    and stored in the screener's compute dtype — exactly the entries a
-    dense :class:`ScreenedOutput` would carry at the candidate
-    positions (bit-identical in float64, differentially tested).
+    ``approximate_values`` the screener scores, both float64 and aligned
+    with ``candidates.flat()`` (row-major, columns ascending within a
+    row) — exactly the entries a dense :class:`ScreenedOutput` would
+    carry at the candidate positions (bit-identical, differentially
+    tested).
     """
 
     def __init__(
@@ -438,7 +438,6 @@ class ApproximateScreeningClassifier:
         meta = {
             **store_meta,
             "quantization_bits": screener.quantization_bits,
-            "compute_dtype": screener.compute_dtype.name,
             "projection_density": screener.projection.density,
             "selector_mode": self.selector.mode,
             "selector_num_candidates": self.selector.num_candidates,
@@ -487,7 +486,6 @@ class ApproximateScreeningClassifier:
             arrays["screener_weight"],
             arrays["screener_bias"],
             quantization_bits=meta["quantization_bits"],  # type: ignore[arg-type]
-            compute_dtype=str(meta["compute_dtype"]),
         )
         selector = CandidateSelector(
             mode=str(meta["selector_mode"]),
@@ -538,10 +536,7 @@ class ApproximateScreeningClassifier:
         recorder = self.recorder
         with recorder.span("forward"):
             batch = check_batch_features(features, self.hidden_dim)
-            plane = np.empty(
-                (batch.shape[0], self.num_categories),
-                dtype=self.screener.compute_dtype,
-            )
+            plane = np.empty((batch.shape[0], self.num_categories))
             with self._call_arena() as ws:
                 counts, cols, approx_values = self._screen_and_select(
                     batch, ws, plane=plane
@@ -587,15 +582,13 @@ class ApproximateScreeningClassifier:
         screener = self.screener
         rows = batch.shape[0]
         l = self.num_categories
-        compute = screener.compute_dtype
         block = block_categories if block_categories is not None else l
 
         augmented = screener.prepare_augmented(
-            batch,
-            out=ws.buffer("augmented", (rows, screener.projection_dim + 1), compute),
+            batch, out=ws.buffer("augmented", (rows, screener.projection_dim + 1))
         )
         reducer = self.selector.make_block_reducer(
-            rows, l, workspace=ws, dtype=compute, runner_ups=runner_ups
+            rows, l, workspace=ws, runner_ups=runner_ups
         )
         tiles = screener.tile_bounds()
         lanes = lane_count(rows, len(tiles))
@@ -612,9 +605,7 @@ class ApproximateScreeningClassifier:
         for t0, t1 in tiles:
             with recorder.span("streaming.screen_tile"):
                 if plane is None:
-                    out = ws.buffer(
-                        PHASE_SCRATCH, (len(augmented), t1 - t0), augmented.dtype
-                    )
+                    out = ws.buffer(PHASE_SCRATCH, (len(augmented), t1 - t0))
                 else:
                     out = plane[:, t0:t1]
                 tile = self.screener.score_tile(augmented, t0, t1, out=out)
@@ -711,10 +702,7 @@ class ApproximateScreeningClassifier:
         ``block_categories`` sets the selection granularity (defaults
         to one update per tile).  Results are independent of it — the
         reducer maintains a total order, so any partition yields the
-        dense selection — and bit-identical to :meth:`forward` in
-        float64 (float32 differs from float64 in score rounding exactly
-        as the dense engine does; candidates and exact values still
-        match the float32 dense engine bit for bit).
+        dense selection — and bit-identical to :meth:`forward`.
 
         Returns a :class:`StreamedOutput` (candidates + their exact and
         approximate values only); callers that need the full score
@@ -745,7 +733,7 @@ class ApproximateScreeningClassifier:
                 with recorder.span("streaming.exact"):
                     exact_values = self._exact_candidate_values(
                         batch, candidates, ws
-                    ).astype(self.screener.compute_dtype, copy=False)
+                    )
             return StreamedOutput(
                 candidates=candidates,
                 exact_values=exact_values,
@@ -799,7 +787,6 @@ class ApproximateScreeningClassifier:
                     np.bincount(rows[chosen], minlength=batch.shape[0]), cols[chosen]
                 )
                 with recorder.span("exact"):
-                    # The same float64 -> compute-dtype store as the dense mix.
                     values[chosen] = self._exact_candidate_values(
                         batch, candidates, ws
                     )

@@ -29,12 +29,10 @@ it brings enough work (:func:`lane_count`, :func:`run_in_lanes`).  A
 tile gets the same operations in any lane, so every bit is the
 single-lane one; no thread outlives the call that started it.
 
-``compute_dtype`` selects the arithmetic width of the screening GEMM:
-``float64`` (default) preserves the repository's bit-level agreement
-with the functional DIMM simulator, ``float32`` halves the memory
-traffic of the score plane for serving workloads (the INT4 grid values
-are exactly representable either way; only accumulation rounding
-differs, far below the quantization error being modeled).
+Every screening GEMM computes in float64, which keeps the bit-level
+agreement with the functional DIMM simulator.  The screener's low
+precision is the INT4 grid its weights and inputs are fake-quantized
+onto (paper Fig. 12b), not the host float width.
 """
 
 from __future__ import annotations
@@ -43,7 +41,7 @@ import contextvars
 import os
 import threading
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -52,9 +50,6 @@ from repro.linalg.quantize import Quantizer
 from repro.obs.recorder import NULL_RECORDER
 from repro.utils.rng import RngLike, ensure_rng
 from repro.utils.validation import check_batch_features, check_positive
-
-#: Arithmetic widths supported for the screening GEMM.
-COMPUTE_DTYPES = (np.float32, np.float64)
 
 #: Canonical column-tile width of the screening GEMM.  Both the dense
 #: plane and the blocked streaming path compute scores one fixed,
@@ -86,8 +81,6 @@ TILE_CATEGORIES = 8192
 #: counts ``k`` as its rows: the fused plane of a 670K × 16 screener is
 #: placed in 2 lanes, one of 100K in 1.
 MIN_LANE_WORK = 1 << 22
-
-DtypeLike = Union[str, type, np.dtype]
 
 
 def lane_count(rows: int, tiles: int) -> int:
@@ -146,15 +139,6 @@ def run_in_lanes(fold: Callable[[int, list], None], tiles: list, lanes: int) -> 
     return runs
 
 
-def _resolve_compute_dtype(dtype: DtypeLike) -> np.dtype:
-    resolved = np.dtype(dtype)
-    if resolved not in [np.dtype(d) for d in COMPUTE_DTYPES]:
-        raise ValueError(
-            f"compute_dtype must be float32 or float64, got {resolved}"
-        )
-    return resolved
-
-
 @dataclass(frozen=True)
 class ScreeningConfig:
     """Hyper-parameters of the screening module.
@@ -163,20 +147,17 @@ class ScreeningConfig:
     chosen operating point is a parameter-reduction scale of 0.25
     (Fig. 12a), i.e. ``k = d / 4``, with 4-bit quantization (Fig. 12b).
     ``quantization_bits=None`` runs the screener in floating point
-    (the FP32 point of the Fig. 12b sweep).  ``compute_dtype`` picks
-    the arithmetic width of the screening GEMM (see module docstring).
+    (the FP32 point of the Fig. 12b sweep).
     """
 
     projection_dim: int
     quantization_bits: Optional[int] = 4
     projection_density: float = 1.0 / 3.0
-    compute_dtype: str = "float64"
 
     def __post_init__(self) -> None:
         check_positive("projection_dim", self.projection_dim)
         if self.quantization_bits is not None:
             check_positive("quantization_bits", self.quantization_bits)
-        _resolve_compute_dtype(self.compute_dtype)
 
     @classmethod
     def from_scale(
@@ -207,7 +188,6 @@ class ScreeningModule:
         weight: np.ndarray,
         bias: np.ndarray,
         quantization_bits: Optional[int] = 4,
-        compute_dtype: DtypeLike = np.float64,
     ):
         weight = np.asarray(weight, dtype=np.float64)
         bias = np.asarray(bias, dtype=np.float64)
@@ -225,7 +205,6 @@ class ScreeningModule:
         self.weight = weight
         self.bias = bias
         self.quantization_bits = quantization_bits
-        self._compute_dtype = _resolve_compute_dtype(compute_dtype)
         #: Observability sink for the screening phases (no-op default;
         #: the pipeline propagates its recorder here).
         self.recorder = NULL_RECORDER
@@ -252,7 +231,7 @@ class ScreeningModule:
         # so the hot path is a single GEMM, mirroring the compiler's tile
         # layout.  Stored pre-transposed and contiguous.
         k, l = self.projection_dim, self.num_categories
-        fused = np.empty((k + 1, l), dtype=self._compute_dtype)
+        fused = np.empty((k + 1, l))
         if self.quantization_bits is None:
             self._input_quantizer: Optional[Quantizer] = None
             per_category = None
@@ -302,14 +281,8 @@ class ScreeningModule:
 
     @property
     def compute_dtype(self) -> np.dtype:
-        """Arithmetic width of the screening GEMM (float32 or float64)."""
-        return self._compute_dtype
-
-    def set_compute_dtype(self, dtype: DtypeLike) -> "ScreeningModule":
-        """Switch the screening GEMM width and rebuild cached state."""
-        self._compute_dtype = _resolve_compute_dtype(dtype)
-        self._refresh_quantized_weight()
-        return self
+        """Arithmetic width of every screening GEMM: float64, the only one."""
+        return np.dtype(np.float64)
 
     @property
     def nbytes(self) -> float:
@@ -342,10 +315,7 @@ class ScreeningModule:
             if self._input_quantizer is not None:
                 self._input_quantizer.fake_quantize(projected, out=projected)
         if out is None:
-            out = np.empty(
-                (projected.shape[0], self.projection_dim + 1),
-                dtype=self._compute_dtype,
-            )
+            out = np.empty((projected.shape[0], self.projection_dim + 1))
         out[:, :-1] = projected
         out[:, -1] = 1.0
         return out
@@ -382,8 +352,8 @@ class ScreeningModule:
 
         When ``quantization_bits`` is set, both the projected features
         and the screener weights pass through fake quantization,
-        modeling the INT4 datapath of the hardware Screener.  The
-        result dtype is :attr:`compute_dtype`.  Computed per canonical
+        modeling the INT4 datapath of the hardware Screener; the scores
+        are float64.  Computed per canonical
         column tile (see :data:`TILE_CATEGORIES`) — the same GEMM calls
         the blocked streaming path issues, which is what makes the two
         modes bit-identical.  A batch with enough work scores runs of
@@ -391,9 +361,7 @@ class ScreeningModule:
         columns — same calls, same bits.
         """
         augmented = self.prepare_augmented(features)
-        scores = np.empty(
-            (augmented.shape[0], self.num_categories), dtype=self._compute_dtype
-        )
+        scores = np.empty((augmented.shape[0], self.num_categories))
 
         def score(lane: int, run: list) -> None:
             for start, stop in run:
@@ -410,8 +378,7 @@ class ScreeningModule:
     def __repr__(self) -> str:
         return (
             f"ScreeningModule(l={self.num_categories}, d={self.hidden_dim}, "
-            f"k={self.projection_dim}, bits={self.quantization_bits}, "
-            f"compute={self._compute_dtype.name})"
+            f"k={self.projection_dim}, bits={self.quantization_bits})"
         )
 
 
@@ -446,9 +413,5 @@ def initialize_screener(
     weight *= 1.0 / np.sqrt(config.projection_dim)
     bias = np.zeros(num_categories)
     return ScreeningModule(
-        projection,
-        weight,
-        bias,
-        quantization_bits=config.quantization_bits,
-        compute_dtype=config.compute_dtype,
+        projection, weight, bias, quantization_bits=config.quantization_bits
     )

@@ -7,17 +7,17 @@ the stored weights.
 
 Format history
 --------------
-* **version 1** — ``screener`` and ``classifier`` kinds.  Bug: the
-  screener's ``compute_dtype`` was not persisted, so a float32-configured
-  screener silently reloaded as float64.
-* **version 2** — ``screener`` artifacts carry ``compute_dtype``
-  (version-1 files load with the historical float64 default), and the
-  ``quantized_classifier`` kind serializes a
+* **version 1** — ``screener`` and ``classifier`` kinds.
+* **version 2** — the ``quantized_classifier`` kind serializes a
   :class:`~repro.core.weightstore.QuantizedExactStore`.  Its codes live
   in a raw ``<stem>.codes.npy`` sidecar next to the ``.npz`` (scales /
   bias / metadata), because a zip member cannot be memory-mapped —
   :func:`load_quantized_store` with ``mmap=True`` maps the sidecar
-  read-only so a shard larger than RAM pages in on demand.
+  read-only so a shard larger than RAM pages in on demand.  Screener
+  files of earlier builds also carry a ``compute_dtype`` (float32 or
+  float64); the screener computes in float64 only, so that key is no
+  longer written and is ignored on load — files of either version, from
+  any build, load.
 """
 
 from __future__ import annotations
@@ -36,11 +36,6 @@ PathLike = Union[str, "os.PathLike[str]"]
 
 _FORMAT_VERSION = 2
 
-#: Historical compute dtype of version-1 screener artifacts (the bug
-#: this default preserves compatibility with: compute_dtype was simply
-#: not stored, and loads came back float64).
-_LEGACY_COMPUTE_DTYPE = "float64"
-
 
 def save_screener(path: PathLike, screener: ScreeningModule) -> None:
     """Serialize a screening module to a compressed .npz file."""
@@ -55,33 +50,23 @@ def save_screener(path: PathLike, screener: ScreeningModule) -> None:
         quantization_bits=np.int64(
             -1 if screener.quantization_bits is None else screener.quantization_bits
         ),
-        compute_dtype=np.str_(screener.compute_dtype.name),
     )
 
 
 def load_screener(path: PathLike) -> ScreeningModule:
-    """Load a screening module saved by :func:`save_screener`.
-
-    Version-1 artifacts predate the persisted ``compute_dtype`` and
-    load with the historical float64 default.
-    """
+    """Load a screening module saved by :func:`save_screener` (the
+    ``compute_dtype`` key of earlier builds' files is ignored)."""
     with np.load(path, allow_pickle=False) as data:
         _check_format(data, "screener", path)
         projection = SparseRandomProjection.from_ternary(
             data["projection_ternary"], float(data["projection_density"])
         )
         bits = int(data["quantization_bits"])
-        compute_dtype = (
-            str(data["compute_dtype"])
-            if "compute_dtype" in data
-            else _LEGACY_COMPUTE_DTYPE
-        )
         return ScreeningModule(
             projection,
             data["weight"],
             data["bias"],
             quantization_bits=None if bits < 0 else bits,
-            compute_dtype=compute_dtype,
         )
 
 

@@ -207,7 +207,6 @@ def train_screener(
             weight,
             bias,
             quantization_bits=config.quantization_bits,
-            compute_dtype=config.compute_dtype,
         )
         report.losses.append(loss)
         report.epochs = 1

@@ -22,7 +22,6 @@ from repro.distributed.sharding import (
     ShardPlan,
     ShardedClassifier,
     load_drift,
-    merge_candidates,
     merge_shard_outputs,
     merge_streamed_outputs,
     normalize_loads,
@@ -58,7 +57,6 @@ __all__ = [
     "DegradedOutput",
     "ShardFailure",
     "shard_ranges",
-    "merge_candidates",
     "merge_shard_outputs",
     "merge_streamed_outputs",
     "shard_top_k",

@@ -32,7 +32,7 @@ Because workers execute the identical numpy pipeline on the identical
 bytes, the engine is bit-identical to the sequential
 ``ShardedClassifier`` — the differential harness in
 ``tests/test_distributed_parallel.py`` asserts exactly that, across
-selectors, compute dtypes and shard counts.
+selectors and shard counts.
 
 Data plane and control plane
 ----------------------------
@@ -467,9 +467,6 @@ class ParallelShardedEngine:
             if start_method is not None
             else default_context()
         )
-        self._compute_dtypes: List[np.dtype] = [
-            shard.screener.compute_dtype for shard in sharded.shards
-        ]
         self._param_packs: List[SharedArrayPack] = []
         self._groups: List[ShardGroup] = []
         num_shards = len(self.ranges)
@@ -835,13 +832,8 @@ class ParallelShardedEngine:
         if need_output and self._io_output is None:
             self._io_output = SharedArrayPack.zeros(
                 {
-                    f"logits{shard_id}": (
-                        (input_capacity, len(shard_range)),
-                        dtype,
-                    )
-                    for shard_id, (shard_range, dtype) in enumerate(
-                        zip(self.ranges, self._compute_dtypes)
-                    )
+                    f"logits{shard_id}": ((input_capacity, len(shard_range)), np.float64)
+                    for shard_id, shard_range in enumerate(self.ranges)
                 }
             )
             self._segment_names.append(self._io_output.name)

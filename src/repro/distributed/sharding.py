@@ -481,8 +481,7 @@ def _merge_flat_records(
     global ids and one stable row sort groups the entries by row while
     preserving shard order (hence ascending columns) within a row.
     Returns ``(counts, cols, values)`` — per-row entry counts and the
-    row-major entries; value dtypes are ``np.result_type`` of the
-    survivors, float64 when none survive.
+    row-major entries (float64 values).
     ``batch_size=None`` takes the first survivor's.
     """
     live = [
@@ -504,22 +503,6 @@ def _merge_flat_records(
         for i in range(num_values)
     ]
     return counts, cols[order], values
-
-
-def merge_candidates(
-    candidate_sets: Sequence[CandidateSet],
-    ranges: Sequence[range],
-    batch_size: int,
-) -> CandidateSet:
-    """Merge per-shard candidate sets into global category order.
-
-    Vectorized over the whole batch (:func:`_merge_flat_records`);
-    identical to a per-row concatenation (tested).
-    """
-    counts, cols, _ = _merge_flat_records(
-        candidate_sets, ranges, batch_size, CandidateSet.flat
-    )
-    return CandidateSet.from_flat(counts, cols)
 
 
 def merge_shard_outputs(
@@ -545,17 +528,11 @@ def merge_shard_outputs(
     counts, cols, (saved,) = _merge_flat_records(
         outputs, ranges, batch_size, ScreenedOutput.candidate_restore, num_values=1
     )
-    dtype = np.result_type(
-        *(
-            [output.logits.dtype for output in outputs if output is not None]
-            or [np.float64]
-        )
-    )
     logits = np.concatenate(
         [
             output.logits
             if output is not None
-            else np.full((counts.size, len(shard_range)), np.nan, dtype=dtype)
+            else np.full((counts.size, len(shard_range)), np.nan)
             for output, shard_range in zip(outputs, ranges)
         ],
         axis=1,

@@ -60,19 +60,13 @@ class DRAMSystem:
         channels: int = 8,
         ranks_per_channel: int = 8,
         queue_depth: int = 64,
-        use_candidate_cache: bool = True,
     ):
         check_positive("channels", channels)
         check_positive("ranks_per_channel", ranks_per_channel)
         self.timing = timing
         self.mapping = AddressMapping(timing, channels, ranks_per_channel)
         self.channels: List[ChannelScheduler] = [
-            ChannelScheduler(
-                timing,
-                ranks_per_channel,
-                queue_depth,
-                use_candidate_cache=use_candidate_cache,
-            )
+            ChannelScheduler(timing, ranks_per_channel, queue_depth)
             for _ in range(channels)
         ]
 

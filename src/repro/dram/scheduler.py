@@ -23,10 +23,10 @@ only the entries the issued command can have touched.  The cached
 candidate stores the *structural* earliest cycle — bank and
 bank-group constraints only; the two clamps that move on every step
 (the wall clock and the shared data bus) are applied at pick time, so
-they never force invalidation.  The uncached path is kept behind
-``use_candidate_cache=False`` as the semantic reference; the
-drain-identity tests in ``tests/test_dram_scheduler_cache.py`` hold
-the two paths to identical command streams.
+they never force invalidation.  The recompute-everything pick is the
+semantic reference (``tests/oracles.py``); the drain-identity tests in
+``tests/test_dram_scheduler_cache.py`` hold the two to identical
+command streams.
 """
 
 from __future__ import annotations
@@ -58,7 +58,6 @@ class ChannelScheduler:
         timing: DDR4Timing,
         ranks: int,
         queue_depth: int = 64,
-        use_candidate_cache: bool = True,
         recorder=NULL_RECORDER,
     ):
         self.timing = timing
@@ -81,7 +80,6 @@ class ChannelScheduler:
         #: indices used for targeted invalidation: every cached entry
         #: is a member of its bank's set and of its (rank, command)
         #: set.
-        self.use_candidate_cache = use_candidate_cache
         self._cache: Dict[int, _Candidate] = {}
         self._bank_members: Dict[Tuple[int, int], Set[int]] = {}
         self._rank_members: Dict[Tuple[int, str], Set[int]] = {}
@@ -197,8 +195,6 @@ class ChannelScheduler:
     def _pick(self) -> Optional[_Candidate]:
         if not self.queue:
             return None
-        if not self.use_candidate_cache:
-            return self._pick_uncached()
         # Wall-clock FR-FCFS as a single lexicographic minimum over
         # (issue cycle, miss-before-hit, arrival).  Strict-< keeps the
         # first minimal entry in queue order, matching the reference
@@ -218,22 +214,6 @@ class ChannelScheduler:
             # The pick is consumed at its effective cycle.
             best = _Candidate(best.request, best.command, best_key[0], best.is_hit)
         return best
-
-    def _pick_uncached(self) -> Optional[_Candidate]:
-        """Reference pick: recompute every candidate (O(queue²) drains)."""
-        candidates = [
-            _Candidate(
-                raw.request, raw.command, self._effective_cycle(raw), raw.is_hit
-            )
-            for raw in (self._next_command_raw(r) for r in self.queue)
-        ]
-        # Wall-clock FR-FCFS: look only at commands issuable at the
-        # earliest possible cycle, so e.g. ACTs to other banks proceed
-        # while an opened row waits out tRCD.  Among those, prefer row
-        # hits, then the oldest request.
-        first_cycle = min(c.issue_cycle for c in candidates)
-        ready = [c for c in candidates if c.issue_cycle == first_cycle]
-        return min(ready, key=lambda c: (not c.is_hit, c.request.arrival))
 
     # ------------------------------------------------------------------
     def step(self) -> Optional[Request]:

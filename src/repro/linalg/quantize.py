@@ -96,31 +96,24 @@ class TileQuantized:
         return self.scales[np.asarray(indices, dtype=np.intp) // self.tile_rows]
 
     def dequantize_rows(
-        self,
-        indices: np.ndarray,
-        dtype=np.float64,
-        out: Optional[np.ndarray] = None,
+        self, indices: np.ndarray, out: Optional[np.ndarray] = None
     ) -> np.ndarray:
-        """Gathered rows reconstructed in ``dtype`` (target-dtype dequantize).
+        """Gathered rows reconstructed in float64.
 
         ``out`` (shape ``(len(indices), d)``) lets callers reuse
         workspace scratch so the gather stays allocation-flat.
         """
         index_array = np.asarray(indices, dtype=np.intp)
         if out is None:
-            out = np.empty((index_array.size, self.values.shape[1]), dtype=dtype)
+            out = np.empty((index_array.size, self.values.shape[1]))
         np.copyto(out, self.values[index_array], casting="unsafe")
-        out *= self.row_scales(index_array)[:, None].astype(dtype, copy=False)
+        out *= self.row_scales(index_array)[:, None]
         return out
 
     def dequantize_tile(
-        self,
-        start: int,
-        stop: int,
-        dtype=np.float64,
-        out: Optional[np.ndarray] = None,
+        self, start: int, stop: int, out: Optional[np.ndarray] = None
     ) -> np.ndarray:
-        """One row tile ``[start, stop)`` reconstructed in ``dtype``.
+        """One row tile ``[start, stop)`` reconstructed in float64.
 
         ``[start, stop)`` must lie inside a single tile (the canonical
         traversal always passes tile-aligned bounds).
@@ -132,18 +125,18 @@ class TileQuantized:
                 "boundary"
             )
         if out is None:
-            out = np.empty((stop - start, self.values.shape[1]), dtype=dtype)
+            out = np.empty((stop - start, self.values.shape[1]))
         np.copyto(out, self.values[start:stop], casting="unsafe")
         out *= self.scales[tile]
         return out
 
-    def dequantize(self, dtype=np.float64) -> np.ndarray:
+    def dequantize(self) -> np.ndarray:
         """The full reconstructed matrix (tests / small stores only)."""
-        out = np.empty(self.values.shape, dtype=dtype)
+        out = np.empty(self.values.shape)
         for tile in range(self.num_tiles):
             start = tile * self.tile_rows
             stop = min(start + self.tile_rows, self.values.shape[0])
-            self.dequantize_tile(start, stop, dtype=dtype, out=out[start:stop])
+            self.dequantize_tile(start, stop, out=out[start:stop])
         return out
 
 
@@ -267,21 +260,19 @@ class Quantizer:
         This stays in the float domain — ``clip(round(x/s)) * s`` —
         producing values bit-identical to an int round-trip without
         materializing the integer tensor, which matters on the per-call
-        inference path.  Every step after the divide works in place, and
-        ``out`` (same shape; may be ``tensor`` itself) receives the
-        result: a float64 ``out`` also carries the codes, so the call
-        allocates nothing the size of the tensor but ``|x|``; a narrower
-        ``out`` takes the final product's cast.
+        inference path.  Every step works in ``out`` (float64, same shape;
+        may be ``tensor`` itself), which carries the codes and then the
+        result, so the call allocates nothing the size of the tensor but
+        ``|x|``.
         """
         array = np.asarray(tensor, dtype=np.float64)
         scale = _symmetric_scale(array, self.qmax, self.axis)
         if out is None:
             out = np.empty(array.shape)
-        codes = out if out.dtype == array.dtype else np.empty(array.shape)
-        np.divide(array, scale, out=codes)
-        np.rint(codes, out=codes)  # np.round at zero decimals, minus its wrapper
-        np.clip(codes, self.qmin, self.qmax, out=codes)
-        return np.multiply(codes, scale, out=out)
+        np.divide(array, scale, out=out)
+        np.rint(out, out=out)  # np.round at zero decimals, minus its wrapper
+        np.clip(out, self.qmin, self.qmax, out=out)
+        return np.multiply(out, scale, out=out)
 
     def __repr__(self) -> str:
         return f"Quantizer(bits={self.bits}, axis={self.axis})"

@@ -74,7 +74,10 @@ def quantized_key(row: np.ndarray, bits: int = 4) -> Tuple[bytes, float, int]:
     qmin, qmax = _qrange(bits)
     max_abs = float(np.max(np.abs(array))) if array.size else 0.0
     scale = max_abs / qmax if max_abs > 0 else 1.0
-    codes = np.clip(np.round(array / scale), qmin, qmax).astype(np.int8)
+    codes = np.clip(np.round(array / scale), qmin, qmax)
+    # The rule quantize_symmetric follows: an int8 cast would wrap codes
+    # past 127 and alias rows that differ in them.
+    codes = codes.astype(np.int8 if bits <= 8 else np.int16)
     return codes.tobytes(), scale, array.size
 
 
@@ -88,7 +91,8 @@ class ResultCache:
         evicted past it.
     bits:
         Quantization width of the key (INT4 by default, matching the
-        screener's datapath).
+        screener's datapath), one of
+        :data:`~repro.linalg.quantize.SUPPORTED_BITS`.
     verify:
         ``True`` (default): exact mode — a key hit must also match the
         stored float row byte-for-byte, so cached serving is
@@ -108,6 +112,7 @@ class ResultCache:
         recorder=None,
     ):
         check_positive("capacity", capacity)
+        _qrange(int(bits))
         self.capacity = int(capacity)
         self.bits = int(bits)
         self.verify = bool(verify)

@@ -5,12 +5,13 @@ vectorized from.  They live beside the tests, not in ``src/``, because
 no serving call runs them.
 """
 
-from typing import List, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 from repro.core.candidates import CandidateSet
 from repro.core.pipeline import ScreenedOutput
+from repro.dram.scheduler import ChannelScheduler, _Candidate
 from repro.utils.validation import check_batch_features
 
 
@@ -36,7 +37,8 @@ def merge_candidates_per_row(
     ranges: Sequence[range],
     batch_size: int,
 ) -> CandidateSet:
-    """:func:`~repro.distributed.sharding.merge_candidates` done the
+    """The candidate merge of
+    :func:`~repro.distributed.sharding.merge_streamed_outputs` done the
     direct way: one concatenation per batch row."""
     merged: List[np.ndarray] = []
     for row in range(batch_size):
@@ -46,3 +48,26 @@ def merge_candidates_per_row(
         ]
         merged.append(np.concatenate(parts))
     return CandidateSet(indices=merged)
+
+
+class UncachedChannelScheduler(ChannelScheduler):
+    """:class:`~repro.dram.scheduler.ChannelScheduler` picking the
+    direct way: every queued request's next command is recomputed on
+    every step (O(queue²) drains), no candidate cache."""
+
+    def _pick(self) -> Optional[_Candidate]:
+        if not self.queue:
+            return None
+        candidates = [
+            _Candidate(
+                raw.request, raw.command, self._effective_cycle(raw), raw.is_hit
+            )
+            for raw in (self._next_command_raw(r) for r in self.queue)
+        ]
+        # Wall-clock FR-FCFS: look only at commands issuable at the
+        # earliest possible cycle, so e.g. ACTs to other banks proceed
+        # while an opened row waits out tRCD.  Among those, prefer row
+        # hits, then the oldest request.
+        first_cycle = min(c.issue_cycle for c in candidates)
+        ready = [c for c in candidates if c.issue_cycle == first_cycle]
+        return min(ready, key=lambda c: (not c.is_hit, c.request.arrival))

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.core.candidates import CandidateSelector, CandidateSet, merge_candidates
+from repro.core.candidates import CandidateSelector, CandidateSet
 
 score_arrays = arrays(
     dtype=np.float64,
@@ -117,11 +117,3 @@ class TestThresholdSelector:
         selector = CandidateSelector(mode="top_m", num_candidates=1)
         with pytest.raises(ValueError):
             selector.select(np.zeros((2, 2, 2)))
-
-
-def test_merge_candidates():
-    a = CandidateSet(indices=[np.array([1])])
-    b = CandidateSet(indices=[np.array([2]), np.array([3])])
-    merged = merge_candidates([a, b])
-    assert merged.batch_size == 3
-    assert merged.total == 3

@@ -391,20 +391,21 @@ class TestFaithfulVsVectorized:
         )
         self._assert_identical(model, small_task.sample_features(3))
 
-    @pytest.mark.parametrize("compute_dtype", ["float64", "float32"])
+    @pytest.mark.parametrize("feature_dtype", ["float64", "float32"])
     @pytest.mark.parametrize(
         "mode, threshold, picked",
         [("top_m", None, 6), ("threshold", 500.0, 8), ("threshold", 1e12, 0)],
         ids=["top_m", "threshold", "threshold_selects_nothing"],
     )
     def test_ties_straddling_the_tile_boundary(
-        self, mode, threshold, picked, compute_dtype
+        self, mode, threshold, picked, feature_dtype
     ):
         """l = 8192 + 37: eight columns around the canonical tile
         boundary score exactly 1000 in every row (zero weight rows, so
         the score is the bias whatever the GEMM's summation order).
         Top-6 must keep the six lowest-indexed of them — four from the
-        first tile, two from the second."""
+        first tile, two from the second — whatever width the features
+        arrive in (they are cast to float64 at the door)."""
         from repro.core import ScreeningConfig, ScreeningModule, train_screener
         from repro.core.screener import TILE_CATEGORIES
         from repro.data import make_task
@@ -420,19 +421,17 @@ class TestFaithfulVsVectorized:
         tied = slice(TILE_CATEGORIES - 4, TILE_CATEGORIES + 4)
         weight, bias = trained.weight.copy(), trained.bias.copy()
         weight[tied], bias[tied] = 0.0, 1000.0
-        screener = ScreeningModule(
-            trained.projection, weight, bias, compute_dtype=compute_dtype
-        )
+        screener = ScreeningModule(trained.projection, weight, bias)
         assert len(screener.tile_bounds()) == 2
         model = ApproximateScreeningClassifier(
             task.classifier,
             screener,
             CandidateSelector(mode, num_candidates=6, threshold=threshold),
         )
-        features = task.sample_features(5, rng=7)
+        features = task.sample_features(5, rng=7).astype(feature_dtype)
         self._assert_identical(model, features)
         dense = model.forward(features)
-        assert dense.logits.dtype == np.dtype(compute_dtype)
+        assert dense.logits.dtype == np.float64
         first = TILE_CATEGORIES - 4
         for indices in dense.candidates:
             assert np.array_equal(indices, np.arange(first, first + picked))

@@ -138,21 +138,23 @@ class Abort(BaseException):
 class TestPlaneBuiltTileByTile:
     """The fused plane is placed one canonical tile at a time, in 1, 2
     or 3 lanes; its bits are those of quantizing the whole ``(l, k)``
-    weight at once."""
+    weight at once — float64 bits, whatever width the master weight
+    arrives in."""
 
     @pytest.mark.parametrize(
         "l",
         [1, TILE_CATEGORIES - 1, TILE_CATEGORIES, TILE_CATEGORIES + 1,
          3 * TILE_CATEGORIES + 5],
     )
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("weight_dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("bits", [2, 4, 8, None])
-    def test_equals_whole_plane_quantization(self, monkeypatch, bits, dtype, l):
+    def test_equals_whole_plane_quantization(self, monkeypatch, bits, weight_dtype, l):
         k = 3
         rng = np.random.default_rng(l)
         weight = rng.standard_normal((l, k)) * rng.uniform(1e-3, 1e3, (l, 1))
         weight[0] = 0.0  # neutral scale
         weight[-1] = 5e-324  # subnormal: max_abs / qmax underflows
+        weight = weight.astype(weight_dtype).astype(np.float64)
         bias = rng.standard_normal(l)
         projection = SparseRandomProjection(input_dim=8, output_dim=k, rng=1)
         want = weight if bits is None else Quantizer(bits, axis=0).fake_quantize(weight)
@@ -161,12 +163,12 @@ class TestPlaneBuiltTileByTile:
             # The caller's error state holds in every lane.
             with np.errstate(divide="raise", invalid="raise"):
                 module = ScreeningModule(
-                    projection, weight, bias, quantization_bits=bits, compute_dtype=dtype
+                    projection, weight.astype(weight_dtype), bias, quantization_bits=bits
                 )
             plane = module._fused_weight_t
-            assert plane.dtype == dtype and plane.flags.c_contiguous
-            assert np.array_equal(plane[:-1], want.T.astype(dtype)), f"{lanes} lanes"
-            assert np.array_equal(plane[-1], bias.astype(dtype))
+            assert plane.dtype == np.float64 and plane.flags.c_contiguous
+            assert np.array_equal(plane[:-1], want.T), f"{lanes} lanes"
+            assert np.array_equal(plane[-1], bias)
 
     def test_set_up_holds_the_plane_and_a_few_tiles(self, monkeypatch):
         """No second plane-sized temporary while the plane is built: each
@@ -204,16 +206,16 @@ class TestScoresInLanes:
         )
 
     @pytest.mark.parametrize("rows", [1, 16])
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_every_lane_count_scores_the_single_lane_bits(self, monkeypatch, module, rows, dtype):
-        module.set_compute_dtype(dtype)
-        features = np.random.default_rng(rows).standard_normal((rows, 32))
+    @pytest.mark.parametrize("feature_dtype", [np.float32, np.float64])
+    def test_every_lane_count_scores_the_single_lane_bits(self, monkeypatch, module, rows, feature_dtype):
+        features = np.random.default_rng(rows).standard_normal((rows, 32)).astype(feature_dtype)
         force_lanes(monkeypatch, 1)
         expected = module.approximate_logits(features)
+        assert expected.dtype == np.float64
         for lanes in LANES[1:]:
             force_lanes(monkeypatch, lanes)
             scores = module.approximate_logits(features)
-            assert scores.dtype == expected.dtype and np.array_equal(scores, expected)
+            assert scores.dtype == np.float64 and np.array_equal(scores, expected)
 
     def test_runs_are_contiguous_and_cover_every_tile_once(self):
         tiles = list(range(11))
@@ -229,7 +231,6 @@ class TestScoresInLanes:
         """The lane that fails waits until every other lane is running,
         then raises; the caller sees the error only once the others have
         scored every tile of their runs, and no thread is left."""
-        module.set_compute_dtype(np.float64)
         features = np.random.default_rng(0).standard_normal((16, 32))
         lane_of = {0: 0, 1: 1, 2: 2, 3: 2}
         started = [threading.Event() for _ in range(3)]
@@ -257,7 +258,11 @@ class TestScoresInLanes:
 
 
 class TestComputeDtype:
-    def _module(self, compute_dtype=np.float64):
+    """Every screening GEMM computes in float64: ``compute_dtype`` only
+    reports it, and the width of the caller's features changes nothing
+    but the cast at the door."""
+
+    def _module(self):
         projection = SparseRandomProjection(32, 8, rng=0)
         rng = np.random.default_rng(1)
         return ScreeningModule(
@@ -265,7 +270,6 @@ class TestComputeDtype:
             rng.standard_normal((50, 8)),
             rng.standard_normal(50),
             quantization_bits=4,
-            compute_dtype=compute_dtype,
         )
 
     def test_default_is_float64(self):
@@ -275,40 +279,37 @@ class TestComputeDtype:
         assert module.approximate_logits(features).dtype == np.float64
 
     def test_float32_output_dtype(self):
-        module = self._module(compute_dtype=np.float32)
+        """float32 features still score in float64."""
+        module = self._module()
         features = np.random.default_rng(2).standard_normal((3, 32))
-        assert module.approximate_logits(features).dtype == np.float32
+        assert module.approximate_logits(features.astype(np.float32)).dtype == np.float64
 
     def test_float32_close_to_float64(self):
-        features = np.random.default_rng(2).standard_normal((4, 32))
-        wide = self._module().approximate_logits(features)
-        narrow = self._module(compute_dtype=np.float32).approximate_logits(features)
-        assert np.allclose(wide, narrow, rtol=1e-5, atol=1e-5)
-
-    def test_set_compute_dtype_rebuilds_state(self):
+        """float32 features score exactly as their float64 widening."""
         module = self._module()
-        features = np.random.default_rng(2).standard_normal((2, 32))
-        module.set_compute_dtype(np.float32)
-        assert module.approximate_logits(features).dtype == np.float32
-        module.set_compute_dtype(np.float64)
-        assert module.approximate_logits(features).dtype == np.float64
+        features = np.random.default_rng(2).standard_normal((4, 32)).astype(np.float32)
+        assert np.array_equal(
+            module.approximate_logits(features),
+            module.approximate_logits(features.astype(np.float64)),
+        )
 
     def test_rejects_unsupported_dtype(self):
-        with pytest.raises(ValueError, match="float32 or float64"):
-            self._module(compute_dtype=np.int32)
-        with pytest.raises(ValueError, match="float32 or float64"):
-            ScreeningConfig(projection_dim=8, compute_dtype="int8")
+        """The width is not a setting: the module reports it read-only,
+        and a config or constructor that still names one fails loudly
+        rather than being ignored."""
+        module = self._module()
+        with pytest.raises(AttributeError):
+            module.compute_dtype = np.float32
+        legacy = {"compute_dtype": "float32"}
+        with pytest.raises(TypeError):
+            ScreeningConfig(projection_dim=8, **legacy)
+        with pytest.raises(TypeError):
+            ScreeningModule(module.projection, module.weight, module.bias, **legacy)
 
     def test_dequantized_weight_stays_float64(self):
         # The compiler's tile lowering consumes _weight_deq directly and
         # must keep bit-level agreement with the DIMM simulator.
-        module = self._module(compute_dtype=np.float32)
-        assert module._weight_deq.dtype == np.float64
-
-    def test_config_carries_compute_dtype(self):
-        config = ScreeningConfig(projection_dim=8, compute_dtype="float32")
-        module = initialize_screener(50, 32, config, rng=0)
-        assert module.compute_dtype == np.float32
+        assert self._module()._weight_deq.dtype == np.float64
 
 
 class TestInitializeScreener:

@@ -10,7 +10,7 @@ from repro.core import (
     save_quantized_store,
     save_screener,
 )
-from repro.core.serialization import _FORMAT_VERSION, _LEGACY_COMPUTE_DTYPE
+from repro.core.serialization import _FORMAT_VERSION
 
 
 class TestScreenerRoundTrip:
@@ -58,46 +58,41 @@ class TestScreenerRoundTrip:
         save_screener(path, screener)
         assert load_screener(path).quantization_bits is None
 
-    def test_compute_dtype_round_trips(self, small_task, tmp_path):
-        # Regression: save_screener dropped compute_dtype, so a float32
-        # screener silently reloaded as float64 — and bit-identity with
-        # the original was lost (the float32 pipeline rounds, float64
-        # does not).
-        from repro.core import ScreeningConfig, train_screener
-
-        screener = train_screener(
-            small_task.classifier, small_task.sample_features(128),
-            config=ScreeningConfig(projection_dim=8, compute_dtype="float32"),
-            solver="lstsq", rng=3,
-        )
-        path = tmp_path / "fp32-compute.npz"
-        save_screener(path, screener)
-        loaded = load_screener(path)
-        assert loaded.compute_dtype == np.dtype(np.float32)
+    def test_compute_dtype_round_trips(self, small_screener, small_task, tmp_path):
+        """float64 is the screener's one width, so nothing is written for
+        it, and a version-2 file of an earlier build that says
+        ``"float32"`` loads as float64, scoring bit-identically to the
+        module built from the same arrays."""
+        path = tmp_path / "screener.npz"
+        save_screener(path, small_screener)
+        legacy = tmp_path / "v2-float32.npz"
+        with np.load(path) as data:
+            assert "compute_dtype" not in data
+            np.savez(legacy, **data, **{"compute_dtype": np.str_("float32")})
+        loaded = load_screener(legacy)
+        assert loaded.compute_dtype == np.float64
         features = small_task.sample_features(8)
         assert np.array_equal(
-            screener.approximate_logits(features),
             loaded.approximate_logits(features),
+            small_screener.approximate_logits(features),
         )
 
     def test_version1_artifact_defaults_to_float64(
-        self, small_screener, tmp_path
+        self, small_screener, small_task, tmp_path
     ):
         # A hand-crafted version-1 file (no compute_dtype key) must load
         # with the historical float64 behavior, not crash or guess.
         path = tmp_path / "v1.npz"
-        np.savez(
-            path,
-            format_version=np.int64(1),
-            kind=np.str_("screener"),
-            weight=small_screener.weight,
-            bias=small_screener.bias,
-            projection_ternary=small_screener.projection.ternary,
-            projection_density=np.float64(small_screener.projection.density),
-            quantization_bits=np.int64(small_screener.quantization_bits),
-        )
+        save_screener(tmp_path / "v2.npz", small_screener)
+        with np.load(tmp_path / "v2.npz") as data:
+            np.savez(path, **dict(data, format_version=np.int64(1)))
         loaded = load_screener(path)
-        assert loaded.compute_dtype == np.dtype(_LEGACY_COMPUTE_DTYPE)
+        assert loaded.compute_dtype == np.float64
+        features = small_task.sample_features(8)
+        assert np.array_equal(
+            loaded.approximate_logits(features),
+            small_screener.approximate_logits(features),
+        )
 
 
 class TestClassifierRoundTrip:

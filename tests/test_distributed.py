@@ -11,7 +11,6 @@ from repro.data.registry import get_workload
 from repro.distributed import (
     ClusterModel,
     ShardedClassifier,
-    merge_candidates,
     merge_shard_outputs,
     merge_streamed_outputs,
     shard_ranges,
@@ -64,8 +63,19 @@ class TestShardRanges:
 
 
 class TestMergeCandidates:
-    """The vectorized merge is the per-row reference merge (satellite
-    guard for the flat-scatter rewrite of the reduce path)."""
+    """The vectorized candidate merge of :func:`merge_streamed_outputs`
+    is the per-row reference merge (the guard for the flat-scatter
+    rewrite of the reduce path)."""
+
+    @staticmethod
+    def merge_candidates(sets, ranges, batch_size):
+        """The candidates :func:`merge_streamed_outputs` merges from
+        shards that carry only these candidate sets."""
+        outputs = [
+            StreamedOutput(c, np.zeros(c.total), np.zeros(c.total), len(r))
+            for c, r in zip(sets, ranges)
+        ]
+        return merge_streamed_outputs(outputs, ranges, batch_size).candidates
 
     @staticmethod
     def random_shard_sets(rng, batch_size, ranges, max_per_row):
@@ -88,7 +98,7 @@ class TestMergeCandidates:
         batch_size = int(rng.integers(1, 12))
         ranges = shard_ranges(60, int(rng.integers(1, 5)))
         sets = self.random_shard_sets(rng, batch_size, ranges, max_per_row=7)
-        fast = merge_candidates(sets, ranges, batch_size)
+        fast = self.merge_candidates(sets, ranges, batch_size)
         reference = merge_candidates_per_row(sets, ranges, batch_size)
         assert fast.batch_size == reference.batch_size
         for fast_row, ref_row in zip(fast, reference):
@@ -101,7 +111,7 @@ class TestMergeCandidates:
             CandidateSet(indices=[np.array([], dtype=np.intp)] * 3)
             for _ in ranges
         ]
-        merged = merge_candidates(sets, ranges, 3)
+        merged = self.merge_candidates(sets, ranges, 3)
         reference = merge_candidates_per_row(sets, ranges, 3)
         assert merged.batch_size == 3
         for merged_row, ref_row in zip(merged, reference):
@@ -116,7 +126,7 @@ class TestMergeCandidates:
             CandidateSet(indices=[np.array([3, 1], dtype=np.intp)]),
             CandidateSet(indices=[np.array([2, 0], dtype=np.intp)]),
         ]
-        merged = merge_candidates(sets, ranges, 1)
+        merged = self.merge_candidates(sets, ranges, 1)
         assert np.array_equal(merged.indices[0], [3, 1, 6, 4])
 
 
@@ -126,7 +136,7 @@ class TestMergeToleratesFailedShards:
     its global column — for every subset of failed shards."""
 
     @staticmethod
-    def random_shard(rng, batch_size, width, dtype):
+    def random_shard(rng, batch_size, width):
         """One shard's (dense, streamed) outputs over the same random
         candidate record."""
         indices = [
@@ -137,8 +147,8 @@ class TestMergeToleratesFailedShards:
         ]
         candidates = CandidateSet(indices=indices)
         rows, cols = candidates.flat()
-        logits = rng.standard_normal((batch_size, width)).astype(dtype)
-        approx = rng.standard_normal(rows.size).astype(dtype)
+        logits = rng.standard_normal((batch_size, width))
+        approx = rng.standard_normal(rows.size)
         dense = ScreenedOutput(
             logits=logits, candidates=candidates, restore=(rows, cols, approx)
         )
@@ -162,11 +172,7 @@ class TestMergeToleratesFailedShards:
         rng = np.random.default_rng(seed)
         stops = np.cumsum(sizes)
         ranges = [range(int(stop - size), int(stop)) for size, stop in zip(sizes, stops)]
-        dtypes = [rng.choice([np.float32, np.float64]) for _ in sizes]
-        shards = [
-            self.random_shard(rng, batch_size, size, dtype)
-            for size, dtype in zip(sizes, dtypes)
-        ]
+        shards = [self.random_shard(rng, batch_size, size) for size in sizes]
         full_dense = merge_shard_outputs([d for d, _ in shards], ranges)
         full_streamed = merge_streamed_outputs([s for _, s in shards], ranges)
         rows, cols = full_streamed.candidates.flat()
@@ -175,8 +181,6 @@ class TestMergeToleratesFailedShards:
             for shard_range, dead in zip(ranges, failed):
                 missing[shard_range.start : shard_range.stop] = dead
             keep = ~missing[cols]
-            survivors = [dtype for dtype, dead in zip(dtypes, failed) if not dead]
-            dtype = np.result_type(*survivors) if survivors else np.float64
 
             streamed = merge_streamed_outputs(
                 [None if dead else s for (_, s), dead in zip(shards, failed)],
@@ -189,7 +193,7 @@ class TestMergeToleratesFailedShards:
             assert np.array_equal(kept_rows, rows[keep])
             assert np.array_equal(kept_cols, cols[keep])
             for name in ("exact_values", "approximate_values"):
-                assert getattr(streamed, name).dtype == dtype
+                assert getattr(streamed, name).dtype == np.float64
                 assert np.array_equal(
                     getattr(streamed, name), getattr(full_streamed, name)[keep]
                 )
@@ -199,11 +203,11 @@ class TestMergeToleratesFailedShards:
                 ranges,
                 batch_size,
             )
-            assert dense.logits.dtype == dtype
+            assert dense.logits.dtype == np.float64
             assert np.array_equal(dense.candidates.flat()[0], rows[keep])
             assert np.array_equal(dense.candidates.flat()[1], cols[keep])
             for name in ("logits", "approximate_logits"):
-                expected = getattr(full_dense, name).astype(np.float64)
+                expected = getattr(full_dense, name).copy()
                 expected[:, missing] = np.nan
                 assert np.array_equal(getattr(dense, name), expected, equal_nan=True)
 

@@ -3,7 +3,7 @@
 The contract under test: :class:`ParallelShardedEngine` is the *same
 function* as the sequential ``ShardedClassifier`` — every output plane,
 candidate list and top-k reduce is bit-identical, across candidate
-selectors, screening compute dtypes and shard counts.  The engine ships
+selectors, feature widths and shard counts.  The engine ships
 because these tests say so, not because the implementation looks right.
 
 Also covered: single-node equivalence (a 1-shard parallel engine is the
@@ -38,7 +38,8 @@ CANDIDATES_PER_SHARD = 8
 TRAIN_RNG = 5
 
 SELECTORS = ("top_m", "threshold")
-DTYPES = ("float64", "float32")
+#: Caller feature widths; every call casts to float64 at the door.
+FEATURE_DTYPES = ("float64", "float32")
 SHARD_COUNTS = (1, 2, 4)
 
 
@@ -64,38 +65,35 @@ def train_features(task):
 
 @pytest.fixture(scope="module")
 def model_zoo(task, calibration, train_features):
-    """Trained sequential models, one per (shards, dtype, selector).
+    """Trained sequential models, one per (shards, selector).
 
-    Training is deterministic in (shards, dtype), so the zoo is the
+    Training is deterministic in the shard count, so the zoo is the
     single source of truth both backends are built from.
     """
     zoo = {}
     for shards in SHARD_COUNTS:
-        for dtype in DTYPES:
-            for selector_mode in SELECTORS:
-                model = ShardedClassifier(
-                    task.classifier,
-                    num_shards=shards,
-                    config=ScreeningConfig(
-                        projection_dim=PROJECTION_DIM, compute_dtype=dtype
-                    ),
-                )
-                model.train(
-                    train_features,
-                    candidates_per_shard=CANDIDATES_PER_SHARD,
-                    rng=TRAIN_RNG,
-                )
-                if selector_mode == "threshold":
-                    for shard in model.shards:
-                        selector = CandidateSelector(
-                            mode="threshold",
-                            num_candidates=CANDIDATES_PER_SHARD,
-                        )
-                        selector.calibrate(
-                            shard.screener.approximate_logits(calibration)
-                        )
-                        shard.selector = selector
-                zoo[(shards, dtype, selector_mode)] = model
+        for selector_mode in SELECTORS:
+            model = ShardedClassifier(
+                task.classifier,
+                num_shards=shards,
+                config=ScreeningConfig(projection_dim=PROJECTION_DIM),
+            )
+            model.train(
+                train_features,
+                candidates_per_shard=CANDIDATES_PER_SHARD,
+                rng=TRAIN_RNG,
+            )
+            if selector_mode == "threshold":
+                for shard in model.shards:
+                    selector = CandidateSelector(
+                        mode="threshold",
+                        num_candidates=CANDIDATES_PER_SHARD,
+                    )
+                    selector.calibrate(
+                        shard.screener.approximate_logits(calibration)
+                    )
+                    shard.selector = selector
+            zoo[(shards, selector_mode)] = model
     return zoo
 
 
@@ -111,11 +109,12 @@ def assert_outputs_identical(actual, expected):
 
 
 @pytest.mark.parametrize("shards", SHARD_COUNTS)
-@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("feature_dtype", FEATURE_DTYPES)
 @pytest.mark.parametrize("selector_mode", SELECTORS)
 class TestParallelMatchesSequential:
-    def test_bit_identical(self, model_zoo, features, selector_mode, dtype, shards):
-        model = model_zoo[(shards, dtype, selector_mode)]
+    def test_bit_identical(self, model_zoo, features, selector_mode, feature_dtype, shards):
+        model = model_zoo[(shards, selector_mode)]
+        features = features.astype(feature_dtype)
         sequential = model.forward(features)
         with model.parallel() as engine:
             parallel = engine.forward(features)
@@ -134,7 +133,7 @@ class TestParallelMatchesSequential:
 class TestParallelEngineBehavior:
     def test_repeated_calls_are_stable(self, model_zoo, features):
         """Buffer reuse across calls must not leak state between batches."""
-        model = model_zoo[(2, "float64", "top_m")]
+        model = model_zoo[(2, "top_m")]
         with model.parallel() as engine:
             first = engine.forward(features)
             shuffled = features[::-1].copy()
@@ -145,7 +144,7 @@ class TestParallelEngineBehavior:
 
     def test_io_plane_regrowth(self, model_zoo, task):
         """Batches beyond max_batch reallocate the shared I/O planes."""
-        model = model_zoo[(2, "float64", "top_m")]
+        model = model_zoo[(2, "top_m")]
         small = task.sample_features(3, rng=21)
         large = task.sample_features(40, rng=22)
         with model.parallel(max_batch=4) as engine:
@@ -161,13 +160,13 @@ class TestParallelEngineBehavior:
 
     def test_spawn_start_method(self, model_zoo, features):
         """Fresh-interpreter workers compute the same bits as forked ones."""
-        model = model_zoo[(2, "float64", "top_m")]
+        model = model_zoo[(2, "top_m")]
         sequential = model.forward(features)
         with model.parallel(start_method="spawn") as engine:
             assert_outputs_identical(engine.forward(features), sequential)
 
     def test_single_vector_input(self, model_zoo, task):
-        model = model_zoo[(2, "float64", "top_m")]
+        model = model_zoo[(2, "top_m")]
         vector = task.sample_features(1, rng=23)[0]
         with model.parallel() as engine:
             assert_outputs_identical(engine.forward(vector), model.forward(vector))
@@ -178,7 +177,7 @@ class TestParallelEngineBehavior:
         """Same ``ValueError`` as the sequential and single-node
         backends, raised before any worker sees the request; ``k``
         beyond one shard still clamps per shard."""
-        model = model_zoo[(2, "float64", "top_m")]
+        model = model_zoo[(2, "top_m")]
         with model.parallel() as engine:
             l = engine.num_categories
             with pytest.raises(ValueError, match=f"k={l + 1} exceeds score dimension {l}"):
@@ -195,7 +194,7 @@ class TestParallelEngineBehavior:
             model.parallel()
 
     def test_forward_after_close_rejected(self, model_zoo, features):
-        model = model_zoo[(2, "float64", "top_m")]
+        model = model_zoo[(2, "top_m")]
         engine = model.parallel()
         engine.close()
         with pytest.raises(RuntimeError, match="closed"):
@@ -208,7 +207,7 @@ class TestSingleNodeEquivalence:
     def test_parallel_matches_single_node(
         self, task, features, model_zoo, train_features
     ):
-        model = model_zoo[(1, "float64", "top_m")]
+        model = model_zoo[(1, "top_m")]
         # Rebuild the single-node classifier exactly as train() does for
         # its one shard: same spawned rng, same config, same solver.
         screener = train_screener(
@@ -233,7 +232,7 @@ class TestSingleNodeEquivalence:
         sliced planes, so this is allclose, not bitwise)."""
         exact = task.classifier.logits(features)
         for shards in SHARD_COUNTS:
-            model = model_zoo[(shards, "float64", "top_m")]
+            model = model_zoo[(shards, "top_m")]
             with model.parallel() as engine:
                 output = engine.forward(features)
             for row, indices in enumerate(output.candidates):
@@ -253,7 +252,7 @@ class TestWorkerFailure:
     """
 
     def test_killed_worker_raises_not_hangs(self, model_zoo, features):
-        model = model_zoo[(2, "float64", "top_m")]
+        model = model_zoo[(2, "top_m")]
         engine = model.parallel(max_restarts=0)
         try:
             engine.forward(features)
@@ -272,7 +271,7 @@ class TestWorkerFailure:
         """With the default restart budget the same kill is absorbed:
         the replacement worker rebuilds from the shared segments and
         the fleet keeps answering bit-identically."""
-        model = model_zoo[(2, "float64", "top_m")]
+        model = model_zoo[(2, "top_m")]
         sequential = model.forward(features)
         with model.parallel() as engine:
             engine.workers[1].process.kill()
@@ -283,7 +282,7 @@ class TestWorkerFailure:
     def test_death_mid_request_raises(self, model_zoo, features):
         """A worker that dies after the batch was scattered (request in
         flight, no reply coming) must surface as WorkerDied."""
-        model = model_zoo[(2, "float64", "top_m")]
+        model = model_zoo[(2, "top_m")]
         engine = model.parallel(max_restarts=0)
         try:
             engine.forward(features)
@@ -297,7 +296,7 @@ class TestWorkerFailure:
             engine.close()
 
     def test_close_is_idempotent_and_releases_segments(self, model_zoo, features):
-        model = model_zoo[(2, "float64", "top_m")]
+        model = model_zoo[(2, "top_m")]
         engine = model.parallel()
         engine.forward(features)
         names = engine.segment_names()

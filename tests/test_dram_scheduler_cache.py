@@ -1,13 +1,15 @@
 """Candidate-cache identity: cached FR-FCFS == recompute-everything.
 
 The cached scheduler must issue the *same command stream* as the
-O(queue²) reference — not merely reach similar statistics — so these
-tests drain identical request streams through both configurations and
-compare every per-request completion cycle plus every counter.
+O(queue²) reference (``oracles.UncachedChannelScheduler``) — not merely
+reach similar statistics — so these tests drain identical request
+streams through both schedulers and compare every per-request
+completion cycle plus every counter.
 """
 
 import numpy as np
 import pytest
+from oracles import UncachedChannelScheduler
 
 from repro.dram import DDR4_2400, DRAMSystem
 from repro.dram.request import Request, RequestType
@@ -15,8 +17,13 @@ from repro.dram.scheduler import ChannelScheduler
 
 
 def paired_systems(**kwargs):
-    cached = DRAMSystem(DDR4_2400, use_candidate_cache=True, **kwargs)
-    reference = DRAMSystem(DDR4_2400, use_candidate_cache=False, **kwargs)
+    """Two identical systems, the second on the reference scheduler."""
+    cached = DRAMSystem(DDR4_2400, **kwargs)
+    reference = DRAMSystem(DDR4_2400, **kwargs)
+    reference.channels = [
+        UncachedChannelScheduler(DDR4_2400, len(channel.ranks), channel.queue_depth)
+        for channel in reference.channels
+    ]
     return cached, reference
 
 
@@ -104,9 +111,8 @@ class TestDrainIdentity:
     def test_incremental_stepping_matches(self):
         """Step-by-step interleaving of enqueue and issue, not one drain."""
         schedulers = [
-            ChannelScheduler(DDR4_2400, ranks=2, queue_depth=8,
-                             use_candidate_cache=flag)
-            for flag in (True, False)
+            kind(DDR4_2400, ranks=2, queue_depth=8)
+            for kind in (ChannelScheduler, UncachedChannelScheduler)
         ]
         host = DRAMSystem(DDR4_2400, channels=1, ranks_per_channel=2)
         rng = np.random.default_rng(3)
@@ -145,6 +151,3 @@ class TestCacheHygiene:
                 assert not members
             # Entries may only remain for requests still in the queue.
             assert not channel._cache
-
-    def test_cache_flag_defaults_on(self):
-        assert ChannelScheduler(DDR4_2400, ranks=1).use_candidate_cache

@@ -54,8 +54,8 @@ def reference_key(row, bits=4):
     qmin, qmax = _qrange(bits)
     max_abs = float(np.max(np.abs(array))) if array.size else 0.0
     scale = max_abs / qmax if max_abs > 0 else 1.0
-    codes = np.clip(np.round(array / scale), qmin, qmax).astype(np.int8)
-    return codes, scale
+    codes = np.clip(np.round(array / scale), qmin, qmax)
+    return codes.astype(np.int8 if bits <= 8 else np.int16), scale
 
 
 # ----------------------------------------------------------------------
@@ -109,6 +109,15 @@ class TestQuantizedKey:
         row[3] = bad
         with pytest.raises(ValueError, match="finite"):
             quantized_key(row)
+
+    def test_sixteen_bit_codes_keep_their_high_byte(self):
+        """Above 8 bits the codes are int16, as in ``quantize_symmetric``:
+        an int8 cast wrapped 32767 to -1 and 200 to -56, so these two
+        rows shared a key."""
+        a, b = np.array([1.0, 200 / 32767]), np.array([1.0, -56 / 32767])
+        assert quantized_key(a, 16) != quantized_key(b, 16)
+        codes, _, _ = quantized_key(a, 16)
+        assert np.frombuffer(codes, dtype=np.int16).tolist() == [32767, 200]
 
     def test_all_nan_row_has_no_key(self):
         with pytest.raises(ValueError, match="finite"):
@@ -192,6 +201,11 @@ class TestResultCacheSemantics:
         assert cache.get("forward", {}, near) == "original"
         assert cache.collisions == 0
 
+    def test_unverified_sixteen_bit_cache_serves_no_other_row(self):
+        cache = ResultCache(capacity=4, bits=16, verify=False)
+        cache.put("forward", {}, np.array([1.0, 200 / 32767]), "a")
+        assert cache.get("forward", {}, np.array([1.0, -56 / 32767])) is None
+
     def test_stored_row_is_a_copy(self):
         cache = ResultCache(capacity=4)
         row = np.arange(4.0)
@@ -202,6 +216,12 @@ class TestResultCacheSemantics:
     def test_capacity_validated(self):
         with pytest.raises(ValueError):
             ResultCache(capacity=0)
+
+    def test_bits_validated(self):
+        """An unsupported width fails at construction, not inside the
+        first ``get``."""
+        with pytest.raises(ValueError, match="bit width"):
+            ResultCache(bits=5)
 
 
 class TestEvictionOrder:

@@ -10,7 +10,7 @@ Three layers of guarantees:
   into *any* contiguous plan and merging back is bit-exact, so global
   column indexing cannot depend on where the shard boundaries fall.
 * **Backends, per plan** — for every plan shape × candidate selector ×
-  compute dtype, the process-parallel engine is bit-identical to the
+  feature width, the process-parallel engine is bit-identical to the
   sequential backend (the cross-backend contract extended from uniform
   plans in ``tests/test_distributed_parallel.py`` to skewed ones).
 
@@ -52,7 +52,8 @@ CANDIDATES_PER_SHARD = 8
 TRAIN_RNG = 5
 
 SELECTORS = ("top_m", "threshold")
-DTYPES = ("float64", "float32")
+#: Caller feature widths; every call casts to float64 at the door.
+FEATURE_DTYPES = ("float64", "float32")
 PLAN_KINDS = ("uniform", "balanced", "hot")
 
 
@@ -425,34 +426,31 @@ def train_features(task):
 
 @pytest.fixture(scope="module")
 def model_zoo(task, calibration, train_features):
-    """Trained sequential models, one per (plan kind, dtype, selector)."""
+    """Trained sequential models, one per (plan kind, selector)."""
     zoo = {}
     for kind in PLAN_KINDS:
-        for dtype in DTYPES:
-            for selector_mode in SELECTORS:
-                model = ShardedClassifier(
-                    task.classifier,
-                    plan=make_plan(kind),
-                    config=ScreeningConfig(
-                        projection_dim=PROJECTION_DIM, compute_dtype=dtype
-                    ),
-                )
-                model.train(
-                    train_features,
-                    candidates_per_shard=CANDIDATES_PER_SHARD,
-                    rng=TRAIN_RNG,
-                )
-                if selector_mode == "threshold":
-                    for shard in model.shards:
-                        selector = CandidateSelector(
-                            mode="threshold",
-                            num_candidates=CANDIDATES_PER_SHARD,
-                        )
-                        selector.calibrate(
-                            shard.screener.approximate_logits(calibration)
-                        )
-                        shard.selector = selector
-                zoo[(kind, dtype, selector_mode)] = model
+        for selector_mode in SELECTORS:
+            model = ShardedClassifier(
+                task.classifier,
+                plan=make_plan(kind),
+                config=ScreeningConfig(projection_dim=PROJECTION_DIM),
+            )
+            model.train(
+                train_features,
+                candidates_per_shard=CANDIDATES_PER_SHARD,
+                rng=TRAIN_RNG,
+            )
+            if selector_mode == "threshold":
+                for shard in model.shards:
+                    selector = CandidateSelector(
+                        mode="threshold",
+                        num_candidates=CANDIDATES_PER_SHARD,
+                    )
+                    selector.calibrate(
+                        shard.screener.approximate_logits(calibration)
+                    )
+                    shard.selector = selector
+            zoo[(kind, selector_mode)] = model
     return zoo
 
 
@@ -466,11 +464,12 @@ def assert_outputs_identical(actual, expected):
 
 
 @pytest.mark.parametrize("kind", PLAN_KINDS)
-@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("feature_dtype", FEATURE_DTYPES)
 @pytest.mark.parametrize("selector_mode", SELECTORS)
 class TestParallelMatchesSequentialOnSkewedPlans:
-    def test_bit_identical(self, model_zoo, features, kind, dtype, selector_mode):
-        model = model_zoo[(kind, dtype, selector_mode)]
+    def test_bit_identical(self, model_zoo, features, kind, feature_dtype, selector_mode):
+        model = model_zoo[(kind, selector_mode)]
+        features = features.astype(feature_dtype)
         assert model.plan == make_plan(kind)
         sequential = model.forward(features)
         streamed = model.forward_streaming(features)
@@ -503,7 +502,7 @@ class TestSkewedPlanSemantics:
         pipelines compute them from sliced planes)."""
         exact = task.classifier.logits(features)
         for kind in PLAN_KINDS:
-            output = model_zoo[(kind, "float64", "top_m")].forward(features)
+            output = model_zoo[(kind, "top_m")].forward(features)
             for row, indices in enumerate(output.candidates):
                 assert np.allclose(
                     output.logits[row, indices],
@@ -515,7 +514,7 @@ class TestSkewedPlanSemantics:
     def test_replicated_hot_shard_bit_identical(self, model_zoo, features):
         """Replica workers serve the same bits as the lone worker, and
         the per-shard answer counts reconcile with the request count."""
-        model = model_zoo[("balanced", "float64", "threshold")]
+        model = model_zoo[("balanced", "threshold")]
         sequential = model.forward(features)
         with model.parallel(replicas={0: 2}) as engine:
             for _ in range(3):

@@ -3,7 +3,7 @@
 The contract under test: ``forward_streaming`` is the *same function*
 as the dense ``forward`` — identical candidate sets for every block
 partition and bit-identical approximate and exact candidate values —
-across selectors, screening compute dtypes, block sizes and shard counts.
+across selectors, feature widths, block sizes and shard counts.
 The memory win comes from never materializing the ``batch × l`` plane,
 not from changing a single output bit.
 """
@@ -26,7 +26,8 @@ PROJECTION_DIM = 8
 NUM_CANDIDATES = 12
 
 SELECTORS = ("top_m", "threshold")
-DTYPES = ("float64", "float32")
+#: Caller feature widths; every call casts to float64 at the door.
+FEATURE_DTYPES = ("float64", "float32")
 # Per-issue matrix: a degenerate 1-wide block, a ragged prime, exactly
 # one block, and a block larger than the category space.
 BLOCKS = (1, 7, NUM_CATEGORIES, 3 * NUM_CATEGORIES)
@@ -53,11 +54,11 @@ def train_features(task):
     return task.sample_features(256, rng=7)
 
 
-def build_pipeline(task, train_features, calibration, dtype, selector_mode):
+def build_pipeline(task, train_features, calibration, selector_mode):
     screener = train_screener(
         task.classifier,
         train_features,
-        config=ScreeningConfig(projection_dim=PROJECTION_DIM, compute_dtype=dtype),
+        config=ScreeningConfig(projection_dim=PROJECTION_DIM),
         rng=5,
     )
     model = ApproximateScreeningClassifier(
@@ -75,10 +76,7 @@ def build_pipeline(task, train_features, calibration, dtype, selector_mode):
 @pytest.fixture(scope="module")
 def pipeline_zoo(task, train_features, calibration):
     return {
-        (dtype, selector_mode): build_pipeline(
-            task, train_features, calibration, dtype, selector_mode
-        )
-        for dtype in DTYPES
+        selector_mode: build_pipeline(task, train_features, calibration, selector_mode)
         for selector_mode in SELECTORS
     }
 
@@ -89,23 +87,24 @@ def assert_candidates_equal(actual, expected):
         assert np.array_equal(mine, theirs)
 
 
-@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("feature_dtype", FEATURE_DTYPES)
 @pytest.mark.parametrize("selector_mode", SELECTORS)
 class TestStreamingMatchesDense:
     @pytest.mark.parametrize("block", BLOCKS)
     def test_candidates_and_values_bitwise(
-        self, pipeline_zoo, features, selector_mode, dtype, block
+        self, pipeline_zoo, features, selector_mode, feature_dtype, block
     ):
-        """Candidate entries are the dense entries, bit for bit — for
-        both dtypes: the streaming exact values go through the same
-        kernel and the same final cast as the dense mix."""
-        model = pipeline_zoo[(dtype, selector_mode)]
+        """Candidate entries are the dense entries, bit for bit: the
+        streaming exact values go through the same kernel as the dense
+        mix."""
+        model = pipeline_zoo[selector_mode]
+        features = features.astype(feature_dtype)
         dense = model.forward(features)
         streamed = model.forward_streaming(features, block_categories=block)
         assert isinstance(streamed, StreamedOutput)
         assert_candidates_equal(streamed.candidates, dense.candidates)
         rows, cols = dense.candidates.flat()
-        assert streamed.approximate_values.dtype == dense.logits.dtype
+        assert streamed.approximate_values.dtype == dense.logits.dtype == np.float64
         assert np.array_equal(
             streamed.approximate_values, dense.approximate_logits[rows, cols]
         )
@@ -115,10 +114,11 @@ class TestStreamingMatchesDense:
         assert streamed.num_categories == dense.num_categories
 
     def test_block_size_is_irrelevant(
-        self, pipeline_zoo, features, selector_mode, dtype
+        self, pipeline_zoo, features, selector_mode, feature_dtype
     ):
         """Any two partitions of the category stream select identically."""
-        model = pipeline_zoo[(dtype, selector_mode)]
+        model = pipeline_zoo[selector_mode]
+        features = features.astype(feature_dtype)
         reference = model.forward_streaming(features, block_categories=1)
         for block in (7, 64, NUM_CATEGORIES):
             other = model.forward_streaming(features, block_categories=block)
@@ -129,12 +129,13 @@ class TestStreamingMatchesDense:
             )
 
     def test_faithful_cross_check(
-        self, pipeline_zoo, features, selector_mode, dtype
+        self, pipeline_zoo, features, selector_mode, feature_dtype
     ):
         """The per-row reference dataflow agrees with the streamed
         candidate values (same tolerance the dense engines grant each
         other)."""
-        model = pipeline_zoo[(dtype, selector_mode)]
+        model = pipeline_zoo[selector_mode]
+        features = features.astype(feature_dtype)
         faithful = forward_per_row(model, features)
         streamed = model.forward_streaming(features)
         assert_candidates_equal(streamed.candidates, faithful.candidates)
@@ -150,13 +151,14 @@ class TestStreamingMatchesDense:
         )
 
     def test_predict_matches_dense_argmax_on_candidates(
-        self, pipeline_zoo, features, selector_mode, dtype
+        self, pipeline_zoo, features, selector_mode, feature_dtype
     ):
         """Streamed predict() equals the dense argmax whenever the
         winner sits inside the candidate set (it does for top-m on a
         trained screener here; assert via the candidate-masked dense
         argmax to stay exact)."""
-        model = pipeline_zoo[(dtype, selector_mode)]
+        model = pipeline_zoo[selector_mode]
+        features = features.astype(feature_dtype)
         dense = model.forward(features)
         streamed = model.forward_streaming(features)
         masked = np.full(dense.logits.shape, -np.inf)
@@ -172,7 +174,7 @@ class TestEdgeCases:
     def test_empty_candidate_rows(self, pipeline_zoo, features):
         """A threshold above every score: no candidates anywhere, no
         exact work, predict() reports -1."""
-        base = pipeline_zoo[("float64", "top_m")]
+        base = pipeline_zoo["top_m"]
         model = ApproximateScreeningClassifier(
             base.classifier,
             base.screener,
@@ -189,12 +191,12 @@ class TestEdgeCases:
         assert np.array_equal(dense.logits, dense.approximate_logits)
 
     def test_invalid_block_rejected(self, pipeline_zoo, features):
-        model = pipeline_zoo[("float64", "top_m")]
+        model = pipeline_zoo["top_m"]
         with pytest.raises(ValueError):
             model.forward_streaming(features, block_categories=0)
 
     def test_single_row_batch(self, pipeline_zoo, task):
-        model = pipeline_zoo[("float64", "threshold")]
+        model = pipeline_zoo["threshold"]
         features = task.sample_features(1, rng=13)
         dense = model.forward(features)
         streamed = model.forward_streaming(features, block_categories=7)
@@ -233,7 +235,7 @@ class TestWorkspaceSteadyState:
         """The acceptance criterion: after one warm-up call at a given
         batch shape, repeated streaming calls perform zero new
         workspace allocations."""
-        model = pipeline_zoo[("float64", selector_mode)]
+        model = pipeline_zoo[selector_mode]
         model.forward_streaming(features)
         workspace = model.workspace
         settled = workspace.allocations
@@ -244,7 +246,7 @@ class TestWorkspaceSteadyState:
         assert workspace.requests > requests
 
     def test_smaller_batch_reuses_slabs(self, pipeline_zoo, features):
-        model = pipeline_zoo[("float64", "top_m")]
+        model = pipeline_zoo["top_m"]
         model.forward_streaming(features)
         workspace = model.workspace
         settled = workspace.allocations
@@ -254,9 +256,7 @@ class TestWorkspaceSteadyState:
     def test_pipeline_owned_workspace_is_lazy_and_reused(
         self, task, train_features, calibration
     ):
-        model = build_pipeline(
-            task, train_features, calibration, "float64", "top_m"
-        )
+        model = build_pipeline(task, train_features, calibration, "top_m")
         assert model._arena is None
         batch = task.sample_features(8, rng=30)
         model.forward_streaming(batch)
@@ -313,56 +313,51 @@ def fold_on_one_lane(model, batch):
     traced loop does it: one reducer on the pipeline's arena, under the
     pipeline's keys, fed every tile in turn on the caller's thread."""
     screener, workspace = model.screener, model.workspace
-    rows, compute = batch.shape[0], screener.compute_dtype
+    rows = batch.shape[0]
     augmented = screener.prepare_augmented(
-        batch,
-        out=workspace.buffer("augmented", (rows, screener.projection_dim + 1), compute),
+        batch, out=workspace.buffer("augmented", (rows, screener.projection_dim + 1))
     )
     reducer = model.selector.make_block_reducer(
-        rows, model.num_categories, workspace=workspace, dtype=compute
+        rows, model.num_categories, workspace=workspace
     )
     for start, stop in screener.tile_bounds():
-        out = workspace.buffer("tile", (rows, stop - start), compute)
+        out = workspace.buffer("tile", (rows, stop - start))
         reducer.update(start, screener.score_tile(augmented, start, stop, out=out))
     return reducer.finalize()
 
 
 @pytest.mark.parametrize("shards", SHARD_COUNTS)
 @pytest.mark.parametrize("selector_mode", SELECTORS)
-@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("feature_dtype", FEATURE_DTYPES)
 class TestShardedStreaming:
     @pytest.fixture(scope="class")
     def sharded_zoo(self, task, train_features, calibration):
         zoo = {}
         for shards in SHARD_COUNTS:
-            for dtype in DTYPES:
-                for selector_mode in SELECTORS:
-                    model = ShardedClassifier(
-                        task.classifier,
-                        num_shards=shards,
-                        config=ScreeningConfig(
-                            projection_dim=PROJECTION_DIM, compute_dtype=dtype
-                        ),
-                    )
-                    model.train(
-                        train_features, candidates_per_shard=8, rng=5
-                    )
-                    if selector_mode == "threshold":
-                        for shard in model.shards:
-                            selector = CandidateSelector(
-                                mode="threshold", num_candidates=8
-                            )
-                            selector.calibrate(
-                                shard.screener.approximate_logits(calibration)
-                            )
-                            shard.selector = selector
-                    zoo[(shards, dtype, selector_mode)] = model
+            for selector_mode in SELECTORS:
+                model = ShardedClassifier(
+                    task.classifier,
+                    num_shards=shards,
+                    config=ScreeningConfig(projection_dim=PROJECTION_DIM),
+                )
+                model.train(train_features, candidates_per_shard=8, rng=5)
+                if selector_mode == "threshold":
+                    for shard in model.shards:
+                        selector = CandidateSelector(
+                            mode="threshold", num_candidates=8
+                        )
+                        selector.calibrate(
+                            shard.screener.approximate_logits(calibration)
+                        )
+                        shard.selector = selector
+                zoo[(shards, selector_mode)] = model
         return zoo
 
     def test_streamed_matches_dense_forward(
-        self, sharded_zoo, features, shards, dtype, selector_mode
+        self, sharded_zoo, features, shards, feature_dtype, selector_mode
     ):
-        model = sharded_zoo[(shards, dtype, selector_mode)]
+        model = sharded_zoo[(shards, selector_mode)]
+        features = features.astype(feature_dtype)
         dense = model.forward(features)
         streamed = model.forward_streaming(features, block_categories=64)
         assert_candidates_equal(streamed.candidates, dense.candidates)
@@ -374,11 +369,12 @@ class TestShardedStreaming:
         assert streamed.num_categories == NUM_CATEGORIES
 
     def test_parallel_engine_matches_sequential(
-        self, sharded_zoo, features, shards, dtype, selector_mode
+        self, sharded_zoo, features, shards, feature_dtype, selector_mode
     ):
-        if dtype == "float32" and selector_mode == "threshold":
+        if feature_dtype == "float32" and selector_mode == "threshold":
             pytest.skip("engine matrix covered by the other three cells")
-        model = sharded_zoo[(shards, dtype, selector_mode)]
+        model = sharded_zoo[(shards, selector_mode)]
+        features = features.astype(feature_dtype)
         sequential = model.forward_streaming(features, block_categories=32)
         with model.parallel() as engine:
             parallel = engine.forward_streaming(features, block_categories=32)

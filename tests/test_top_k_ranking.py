@@ -33,7 +33,8 @@ pytestmark = pytest.mark.timeout(600)
 M = 6
 ROWS = 9
 SIZES = {"single_tile": 500, "multi_tile": TILE_CATEGORIES + 37}
-DTYPES = ("float64", "float32")
+#: Caller feature widths; every call casts to float64 at the door.
+FEATURE_DTYPES = ("float64", "float32")
 STORES = ("fp64", "int8")
 #: (screener variant, selector) pairs.  ``tied``: eight columns straddling
 #: the tile boundary score exactly 1000 and eight around them exactly 900,
@@ -86,7 +87,7 @@ def trained():
     return parts
 
 
-def build(classifier, trained_screener, features, case, dtype, store):
+def build(classifier, trained_screener, features, case, store):
     """One pipeline of the matrix over ``classifier``."""
     variant, selector = CASES[case]
     l = classifier.num_categories
@@ -97,9 +98,7 @@ def build(classifier, trained_screener, features, case, dtype, store):
         edge = TILE_CATEGORIES if l > TILE_CATEGORIES else l // 2
         weight[edge - 8 : edge + 8], bias[edge - 8 : edge + 8] = 0.0, 900.0
         bias[edge - 4 : edge + 4] = 1000.0
-    screener = ScreeningModule(
-        trained_screener.projection, weight, bias, compute_dtype=dtype
-    )
+    screener = ScreeningModule(trained_screener.projection, weight, bias)
     if selector == "top_m":
         chosen = CandidateSelector("top_m", num_candidates=M)
     else:
@@ -122,18 +121,19 @@ def build(classifier, trained_screener, features, case, dtype, store):
 
 
 @pytest.mark.parametrize("store", STORES)
-@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("feature_dtype", FEATURE_DTYPES)
 @pytest.mark.parametrize("size", SIZES)
 @pytest.mark.parametrize("case", CASES)
 def test_single_node_top_k_equals_ranking_the_dense_plane(
-    trained, case, size, dtype, store
+    trained, case, size, feature_dtype, store
 ):
     task, screener, features = trained[size]
-    model = build(task.classifier, screener, features, case, dtype, store)
+    features = features.astype(feature_dtype)
+    model = build(task.classifier, screener, features, case, store)
     l = model.num_categories
     dense = model.forward(features)
     model.forward = no_plane  # from here on the plane is out of reach
-    assert dense.logits.dtype == np.dtype(dtype)
+    assert dense.logits.dtype == np.float64
     if case == "fewer_than_k_rejected":
         rejected = l - dense.candidates.counts
         assert rejected.max() == 4 and rejected.min() < 4
@@ -158,7 +158,7 @@ def test_runner_up_ties_straddle_the_tile_boundary(trained):
     continues with the two 1000s left out, then the 900s in index order
     — four on each side of the boundary."""
     task, screener, features = trained["multi_tile"]
-    model = build(task.classifier, screener, features, "top_m", "float64", "fp64")
+    model = build(task.classifier, screener, features, "top_m", "fp64")
     edge = TILE_CATEGORIES
     indices, scores = model.top_k(features, 10)
     expected = np.r_[edge + 2, edge + 3, edge - 8 : edge - 4, edge + 4 : edge + 8]
@@ -178,15 +178,15 @@ def two_shards(trained):
     return classifier, screener, features
 
 
-def sharded_model(two_shards, case, dtype, store):
-    classifier, screener, features = two_shards
+def sharded_model(two_shards, features, case, store):
+    classifier, screener, _ = two_shards
     model = ShardedClassifier(classifier, num_shards=2)
     model.shards = [
         build(
             FullClassifier(
                 classifier.weight[r.start : r.stop], classifier.bias[r.start : r.stop]
             ),
-            screener, features, case, dtype, store,
+            screener, features, case, store,
         )
         for r in model.ranges
     ]
@@ -194,12 +194,12 @@ def sharded_model(two_shards, case, dtype, store):
 
 
 @pytest.mark.parametrize("store", STORES)
-@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("feature_dtype", FEATURE_DTYPES)
 @pytest.mark.parametrize(
     "case", ["top_m", "threshold", "fewer_than_k_rejected", "selects_nothing", "zeroed_top_m"]
 )
 def test_sequential_parallel_and_dense_reference_agree(
-    two_shards, case, dtype, store, monkeypatch
+    two_shards, case, feature_dtype, store, monkeypatch
 ):
     """seq ≡ par ≡ ``reduce_top_k`` over ``shard_top_k`` of each shard's
     dense plane — the gate the benchmark's traced ``parallel_cycle`` run
@@ -207,8 +207,8 @@ def test_sequential_parallel_and_dense_reference_agree(
     plane; ``predict`` is their first column.  Once the references are
     taken ``forward`` is patched to raise, in this process and (by fork)
     in the workers."""
-    model = sharded_model(two_shards, case, dtype, store)
-    features = two_shards[2]
+    features = two_shards[2].astype(feature_dtype)
+    model = sharded_model(two_shards, features, case, store)
     merged = model.forward(features).logits
     ks = (1, M, M + 5, len(model.ranges[0]))
     references = {}
