@@ -17,7 +17,9 @@ flat, then prints the ``tracemalloc`` peak above what was live before
 Both phases run on the pipeline's own arena, as the call runs them.  One
 tile of scores is printed beside them for scale: a warm call that allocates
 a large share of it holds a tile-sized temporary somewhere, and the phase
-lines say where.  The benchmark's ``call_peak_mb`` is the whole-call line at
+lines say where.  The last line counts the canonical tiles of one call and
+how many of them the float32 prescreen scored and skipped (read from a
+``Recorder`` on one more call, after the peaks).  The benchmark's ``call_peak_mb`` is the whole-call line at
 its own sizes; put another tree's ``src`` on ``PYTHONPATH`` to read that
 tree.
 """
@@ -35,6 +37,7 @@ from repro.core.pipeline import ApproximateScreeningClassifier
 from repro.core.screener import TILE_CATEGORIES, ScreeningConfig
 from repro.core.training import train_screener
 from repro.data import make_task
+from repro.obs import NULL_RECORDER, Recorder
 
 #: Calls made to find where the workspace settles.
 MAX_WARM_CALLS = 6
@@ -92,8 +95,16 @@ def measure(model, batch, repeats: int) -> dict:
         ),
         "whole call": peak_bytes(lambda: model.forward_streaming(batch), repeats),
     }
+    recorder = Recorder()
+    model.set_recorder(recorder)
+    model.forward_streaming(batch)
+    model.set_recorder(NULL_RECORDER)
+    counters = recorder.snapshot()["counters"]
     return dict(
         peaks=peaks,
+        tiles=len(model.screener.tile_bounds()),
+        prescreened=int(counters.get("pipeline.tiles_prescreened", 0)),
+        skipped=int(counters.get("pipeline.tiles_skipped", 0)),
         warm_calls=calls,
         steady_allocations=ws.allocations - allocations,
         workspace_bytes=ws.nbytes,
@@ -117,6 +128,10 @@ def report(args, result: dict) -> str:
         f"workspace {result['workspace_bytes'] / 1e6:.3f} MB after {result['warm_calls']} "
         f"warm-up calls, {result['steady_allocations']} allocations while measured, "
         f"{result['candidates']} candidates"
+    )
+    lines.append(
+        f"tiles per call {result['tiles']}: {result['prescreened']} prescreened in "
+        f"float32, {result['skipped']} skipped"
     )
     return "\n".join(lines)
 

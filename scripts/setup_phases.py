@@ -8,6 +8,10 @@ fit, calibration rows, a few batches), then times what a program pays from
 arrays in hand to a settled pipeline:
 
 * ``plane``        — ``ScreeningModule(...)``: the fused INT4 plane;
+* ``screen plane`` — the same constructor's float32 copy of that plane
+  and its per-tile magnitudes, placed tile by tile in the same lanes:
+  the slowest lane's share, taken out of ``plane`` (0 on a tree
+  without one);
 * ``scores``       — ``approximate_logits`` of the ``ROWS`` calibration rows;
 * ``calibration``  — ``CandidateSelector.calibrate`` on those scores
   (threshold selector only);
@@ -29,8 +33,10 @@ and by lane count without running the benchmark; put another tree's
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import statistics
+import threading
 import time
 
 # One BLAS thread, as bench/run.py pins it: the lanes are the parallelism.
@@ -53,7 +59,7 @@ from repro.core.screener import ScreeningConfig, ScreeningModule
 from repro.core.training import train_screener
 from repro.data import make_task
 
-PHASES = ("plane", "scores", "calibration", "first call", "second call")
+PHASES = ("plane", "screen plane", "scores", "calibration", "first call", "second call")
 #: Calls made to find where the workspace settles.
 MAX_WARM_CALLS = 6
 
@@ -81,8 +87,10 @@ def set_up_once(inputs: dict, args) -> dict:
     each warm-up call."""
     fit, clock, times = inputs["fit"], time.perf_counter, {}
     start = clock()
-    screener = ScreeningModule(fit.projection, fit.weight, fit.bias, quantization_bits=4)
-    times["plane"] = clock() - start
+    with screen_plane_clock() as lanes:
+        screener = ScreeningModule(fit.projection, fit.weight, fit.bias, quantization_bits=4)
+    times["screen plane"] = max(lanes.values(), default=0.0)
+    times["plane"] = clock() - start - times["screen plane"]
     start = clock()
     scores = screener.approximate_logits(inputs["valid"])
     times["scores"] = clock() - start
@@ -99,11 +107,35 @@ def set_up_once(inputs: dict, args) -> dict:
         model.forward_streaming(batch)
         elapsed = clock() - start
         if call < 2:
-            times[PHASES[3 + call]] = elapsed
+            times[("first call", "second call")[call]] = elapsed
         allocations.append(model.workspace.allocations - before)
         if call >= 1 and allocations[-1] == 0:
             break
     return dict(times=times, allocations=allocations)
+
+
+@contextlib.contextmanager
+def screen_plane_clock():
+    """Seconds each placing lane (by thread) spends on the float32 screen
+    plane while the block runs: ``ScreeningModule._place_screen_tile``
+    timed per call."""
+    spent: dict = {}
+    place = getattr(ScreeningModule, "_place_screen_tile", None)
+    if place is None:
+        yield spent
+        return
+
+    def timed(module, *args):
+        start = time.perf_counter()
+        place(module, *args)
+        lane = threading.get_ident()
+        spent[lane] = spent.get(lane, 0.0) + time.perf_counter() - start
+
+    ScreeningModule._place_screen_tile = timed
+    try:
+        yield spent
+    finally:
+        ScreeningModule._place_screen_tile = place
 
 
 #: Where the lane rule is read (trees before it moved to the screener

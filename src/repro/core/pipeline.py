@@ -31,6 +31,11 @@ scatter.  Same GEMM calls, same reducer, same exact-phase kernel, so
 their candidate entries are identical bits.  Which call allocates what:
 ``forward`` and ``predict_proba`` (which normalizes the plane by
 definition) the plane, everything else only the few entries it returns.
+The two calls without a plane may leave a tile out: scored first in
+float32 (:class:`~repro.core.screener.TilePrescreen`), a tile proven to
+hold nothing above the reducer's bound is neither scored in float64
+nor folded — it would have recorded nothing, so the bits are the
+plane's.
 
 Lanes: ENMC is a rank-level design — every rank screens its own slice
 of the category space and the host only merges index buffers.  A call
@@ -61,6 +66,7 @@ from repro.core.classifier import FullClassifier
 from repro.core.screener import (
     TILE_CATEGORIES,
     ScreeningModule,
+    TilePrescreen,
     lane_count,
     run_in_lanes,
 )
@@ -594,15 +600,42 @@ class ApproximateScreeningClassifier:
         lanes = lane_count(rows, len(tiles))
         if recorder.enabled:
             recorder.set_gauge("pipeline.lanes", lanes)
-        self._fold_in_lanes(reducer, ws, tiles, lanes, augmented, block, plane)
+        screen = None if plane is not None else TilePrescreen(screener, augmented, ws)
+        prescreened, skipped = self._fold_in_lanes(
+            reducer, ws, tiles, lanes, augmented, block, plane, screen
+        )
+        recorder.increment("pipeline.tiles_prescreened", prescreened)
+        recorder.increment("pipeline.tiles_skipped", skipped)
         with recorder.span("streaming.select_finalize"):
             return reducer.finalize()
 
-    def _fold(self, reducer, ws: Workspace, tiles, augmented, block, plane) -> None:
+    def _fold(
+        self, reducer, ws: Workspace, tiles, augmented, block, plane, screen
+    ) -> Tuple[int, int]:
         """The tile loop's body: screen each of ``tiles`` into ``ws``
-        scratch (or its slice of ``plane``) and fold it into ``reducer``."""
+        scratch (or its slice of ``plane``) and fold it into ``reducer``;
+        returns how many tiles were prescreened and how many skipped.
+
+        With a ``screen`` (the streaming path), a tile that follows one
+        that recorded nothing — or starts the run — is first scored in
+        float32: when that proves every score at most the reducer's
+        bound, the tile would record nothing, so neither the float64
+        GEMM nor the update runs (the lane rule)."""
         recorder = self.recorder
+        prescreened = skipped = recorded = 0
+        if screen is not None:
+            # A lane may skip every tile of one call and fold some of
+            # the next: the scratch a tile takes is sized up front.
+            screen.reserve(ws)
+            reducer.reserve(min(TILE_CATEGORIES, self.num_categories, block))
         for t0, t1 in tiles:
+            if screen is not None and not recorded:
+                with recorder.span("streaming.prescreen_tile"):
+                    below = screen.below(t0, t1, reducer.bound, ws)
+                prescreened += below is not None
+                if below:
+                    skipped += 1
+                    continue
             with recorder.span("streaming.screen_tile"):
                 if plane is None:
                     out = ws.buffer(PHASE_SCRATCH, (len(augmented), t1 - t0))
@@ -613,15 +646,17 @@ class ApproximateScreeningClassifier:
             # boundaries are absolute, so a tile may span several
             # blocks and vice versa.
             with recorder.span("streaming.select_tile"):
+                recorded = 0
                 start = t0
                 while start < t1:
                     stop = min(t1, (start // block + 1) * block)
-                    reducer.update(start, tile[:, start - t0 : stop - t0])
+                    recorded += reducer.update(start, tile[:, start - t0 : stop - t0])
                     start = stop
+        return prescreened, skipped
 
     def _fold_in_lanes(
-        self, reducer, ws: Workspace, tiles, lanes: int, augmented, block, plane
-    ) -> None:
+        self, reducer, ws: Workspace, tiles, lanes: int, augmented, block, plane, screen
+    ) -> Tuple[int, int]:
         """Fold tile 0 here — it pays the reducer's one first fill — then
         the rest as ``lanes`` contiguous runs (:func:`run_in_lanes`): run
         0 here into ``reducer``, each other run on a thread of its own
@@ -630,19 +665,23 @@ class ApproximateScreeningClassifier:
         the core that made it, as each ENMC rank screens its own slice.
         Absorbing the forks left to right keeps the reducer's total
         order, so the record is the single-lane one.  One lane is the
-        plain loop on the caller."""
-        self._fold(reducer, ws, tiles[:1], augmented, block, plane)
+        plain loop on the caller.  Tile 0 is not prescreened: it is
+        where the head of a frequency-ordered label space sits, and in
+        top-m mode no bound exists before it.  Returns the tiles
+        prescreened and skipped, summed over the lanes."""
+        tallies = [self._fold(reducer, ws, tiles[:1], augmented, block, plane, None)]
         arenas = [ws] + [ws.lane(lane) for lane in range(1, lanes)]
         reducers = [reducer] + [reducer.fork(arena) for arena in arenas[1:]]
-        runs = run_in_lanes(
-            lambda lane, run: self._fold(
-                reducers[lane], arenas[lane], run, augmented, block, plane
-            ),
-            tiles[1:],
-            lanes,
-        )
+
+        def fold(lane: int, run: list) -> None:
+            tallies.append(
+                self._fold(reducers[lane], arenas[lane], run, augmented, block, plane, screen)
+            )
+
+        runs = run_in_lanes(fold, tiles[1:], lanes)
         for fork, run in zip(reducers[1:], runs[1:]):
             reducer.absorb(fork, run[0][0])
+        return tuple(sum(column) for column in zip(*tallies))
 
     def _exact_candidate_values(
         self,

@@ -11,15 +11,43 @@ transposed plane of fake-quantized weights, the input quantizer) is
 built once and cached on the module, and the hot matmul folds ``b̃``
 into one extra weight column — the same trick the compiler uses when
 tiling for the hardware — so one GEMM writes the full score matrix.
-The module holds two planes, the FP64 master ``weight`` and that fused
-plane — ``(k + 1)·l·8`` private bytes beside the master.  The fused
-plane is placed one canonical tile at a time, each block of categories
-transposed into a tile of scratch and quantized from there straight
-into its columns of the plane, so construction (training, a worker's
-start or respawn, a load from disk) holds the plane and a tile or two
-per lane, never a plane-sized temporary.  The fake-quantized ``(l, k)``
-view the compiler lowers from (``_weight_deq``, the same values
-quantized whole) is derived on demand, not kept as a third copy.
+The module holds three arrays: the FP64 master ``weight``, that fused
+plane — ``(k + 1)·l·8`` private bytes beside the master — and the fused
+plane's values rounded to float32, the *screen plane* (``(k + 1)·l·4``
+bytes).  Both derived planes are placed one canonical tile at a time,
+each block of categories transposed into a tile of scratch, quantized
+from there straight into its columns of the fused plane and rounded
+from those into the screen plane's, so construction (training, a
+worker's start or respawn, a load from disk) holds the planes and a
+tile or two per lane, never a plane-sized temporary.  The fake-quantized
+``(l, k)`` view the compiler lowers from (``_weight_deq``, the same
+values quantized whole) is derived on demand, not kept as a fourth copy.
+
+The float32 prescreen (:class:`TilePrescreen`): once a streaming call's
+reducer holds a bound — its threshold, or with runner-ups each row's
+floor — a tile whose every float64 score is at most that bound would
+record nothing, so the loop may leave it out.  The screen plane proves
+as much at half the GEMM cost: scored in float32, a tile is left out
+when each row's largest float32 score is at most ``bound − E`` rounded
+down, where ``E`` bounds |float32 score − float64 :meth:`score_tile`
+score| for that row and tile.  Per entry, over the ``n = k + 1``
+products ``a_j f_j`` of the augmented input and the fused plane, the
+gap is at most ``relative · P + mixed · Q + absolute`` with ``P =
+Σ|a_j f_j|`` and ``Q = Σ(|a_j| + |f_j|)``: rounding both operands to
+float32, both GEMMs' summation error in any order (``γ_n = n u / (1 −
+n u)`` at each width's unit roundoff ``u``) and float32 underflow
+(``_screen_error_terms`` derives the three coefficients).  Set-up keeps
+each tile's largest weight and bias magnitudes; a call sums ``|a_j|``
+per row, and ``P`` and ``Q`` follow — one multiply-add per row and
+tile.  A call whose magnitudes could overflow float32 (any operand past
+``2**100``, or a sum past ``2**125``) screens no such tile.  Which tiles
+are prescreened is the loop's lane rule: a tile after one that recorded
+nothing, or the first of a lane's run, never tile 0 — on a
+frequency-ordered label space, every tile past the head.  A left-out
+tile changes no reducer state (no hit, no queue entry, no cut), so
+every output bit, every lane count and every fork are the full loop's
+by construction; dense ``forward``, which keeps the score plane, never
+leaves a tile out.
 
 Lanes: ENMC gives every rank its own slice of the screener, and the
 ranks work at once.  Every tile loop here and in the pipeline — placing
@@ -41,13 +69,14 @@ import contextvars
 import os
 import threading
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
 from repro.linalg.projection import SparseRandomProjection
 from repro.linalg.quantize import Quantizer
 from repro.obs.recorder import NULL_RECORDER
+from repro.utils.memory import PHASE_SCRATCH
 from repro.utils.rng import RngLike, ensure_rng
 from repro.utils.validation import check_batch_features, check_positive
 
@@ -81,6 +110,50 @@ TILE_CATEGORIES = 8192
 #: counts ``k`` as its rows: the fused plane of a 670K × 16 screener is
 #: placed in 2 lanes, one of 100K in 1.
 MIN_LANE_WORK = 1 << 22
+
+
+#: The float32 prescreen's range: a call screens a tile only when every
+#: operand magnitude is at most ``_SCREEN_MAGNITUDE`` and no row's
+#: ``Σ|a_j| max|w| + max|b|`` exceeds ``_SCREEN_SUM``, so no float32
+#: operand, product or partial sum can overflow (float32's largest finite
+#: value is just under 2**128).  A tile magnitude out of range is stored
+#: as ``_SCREEN_GUARD``, which fails the sum test for every call.
+_SCREEN_MAGNITUDE = 2.0**100
+_SCREEN_SUM = 2.0**125
+_SCREEN_GUARD = 2.0**126
+
+
+def _screen_error_terms(k: int) -> Tuple[float, float, float]:
+    """``(relative, mixed, absolute)``: the bound on |float32 tile score
+    − float64 :meth:`ScreeningModule.score_tile` score| for one entry,
+    ``relative·P + mixed·Q + absolute``, over ``n = k + 1`` products
+    ``a_j f_j`` with ``P = Σ|a_j f_j|`` and ``Q = Σ(|a_j| + |f_j|)``.
+
+    With float32 unit roundoff ``u`` and underflow unit ``η`` (half its
+    least subnormal), rounding the operands to float32 costs
+    ``(2u + u²) P + η(1 + u) Q + n η²``; the float32 GEMM adds
+    ``γ_n P' + 2 n η`` over the rounded operands (``γ_n = n u / (1 − n u)``,
+    any summation order, with or without FMA; ``P'`` is at most ``P``
+    plus the rounding just counted); the float64 GEMM adds ``γ_n P +
+    2 n η`` at float64's ``u`` and ``η``.  The sum, in the three
+    coefficients returned, is raised by ``2**-20`` of itself, which
+    covers the float64 rounding of the few operations a call spends
+    deriving ``E`` from them (fewer than ``2**30`` terms).
+    """
+    n = k + 1
+
+    def gamma(unit: float) -> float:
+        return n * unit / (1.0 - n * unit)
+
+    unit32, tiny32 = 2.0**-24, 2.0**-150
+    unit64, tiny64 = 2.0**-53, 2.0**-1074
+    rounding = 2.0 * unit32 + unit32**2
+    gamma32 = gamma(unit32)
+    relative = (1.0 + gamma32) * rounding + gamma32 + gamma(unit64)
+    mixed = (1.0 + gamma32) * tiny32 * (1.0 + unit32)
+    absolute = (1.0 + gamma32) * n * tiny32**2 + 2.0 * n * (tiny32 + tiny64)
+    slack = 1.0 + 2.0**-20
+    return relative * slack, mixed * slack, absolute * slack
 
 
 def lane_count(rows: int, tiles: int) -> int:
@@ -231,7 +304,10 @@ class ScreeningModule:
         # so the hot path is a single GEMM, mirroring the compiler's tile
         # layout.  Stored pre-transposed and contiguous.
         k, l = self.projection_dim, self.num_categories
+        tiles = self.tile_bounds()
         fused = np.empty((k + 1, l))
+        self._screen_plane_t = np.empty((k + 1, l), dtype=np.float32)
+        self._tile_tops = np.empty((2, len(tiles)))
         if self.quantization_bits is None:
             self._input_quantizer: Optional[Quantizer] = None
             per_category = None
@@ -256,11 +332,35 @@ class ScreeningModule:
                     fused[:-1, start:stop] = block
                 else:
                     per_category.fake_quantize(block, out=fused[:-1, start:stop])
+                self._place_screen_tile(fused, start, stop)
 
-        tiles = self.tile_bounds()
         run_in_lanes(place, tiles, lane_count(k, len(tiles)))
         fused[-1] = self.bias
         self._fused_weight_t = fused
+        # Per tile, E = Σ|a_j| · slope + offset (TilePrescreen).
+        relative, mixed, absolute = _screen_error_terms(k)
+        weight_top, bias_top = self._tile_tops
+        self._tile_error = np.stack((
+            relative * weight_top + mixed,
+            relative * bias_top + mixed * (1.0 + k * weight_top + bias_top) + absolute,
+        ))
+
+    def _place_screen_tile(self, fused: np.ndarray, start: int, stop: int) -> None:
+        """Tile ``[start, stop)`` of the float32 screen plane: the fused
+        plane's values (weights just placed, and the bias) rounded to
+        float32, and bounds on the tile's largest weight and bias
+        magnitudes — a bound past :data:`_SCREEN_MAGNITUDE` (or NaN) is
+        stored as :data:`_SCREEN_GUARD`, which no call screens under."""
+        index = start // TILE_CATEGORIES
+        tile = self._screen_plane_t[:, start:stop]
+        with np.errstate(over="ignore"):  # such a tile is never screened
+            tile[:-1] = fused[:-1, start:stop]
+            tile[-1] = self.bias[start:stop]
+        for row, values in enumerate((tile[:-1], tile[-1])):
+            # Rounding to float32 lowered a magnitude by at most 2**-24
+            # of it, or by 2**-150 below float32's normal range.
+            top = float(max(values.max(), -values.min())) * (1.0 + 2.0**-23) + 2.0**-149
+            self._tile_tops[row, index] = top if top <= _SCREEN_MAGNITUDE else _SCREEN_GUARD
 
     # ------------------------------------------------------------------
     # shapes / cost
@@ -380,6 +480,91 @@ class ScreeningModule:
             f"ScreeningModule(l={self.num_categories}, d={self.hidden_dim}, "
             f"k={self.projection_dim}, bits={self.quantization_bits})"
         )
+
+
+#: Workspace keys of the float32 prescreen: per call its float32 input,
+#: each tile's bound per row and whether the tile can be screened, with
+#: the scratch they are derived in; per lane the per-row scratch of the
+#: test (its float32 scores take the lane's phase scratch).
+_SCREEN_INPUT, _SCREEN_ERROR, _SCREEN_OK, _SCREEN_ABS, _SCREEN_SUMS, _SCREEN_RANGE = (
+    ("screen", name) for name in ("input", "error", "ok", "abs", "sums", "range")
+)
+_SCREEN_TOP, _SCREEN_LIMIT, _SCREEN_BELOW = (
+    ("screen", name) for name in ("top", "limit", "below")
+)
+
+
+class TilePrescreen:
+    """One streaming call's float32 prescreen of the screener's tiles
+    (module docstring): the call's augmented input rounded to float32,
+    and per tile and row the bound ``E`` on |float32 score − float64
+    :meth:`ScreeningModule.score_tile` score|, all in the call's arena.
+
+    Built once per call before any lane starts; the lanes only read it,
+    each scoring into scratch of its own arena (:meth:`reserve`).
+    """
+
+    def __init__(self, screener: "ScreeningModule", augmented: np.ndarray, ws) -> None:
+        rows, width = augmented.shape
+        tiles = screener._tile_tops.shape[1]
+        self._plane = screener._screen_plane_t
+        self.input = ws.buffer(_SCREEN_INPUT, (rows, width), np.float32)
+        self.error = ws.buffer(_SCREEN_ERROR, (tiles, rows))
+        self.screenable = ws.buffer(_SCREEN_OK, (tiles,), bool)
+        magnitudes = ws.buffer(_SCREEN_ABS, (rows, width - 1))
+        row_sums = ws.buffer(_SCREEN_SUMS, (rows,))
+        largest_sum = ws.buffer(_SCREEN_RANGE, (tiles,))
+        np.abs(augmented[:, :-1], out=magnitudes)
+        np.sum(magnitudes, axis=1, out=row_sums)
+        largest = row_sums.max(initial=0.0)
+        if not largest <= _SCREEN_MAGNITUDE:  # NaN included
+            self.screenable.fill(False)
+            return
+        self.input[...] = augmented
+        # No float32 operand, product or partial sum can overflow when
+        # the largest row's Σ|a_j| · max|w| + max|b| is in range.
+        weight_top, bias_top = screener._tile_tops
+        np.multiply(weight_top, largest, out=largest_sum)
+        largest_sum += bias_top
+        np.less_equal(largest_sum, _SCREEN_SUM, out=self.screenable)
+        slope, offset = screener._tile_error
+        np.multiply.outer(slope, row_sums, out=self.error)
+        self.error += offset[:, None]
+
+    def reserve(self, ws) -> None:
+        """Size a lane's scratch in its arena ``ws`` up front — the
+        phase scratch a tile is scored in, float32 or float64 — so
+        whether and where a call prescreens never allocates."""
+        rows = len(self.input)
+        ws.buffer(PHASE_SCRATCH, (rows, min(TILE_CATEGORIES, self._plane.shape[1])))
+        ws.buffer(_SCREEN_TOP, (rows,), np.float32)
+        ws.buffer(_SCREEN_LIMIT, (rows,))
+        ws.buffer(_SCREEN_BELOW, (rows,), bool)
+
+    def below(self, start: int, stop: int, bound, ws) -> Optional[bool]:
+        """Whether every float64 score of canonical tile ``[start, stop)``
+        is at most ``bound`` (a scalar or one per row), proven from its
+        float32 scores: row by row, the largest float32 score is at most
+        ``bound − E`` rounded down.  The scores take the first half of
+        the phase scratch of ``ws``, which the tile's float64 scores
+        overwrite when they are needed.  ``None`` when the tile is not
+        screened: no ``bound`` (``None``), or magnitudes out of the
+        float32 range."""
+        index = start // TILE_CATEGORIES
+        if bound is None or not self.screenable[index]:
+            return None
+        rows = len(self.input)
+        tile = ws.buffer(PHASE_SCRATCH, (rows, stop - start))
+        scores = tile.reshape(-1).view(np.float32)[: tile.size].reshape(tile.shape)
+        np.matmul(self.input, self._plane[:, start:stop], out=scores)
+        top = ws.buffer(_SCREEN_TOP, (rows,), np.float32)
+        np.max(scores, axis=1, out=top)
+        limit = ws.buffer(_SCREEN_LIMIT, (rows,))
+        np.subtract(bound, self.error[index], out=limit)
+        np.nextafter(limit, -np.inf, out=limit)
+        below = ws.buffer(_SCREEN_BELOW, (rows,), bool)
+        np.less_equal(top, limit, out=below)
+        return bool(below.all())
 
 
 def draw_projection(

@@ -3,7 +3,9 @@
 The screener is the artifact a deployment ships (the paper's workflow
 trains it offline, then loads it into ENMC status registers and DRAM);
 round-tripping it exactly matters because the INT4 grid is derived from
-the stored weights.
+the stored weights.  Every save writes a temporary file beside its target
+and moves it into place with ``os.replace``, so a reader, or a store
+memory-mapped from the previous file, never sees a file half written.
 
 Format history
 --------------
@@ -23,7 +25,8 @@ Format history
 from __future__ import annotations
 
 import os
-from typing import Union
+import uuid
+from typing import Callable, Union
 
 import numpy as np
 
@@ -37,9 +40,40 @@ PathLike = Union[str, "os.PathLike[str]"]
 _FORMAT_VERSION = 2
 
 
+def _npz_path(path: PathLike) -> str:
+    """``path`` as ``np.savez`` names it: ``.npz`` appended when missing."""
+    base = os.fspath(path)
+    return base if base.endswith(".npz") else base + ".npz"
+
+
+def _write_beside(path: str, write: Callable) -> str:
+    """Call ``write(file)`` on a new temporary file in ``path``'s
+    directory and return its name; the file is removed if ``write``
+    raises.  Publishing it with ``os.replace`` is then atomic: a reader
+    sees the old file or the new one, and a live memory map of the old
+    one keeps its bytes (its inode outlives the name)."""
+    temporary = f"{path}.{uuid.uuid4().hex}.tmp"
+    try:
+        with open(temporary, "xb") as handle:
+            write(handle)
+    except BaseException:
+        if os.path.exists(temporary):
+            os.unlink(temporary)
+        raise
+    return temporary
+
+
+def _save_npz(path: PathLike, **arrays) -> None:
+    """``np.savez_compressed`` to ``path``, published atomically."""
+    target = _npz_path(path)
+    os.replace(
+        _write_beside(target, lambda handle: np.savez_compressed(handle, **arrays)), target
+    )
+
+
 def save_screener(path: PathLike, screener: ScreeningModule) -> None:
     """Serialize a screening module to a compressed .npz file."""
-    np.savez_compressed(
+    _save_npz(
         path,
         format_version=np.int64(_FORMAT_VERSION),
         kind=np.str_("screener"),
@@ -72,7 +106,7 @@ def load_screener(path: PathLike) -> ScreeningModule:
 
 def save_classifier(path: PathLike, classifier: FullClassifier) -> None:
     """Serialize a full classifier to a compressed .npz file."""
-    np.savez_compressed(
+    _save_npz(
         path,
         format_version=np.int64(_FORMAT_VERSION),
         kind=np.str_("classifier"),
@@ -99,9 +133,7 @@ def _quantized_paths(path: PathLike) -> tuple:
     ``np.savez`` appends ``.npz`` when missing, so the canonical form is
     resolved here once and shared by save and load.
     """
-    base = os.fspath(path)
-    if not base.endswith(".npz"):
-        base += ".npz"
+    base = _npz_path(path)
     return base, base[: -len(".npz")] + ".codes.npy"
 
 
@@ -113,10 +145,27 @@ def save_quantized_store(path: PathLike, store: QuantizedExactStore) -> None:
     the INT8/FP16 codes as a raw ``.npy`` — raw so
     :func:`load_quantized_store` can memory-map it (zip members cannot
     be mapped).
+
+    Both files are written under temporary names beside their targets,
+    then moved into place, sidecar first: a save that fails before the
+    moves leaves the previous pair as it was, and a store memory-mapped
+    from the previous sidecar keeps scoring its bytes.
     """
     npz_path, codes_path = _quantized_paths(path)
+    codes = _write_beside(codes_path, lambda handle: np.save(handle, store.codes))
+    try:
+        meta = _write_beside(npz_path, lambda handle: _write_store_meta(handle, store))
+    except BaseException:
+        os.unlink(codes)
+        raise
+    os.replace(codes, codes_path)
+    os.replace(meta, npz_path)
+
+
+def _write_store_meta(handle, store: QuantizedExactStore) -> None:
+    """The ``.npz`` half of :func:`save_quantized_store`."""
     np.savez_compressed(
-        npz_path,
+        handle,
         format_version=np.int64(_FORMAT_VERSION),
         kind=np.str_("quantized_classifier"),
         store_kind=np.str_(store.kind),
@@ -131,7 +180,6 @@ def save_quantized_store(path: PathLike, store: QuantizedExactStore) -> None:
         codes_shape=np.asarray(store.codes.shape, dtype=np.int64),
         codes_dtype=np.str_(store.codes.dtype.name),
     )
-    np.save(codes_path, store.codes)
 
 
 def load_quantized_store(

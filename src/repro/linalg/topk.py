@@ -210,10 +210,31 @@ class BlockwiseThreshold:
             cut_piece = min(batch * room, max(_FILL_ENTRIES, room))
             self._ws.buffer(_FILL, (cut_piece,), self.dtype)
 
-    def update(self, start: int, block: np.ndarray) -> None:
+    def reserve(self, width: int) -> None:
+        """Size the compare mask for blocks up to ``width`` columns now,
+        so a run that skips blocks and then folds one allocates nothing
+        more than a run that folded them all."""
+        self._ws.buffer(_MASK, (self.batch, width), bool)
+
+    @property
+    def bound(self):
+        """What an entry must exceed to be recorded: the threshold, or
+        with runner-ups each row's floor as a ``(batch,)`` view — ``None``
+        until the floor is set, when any block records its top entries.
+        A block with nothing above its bound changes no state here (no
+        hit, no queue entry, no cut), so a caller that knows as much may
+        leave it out."""
+        if not self._runner_ups:
+            return self.threshold
+        return None if self._floor is None else self._floor[:, 0]
+
+    def update(self, start: int, block: np.ndarray) -> int:
+        """Fold the columns ``block`` (from ``start``) into the record;
+        returns how many entries it recorded (hits and queued runner-ups)."""
         if block.shape[1] == 0:
-            return
+            return 0
         k = self._runner_ups
+        recorded = self._hits.count + self._queue.count
         if self._floor is None or not self._pass_floor(start, block):
             rows, cols, values = _survivors(self._ws, block, self.threshold)
             if k:
@@ -229,8 +250,10 @@ class BlockwiseThreshold:
                 )
                 self._held += np.count_nonzero(rejected, axis=1)
             self._hits.append(rows, start + cols, values)
+        recorded = self._hits.count + self._queue.count - recorded
         if k and (self._floor is None or self._held.max() > 2 * k):
             self._tighten()
+        return recorded
 
     def _pass_floor(self, start: int, block: np.ndarray) -> bool:
         """Record what ``block > floor`` passes: hits, and contenders in

@@ -173,7 +173,8 @@ class TestPlaneBuiltTileByTile:
     def test_set_up_holds_the_plane_and_a_few_tiles(self, monkeypatch):
         """No second plane-sized temporary while the plane is built: each
         lane holds its scratch tile and the one tile-sized ``|x|`` the
-        quantizer's abs-max takes (2.1 tiles measured), nothing more."""
+        quantizer's abs-max takes (2.1 tiles measured), nothing more
+        beside the fused plane and its float32 screen copy."""
         l, k = 200_000, 16
         rng = np.random.default_rng(0)
         weight, bias = rng.standard_normal((l, k)), rng.standard_normal(l)
@@ -187,7 +188,8 @@ class TestPlaneBuiltTileByTile:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert peak < module._fused_weight_t.nbytes + lanes * 2.5 * tile, f"{lanes} lanes"
+            planes = module._fused_weight_t.nbytes + module._screen_plane_t.nbytes
+            assert peak < planes + lanes * 2.5 * tile, f"{lanes} lanes"
 
 
 class TestScoresInLanes:

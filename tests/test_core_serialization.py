@@ -1,7 +1,14 @@
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from repro.core import (
+    FullClassifier,
     QuantizedExactStore,
     load_classifier,
     load_quantized_store,
@@ -10,7 +17,10 @@ from repro.core import (
     save_quantized_store,
     save_screener,
 )
+from repro.core import serialization
 from repro.core.serialization import _FORMAT_VERSION
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 class TestScreenerRoundTrip:
@@ -163,6 +173,83 @@ class TestQuantizedStoreRoundTrip:
         np.save(tmp_path / "torn.codes.npy", np.zeros((3, 3), dtype=np.int8))
         with pytest.raises(ValueError, match="sidecar"):
             load_quantized_store(path)
+
+    def test_resave_keeps_a_live_mapped_store_on_its_bytes(self, tmp_path):
+        """Saving over the files a mapped store reads — that store itself,
+        then another — replaces them instead of truncating them under
+        the map, which killed the process with SIGBUS.  Run in a child
+        process, so a regression fails this test, not the session."""
+        script = textwrap.dedent(
+            """
+            import sys
+            import numpy as np
+            from repro.core import (
+                FullClassifier, QuantizedExactStore, load_quantized_store,
+                save_quantized_store,
+            )
+            path = sys.argv[1]
+            rng = np.random.default_rng(0)
+            weight, bias = rng.standard_normal((600, 8)), rng.standard_normal(600)
+            def store(sign):
+                return QuantizedExactStore.from_classifier(
+                    FullClassifier(sign * weight, bias), kind="int8", tile_rows=256
+                )
+            save_quantized_store(path, store(1.0))
+            mapped = load_quantized_store(path, mmap=True)
+            features = rng.standard_normal((4, 8))
+            before = mapped.logits(features)
+            save_quantized_store(path, mapped)
+            save_quantized_store(path, store(-1.0))
+            assert np.array_equal(mapped.logits(features), before)
+            fresh = load_quantized_store(path, mmap=True).logits(features)
+            assert np.array_equal(fresh, store(-1.0).logits(features))
+            """
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path / "live")],
+            env=dict(os.environ, PYTHONPATH=str(SRC)),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["live.codes.npy", "live.npz"]
+
+    def test_a_failed_save_leaves_the_previous_pair(
+        self, store, small_task, tmp_path, monkeypatch
+    ):
+        path = tmp_path / "kept"
+        save_quantized_store(path, store)
+        features = small_task.sample_features(4)
+        classifier = small_task.classifier
+        other = QuantizedExactStore.from_classifier(
+            FullClassifier(2.0 * classifier.weight, classifier.bias + 1.0),
+            kind="int8",
+            tile_rows=256,
+        )
+        writes = []
+
+        def second_write_fails(write):
+            def patched(*args, **kwargs):
+                writes.append(write)
+                if len(writes) == 2:
+                    raise OSError("disk full")
+                return write(*args, **kwargs)
+
+            return patched
+
+        # Whichever of the two files is written second, its write raises.
+        for name in ("save", "savez_compressed"):
+            monkeypatch.setattr(
+                serialization.np, name, second_write_fails(getattr(np, name))
+            )
+        with pytest.raises(OSError, match="disk full"):
+            save_quantized_store(path, other)
+        monkeypatch.undo()
+        loaded = load_quantized_store(path)
+        assert np.array_equal(loaded.codes, store.codes)
+        assert np.array_equal(loaded.logits(features), store.logits(features))
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["kept.codes.npy", "kept.npz"]
 
     def test_missing_sidecar_raises(self, store, tmp_path):
         path = tmp_path / "orphan"

@@ -310,10 +310,11 @@ def test_a_failing_lane_is_raised_after_every_join(monkeypatch, parts, mode, fai
     bad_tile = runs[failing_lane][1]
     other = set(runs[1 - failing_lane]) - {0}
     score_tile = model.screener.score_tile
+    below = pipeline_module.TilePrescreen.below
     other_started = threading.Event()
     finished = []
 
-    def flaky(augmented, start, stop, out):
+    def scoring(start):
         tile = start // TILE_CATEGORIES
         if tile == bad_tile:
             # Fail only once the other lane is provably mid-run.
@@ -322,12 +323,24 @@ def test_a_failing_lane_is_raised_after_every_join(monkeypatch, parts, mode, fai
         if tile in other:
             other_started.set()
             time.sleep(0.05)
+
+    def flaky(augmented, start, stop, out):
+        scoring(start)
         result = score_tile(augmented, start, stop, out)
-        finished.append(tile)
+        finished.append(start // TILE_CATEGORIES)
+        return result
+
+    def flaky_below(screen, start, stop, bound, ws):
+        # A tile the float32 prescreen proves empty is never scored in
+        # float64: the failure is injected wherever a tile is scored.
+        scoring(start)
+        result = below(screen, start, stop, bound, ws)
+        finished.append(start // TILE_CATEGORIES)
         return result
 
     threads_before = threading.active_count()
     monkeypatch.setattr(model.screener, "score_tile", flaky)
+    monkeypatch.setattr(pipeline_module.TilePrescreen, "below", flaky_below)
     for call in (
         lambda: model.forward_streaming(features),
         lambda: model.forward(features),
@@ -341,6 +354,7 @@ def test_a_failing_lane_is_raised_after_every_join(monkeypatch, parts, mode, fai
         assert other <= set(finished)
         assert threading.active_count() == threads_before
     monkeypatch.setattr(model.screener, "score_tile", score_tile)
+    monkeypatch.setattr(pipeline_module.TilePrescreen, "below", below)
     assert_same_answers(answers(model, features), expected)
     assert threading.active_count() == threads_before
 
@@ -475,12 +489,26 @@ def test_lane_spans_land_under_their_own_tid(monkeypatch, parts):
     assert recorder.snapshot()["gauges"]["pipeline.lanes"] == 2
     per_tid = {}
     for event in recorder.tracer.chrome_events():
-        if event["name"] in ("streaming.screen_tile", "streaming.select_tile"):
+        if event["name"].startswith("streaming.") and event["name"].endswith("_tile"):
             per_tid.setdefault(event["tid"], []).append(event["name"])
     assert threading.get_ident() in per_tid and len(per_tid) == 2
-    # Together the two lanes screen and select every tile once.
-    assert sorted(len(names) for names in per_tid.values()) == sorted(
-        2 * len(run) for run in lane_tiles(2)
+    # Together the two lanes screen and select every tile once, but
+    # those the float32 prescreen skipped: a prescreen span with no
+    # screen span after it.
+    names = sum(per_tid.values(), [])
+    skipped = recorder.snapshot()["counters"]["pipeline.tiles_skipped"]
+    assert names.count("streaming.screen_tile") == TILES - skipped
+    assert names.count("streaming.select_tile") == TILES - skipped
+
+    def tiles_folded(names):
+        after = names[1:] + [None]
+        return names.count("streaming.select_tile") + sum(
+            name == "streaming.prescreen_tile" and next_name != "streaming.screen_tile"
+            for name, next_name in zip(names, after)
+        )
+
+    assert sorted(tiles_folded(names) for names in per_tid.values()) == sorted(
+        len(run) for run in lane_tiles(2)
     )
     assert recorder.tracer.open_spans() == 0
 

@@ -1,0 +1,301 @@
+"""The float32 prescreen of the streaming tile loop.
+
+The contract under test: in ``forward_streaming`` and ``top_k``, a tile
+whose float32 scores prove every float64 score at most the reducer's
+bound (its threshold, or with runner-ups each row's floor) is neither
+scored in float64 nor folded.  Such a tile would have recorded nothing,
+so every output is the bits of dense ``forward``, which keeps its plane
+and never skips, and of the per-row oracle.  The proof rests on the
+bound ``E`` on |float32 score − float64 score|: the adversarial models
+put an entry one float64 ulp from the bound where float32 rounding
+alone would call the tile empty, and the property test draws magnitudes
+from 1e-30 to 1e30 (float32 underflow and overflow included).
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import forward_per_row
+
+from repro.core import ApproximateScreeningClassifier, ScreeningConfig, train_screener
+from repro.core import pipeline as pipeline_module
+from repro.core.candidates import CandidateSelector
+from repro.core.classifier import FullClassifier
+from repro.core.screener import TILE_CATEGORIES, ScreeningModule, TilePrescreen
+from repro.data import make_task
+from repro.linalg.projection import SparseRandomProjection
+from repro.obs import NULL_RECORDER, Recorder
+from repro.utils.memory import Workspace
+
+pytestmark = pytest.mark.timeout(300)
+
+TILES = 6
+L = (TILES - 1) * TILE_CATEGORIES + 37
+M = 12
+K = 5
+SELECTORS = ("top_m", "threshold")
+LANES = (1, 2, 3)
+#: Selection blocks narrower than a tile: several updates per tile.
+BLOCKS = (None, 5_000)
+
+
+def force_lanes(monkeypatch, lanes):
+    monkeypatch.setattr(
+        pipeline_module, "lane_count", lambda rows, tiles: max(1, min(lanes, tiles - 1))
+    )
+
+
+@pytest.fixture(scope="module")
+def zipf():
+    """A frequency-ordered label space (``make_task``'s Zipf log-prior by
+    index): after tile 0 almost no tile holds an entry above the bound."""
+    task = make_task(num_categories=L, hidden_dim=16, rng=3)
+    screener = train_screener(
+        task.classifier,
+        task.sample_features(64, rng=1),
+        config=ScreeningConfig(projection_dim=4),
+        solver="lstsq",
+        rng=2,
+    )
+    return task, screener, task.sample_features(8, rng=7)
+
+
+def build(zipf, mode):
+    task, screener, features = zipf
+    selector = CandidateSelector(mode, num_candidates=M)
+    if mode == "threshold":
+        selector.calibrate(screener.approximate_logits(features))
+    return ApproximateScreeningClassifier(task.classifier, screener, selector)
+
+
+def tiles_skipped(model, call) -> tuple:
+    """``(result, tiles prescreened, tiles skipped)`` of one call."""
+    recorder = Recorder()
+    model.set_recorder(recorder)
+    try:
+        result = call()
+    finally:
+        model.set_recorder(NULL_RECORDER)
+    counters = recorder.snapshot()["counters"]
+    return (
+        result,
+        counters.get("pipeline.tiles_prescreened", 0),
+        counters.get("pipeline.tiles_skipped", 0),
+    )
+
+
+def rank_dense(logits, k):
+    """Each row's best ``k`` under (score desc, index asc), by lexsort."""
+    columns = np.arange(logits.shape[1])
+    indices = np.stack([np.lexsort((columns, -row))[:k] for row in logits])
+    return indices, np.take_along_axis(logits, indices, axis=1)
+
+
+def assert_dense_is_the_oracle(model, features, dense):
+    """Whole-plane screening and per-row exact gathers: the same
+    candidates and screener bits (exact values up to the gather's GEMM
+    shape)."""
+    oracle = forward_per_row(model, features)
+    assert np.array_equal(dense.candidates.flat()[1], oracle.candidates.flat()[1])
+    assert np.array_equal(dense.approximate_logits, oracle.approximate_logits)
+    assert np.allclose(dense.logits, oracle.logits, rtol=0, atol=1e-12)
+
+
+def assert_streamed_is_dense(streamed, dense):
+    rows, cols = dense.candidates.flat()
+    assert np.array_equal(streamed.candidates.counts, dense.candidates.counts)
+    assert np.array_equal(streamed.candidates.flat()[1], cols)
+    assert np.array_equal(streamed.exact_values, dense.logits[rows, cols])
+    assert np.array_equal(streamed.approximate_values, dense.approximate_logits[rows, cols])
+
+
+# ----------------------------------------------------------------------
+# a Zipf-ordered model: skipping happens, outputs do not move
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("mode", SELECTORS)
+def test_late_tiles_are_skipped_and_dense_forward_skips_none(zipf, mode):
+    model = build(zipf, mode)
+    features = zipf[2]
+    _, prescreened, skipped = tiles_skipped(model, lambda: model.forward_streaming(features))
+    assert 0 < skipped <= prescreened <= TILES
+    _, prescreened, skipped = tiles_skipped(model, lambda: model.top_k(features, K))
+    assert 0 < skipped <= prescreened <= TILES
+    _, prescreened, skipped = tiles_skipped(model, lambda: model.forward(features))
+    assert prescreened == skipped == 0
+
+
+@pytest.mark.parametrize("block", BLOCKS)
+@pytest.mark.parametrize("lanes", LANES)
+@pytest.mark.parametrize("mode", SELECTORS)
+def test_streaming_is_dense_and_the_oracle(monkeypatch, zipf, mode, lanes, block):
+    model = build(zipf, mode)
+    features = zipf[2]
+    force_lanes(monkeypatch, lanes)
+    streamed, _, skipped = tiles_skipped(
+        model, lambda: model.forward_streaming(features, block_categories=block)
+    )
+    assert skipped > 0
+    dense = model.forward(features)
+    assert_streamed_is_dense(streamed, dense)
+    assert_dense_is_the_oracle(model, features, dense)
+
+
+@pytest.mark.parametrize("lanes", LANES)
+@pytest.mark.parametrize("mode", SELECTORS)
+def test_top_k_is_the_dense_ranking(monkeypatch, zipf, mode, lanes):
+    model = build(zipf, mode)
+    features = zipf[2]
+    force_lanes(monkeypatch, lanes)
+    (indices, scores), _, skipped = tiles_skipped(model, lambda: model.top_k(features, K))
+    assert skipped > 0
+    dense = model.forward(features)
+    assert_dense_is_the_oracle(model, features, dense)
+    want = rank_dense(dense.logits, K)
+    assert np.array_equal(indices, want[0])
+    assert np.array_equal(scores, want[1])
+
+
+# ----------------------------------------------------------------------
+# adversarial: an entry one ulp from the bound in the last tile
+# ----------------------------------------------------------------------
+ADVERSARIAL_L = 4 * TILE_CATEGORIES + 100
+#: Columns of tile 0 whose scores are their biases exactly (zero weight):
+#: 100, 99, ..., 81, each raised by ``NUDGE`` — far less than half a
+#: float32 ulp there (2**-17), far more than a float64 one (2**-46).  So
+#: every bound tile 0 leaves is a float32 value plus ``NUDGE``, and an
+#: entry one float64 ulp above it rounds to a float32 value under it.
+HEAD = 20
+NUDGE = 2.0**-30
+THRESHOLD = 90.0 + NUDGE
+
+
+def adversarial_parts(rows=4):
+    rng = np.random.default_rng(5)
+    k, d = 4, 16
+    weight = 0.01 * rng.standard_normal((ADVERSARIAL_L, k))
+    bias = np.full(ADVERSARIAL_L, -50.0)
+    weight[:HEAD] = 0.0
+    bias[:HEAD] = 100.0 - np.arange(HEAD) + NUDGE
+    projection = SparseRandomProjection(input_dim=d, output_dim=k, rng=6)
+    classifier = FullClassifier(
+        rng.standard_normal((ADVERSARIAL_L, d)), rng.standard_normal(ADVERSARIAL_L)
+    )
+    return projection, weight, bias, classifier, rng.standard_normal((rows, d))
+
+
+def adversarial_model(mode, call, side):
+    """The model, its features, the late column and the bound the late
+    tile is tested against: one float64 ulp above it (``side = +1``,
+    a candidate or runner-up dense forward keeps) or below (``-1``)."""
+    projection, weight, bias, classifier, features = adversarial_parts()
+    if mode == "threshold":
+        selector = CandidateSelector(mode, num_candidates=M, threshold=THRESHOLD)
+    else:
+        selector = CandidateSelector(mode, num_candidates=M)
+    # The bound tile 0 leaves, in the reducer the call itself builds.
+    screener = ScreeningModule(projection, weight, bias)
+    augmented = screener.prepare_augmented(features)
+    reducer = selector.make_block_reducer(
+        len(features), ADVERSARIAL_L, runner_ups=K if call == "top_k" else 0
+    )
+    scores = np.empty((len(features), TILE_CATEGORIES))
+    reducer.update(0, screener.score_tile(augmented, 0, TILE_CATEGORIES, out=scores))
+    bound = np.unique(reducer.bound)
+    assert bound.size == 1 and np.float32(np.nextafter(bound[0], np.inf)) < bound[0]
+    column = ADVERSARIAL_L - 7
+    weight[column] = 0.0
+    bias[column] = np.nextafter(bound[0], side * np.inf)
+    model = ApproximateScreeningClassifier(
+        classifier, ScreeningModule(projection, weight, bias), selector
+    )
+    return model, features, column, float(bound[0])
+
+
+@pytest.mark.parametrize("side", (1, -1), ids=("ulp_above", "ulp_below"))
+@pytest.mark.parametrize("call", ("forward_streaming", "top_k"))
+@pytest.mark.parametrize("lanes", LANES)
+@pytest.mark.parametrize("mode", SELECTORS)
+def test_an_entry_one_ulp_from_the_bound(monkeypatch, mode, lanes, call, side):
+    model, features, column, bound = adversarial_model(mode, call, side)
+    screener = model.screener
+    # Float32 rounding alone puts the entry under the bound: with E = 0
+    # the last tile would be proven empty, and the entry above lost.
+    ws = Workspace()
+    screen = TilePrescreen(screener, screener.prepare_augmented(features), ws)
+    screen.reserve(ws)
+    last = screener.tile_bounds()[-1]
+    assert screen.below(*last, bound, ws) is False
+    screen.error[...] = 0.0
+    assert screen.below(*last, bound, ws) is True
+
+    force_lanes(monkeypatch, lanes)
+    dense = model.forward(features)
+    assert np.all(dense.approximate_logits[:, column] - bound == side * np.spacing(bound))
+    if call == "forward_streaming":
+        streamed, _, skipped = tiles_skipped(model, lambda: model.forward_streaming(features))
+        assert_streamed_is_dense(streamed, dense)
+        kept = [column in row for row in streamed.candidates.indices]
+        assert kept == [side > 0] * len(features)
+    else:
+        (indices, scores), _, skipped = tiles_skipped(model, lambda: model.top_k(features, K))
+        want = rank_dense(dense.logits, K)
+        assert np.array_equal(indices, want[0])
+        assert np.array_equal(scores, want[1])
+    assert_dense_is_the_oracle(model, features, dense)
+    # The middle tiles hold nothing above the bound and are skipped.
+    assert skipped > 0
+
+
+# ----------------------------------------------------------------------
+# property: E covers the float32 / float64 gap at every magnitude
+# ----------------------------------------------------------------------
+@settings(max_examples=300, deadline=None)
+@given(
+    rows=st.integers(1, 4),
+    k=st.integers(1, 6),
+    l=st.integers(1, 300),
+    magnitudes=st.tuples(*(st.integers(-30, 30) for _ in range(3))),
+    bits=st.sampled_from([None, 4]),
+    zero_bias=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+    row=st.integers(0, 3),
+)
+def test_no_tile_with_an_entry_above_its_bound_is_skipped(
+    rows, k, l, magnitudes, bits, zero_bias, seed, row
+):
+    rng = np.random.default_rng(seed)
+    weight_scale, bias_scale, input_scale = (10.0**power for power in magnitudes)
+    # Per-category scales over six decades, so tiles mix magnitudes.
+    weight = rng.standard_normal((l, k)) * weight_scale * 10.0 ** rng.uniform(-3, 3, (l, 1))
+    # A zero bias leaves tiny products nothing to hide behind: at
+    # 1e-30 × 1e-30 every float32 product underflows.
+    bias = np.zeros(l) if zero_bias else rng.standard_normal(l) * bias_scale
+    augmented = np.ones((rows, k + 1))
+    augmented[:, :-1] = rng.standard_normal((rows, k)) * input_scale
+    projection = SparseRandomProjection(input_dim=8, output_dim=k, rng=0)
+    screener = ScreeningModule(projection, weight, bias, quantization_bits=bits)
+    ws = Workspace()
+    screen = TilePrescreen(screener, augmented, ws)
+    screen.reserve(ws)
+    row = row % rows
+    for start, stop in screener.tile_bounds():
+        exact = screener.score_tile(augmented, start, stop, out=np.empty((rows, stop - start)))
+        best = exact.max(axis=1)
+        # One row with an entry just above its bound, the rest unbounded.
+        bound = np.full(rows, np.inf)
+        bound[row] = np.nextafter(best[row], -np.inf)
+        verdict = screen.below(start, stop, bound, ws)
+        assert verdict is not True
+        assert screen.below(start, stop, np.nextafter(best.max(), -np.inf), ws) is not True
+        index = start // TILE_CATEGORIES
+        if verdict is None:
+            continue
+        # Screened: the float32 scores sit within E of the float64 ones,
+        # and E is a rounding error, not a vacuous bound.
+        approx = np.matmul(screen.input, screener._screen_plane_t[:, start:stop])
+        error = screen.error[index][:, None]
+        assert np.all(np.abs(exact - approx) <= error * (1 + 2.0**-40))
+        weight_top, bias_top = screener._tile_tops[:, index]
+        reach = np.abs(augmented[:, :-1]).sum(axis=1) * weight_top + bias_top
+        assert np.all(error[:, 0] <= 1e-5 * reach + 1e-40)

@@ -26,7 +26,9 @@ def test_prints_every_phase_and_settles_after_one_call():
     )
     lines = {line[:14].strip(): line[14:].split() for line in result.stdout.splitlines()}
     assert lines["phase"] == ["1", "lane", "2", "lanes"]
-    for phase in ("plane", "scores", "calibration", "first call", "second call"):
+    for phase in (
+        "plane", "screen plane", "scores", "calibration", "first call", "second call"
+    ):
         assert len(lines[phase]) == 6, phase  # best / median per lane count
     # The 2-lane loop forks its reducer; its second call allocates
     # nothing, like the single-lane loop's.
