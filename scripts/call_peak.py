@@ -17,9 +17,10 @@ flat, then prints the ``tracemalloc`` peak above what was live before
 Both phases run on the pipeline's own arena, as the call runs them.  One
 tile of scores is printed beside them for scale: a warm call that allocates
 a large share of it holds a tile-sized temporary somewhere, and the phase
-lines say where.  The last line counts the canonical tiles of one call and
-how many of them the float32 prescreen scored and skipped (read from a
-``Recorder`` on one more call, after the peaks).  The benchmark's ``call_peak_mb`` is the whole-call line at
+lines say where.  The last line counts the canonical tiles of one call, how
+many of them a prescreen stage tested and skipped, and how many of those
+the box stage skipped before any float32 score (read from a ``Recorder``
+on one more call, after the peaks).  The benchmark's ``call_peak_mb`` is the whole-call line at
 its own sizes; put another tree's ``src`` on ``PYTHONPATH`` to read that
 tree.
 """
@@ -105,6 +106,7 @@ def measure(model, batch, repeats: int) -> dict:
         tiles=len(model.screener.tile_bounds()),
         prescreened=int(counters.get("pipeline.tiles_prescreened", 0)),
         skipped=int(counters.get("pipeline.tiles_skipped", 0)),
+        box_skipped=int(counters.get("pipeline.tiles_box_skipped", 0)),
         warm_calls=calls,
         steady_allocations=ws.allocations - allocations,
         workspace_bytes=ws.nbytes,
@@ -130,8 +132,9 @@ def report(args, result: dict) -> str:
         f"{result['candidates']} candidates"
     )
     lines.append(
-        f"tiles per call {result['tiles']}: {result['prescreened']} prescreened in "
-        f"float32, {result['skipped']} skipped"
+        f"tiles per call {result['tiles']}: {result['prescreened']} prescreened, "
+        f"{result['skipped']} skipped ({result['box_skipped']} by their boxes, "
+        f"{result['skipped'] - result['box_skipped']} by their float32 scores)"
     )
     return "\n".join(lines)
 

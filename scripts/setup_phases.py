@@ -12,6 +12,10 @@ arrays in hand to a settled pipeline:
   and its per-tile magnitudes, placed tile by tile in the same lanes:
   the slowest lane's share, taken out of ``plane`` (0 on a tree
   without one);
+* ``boxes``        — the same constructor's box prescreen boxes, each
+  tile's weights rotated into the principal axes and reduced per
+  chunk in the same lanes: the slowest lane's share, also taken out
+  of ``plane`` (0 on a tree without them);
 * ``scores``       — ``approximate_logits`` of the ``ROWS`` calibration rows;
 * ``calibration``  — ``CandidateSelector.calibrate`` on those scores
   (threshold selector only);
@@ -59,7 +63,7 @@ from repro.core.screener import ScreeningConfig, ScreeningModule
 from repro.core.training import train_screener
 from repro.data import make_task
 
-PHASES = ("plane", "screen plane", "scores", "calibration", "first call", "second call")
+PHASES = ("plane", "screen plane", "boxes", "scores", "calibration", "first call", "second call")
 #: Calls made to find where the workspace settles.
 MAX_WARM_CALLS = 6
 
@@ -87,10 +91,11 @@ def set_up_once(inputs: dict, args) -> dict:
     each warm-up call."""
     fit, clock, times = inputs["fit"], time.perf_counter, {}
     start = clock()
-    with screen_plane_clock() as lanes:
+    with lane_clock("_place_screen_tile") as screen, lane_clock("_place_box_tile") as boxes:
         screener = ScreeningModule(fit.projection, fit.weight, fit.bias, quantization_bits=4)
-    times["screen plane"] = max(lanes.values(), default=0.0)
-    times["plane"] = clock() - start - times["screen plane"]
+    times["screen plane"] = max(screen.values(), default=0.0)
+    times["boxes"] = max(boxes.values(), default=0.0)
+    times["plane"] = clock() - start - times["screen plane"] - times["boxes"]
     start = clock()
     scores = screener.approximate_logits(inputs["valid"])
     times["scores"] = clock() - start
@@ -115,12 +120,12 @@ def set_up_once(inputs: dict, args) -> dict:
 
 
 @contextlib.contextmanager
-def screen_plane_clock():
-    """Seconds each placing lane (by thread) spends on the float32 screen
-    plane while the block runs: ``ScreeningModule._place_screen_tile``
-    timed per call."""
+def lane_clock(name: str):
+    """Seconds each placing lane (by thread) spends in the set-up step
+    ``ScreeningModule.<name>`` while the block runs, timed per call (no
+    time on a tree without that step)."""
     spent: dict = {}
-    place = getattr(ScreeningModule, "_place_screen_tile", None)
+    place = getattr(ScreeningModule, name, None)
     if place is None:
         yield spent
         return
@@ -131,11 +136,11 @@ def screen_plane_clock():
         lane = threading.get_ident()
         spent[lane] = spent.get(lane, 0.0) + time.perf_counter() - start
 
-    ScreeningModule._place_screen_tile = timed
+    setattr(ScreeningModule, name, timed)
     try:
         yield spent
     finally:
-        ScreeningModule._place_screen_tile = place
+        setattr(ScreeningModule, name, place)
 
 
 #: Where the lane rule is read (trees before it moved to the screener

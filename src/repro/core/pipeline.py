@@ -601,28 +601,33 @@ class ApproximateScreeningClassifier:
         if recorder.enabled:
             recorder.set_gauge("pipeline.lanes", lanes)
         screen = None if plane is not None else TilePrescreen(screener, augmented, ws)
-        prescreened, skipped = self._fold_in_lanes(
+        prescreened, skipped, box_skipped = self._fold_in_lanes(
             reducer, ws, tiles, lanes, augmented, block, plane, screen
         )
         recorder.increment("pipeline.tiles_prescreened", prescreened)
         recorder.increment("pipeline.tiles_skipped", skipped)
+        recorder.increment("pipeline.tiles_box_skipped", box_skipped)
         with recorder.span("streaming.select_finalize"):
             return reducer.finalize()
 
     def _fold(
         self, reducer, ws: Workspace, tiles, augmented, block, plane, screen
-    ) -> Tuple[int, int]:
+    ) -> Tuple[int, int, int]:
         """The tile loop's body: screen each of ``tiles`` into ``ws``
         scratch (or its slice of ``plane``) and fold it into ``reducer``;
-        returns how many tiles were prescreened and how many skipped.
+        returns how many tiles were prescreened, how many skipped, and
+        how many of those the box stage skipped.
 
         With a ``screen`` (the streaming path), a tile that follows one
-        that recorded nothing — or starts the run — is first scored in
-        float32: when that proves every score at most the reducer's
-        bound, the tile would record nothing, so neither the float64
-        GEMM nor the update runs (the lane rule)."""
+        that recorded nothing — or starts the run — is prescreened: when
+        that proves every score at most the reducer's bound, the tile
+        would record nothing, so neither the float64 GEMM nor the update
+        runs (the lane rule).  Once the lane has skipped a tile, its
+        boxes are tested first and its float32 scores only when they
+        prove nothing; a lane that never skips never builds a box query."""
         recorder = self.recorder
-        prescreened = skipped = recorded = 0
+        prescreened = skipped = box_skipped = recorded = 0
+        boxes = None
         if screen is not None:
             # A lane may skip every tile of one call and fold some of
             # the next: the scratch a tile takes is sized up front.
@@ -630,8 +635,16 @@ class ApproximateScreeningClassifier:
             reducer.reserve(min(TILE_CATEGORIES, self.num_categories, block))
         for t0, t1 in tiles:
             if screen is not None and not recorded:
-                with recorder.span("streaming.prescreen_tile"):
-                    below = screen.below(t0, t1, reducer.bound, ws)
+                below = None
+                if skipped and screen.boxed:
+                    with recorder.span("streaming.box_tile"):
+                        if boxes is None:
+                            boxes = screen.query_boxes(ws)
+                        below = screen.box_below(t0, t1, reducer.bound, ws, boxes)
+                    box_skipped += bool(below)
+                if not below:
+                    with recorder.span("streaming.prescreen_tile"):
+                        below = screen.below(t0, t1, reducer.bound, ws)
                 prescreened += below is not None
                 if below:
                     skipped += 1
@@ -652,11 +665,11 @@ class ApproximateScreeningClassifier:
                     stop = min(t1, (start // block + 1) * block)
                     recorded += reducer.update(start, tile[:, start - t0 : stop - t0])
                     start = stop
-        return prescreened, skipped
+        return prescreened, skipped, box_skipped
 
     def _fold_in_lanes(
         self, reducer, ws: Workspace, tiles, lanes: int, augmented, block, plane, screen
-    ) -> Tuple[int, int]:
+    ) -> Tuple[int, int, int]:
         """Fold tile 0 here — it pays the reducer's one first fill — then
         the rest as ``lanes`` contiguous runs (:func:`run_in_lanes`): run
         0 here into ``reducer``, each other run on a thread of its own
@@ -668,7 +681,7 @@ class ApproximateScreeningClassifier:
         plain loop on the caller.  Tile 0 is not prescreened: it is
         where the head of a frequency-ordered label space sits, and in
         top-m mode no bound exists before it.  Returns the tiles
-        prescreened and skipped, summed over the lanes."""
+        prescreened, skipped and box-skipped, summed over the lanes."""
         tallies = [self._fold(reducer, ws, tiles[:1], augmented, block, plane, None)]
         arenas = [ws] + [ws.lane(lane) for lane in range(1, lanes)]
         reducers = [reducer] + [reducer.fork(arena) for arena in arenas[1:]]

@@ -11,17 +11,19 @@ transposed plane of fake-quantized weights, the input quantizer) is
 built once and cached on the module, and the hot matmul folds ``b̃``
 into one extra weight column — the same trick the compiler uses when
 tiling for the hardware — so one GEMM writes the full score matrix.
-The module holds three arrays: the FP64 master ``weight``, that fused
-plane — ``(k + 1)·l·8`` private bytes beside the master — and the fused
+The module holds four arrays: the FP64 master ``weight``, that fused
+plane — ``(k + 1)·l·8`` private bytes beside the master — the fused
 plane's values rounded to float32, the *screen plane* (``(k + 1)·l·4``
-bytes).  Both derived planes are placed one canonical tile at a time,
-each block of categories transposed into a tile of scratch, quantized
-from there straight into its columns of the fused plane and rounded
-from those into the screen plane's, so construction (training, a
-worker's start or respawn, a load from disk) holds the planes and a
-tile or two per lane, never a plane-sized temporary.  The fake-quantized
-``(l, k)`` view the compiler lowers from (``_weight_deq``, the same
-values quantized whole) is derived on demand, not kept as a fourth copy.
+bytes), and the *boxes* (``_tile_box``, ``(2k + 1)·⌈l / 8⌉·8`` bytes).
+All three derived arrays are placed one canonical tile at a time, each
+block of categories transposed into a tile of scratch, quantized from
+there straight into its columns of the fused plane, rounded from those
+into the screen plane's and rotated from them into its boxes, so
+construction (training, a worker's start or respawn, a load from disk)
+holds the arrays and a tile or two per lane, never a plane-sized
+temporary.  The fake-quantized ``(l, k)`` view the compiler lowers from
+(``_weight_deq``, the same values quantized whole) is derived on
+demand, not kept as a fifth copy.
 
 The float32 prescreen (:class:`TilePrescreen`): once a streaming call's
 reducer holds a bound — its threshold, or with runner-ups each row's
@@ -48,6 +50,25 @@ tile changes no reducer state (no hit, no queue entry, no cut), so
 every output bit, every lane count and every fork are the full loop's
 by construction; dense ``forward``, which keeps the score plane, never
 leaves a tile out.
+
+The box stage, ahead of the float32 one: set-up takes the principal axes
+``Q`` of the head tile's weights (``eigh`` of their ``k × k`` Gram),
+rotates every quantized weight column into them, ``ỹ = Qᵀw``, and keeps
+per :data:`BOX_CATEGORIES` contiguous columns each axis's max and min
+and the largest bias.  A call rotates its input, ``c̃ = aQ``; one GEMM
+of ``[max(c̃, 0) | min(c̃, 0) | 1]`` against a tile's boxes bounds every
+score in each box from above, and a tile is left out when each row's
+largest box bound is at most ``bound − E_box`` rounded down.  ``E_box``
+(``_box_error_terms``) covers the two rotations' and the box GEMM's
+rounding, the float64 tile GEMM's, underflow, and the axes' departure
+from orthogonality through ``a·w = (Qᵀa)·(Qᵀw) + aᵀ(I − QQᵀ)w``; it
+has the float32 stage's shape, one multiply-add per row and tile.  On a
+frequency-ordered label space the bias is smooth in the index and W̃ is
+strongly low-rank, so a tile's 1,024 box bounds per row prove most of
+what its 8,192 float32 scores prove.  A lane
+tests a tile's boxes only once it has skipped a tile in the call, and
+its float32 scores only when the boxes prove nothing; a lane that never
+skips (a flat-prior shard) never builds a box query.
 
 Lanes: ENMC gives every rank its own slice of the screener, and the
 ranks work at once.  Every tile loop here and in the pipeline — placing
@@ -123,6 +144,26 @@ _SCREEN_SUM = 2.0**125
 _SCREEN_GUARD = 2.0**126
 
 
+#: Categories per box of the box prescreen (:class:`TilePrescreen`): the
+#: width of the contiguous chunks whose per-axis extremes in the screener's
+#: principal axes bound a tile before its float32 scores do.  Measured on
+#: the ``batch_topm`` model (64 × 670K, k = 16, m = 32, tile-0 floor; seeds
+#: 1–4; tiles proven empty of the 81 past tile 0):
+#:
+#:     width    proven     per call
+#:     8        67–74      fastest
+#:     16       63–73      no faster
+#:     32       52–70      no faster
+#:
+#: The same boxes in the original axes, or under a random rotation,
+#: prove none.
+BOX_CATEGORIES = 8
+
+#: The largest rigorous ``‖I − QQᵀ‖_F`` bound of principal axes ``Q``
+#: that a screener box-tests under; past it no tile is box-tested.
+_BOX_DELTA = 2.0**-20
+
+
 def _screen_error_terms(k: int) -> Tuple[float, float, float]:
     """``(relative, mixed, absolute)``: the bound on |float32 tile score
     − float64 :meth:`ScreeningModule.score_tile` score| for one entry,
@@ -154,6 +195,105 @@ def _screen_error_terms(k: int) -> Tuple[float, float, float]:
     absolute = (1.0 + gamma32) * n * tiny32**2 + 2.0 * n * (tiny32 + tiny64)
     slack = 1.0 + 2.0**-20
     return relative * slack, mixed * slack, absolute * slack
+
+
+def _principal_axes(head: np.ndarray) -> Optional[np.ndarray]:
+    """``Q``: the eigenvectors of the ``k × k`` Gram of the head tile's
+    weight rows ``head`` — the axes a box prescreen's boxes are taken in
+    — or ``None`` when that Gram is not finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = head.T @ head
+    if not np.isfinite(gram).all():
+        return None
+    return np.linalg.eigh(gram)[1]
+
+
+def _box_error_terms(axes: np.ndarray) -> Optional[Tuple[float, float, float]]:
+    """``(slope, offset, absolute)``: with ``W`` and ``B`` a tile's largest
+    weight and bias magnitudes and ``A = Σ|a_j|`` a row's, a box bound
+    ``V`` (below) is within ``slope · W · A + offset · B + absolute`` of
+    every float64 :meth:`ScreeningModule.score_tile` score of the tile
+    it is taken over; ``None`` when ``axes`` cannot be box-tested under.
+
+    For axes ``Q`` (``k × k``), ``a·w = (Qᵀa)·(Qᵀw) + aᵀ(I − QQᵀ)w``
+    exactly.  Set-up rotates every weight column, ``ỹ = Qᵀw``, and keeps
+    each chunk's per-axis max ``ỹ⁺`` and min ``ỹ⁻`` and its largest
+    bias; a call rotates its input, ``c̃ = aQ``, and the box bound is
+    ``V = Σ_i max(c̃_i, 0) ỹ⁺_i + min(c̃_i, 0) ỹ⁻_i + max b``, at least
+    ``c̃·ỹ + b`` for every column of the chunk.  What separates ``V``
+    from the float64 score, with ``γ_n = n u / (1 − n u)`` at float64's
+    ``u``, ``q = max_i Σ_j |Q_ji|`` and ``r = max_j Σ_i |Q_ji|`` (so
+    ``|ỹ_i| ≤ qW`` and ``Σ_i |c̃_i| ≤ (1 + γ_k) r A``):
+
+    * rounding ``c̃``: ``Σ_i |δc̃_i| |ỹ_i| ≤ γ_k r A · (1 + γ_k) q W``;
+    * rounding ``ỹ``: ``Σ_i |c̃_i| |δỹ_i| ≤ (1 + γ_k) r A · γ_k q W``;
+    * the box GEMM over ``2k + 1`` products: ``γ_{2k+1}((1 + γ_k) r A ·
+      (1 + γ_k) q W + B)``;
+    * the axes' departure from orthogonality: ``|aᵀ(I − QQᵀ)w| ≤ k δ W A``
+      for any ``δ ≥ ‖I − QQᵀ‖_F``, bounded here from the computed
+      ``QQᵀ`` and its own rounding;
+    * the float64 tile GEMM over ``k + 1`` products: ``γ_{k+1}(A W + B)``;
+    * underflow: every product and rounding above may lose ``η = 2**-1074``
+      absolutely; under the call's magnitude guards (``A``, ``W``, ``B``
+      at most ``2**100``, ``|Q_ji| ≤ 2``) those losses sum to under
+      ``(k + 1)**3 · 2**-960``, the ``absolute`` term.
+
+    Each coefficient is raised by ``2**-20`` of itself, as in
+    :func:`_screen_error_terms`.  Axes that are not finite, have an
+    entry past 2 in magnitude or whose ``δ`` exceeds :data:`_BOX_DELTA`
+    get ``None``.
+    """
+    k = axes.shape[0]
+    if not (np.isfinite(axes).all() and np.abs(axes).max(initial=0.0) <= 2.0):
+        return None
+
+    def gamma(n: int) -> float:
+        return n * 2.0**-53 / (1.0 - n * 2.0**-53)
+
+    magnitudes = np.abs(axes)
+    columns = float(magnitudes.sum(axis=0).max())
+    rows = float(magnitudes.sum(axis=1).max())
+    # Each entry of the computed I − QQᵀ is within the GEMM's γ_k (its
+    # products are at most 4 each), the subtraction's rounding and
+    # underflow of the exact one; k times the largest bounds the norm.
+    departure = np.abs(np.eye(k) - axes @ axes.T).max(initial=0.0)
+    entry = departure + 4 * k * gamma(k) + (1 + 5 * k) * 2.0**-53 + 2.0**-1000
+    delta = k * entry
+    if not delta <= _BOX_DELTA:
+        return None
+    input_reach = (1.0 + gamma(k)) * rows  # Σ_i |c̃_i| per unit of A
+    weight_reach = (1.0 + gamma(k)) * columns  # |ỹ_i| per unit of W
+    slope = (
+        weight_reach * (gamma(k) * rows + gamma(2 * k + 1) * input_reach)
+        + input_reach * gamma(k) * columns
+        + k * delta
+        + gamma(k + 1)
+    )
+    offset = gamma(2 * k + 1) + gamma(k + 1)
+    slack = 1.0 + 2.0**-20
+    return slope * slack, offset * slack, (k + 1) ** 3 * 2.0**-960
+
+
+def _chunk_tree(pick, values: np.ndarray, out: np.ndarray, levels: np.ndarray) -> None:
+    """``out[:, c] = pick`` over the :data:`BOX_CATEGORIES` columns
+    ``values[:, 8c : 8c + 8]``, the last box as wide as the columns left
+    (``pick`` is ``np.maximum`` or ``np.minimum``).  Whole boxes pair
+    neighbours level by level, each level a contiguous block of the flat
+    scratch ``levels`` — strided elementwise passes, over an order of
+    magnitude faster than a reduction over a ``(…, 8)`` reshape, and no
+    two operands' bounds overlap, so NumPy copies none of them."""
+    whole = values.shape[1] - values.shape[1] % BOX_CATEGORIES
+    if whole < values.shape[1]:  # a last, narrower box
+        pick.reduce(values[:, whole:], axis=1, out=out[:, -1])
+    if not whole:
+        return
+    level, used, out = values[:, :whole], 0, out[:, : whole // BOX_CATEGORIES]
+    while level.shape[1] > 2 * out.shape[1]:
+        width = level.shape[1] // 2
+        paired = levels[used : used + len(level) * width].reshape(len(level), width)
+        pick(level[:, 0::2], level[:, 1::2], out=paired)
+        level, used = paired, used + paired.size
+    pick(level[:, 0::2], level[:, 1::2], out=out)
 
 
 def lane_count(rows: int, tiles: int) -> int:
@@ -317,6 +457,15 @@ class ScreeningModule:
             self._input_quantizer = Quantizer(bits=self.quantization_bits, axis=0)
             per_category = Quantizer(bits=self.quantization_bits, axis=1)
 
+        axes = _principal_axes(self.weight[:TILE_CATEGORIES])
+        box_terms = None if axes is None else _box_error_terms(axes)
+        #: ``Qᵀ`` (contiguous: the set-up GEMM reads it 30% faster) and
+        #: the boxes, or ``None`` when no tile of this screener is boxed.
+        self._box_axes_t = None if box_terms is None else np.ascontiguousarray(axes.T)
+        self._tile_box = None
+        if box_terms is not None:
+            self._tile_box = np.empty((2 * k + 1, -(-l // BOX_CATEGORIES)))
+
         def place(lane: int, run: list) -> None:
             # ``W̃`` takes one scale per category and is placed one
             # canonical tile at a time: a block of categories is
@@ -324,26 +473,36 @@ class ScreeningModule:
             # its columns now) and quantized from there into its columns
             # of the plane, so set-up holds the plane and a tile or two
             # per lane, never a second plane.
-            tile = np.empty((k, min(TILE_CATEGORIES, l)))
+            # Room, too, for half a tile rotated and its boxes' trees
+            # (7/4 of a half: under a tile).
+            half = min(TILE_CATEGORIES // 2, l)
+            tile = np.empty(k * max(min(TILE_CATEGORIES, l), 2 * half - half // 4))
             for start, stop in run:
-                block = tile[:, : stop - start]
+                block = tile[: k * (stop - start)].reshape(k, stop - start)
                 block[...] = self.weight[start:stop].T
                 if per_category is None:
                     fused[:-1, start:stop] = block
                 else:
                     per_category.fake_quantize(block, out=fused[:-1, start:stop])
                 self._place_screen_tile(fused, start, stop)
+                if self._tile_box is not None:
+                    self._place_box_tile(fused, start, stop, tile)
 
         run_in_lanes(place, tiles, lane_count(k, len(tiles)))
         fused[-1] = self.bias
         self._fused_weight_t = fused
-        # Per tile, E = Σ|a_j| · slope + offset (TilePrescreen).
+        # Per tile, E = Σ|a_j| · slope + offset (TilePrescreen), for the
+        # float32 stage and, with boxes, the box stage.
         relative, mixed, absolute = _screen_error_terms(k)
         weight_top, bias_top = self._tile_tops
         self._tile_error = np.stack((
             relative * weight_top + mixed,
             relative * bias_top + mixed * (1.0 + k * weight_top + bias_top) + absolute,
         ))
+        self._box_error = None
+        if box_terms is not None:
+            slope, offset, absolute = box_terms
+            self._box_error = np.stack((slope * weight_top, offset * bias_top + absolute))
 
     def _place_screen_tile(self, fused: np.ndarray, start: int, stop: int) -> None:
         """Tile ``[start, stop)`` of the float32 screen plane: the fused
@@ -361,6 +520,30 @@ class ScreeningModule:
             # of it, or by 2**-150 below float32's normal range.
             top = float(max(values.max(), -values.min())) * (1.0 + 2.0**-23) + 2.0**-149
             self._tile_tops[row, index] = top if top <= _SCREEN_MAGNITUDE else _SCREEN_GUARD
+
+    def _place_box_tile(self, fused: np.ndarray, start: int, stop: int, scratch) -> None:
+        """The boxes of tile ``[start, stop)``: its quantized weight
+        columns rotated into the principal axes (``ỹ = Qᵀw``) half a tile
+        at a time, while they are still in cache, then per
+        :data:`BOX_CATEGORIES` columns each axis's max and min, and the
+        largest bias, each by a pairwise tree (:func:`_chunk_tree`).  The
+        rotated half and the trees' levels share the lane's flat
+        ``scratch``, so the boxes take no memory beyond it.  Half tiles,
+        not smaller blocks: the placing lanes share the interpreter lock
+        between NumPy calls, and at 670K × 16 two lanes of quarter tiles
+        took 47–52 ms against 27–32 ms."""
+        k, half = self.projection_dim, TILE_CATEGORIES // 2
+        boxes = self._tile_box[:, start // BOX_CATEGORIES : -(-stop // BOX_CATEGORIES)]
+        with np.errstate(over="ignore", invalid="ignore"):  # such a tile is never boxed
+            for low in range(start, stop, half):
+                width = min(half, stop - low)
+                rotated = scratch[: k * width].reshape(k, width)
+                np.matmul(self._box_axes_t, fused[:-1, low : low + width], out=rotated)
+                first = (low - start) // BOX_CATEGORIES
+                columns = slice(first, first + -(-width // BOX_CATEGORIES))
+                _chunk_tree(np.maximum, rotated, boxes[:k, columns], scratch[k * width :])
+                _chunk_tree(np.minimum, rotated, boxes[k:-1, columns], scratch[k * width :])
+        _chunk_tree(np.maximum, self.bias[None, start:stop], boxes[-1:], scratch)
 
     # ------------------------------------------------------------------
     # shapes / cost
@@ -482,41 +665,51 @@ class ScreeningModule:
         )
 
 
-#: Workspace keys of the float32 prescreen: per call its float32 input,
-#: each tile's bound per row and whether the tile can be screened, with
-#: the scratch they are derived in; per lane the per-row scratch of the
-#: test (its float32 scores take the lane's phase scratch).
+#: Workspace keys of the prescreen: per call its float32 input, each
+#: tile's bound per row and whether the tile can be screened, with the
+#: scratch they are derived in; per lane the per-row scratch of the tests
+#: (its float32 and box scores take the lane's phase scratch), and the box
+#: stage's query and bound, built at the lane's first box test.
 _SCREEN_INPUT, _SCREEN_ERROR, _SCREEN_OK, _SCREEN_ABS, _SCREEN_SUMS, _SCREEN_RANGE = (
     ("screen", name) for name in ("input", "error", "ok", "abs", "sums", "range")
 )
 _SCREEN_TOP, _SCREEN_LIMIT, _SCREEN_BELOW = (
     ("screen", name) for name in ("top", "limit", "below")
 )
+_BOX_ROTATED, _BOX_QUERY, _BOX_ERROR, _BOX_TOP = (
+    ("box", name) for name in ("rotated", "query", "error", "top")
+)
 
 
 class TilePrescreen:
-    """One streaming call's float32 prescreen of the screener's tiles
-    (module docstring): the call's augmented input rounded to float32,
-    and per tile and row the bound ``E`` on |float32 score − float64
-    :meth:`ScreeningModule.score_tile` score|, all in the call's arena.
+    """One streaming call's prescreen of the screener's tiles (module
+    docstring), in two stages that each only prove a tile empty: the box
+    stage (:meth:`box_below`), a row max over the tile's boxes, and the
+    float32 stage (:meth:`below`), a row max over its float32 scores.
+    Per call: the augmented input rounded to float32 and per tile and
+    row the float32 stage's bound ``E``, all in the call's arena.
 
     Built once per call before any lane starts; the lanes only read it,
-    each scoring into scratch of its own arena (:meth:`reserve`).
+    each testing in scratch of its own arena (:meth:`reserve`).
     """
 
     def __init__(self, screener: "ScreeningModule", augmented: np.ndarray, ws) -> None:
         rows, width = augmented.shape
         tiles = screener._tile_tops.shape[1]
         self._plane = screener._screen_plane_t
+        self._screener = screener
+        self._augmented = augmented
+        #: Whether :meth:`box_below` can prove anything for this screener.
+        self.boxed = screener._tile_box is not None
         self.input = ws.buffer(_SCREEN_INPUT, (rows, width), np.float32)
         self.error = ws.buffer(_SCREEN_ERROR, (tiles, rows))
         self.screenable = ws.buffer(_SCREEN_OK, (tiles,), bool)
         magnitudes = ws.buffer(_SCREEN_ABS, (rows, width - 1))
-        row_sums = ws.buffer(_SCREEN_SUMS, (rows,))
+        self.row_sums = ws.buffer(_SCREEN_SUMS, (rows,))
         largest_sum = ws.buffer(_SCREEN_RANGE, (tiles,))
         np.abs(augmented[:, :-1], out=magnitudes)
-        np.sum(magnitudes, axis=1, out=row_sums)
-        largest = row_sums.max(initial=0.0)
+        np.sum(magnitudes, axis=1, out=self.row_sums)
+        largest = self.row_sums.max(initial=0.0)
         if not largest <= _SCREEN_MAGNITUDE:  # NaN included
             self.screenable.fill(False)
             return
@@ -528,18 +721,25 @@ class TilePrescreen:
         largest_sum += bias_top
         np.less_equal(largest_sum, _SCREEN_SUM, out=self.screenable)
         slope, offset = screener._tile_error
-        np.multiply.outer(slope, row_sums, out=self.error)
+        np.multiply.outer(slope, self.row_sums, out=self.error)
         self.error += offset[:, None]
 
     def reserve(self, ws) -> None:
         """Size a lane's scratch in its arena ``ws`` up front — the
-        phase scratch a tile is scored in, float32 or float64 — so
-        whether and where a call prescreens never allocates."""
-        rows = len(self.input)
+        phase scratch a tile is tested or scored in, float32 or float64,
+        and the box stage's query and bound — so whether, where and in
+        which stage a call prescreens never allocates."""
+        rows, width = self.input.shape
         ws.buffer(PHASE_SCRATCH, (rows, min(TILE_CATEGORIES, self._plane.shape[1])))
         ws.buffer(_SCREEN_TOP, (rows,), np.float32)
         ws.buffer(_SCREEN_LIMIT, (rows,))
         ws.buffer(_SCREEN_BELOW, (rows,), bool)
+        if self.boxed:
+            k = width - 1
+            ws.buffer(_BOX_ROTATED, (rows, k))
+            ws.buffer(_BOX_QUERY, (rows, 2 * k + 1))
+            ws.buffer(_BOX_ERROR, (len(self.error), rows))
+            ws.buffer(_BOX_TOP, (rows,))
 
     def below(self, start: int, stop: int, bound, ws) -> Optional[bool]:
         """Whether every float64 score of canonical tile ``[start, stop)``
@@ -559,12 +759,60 @@ class TilePrescreen:
         np.matmul(self.input, self._plane[:, start:stop], out=scores)
         top = ws.buffer(_SCREEN_TOP, (rows,), np.float32)
         np.max(scores, axis=1, out=top)
-        limit = ws.buffer(_SCREEN_LIMIT, (rows,))
-        np.subtract(bound, self.error[index], out=limit)
-        np.nextafter(limit, -np.inf, out=limit)
-        below = ws.buffer(_SCREEN_BELOW, (rows,), bool)
-        np.less_equal(top, limit, out=below)
-        return bool(below.all())
+        return _proven(top, bound, self.error[index], ws)
+
+    def query_boxes(self, ws) -> tuple:
+        """The box stage's per-call operands, built in the lane's arena
+        ``ws`` at its first box test: the query ``[max(c̃, 0) | min(c̃, 0)
+        | 1]`` with ``c̃ = aQ``, and per tile and row the bound ``E_box``
+        on how far a box bound may sit under a float64 score
+        (:func:`_box_error_terms`)."""
+        screener, augmented = self._screener, self._augmented
+        rows, k = len(augmented), screener.projection_dim
+        rotated = ws.buffer(_BOX_ROTATED, (rows, k))
+        np.matmul(augmented[:, :-1], screener._box_axes_t.T, out=rotated)
+        query = ws.buffer(_BOX_QUERY, (rows, 2 * k + 1))
+        np.maximum(rotated, 0.0, out=query[:, :k])
+        np.minimum(rotated, 0.0, out=query[:, k : 2 * k])
+        query[:, -1] = 1.0
+        slope, offset = screener._box_error
+        error = ws.buffer(_BOX_ERROR, (len(self.error), rows))
+        np.multiply.outer(slope, self.row_sums, out=error)
+        error += offset[:, None]
+        return query, error
+
+    def box_below(self, start: int, stop: int, bound, ws, boxes: tuple) -> Optional[bool]:
+        """:meth:`below`, proven from the tile's boxes instead: row by
+        row, the largest box bound — one GEMM of the lane's query and
+        the tile's boxes, a :data:`BOX_CATEGORIES`-th of its columns —
+        is at most ``bound − E_box`` rounded down.  ``boxes`` is what
+        :meth:`query_boxes` built in ``ws``; ``None`` where :meth:`below`
+        gives it."""
+        index = start // TILE_CATEGORIES
+        if bound is None or not self.screenable[index]:
+            return None
+        query, error = boxes
+        rows = len(query)
+        tile = self._screener._tile_box[:, start // BOX_CATEGORIES : -(-stop // BOX_CATEGORIES)]
+        scores = ws.buffer(PHASE_SCRATCH, (rows, stop - start)).reshape(-1)
+        scores = scores[: rows * tile.shape[1]].reshape(rows, -1)
+        np.matmul(query, tile, out=scores)
+        top = ws.buffer(_BOX_TOP, (rows,))
+        np.max(scores, axis=1, out=top)
+        return _proven(top, bound, error[index], ws)
+
+
+def _proven(top: np.ndarray, bound, error: np.ndarray, ws) -> bool:
+    """Whether every row's ``top`` is at most ``bound − error`` rounded
+    down (``nextafter`` toward −inf): then every float64 score the bounds
+    cover is at most ``bound``."""
+    rows = len(top)
+    limit = ws.buffer(_SCREEN_LIMIT, (rows,))
+    np.subtract(bound, error, out=limit)
+    np.nextafter(limit, -np.inf, out=limit)
+    below = ws.buffer(_SCREEN_BELOW, (rows,), bool)
+    np.less_equal(top, limit, out=below)
+    return bool(below.all())
 
 
 def draw_projection(

@@ -6,6 +6,7 @@ round-tripping it exactly matters because the INT4 grid is derived from
 the stored weights.  Every save writes a temporary file beside its target
 and moves it into place with ``os.replace``, so a reader, or a store
 memory-mapped from the previous file, never sees a file half written.
+A two-file artifact has one commit point, the move of its ``.npz``.
 
 Format history
 --------------
@@ -20,13 +21,20 @@ Format history
   float64); the screener computes in float64 only, so that key is no
   longer written and is ignored on load — files of either version, from
   any build, load.
+* **version 3** — each save writes its codes to a sidecar of its own,
+  ``<stem>.<save id>.codes.npy``, and the ``.npz`` records that name
+  (``codes_file``).  Before, a save moved the new ``<stem>.codes.npy``
+  into place and then the new ``.npz``; a process that died between the
+  two moves left new codes beside the old scales, a pair the loader
+  accepted whenever shape and dtype agreed.  Version-2 pairs still load.
 """
 
 from __future__ import annotations
 
 import os
 import uuid
-from typing import Callable, Union
+import zipfile
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -37,7 +45,7 @@ from repro.linalg.projection import SparseRandomProjection
 
 PathLike = Union[str, "os.PathLike[str]"]
 
-_FORMAT_VERSION = 2
+_FORMAT_VERSION = 3
 
 
 def _npz_path(path: PathLike) -> str:
@@ -46,21 +54,25 @@ def _npz_path(path: PathLike) -> str:
     return base if base.endswith(".npz") else base + ".npz"
 
 
-def _write_beside(path: str, write: Callable) -> str:
-    """Call ``write(file)`` on a new temporary file in ``path``'s
-    directory and return its name; the file is removed if ``write``
-    raises.  Publishing it with ``os.replace`` is then atomic: a reader
-    sees the old file or the new one, and a live memory map of the old
-    one keeps its bytes (its inode outlives the name)."""
-    temporary = f"{path}.{uuid.uuid4().hex}.tmp"
+def _write_new(path: str, write: Callable) -> str:
+    """Call ``write(file)`` on a file created at ``path`` (which must not
+    exist) and return ``path``; the file is removed if ``write`` raises."""
     try:
-        with open(temporary, "xb") as handle:
+        with open(path, "xb") as handle:
             write(handle)
     except BaseException:
-        if os.path.exists(temporary):
-            os.unlink(temporary)
+        if os.path.exists(path):
+            os.unlink(path)
         raise
-    return temporary
+    return path
+
+
+def _write_beside(path: str, write: Callable) -> str:
+    """:func:`_write_new` on a new temporary name in ``path``'s directory.
+    Publishing it with ``os.replace`` is then atomic: a reader sees the
+    old file or the new one, and a live memory map of the old one keeps
+    its bytes (its inode outlives the name)."""
+    return _write_new(f"{path}.{uuid.uuid4().hex}.tmp", write)
 
 
 def _save_npz(path: PathLike, **arrays) -> None:
@@ -127,45 +139,73 @@ def load_classifier(path: PathLike) -> FullClassifier:
         )
 
 
-def _quantized_paths(path: PathLike) -> tuple:
-    """``(npz_path, codes_sidecar_path)`` for a quantized-store artifact.
+def _sidecar(npz_path: str, data) -> str:
+    """The codes sidecar the quantized-store ``.npz`` at ``npz_path``
+    (open as ``data``) names: its ``codes_file``, or for a version-2 file
+    ``<stem>.codes.npy``."""
+    if "codes_file" not in data:
+        return npz_path[: -len(".npz")] + ".codes.npy"
+    name = str(data["codes_file"])
+    if os.path.basename(name) != name or name in ("", ".", ".."):
+        raise ValueError(f"{npz_path!s} names {name!r}, not a file beside it")
+    return os.path.join(os.path.dirname(npz_path), name)
 
-    ``np.savez`` appends ``.npz`` when missing, so the canonical form is
-    resolved here once and shared by save and load.
-    """
-    base = _npz_path(path)
-    return base, base[: -len(".npz")] + ".codes.npy"
+
+def _live_sidecar(npz_path: str) -> Optional[str]:
+    """The sidecar of the quantized store saved at ``npz_path`` now, or
+    ``None`` when no readable quantized store is there."""
+    try:
+        with np.load(npz_path, allow_pickle=False) as data:
+            if str(data["kind"]) == "quantized_classifier":
+                return _sidecar(npz_path, data)
+    except (OSError, KeyError, ValueError, zipfile.BadZipFile):
+        pass
+    return None
 
 
 def save_quantized_store(path: PathLike, store: QuantizedExactStore) -> None:
     """Serialize a block-quantized exact-weight store.
 
     Writes two files: ``<stem>.npz`` with the small arrays (per-tile
-    scales, FP64 bias) and metadata, and ``<stem>.codes.npy`` holding
-    the INT8/FP16 codes as a raw ``.npy`` — raw so
+    scales, FP64 bias) and metadata, and ``<stem>.<save id>.codes.npy``
+    holding the INT8/FP16 codes as a raw ``.npy`` — raw so
     :func:`load_quantized_store` can memory-map it (zip members cannot
-    be mapped).
+    be mapped).  The ``.npz`` records the sidecar's name.
 
-    Both files are written under temporary names beside their targets,
-    then moved into place, sidecar first: a save that fails before the
-    moves leaves the previous pair as it was, and a store memory-mapped
-    from the previous sidecar keeps scoring its bytes.
+    The sidecar is new to this save, and the ``.npz`` is written under a
+    temporary name and moved into place last: that move is the commit
+    point.  A save that fails or dies before it leaves the previous pair
+    as it was (a save that raises also removes what it wrote), and only
+    after it is the previous sidecar unlinked — a store memory-mapped
+    from it keeps scoring its bytes, since the map holds the inode.
     """
-    npz_path, codes_path = _quantized_paths(path)
-    codes = _write_beside(codes_path, lambda handle: np.save(handle, store.codes))
+    npz_path = _npz_path(path)
+    previous = _live_sidecar(npz_path)
+    codes_path = f"{npz_path[: -len('.npz')]}.{uuid.uuid4().hex}.codes.npy"
+    _write_new(codes_path, lambda handle: np.save(handle, store.codes))
     try:
-        meta = _write_beside(npz_path, lambda handle: _write_store_meta(handle, store))
+        meta = _write_beside(
+            npz_path,
+            lambda handle: _write_store_meta(handle, store, os.path.basename(codes_path)),
+        )
+        try:
+            os.replace(meta, npz_path)
+        except BaseException:
+            os.unlink(meta)
+            raise
     except BaseException:
-        os.unlink(codes)
+        os.unlink(codes_path)
         raise
-    os.replace(codes, codes_path)
-    os.replace(meta, npz_path)
+    if previous is not None and os.path.exists(previous):
+        os.unlink(previous)
 
 
-def _write_store_meta(handle, store: QuantizedExactStore) -> None:
-    """The ``.npz`` half of :func:`save_quantized_store`."""
+def _write_store_meta(handle, store: QuantizedExactStore, codes_file: str) -> None:
+    """The ``.npz`` half of :func:`save_quantized_store`, naming the
+    sidecar ``codes_file`` beside it."""
     np.savez_compressed(
         handle,
+        codes_file=np.str_(codes_file),
         format_version=np.int64(_FORMAT_VERSION),
         kind=np.str_("quantized_classifier"),
         store_kind=np.str_(store.kind),
@@ -192,9 +232,10 @@ def load_quantized_store(
     the hot tiles resident, so a shard's codes may exceed RAM.  Scores
     are bit-identical either way — the mapping serves the same bytes.
     """
-    npz_path, codes_path = _quantized_paths(path)
+    npz_path = _npz_path(path)
     with np.load(npz_path, allow_pickle=False) as data:
         _check_format(data, "quantized_classifier", npz_path)
+        codes_path = _sidecar(npz_path, data)
         store_kind = str(data["store_kind"])
         scales = data["scales"] if store_kind == "int8" else None
         bias = data["bias"]

@@ -369,10 +369,12 @@ class ParallelShardedEngine:
         parameter segments, so the exact weights and the screener's
         stored ``W̃`` are held once per shard; each worker still
         re-derives a private fused GEMM plane of fake-quantized weights
-        from them and its float32 screen copy, ``(k + 1) · shard_l · 12``
-        bytes per replica (8 for the float64 plane, 4 for the float32
-        one; the integer screening plane, ROADMAP item 3, is what would
-        let them be shared too).  Requests dispatch to the least-loaded live
+        from them, its float32 screen copy and its prescreen boxes,
+        ``(k + 1) · shard_l · 12 + (2k + 1) · ⌈shard_l / 8⌉ · 8`` bytes
+        per replica (8 for the float64 plane, 4 for the float32 one, and
+        one float64 box row per axis extreme and the bias, per 8
+        categories; the integer screening plane, ROADMAP item 3, is what
+        would let the planes be shared too).  Requests dispatch to the least-loaded live
         replica; a replica whose share of the shard's restart budget is
         spent fails its in-flight request over to a live sibling, and
         only a fully-dead group degrades the shard.

@@ -174,7 +174,7 @@ class TestPlaneBuiltTileByTile:
         """No second plane-sized temporary while the plane is built: each
         lane holds its scratch tile and the one tile-sized ``|x|`` the
         quantizer's abs-max takes (2.1 tiles measured), nothing more
-        beside the fused plane and its float32 screen copy."""
+        beside the fused plane, its float32 screen copy and the boxes."""
         l, k = 200_000, 16
         rng = np.random.default_rng(0)
         weight, bias = rng.standard_normal((l, k)), rng.standard_normal(l)
@@ -188,7 +188,11 @@ class TestPlaneBuiltTileByTile:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            planes = module._fused_weight_t.nbytes + module._screen_plane_t.nbytes
+            planes = (
+                module._fused_weight_t.nbytes
+                + module._screen_plane_t.nbytes
+                + module._tile_box.nbytes
+            )
             assert peak < planes + lanes * 2.5 * tile, f"{lanes} lanes"
 
 

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -21,6 +22,14 @@ from repro.core import serialization
 from repro.core.serialization import _FORMAT_VERSION
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def sidecar(path) -> Path:
+    """The codes sidecar the quantized-store ``.npz`` at ``path`` names."""
+    with np.load(path, allow_pickle=False) as data:
+        name = str(data["codes_file"])
+    assert re.fullmatch(re.escape(Path(path).stem) + r"\.[0-9a-f]{32}\.codes\.npy", name)
+    return Path(path).parent / name
 
 
 class TestScreenerRoundTrip:
@@ -170,7 +179,7 @@ class TestQuantizedStoreRoundTrip:
     def test_corrupt_sidecar_rejected(self, store, tmp_path):
         path = tmp_path / "torn"
         save_quantized_store(path, store)
-        np.save(tmp_path / "torn.codes.npy", np.zeros((3, 3), dtype=np.int8))
+        np.save(sidecar(tmp_path / "torn.npz"), np.zeros((3, 3), dtype=np.int8))
         with pytest.raises(ValueError, match="sidecar"):
             load_quantized_store(path)
 
@@ -213,7 +222,8 @@ class TestQuantizedStoreRoundTrip:
             timeout=120,
         )
         assert result.returncode == 0, result.stderr
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["live.codes.npy", "live.npz"]
+        live = tmp_path / "live.npz"
+        assert sorted(p.name for p in tmp_path.iterdir()) == [sidecar(live).name, live.name]
 
     def test_a_failed_save_leaves_the_previous_pair(
         self, store, small_task, tmp_path, monkeypatch
@@ -249,12 +259,71 @@ class TestQuantizedStoreRoundTrip:
         loaded = load_quantized_store(path)
         assert np.array_equal(loaded.codes, store.codes)
         assert np.array_equal(loaded.logits(features), store.logits(features))
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["kept.codes.npy", "kept.npz"]
+        kept = tmp_path / "kept.npz"
+        assert sorted(p.name for p in tmp_path.iterdir()) == [sidecar(kept).name, kept.name]
+
+    def test_a_save_cut_before_its_npz_moves_leaves_the_previous_pair(
+        self, store, small_task, tmp_path, monkeypatch
+    ):
+        """The ``.npz`` move is the commit point: a save that dies before
+        it (here its ``os.replace`` raises) leaves a pair that loads and
+        scores the previous store's bytes — not its codes beside the
+        previous scales, which load whenever shape and dtype agree."""
+        path = tmp_path / "cut"
+        save_quantized_store(path, store)
+        classifier = small_task.classifier
+        other = QuantizedExactStore.from_classifier(
+            FullClassifier(-classifier.weight, classifier.bias), kind="int8", tile_rows=256
+        )
+        assert other.codes.shape == store.codes.shape and other.codes.dtype == store.codes.dtype
+        replace = os.replace
+
+        def cut_at_the_npz(source, target):
+            if os.fspath(target).endswith(".npz"):
+                raise OSError("process killed")
+            return replace(source, target)
+
+        monkeypatch.setattr(serialization.os, "replace", cut_at_the_npz)
+        with pytest.raises(OSError, match="process killed"):
+            save_quantized_store(path, other)
+        monkeypatch.undo()
+        loaded = load_quantized_store(path)
+        features = small_task.sample_features(4)
+        assert np.array_equal(loaded.codes, store.codes)
+        assert np.array_equal(loaded.logits(features), store.logits(features))
+        cut = tmp_path / "cut.npz"
+        assert sorted(p.name for p in tmp_path.iterdir()) == [sidecar(cut).name, cut.name]
+
+    def test_a_version_2_pair_loads_and_is_replaced_whole(self, store, small_task, tmp_path):
+        """``<stem>.codes.npy`` beside an ``.npz`` without ``codes_file``
+        (format 2) loads; a save over it removes that sidecar."""
+        path = tmp_path / "old.npz"
+        save_quantized_store(path, store)
+        with np.load(path, allow_pickle=False) as data:
+            fields = {key: data[key] for key in data.files if key != "codes_file"}
+        sidecar(path).rename(tmp_path / "old.codes.npy")
+        np.savez_compressed(path, **dict(fields, format_version=np.int64(2)))
+        features = small_task.sample_features(4)
+        for mmap in (False, True):
+            loaded = load_quantized_store(path, mmap=mmap)
+            assert np.array_equal(loaded.logits(features), store.logits(features))
+        save_quantized_store(path, store)
+        assert sorted(p.name for p in tmp_path.iterdir()) == [sidecar(path).name, path.name]
+
+    def test_a_sidecar_outside_the_directory_is_refused(self, store, tmp_path):
+        path = tmp_path / "inside" / "store.npz"
+        path.parent.mkdir()
+        save_quantized_store(path, store)
+        with np.load(path, allow_pickle=False) as data:
+            fields = {key: data[key] for key in data.files}
+        np.savez_compressed(path, **dict(fields, codes_file=np.str_("../elsewhere.codes.npy")))
+        with pytest.raises(ValueError, match="not a file beside it"):
+            load_quantized_store(path)
 
     def test_missing_sidecar_raises(self, store, tmp_path):
         path = tmp_path / "orphan"
         save_quantized_store(path, store)
-        (tmp_path / "orphan.codes.npy").unlink()
+        sidecar(tmp_path / "orphan.npz").unlink()
         with pytest.raises(FileNotFoundError):
             load_quantized_store(path)
 

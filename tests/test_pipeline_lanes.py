@@ -311,6 +311,7 @@ def test_a_failing_lane_is_raised_after_every_join(monkeypatch, parts, mode, fai
     other = set(runs[1 - failing_lane]) - {0}
     score_tile = model.screener.score_tile
     below = pipeline_module.TilePrescreen.below
+    box_below = pipeline_module.TilePrescreen.box_below
     other_started = threading.Event()
     finished = []
 
@@ -338,9 +339,17 @@ def test_a_failing_lane_is_raised_after_every_join(monkeypatch, parts, mode, fai
         finished.append(start // TILE_CATEGORIES)
         return result
 
+    def flaky_box_below(screen, start, stop, bound, ws, boxes):
+        # Nor is a tile its boxes prove empty scored in float32.
+        scoring(start)
+        result = box_below(screen, start, stop, bound, ws, boxes)
+        finished.append(start // TILE_CATEGORIES)
+        return result
+
     threads_before = threading.active_count()
     monkeypatch.setattr(model.screener, "score_tile", flaky)
     monkeypatch.setattr(pipeline_module.TilePrescreen, "below", flaky_below)
+    monkeypatch.setattr(pipeline_module.TilePrescreen, "box_below", flaky_box_below)
     for call in (
         lambda: model.forward_streaming(features),
         lambda: model.forward(features),
@@ -355,6 +364,7 @@ def test_a_failing_lane_is_raised_after_every_join(monkeypatch, parts, mode, fai
         assert threading.active_count() == threads_before
     monkeypatch.setattr(model.screener, "score_tile", score_tile)
     monkeypatch.setattr(pipeline_module.TilePrescreen, "below", below)
+    monkeypatch.setattr(pipeline_module.TilePrescreen, "box_below", box_below)
     assert_same_answers(answers(model, features), expected)
     assert threading.active_count() == threads_before
 
@@ -493,8 +503,8 @@ def test_lane_spans_land_under_their_own_tid(monkeypatch, parts):
             per_tid.setdefault(event["tid"], []).append(event["name"])
     assert threading.get_ident() in per_tid and len(per_tid) == 2
     # Together the two lanes screen and select every tile once, but
-    # those the float32 prescreen skipped: a prescreen span with no
-    # screen span after it.
+    # those a prescreen stage skipped: a float32 prescreen span with no
+    # screen span after it, or a box span with no float32 one after it.
     names = sum(per_tid.values(), [])
     skipped = recorder.snapshot()["counters"]["pipeline.tiles_skipped"]
     assert names.count("streaming.screen_tile") == TILES - skipped
@@ -502,8 +512,12 @@ def test_lane_spans_land_under_their_own_tid(monkeypatch, parts):
 
     def tiles_folded(names):
         after = names[1:] + [None]
+        next_stage = {
+            "streaming.box_tile": "streaming.prescreen_tile",
+            "streaming.prescreen_tile": "streaming.screen_tile",
+        }
         return names.count("streaming.select_tile") + sum(
-            name == "streaming.prescreen_tile" and next_name != "streaming.screen_tile"
+            name in next_stage and next_name != next_stage[name]
             for name, next_name in zip(names, after)
         )
 

@@ -22,7 +22,8 @@ from repro.core import ApproximateScreeningClassifier, ScreeningConfig, train_sc
 from repro.core import pipeline as pipeline_module
 from repro.core.candidates import CandidateSelector
 from repro.core.classifier import FullClassifier
-from repro.core.screener import TILE_CATEGORIES, ScreeningModule, TilePrescreen
+from repro.core import screener as screener_module
+from repro.core.screener import BOX_CATEGORIES, TILE_CATEGORIES, ScreeningModule, TilePrescreen
 from repro.data import make_task
 from repro.linalg.projection import SparseRandomProjection
 from repro.obs import NULL_RECORDER, Recorder
@@ -184,16 +185,17 @@ def adversarial_parts(rows=4):
     return projection, weight, bias, classifier, rng.standard_normal((rows, d))
 
 
-def adversarial_model(mode, call, side):
-    """The model, its features, the late column and the bound the late
-    tile is tested against: one float64 ulp above it (``side = +1``,
-    a candidate or runner-up dense forward keeps) or below (``-1``)."""
-    projection, weight, bias, classifier, features = adversarial_parts()
+def adversarial_selector(mode):
     if mode == "threshold":
-        selector = CandidateSelector(mode, num_candidates=M, threshold=THRESHOLD)
-    else:
-        selector = CandidateSelector(mode, num_candidates=M)
-    # The bound tile 0 leaves, in the reducer the call itself builds.
+        return CandidateSelector(mode, num_candidates=M, threshold=THRESHOLD)
+    return CandidateSelector(mode, num_candidates=M)
+
+
+def tile_0_bound(selector, call) -> float:
+    """The bound tile 0 of the adversarial parts leaves, in the reducer
+    the call itself builds: one value for every row, whose next float64
+    up rounds to a float32 under it."""
+    projection, weight, bias, _, features = adversarial_parts()
     screener = ScreeningModule(projection, weight, bias)
     augmented = screener.prepare_augmented(features)
     reducer = selector.make_block_reducer(
@@ -203,13 +205,23 @@ def adversarial_model(mode, call, side):
     reducer.update(0, screener.score_tile(augmented, 0, TILE_CATEGORIES, out=scores))
     bound = np.unique(reducer.bound)
     assert bound.size == 1 and np.float32(np.nextafter(bound[0], np.inf)) < bound[0]
+    return float(bound[0])
+
+
+def adversarial_model(mode, call, side):
+    """The model, its features, the late column and the bound the late
+    tile is tested against: one float64 ulp above it (``side = +1``,
+    a candidate or runner-up dense forward keeps) or below (``-1``)."""
+    selector = adversarial_selector(mode)
+    bound = tile_0_bound(selector, call)
+    projection, weight, bias, classifier, features = adversarial_parts()
     column = ADVERSARIAL_L - 7
     weight[column] = 0.0
-    bias[column] = np.nextafter(bound[0], side * np.inf)
+    bias[column] = np.nextafter(bound, side * np.inf)
     model = ApproximateScreeningClassifier(
         classifier, ScreeningModule(projection, weight, bias), selector
     )
-    return model, features, column, float(bound[0])
+    return model, features, column, bound
 
 
 @pytest.mark.parametrize("side", (1, -1), ids=("ulp_above", "ulp_below"))
@@ -299,3 +311,209 @@ def test_no_tile_with_an_entry_above_its_bound_is_skipped(
         weight_top, bias_top = screener._tile_tops[:, index]
         reach = np.abs(augmented[:, :-1]).sum(axis=1) * weight_top + bias_top
         assert np.all(error[:, 0] <= 1e-5 * reach + 1e-40)
+
+
+# ----------------------------------------------------------------------
+# the box stage: a tile proven empty from its boxes is not prescreened
+# ----------------------------------------------------------------------
+def box_counts(model, call) -> tuple:
+    """``(result, tiles skipped, tiles the box stage skipped, tiles it
+    tested)``."""
+    recorder = Recorder()
+    model.set_recorder(recorder)
+    try:
+        result = call()
+    finally:
+        model.set_recorder(NULL_RECORDER)
+    snapshot = recorder.snapshot()
+    counters = snapshot["counters"]
+    return (
+        result,
+        counters.get("pipeline.tiles_skipped", 0),
+        counters.get("pipeline.tiles_box_skipped", 0),
+        snapshot["histograms"].get("span.streaming.box_tile", {}).get("count", 0),
+    )
+
+
+@pytest.mark.parametrize("mode", SELECTORS)
+def test_boxes_skip_after_a_lanes_first_skip(monkeypatch, zipf, mode):
+    model = build(zipf, mode)
+    features = zipf[2]
+    force_lanes(monkeypatch, 1)
+    _, skipped, box_skipped, _ = box_counts(model, lambda: model.forward_streaming(features))
+    # One lane, tiles 1–5: tile 1 is prescreened in float32 only.
+    assert 0 < box_skipped < skipped <= TILES - 1
+    _, skipped, box_skipped, tested = box_counts(model, lambda: model.forward(features))
+    assert skipped == box_skipped == tested == 0
+
+
+principal_axes = screener_module._principal_axes
+
+
+def perturbed_axes(head):
+    """Principal axes shrunk off orthogonal by ``2**-30``: then ``I − QQᵀ``
+    is ``2**-29 I`` to first order, and each box bound sits ``2**-29 a·w``
+    under the score it covers (``aᵀ(I − QQᵀ)w`` with ``a·w`` the bound)
+    — far more than every rounding term of ``E_box``, and for every row."""
+    return principal_axes(head) * (1.0 - 2.0**-30)
+
+
+#: Chunks of the last tile, one per row, holding the adversarial entries.
+BOX_CHUNKS = (2, 4, 6, 8)
+
+
+def box_adversarial_model(monkeypatch, mode, call, side, axes):
+    """A model whose late boxes are single points: in the last tile, the
+    :data:`BOX_CATEGORIES` columns of chunk ``BOX_CHUNKS[r]`` are equal,
+    and row ``r`` scores them one float64 ulp above (``side = +1``) or
+    below (``-1``) the bound tile 0 leaves — through its weights, so the
+    rotation's rounding (and with ``axes = "perturbed"`` its departure
+    from orthogonality) moves each box bound by more than that ulp.
+    The other rows score those columns near 0, far under the bound."""
+    if axes == "perturbed":
+        monkeypatch.setattr(screener_module, "_principal_axes", perturbed_axes)
+    selector = adversarial_selector(mode)
+    bound = tile_0_bound(selector, call)
+    projection, weight, bias, classifier, features = adversarial_parts()
+    screener = ScreeningModule(projection, weight, bias, quantization_bits=None)
+    augmented = screener.prepare_augmented(features)
+    # Row r's weights lie along the dual of its input, scaled to score
+    # the bound: the other rows' inputs are orthogonal to them.
+    duals = np.linalg.inv(augmented[:, :-1]).T * bound
+    last = ADVERSARIAL_L - ADVERSARIAL_L % TILE_CATEGORIES
+    columns = [last + BOX_CATEGORIES * chunk for chunk in BOX_CHUNKS]
+    for dual, column in zip(duals, columns):
+        weight[column : column + BOX_CATEGORIES] = dual
+        bias[column : column + BOX_CATEGORIES] = 0.0
+    screener = ScreeningModule(projection, weight, bias, quantization_bits=None)
+    for row, column in enumerate(columns):
+        # The float64 score rises with the bias: bisect for the bias
+        # whose score is the target, in the fused plane the GEMM reads.
+        target = np.nextafter(bound, side * np.inf)
+        plane = screener._fused_weight_t
+        low, high = -1.0, 1.0
+        for _ in range(200):
+            middle = (low + high) / 2
+            plane[-1, column] = middle
+            score = screener.score_tile(augmented, last, ADVERSARIAL_L, out=np.empty((4, 100)))
+            value = score[row, column - last]
+            if value == target:
+                break
+            low, high = (middle, high) if value < target else (low, middle)
+        assert value == target
+        bias[column : column + BOX_CATEGORIES] = middle
+    model = ApproximateScreeningClassifier(
+        classifier, ScreeningModule(projection, weight, bias, quantization_bits=None), selector
+    )
+    return model, features, columns, bound
+
+
+@pytest.mark.parametrize("axes", ("principal", "perturbed"))
+@pytest.mark.parametrize("side", (1, -1), ids=("ulp_above", "ulp_below"))
+@pytest.mark.parametrize("call", ("forward_streaming", "top_k"))
+@pytest.mark.parametrize("lanes", LANES)
+@pytest.mark.parametrize("mode", SELECTORS)
+def test_a_box_one_ulp_from_the_bound(monkeypatch, mode, lanes, call, side, axes):
+    model, features, columns, bound = box_adversarial_model(
+        monkeypatch, mode, call, side, axes
+    )
+    assert model.screener._tile_box is not None
+    force_lanes(monkeypatch, lanes)
+    dense = model.forward(features)
+    entries = dense.approximate_logits[np.arange(len(features)), columns]
+    assert np.all(entries - bound == side * np.spacing(bound))
+    if call == "forward_streaming":
+        streamed, _, _, tested = box_counts(model, lambda: model.forward_streaming(features))
+        assert_streamed_is_dense(streamed, dense)
+        kept = [column in row for row, column in zip(streamed.candidates.indices, columns)]
+        assert kept == [side > 0] * len(features)
+    else:
+        (indices, scores), _, _, tested = box_counts(model, lambda: model.top_k(features, K))
+        want = rank_dense(dense.logits, K)
+        assert np.array_equal(indices, want[0])
+        assert np.array_equal(scores, want[1])
+    assert_dense_is_the_oracle(model, features, dense)
+    # The last tile follows a skipped one in its lane: its boxes are tested.
+    assert tested > 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    rows=st.integers(1, 4),
+    k=st.integers(1, 6),
+    l=st.integers(1, 300),
+    head=st.booleans(),
+    magnitudes=st.tuples(*(st.integers(-30, 30) for _ in range(3))),
+    bits=st.sampled_from([None, 4]),
+    zero_bias=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+    row=st.integers(0, 3),
+)
+def test_no_tile_with_an_entry_above_its_bound_is_box_skipped(
+    rows, k, l, head, magnitudes, bits, zero_bias, seed, row
+):
+    rng = np.random.default_rng(seed)
+    weight_scale, bias_scale, input_scale = (10.0**power for power in magnitudes)
+
+    def weights(count):
+        # Low-rank-ish rows in axes of their own, scales over six decades.
+        axes = np.linalg.qr(rng.standard_normal((k, k)))[0]
+        spread = 10.0 ** -np.arange(k)
+        scales = weight_scale * 10.0 ** rng.uniform(-3, 3, (count, 1))
+        return (rng.standard_normal((count, k)) * spread) @ axes.T * scales
+
+    # With ``head``, tile 0 (whose Gram gives the axes) and the columns
+    # after it lie along different axes.
+    weight = np.vstack([weights(TILE_CATEGORIES), weights(l)]) if head else weights(l)
+    bias = (
+        np.zeros(len(weight)) if zero_bias else rng.standard_normal(len(weight)) * bias_scale
+    )
+    augmented = np.ones((rows, k + 1))
+    augmented[:, :-1] = rng.standard_normal((rows, k)) * input_scale
+    projection = SparseRandomProjection(input_dim=8, output_dim=k, rng=0)
+    screener = ScreeningModule(projection, weight, bias, quantization_bits=bits)
+    assert screener._tile_box is not None
+    ws = Workspace()
+    screen = TilePrescreen(screener, augmented, ws)
+    screen.reserve(ws)
+    boxes = screen.query_boxes(ws)
+    query, error = boxes
+    row = row % rows
+    for start, stop in screener.tile_bounds():
+        exact = screener.score_tile(augmented, start, stop, out=np.empty((rows, stop - start)))
+        best = exact.max(axis=1)
+        bound = np.full(rows, np.inf)
+        bound[row] = np.nextafter(best[row], -np.inf)
+        verdict = screen.box_below(start, stop, bound, ws, boxes)
+        assert verdict is not True
+        assert screen.box_below(start, stop, np.nextafter(best.max(), -np.inf), ws, boxes) is not True
+        index = start // TILE_CATEGORIES
+        if verdict is None:
+            continue
+        # Boxed: each column's box bound, plus E_box, is at least its
+        # float64 score, and E_box is a rounding error, not a vacuous bound.
+        chunks = screener._tile_box[:, start // BOX_CATEGORIES : -(-stop // BOX_CATEGORIES)]
+        per_chunk = query @ chunks
+        per_column = np.repeat(per_chunk, BOX_CATEGORIES, axis=1)[:, : stop - start]
+        assert np.all(exact <= per_column + error[index][:, None])
+        weight_top, bias_top = screener._tile_tops[:, index]
+        reach = np.abs(augmented[:, :-1]).sum(axis=1) * weight_top + bias_top
+        assert np.all(error[index] <= 1e-5 * reach + 1e-40)
+
+
+def test_axes_that_cannot_bound_leave_the_float32_stage(zipf):
+    k = 4
+    assert screener_module._box_error_terms(np.eye(k)) is not None
+    assert screener_module._box_error_terms(np.eye(k) * (1 + 2.0**-10)) is None
+    assert screener_module._box_error_terms(np.full((k, k), np.nan)) is None
+    task, fit, features = zipf
+    weight = fit.weight.copy()
+    weight[0, 0] = 1e200  # the head tile's Gram overflows
+    screener = ScreeningModule(fit.projection, weight, fit.bias, quantization_bits=None)
+    assert screener._tile_box is None
+    model = ApproximateScreeningClassifier(
+        task.classifier, screener, CandidateSelector("top_m", num_candidates=M)
+    )
+    streamed, skipped, _, tested = box_counts(model, lambda: model.forward_streaming(features))
+    assert skipped > 0 and tested == 0
+    assert_streamed_is_dense(streamed, model.forward(features))
