@@ -79,7 +79,7 @@ def main() -> None:
     )
     sharded.train(train, candidates_per_shard=8, rng=12)
 
-    with sharded.parallel(trace=True) as engine:
+    with sharded.parallel(recorder=Recorder(trace=True)) as engine:
         for _ in range(8):
             engine.forward_streaming(features)
         stats = engine.stats()

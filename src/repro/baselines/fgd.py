@@ -170,9 +170,8 @@ class FGDClassifier:
             if picked.size == 0:
                 continue
             mixed[row, picked] = self.classifier.logits_for(picked, batch[row])[0]
-        return ScreenedOutput(
-            logits=mixed, approximate_logits=np.full_like(mixed, floor),
-            candidates=candidates,
+        return ScreenedOutput.from_planes(
+            mixed, np.full_like(mixed, floor), candidates
         )
 
     __call__ = forward

@@ -86,9 +86,7 @@ class SVDSoftmax:
             if indices.size == 0:
                 continue
             mixed[row, indices] = self.classifier.logits_for(indices, batch[row])[0]
-        return ScreenedOutput(
-            logits=mixed, approximate_logits=preview, candidates=candidates
-        )
+        return ScreenedOutput.from_planes(mixed, preview, candidates)
 
     __call__ = forward
 

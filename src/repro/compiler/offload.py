@@ -104,10 +104,8 @@ class ENMCOffload:
             traces.append(trace)
             kernels.append(kernel)
 
-        output = ScreenedOutput(
-            logits=mixed,
-            approximate_logits=approx,
-            candidates=CandidateSet(indices=indices),
+        output = ScreenedOutput.from_planes(
+            mixed, approx, CandidateSet(indices=indices)
         )
         return OffloadResult(output=output, traces=traces, kernels=kernels)
 
@@ -155,10 +153,8 @@ class ENMCOffload:
             ), dtype=np.intp)
             for row in range(batch_size)
         ]
-        output = ScreenedOutput(
-            logits=mixed,
-            approximate_logits=approx,
-            candidates=CandidateSet(indices=per_row),
+        output = ScreenedOutput.from_planes(
+            mixed, approx, CandidateSet(indices=per_row)
         )
         return OffloadResult(output=output, traces=[trace], kernels=[kernel])
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.classifier import FullClassifier
-from repro.core.pipeline import ScreenedOutput
+from repro.core.pipeline import ScreenedOutput, StreamedOutput
 from repro.core.screener import ScreeningModule
 from repro.utils.validation import check_positive
 
@@ -160,21 +160,21 @@ def cost_of_screened_output(
 # quality metrics
 # ----------------------------------------------------------------------
 def candidate_recall(
-    exact_logits: np.ndarray, output: ScreenedOutput, k: int = 1
+    exact_logits: np.ndarray, output: StreamedOutput, k: int = 1
 ) -> float:
     """Fraction of the exact top-``k`` categories that screening caught.
 
     This is the metric that decides end-task quality: if the true
     top-k is inside the candidate set, the mixed output's top-k is
-    exact.
+    exact.  Reads the candidate record only, so it takes a
+    :class:`StreamedOutput` or a dense :class:`ScreenedOutput`.
     """
     from repro.linalg.topk import top_k_indices
 
     exact = np.asarray(exact_logits)
-    if exact.shape != output.logits.shape:
-        raise ValueError(
-            f"exact logits shape {exact.shape} != output shape {output.logits.shape}"
-        )
+    shape = (output.batch_size, output.num_categories)
+    if exact.shape != shape:
+        raise ValueError(f"exact logits shape {exact.shape} != output shape {shape}")
     true_top = top_k_indices(exact, k, sort=False)
     hits = 0
     for row, candidates in enumerate(output.candidates):

@@ -21,14 +21,16 @@ One tile loop, one call contract: the Screener's filter consumes score
 tiles as they stream past (paper Sections 5.1–5.2), and every serving
 call runs that loop on the arena the pipeline keeps between calls.
 :meth:`~ApproximateScreeningClassifier.forward_streaming` overwrites
-one tile buffer and returns candidate entries only;
+one tile buffer and returns the candidate record only
+(:class:`StreamedOutput`);
 :meth:`~ApproximateScreeningClassifier.top_k` (behind ``predict``) does
 the same with ``k`` runner-up slots in the reducer and ranks the few
 entries it kept into ``(indices, scores)``;
 :meth:`ApproximateScreeningClassifier.forward` lets each tile land in
-the ``batch × l`` plane it returns and mixes every candidate in one
-scatter.  Same GEMM calls, same reducer, same exact-phase kernel, so
-their candidate entries are identical bits.  Which call allocates what:
+the ``batch × l`` plane and returns the same record plus that plane
+with every candidate mixed in one scatter (:class:`ScreenedOutput`).
+Same GEMM calls, same reducer, same exact-phase kernel, so their
+records are identical bits.  Which call allocates what:
 ``forward`` and ``predict_proba`` (which normalizes the plane by
 definition) the plane, everything else only the few entries it returns.
 The two calls without a plane may leave a tile out: scored first in
@@ -71,94 +73,15 @@ from repro.core.screener import (
     run_in_lanes,
 )
 from repro.core.weightstore import QuantizedExactStore
-from repro.linalg.functional import sigmoid, softmax, taylor_softmax
+from repro.linalg.functional import sigmoid, softmax
 from repro.obs.recorder import NULL_RECORDER
 from repro.utils.memory import PHASE_SCRATCH, Workspace
 from repro.utils.validation import check_batch_features, check_positive
 
 
-class ScreenedOutput:
-    """Everything produced by one screened inference pass.
-
-    ``logits`` is the mixed approximate/accurate score matrix;
-    ``candidates`` records which entries are accurate.  ``exact_count``
-    is the number of exact weight rows gathered (the quantity that
-    drives computation and DRAM-traffic savings).
-
-    Dense ``forward`` mixes in place and hands this object a small
-    ``restore`` record (the reducer's approximate values) instead of
-    a full copy of the score plane; ``approximate_logits`` is then
-    materialized lazily on first access.  Constructing with an explicit
-    ``approximate_logits`` array behaves exactly as before.
-    """
-
-    def __init__(
-        self,
-        logits: np.ndarray,
-        approximate_logits: Optional[np.ndarray] = None,
-        candidates: Optional[CandidateSet] = None,
-        restore: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None,
-    ):
-        if candidates is None:
-            raise ValueError("ScreenedOutput requires a candidate set")
-        if approximate_logits is None and restore is None:
-            raise ValueError(
-                "ScreenedOutput needs approximate_logits or a restore record"
-            )
-        self.logits = logits
-        self.candidates = candidates
-        self._approximate_logits = approximate_logits
-        self._restore = restore
-
-    @property
-    def approximate_logits(self) -> np.ndarray:
-        """The pure screener scores ``z̃`` (materialized lazily)."""
-        if self._approximate_logits is None:
-            rows, cols, values = self._restore
-            approx = self.logits.copy()
-            approx[rows, cols] = values
-            self._approximate_logits = approx
-        return self._approximate_logits
-
-    def candidate_restore(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(rows, cols, approximate values)`` for every candidate.
-
-        This is the compact complement of ``logits``: scattering
-        ``values`` back over ``(rows, cols)`` recovers the pure
-        screener plane.  The sharded reducers merge these records
-        instead of materializing every shard's approximate plane.
-        """
-        if self._restore is not None:
-            return self._restore
-        rows, cols = self.candidates.flat()
-        return rows, cols, self.approximate_logits[rows, cols]
-
-    @property
-    def batch_size(self) -> int:
-        return self.logits.shape[0]
-
-    @property
-    def num_categories(self) -> int:
-        return self.logits.shape[1]
-
-    @property
-    def exact_count(self) -> int:
-        return self.candidates.total
-
-    @property
-    def exact_fraction(self) -> float:
-        """Fraction of (batch × category) outputs computed exactly."""
-        return self.exact_count / self.logits.size
-
-    def __repr__(self) -> str:
-        return (
-            f"ScreenedOutput(batch={self.batch_size}, "
-            f"l={self.num_categories}, exact={self.exact_count})"
-        )
-
-
 class StreamedOutput:
-    """The candidates-only result of a blocked streaming forward pass.
+    """The candidate record of one screened pass: which entries are
+    accurate, and their exact and approximate values.
 
     Mirrors the hardware dataflow: the Screener's threshold filter
     consumes score tiles as they stream past and only candidate
@@ -166,10 +89,9 @@ class StreamedOutput:
 
     ``exact_values`` are the recomputed full-classifier scores and
     ``approximate_values`` the screener scores, both float64 and aligned
-    with ``candidates.flat()`` (row-major, columns ascending within a
-    row) — exactly the entries a dense :class:`ScreenedOutput` would
-    carry at the candidate positions (bit-identical, differentially
-    tested).
+    with ``candidates.flat()`` (row-major; the pipeline's columns
+    ascend within a row).  ``exact_count`` is the number of exact weight rows gathered
+    (the quantity that drives computation and DRAM-traffic savings).
     """
 
     def __init__(
@@ -194,11 +116,15 @@ class StreamedOutput:
 
     @property
     def exact_fraction(self) -> float:
+        """Fraction of (batch × category) outputs computed exactly."""
         return self.exact_count / (self.batch_size * self.num_categories)
 
     def predict(self) -> np.ndarray:
-        """Argmax category per row over the candidate entries (the
-        screened serving decision); ``-1`` for rows with no candidates."""
+        """Argmax category per row over the candidates' exact values
+        (the screened serving decision); ``-1`` for rows with no
+        candidates.  On a :class:`ScreenedOutput` too this is not
+        ``argmax(logits)``: a non-candidate's approximate score can top
+        the mixed row."""
         best = np.full(self.batch_size, -1, dtype=np.intp)
         offset = 0
         for row, indices in enumerate(self.candidates):
@@ -210,9 +136,56 @@ class StreamedOutput:
 
     def __repr__(self) -> str:
         return (
-            f"StreamedOutput(batch={self.batch_size}, "
+            f"{type(self).__name__}(batch={self.batch_size}, "
             f"l={self.num_categories}, exact={self.exact_count})"
         )
+
+
+class ScreenedOutput(StreamedOutput):
+    """A dense screened result: the candidate record plus ``logits``,
+    the mixed plane — the approximate plane with the exact values at
+    the candidates (Fig. 6, step 5).
+
+    ``approximate_logits``, the pure screener plane ``z̃``, is rebuilt
+    on first access by scattering ``approximate_values`` back over
+    ``candidates.flat()``; :meth:`from_planes` keeps a producer's own
+    plane instead.
+    """
+
+    def __init__(
+        self,
+        candidates: CandidateSet,
+        exact_values: np.ndarray,
+        approximate_values: np.ndarray,
+        logits: np.ndarray,
+    ):
+        super().__init__(candidates, exact_values, approximate_values, logits.shape[1])
+        self.logits = logits
+        self._approximate_logits: Optional[np.ndarray] = None
+
+    @classmethod
+    def from_planes(
+        cls,
+        logits: np.ndarray,
+        approximate_logits: np.ndarray,
+        candidates: CandidateSet,
+    ) -> "ScreenedOutput":
+        """The output of a producer that holds both planes: the record
+        is read off them at ``candidates.flat()``, and
+        ``approximate_logits`` is kept as the cached plane."""
+        flat = candidates.flat()
+        output = cls(candidates, logits[flat], approximate_logits[flat], logits)
+        output._approximate_logits = approximate_logits
+        return output
+
+    @property
+    def approximate_logits(self) -> np.ndarray:
+        """The pure screener scores ``z̃`` (materialized lazily)."""
+        if self._approximate_logits is None:
+            approx = self.logits.copy()
+            approx[self.candidates.flat()] = self.approximate_values
+            self._approximate_logits = approx
+        return self._approximate_logits
 
 
 class ShardFailure:
@@ -310,7 +283,6 @@ class ApproximateScreeningClassifier:
         screener: ScreeningModule,
         selector: Optional[CandidateSelector] = None,
         num_candidates: int = 32,
-        softmax_taylor_order: Optional[int] = None,
         recorder=None,
     ):
         if screener.num_categories != classifier.num_categories:
@@ -328,9 +300,6 @@ class ApproximateScreeningClassifier:
         self.selector = selector or CandidateSelector(
             mode="top_m", num_candidates=num_candidates
         )
-        #: When set, softmax uses the Executor SFU's Taylor-approximated
-        #: exponential of this order instead of exact exp.
-        self.softmax_taylor_order = softmax_taylor_order
         #: The arena kept between calls, and how many times
         #: :meth:`close` ran (both under the lock).
         self._arena: Optional[Workspace] = None
@@ -448,7 +417,6 @@ class ApproximateScreeningClassifier:
             "selector_mode": self.selector.mode,
             "selector_num_candidates": self.selector.num_candidates,
             "selector_threshold": self.selector.threshold,
-            "softmax_taylor_order": self.softmax_taylor_order,
         }
         return arrays, meta
 
@@ -498,12 +466,7 @@ class ApproximateScreeningClassifier:
             num_candidates=int(meta["selector_num_candidates"]),  # type: ignore[arg-type]
             threshold=meta["selector_threshold"],  # type: ignore[arg-type]
         )
-        return cls(
-            classifier,
-            screener,
-            selector=selector,
-            softmax_taylor_order=meta.get("softmax_taylor_order"),  # type: ignore[arg-type]
-        )
+        return cls(classifier, screener, selector=selector)
 
     def quantize_exact_weights(
         self, kind: str = "int8", tile_rows: int = TILE_CATEGORIES
@@ -551,11 +514,8 @@ class ApproximateScreeningClassifier:
                 with recorder.span("exact"):
                     exact = self._exact_candidate_values(batch, candidates, ws)
             with recorder.span("merge"):
-                rows, cols = candidates.flat()
-                plane[rows, cols] = exact
-            output = ScreenedOutput(
-                plane, candidates=candidates, restore=(rows, cols, approx_values)
-            )
+                plane[candidates.flat()] = exact
+            output = ScreenedOutput(candidates, exact, approx_values, plane)
             recorder.increment("pipeline.forward_requests")
             recorder.increment("pipeline.rows", batch.shape[0])
             recorder.increment("pipeline.exact_candidates", output.exact_count)
@@ -798,8 +758,6 @@ class ApproximateScreeningClassifier:
         output = self.forward(features)
         if self.classifier.normalization == "sigmoid":
             return sigmoid(output.logits)
-        if self.softmax_taylor_order is not None:
-            return taylor_softmax(output.logits, order=self.softmax_taylor_order)
         return softmax(output.logits, axis=-1)
 
     def predict(self, features: np.ndarray) -> np.ndarray:

@@ -57,7 +57,9 @@ def _recall_at_budget(
         classifier, screener,
         selector=CandidateSelector(mode="top_m", num_candidates=budget),
     )
-    return candidate_recall(exact_logits, model(features), k=k)
+    # The recall reads the candidate record only: no probe builds a
+    # ``batch × l`` plane.
+    return candidate_recall(exact_logits, model.forward_streaming(features), k=k)
 
 
 def tune_budget_for_recall(

@@ -14,18 +14,18 @@ screener for its shard.  The data plane is built for zero-copy:
   how many workers serve them;
 * **scatter** — the host writes the feature batch into a shared input
   segment once; every worker reads the same pages;
-* **gather** — only the explicit dense ``forward`` op builds a plane:
-  the worker writes its shard's mixed logits into its slot of a shared
-  output segment and ships the tiny candidate record (counts, columns,
-  pre-mix approximate values) over the pipe.  ``forward_streaming``
-  ships its candidate record and ``top_k`` (hence ``predict``) its
-  ``k`` ranked (index, score) pairs over the pipe alone — both run the
-  worker's one tile loop, and an engine that never calls ``forward``
-  never allocates the output segments;
-* **reduce** — the host reconstructs per-shard
-  :class:`~repro.core.pipeline.ScreenedOutput` objects and merges them
-  through the *same* :func:`~repro.distributed.sharding.merge_shard_outputs`
-  / :func:`~repro.distributed.sharding.reduce_top_k` code path the
+* **gather** — ``forward`` and ``forward_streaming`` ship one reply
+  over the pipe, the shard's candidate record (counts, columns, exact
+  and approximate values); only dense ``forward`` also writes its
+  shard's mixed logits into its slot of a shared output segment.
+  ``top_k`` (hence ``predict``) ships its ``k`` ranked (index, score)
+  pairs.  All three run the worker's one tile loop, and an engine that
+  never calls ``forward`` never allocates the output segments;
+* **reduce** — the host rebuilds each shard's output from its record
+  and merges them through the *same*
+  :func:`~repro.distributed.sharding.merge_streamed_outputs` /
+  :func:`~repro.distributed.sharding.merge_shard_outputs` /
+  :func:`~repro.distributed.sharding.reduce_top_k` code path the
   sequential backend uses.
 
 Because workers execute the identical numpy pipeline on the identical
@@ -93,8 +93,7 @@ from repro.distributed.sharding import (
     reduce_top_k,
 )
 from repro.obs.metrics import latency_buckets
-from repro.obs.recorder import NULL_RECORDER, Recorder
-from repro.obs.trace import Tracer
+from repro.obs.recorder import NULL_RECORDER
 from repro.utils.faults import FaultInjector, FaultSpec
 from repro.utils.shm import PackLayout, SharedArrayPack
 from repro.utils.validation import check_batch_features, check_positive
@@ -226,37 +225,28 @@ def _serve_request(
     rows = int(payload["rows"])
     batch = input_pack["features"][:rows]
 
-    if op == "forward_streaming":
-        # Candidates-only: no shared output plane is touched — the
-        # whole shard result is the small flat record on the pipe.
-        # The worker's pipeline-owned workspace persists across
-        # requests, so steady-state serving allocates no new scratch.
-        streamed = engine.forward_streaming(
-            batch, block_categories=payload["block"]
-        )
-        return {
-            "counts": streamed.candidates.counts,
-            "cols": streamed.candidates.flat()[1],
-            "exact": streamed.exact_values,
-            "approx": streamed.approximate_values,
-        }
-
     if op == "top_k":
-        # Ranked inside the tile loop: like streaming, no plane.
+        # Ranked inside the tile loop: no plane.
         indices, scores = engine.top_k(
             batch, min(int(payload["k"]), engine.num_categories)
         )
         return {"indices": indices + shard_range.start, "scores": scores}
 
-    output = engine.forward(batch)
-    output_pack = _attach_cached(io_packs, payload["output"])
-    np.copyto(output_pack[f"logits{shard_id}"][:rows], output.logits)
-    restore_rows, restore_cols, saved = output.candidate_restore()
+    # Both record ops reply with the candidate record alone; dense
+    # ``forward`` also writes its plane into its slot of the shared
+    # output segment.  The worker's pipeline-owned workspace persists
+    # across requests, so steady-state serving allocates no new scratch.
+    if op == "forward":
+        output = engine.forward(batch)
+        output_pack = _attach_cached(io_packs, payload["output"])
+        np.copyto(output_pack[f"logits{shard_id}"][:rows], output.logits)
+    else:
+        output = engine.forward_streaming(batch, block_categories=payload["block"])
     return {
         "counts": output.candidates.counts,
-        "cols": restore_cols,
-        "rows": restore_rows,
-        "saved": saved,
+        "cols": output.candidates.flat()[1],
+        "exact": output.exact_values,
+        "approx": output.approximate_values,
     }
 
 
@@ -391,11 +381,6 @@ class ParallelShardedEngine:
         latency histograms, retry/respawn/stale/degraded/overrun
         counters and (if the recorder has a tracer) request spans;
         everything is readable through :meth:`stats`.
-    trace:
-        ``True`` attaches a span tracer: creates a live recorder if
-        ``recorder`` was not given, or adds a
-        :class:`~repro.obs.Tracer` to the given one.  Export with
-        :meth:`write_trace`.
     autoscaler:
         Optional :class:`~repro.distributed.autoscale.AutoScaler`.
         When set, the engine accumulates per-shard observation windows
@@ -429,7 +414,6 @@ class ParallelShardedEngine:
         faults: Optional[Dict[object, Sequence[FaultSpec]]] = None,
         spawn_timeout: float = 60.0,
         recorder=None,
-        trace: bool = False,
         autoscaler: Optional[AutoScaler] = None,
     ):
         if not sharded.trained:
@@ -446,11 +430,7 @@ class ParallelShardedEngine:
         self.request_timeout = request_timeout
         self.request_retries = int(request_retries)
         self.degraded = bool(degraded)
-        if recorder is None:
-            recorder = Recorder(trace=True) if trace else NULL_RECORDER
-        elif trace and recorder.enabled and recorder.tracer is None:
-            recorder.tracer = Tracer()
-        self.recorder = recorder
+        self.recorder = NULL_RECORDER if recorder is None else recorder
         # Engine-level counters kept as plain ints so they are readable
         # through stats() even with the no-op recorder installed; the
         # per-shard supervision events live on the groups.
@@ -903,19 +883,13 @@ class ParallelShardedEngine:
         shards returns a :class:`DegradedOutput` whose missing columns
         are NaN.
         """
-
-        def rebuild(shard_id: int, reply: dict) -> ScreenedOutput:
-            # A view of the shared plane: merge_shard_outputs
-            # concatenates, so the merged output owns its memory and
-            # survives buffer reuse.
-            rows = len(reply["counts"])
-            return ScreenedOutput(
-                logits=self._io_output[f"logits{shard_id}"][:rows],
-                candidates=CandidateSet.from_flat(reply["counts"], reply["cols"]),
-                restore=(reply["rows"], reply["cols"], reply["saved"]),
-            )
-
-        return self._serve("forward", features, {}, rebuild, merge_shard_outputs)
+        return self._serve(
+            "forward",
+            features,
+            {},
+            partial(self._rebuild_record, plane=True),
+            merge_shard_outputs,
+        )
 
     __call__ = forward
 
@@ -935,22 +909,30 @@ class ParallelShardedEngine:
         :class:`DegradedOutput` whose result simply has no candidates
         from the missing ranges.
         """
-
-        def rebuild(shard_id: int, reply: dict) -> StreamedOutput:
-            return StreamedOutput(
-                candidates=CandidateSet.from_flat(reply["counts"], reply["cols"]),
-                exact_values=reply["exact"],
-                approximate_values=reply["approx"],
-                num_categories=len(self.ranges[shard_id]),
-            )
-
         return self._serve(
             "forward_streaming",
             features,
             {"block": block_categories},
-            rebuild,
+            partial(self._rebuild_record, plane=False),
             merge_streamed_outputs,
         )
+
+    def _rebuild_record(
+        self, shard_id: int, reply: dict, plane: bool
+    ) -> StreamedOutput:
+        """One shard's record reply as its output: with ``plane``, a
+        :class:`ScreenedOutput` over a view of the shard's slot in the
+        shared output segment (the merge concatenates, so the merged
+        output owns its memory and survives buffer reuse)."""
+        record = (
+            CandidateSet.from_flat(reply["counts"], reply["cols"]),
+            reply["exact"],
+            reply["approx"],
+        )
+        if plane:
+            rows = len(reply["counts"])
+            return ScreenedOutput(*record, self._io_output[f"logits{shard_id}"][:rows])
+        return StreamedOutput(*record, len(self.ranges[shard_id]))
 
     def top_k(
         self, features: np.ndarray, k: int
@@ -1057,14 +1039,15 @@ class ParallelShardedEngine:
     def write_trace(self, path) -> int:
         """Write the recorded trace as Chrome trace-event JSON.
 
-        Returns the number of events written; raises if the engine has
-        no tracer (construct with ``trace=True``).
+        Returns the number of events written; raises if the engine's
+        recorder has no tracer (construct with
+        ``recorder=Recorder(trace=True)``).
         """
         tracer = self.recorder.tracer
         if tracer is None:
             raise RuntimeError(
-                "engine has no tracer; construct with trace=True or pass "
-                "a recorder whose tracer is set"
+                "engine has no tracer; construct with "
+                "recorder=Recorder(trace=True)"
             )
         return tracer.write(path)
 

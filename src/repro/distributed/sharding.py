@@ -465,24 +465,20 @@ def _concat(parts: List[np.ndarray], empty_dtype) -> np.ndarray:
     return np.concatenate(parts) if parts else np.empty(0, dtype=empty_dtype)
 
 
-def _merge_flat_records(
-    outputs: Sequence,
+def merge_streamed_outputs(
+    outputs: Sequence[Optional[StreamedOutput]],
     ranges: Sequence[range],
-    batch_size: Optional[int],
-    record_of,
-    num_values: int = 0,
-) -> Tuple[np.ndarray, np.ndarray, List[np.ndarray]]:
-    """Interleave per-shard flat candidate records into global order.
+    batch_size: Optional[int] = None,
+) -> StreamedOutput:
+    """Merge per-shard candidate records to global order.
 
-    ``outputs[i]`` is shard ``i``'s result, or ``None`` for a failed
-    shard, which contributes no entries.  ``record_of(output)`` yields
-    a survivor's ``(rows, cols, *values)`` — local columns plus
-    ``num_values`` arrays aligned with them.  Columns are offset to
-    global ids and one stable row sort groups the entries by row while
-    preserving shard order (hence ascending columns) within a row.
-    Returns ``(counts, cols, values)`` — per-row entry counts and the
-    row-major entries (float64 values).
-    ``batch_size=None`` takes the first survivor's.
+    ``outputs[i]`` is shard ``i``'s record, or ``None`` for a failed
+    shard, which contributes no candidates: the record is sparse, so
+    absence needs no NaN plane.  Columns are offset to global ids and
+    one stable row sort groups the entries by row while preserving
+    shard order (hence ascending columns) within a row.
+    ``batch_size=None`` takes the first survivor's; it is only needed
+    when every entry is ``None``.
     """
     live = [
         (output, shard_range.start)
@@ -493,16 +489,26 @@ def _merge_flat_records(
         if not live:
             raise ValueError("no surviving shard output: the merge needs batch_size")
         batch_size = live[0][0].batch_size
-    records = [(record_of(output), start) for output, start in live]
-    rows = _concat([record[0] for record, _ in records], np.intp)
-    cols = _concat([record[1] + start for record, start in records], np.intp)
+    rows = _concat([output.candidates.flat()[0] for output, _ in live], np.intp)
+    cols = _concat(
+        [output.candidates.flat()[1] + start for output, start in live], np.intp
+    )
     order = np.argsort(rows, kind="stable")
     counts = np.bincount(rows, minlength=batch_size).astype(np.intp)
-    values = [
-        _concat([record[2 + i] for record, _ in records], np.float64)[order]
-        for i in range(num_values)
-    ]
-    return counts, cols[order], values
+    # Each array is put in row order as soon as it is gathered, so at
+    # most one unordered copy is alive at a time: that sets the merge's
+    # peak memory.
+    cols = cols[order]
+    exact = _concat([output.exact_values for output, _ in live], np.float64)[order]
+    approximate = _concat(
+        [output.approximate_values for output, _ in live], np.float64
+    )[order]
+    return StreamedOutput(
+        candidates=CandidateSet.from_flat(counts, cols),
+        exact_values=exact,
+        approximate_values=approximate,
+        num_categories=sum(len(shard_range) for shard_range in ranges),
+    )
 
 
 def merge_shard_outputs(
@@ -510,12 +516,9 @@ def merge_shard_outputs(
     ranges: Sequence[range],
     batch_size: Optional[int] = None,
 ) -> ScreenedOutput:
-    """Concatenate per-shard mixed outputs back into global order.
-
-    The logits planes concatenate along the category axis, and instead
-    of materializing every shard's approximate plane the per-shard
-    restore records (candidate positions + their pre-mix approximate
-    values) merge into one global record, so the merged output's
+    """Merge per-shard dense outputs to global order: the records
+    through :func:`merge_streamed_outputs`, the logits planes
+    concatenated along the category axis — so the merged output's
     ``approximate_logits`` stays lazy exactly like a single-node
     output's.
 
@@ -525,57 +528,18 @@ def merge_shard_outputs(
     candidates, so surviving columns keep their global indices.
     ``batch_size`` is only needed when every entry is ``None``.
     """
-    counts, cols, (saved,) = _merge_flat_records(
-        outputs, ranges, batch_size, ScreenedOutput.candidate_restore, num_values=1
-    )
+    record = merge_streamed_outputs(outputs, ranges, batch_size)
     logits = np.concatenate(
         [
             output.logits
             if output is not None
-            else np.full((counts.size, len(shard_range)), np.nan)
+            else np.full((record.batch_size, len(shard_range)), np.nan)
             for output, shard_range in zip(outputs, ranges)
         ],
         axis=1,
     )
     return ScreenedOutput(
-        logits=logits,
-        candidates=CandidateSet.from_flat(counts, cols),
-        restore=(np.repeat(np.arange(counts.size), counts), cols, saved),
-    )
-
-
-def merge_streamed_outputs(
-    outputs: Sequence[Optional[StreamedOutput]],
-    ranges: Sequence[range],
-    batch_size: Optional[int] = None,
-) -> StreamedOutput:
-    """Merge per-shard streamed (candidates-only) outputs to global order.
-
-    The streaming analogue of :func:`merge_shard_outputs`: there are no
-    logits planes to concatenate — each shard contributes its flat
-    candidate record (rows, globally-offset columns, exact and
-    approximate values), interleaved exactly as the dense merge orders
-    its candidate lists.  A ``None`` entry (failed shard) simply
-    contributes no candidates: the streamed result is sparse, so
-    absence needs no NaN plane.  ``batch_size`` is only needed when
-    every entry is ``None``.
-    """
-    counts, cols, (exact, approximate) = _merge_flat_records(
-        outputs,
-        ranges,
-        batch_size,
-        lambda output: (
-            *output.candidates.flat(),
-            output.exact_values,
-            output.approximate_values,
-        ),
-        num_values=2,
-    )
-    return StreamedOutput(
-        candidates=CandidateSet.from_flat(counts, cols),
-        exact_values=exact,
-        approximate_values=approximate,
-        num_categories=sum(len(shard_range) for shard_range in ranges),
+        record.candidates, record.exact_values, record.approximate_values, logits
     )
 
 

@@ -27,9 +27,7 @@ def forward_per_row(model, features: np.ndarray) -> ScreenedOutput:
             continue
         exact = model.classifier.logits_for(indices, batch[row])
         mixed[row, indices] = exact[0]
-    return ScreenedOutput(
-        logits=mixed, approximate_logits=approx, candidates=candidates
-    )
+    return ScreenedOutput.from_planes(mixed, approx, candidates)
 
 
 def merge_candidates_per_row(

@@ -117,10 +117,8 @@ class TestQualityMetrics:
         from repro.core.pipeline import ScreenedOutput
 
         exact = np.array([[0.0, 5.0, 1.0]])
-        out = ScreenedOutput(
-            logits=exact.copy(),
-            approximate_logits=exact.copy(),
-            candidates=CandidateSet(indices=[np.array([1])]),
+        out = ScreenedOutput.from_planes(
+            exact.copy(), exact.copy(), CandidateSet(indices=[np.array([1])])
         )
         assert candidate_recall(exact, out, k=1) == 1.0
 
@@ -129,10 +127,8 @@ class TestQualityMetrics:
         from repro.core.pipeline import ScreenedOutput
 
         exact = np.array([[0.0, 5.0, 1.0]])
-        out = ScreenedOutput(
-            logits=exact.copy(),
-            approximate_logits=exact.copy(),
-            candidates=CandidateSet(indices=[np.array([0])]),
+        out = ScreenedOutput.from_planes(
+            exact.copy(), exact.copy(), CandidateSet(indices=[np.array([0])])
         )
         assert candidate_recall(exact, out, k=1) == 0.0
 

@@ -486,14 +486,15 @@ class TestScreenedOutput:
         if out.exact_count:
             assert not np.array_equal(out.logits, out.approximate_logits)
 
-    def test_requires_candidates(self):
-        with pytest.raises(ValueError, match="candidate"):
-            ScreenedOutput(logits=np.zeros((1, 4)), approximate_logits=np.zeros((1, 4)))
-
-    def test_requires_approx_or_restore(self, pipeline, small_task):
-        candidates = pipeline.forward(small_task.sample_features(1)).candidates
-        with pytest.raises(ValueError, match="restore"):
-            ScreenedOutput(logits=np.zeros((1, 2000)), candidates=candidates)
+    def test_from_planes_reads_the_record(self, pipeline, small_task):
+        out = pipeline.forward(small_task.sample_features(5))
+        planes = ScreenedOutput.from_planes(
+            out.logits, out.approximate_logits, out.candidates
+        )
+        assert np.array_equal(planes.exact_values, out.exact_values)
+        assert np.array_equal(planes.approximate_values, out.approximate_values)
+        assert planes.approximate_logits is out.approximate_logits
+        assert planes.num_categories == out.num_categories
 
 
 class TestProbabilities:
@@ -519,23 +520,6 @@ class TestProbabilities:
         proba = model.predict_proba(task.sample_features(2))
         assert np.all((0 <= proba) & (proba <= 1))
         assert proba.sum(axis=1)[0] != pytest.approx(1.0)
-
-    def test_taylor_softmax_option(self, small_task, small_screener):
-        model = ApproximateScreeningClassifier(
-            small_task.classifier, small_screener,
-            num_candidates=48, softmax_taylor_order=4,
-        )
-        features = small_task.sample_features(3)
-        proba = model.predict_proba(features)
-        assert np.allclose(proba.sum(axis=1), 1.0)
-        exact_model = ApproximateScreeningClassifier(
-            small_task.classifier, small_screener, num_candidates=48
-        )
-        # SFU approximation keeps the argmax.
-        assert np.array_equal(
-            np.argmax(proba, axis=1),
-            np.argmax(exact_model.predict_proba(features), axis=1),
-        )
 
     def test_top_k(self, pipeline, small_task):
         features = small_task.sample_features(2)

@@ -149,6 +149,40 @@ class TestTuneBudget:
             )
         )
 
+    def test_probes_build_no_plane(self, validation, monkeypatch):
+        """Every bisection probe reads the candidate record of
+        ``forward_streaming``: with dense ``forward`` unavailable, the
+        search returns what it returns when every probe is dense."""
+        import repro.core.tuning as tuning
+
+        task, screener, features = validation
+
+        def dense_probe(classifier, screener, features, exact, budget, k):
+            model = ApproximateScreeningClassifier(
+                classifier, screener,
+                selector=CandidateSelector(mode="top_m", num_candidates=budget),
+            )
+            return candidate_recall(exact, model.forward(features), k=k)
+
+        settings = [(0.95, 1), (1.0, 3)]
+        with monkeypatch.context() as patch:
+            patch.setattr(tuning, "_recall_at_budget", dense_probe)
+            dense = [
+                tune_budget_for_recall(task.classifier, screener, features, target, k)
+                for target, k in settings
+            ]
+
+        def no_plane(self, features):
+            raise AssertionError("a tuning probe built a batch x l plane")
+
+        monkeypatch.setattr(ApproximateScreeningClassifier, "forward", no_plane)
+        monkeypatch.setattr(ApproximateScreeningClassifier, "__call__", no_plane)
+        streamed = [
+            tune_budget_for_recall(task.classifier, screener, features, target, k)
+            for target, k in settings
+        ]
+        assert streamed == dense
+
     def test_threshold_variant_forwards_max_fraction(
         self, validation, monkeypatch
     ):

@@ -149,9 +149,7 @@ class TestMergeToleratesFailedShards:
         rows, cols = candidates.flat()
         logits = rng.standard_normal((batch_size, width))
         approx = rng.standard_normal(rows.size)
-        dense = ScreenedOutput(
-            logits=logits, candidates=candidates, restore=(rows, cols, approx)
-        )
+        dense = ScreenedOutput(candidates, logits[rows, cols], approx, logits)
         streamed = StreamedOutput(
             candidates=candidates,
             exact_values=logits[rows, cols],

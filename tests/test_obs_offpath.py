@@ -160,13 +160,13 @@ class TestEngineReconciliation:
 
     def test_engine_outputs_unchanged_by_recording(self, model, features):
         sequential = model.forward(features)
-        with model.parallel(trace=True) as engine:
+        with model.parallel(recorder=Recorder(trace=True)) as engine:
             parallel = engine.forward(features)
         assert np.array_equal(parallel.logits, sequential.logits)
 
     def test_counters_reconcile_with_requests(self, model, features):
         requests = 3
-        with model.parallel(trace=True) as engine:
+        with model.parallel(recorder=Recorder(trace=True)) as engine:
             for _ in range(requests):
                 engine.forward(features)
             stats = engine.stats()
@@ -208,7 +208,7 @@ class TestEngineReconciliation:
     def test_engine_trace_exports_valid_chrome_json(
         self, model, features, tmp_path
     ):
-        with model.parallel(trace=True) as engine:
+        with model.parallel(recorder=Recorder(trace=True)) as engine:
             engine.forward(features)
             engine.top_k(features, k=5)
             path = tmp_path / "engine_trace.json"

@@ -427,11 +427,10 @@ class _DegradedBackend:
         logits = np.zeros((batch, self.num_categories))
         empty = np.empty(0, dtype=np.intp)
         output = ScreenedOutput(
-            logits=logits,
-            candidates=CandidateSet.from_flat(
-                np.zeros(batch, dtype=np.intp), empty
-            ),
-            restore=(empty, empty.copy(), np.empty(0)),
+            CandidateSet.from_flat(np.zeros(batch, dtype=np.intp), empty),
+            np.empty(0),
+            np.empty(0),
+            logits,
         )
         failure = ShardFailure(0, range(0, 3), "died", "test")
         return DegradedOutput(output, (failure,), self.num_categories)

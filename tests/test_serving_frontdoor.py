@@ -245,9 +245,7 @@ class _RecordingBackend:
         candidates = CandidateSet(
             indices=[np.arange(2, dtype=np.intp) for _ in range(features.shape[0])]
         )
-        return ScreenedOutput(
-            logits, approximate_logits=logits.copy(), candidates=candidates
-        )
+        return ScreenedOutput.from_planes(logits, logits.copy(), candidates)
 
     def forward_streaming(self, features, block_categories=None):
         return self.forward(features)

@@ -297,26 +297,16 @@ def random_reference_output(rng, batch, num_categories):
     candidates = CandidateSet(indices=indices)
     rows, cols = candidates.flat()
     saved = rng.standard_normal(rows.size)
-    return ScreenedOutput(
-        logits=logits, candidates=candidates, restore=(rows, cols, saved)
-    )
+    return ScreenedOutput(candidates, logits[rows, cols], saved, logits)
 
 
 def slice_screened(reference, shard_range):
     """One shard's view of the reference output (what that node would
     have produced had the plan given it this category stripe)."""
+    record = slice_streamed(reference, shard_range)
     logits = reference.logits[:, shard_range.start : shard_range.stop].copy()
-    rows, cols, saved = reference.candidate_restore()
-    mask = (cols >= shard_range.start) & (cols < shard_range.stop)
-    local_rows = rows[mask]
-    local_cols = cols[mask] - shard_range.start
-    counts = np.bincount(local_rows, minlength=reference.batch_size).astype(
-        np.intp
-    )
     return ScreenedOutput(
-        logits=logits,
-        candidates=CandidateSet.from_flat(counts, local_cols),
-        restore=(local_rows, local_cols, saved[mask].copy()),
+        record.candidates, record.exact_values, record.approximate_values, logits
     )
 
 
