@@ -17,10 +17,12 @@ flat, then prints the ``tracemalloc`` peak above what was live before
 Both phases run on the pipeline's own arena, as the call runs them.  One
 tile of scores is printed beside them for scale: a warm call that allocates
 a large share of it holds a tile-sized temporary somewhere, and the phase
-lines say where.  The last line counts the canonical tiles of one call, how
-many of them a prescreen stage tested and skipped, and how many of those
-the box stage skipped before any float32 score (read from a ``Recorder``
-on one more call, after the peaks).  The benchmark's ``call_peak_mb`` is the whole-call line at
+lines say where.  The last two lines count the canonical tiles of one call,
+how many of them a prescreen stage tested and skipped, and how many of
+those the box stages skipped before any float32 score, then the rows each
+prescreen stage ran on — compared against a coarse bound, tested against
+the tile's boxes, scored in float32 (read from a ``Recorder`` on one more
+call, after the peaks).  The benchmark's ``call_peak_mb`` is the whole-call line at
 its own sizes; put another tree's ``src`` on ``PYTHONPATH`` to read that
 tree.
 """
@@ -107,6 +109,10 @@ def measure(model, batch, repeats: int) -> dict:
         prescreened=int(counters.get("pipeline.tiles_prescreened", 0)),
         skipped=int(counters.get("pipeline.tiles_skipped", 0)),
         box_skipped=int(counters.get("pipeline.tiles_box_skipped", 0)),
+        stage_rows=[
+            int(counters.get(f"pipeline.{name}", 0))
+            for name in ("rows_coarse_tested", "rows_box_tested", "rows_float32_scored")
+        ],
         warm_calls=calls,
         steady_allocations=ws.allocations - allocations,
         workspace_bytes=ws.nbytes,
@@ -135,6 +141,11 @@ def report(args, result: dict) -> str:
         f"tiles per call {result['tiles']}: {result['prescreened']} prescreened, "
         f"{result['skipped']} skipped ({result['box_skipped']} by their boxes, "
         f"{result['skipped'] - result['box_skipped']} by their float32 scores)"
+    )
+    coarse, box, float32 = result["stage_rows"]
+    lines.append(
+        f"rows per call: {coarse} compared against coarse bounds, {box} box-tested, "
+        f"{float32} scored in float32"
     )
     return "\n".join(lines)
 

@@ -14,8 +14,8 @@ arrays in hand to a settled pipeline:
   without one);
 * ``boxes``        — the same constructor's box prescreen boxes, each
   tile's weights rotated into the principal axes and reduced per
-  chunk in the same lanes: the slowest lane's share, also taken out
-  of ``plane`` (0 on a tree without them);
+  chunk, then per coarse box, in the same lanes: the slowest lane's
+  share, also taken out of ``plane`` (0 on a tree without them);
 * ``scores``       — ``approximate_logits`` of the ``ROWS`` calibration rows;
 * ``calibration``  — ``CandidateSelector.calibrate`` on those scores
   (threshold selector only);

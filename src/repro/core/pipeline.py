@@ -78,6 +78,22 @@ from repro.obs.recorder import NULL_RECORDER
 from repro.utils.memory import PHASE_SCRATCH, Workspace
 from repro.utils.validation import check_batch_features, check_positive
 
+#: The tile loop's per-call counters, in the order a lane tallies them:
+#: tiles a prescreen stage tested, tiles skipped, tiles skipped before
+#: any float32 score, and the rows each prescreen stage tested — compared
+#: against a coarse bound, against the tile's boxes, scored in float32.
+_TALLIES = tuple(
+    f"pipeline.{name}"
+    for name in (
+        "tiles_prescreened",
+        "tiles_skipped",
+        "tiles_box_skipped",
+        "rows_coarse_tested",
+        "rows_box_tested",
+        "rows_float32_scored",
+    )
+)
+
 
 class StreamedOutput:
     """The candidate record of one screened pass: which entries are
@@ -561,32 +577,33 @@ class ApproximateScreeningClassifier:
         if recorder.enabled:
             recorder.set_gauge("pipeline.lanes", lanes)
         screen = None if plane is not None else TilePrescreen(screener, augmented, ws)
-        prescreened, skipped, box_skipped = self._fold_in_lanes(
-            reducer, ws, tiles, lanes, augmented, block, plane, screen
-        )
-        recorder.increment("pipeline.tiles_prescreened", prescreened)
-        recorder.increment("pipeline.tiles_skipped", skipped)
-        recorder.increment("pipeline.tiles_box_skipped", box_skipped)
+        tallies = self._fold_in_lanes(reducer, ws, tiles, lanes, augmented, block, plane, screen)
+        for name, count in zip(_TALLIES, tallies):
+            recorder.increment(name, count)
         with recorder.span("streaming.select_finalize"):
             return reducer.finalize()
 
     def _fold(
         self, reducer, ws: Workspace, tiles, augmented, block, plane, screen
-    ) -> Tuple[int, int, int]:
+    ) -> Tuple[int, ...]:
         """The tile loop's body: screen each of ``tiles`` into ``ws``
         scratch (or its slice of ``plane``) and fold it into ``reducer``;
-        returns how many tiles were prescreened, how many skipped, and
-        how many of those the box stage skipped.
+        returns the counts :data:`_TALLIES` names.
 
         With a ``screen`` (the streaming path), a tile that follows one
         that recorded nothing — or starts the run — is prescreened: when
-        that proves every score at most the reducer's bound, the tile
-        would record nothing, so neither the float64 GEMM nor the update
-        runs (the lane rule).  Once the lane has skipped a tile, its
-        boxes are tested first and its float32 scores only when they
-        prove nothing; a lane that never skips never builds a box query."""
+        every row's scores are proven at most the reducer's bound, each
+        row's by one stage or another, the tile would record nothing, so
+        neither the float64 GEMM nor the update runs (the lane rule).
+        Once the lane has skipped a tile, each tile's coarse bounds are
+        compared first, its boxes tested on the rows they leave and its
+        float32 scores on the rows those leave; before, its float32
+        scores on every row.  A lane that never skips never builds a box
+        query."""
         recorder = self.recorder
+        rows = len(augmented)
         prescreened = skipped = box_skipped = recorded = 0
+        coarse_rows = box_rows = float32_rows = 0
         boxes = None
         if screen is not None:
             # A lane may skip every tile of one call and fold some of
@@ -595,23 +612,31 @@ class ApproximateScreeningClassifier:
             reducer.reserve(min(TILE_CATEGORIES, self.num_categories, block))
         for t0, t1 in tiles:
             if screen is not None and not recorded:
-                below = None
+                bound, left = reducer.bound, None
                 if skipped and screen.boxed:
                     with recorder.span("streaming.box_tile"):
                         if boxes is None:
-                            boxes = screen.query_boxes(ws)
-                        below = screen.box_below(t0, t1, reducer.bound, ws, boxes)
-                    box_skipped += bool(below)
-                if not below:
+                            first, last = (t // TILE_CATEGORIES for t in (t0, tiles[-1][0]))
+                            boxes = screen.query_boxes(ws, first, last + 1)
+                        left = screen.coarse_left(t0, bound, boxes)
+                        if left is not None:
+                            coarse_rows += rows
+                            box_rows += len(left)
+                            if len(left):
+                                left = screen.box_left(t0, t1, bound, ws, boxes, left)
+                    box_skipped += left is not None and not len(left)
+                if left is None or len(left):
+                    tested = rows if left is None else len(left)
                     with recorder.span("streaming.prescreen_tile"):
-                        below = screen.below(t0, t1, reducer.bound, ws)
-                prescreened += below is not None
-                if below:
+                        left = screen.float32_left(t0, t1, bound, ws, left)
+                    float32_rows += tested if left is not None else 0
+                prescreened += left is not None
+                if left is not None and not len(left):
                     skipped += 1
                     continue
             with recorder.span("streaming.screen_tile"):
                 if plane is None:
-                    out = ws.buffer(PHASE_SCRATCH, (len(augmented), t1 - t0))
+                    out = ws.buffer(PHASE_SCRATCH, (rows, t1 - t0))
                 else:
                     out = plane[:, t0:t1]
                 tile = self.screener.score_tile(augmented, t0, t1, out=out)
@@ -625,11 +650,11 @@ class ApproximateScreeningClassifier:
                     stop = min(t1, (start // block + 1) * block)
                     recorded += reducer.update(start, tile[:, start - t0 : stop - t0])
                     start = stop
-        return prescreened, skipped, box_skipped
+        return prescreened, skipped, box_skipped, coarse_rows, box_rows, float32_rows
 
     def _fold_in_lanes(
         self, reducer, ws: Workspace, tiles, lanes: int, augmented, block, plane, screen
-    ) -> Tuple[int, int, int]:
+    ) -> Tuple[int, ...]:
         """Fold tile 0 here — it pays the reducer's one first fill — then
         the rest as ``lanes`` contiguous runs (:func:`run_in_lanes`): run
         0 here into ``reducer``, each other run on a thread of its own
@@ -640,8 +665,8 @@ class ApproximateScreeningClassifier:
         order, so the record is the single-lane one.  One lane is the
         plain loop on the caller.  Tile 0 is not prescreened: it is
         where the head of a frequency-ordered label space sits, and in
-        top-m mode no bound exists before it.  Returns the tiles
-        prescreened, skipped and box-skipped, summed over the lanes."""
+        top-m mode no bound exists before it.  Returns the counts
+        :data:`_TALLIES` names, summed over the lanes."""
         tallies = [self._fold(reducer, ws, tiles[:1], augmented, block, plane, None)]
         arenas = [ws] + [ws.lane(lane) for lane in range(1, lanes)]
         reducers = [reducer] + [reducer.fork(arena) for arena in arenas[1:]]

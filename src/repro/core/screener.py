@@ -11,27 +11,28 @@ transposed plane of fake-quantized weights, the input quantizer) is
 built once and cached on the module, and the hot matmul folds ``b̃``
 into one extra weight column — the same trick the compiler uses when
 tiling for the hardware — so one GEMM writes the full score matrix.
-The module holds four arrays: the FP64 master ``weight``, that fused
+The module holds five arrays: the FP64 master ``weight``, that fused
 plane — ``(k + 1)·l·8`` private bytes beside the master — the fused
 plane's values rounded to float32, the *screen plane* (``(k + 1)·l·4``
-bytes), and the *boxes* (``_tile_box``, ``(2k + 1)·⌈l / 8⌉·8`` bytes).
-All three derived arrays are placed one canonical tile at a time, each
-block of categories transposed into a tile of scratch, quantized from
-there straight into its columns of the fused plane, rounded from those
-into the screen plane's and rotated from them into its boxes, so
-construction (training, a worker's start or respawn, a load from disk)
+bytes), the *boxes* (``_tile_box``, ``(2k + 1)·⌈l / 8⌉·8`` bytes) and
+the *coarse boxes* (``_tile_coarse``, ``(2k + 1)·8·⌈l / 8192⌉·8``
+bytes).  All four derived arrays are placed one canonical tile at a
+time, each block of categories transposed into a tile of scratch,
+quantized from there straight into its columns of the fused plane,
+rounded from those into the screen plane's, rotated from them into its
+boxes and reduced from those into its coarse boxes, so construction (training, a worker's start or respawn, a load from disk)
 holds the arrays and a tile or two per lane, never a plane-sized
 temporary.  The fake-quantized ``(l, k)`` view the compiler lowers from
 (``_weight_deq``, the same values quantized whole) is derived on
-demand, not kept as a fifth copy.
+demand, not kept as another copy.
 
 The float32 prescreen (:class:`TilePrescreen`): once a streaming call's
 reducer holds a bound — its threshold, or with runner-ups each row's
 floor — a tile whose every float64 score is at most that bound would
 record nothing, so the loop may leave it out.  The screen plane proves
-as much at half the GEMM cost: scored in float32, a tile is left out
-when each row's largest float32 score is at most ``bound − E`` rounded
-down, where ``E`` bounds |float32 score − float64 :meth:`score_tile`
+as much at half the GEMM cost: scored in float32, a row of a tile is
+proven when its largest float32 score is at most ``bound − E`` rounded
+down, and the tile is left out when every row is, where ``E`` bounds |float32 score − float64 :meth:`score_tile`
 score| for that row and tile.  Per entry, over the ``n = k + 1``
 products ``a_j f_j`` of the augmented input and the fused plane, the
 gap is at most ``relative · P + mixed · Q + absolute`` with ``P =
@@ -51,24 +52,35 @@ every output bit, every lane count and every fork are the full loop's
 by construction; dense ``forward``, which keeps the score plane, never
 leaves a tile out.
 
-The box stage, ahead of the float32 one: set-up takes the principal axes
-``Q`` of the head tile's weights (``eigh`` of their ``k × k`` Gram),
-rotates every quantized weight column into them, ``ỹ = Qᵀw``, and keeps
-per :data:`BOX_CATEGORIES` contiguous columns each axis's max and min
-and the largest bias.  A call rotates its input, ``c̃ = aQ``; one GEMM
-of ``[max(c̃, 0) | min(c̃, 0) | 1]`` against a tile's boxes bounds every
-score in each box from above, and a tile is left out when each row's
-largest box bound is at most ``bound − E_box`` rounded down.  ``E_box``
-(``_box_error_terms``) covers the two rotations' and the box GEMM's
-rounding, the float64 tile GEMM's, underflow, and the axes' departure
-from orthogonality through ``a·w = (Qᵀa)·(Qᵀw) + aᵀ(I − QQᵀ)w``; it
-has the float32 stage's shape, one multiply-add per row and tile.  On a
+The box stages, ahead of the float32 one: set-up takes the principal
+axes ``Q`` of the head tile's weights (``eigh`` of their ``k × k``
+Gram), rotates every quantized weight column into them, ``ỹ = Qᵀw``,
+and keeps per :data:`BOX_CATEGORIES` contiguous columns each axis's max
+and min and the largest bias, and the same per
+:data:`COARSE_CATEGORIES` columns, reduced from those.  A call rotates
+its input, ``c̃ = aQ``; one GEMM of ``[max(c̃, 0) | min(c̃, 0) | 1]``
+against boxes bounds every score in each box from above, and a row of
+a tile is proven when its largest box bound is at most ``bound − E_box``
+rounded down.  ``E_box`` (``_box_error_terms``) covers the two
+rotations' and the box GEMM's rounding, the float64 tile GEMM's,
+underflow, and the axes' departure from orthogonality through ``a·w =
+(Qᵀa)·(Qᵀw) + aᵀ(I − QQᵀ)w``; it has the float32 stage's shape, one
+multiply-add per row and tile.  It covers the coarse boxes unchanged:
+its terms use only the tile's largest ``|w|`` and ``|b|``, the row's
+``Σ|a_j|`` and the axes, and a max or min of box extremes is exact, so
+a coarse box's extremes are attained by its own columns.  On a
 frequency-ordered label space the bias is smooth in the index and W̃ is
-strongly low-rank, so a tile's 1,024 box bounds per row prove most of
-what its 8,192 float32 scores prove.  A lane
-tests a tile's boxes only once it has skipped a tile in the call, and
-its float32 scores only when the boxes prove nothing; a lane that never
-skips (a flat-prior shard) never builds a box query.
+strongly low-rank, so a tile's boxes prove most of what its 8,192
+float32 scores prove, and its 8 coarse boxes most of that.
+
+The stages prove rows, not tiles: each returns the rows it could not
+prove, and the next runs on only those — the coarse bounds (scored for
+all of a lane's tiles in one GEMM at its first box test, then one
+compare per row and tile), the tile's boxes, then its float32 scores —
+and a tile is left out once every row is proven by some stage.  A lane
+tests boxes only once it has skipped a tile in the call, and before
+that a tile's float32 scores on every row; a lane that never skips (a
+flat-prior shard) never builds a box query.
 
 Lanes: ENMC gives every rank its own slice of the screener, and the
 ranks work at once.  Every tile loop here and in the pipeline — placing
@@ -158,6 +170,29 @@ _SCREEN_GUARD = 2.0**126
 #: The same boxes in the original axes, or under a random rotation,
 #: prove none.
 BOX_CATEGORIES = 8
+
+#: Categories per coarse box, the box prescreen's first level: per
+#: :data:`COARSE_CATEGORIES` contiguous columns, each principal axis's max
+#: and min and the largest bias, taken over that many columns' boxes, so a
+#: tile has ``TILE_CATEGORIES // COARSE_CATEGORIES`` of them and a row's
+#: coarse bound of a tile is the largest of theirs.  Measured on the
+#: ``batch_threshold`` / ``batch_topm`` model (64 × 670K, k = 16, m = 32;
+#: seed 1, 16 calls, 2 lanes, one BLAS thread; rows per call each later
+#: stage runs on, and the median call over 6 alternating rounds):
+#:
+#:     width     8-wide rows       float32 rows    per call (ms)
+#:     (none)    4,536 / 4,940     278 / 215       28.2 / 25.3
+#:     512         752 / 597       278 / 215       24.2 / 18.2
+#:     1024        941 / 792       278 / 215       24.0 / 18.8
+#:     2048      1,135 / 1,016     278 / 215       24.4 / 19.8
+#:     4096      1,345 / 1,275     278 / 215       24.2 / 18.9
+#:     8192      1,547 / 1,530     278 / 215       23.6 / 19.5
+#:
+#: Every width from 512 to 8192 is within the noise of the others; 1024
+#: leaves the 8-wide stage 61% of the rows 8192 does, for a coarse level
+#: of ``(2k + 1)·8·⌈l / 8192⌉·8`` bytes (173 KB at 670K × 16).
+COARSE_CATEGORIES = 1024
+_COARSE_PER_TILE = TILE_CATEGORIES // COARSE_CATEGORIES
 
 #: The largest rigorous ``‖I − QQᵀ‖_F`` bound of principal axes ``Q``
 #: that a screener box-tests under; past it no tile is box-tested.
@@ -462,9 +497,10 @@ class ScreeningModule:
         #: ``Qᵀ`` (contiguous: the set-up GEMM reads it 30% faster) and
         #: the boxes, or ``None`` when no tile of this screener is boxed.
         self._box_axes_t = None if box_terms is None else np.ascontiguousarray(axes.T)
-        self._tile_box = None
+        self._tile_box = self._tile_coarse = None
         if box_terms is not None:
             self._tile_box = np.empty((2 * k + 1, -(-l // BOX_CATEGORIES)))
+            self._tile_coarse = np.empty((len(tiles) * _COARSE_PER_TILE, 2 * k + 1))
 
         def place(lane: int, run: list) -> None:
             # ``W̃`` takes one scale per category and is placed one
@@ -531,9 +567,18 @@ class ScreeningModule:
         ``scratch``, so the boxes take no memory beyond it.  Half tiles,
         not smaller blocks: the placing lanes share the interpreter lock
         between NumPy calls, and at 670K × 16 two lanes of quarter tiles
-        took 47–52 ms against 27–32 ms."""
+        took 47–52 ms against 27–32 ms.
+
+        Then the tile's coarse boxes, from its boxes while they are in
+        cache: per :data:`COARSE_CATEGORIES` columns the max of their
+        maxima and biases and the min of their minima (exact, so each
+        extreme is some column's); a last tile with fewer coarse boxes
+        repeats its last one."""
         k, half = self.projection_dim, TILE_CATEGORIES // 2
         boxes = self._tile_box[:, start // BOX_CATEGORIES : -(-stop // BOX_CATEGORIES)]
+        index = start // TILE_CATEGORIES
+        coarse = self._tile_coarse[index * _COARSE_PER_TILE : (index + 1) * _COARSE_PER_TILE]
+        starts = np.arange(0, boxes.shape[1], COARSE_CATEGORIES // BOX_CATEGORIES)
         with np.errstate(over="ignore", invalid="ignore"):  # such a tile is never boxed
             for low in range(start, stop, half):
                 width = min(half, stop - low)
@@ -544,6 +589,11 @@ class ScreeningModule:
                 _chunk_tree(np.maximum, rotated, boxes[:k, columns], scratch[k * width :])
                 _chunk_tree(np.minimum, rotated, boxes[k:-1, columns], scratch[k * width :])
         _chunk_tree(np.maximum, self.bias[None, start:stop], boxes[-1:], scratch)
+        used = coarse[: len(starts)]
+        np.maximum.reduceat(boxes[:k], starts, axis=1, out=used[:, :k].T)
+        np.minimum.reduceat(boxes[k:-1], starts, axis=1, out=used[:, k:-1].T)
+        np.maximum.reduceat(boxes[-1:], starts, axis=1, out=used[:, -1:].T)
+        coarse[len(starts) :] = used[-1]
 
     # ------------------------------------------------------------------
     # shapes / cost
@@ -667,30 +717,34 @@ class ScreeningModule:
 
 #: Workspace keys of the prescreen: per call its float32 input, each
 #: tile's bound per row and whether the tile can be screened, with the
-#: scratch they are derived in; per lane the per-row scratch of the tests
-#: (its float32 and box scores take the lane's phase scratch), and the box
-#: stage's query and bound, built at the lane's first box test.
+#: scratch they are derived in; per lane the rows a stage gathers (its
+#: scores take the lane's phase scratch), and the box stages' query,
+#: bound and coarse bounds, built at the lane's first box test.
 _SCREEN_INPUT, _SCREEN_ERROR, _SCREEN_OK, _SCREEN_ABS, _SCREEN_SUMS, _SCREEN_RANGE = (
     ("screen", name) for name in ("input", "error", "ok", "abs", "sums", "range")
 )
-_SCREEN_TOP, _SCREEN_LIMIT, _SCREEN_BELOW = (
-    ("screen", name) for name in ("top", "limit", "below")
-)
-_BOX_ROTATED, _BOX_QUERY, _BOX_ERROR, _BOX_TOP = (
-    ("box", name) for name in ("rotated", "query", "error", "top")
+_SCREEN_GATHERED = ("screen", "gathered")
+_BOX_ROTATED, _BOX_QUERY, _BOX_ERROR, _BOX_COARSE, _BOX_GATHERED = (
+    ("box", name) for name in ("rotated", "query", "error", "coarse", "gathered")
 )
 
 
 class TilePrescreen:
     """One streaming call's prescreen of the screener's tiles (module
-    docstring), in two stages that each only prove a tile empty: the box
-    stage (:meth:`box_below`), a row max over the tile's boxes, and the
-    float32 stage (:meth:`below`), a row max over its float32 scores.
-    Per call: the augmented input rounded to float32 and per tile and
-    row the float32 stage's bound ``E``, all in the call's arena.
+    docstring), in three stages that each prove rows of a tile empty and
+    return the rows they could not prove, for the next stage to run on:
+    the coarse boxes (:meth:`coarse_left`), one compare per row; the
+    tile's boxes (:meth:`box_left`), a row max over one GEMM; and its
+    float32 scores (:meth:`float32_left`), a row max over another.  A
+    tile with no row left would record nothing.  Per call: the augmented
+    input rounded to float32 and per tile and row the float32 stage's
+    bound ``E``, all in the call's arena.
 
     Built once per call before any lane starts; the lanes only read it,
-    each testing in scratch of its own arena (:meth:`reserve`).
+    each testing in scratch of its own arena (:meth:`reserve`).  What a
+    stage keeps per row — its largest score, its limit, the rows it
+    leaves — is a NumPy temporary of at most ``rows`` entries: an arena
+    request costs more than the compare it would serve.
     """
 
     def __init__(self, screener: "ScreeningModule", augmented: np.ndarray, ws) -> None:
@@ -699,7 +753,7 @@ class TilePrescreen:
         self._plane = screener._screen_plane_t
         self._screener = screener
         self._augmented = augmented
-        #: Whether :meth:`box_below` can prove anything for this screener.
+        #: Whether the box stages can prove anything for this screener.
         self.boxed = screener._tile_box is not None
         self.input = ws.buffer(_SCREEN_INPUT, (rows, width), np.float32)
         self.error = ws.buffer(_SCREEN_ERROR, (tiles, rows))
@@ -725,48 +779,57 @@ class TilePrescreen:
         self.error += offset[:, None]
 
     def reserve(self, ws) -> None:
-        """Size a lane's scratch in its arena ``ws`` up front — the
-        phase scratch a tile is tested or scored in, float32 or float64,
-        and the box stage's query and bound — so whether, where and in
-        which stage a call prescreens never allocates."""
+        """Size a lane's scratch in its arena ``ws`` up front, at the
+        call's full row count — the phase scratch a tile is tested or
+        scored in, float32 or float64, the rows a stage gathers, and the
+        box stages' query, bound and coarse bounds — so whether, where,
+        in which stage and on how many rows a call prescreens never
+        allocates."""
         rows, width = self.input.shape
-        ws.buffer(PHASE_SCRATCH, (rows, min(TILE_CATEGORIES, self._plane.shape[1])))
-        ws.buffer(_SCREEN_TOP, (rows,), np.float32)
-        ws.buffer(_SCREEN_LIMIT, (rows,))
-        ws.buffer(_SCREEN_BELOW, (rows,), bool)
+        tiles = len(self.error)
+        scratch = min(TILE_CATEGORIES, self._plane.shape[1])
+        ws.buffer(_SCREEN_GATHERED, (rows, width), np.float32)
         if self.boxed:
             k = width - 1
+            scratch = max(scratch, tiles * _COARSE_PER_TILE)
             ws.buffer(_BOX_ROTATED, (rows, k))
             ws.buffer(_BOX_QUERY, (rows, 2 * k + 1))
-            ws.buffer(_BOX_ERROR, (len(self.error), rows))
-            ws.buffer(_BOX_TOP, (rows,))
+            ws.buffer(_BOX_GATHERED, (rows, 2 * k + 1))
+            ws.buffer(_BOX_ERROR, (tiles, rows))
+            ws.buffer(_BOX_COARSE, (tiles, rows))
+        ws.buffer(PHASE_SCRATCH, (rows, scratch))
 
-    def below(self, start: int, stop: int, bound, ws) -> Optional[bool]:
-        """Whether every float64 score of canonical tile ``[start, stop)``
-        is at most ``bound`` (a scalar or one per row), proven from its
-        float32 scores: row by row, the largest float32 score is at most
-        ``bound − E`` rounded down.  The scores take the first half of
-        the phase scratch of ``ws``, which the tile's float64 scores
+    def float32_left(self, start: int, stop: int, bound, ws, rows=None) -> Optional[np.ndarray]:
+        """The rows of ``rows`` (every row when ``None``) not proven to
+        have every float64 score of canonical tile ``[start, stop)`` at
+        most ``bound`` (a scalar or one per row) by its float32 scores:
+        a row is proven when its largest float32 score is at most
+        ``bound − E`` rounded down.  The rows are gathered first unless
+        they are every row, and the scores take the first half of the
+        phase scratch of ``ws``, which the tile's float64 scores
         overwrite when they are needed.  ``None`` when the tile is not
         screened: no ``bound`` (``None``), or magnitudes out of the
         float32 range."""
         index = start // TILE_CATEGORIES
         if bound is None or not self.screenable[index]:
             return None
-        rows = len(self.input)
-        tile = ws.buffer(PHASE_SCRATCH, (rows, stop - start))
+        source = self.input
+        if rows is not None and len(rows) < len(source):
+            gathered = ws.buffer(_SCREEN_GATHERED, (len(rows), source.shape[1]), np.float32)
+            source = np.take(source, rows, axis=0, out=gathered, mode="clip")
+        tile = ws.buffer(PHASE_SCRATCH, (len(source), stop - start))
         scores = tile.reshape(-1).view(np.float32)[: tile.size].reshape(tile.shape)
-        np.matmul(self.input, self._plane[:, start:stop], out=scores)
-        top = ws.buffer(_SCREEN_TOP, (rows,), np.float32)
-        np.max(scores, axis=1, out=top)
-        return _proven(top, bound, self.error[index], ws)
+        np.matmul(source, self._plane[:, start:stop], out=scores)
+        return _left(scores.max(axis=1), bound, self.error[index], rows)
 
-    def query_boxes(self, ws) -> tuple:
-        """The box stage's per-call operands, built in the lane's arena
+    def query_boxes(self, ws, first: int, stop: int) -> tuple:
+        """The box stages' per-call operands, built in the lane's arena
         ``ws`` at its first box test: the query ``[max(c̃, 0) | min(c̃, 0)
-        | 1]`` with ``c̃ = aQ``, and per tile and row the bound ``E_box``
-        on how far a box bound may sit under a float64 score
-        (:func:`_box_error_terms`)."""
+        | 1]`` with ``c̃ = aQ``; per tile and row the bound ``E_box`` on
+        how far a box bound may sit under a float64 score
+        (:func:`_box_error_terms`); and per row the coarse bound of each
+        tile ``first`` to ``stop`` (indices), the largest of the tile's
+        coarse boxes' bounds — one GEMM for all of them."""
         screener, augmented = self._screener, self._augmented
         rows, k = len(augmented), screener.projection_dim
         rotated = ws.buffer(_BOX_ROTATED, (rows, k))
@@ -779,40 +842,53 @@ class TilePrescreen:
         error = ws.buffer(_BOX_ERROR, (len(self.error), rows))
         np.multiply.outer(slope, self.row_sums, out=error)
         error += offset[:, None]
-        return query, error
+        coarse = ws.buffer(_BOX_COARSE, (len(self.error), rows))
+        boxes = screener._tile_coarse[first * _COARSE_PER_TILE : stop * _COARSE_PER_TILE]
+        scores = ws.buffer(PHASE_SCRATCH, (len(boxes), rows))
+        with np.errstate(over="ignore", invalid="ignore"):  # unscreenable tiles' boxes
+            np.matmul(boxes, query.T, out=scores)
+        scores = scores.reshape(stop - first, _COARSE_PER_TILE, rows)
+        np.max(scores, axis=1, out=coarse[first:stop])
+        return query, error, coarse
 
-    def box_below(self, start: int, stop: int, bound, ws, boxes: tuple) -> Optional[bool]:
-        """:meth:`below`, proven from the tile's boxes instead: row by
-        row, the largest box bound — one GEMM of the lane's query and
-        the tile's boxes, a :data:`BOX_CATEGORIES`-th of its columns —
-        is at most ``bound − E_box`` rounded down.  ``boxes`` is what
-        :meth:`query_boxes` built in ``ws``; ``None`` where :meth:`below`
-        gives it."""
+    def coarse_left(self, start: int, bound, boxes: tuple) -> Optional[np.ndarray]:
+        """:meth:`float32_left` of every row, proven from the coarse
+        bounds :meth:`query_boxes` built (``boxes``) instead: a row is
+        proven when its coarse bound of the tile starting at ``start`` is
+        at most ``bound − E_box`` rounded down — one compare per row."""
         index = start // TILE_CATEGORIES
         if bound is None or not self.screenable[index]:
             return None
-        query, error = boxes
-        rows = len(query)
+        _, error, coarse = boxes
+        return _left(coarse[index], bound, error[index], None)
+
+    def box_left(self, start: int, stop: int, bound, ws, boxes: tuple, rows) -> np.ndarray:
+        """:meth:`float32_left` of the ``rows`` :meth:`coarse_left` left,
+        proven from the tile's boxes instead: a row is proven when its
+        largest box bound — one GEMM of the gathered query rows and the
+        tile's boxes, a :data:`BOX_CATEGORIES`-th of its columns — is at
+        most ``bound − E_box`` rounded down."""
+        query, error, _ = boxes
+        if len(rows) < len(query):
+            gathered = ws.buffer(_BOX_GATHERED, (len(rows), query.shape[1]))
+            query = np.take(query, rows, axis=0, out=gathered, mode="clip")
         tile = self._screener._tile_box[:, start // BOX_CATEGORIES : -(-stop // BOX_CATEGORIES)]
-        scores = ws.buffer(PHASE_SCRATCH, (rows, stop - start)).reshape(-1)
-        scores = scores[: rows * tile.shape[1]].reshape(rows, -1)
+        scores = ws.buffer(PHASE_SCRATCH, (len(query), tile.shape[1]))
         np.matmul(query, tile, out=scores)
-        top = ws.buffer(_BOX_TOP, (rows,))
-        np.max(scores, axis=1, out=top)
-        return _proven(top, bound, error[index], ws)
+        return _left(scores.max(axis=1), bound, error[start // TILE_CATEGORIES], rows)
 
 
-def _proven(top: np.ndarray, bound, error: np.ndarray, ws) -> bool:
-    """Whether every row's ``top`` is at most ``bound − error`` rounded
-    down (``nextafter`` toward −inf): then every float64 score the bounds
-    cover is at most ``bound``."""
-    rows = len(top)
-    limit = ws.buffer(_SCREEN_LIMIT, (rows,))
-    np.subtract(bound, error, out=limit)
+def _left(top: np.ndarray, bound, error: np.ndarray, rows) -> np.ndarray:
+    """The rows of ``rows`` (every row when ``None``) whose ``top`` is not
+    at most ``bound − error`` rounded down (``nextafter`` toward −inf):
+    every float64 score the bounds cover in any other row is at most
+    ``bound``.  ``bound`` (a scalar or one per row) and ``error`` are per
+    row of the call, ``top`` per row of ``rows``."""
+    limit = np.subtract(bound, error)
     np.nextafter(limit, -np.inf, out=limit)
-    below = ws.buffer(_SCREEN_BELOW, (rows,), bool)
-    np.less_equal(top, limit, out=below)
-    return bool(below.all())
+    if rows is None or len(rows) == len(limit):
+        return np.flatnonzero(~(top <= limit))  # a NaN is never proven
+    return rows[~(top <= limit[rows])]
 
 
 def draw_projection(

@@ -363,7 +363,8 @@ class ParallelShardedEngine:
         ``(k + 1) · shard_l · 12 + (2k + 1) · ⌈shard_l / 8⌉ · 8`` bytes
         per replica (8 for the float64 plane, 4 for the float32 one, and
         one float64 box row per axis extreme and the bias, per 8
-        categories; the integer screening plane, ROADMAP item 3, is what
+        categories), plus ``(2k + 1) · 64`` per 8,192 categories for the
+        coarse boxes (the integer screening plane, ROADMAP item 3, is what
         would let the planes be shared too).  Requests dispatch to the least-loaded live
         replica; a replica whose share of the shard's restart budget is
         spent fails its in-flight request over to a live sibling, and

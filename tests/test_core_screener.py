@@ -192,6 +192,7 @@ class TestPlaneBuiltTileByTile:
                 module._fused_weight_t.nbytes
                 + module._screen_plane_t.nbytes
                 + module._tile_box.nbytes
+                + module._tile_coarse.nbytes
             )
             assert peak < planes + lanes * 2.5 * tile, f"{lanes} lanes"
 

@@ -310,8 +310,8 @@ def test_a_failing_lane_is_raised_after_every_join(monkeypatch, parts, mode, fai
     bad_tile = runs[failing_lane][1]
     other = set(runs[1 - failing_lane]) - {0}
     score_tile = model.screener.score_tile
-    below = pipeline_module.TilePrescreen.below
-    box_below = pipeline_module.TilePrescreen.box_below
+    float32_left = pipeline_module.TilePrescreen.float32_left
+    coarse_left = pipeline_module.TilePrescreen.coarse_left
     other_started = threading.Event()
     finished = []
 
@@ -331,25 +331,26 @@ def test_a_failing_lane_is_raised_after_every_join(monkeypatch, parts, mode, fai
         finished.append(start // TILE_CATEGORIES)
         return result
 
-    def flaky_below(screen, start, stop, bound, ws):
+    def flaky_float32_left(screen, start, stop, bound, ws, rows=None):
         # A tile the float32 prescreen proves empty is never scored in
         # float64: the failure is injected wherever a tile is scored.
         scoring(start)
-        result = below(screen, start, stop, bound, ws)
+        result = float32_left(screen, start, stop, bound, ws, rows)
         finished.append(start // TILE_CATEGORIES)
         return result
 
-    def flaky_box_below(screen, start, stop, bound, ws, boxes):
-        # Nor is a tile its boxes prove empty scored in float32.
+    def flaky_coarse_left(screen, start, bound, boxes):
+        # Nor is a tile its boxes prove empty scored in float32: a
+        # box-tested tile meets its coarse bounds first.
         scoring(start)
-        result = box_below(screen, start, stop, bound, ws, boxes)
+        result = coarse_left(screen, start, bound, boxes)
         finished.append(start // TILE_CATEGORIES)
         return result
 
     threads_before = threading.active_count()
     monkeypatch.setattr(model.screener, "score_tile", flaky)
-    monkeypatch.setattr(pipeline_module.TilePrescreen, "below", flaky_below)
-    monkeypatch.setattr(pipeline_module.TilePrescreen, "box_below", flaky_box_below)
+    monkeypatch.setattr(pipeline_module.TilePrescreen, "float32_left", flaky_float32_left)
+    monkeypatch.setattr(pipeline_module.TilePrescreen, "coarse_left", flaky_coarse_left)
     for call in (
         lambda: model.forward_streaming(features),
         lambda: model.forward(features),
@@ -363,8 +364,8 @@ def test_a_failing_lane_is_raised_after_every_join(monkeypatch, parts, mode, fai
         assert other <= set(finished)
         assert threading.active_count() == threads_before
     monkeypatch.setattr(model.screener, "score_tile", score_tile)
-    monkeypatch.setattr(pipeline_module.TilePrescreen, "below", below)
-    monkeypatch.setattr(pipeline_module.TilePrescreen, "box_below", box_below)
+    monkeypatch.setattr(pipeline_module.TilePrescreen, "float32_left", float32_left)
+    monkeypatch.setattr(pipeline_module.TilePrescreen, "coarse_left", coarse_left)
     assert_same_answers(answers(model, features), expected)
     assert threading.active_count() == threads_before
 

@@ -23,7 +23,13 @@ from repro.core import pipeline as pipeline_module
 from repro.core.candidates import CandidateSelector
 from repro.core.classifier import FullClassifier
 from repro.core import screener as screener_module
-from repro.core.screener import BOX_CATEGORIES, TILE_CATEGORIES, ScreeningModule, TilePrescreen
+from repro.core.screener import (
+    BOX_CATEGORIES,
+    COARSE_CATEGORIES,
+    TILE_CATEGORIES,
+    ScreeningModule,
+    TilePrescreen,
+)
 from repro.data import make_task
 from repro.linalg.projection import SparseRandomProjection
 from repro.obs import NULL_RECORDER, Recorder
@@ -237,9 +243,9 @@ def test_an_entry_one_ulp_from_the_bound(monkeypatch, mode, lanes, call, side):
     screen = TilePrescreen(screener, screener.prepare_augmented(features), ws)
     screen.reserve(ws)
     last = screener.tile_bounds()[-1]
-    assert screen.below(*last, bound, ws) is False
+    assert list(screen.float32_left(*last, bound, ws)) == list(range(len(features)))
     screen.error[...] = 0.0
-    assert screen.below(*last, bound, ws) is True
+    assert len(screen.float32_left(*last, bound, ws)) == 0
 
     force_lanes(monkeypatch, lanes)
     dense = model.forward(features)
@@ -297,12 +303,15 @@ def test_no_tile_with_an_entry_above_its_bound_is_skipped(
         # One row with an entry just above its bound, the rest unbounded.
         bound = np.full(rows, np.inf)
         bound[row] = np.nextafter(best[row], -np.inf)
-        verdict = screen.below(start, stop, bound, ws)
-        assert verdict is not True
-        assert screen.below(start, stop, np.nextafter(best.max(), -np.inf), ws) is not True
+        left = screen.float32_left(start, stop, bound, ws)
+        assert left is None or row in left
+        top = np.nextafter(best.max(), -np.inf)
+        assert left is None or len(screen.float32_left(start, stop, top, ws)) > 0
         index = start // TILE_CATEGORIES
-        if verdict is None:
+        if left is None:
             continue
+        # Run on that row alone (gathered), the stage still leaves it.
+        assert list(screen.float32_left(start, stop, bound, ws, np.array([row]))) == [row]
         # Screened: the float32 scores sit within E of the float64 ones,
         # and E is a rounding error, not a vacuous bound.
         approx = np.matmul(screen.input, screener._screen_plane_t[:, start:stop])
@@ -476,20 +485,24 @@ def test_no_tile_with_an_entry_above_its_bound_is_box_skipped(
     ws = Workspace()
     screen = TilePrescreen(screener, augmented, ws)
     screen.reserve(ws)
-    boxes = screen.query_boxes(ws)
-    query, error = boxes
+    boxes = screen.query_boxes(ws, 0, len(screener.tile_bounds()))
+    query, error, _ = boxes
     row = row % rows
+    every = np.arange(rows)
     for start, stop in screener.tile_bounds():
         exact = screener.score_tile(augmented, start, stop, out=np.empty((rows, stop - start)))
         best = exact.max(axis=1)
         bound = np.full(rows, np.inf)
         bound[row] = np.nextafter(best[row], -np.inf)
-        verdict = screen.box_below(start, stop, bound, ws, boxes)
-        assert verdict is not True
-        assert screen.box_below(start, stop, np.nextafter(best.max(), -np.inf), ws, boxes) is not True
-        index = start // TILE_CATEGORIES
-        if verdict is None:
+        left = screen.coarse_left(start, bound, boxes)
+        assert left is None or row in left
+        if left is None:
             continue
+        assert row in screen.box_left(start, stop, bound, ws, boxes, every)
+        assert list(screen.box_left(start, stop, bound, ws, boxes, np.array([row]))) == [row]
+        top = np.nextafter(best.max(), -np.inf)
+        assert len(screen.box_left(start, stop, top, ws, boxes, every)) > 0
+        index = start // TILE_CATEGORIES
         # Boxed: each column's box bound, plus E_box, is at least its
         # float64 score, and E_box is a rounding error, not a vacuous bound.
         chunks = screener._tile_box[:, start // BOX_CATEGORIES : -(-stop // BOX_CATEGORIES)]
@@ -517,3 +530,259 @@ def test_axes_that_cannot_bound_leave_the_float32_stage(zipf):
     streamed, skipped, _, tested = box_counts(model, lambda: model.forward_streaming(features))
     assert skipped > 0 and tested == 0
     assert_streamed_is_dense(streamed, model.forward(features))
+
+
+# ----------------------------------------------------------------------
+# rows, not tiles: each stage runs on the rows the one before it left
+# ----------------------------------------------------------------------
+#: The adversarial row: not row 0, so a stage that took its operands from
+#: rows ``0…n−1`` instead of the rows it was given tests the wrong row.
+ROW = 2
+#: The chunk of the last tile that holds the float32 stage's adversary.
+FLOAT32_CHUNK = 5
+
+
+def row_counts(model, call) -> tuple:
+    """``(result, rows compared against coarse bounds, rows box-tested,
+    rows scored in float32)`` of one call."""
+    recorder = Recorder()
+    model.set_recorder(recorder)
+    try:
+        result = call()
+    finally:
+        model.set_recorder(NULL_RECORDER)
+    counters = recorder.snapshot()["counters"]
+    return (result,) + tuple(
+        counters.get(f"pipeline.{name}", 0)
+        for name in ("rows_coarse_tested", "rows_box_tested", "rows_float32_scored")
+    )
+
+
+def row_adversarial_model(monkeypatch, mode, call, side, axes, stage):
+    """A model whose last tile holds entries only row :data:`ROW` scores
+    near the bound tile 0 leaves: one float64 ulp above it (``side =
+    +1``) or below (``-1``), through weights along the dual of that row's
+    input, so every other row scores them 1 under the bound.
+
+    ``stage = "coarse"``: every column of the last tile is that entry, so
+    its coarse box is a single point — the other rows are proven by their
+    coarse bounds, and row ``ROW``'s sits within ``E_box`` of its score
+    (with ``axes = "perturbed"``, ``2**-29`` under it).  ``stage =
+    "float32"``: only chunk :data:`FLOAT32_CHUNK` is, beside the random
+    columns — the coarse box is loose, the boxes prove every row but
+    ``ROW``, and its float32 score rounds to a float32 value at most the
+    bound, so only ``E`` keeps it."""
+    if axes == "perturbed":
+        monkeypatch.setattr(screener_module, "_principal_axes", perturbed_axes)
+    selector = adversarial_selector(mode)
+    bound = tile_0_bound(selector, call)
+    projection, weight, bias, classifier, features = adversarial_parts()
+    screener = ScreeningModule(projection, weight, bias, quantization_bits=None)
+    augmented = screener.prepare_augmented(features)
+    last = ADVERSARIAL_L - ADVERSARIAL_L % TILE_CATEGORIES
+    if stage == "coarse":
+        columns = np.arange(last, ADVERSARIAL_L)
+    else:
+        columns = last + BOX_CATEGORIES * FLOAT32_CHUNK + np.arange(BOX_CATEGORIES)
+    weight[columns] = np.linalg.inv(augmented[:, :-1]).T[ROW]
+    bias[columns] = bound - 1.0
+    screener = ScreeningModule(projection, weight, bias, quantization_bits=None)
+    # The float64 score rises with the bias: bisect for the bias whose
+    # score is the target, in the fused plane the GEMM reads.
+    target = np.nextafter(bound, side * np.inf)
+    plane = screener._fused_weight_t
+    low, high = bound - 2.0, bound
+    for _ in range(200):
+        middle = (low + high) / 2
+        plane[-1, columns] = middle
+        scores = screener.score_tile(augmented, last, ADVERSARIAL_L, out=np.empty((4, 100)))
+        value = scores[ROW, columns[0] - last]
+        if value == target:
+            break
+        low, high = (middle, high) if value < target else (low, middle)
+    assert value == target
+    bias[columns] = middle
+    model = ApproximateScreeningClassifier(
+        classifier, ScreeningModule(projection, weight, bias, quantization_bits=None), selector
+    )
+    return model, features, columns, bound
+
+
+def assert_only_the_row_keeps_its_entries(model, features, columns, bound, side, call):
+    """The outputs are dense ``forward``'s and the oracle's; returns the
+    rows each stage tested."""
+    dense = model.forward(features)
+    entries = dense.approximate_logits[:, columns]
+    assert np.all(entries[ROW] - bound == side * np.spacing(bound))
+    assert np.all(np.delete(entries, ROW, axis=0) < bound - 0.5)
+    if call == "forward_streaming":
+        streamed, coarse, box, float32 = row_counts(
+            model, lambda: model.forward_streaming(features)
+        )
+        assert_streamed_is_dense(streamed, dense)
+        kept = [bool(np.isin(columns, row).any()) for row in streamed.candidates.indices]
+        assert kept == [side > 0 and row == ROW for row in range(len(features))]
+    else:
+        (indices, scores), coarse, box, float32 = row_counts(
+            model, lambda: model.top_k(features, K)
+        )
+        want = rank_dense(dense.logits, K)
+        assert np.array_equal(indices, want[0])
+        assert np.array_equal(scores, want[1])
+    assert_dense_is_the_oracle(model, features, dense)
+    # The last tile follows a skipped one in its lane: its coarse bounds
+    # are compared.
+    assert coarse > 0
+    return coarse, box, float32
+
+
+@pytest.mark.parametrize("axes", ("principal", "perturbed"))
+@pytest.mark.parametrize("side", (1, -1), ids=("ulp_above", "ulp_below"))
+@pytest.mark.parametrize("call", ("forward_streaming", "top_k"))
+@pytest.mark.parametrize("lanes", LANES)
+@pytest.mark.parametrize("mode", SELECTORS)
+def test_one_row_one_ulp_from_the_bound_the_rest_proven_coarse(
+    monkeypatch, mode, lanes, call, side, axes
+):
+    model, features, columns, bound = row_adversarial_model(
+        monkeypatch, mode, call, side, axes, "coarse"
+    )
+    screener = model.screener
+    ws = Workspace()
+    screen = TilePrescreen(screener, screener.prepare_augmented(features), ws)
+    screen.reserve(ws)
+    tiles = screener.tile_bounds()
+    boxes = screen.query_boxes(ws, 0, len(tiles))
+    last = tiles[-1]
+    # The other rows are proven by their coarse bounds alone, and the row
+    # is left by every stage, each run on it alone.
+    assert list(screen.coarse_left(last[0], bound, boxes)) == [ROW]
+    assert list(screen.box_left(*last, bound, ws, boxes, np.array([ROW]))) == [ROW]
+    assert list(screen.float32_left(*last, bound, ws, np.array([ROW]))) == [ROW]
+
+    force_lanes(monkeypatch, lanes)
+    _, box, _ = assert_only_the_row_keeps_its_entries(
+        model, features, columns, bound, side, call
+    )
+    # Past the first skip every middle tile is proven coarse for every
+    # row: the row is the only one any box is tested on.
+    assert box == 1
+
+
+@pytest.mark.parametrize("side", (1, -1), ids=("ulp_above", "ulp_below"))
+@pytest.mark.parametrize("call", ("forward_streaming", "top_k"))
+@pytest.mark.parametrize("lanes", LANES)
+@pytest.mark.parametrize("mode", SELECTORS)
+def test_one_row_left_to_the_float32_stage_one_ulp_from_the_bound(
+    monkeypatch, mode, lanes, call, side
+):
+    model, features, columns, bound = row_adversarial_model(
+        monkeypatch, mode, call, side, "principal", "float32"
+    )
+    screener = model.screener
+    ws = Workspace()
+    screen = TilePrescreen(screener, screener.prepare_augmented(features), ws)
+    screen.reserve(ws)
+    tiles = screener.tile_bounds()
+    boxes = screen.query_boxes(ws, 0, len(tiles))
+    last = tiles[-1]
+    coarse = screen.coarse_left(last[0], bound, boxes)
+    assert ROW in coarse
+    assert list(screen.box_left(*last, bound, ws, boxes, coarse)) == [ROW]
+    assert list(screen.float32_left(*last, bound, ws, np.array([ROW]))) == [ROW]
+    # Float32 rounding alone puts the row's entries at or under the
+    # bound: with E = 0 the stage would prove it, and the tile be skipped.
+    screen.error[...] = 0.0
+    assert len(screen.float32_left(*last, bound, ws, np.array([ROW]))) == 0
+
+    force_lanes(monkeypatch, lanes)
+    _, box, float32 = assert_only_the_row_keeps_its_entries(
+        model, features, columns, bound, side, call
+    )
+    assert box >= len(coarse)
+    assert float32 >= 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    rows=st.integers(1, 4),
+    k=st.integers(1, 6),
+    l=st.integers(1, 3 * COARSE_CATEGORIES),
+    head=st.booleans(),
+    magnitudes=st.tuples(*(st.integers(-30, 30) for _ in range(3))),
+    bits=st.sampled_from([None, 4]),
+    zero_bias=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_coarse_bounds_cover_their_boxes_and_columns(
+    rows, k, l, head, magnitudes, bits, zero_bias, seed
+):
+    rng = np.random.default_rng(seed)
+    weight_scale, bias_scale, input_scale = (10.0**power for power in magnitudes)
+    count = TILE_CATEGORIES + l if head else l
+    spread = 10.0 ** -np.arange(k)
+    weight = (
+        rng.standard_normal((count, k)) * spread * weight_scale
+        * 10.0 ** rng.uniform(-3, 3, (count, 1))
+    )
+    bias = np.zeros(count) if zero_bias else rng.standard_normal(count) * bias_scale
+    augmented = np.ones((rows, k + 1))
+    augmented[:, :-1] = rng.standard_normal((rows, k)) * input_scale
+    projection = SparseRandomProjection(input_dim=8, output_dim=k, rng=0)
+    screener = ScreeningModule(projection, weight, bias, quantization_bits=bits)
+    assert screener._tile_box is not None
+    ws = Workspace()
+    screen = TilePrescreen(screener, augmented, ws)
+    screen.reserve(ws)
+    tiles = screener.tile_bounds()
+    query, error, coarse_top = screen.query_boxes(ws, 0, len(tiles))
+    boxes, coarse = screener._tile_box, screener._tile_coarse
+    per_coarse = COARSE_CATEGORIES // BOX_CATEGORIES
+    per_tile = TILE_CATEGORIES // COARSE_CATEGORIES
+    for index, (start, stop) in enumerate(tiles):
+        first, end = start // BOX_CATEGORIES, -(-stop // BOX_CATEGORIES)
+        used = -(-(stop - start) // COARSE_CATEGORIES)
+        for j in range(per_tile):
+            # Each coarse box is its boxes' extremes, exactly; a last
+            # tile's spare coarse boxes repeat its last one.
+            low = first + min(j, used - 1) * per_coarse
+            chunk = boxes[:, low : min(low + per_coarse, end)]
+            box = coarse[index * per_tile + j]
+            assert np.array_equal(box[:k], chunk[:k].max(axis=1))
+            assert np.array_equal(box[k:-1], chunk[k:-1].min(axis=1))
+            assert box[-1] == chunk[-1].max()
+            # So every coarse bound is at least each box bound inside it,
+            # summed term by term in the same order.
+            spread_out = np.repeat(box[:, None], chunk.shape[1], axis=1)
+            coarse_bound = (query[:, :, None] * spread_out[None]).sum(axis=1)
+            box_bound = (query[:, :, None] * chunk[None]).sum(axis=1)
+            assert np.all(coarse_bound >= box_bound)
+        if not screen.screenable[index]:
+            continue
+        # Every column sits under its tile's coarse bound plus E_box.
+        exact = screener.score_tile(augmented, start, stop, out=np.empty((rows, stop - start)))
+        assert np.all(exact.max(axis=1) <= coarse_top[index] + error[index])
+        bound = np.nextafter(exact.max(axis=1), -np.inf)
+        assert list(screen.coarse_left(start, bound, boxes=(query, error, coarse_top))) == list(
+            range(rows)
+        )
+
+
+@pytest.mark.parametrize("lanes", (1, 2))
+def test_warm_calls_allocate_nothing_whichever_rows_a_stage_leaves(monkeypatch, lanes):
+    """One arena, two batches: on one the coarse stage leaves a single
+    row, on the other every row.  Warmed on the second, which gathers
+    nothing, the first allocates nothing either: a lane's scratch is
+    sized at the call's full row count."""
+    model, features, _, _ = row_adversarial_model(
+        monkeypatch, "top_m", "forward_streaming", -1, "principal", "coarse"
+    )
+    every = features[[ROW] * len(features)]
+    force_lanes(monkeypatch, lanes)
+    model.forward_streaming(every)
+    settled = model.workspace.allocations
+    tested = {}
+    for batch, name in ((features, "one"), (every, "every"), (features, "one"), (every, "every")):
+        _, _, tested[name], _ = row_counts(model, lambda: model.forward_streaming(batch))
+    assert tested == {"one": 1, "every": len(features)}
+    assert model.workspace.allocations == settled
