@@ -21,8 +21,9 @@ lines say where.  The last two lines count the canonical tiles of one call,
 how many of them a prescreen stage tested and skipped, and how many of
 those the box stages skipped before any float32 score, then the rows each
 prescreen stage ran on — compared against a coarse bound, tested against
-the tile's boxes, scored in float32 (read from a ``Recorder`` on one more
-call, after the peaks).  The benchmark's ``call_peak_mb`` is the whole-call line at
+the tile's boxes, scored in float32 — and the rows the float64 tile GEMMs
+scored, tile 0's included (read from a ``Recorder`` on one more call,
+after the peaks).  The benchmark's ``call_peak_mb`` is the whole-call line at
 its own sizes; put another tree's ``src`` on ``PYTHONPATH`` to read that
 tree.
 """
@@ -111,7 +112,10 @@ def measure(model, batch, repeats: int) -> dict:
         box_skipped=int(counters.get("pipeline.tiles_box_skipped", 0)),
         stage_rows=[
             int(counters.get(f"pipeline.{name}", 0))
-            for name in ("rows_coarse_tested", "rows_box_tested", "rows_float32_scored")
+            for name in (
+                "rows_coarse_tested", "rows_box_tested", "rows_float32_scored",
+                "rows_float64_scored",
+            )
         ],
         warm_calls=calls,
         steady_allocations=ws.allocations - allocations,
@@ -142,10 +146,10 @@ def report(args, result: dict) -> str:
         f"{result['skipped']} skipped ({result['box_skipped']} by their boxes, "
         f"{result['skipped'] - result['box_skipped']} by their float32 scores)"
     )
-    coarse, box, float32 = result["stage_rows"]
+    coarse, box, float32, float64 = result["stage_rows"]
     lines.append(
         f"rows per call: {coarse} compared against coarse bounds, {box} box-tested, "
-        f"{float32} scored in float32"
+        f"{float32} scored in float32, {float64} scored in float64"
     )
     return "\n".join(lines)
 

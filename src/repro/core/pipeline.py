@@ -33,11 +33,12 @@ Same GEMM calls, same reducer, same exact-phase kernel, so their
 records are identical bits.  Which call allocates what:
 ``forward`` and ``predict_proba`` (which normalizes the plane by
 definition) the plane, everything else only the few entries it returns.
-The two calls without a plane may leave a tile out: scored first in
-float32 (:class:`~repro.core.screener.TilePrescreen`), a tile proven to
-hold nothing above the reducer's bound is neither scored in float64
-nor folded — it would have recorded nothing, so the bits are the
-plane's.
+The two calls without a plane may leave rows of a tile out: bounded
+first by cheaper stages (:class:`~repro.core.screener.TilePrescreen`),
+a row proven to hold nothing above the reducer's bound in that tile is
+neither scored in float64 nor folded, and a tile with no row left is
+skipped — those rows would have recorded nothing, and every other row
+gets the batch GEMM's bits, so the bits are the plane's.
 
 Lanes: ENMC is a rank-level design — every rank screens its own slice
 of the category space and the host only merges index buffers.  A call
@@ -80,8 +81,10 @@ from repro.utils.validation import check_batch_features, check_positive
 
 #: The tile loop's per-call counters, in the order a lane tallies them:
 #: tiles a prescreen stage tested, tiles skipped, tiles skipped before
-#: any float32 score, and the rows each prescreen stage tested — compared
-#: against a coarse bound, against the tile's boxes, scored in float32.
+#: any float32 score, the rows each prescreen stage tested — compared
+#: against a coarse bound, against the tile's boxes, scored in float32 —
+#: and the rows the float64 tile GEMMs scored (tile 0's included, a lone
+#: row's partner not).
 _TALLIES = tuple(
     f"pipeline.{name}"
     for name in (
@@ -91,8 +94,27 @@ _TALLIES = tuple(
         "rows_coarse_tested",
         "rows_box_tested",
         "rows_float32_scored",
+        "rows_float64_scored",
     )
 )
+
+#: Workspace key of the rows of the augmented input a partly proven
+#: tile's float64 GEMM runs on.
+_GATHERED = ("fold", "gathered")
+
+
+def _gather_rows(ws: Workspace, augmented: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """``augmented[rows]`` in ``ws`` scratch, the left operand of a partly
+    proven tile's float64 GEMM.  A lone row is scored beside another row
+    of the call: a 1-row ``np.matmul`` takes BLAS's gemv path, whose bits
+    differ from that row's in the batch GEMM, and a GEMM of two or more
+    rows gives each row the batch's bits
+    (``tests/test_core_screener.py`` guards it)."""
+    gathered = ws.buffer(_GATHERED, (max(len(rows), 2), augmented.shape[1]))
+    np.take(augmented, rows, axis=0, out=gathered[: len(rows)], mode="clip")
+    if len(rows) == 1:
+        gathered[1] = augmented[(rows[0] + 1) % len(augmented)]
+    return gathered
 
 
 class StreamedOutput:
@@ -590,29 +612,35 @@ class ApproximateScreeningClassifier:
         scratch (or its slice of ``plane``) and fold it into ``reducer``;
         returns the counts :data:`_TALLIES` names.
 
-        With a ``screen`` (the streaming path), a tile that follows one
-        that recorded nothing — or starts the run — is prescreened: when
-        every row's scores are proven at most the reducer's bound, each
-        row's by one stage or another, the tile would record nothing, so
-        neither the float64 GEMM nor the update runs (the lane rule).
+        With a ``screen`` (the streaming path), a tile that starts the
+        run, follows one that recorded nothing or follows one whose
+        prescreen proved a row is prescreened (the lane rule): a row
+        whose scores are proven at most the reducer's bound, by one
+        stage or another, would record nothing, so the float64 GEMM and
+        the update run on only the rows left — gathered from
+        ``augmented`` into ``ws`` scratch — and on none when no row is.
         Once the lane has skipped a tile, each tile's coarse bounds are
         compared first, its boxes tested on the rows they leave and its
         float32 scores on the rows those leave; before, its float32
         scores on every row.  A lane that never skips never builds a box
-        query."""
+        query, and one whose prescreen never proves a row scores every
+        row of every tile it does not skip."""
         recorder = self.recorder
         rows = len(augmented)
-        prescreened = skipped = box_skipped = recorded = 0
-        coarse_rows = box_rows = float32_rows = 0
+        prescreened = skipped = box_skipped = 0
+        coarse_rows = box_rows = float32_rows = float64_rows = 0
         boxes = None
-        if screen is not None:
+        screening = screen is not None
+        if screening:
             # A lane may skip every tile of one call and fold some of
             # the next: the scratch a tile takes is sized up front.
             screen.reserve(ws)
             reducer.reserve(min(TILE_CATEGORIES, self.num_categories, block))
+            ws.buffer(_GATHERED, augmented.shape)
         for t0, t1 in tiles:
-            if screen is not None and not recorded:
-                bound, left = reducer.bound, None
+            left = None
+            if screening:
+                bound = reducer.bound
                 if skipped and screen.boxed:
                     with recorder.span("streaming.box_tile"):
                         if boxes is None:
@@ -634,12 +662,17 @@ class ApproximateScreeningClassifier:
                 if left is not None and not len(left):
                     skipped += 1
                     continue
+                if left is not None and len(left) == rows:
+                    left = None
+            scored = rows if left is None else len(left)
             with recorder.span("streaming.screen_tile"):
+                source = augmented if left is None else _gather_rows(ws, augmented, left)
                 if plane is None:
-                    out = ws.buffer(PHASE_SCRATCH, (rows, t1 - t0))
+                    out = ws.buffer(PHASE_SCRATCH, (len(source), t1 - t0))
                 else:
                     out = plane[:, t0:t1]
-                tile = self.screener.score_tile(augmented, t0, t1, out=out)
+                tile = self.screener.score_tile(source, t0, t1, out=out)[:scored]
+            float64_rows += scored
             # Selection updates at block_categories granularity; block
             # boundaries are absolute, so a tile may span several
             # blocks and vice versa.
@@ -648,9 +681,12 @@ class ApproximateScreeningClassifier:
                 start = t0
                 while start < t1:
                     stop = min(t1, (start // block + 1) * block)
-                    recorded += reducer.update(start, tile[:, start - t0 : stop - t0])
+                    recorded += reducer.update(start, tile[:, start - t0 : stop - t0], left)
                     start = stop
-        return prescreened, skipped, box_skipped, coarse_rows, box_rows, float32_rows
+            screening = screen is not None and (not recorded or left is not None)
+        return (
+            prescreened, skipped, box_skipped, coarse_rows, box_rows, float32_rows, float64_rows
+        )
 
     def _fold_in_lanes(
         self, reducer, ws: Workspace, tiles, lanes: int, augmented, block, plane, screen

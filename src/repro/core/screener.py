@@ -44,13 +44,14 @@ each tile's largest weight and bias magnitudes; a call sums ``|a_j|``
 per row, and ``P`` and ``Q`` follow — one multiply-add per row and
 tile.  A call whose magnitudes could overflow float32 (any operand past
 ``2**100``, or a sum past ``2**125``) screens no such tile.  Which tiles
-are prescreened is the loop's lane rule: a tile after one that recorded
-nothing, or the first of a lane's run, never tile 0 — on a
-frequency-ordered label space, every tile past the head.  A left-out
-tile changes no reducer state (no hit, no queue entry, no cut), so
-every output bit, every lane count and every fork are the full loop's
-by construction; dense ``forward``, which keeps the score plane, never
-leaves a tile out.
+are prescreened is the loop's lane rule: the first of a lane's run, a
+tile after one that recorded nothing, and a tile after one whose
+prescreen proved a row, never tile 0 — on a frequency-ordered label
+space, every tile past the head.  A left-out row leaves the reducer's
+record unchanged (:meth:`~repro.linalg.topk.BlockwiseThreshold.update`),
+so every output bit, every lane count and every fork are the full
+loop's by construction; dense ``forward``, which keeps the score plane,
+never leaves a row out.
 
 The box stages, ahead of the float32 one: set-up takes the principal
 axes ``Q`` of the head tile's weights (``eigh`` of their ``k × k``
@@ -77,7 +78,8 @@ The stages prove rows, not tiles: each returns the rows it could not
 prove, and the next runs on only those — the coarse bounds (scored for
 all of a lane's tiles in one GEMM at its first box test, then one
 compare per row and tile), the tile's boxes, then its float32 scores —
-and a tile is left out once every row is proven by some stage.  A lane
+a tile is left out once every row is proven by some stage, and the
+float64 GEMM and the fold run on only the rows none proved.  A lane
 tests boxes only once it has skipped a tile in the call, and before
 that a tile's float32 scores on every row; a lane that never skips (a
 flat-prior shard) never builds a box query.

@@ -221,57 +221,83 @@ class BlockwiseThreshold:
         """What an entry must exceed to be recorded: the threshold, or
         with runner-ups each row's floor as a ``(batch,)`` view — ``None``
         until the floor is set, when any block records its top entries.
-        A block with nothing above its bound changes no state here (no
-        hit, no queue entry, no cut), so a caller that knows as much may
-        leave it out."""
+        A row of a block with nothing above its bound leaves the record
+        unchanged, so a caller that knows as much may leave that row out
+        of :meth:`update`, or the whole block when every row is such."""
         if not self._runner_ups:
             return self.threshold
         return None if self._floor is None else self._floor[:, 0]
 
-    def update(self, start: int, block: np.ndarray) -> int:
+    def update(self, start: int, block: np.ndarray, rows=None) -> int:
         """Fold the columns ``block`` (from ``start``) into the record;
-        returns how many entries it recorded (hits and queued runner-ups)."""
+        returns how many entries it recorded (hits and queued runner-ups).
+
+        ``block`` holds the ascending ``rows`` of the batch (every row
+        when ``None``); a caller leaves out only rows with nothing above
+        their :attr:`bound`, and the final record is the one every row
+        would have left.  Every entry of such a row is at most its bound,
+        so the strict ``>`` filter records none of them.  The dense path
+        below would queue some of them, but each loses to the ``k``
+        entries the row's floor was taken from — on score, or at an equal
+        score on index, as those sit in earlier columns — so a later cut
+        drops it.  Leaving rows out may move a cut to another time, never
+        what it keeps: the record is independent of how blocks are
+        partitioned."""
         if block.shape[1] == 0:
             return 0
         k = self._runner_ups
         recorded = self._hits.count + self._queue.count
-        if self._floor is None or not self._pass_floor(start, block):
-            rows, cols, values = _survivors(self._ws, block, self.threshold)
-            if k:
-                # ``k`` more than the most hits any row has is enough of
-                # the block's top to hold each row's best ``k`` rejected
-                # entries (every column, when the block is short).
-                most = int(np.bincount(rows, minlength=self.batch).max())
-                picked = stable_top_m_indices(block, k + most, self._ws)
-                scores = np.take_along_axis(block, picked, axis=1)
-                rejected = scores <= self.threshold
-                self._queue.append(
-                    np.nonzero(rejected)[0], start + picked[rejected], scores[rejected]
-                )
-                self._held += np.count_nonzero(rejected, axis=1)
-            self._hits.append(rows, start + cols, values)
+        if self._floor is None or not self._pass_floor(start, block, rows):
+            self._record_dense(start, block, rows)
         recorded = self._hits.count + self._queue.count - recorded
         if k and (self._floor is None or self._held.max() > 2 * k):
             self._tighten()
         return recorded
 
-    def _pass_floor(self, start: int, block: np.ndarray) -> bool:
+    def _record_dense(self, start: int, block: np.ndarray, rows) -> None:
+        """Record every hit of ``block`` and, with runner-ups, its top
+        entries under the threshold (the first block's path, and a block
+        too dense to queue); its temporaries are gone before a cut."""
+        found, cols, values = _survivors(self._ws, block, self.threshold)
+        k = self._runner_ups
+        if k:
+            # ``k`` more than the most hits any row has is enough of the
+            # block's top to hold each row's best ``k`` rejected entries
+            # (every column, when the block is short).
+            most = int(np.bincount(found, minlength=len(block)).max())
+            picked = stable_top_m_indices(block, k + most, self._ws)
+            scores = np.take_along_axis(block, picked, axis=1)
+            rejected = scores <= self.threshold
+            queued = np.nonzero(rejected)[0]
+            held = np.count_nonzero(rejected, axis=1)
+            if rows is None:
+                self._held += held
+            else:
+                queued = rows[queued]
+                self._held[rows] += held
+            self._queue.append(queued, start + picked[rejected], scores[rejected])
+        self._hits.append(found if rows is None else rows[found], start + cols, values)
+
+    def _pass_floor(self, start: int, block: np.ndarray, rows) -> bool:
         """Record what ``block > floor`` passes: hits, and contenders in
         the queue.  ``False``, recording nothing, when the block is too
         dense to queue."""
-        passed = _survivors(self._ws, block, self._floor, dense=block.size // 8)
+        floor = self._floor if rows is None else self._floor[rows]
+        passed = _survivors(self._ws, block, floor, dense=block.size // 8)
         if passed is None:
             return False
-        rows, cols, values = passed
-        if rows.size:
+        found, cols, values = passed
+        if found.size:
+            if rows is not None:
+                found = rows[found]
             miss = values <= self.threshold
-            held = self._held + np.bincount(rows[miss], minlength=self.batch)
+            held = self._held + np.bincount(found[miss], minlength=self.batch)
             if held.max() > 4 * self._runner_ups:
                 return False
             self._held = held
-            self._queue.append(rows[miss], start + cols[miss], values[miss])
+            self._queue.append(found[miss], start + cols[miss], values[miss])
             hit = ~miss
-            self._hits.append(rows[hit], start + cols[hit], values[hit])
+            self._hits.append(found[hit], start + cols[hit], values[hit])
         return True
 
     def _tighten(self) -> None:

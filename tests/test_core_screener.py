@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from blas_kernels import openblas_config
 
 from repro.core import screener as screener_module
 from repro.core.screener import (
@@ -262,6 +263,35 @@ class TestScoresInLanes:
             module.approximate_logits(features)
         assert sorted(finished) == [t for t, lane in lane_of.items() if lane != failing_lane]
         assert threading.active_count() == threads_before
+
+
+class TestScoresOnGatheredRows:
+    """The streaming loop scores a partly proven tile on only the rows
+    its prescreen left, gathered, and a lone row beside a second one:
+    each row must get the batch GEMM's bits.  That holds for OpenBLAS's
+    GEMM kernels, not for its 1-row gemv path, so it is a property of
+    the kernels picked at run time, named when it fails."""
+
+    def test_every_subset_of_two_rows_or_more_scores_the_batch_bits(self):
+        rows, k = 24, 16
+        l = 2 * TILE_CATEGORIES + 300  # the short last tile too
+        rng = np.random.default_rng(4)
+        module = ScreeningModule(
+            SparseRandomProjection(64, k, rng=0),
+            rng.standard_normal((l, k)),
+            rng.standard_normal(l),
+        )
+        augmented = module.prepare_augmented(rng.standard_normal((rows, 64)))
+        for start, stop in module.tile_bounds():
+            batch = module.score_tile(augmented, start, stop, out=np.empty((rows, stop - start)))
+            for size in range(2, rows):
+                subset = np.sort(rng.choice(rows, size, replace=False))
+                out = np.empty((size, stop - start))
+                gathered = module.score_tile(augmented[subset], start, stop, out=out)
+                assert np.array_equal(gathered, batch[subset]), (
+                    f"rows {subset} of tile [{start}, {stop}) differ from the batch "
+                    f"GEMM's under {openblas_config()}"
+                )
 
 
 class TestComputeDtype:

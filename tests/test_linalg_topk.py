@@ -411,6 +411,70 @@ class TestReducerProperties:
         assert np.array_equal(values, scores[np.repeat(np.arange(batch), counts), cols])
 
 
+def run_on_row_subsets(reducer, scores, cuts, draw_rows):
+    """Fold each block on a subset of its rows: every row with an entry
+    above the reducer's bound when the block comes, plus any rows
+    ``draw_rows(batch)`` adds — every row while there is no bound.  A
+    block with no row left is not folded, as the streaming loop skips a
+    tile its prescreen proves empty."""
+    batch = scores.shape[0]
+    start = 0
+    for stop in cuts + [scores.shape[1]]:
+        block = scores[:, start:stop]
+        bound = reducer.bound
+        if bound is None:
+            rows = np.arange(batch)
+        else:
+            above = (block > np.reshape(bound, (-1, 1))).any(axis=1)
+            rows = np.union1d(np.flatnonzero(above), draw_rows(batch))
+        if len(rows) == batch:
+            reducer.update(start, block)
+        elif len(rows):
+            reducer.update(start, np.ascontiguousarray(block[rows]), rows)
+        start = stop
+    return reducer.finalize()
+
+
+class TestRowSubsets:
+    """A block folded on only some of its rows — the rest have nothing
+    above their bound — leaves the record every row would have left."""
+
+    @given(
+        tied_planes(),
+        st.sampled_from(("threshold", "top_m")),
+        st.sampled_from((0.0, 1.0, -np.inf)),
+        st.integers(1, 6),
+        st.booleans(),
+        st.data(),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_the_record_is_the_all_rows_fold(self, plane, mode, threshold, m, ranked, data):
+        scores, cuts = plane
+        batch, n = scores.shape
+        k = m if ranked else 0  # runner-ups at 0 and at k, as top_k asks
+        selector = CandidateSelector(mode, num_candidates=m, threshold=threshold)
+
+        def reducer():
+            return selector.make_block_reducer(batch, n, dtype=scores.dtype, runner_ups=k)
+
+        def draw_rows(batch):
+            return np.array(sorted(data.draw(st.sets(st.integers(0, batch - 1)))), dtype=np.intp)
+
+        counts, cols, values = run_on_row_subsets(reducer(), scores, cuts, draw_rows)
+        every = run_blocked(reducer(), scores, cuts)
+        assert np.array_equal(counts, every[0])
+        assert np.array_equal(cols, every[1])
+        assert np.array_equal(values, every[2])
+        if mode == "top_m":
+            expected = dense_hits_and_runner_ups(scores, np.inf, min(m + k, n))
+        else:
+            expected = dense_hits_and_runner_ups(scores, threshold, k)
+        assert np.array_equal(counts, [row.size for row in expected])
+        assert np.array_equal(cols, np.concatenate(expected))
+        assert values.dtype == scores.dtype
+        assert np.array_equal(values, scores[np.repeat(np.arange(batch), counts), cols])
+
+
 class TestReducerWorstCase:
     """Adversarial column order and allocation ceilings.  No wall-clock
     asserts: the cost model is pinned through what an update allocates."""

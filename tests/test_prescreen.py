@@ -703,6 +703,65 @@ def test_one_row_left_to_the_float32_stage_one_ulp_from_the_bound(
     assert float32 >= 1
 
 
+#: Columns per late tile holding row :data:`ROW`'s entries above the bound.
+LONE_COLUMNS = 50
+
+
+def lone_row_model(mode, call):
+    """A model whose last two tiles each hold :data:`LONE_COLUMNS`
+    columns that row :data:`ROW` scores 0.1 to 0.9 above the bound tile
+    0 leaves, through multiples of the dual of its input and no bias, and
+    every other row about 0.  Both tiles are prescreened — the first
+    after a skipped tile or at the start of its lane's run, the second
+    after a tile whose prescreen proved rows — and each leaves
+    :data:`ROW` alone, though the first records.  No bias dominates the
+    sum, so a 1-row GEMM's summation order shows in the scores' bits."""
+    selector = adversarial_selector(mode)
+    bound = tile_0_bound(selector, call)
+    projection, weight, bias, classifier, features = adversarial_parts()
+    screener = ScreeningModule(projection, weight, bias, quantization_bits=None)
+    dual = np.linalg.inv(screener.prepare_augmented(features)[:, :-1]).T[ROW]
+    rng = np.random.default_rng(8)
+    last = ADVERSARIAL_L - ADVERSARIAL_L % TILE_CATEGORIES
+    # The last tile's entries top the first's: a cut after the first
+    # raises a floor to at most the best of them.
+    for tile, rise in ((last - TILE_CATEGORIES, (0.1, 0.3)), (last, (0.6, 0.9))):
+        columns = tile + 2 * np.arange(LONE_COLUMNS)
+        weight[columns] = (bound + rng.uniform(*rise, LONE_COLUMNS))[:, None] * dual
+        bias[columns] = 0.0
+    model = ApproximateScreeningClassifier(
+        classifier, ScreeningModule(projection, weight, bias, quantization_bits=None), selector
+    )
+    return model, features
+
+
+@pytest.mark.parametrize("call", ("forward_streaming", "top_k"))
+@pytest.mark.parametrize("lanes", LANES)
+@pytest.mark.parametrize("mode", SELECTORS)
+def test_a_lone_row_left_after_a_recording_tile(monkeypatch, mode, lanes, call):
+    model, features = lone_row_model(mode, call)
+    force_lanes(monkeypatch, lanes)
+    dense = model.forward(features)
+    recorder = Recorder()
+    model.set_recorder(recorder)
+    try:
+        if call == "forward_streaming":
+            assert_streamed_is_dense(model.forward_streaming(features), dense)
+        else:
+            indices, scores = model.top_k(features, K)
+            want = rank_dense(dense.logits, K)
+            assert np.array_equal(indices, want[0])
+            assert np.array_equal(scores, want[1])
+    finally:
+        model.set_recorder(NULL_RECORDER)
+    assert_dense_is_the_oracle(model, features, dense)
+    # Tile 0 on every row, the two late tiles on the row alone, and the
+    # middle tiles skipped.
+    counters = recorder.snapshot()["counters"]
+    assert counters["pipeline.rows_float64_scored"] == len(features) + 2
+    assert counters["pipeline.tiles_skipped"] == len(model.screener.tile_bounds()) - 3
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     rows=st.integers(1, 4),
