@@ -27,11 +27,14 @@ Each phase is timed ``--repeats`` times (best / median, ms).  The
 calls (re)allocated, and ``calls to flat`` counts the calls until one
 allocates nothing — the warm-up a benchmark that repeats a call until its
 workspace is flat pays.  Everything runs twice, the lane rule patched to 1
-lane and then to 2 (``repro.core.screener.lane_count`` and its import in
-``repro.core.pipeline``), so a set-up change can be broken down by phase
-and by lane count without running the benchmark; put another tree's
-``src`` on ``PYTHONPATH`` to time that tree.  Timings are the host's: a
-2-lane figure needs two free cores.
+lane and then to 2 (``repro.core.screener.lane_count``, which the plane
+placement and ``approximate_logits`` read; trees whose serving loop ran
+in lanes also import it into ``repro.core.pipeline``, patched there too),
+so a set-up change can be broken down by phase and by lane count without
+running the benchmark; put another tree's ``src`` on ``PYTHONPATH`` to
+time that tree.  The two calls fold on one lane in this tree, so their
+rows differ by lane count only on such older trees.  Timings are the
+host's: a 2-lane figure needs two free cores.
 """
 
 from __future__ import annotations
@@ -143,8 +146,9 @@ def lane_clock(name: str):
         setattr(ScreeningModule, name, place)
 
 
-#: Where the lane rule is read (trees before it moved to the screener
-#: define it in the pipeline only, and their set-up has no lanes).
+#: Where the lane rule is read: the screener; older trees whose serving
+#: loop ran in lanes import it into the pipeline too, and the oldest
+#: define it in the pipeline only (their set-up has no lanes).
 LANE_RULE_HOMES = [
     module for module in (screener_module, pipeline_module) if hasattr(module, "lane_count")
 ]

@@ -26,9 +26,9 @@ one tile buffer and returns the candidate record only
 :meth:`~ApproximateScreeningClassifier.top_k` (behind ``predict``) does
 the same with ``k`` runner-up slots in the reducer and ranks the few
 entries it kept into ``(indices, scores)``;
-:meth:`ApproximateScreeningClassifier.forward` lets each tile land in
-the ``batch × l`` plane and returns the same record plus that plane
-with every candidate mixed in one scatter (:class:`ScreenedOutput`).
+:meth:`ApproximateScreeningClassifier.forward` scores the ``batch ×
+l`` plane first, folds its tiles, and returns the same record plus that
+plane with every candidate mixed in one scatter (:class:`ScreenedOutput`).
 Same GEMM calls, same reducer, same exact-phase kernel, so their
 records are identical bits.  Which call allocates what:
 ``forward`` and ``predict_proba`` (which normalizes the plane by
@@ -40,20 +40,10 @@ neither scored in float64 nor folded, and a tile with no row left is
 skipped — those rows would have recorded nothing, and every other row
 gets the batch GEMM's bits, so the bits are the plane's.
 
-Lanes: ENMC is a rank-level design — every rank screens its own slice
-of the category space and the host only merges index buffers.  A call
-with enough work (:func:`~repro.core.screener.lane_count`) runs the
-loop the same way: tile 0 folds on the caller, the remaining tiles are
-cut into contiguous runs, and each run but the caller's folds on a
-thread started for this call
-(:func:`~repro.core.screener.run_in_lanes`, which the screener's
-set-up loops share), into a fork of the reducer carrying the floor
-tile 0 set and a child arena of the call's own.  A tile is scored,
-filtered and dropped on the core that made it; absorbing the forks
-left to right keeps the reducer's total order, so the record — and
-every output bit — is the single-lane loop's for any lane count.
-Threads are joined before the call returns or raises; none lives
-between calls.
+Every call folds its tiles on the caller's thread and starts no thread,
+but for dense ``forward``'s plane pass
+(:meth:`~repro.core.screener.ScreeningModule.score_plane`), which runs
+in lanes when the plane is big enough.
 """
 
 from __future__ import annotations
@@ -70,8 +60,6 @@ from repro.core.screener import (
     TILE_CATEGORIES,
     ScreeningModule,
     TilePrescreen,
-    lane_count,
-    run_in_lanes,
 )
 from repro.core.weightstore import QuantizedExactStore
 from repro.linalg.functional import sigmoid, softmax
@@ -79,7 +67,7 @@ from repro.obs.recorder import NULL_RECORDER
 from repro.utils.memory import PHASE_SCRATCH, Workspace
 from repro.utils.validation import check_batch_features, check_positive
 
-#: The tile loop's per-call counters, in the order a lane tallies them:
+#: The tile loop's per-call counters, in the order :meth:`_fold` tallies them:
 #: tiles a prescreen stage tested, tiles skipped, tiles skipped before
 #: any float32 score, the rows each prescreen stage tested — compared
 #: against a coarse bound, against the tile's boxes, scored in float32 —
@@ -309,10 +297,7 @@ class ApproximateScreeningClassifier:
 
     Threading: every serving call is re-entrant, on either exact store —
     it takes all its scratch from an arena no other call in flight
-    holds (:meth:`_call_arena`).  Inside one call the tile loop may fold
-    runs of tiles on helper threads (module docstring,
-    :func:`~repro.core.screener.lane_count`), each on a child arena of
-    the call's own, all joined before the call returns or raises.
+    holds (:meth:`_call_arena`), and folds its tiles on its own thread.
     """
 
     def __init__(
@@ -379,10 +364,7 @@ class ApproximateScreeningClassifier:
         For callers that come one at a time every call runs on it, so
         after the first call at a given batch shape its ``allocations``
         counter stays flat (the zero-allocation steady-state contract,
-        tested) — helper lanes' child arenas included: when a threshold
-        fork is absorbed, its arena gets room for the whole record it
-        joined, so the second call of a multi-lane loop allocates
-        nothing either."""
+        tested)."""
         with self._arena_lock:
             if self._arena is None:
                 self._arena = Workspace()
@@ -536,9 +518,9 @@ class ApproximateScreeningClassifier:
     def forward(self, features: np.ndarray) -> ScreenedOutput:
         """Run the full screened pipeline on a feature batch.
 
-        Runs the tile loop of :meth:`forward_streaming` with each tile
-        landing in the ``batch × l`` plane it returns, then mixes every
-        candidate in one scatter.
+        Scores the ``batch × l`` plane it returns, runs the tile loop of
+        :meth:`forward_streaming` over it, then mixes every candidate in
+        one scatter.
         """
         recorder = self.recorder
         with recorder.span("forward"):
@@ -575,11 +557,12 @@ class ApproximateScreeningClassifier:
         ``values`` in row order (plus each row's best ``runner_ups``
         non-candidates, for :meth:`top_k`).
 
-        A tile lands in ``plane[:, t0:t1]`` when the caller wants the
-        score plane kept (dense :meth:`forward`), else in the phase
+        When the caller wants the score plane kept (dense
+        :meth:`forward`), the whole ``plane`` is scored first and its
+        tiles are folded from it; else each tile lands in the phase
         scratch of ``ws`` (:data:`~repro.utils.memory.PHASE_SCRATCH`),
-        overwritten by the next tile and then by the exact phase; all other
-        scratch comes from ``ws`` either way.  ``block_categories`` sets
+        overwritten by the next tile and then by the exact phase.  All
+        other scratch comes from ``ws`` either way.  ``block_categories`` sets
         the selection granularity (default: one update per tile).
         """
         recorder = self.recorder
@@ -594,46 +577,47 @@ class ApproximateScreeningClassifier:
         reducer = self.selector.make_block_reducer(
             rows, l, workspace=ws, runner_ups=runner_ups
         )
-        tiles = screener.tile_bounds()
-        lanes = lane_count(rows, len(tiles))
-        if recorder.enabled:
-            recorder.set_gauge("pipeline.lanes", lanes)
-        screen = None if plane is not None else TilePrescreen(screener, augmented, ws)
-        tallies = self._fold_in_lanes(reducer, ws, tiles, lanes, augmented, block, plane, screen)
+        if plane is None:
+            screen = TilePrescreen(screener, augmented, ws)
+        else:
+            screen = None
+            screener.score_plane(augmented, plane)
+        tallies = self._fold(reducer, ws, augmented, block, plane, screen)
         for name, count in zip(_TALLIES, tallies):
             recorder.increment(name, count)
         with recorder.span("streaming.select_finalize"):
             return reducer.finalize()
 
-    def _fold(
-        self, reducer, ws: Workspace, tiles, augmented, block, plane, screen
-    ) -> Tuple[int, ...]:
-        """The tile loop's body: screen each of ``tiles`` into ``ws``
-        scratch (or its slice of ``plane``) and fold it into ``reducer``;
-        returns the counts :data:`_TALLIES` names.
+    def _fold(self, reducer, ws: Workspace, augmented, block, plane, screen) -> Tuple[int, ...]:
+        """The tile loop's body: screen each canonical tile into ``ws``
+        scratch (or read it from ``plane``, scored already) and fold it
+        into ``reducer``; returns the counts :data:`_TALLIES` names.
 
-        With a ``screen`` (the streaming path), a tile that starts the
-        run, follows one that recorded nothing or follows one whose
-        prescreen proved a row is prescreened (the lane rule): a row
-        whose scores are proven at most the reducer's bound, by one
-        stage or another, would record nothing, so the float64 GEMM and
-        the update run on only the rows left — gathered from
+        With a ``screen`` (the streaming path), tile 1, a tile that
+        follows one that recorded nothing and a tile that follows one
+        whose prescreen proved a row are prescreened (the prescreen
+        rule): a row whose scores are proven at most the reducer's bound,
+        by one stage or another, would record nothing, so the float64
+        GEMM and the update run on only the rows left — gathered from
         ``augmented`` into ``ws`` scratch — and on none when no row is.
-        Once the lane has skipped a tile, each tile's coarse bounds are
-        compared first, its boxes tested on the rows they leave and its
-        float32 scores on the rows those leave; before, its float32
-        scores on every row.  A lane that never skips never builds a box
-        query, and one whose prescreen never proves a row scores every
-        row of every tile it does not skip."""
+        Tile 0 is not prescreened: it is where the head of a
+        frequency-ordered label space sits, and in top-m mode no bound
+        exists before it.  Once the call has skipped a tile, each tile's
+        coarse bounds are compared first, its boxes tested on the rows
+        they leave and its float32 scores on the rows those leave;
+        before, its float32 scores on every row.  A call that never
+        skips never builds a box query, and one whose prescreen never
+        proves a row scores every row of every tile."""
         recorder = self.recorder
         rows = len(augmented)
+        tiles = self.screener.tile_bounds()
         prescreened = skipped = box_skipped = 0
         coarse_rows = box_rows = float32_rows = float64_rows = 0
         boxes = None
-        screening = screen is not None
-        if screening:
-            # A lane may skip every tile of one call and fold some of
-            # the next: the scratch a tile takes is sized up front.
+        screening = False
+        if screen is not None:
+            # Whichever tiles and rows the prescreen leaves, the scratch
+            # a tile takes is sized up front.
             screen.reserve(ws)
             reducer.reserve(min(TILE_CATEGORIES, self.num_categories, block))
             ws.buffer(_GATHERED, augmented.shape)
@@ -665,13 +649,13 @@ class ApproximateScreeningClassifier:
                 if left is not None and len(left) == rows:
                     left = None
             scored = rows if left is None else len(left)
-            with recorder.span("streaming.screen_tile"):
-                source = augmented if left is None else _gather_rows(ws, augmented, left)
-                if plane is None:
+            if plane is None:
+                with recorder.span("streaming.screen_tile"):
+                    source = augmented if left is None else _gather_rows(ws, augmented, left)
                     out = ws.buffer(PHASE_SCRATCH, (len(source), t1 - t0))
-                else:
-                    out = plane[:, t0:t1]
-                tile = self.screener.score_tile(source, t0, t1, out=out)[:scored]
+                    tile = self.screener.score_tile(source, t0, t1, out=out)[:scored]
+            else:
+                tile = plane[:, t0:t1]
             float64_rows += scored
             # Selection updates at block_categories granularity; block
             # boundaries are absolute, so a tile may span several
@@ -683,39 +667,10 @@ class ApproximateScreeningClassifier:
                     stop = min(t1, (start // block + 1) * block)
                     recorded += reducer.update(start, tile[:, start - t0 : stop - t0], left)
                     start = stop
-            screening = screen is not None and (not recorded or left is not None)
+            screening = screen is not None and (t0 == 0 or not recorded or left is not None)
         return (
             prescreened, skipped, box_skipped, coarse_rows, box_rows, float32_rows, float64_rows
         )
-
-    def _fold_in_lanes(
-        self, reducer, ws: Workspace, tiles, lanes: int, augmented, block, plane, screen
-    ) -> Tuple[int, ...]:
-        """Fold tile 0 here — it pays the reducer's one first fill — then
-        the rest as ``lanes`` contiguous runs (:func:`run_in_lanes`): run
-        0 here into ``reducer``, each other run on a thread of its own
-        into a fork of ``reducer`` carrying the floor tile 0 set, on a
-        child arena of ``ws`` — a tile is scored, filtered and dropped on
-        the core that made it, as each ENMC rank screens its own slice.
-        Absorbing the forks left to right keeps the reducer's total
-        order, so the record is the single-lane one.  One lane is the
-        plain loop on the caller.  Tile 0 is not prescreened: it is
-        where the head of a frequency-ordered label space sits, and in
-        top-m mode no bound exists before it.  Returns the counts
-        :data:`_TALLIES` names, summed over the lanes."""
-        tallies = [self._fold(reducer, ws, tiles[:1], augmented, block, plane, None)]
-        arenas = [ws] + [ws.lane(lane) for lane in range(1, lanes)]
-        reducers = [reducer] + [reducer.fork(arena) for arena in arenas[1:]]
-
-        def fold(lane: int, run: list) -> None:
-            tallies.append(
-                self._fold(reducers[lane], arenas[lane], run, augmented, block, plane, screen)
-            )
-
-        runs = run_in_lanes(fold, tiles[1:], lanes)
-        for fork, run in zip(reducers[1:], runs[1:]):
-            reducer.absorb(fork, run[0][0])
-        return tuple(sum(column) for column in zip(*tallies))
 
     def _exact_candidate_values(
         self,

@@ -44,14 +44,13 @@ each tile's largest weight and bias magnitudes; a call sums ``|a_j|``
 per row, and ``P`` and ``Q`` follow — one multiply-add per row and
 tile.  A call whose magnitudes could overflow float32 (any operand past
 ``2**100``, or a sum past ``2**125``) screens no such tile.  Which tiles
-are prescreened is the loop's lane rule: the first of a lane's run, a
-tile after one that recorded nothing, and a tile after one whose
-prescreen proved a row, never tile 0 — on a frequency-ordered label
-space, every tile past the head.  A left-out row leaves the reducer's
-record unchanged (:meth:`~repro.linalg.topk.BlockwiseThreshold.update`),
-so every output bit, every lane count and every fork are the full
-loop's by construction; dense ``forward``, which keeps the score plane,
-never leaves a row out.
+are prescreened is the loop's prescreen rule: tile 1, a tile after one
+that recorded nothing, and a tile after one whose prescreen proved a
+row, never tile 0 — on a frequency-ordered label space, every tile past
+the head.  A left-out row leaves the reducer's record unchanged
+(:meth:`~repro.linalg.topk.BlockwiseThreshold.update`), so every output
+bit is the full loop's by construction; dense ``forward``, which keeps
+the score plane, never leaves a row out.
 
 The box stages, ahead of the float32 one: set-up takes the principal
 axes ``Q`` of the head tile's weights (``eigh`` of their ``k × k``
@@ -76,21 +75,22 @@ float32 scores prove, and its 8 coarse boxes most of that.
 
 The stages prove rows, not tiles: each returns the rows it could not
 prove, and the next runs on only those — the coarse bounds (scored for
-all of a lane's tiles in one GEMM at its first box test, then one
+every remaining tile in one GEMM at the call's first box test, then one
 compare per row and tile), the tile's boxes, then its float32 scores —
 a tile is left out once every row is proven by some stage, and the
-float64 GEMM and the fold run on only the rows none proved.  A lane
-tests boxes only once it has skipped a tile in the call, and before
-that a tile's float32 scores on every row; a lane that never skips (a
-flat-prior shard) never builds a box query.
+float64 GEMM and the fold run on only the rows none proved.  A call
+tests boxes only once it has skipped a tile, and before that a tile's
+float32 scores on every row; a call that never skips (a flat-prior
+shard) never builds a box query.
 
 Lanes: ENMC gives every rank its own slice of the screener, and the
-ranks work at once.  Every tile loop here and in the pipeline — placing
-the plane, scoring a dense plane (threshold calibration), the serving
-loop — runs contiguous runs of canonical tiles on per-call threads when
-it brings enough work (:func:`lane_count`, :func:`run_in_lanes`).  A
-tile gets the same operations in any lane, so every bit is the
-single-lane one; no thread outlives the call that started it.
+ranks work at once.  The plane-sized loops here — placing the plane and
+scoring a dense plane (:meth:`ScreeningModule.score_plane`: threshold
+calibration, dense ``forward``) — run contiguous runs of canonical tiles
+on per-call threads when they bring enough work (:func:`lane_count`,
+:func:`run_in_lanes`).  A tile gets the same operations in any lane, so
+every bit is the single-lane one; no thread outlives the call that
+started it.  The serving loop folds on the caller's thread.
 
 Every screening GEMM computes in float64, which keeps the bit-level
 agreement with the functional DIMM simulator.  The screener's low
@@ -126,24 +126,12 @@ from repro.utils.validation import check_batch_features, check_positive
 #: that per-call overhead is negligible against the MACs.
 TILE_CATEGORIES = 8192
 
-#: Scores (rows × tiles × tile width) a tile loop must bring per lane
-#: before it runs in lanes — :func:`lane_count`.  2 lanes against 1 on
-#: the 2-core reference host with both cores free, ``forward_streaming``
-#: calls per second, d = 64, k = 16, m = 32, one BLAS thread (range of six
-#: alternating 0.6 s stretches; README "Lanes" has the medians):
-#:
-#:     rows × l     scores   top-m          threshold    lanes picked
-#:     32 × 50K     1.8M     0.80–0.88×     0.91–1.25×   1
-#:     64 × 50K     3.7M     0.99–1.15×     1.17–1.30×   1
-#:     16 × 200K    3.3M     0.86–1.36×     1.31–1.55×   1
-#:     64 × 200K    13M      1.36–1.60×     1.49–1.72×   2
-#:     64 × 670K    43M      1.39–1.62×     1.50–1.71×   2
-#:
-#: When the scheduler leaves both lanes on one CPU, 2 lanes cost 3–12%
-#: over 1: above the floor both selectors gain more than that with both
-#: cores free, just under it only the threshold selector does.  Set-up
-#: counts ``k`` as its rows: the fused plane of a 670K × 16 screener is
-#: placed in 2 lanes, one of 100K in 1.
+#: Scores (rows × tiles × tile width) a plane-sized loop must bring per
+#: lane before it runs in lanes — :func:`lane_count`.  Set-up counts
+#: ``k`` as its rows: the fused plane of a 670K × 16 screener is placed
+#: in 2 lanes, one of 100K in 1; a 64 × 670K dense plane is scored in 2.
+#: DESIGN §6 "Lanes" has the set-up and plane-pass timings at 1 and 2
+#: lanes.
 MIN_LANE_WORK = 1 << 22
 
 
@@ -334,7 +322,7 @@ def _chunk_tree(pick, values: np.ndarray, out: np.ndarray, levels: np.ndarray) -
 
 
 def lane_count(rows: int, tiles: int) -> int:
-    """How many lanes a tile loop of ``rows`` rows over ``tiles``
+    """How many lanes a plane-sized loop of ``rows`` rows over ``tiles``
     screening tiles runs in: one per core this process may use, never
     more than the tiles left after the first, and only as many as bring
     :data:`MIN_LANE_WORK` scores each.  Read per call, so CPU affinity is
@@ -349,44 +337,42 @@ def lane_count(rows: int, tiles: int) -> int:
     return max(1, min(cores, tiles - 1, work))
 
 
-def run_in_lanes(fold: Callable[[int, list], None], tiles: list, lanes: int) -> list:
-    """Cut ``tiles`` into ``lanes`` contiguous runs and call
-    ``fold(lane, run)`` on each — run 0 on the caller, every other on a
-    thread started for this call — and return the runs, left to right.
+def run_in_lanes(fold: Callable[[list], None], tiles: list, lanes: int) -> None:
+    """Cut ``tiles`` into ``lanes`` contiguous runs and call ``fold(run)``
+    on each — run 0 on the caller, every other on a thread started for
+    this call.
 
-    Each run brings its own scratch (``fold`` picks it by ``lane``).  A
-    helper thread runs in a copy of the caller's context, so NumPy's
-    error state holds in every lane.  Every thread is joined before this
-    returns or raises; then the caller's own error, else the first one a
-    helper raised, is raised.  No thread lives past the call — a process
-    that forks after set-up or between calls forks no lane — and one
-    lane starts no thread at all.
+    Each run brings its own scratch.  A helper thread runs in a copy of
+    the caller's context, so NumPy's error state holds in every lane.
+    Every thread is joined before this returns or raises; then the
+    caller's own error, else the first one a helper raised, is raised.
+    No thread lives past the call — a process that forks after set-up or
+    between calls forks no lane — and one lane starts no thread at all.
     """
     cuts = [len(tiles) * lane // lanes for lane in range(lanes + 1)]
     runs = [tiles[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
     errors: list = []
 
-    def helper(lane: int) -> None:
+    def helper(run: list) -> None:
         try:
-            fold(lane, runs[lane])
+            fold(run)
         except BaseException as error:  # raised by the caller after the joins
             errors.append(error)
 
     threads = []
     try:
-        for lane in range(1, lanes):
+        for run in runs[1:]:
             thread = threading.Thread(
-                target=contextvars.copy_context().run, args=(helper, lane)
+                target=contextvars.copy_context().run, args=(helper, run)
             )
             thread.start()
             threads.append(thread)
-        fold(0, runs[0])
+        fold(runs[0])
     finally:
         for thread in threads:
             thread.join()
     if errors:
         raise errors[0]
-    return runs
 
 
 @dataclass(frozen=True)
@@ -504,7 +490,7 @@ class ScreeningModule:
             self._tile_box = np.empty((2 * k + 1, -(-l // BOX_CATEGORIES)))
             self._tile_coarse = np.empty((len(tiles) * _COARSE_PER_TILE, 2 * k + 1))
 
-        def place(lane: int, run: list) -> None:
+        def place(run: list) -> None:
             # ``W̃`` takes one scale per category and is placed one
             # canonical tile at a time: a block of categories is
             # transposed into this lane's tile of scratch (categories are
@@ -691,21 +677,25 @@ class ScreeningModule:
         are float64.  Computed per canonical
         column tile (see :data:`TILE_CATEGORIES`) — the same GEMM calls
         the blocked streaming path issues, which is what makes the two
-        modes bit-identical.  A batch with enough work scores runs of
-        tiles in lanes (:func:`lane_count`), each straight into its
-        columns — same calls, same bits.
+        modes bit-identical.
         """
         augmented = self.prepare_augmented(features)
-        scores = np.empty((augmented.shape[0], self.num_categories))
+        return self.score_plane(augmented, np.empty((len(augmented), self.num_categories)))
 
-        def score(lane: int, run: list) -> None:
+    def score_plane(self, augmented: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Every canonical tile of ``augmented`` scored into its columns of
+        the ``rows × l`` plane ``out`` (:meth:`score_tile`, one call per
+        tile).  A batch with enough work scores runs of tiles in lanes
+        (:func:`lane_count`) — same calls, same bits."""
+
+        def score(run: list) -> None:
             for start, stop in run:
-                self.score_tile(augmented, start, stop, out=scores[:, start:stop])
+                self.score_tile(augmented, start, stop, out=out[:, start:stop])
 
         tiles = self.tile_bounds()
         with self.recorder.span("screen.gemm"):
             run_in_lanes(score, tiles, lane_count(len(augmented), len(tiles)))
-        return scores
+        return out
 
     def __call__(self, features: np.ndarray) -> np.ndarray:
         return self.approximate_logits(features)
@@ -719,9 +709,9 @@ class ScreeningModule:
 
 #: Workspace keys of the prescreen: per call its float32 input, each
 #: tile's bound per row and whether the tile can be screened, with the
-#: scratch they are derived in; per lane the rows a stage gathers (its
-#: scores take the lane's phase scratch), and the box stages' query,
-#: bound and coarse bounds, built at the lane's first box test.
+#: scratch they are derived in; the rows a stage gathers (its scores take
+#: the phase scratch), and the box stages' query, bound and coarse
+#: bounds, built at the call's first box test.
 _SCREEN_INPUT, _SCREEN_ERROR, _SCREEN_OK, _SCREEN_ABS, _SCREEN_SUMS, _SCREEN_RANGE = (
     ("screen", name) for name in ("input", "error", "ok", "abs", "sums", "range")
 )
@@ -742,11 +732,11 @@ class TilePrescreen:
     input rounded to float32 and per tile and row the float32 stage's
     bound ``E``, all in the call's arena.
 
-    Built once per call before any lane starts; the lanes only read it,
-    each testing in scratch of its own arena (:meth:`reserve`).  What a
-    stage keeps per row — its largest score, its limit, the rows it
-    leaves — is a NumPy temporary of at most ``rows`` entries: an arena
-    request costs more than the compare it would serve.
+    Built once per call before its first tile; each stage tests in
+    scratch of the call's arena (:meth:`reserve`).  What a stage keeps
+    per row — its largest score, its limit, the rows it leaves — is a
+    NumPy temporary of at most ``rows`` entries: an arena request costs
+    more than the compare it would serve.
     """
 
     def __init__(self, screener: "ScreeningModule", augmented: np.ndarray, ws) -> None:
@@ -781,8 +771,8 @@ class TilePrescreen:
         self.error += offset[:, None]
 
     def reserve(self, ws) -> None:
-        """Size a lane's scratch in its arena ``ws`` up front, at the
-        call's full row count — the phase scratch a tile is tested or
+        """Size the call's scratch in its arena ``ws`` up front, at its
+        full row count — the phase scratch a tile is tested or
         scored in, float32 or float64, the rows a stage gathers, and the
         box stages' query, bound and coarse bounds — so whether, where,
         in which stage and on how many rows a call prescreens never
@@ -825,7 +815,7 @@ class TilePrescreen:
         return _left(scores.max(axis=1), bound, self.error[index], rows)
 
     def query_boxes(self, ws, first: int, stop: int) -> tuple:
-        """The box stages' per-call operands, built in the lane's arena
+        """The box stages' per-call operands, built in the call's arena
         ``ws`` at its first box test: the query ``[max(c̃, 0) | min(c̃, 0)
         | 1]`` with ``c̃ = aQ``; per tile and row the bound ``E_box`` on
         how far a box bound may sit under a float64 score

@@ -174,12 +174,11 @@ class BlockwiseThreshold:
     (the measured break-even), or past some row's room — takes the
     first block's path instead: its own top ``k`` plus the most hits
     any row has.  A row's room is ``4 k``: ``2 k`` held between cuts,
-    plus one block's contenders, the ``k`` of a dense block or a fork's
-    ``2 k`` at :meth:`absorb`.  The queue, its cut plane and the scratch
-    the cut is partitioned in are sized for that room on construction,
-    so at ``threshold = +inf`` no cut, batch or lane grows them, whatever
-    the data (only a lane's first dense block, if one comes, sizes the
-    scratch it is partitioned in).
+    plus one block's contenders or the ``k`` of a dense block.  The
+    queue, its cut plane and the scratch the cut is partitioned in are
+    sized for that room on construction, so at ``threshold = +inf`` no
+    cut or batch grows them, whatever the data (only the first dense
+    block sizes the scratch it is partitioned in).
     """
 
     def __init__(
@@ -323,35 +322,6 @@ class BlockwiseThreshold:
         if held.min() >= k:  # then ``keep`` is k a row, in row order
             self._floor = values[: keep.size].reshape(self.batch, k).min(axis=1, keepdims=True)
         np.minimum(held, k, out=held)
-
-    def fork(self, workspace) -> "BlockwiseThreshold":
-        """An empty record under the same threshold and runner-up floor,
-        for a later run of columns on another thread with its own
-        ``workspace`` (the floor's ``runner_ups`` entries sit left of
-        the run, so they win every tie against it)."""
-        fork = BlockwiseThreshold(
-            self.batch, self.threshold, workspace, self.dtype, self._runner_ups
-        )
-        fork._floor = self._floor
-        return fork
-
-    def absorb(self, fork: "BlockwiseThreshold", start: int) -> None:
-        """Append a :meth:`fork`'s hits and queue: its columns (from
-        ``start``) lie right of every column recorded here, so both
-        records stay in column order within a row.
-
-        Then the fork's arena gets as much room as this record has now,
-        every hit joined: a run's share of the hits is anything from
-        none to all, and a lane record that grew from a few entries
-        would allocate long after the call's own had settled.  Sized
-        here, the first call sizes every lane."""
-        self._hits.append(*fork._hits.view())
-        self._queue.append(*fork._queue.view())
-        self._held += fork._held
-        if self._runner_ups and self._held.max() > 2 * self._runner_ups:
-            self._tighten()
-        for key, kind in self._hits._slabs:
-            fork._ws.growable(key, self._ws.growable(key, 1, kind).size, kind)
 
     def finalize(self):
         """``(counts, cols, values)`` in the flat candidate layout."""

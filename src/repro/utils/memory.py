@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import ctypes
 import math
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
@@ -92,30 +92,13 @@ class Workspace:
     * :attr:`allocations` counts slab (re)allocations and
       :attr:`requests` counts served requests; ``allocations`` staying
       flat while ``requests`` climbs is the steady-state guarantee.
-    * One arena, one thread: nothing here is locked.  A call that folds
-      tiles on helper threads gives each its own child arena,
-      :meth:`lane`; :attr:`allocations`, :attr:`nbytes` and
-      :meth:`release` cover the children, so the owner still accounts
-      for everything the call holds.
+    * One arena, one thread: nothing here is locked.
     """
 
     def __init__(self) -> None:
         self._slabs: Dict[Tuple[object, np.dtype], np.ndarray] = {}
-        self._lanes: List["Workspace"] = []
-        self._allocations = 0
+        self.allocations = 0
         self.requests = 0
-
-    def lane(self, index: int) -> "Workspace":
-        """The child arena for helper lane ``index`` (1, 2, ...) of a
-        call running on this arena, created on first use and kept."""
-        while len(self._lanes) < index:
-            self._lanes.append(Workspace())
-        return self._lanes[index - 1]
-
-    @property
-    def allocations(self) -> int:
-        """Slab (re)allocations so far, child arenas included."""
-        return self._allocations + sum(lane.allocations for lane in self._lanes)
 
     def _slab(self, key: object, size: int, dtype: np.dtype, preserve: bool) -> np.ndarray:
         slab_key = (key, np.dtype(dtype))
@@ -128,7 +111,7 @@ class Workspace:
             if slab is not None and preserve:
                 grown[: slab.size] = slab
             self._slabs[slab_key] = grown
-            self._allocations += 1
+            self.allocations += 1
             slab = grown
         return slab
 
@@ -153,15 +136,11 @@ class Workspace:
         assertions should see.
         """
         self._slabs.clear()
-        for lane in self._lanes:
-            lane.release()
 
     @property
     def nbytes(self) -> int:
-        """Total bytes currently held by the arena and its children."""
-        return sum(slab.nbytes for slab in self._slabs.values()) + sum(
-            lane.nbytes for lane in self._lanes
-        )
+        """Total bytes currently held by the arena."""
+        return sum(slab.nbytes for slab in self._slabs.values())
 
     def __repr__(self) -> str:
         return (

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 from blas_kernels import openblas_config
 
+from repro.core import ApproximateScreeningClassifier
 from repro.core import screener as screener_module
+from repro.core.classifier import FullClassifier
 from repro.core.screener import (
     TILE_CATEGORIES,
     ScreeningConfig,
@@ -122,8 +124,8 @@ class TestScreeningModule:
 
 
 def force_lanes(monkeypatch, lanes):
-    """Fix the screener's lane rule the way ``tests/test_pipeline_lanes.py``
-    fixes the pipeline's: never more lanes than tiles after the first."""
+    """Fix the screener's lane rule, which set-up and the plane pass
+    read: never more lanes than tiles after the first."""
     monkeypatch.setattr(
         screener_module, "lane_count", lambda rows, tiles: max(1, min(lanes, tiles - 1))
     )
@@ -199,8 +201,9 @@ class TestPlaneBuiltTileByTile:
 
 
 class TestScoresInLanes:
-    """``approximate_logits`` (the dense scores threshold calibration
-    takes) and the helper every tile loop runs its lanes through."""
+    """The plane pass — ``approximate_logits`` (the dense scores
+    threshold calibration takes) and dense ``forward``'s plane — and the
+    helper every laned loop runs its lanes through."""
 
     L = 3 * TILE_CATEGORIES + 5  # four tiles: runs [0], [1], [2, 3] at 3 lanes
 
@@ -217,21 +220,30 @@ class TestScoresInLanes:
     @pytest.mark.parametrize("feature_dtype", [np.float32, np.float64])
     def test_every_lane_count_scores_the_single_lane_bits(self, monkeypatch, module, rows, feature_dtype):
         features = np.random.default_rng(rows).standard_normal((rows, 32)).astype(feature_dtype)
+        rng = np.random.default_rng(6)
+        pipeline = ApproximateScreeningClassifier(
+            FullClassifier(rng.standard_normal((self.L, 32)), rng.standard_normal(self.L)),
+            module,
+        )
         force_lanes(monkeypatch, 1)
         expected = module.approximate_logits(features)
         assert expected.dtype == np.float64
-        for lanes in LANES[1:]:
+        for lanes in LANES:
             force_lanes(monkeypatch, lanes)
-            scores = module.approximate_logits(features)
-            assert scores.dtype == np.float64 and np.array_equal(scores, expected)
+            for scores in (
+                module.approximate_logits(features),
+                pipeline.forward(features).approximate_logits,
+            ):
+                assert scores.dtype == np.float64 and np.array_equal(scores, expected)
 
     def test_runs_are_contiguous_and_cover_every_tile_once(self):
         tiles = list(range(11))
         for lanes in range(1, 12):
-            seen = {}
-            runs = run_in_lanes(lambda lane, run: seen.setdefault(lane, run), tiles, lanes)
+            runs = []
+            run_in_lanes(runs.append, tiles, lanes)
+            runs.sort()
             assert [tile for run in runs for tile in run] == tiles
-            assert all(runs) and [seen[lane] for lane in range(lanes)] == runs
+            assert all(runs) and len(runs) == lanes
 
     @pytest.mark.timeout(60)
     @pytest.mark.parametrize("failing_lane", [0, 1, 2])

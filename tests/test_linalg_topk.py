@@ -284,22 +284,21 @@ class TestBlockwiseReducers:
                 settled = workspace.allocations
         assert workspace.allocations == settled
 
-    def test_a_fork_cuts_its_queue_in_scratch_sized_on_construction(self):
-        """A lane's record cuts its queue at whatever width the data
-        leaves it, in scratch its constructor sized: after its first
-        block its arena grows nothing."""
+    def test_a_record_cuts_its_queue_in_scratch_sized_on_construction(self):
+        """The record cuts its queue at whatever width the data leaves
+        it, in scratch its constructor sized: after its first two blocks
+        (the dense first fill, then the first floor pass) its arena
+        grows nothing."""
         batch, n, width, k = 3, 4000, 50, 5
         scores = np.random.default_rng(12).standard_normal((batch, n))
-        seed = top_m_reducer(batch, n, k)
+        workspace = Workspace()
+        seed = top_m_reducer(batch, n, k, workspace=workspace)
         seed.update(0, scores[:, :width])
-        lane = Workspace()
-        fork = seed.fork(lane)
-        fork.update(width, scores[:, width : 2 * width])
-        settled = lane.allocations
+        seed.update(width, scores[:, width : 2 * width])
+        settled = workspace.allocations
         for start in range(2 * width, n, width):
-            fork.update(start, scores[:, start : start + width])
-        assert lane.allocations == settled
-        seed.absorb(fork, width)
+            seed.update(start, scores[:, start : start + width])
+        assert workspace.allocations == settled
         _, cols, _ = seed.finalize()
         assert np.array_equal(
             cols.reshape(batch, k), reference_stable_top_m(scores, k)

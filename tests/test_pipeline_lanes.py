@@ -1,17 +1,18 @@
-"""Category lanes in the one tile loop.
+"""Lanes around the one tile loop.
 
-The contract under test: cutting the screening tiles into contiguous
-runs that fold on threads of their own — each into a fork of the
-reducer carrying the floor the first tile set — changes *when* a tile
-is scored and nothing else.  Every serving call returns the bits of
-the single-lane loop for every lane count, no thread outlives the call
-(also when a lane fails), and the lanes' scratch is accounted for by
-the arena the call runs on.
+The contract under test: the serving loop folds every tile on the
+caller's thread, so ``forward_streaming``, ``top_k`` and ``predict``
+start no thread, and dense ``forward`` starts threads only in its plane
+pass (``ScreeningModule.score_plane``), where cutting the tiles into
+contiguous runs scored on threads of their own changes *when* a tile is
+scored and nothing else.  Every serving call returns the single-lane
+bits for every lane count, and no thread outlives the call (also when a
+lane fails).
 
-The lane count is forced by patching ``pipeline.lane_count``, never by
-the runner's core count, so a 1-core runner exercises every case.  The
-module runs under ``pytest-timeout`` so a lost join fails fast instead
-of hanging the suite.
+The lane count is forced by patching ``screener.lane_count`` (where the
+plane pass reads it), never by the runner's core count, so a 1-core
+runner exercises every case.  The module runs under ``pytest-timeout``
+so a lost join fails fast instead of hanging the suite.
 """
 
 import os
@@ -24,7 +25,7 @@ import pytest
 from oracles import forward_per_row
 
 from repro.core import ApproximateScreeningClassifier, ScreeningConfig, train_screener
-from repro.core import pipeline as pipeline_module
+from repro.core import screener as screener_module
 from repro.core.candidates import CandidateSelector
 from repro.core.classifier import FullClassifier
 from repro.core.screener import MIN_LANE_WORK, TILE_CATEGORIES, ScreeningModule, lane_count
@@ -32,7 +33,6 @@ from repro.data import make_task
 from repro.distributed import ShardedClassifier
 from repro.linalg.topk import BlockwiseThreshold, stable_top_m_indices
 from repro.obs import NULL_RECORDER, Recorder
-from repro.utils.memory import Workspace
 
 pytestmark = pytest.mark.timeout(120)
 
@@ -45,24 +45,15 @@ FEATURE_DTYPES = ("float64", "float32")
 STORES = ("fp64", "int8")
 ROWS = (1, 8, 64)
 MULTI_LANE = (2, 3, TILES - 1)
-#: Absolute-aligned selection blocks of this width straddle every lane
-#: boundary the counts above produce (multiples of 8,192).
+#: Absolute-aligned selection blocks of this width straddle every tile
+#: boundary (multiples of 8,192).
 STRADDLING_BLOCK = 5_000
 
 
 def force_lanes(monkeypatch, lanes):
     monkeypatch.setattr(
-        pipeline_module, "lane_count", lambda rows, tiles: max(1, min(lanes, tiles - 1))
+        screener_module, "lane_count", lambda rows, tiles: max(1, min(lanes, tiles - 1))
     )
-
-
-def lane_tiles(lanes, tiles=TILES):
-    """Which tile indices each lane folds (lane 0 includes tile 0)."""
-    rest = tiles - 1
-    cuts = [rest * lane // lanes for lane in range(lanes + 1)]
-    runs = [list(range(1 + lo, 1 + hi)) for lo, hi in zip(cuts, cuts[1:])]
-    runs[0].insert(0, 0)
-    return runs
 
 
 @pytest.fixture(scope="module")
@@ -84,8 +75,9 @@ def build(parts, mode, store="fp64", m=M, tied=False, zeroed=False):
     if zeroed:
         weight[:], bias[:] = 0.0, 0.0
     if tied:
-        # Around every tile boundary — so around every lane boundary —
-        # eight columns score exactly 1000 and eight around them 900.
+        # Around every tile boundary — so around every lane boundary of
+        # the plane pass — eight columns score exactly 1000 and eight
+        # around them 900.
         for edge in range(TILE_CATEGORIES, L, TILE_CATEGORIES):
             weight[edge - 8 : edge + 8], bias[edge - 8 : edge + 8] = 0.0, 900.0
             bias[edge - 4 : edge + 4] = 1000.0
@@ -154,15 +146,17 @@ def test_every_op_returns_the_single_lane_bits(monkeypatch, parts, zoo, mode, ro
 @pytest.mark.parametrize("mode", SELECTORS)
 @pytest.mark.parametrize("variant", ("tied", "zeroed"))
 def test_ties_across_lane_boundaries_keep_the_total_order(monkeypatch, parts, mode, variant):
-    """Exact score ties on both sides of every lane boundary, and rows
+    """Exact score ties on both sides of every tile boundary, and rows
     whose scores are all equal: ``(score desc, index asc)`` survives
-    the absorb, and the selection is the whole-plane oracle's."""
+    the fold from one tile to the next, and the selection is the
+    whole-plane oracle's, whichever lanes the plane pass takes."""
     model = build(parts, mode, m=6, **{variant: True})
     features = parts[2][:8]
     oracle = forward_per_row(model, features)
     force_lanes(monkeypatch, 1)
     expected = answers(model, features, k=11)
-    assert np.array_equal(model.forward(features).candidates.flat()[1], oracle.candidates.flat()[1])
+    for call in (model.forward, model.forward_streaming):
+        assert np.array_equal(call(features).candidates.flat()[1], oracle.candidates.flat()[1])
     for lanes in MULTI_LANE:
         force_lanes(monkeypatch, lanes)
         assert_same_answers(answers(model, features, k=11), expected)
@@ -170,21 +164,28 @@ def test_ties_across_lane_boundaries_keep_the_total_order(monkeypatch, parts, mo
 
 @pytest.mark.parametrize("mode", SELECTORS)
 def test_more_slots_than_a_tile_holds(monkeypatch, parts, mode):
-    """``m + runner_ups`` wider than a tile: lanes fork a reducer that
-    has no floor yet (no row holds that many entries after tile 0), and
-    every absorb keeps each entry until one does."""
+    """``m + runner_ups`` wider than a tile: the reducer has no floor
+    after tile 0 (no row holds that many entries), so tile 1 has no
+    bound to be prescreened against, and the record keeps each entry
+    until one does."""
     model = build(parts, mode, m=TILE_CATEGORIES)
     features = parts[2][:3]
     k = TILE_CATEGORIES + 100
     force_lanes(monkeypatch, 1)
     expected = answers(model, features, k=k)
+    oracle = forward_per_row(model, features)
+    assert np.array_equal(expected[1], oracle.candidates.flat()[1])
     for lanes in MULTI_LANE:
         force_lanes(monkeypatch, lanes)
         assert_same_answers(answers(model, features, k=k), expected)
 
 
 class TestReducerForks:
-    """Fork / absorb against the dense definitions, without a pipeline."""
+    """The reducer against the dense definitions, fed the way the serving
+    loop feeds it: block 0 whole, then runs of blocks, each without the
+    rows it holds nothing above the bound for (the rows a prescreen
+    proves).  The name is that of the reducer forks these runs were
+    folded on before the serving loop had one lane; it keeps the ids."""
 
     @staticmethod
     def plane(rng, batch=5, width=40):
@@ -194,19 +195,21 @@ class TestReducerForks:
         return plane
 
     @staticmethod
-    def fold_in_lanes(reducer, plane, cuts):
-        """Block 0 into ``reducer``, then one fork per later run."""
-        bounds = list(zip(cuts, cuts[1:]))
+    def fold_in_runs(reducer, plane, cuts):
+        """Block 0 into ``reducer``, then each later run in two halves,
+        each on only the rows with an entry above the bound."""
         reducer.update(0, plane[:, : cuts[1]])
-        forks = [(lo, reducer.fork(Workspace())) for lo, _ in bounds[2:]]
-        runs = [reducer] + [fork for _, fork in forks]
-        # Interleave the lanes' blocks the way threads would.
-        for (lo, hi), lane in zip(bounds[1:], runs):
+        for lo, hi in zip(cuts[1:], cuts[2:]):
             middle = (lo + hi) // 2
-            lane.update(lo, plane[:, lo:middle])
-            lane.update(middle, plane[:, middle:hi])
-        for lo, fork in forks:
-            reducer.absorb(fork, lo)
+            for start, stop in ((lo, middle), (middle, hi)):
+                block, bound = plane[:, start:stop], reducer.bound
+                if bound is None:
+                    reducer.update(start, block)
+                    continue
+                limit = np.broadcast_to(bound, (len(block),))
+                rows = np.flatnonzero((block > limit[:, None]).any(axis=1))
+                if len(rows):
+                    reducer.update(start, block[rows], rows)
         return reducer.finalize()
 
     @pytest.mark.parametrize("m", (1, 4, 9, 25, 40, 64))
@@ -214,7 +217,7 @@ class TestReducerForks:
     def test_top_m(self, m, cuts):
         plane = self.plane(np.random.default_rng(m))
         reducer = CandidateSelector(mode="top_m", num_candidates=m).make_block_reducer(5, 40)
-        counts, cols, values = self.fold_in_lanes(reducer, plane, cuts)
+        counts, cols, values = self.fold_in_runs(reducer, plane, cuts)
         expected = stable_top_m_indices(plane, m)
         assert np.array_equal(cols.reshape(5, -1), expected)
         assert np.array_equal(values.reshape(5, -1), np.take_along_axis(plane, expected, 1))
@@ -225,36 +228,14 @@ class TestReducerForks:
     def test_threshold(self, threshold, runner_ups):
         plane = self.plane(np.random.default_rng(runner_ups))
         cuts = [0, 8, 20, 33, 40]
-        single = BlockwiseThreshold(5, threshold, runner_ups=runner_ups)
+        whole = BlockwiseThreshold(5, threshold, runner_ups=runner_ups)
         for lo, hi in zip(cuts, cuts[1:]):
-            single.update(lo, plane[:, lo:hi])
-        laned = self.fold_in_lanes(
+            whole.update(lo, plane[:, lo:hi])
+        folded = self.fold_in_runs(
             BlockwiseThreshold(5, threshold, runner_ups=runner_ups), plane, cuts
         )
-        for a, b in zip(laned, single.finalize()):
+        for a, b in zip(folded, whole.finalize()):
             assert np.array_equal(a, b)
-
-
-    def test_threshold_fork_has_the_records_room(self):
-        """A run's share of the hits is anything from none to all (the
-        benchmark's categories are frequency-sorted: lane 1 of a
-        64 x 670K call sees a handful).  Absorbing a fork leaves its
-        arena with the room of the whole record it joined, so the next
-        call's fork on that arena takes every hit without allocating,
-        however few it took the first time."""
-        workspace, lane = Workspace(), Workspace()
-        for call in range(2):
-            reducer = BlockwiseThreshold(2, 0.5, workspace=workspace)
-            reducer.update(0, np.ones((2, 50)))
-            fork = reducer.fork(lane)
-            fork.update(50, np.zeros((2, 10)))  # its compare mask, no hit
-            if call == 1:
-                for start in range(60, 160, 10):
-                    fork.update(start, np.full((2, 10), float(start % 20 == 0)))
-                assert fork._hits.count == 100 and lane.allocations == settled
-            reducer.absorb(fork, 50)
-            settled = lane.allocations
-        assert reducer._hits.count == 200
 
 
 # ----------------------------------------------------------------------
@@ -289,6 +270,47 @@ def test_small_calls_stay_on_the_callers_thread(monkeypatch, parts):
     answers(build(parts, "top_m"), parts[2])
 
 
+@pytest.mark.parametrize("store", STORES)
+@pytest.mark.parametrize("mode", SELECTORS)
+def test_no_serving_call_starts_a_thread(monkeypatch, parts, zoo, mode, store):
+    """With the lane rule at 3 lanes for every loop, ``forward_streaming``,
+    ``top_k`` and ``predict`` answer without constructing a thread, and
+    dense ``forward`` constructs its threads inside the plane pass only;
+    every answer is the single-lane one."""
+    model, features = zoo[(mode, store)], parts[2]
+    expected = answers(model, features)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    monkeypatch.setattr(screener_module, "MIN_LANE_WORK", 1)
+    assert lane_count(len(features), TILES) == 3
+    real_thread, in_plane_pass, started = threading.Thread, [], []
+
+    def thread(*args, **kwargs):
+        assert in_plane_pass, "a serving call built a thread outside the plane pass"
+        started.append(args)
+        return real_thread(*args, **kwargs)
+
+    monkeypatch.setattr(threading, "Thread", thread)
+    streaming = [
+        model.forward_streaming(features).exact_values,
+        model.forward_streaming(features, block_categories=STRADDLING_BLOCK).exact_values,
+        *model.top_k(features, 5),
+        model.predict(features),
+    ]
+    assert_same_answers(streaming, [expected[2], expected[6], *expected[11:]])
+    score_plane = ScreeningModule.score_plane
+
+    def plane_pass(screener, augmented, out):
+        in_plane_pass.append(True)
+        try:
+            return score_plane(screener, augmented, out)
+        finally:
+            in_plane_pass.pop()
+
+    monkeypatch.setattr(ScreeningModule, "score_plane", plane_pass)
+    assert_same_answers(answers(model, features), expected)
+    assert len(started) == 2  # dense forward's two helper lanes
+
+
 # ----------------------------------------------------------------------
 # failure semantics
 # ----------------------------------------------------------------------
@@ -299,23 +321,25 @@ class Abort(BaseException):
 @pytest.mark.parametrize("mode", SELECTORS)
 @pytest.mark.parametrize("failing_lane", (0, 1))
 def test_a_failing_lane_is_raised_after_every_join(monkeypatch, parts, mode, failing_lane):
+    """A lane of dense ``forward``'s plane pass fails once the other lane
+    is provably mid-run: the caller sees the error only after that lane
+    scored its whole run, no thread is left, and the next calls answer
+    the single-lane bits."""
     model = build(parts, mode)
     features = parts[2][:8]
     force_lanes(monkeypatch, 1)
     expected = answers(model, features)
     force_lanes(monkeypatch, 2)
-    model.forward_streaming(features)  # arenas warm, as in serving
+    model.forward(features)
 
-    runs = lane_tiles(2)
+    runs = [[0, 1, 2], [3, 4, 5]]  # the plane pass's runs of the six tiles
     bad_tile = runs[failing_lane][1]
-    other = set(runs[1 - failing_lane]) - {0}
+    other = set(runs[1 - failing_lane])
     score_tile = model.screener.score_tile
-    float32_left = pipeline_module.TilePrescreen.float32_left
-    coarse_left = pipeline_module.TilePrescreen.coarse_left
     other_started = threading.Event()
     finished = []
 
-    def scoring(start):
+    def flaky(augmented, start, stop, out):
         tile = start // TILE_CATEGORIES
         if tile == bad_tile:
             # Fail only once the other lane is provably mid-run.
@@ -324,48 +348,18 @@ def test_a_failing_lane_is_raised_after_every_join(monkeypatch, parts, mode, fai
         if tile in other:
             other_started.set()
             time.sleep(0.05)
-
-    def flaky(augmented, start, stop, out):
-        scoring(start)
         result = score_tile(augmented, start, stop, out)
-        finished.append(start // TILE_CATEGORIES)
-        return result
-
-    def flaky_float32_left(screen, start, stop, bound, ws, rows=None):
-        # A tile the float32 prescreen proves empty is never scored in
-        # float64: the failure is injected wherever a tile is scored.
-        scoring(start)
-        result = float32_left(screen, start, stop, bound, ws, rows)
-        finished.append(start // TILE_CATEGORIES)
-        return result
-
-    def flaky_coarse_left(screen, start, bound, boxes):
-        # Nor is a tile its boxes prove empty scored in float32: a
-        # box-tested tile meets its coarse bounds first.
-        scoring(start)
-        result = coarse_left(screen, start, bound, boxes)
-        finished.append(start // TILE_CATEGORIES)
+        finished.append(tile)
         return result
 
     threads_before = threading.active_count()
     monkeypatch.setattr(model.screener, "score_tile", flaky)
-    monkeypatch.setattr(pipeline_module.TilePrescreen, "float32_left", flaky_float32_left)
-    monkeypatch.setattr(pipeline_module.TilePrescreen, "coarse_left", flaky_coarse_left)
-    for call in (
-        lambda: model.forward_streaming(features),
-        lambda: model.forward(features),
-        lambda: model.top_k(features, 5),
-    ):
-        del finished[:]
-        other_started.clear()
-        with pytest.raises(Abort, match=f"tile {bad_tile}"):
-            call()
-        # The surviving lane ran to its end before the caller saw the error.
-        assert other <= set(finished)
-        assert threading.active_count() == threads_before
+    with pytest.raises(Abort, match=f"tile {bad_tile}"):
+        model.forward(features)
+    # The surviving lane ran to its end before the caller saw the error.
+    assert other <= set(finished)
+    assert threading.active_count() == threads_before
     monkeypatch.setattr(model.screener, "score_tile", score_tile)
-    monkeypatch.setattr(pipeline_module.TilePrescreen, "float32_left", float32_left)
-    monkeypatch.setattr(pipeline_module.TilePrescreen, "coarse_left", coarse_left)
     assert_same_answers(answers(model, features), expected)
     assert threading.active_count() == threads_before
 
@@ -375,45 +369,39 @@ def test_a_failing_lane_is_raised_after_every_join(monkeypatch, parts, mode, fai
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("mode", SELECTORS)
 def test_the_arena_accounts_for_its_lanes(monkeypatch, parts, mode):
+    """The call's arena is the one-lane arena whatever the lane rule
+    says: the plane pass takes no scratch from it, so a warm arena
+    neither grows nor allocates at 3 lanes, and ``close`` empties it."""
     model = build(parts, mode)
     features = parts[2]
-    force_lanes(monkeypatch, 1)
-    for _ in range(3):
-        model.forward_streaming(features)
-    single = model.workspace.nbytes
-    force_lanes(monkeypatch, 3)
-    before = model.workspace.allocations
-    model.forward_streaming(features)
-    assert model.workspace.allocations > before
-    tile = features.shape[0] * TILE_CATEGORIES * 8
-    # One tile of scratch per helper lane, plus its mask and fork.
-    assert single + 2 * tile < model.workspace.nbytes < single + 2 * 1.5 * tile
-    for _ in range(2):
-        model.forward_streaming(features)
-    settled = model.workspace.allocations
-    for _ in range(3):
-        model.forward_streaming(features)
-    assert model.workspace.allocations == settled
+    held = []
+    for lanes in (1, 3):
+        force_lanes(monkeypatch, lanes)
+        for _ in range(3):
+            model.forward_streaming(features)
+            model.forward(features)
+        held.append((model.workspace.nbytes, model.workspace.allocations))
+    assert held[0] == held[1]
     model.close()
     assert model.workspace.nbytes == 0
 
 
 @pytest.mark.parametrize("mode", SELECTORS)
 def test_lanes_allocate_nothing_from_the_second_call(monkeypatch, parts, mode):
-    """The ``workspace`` contract from the first call on, lanes included:
-    a second 2-lane call with a different batch of the same shape
-    allocates nothing.  (A threshold fork used to be sized when it was
-    made, from the record tile 0 left, so the second call still grew
-    lane 1's hit slabs to what the first call's absorb had made of it.)"""
+    """The ``workspace`` contract from the first call on: a second call
+    with a different batch of the same shape allocates nothing, dense
+    ``forward`` with its plane pass in 2 lanes included."""
     model = build(parts, mode)
     if mode == "threshold":
-        # Calibrated on the whole batch, tile 0 holds too few of the
-        # call's hits for a record sized at the fork.
+        # Calibrated on the whole batch: tile 0 holds few of the hits.
         model.selector.calibrate(model.screener.approximate_logits(parts[2]))
     force_lanes(monkeypatch, 2)
     model.forward_streaming(parts[2])
+    model.forward(parts[2])
     allocations = model.workspace.allocations
-    model.forward_streaming(parts[0].sample_features(max(ROWS), rng=11))
+    batch = parts[0].sample_features(max(ROWS), rng=11)
+    model.forward_streaming(batch)
+    model.forward(batch)
     assert model.workspace.allocations == allocations
 
 
@@ -434,18 +422,6 @@ def test_no_affinity_mask_counts_every_core(monkeypatch, parts, sharded):
     assert streamed.batch_size == 16 and streamed.exact_count > 0
 
 
-def test_workspace_lane_is_a_kept_child():
-    workspace = Workspace()
-    lane = workspace.lane(2)
-    assert workspace.lane(2) is lane and workspace.lane(1) is not lane
-    lane.buffer("tile", (4, 4))
-    workspace.buffer("tile", (2, 2))
-    assert workspace.allocations == 2 and workspace.nbytes == (16 + 4) * 8
-    workspace.release()
-    assert workspace.nbytes == 0 and lane.nbytes == 0
-    assert workspace.allocations == 2
-
-
 def traced_peak(call):
     call()
     tracemalloc.start()
@@ -459,13 +435,15 @@ def traced_peak(call):
 def test_seeded_lanes_do_not_pay_a_second_first_fill(monkeypatch, parts):
     """Warm ``forward_streaming`` in top-m mode: the reducer's first
     fill (a partition of a whole tile) is the peak, and only tile 0
-    pays it.  Lanes that started without its floor would read 2.0x."""
+    pays it; every later tile folds against its floor.  A lane rule of
+    2 moves neither call's peak: the plane pass takes no scratch."""
     model = build(parts, "top_m")
     features = parts[2]
     force_lanes(monkeypatch, 1)
-    single = traced_peak(lambda: model.forward_streaming(features))
+    single = [traced_peak(lambda: call(features)) for call in (model.forward_streaming, model.forward)]
     force_lanes(monkeypatch, 2)
-    assert traced_peak(lambda: model.forward_streaming(features)) <= 1.02 * single
+    laned = [traced_peak(lambda: call(features)) for call in (model.forward_streaming, model.forward)]
+    assert all(peak <= 1.02 * one for peak, one in zip(laned, single))
 
 
 @pytest.mark.parametrize("lanes", (2, 3))
@@ -473,19 +451,23 @@ def test_seeded_lanes_do_not_pay_a_second_first_fill(monkeypatch, parts):
 def test_top_k_peak_memory_is_lanes_plus_four_tiles(monkeypatch, parts, mode, lanes):
     """``top_k``'s arena is private to the call, so all of it counts:
     the tile, the first fill's partition copy and the runner-up queue
-    (2.4 tiles single-lane, either mode), plus a tile, its mask and its
-    queue per helper lane."""
+    (2.4 tiles, either mode) — under four tiles whatever the lane rule
+    says, since the serving loop is one lane."""
     model = build(parts, mode)
     features = parts[2][:32]
     force_lanes(monkeypatch, lanes)
     peak = traced_peak(lambda: model.top_k(features, 16))
-    assert peak < (lanes + 4) * 32 * TILE_CATEGORIES * 8
+    assert peak < 4 * 32 * TILE_CATEGORIES * 8
 
 
 # ----------------------------------------------------------------------
 # observability
 # ----------------------------------------------------------------------
 def test_lane_spans_land_under_their_own_tid(monkeypatch, parts):
+    """A streaming call's one lane is the caller: every tile span lands
+    under its ``tid``, with the lane rule at 2 too, and no lane gauge
+    exists.  Dense ``forward``'s plane pass is one ``screen.gemm`` span
+    on the caller around its lanes."""
     model = build(parts, "top_m")
     features = parts[2]
     force_lanes(monkeypatch, 2)
@@ -497,43 +479,23 @@ def test_lane_spans_land_under_their_own_tid(monkeypatch, parts):
     recorder = Recorder(trace=True)
     model.set_recorder(recorder)
     traced = model.forward_streaming(features)
-    assert recorder.snapshot()["gauges"]["pipeline.lanes"] == 2
-    per_tid = {}
+    model.forward(features)
+    assert "pipeline.lanes" not in recorder.snapshot()["gauges"]
+    names = []
     for event in recorder.tracer.chrome_events():
-        if event["name"].startswith("streaming.") and event["name"].endswith("_tile"):
-            per_tid.setdefault(event["tid"], []).append(event["name"])
-    assert threading.get_ident() in per_tid and len(per_tid) == 2
-    # Together the two lanes screen and select every tile once, but
-    # those a prescreen stage skipped: a float32 prescreen span with no
-    # screen span after it, or a box span with no float32 one after it.
-    names = sum(per_tid.values(), [])
+        if event["name"].startswith("streaming.") or event["name"] == "screen.gemm":
+            assert event["tid"] == threading.get_ident()
+            names.append(event["name"])
+    assert names.count("screen.gemm") == 1
+    # The streaming call screens and selects every tile once, but those a
+    # prescreen stage skipped; dense forward selects every tile of its plane.
     skipped = recorder.snapshot()["counters"]["pipeline.tiles_skipped"]
     assert names.count("streaming.screen_tile") == TILES - skipped
-    assert names.count("streaming.select_tile") == TILES - skipped
-
-    def tiles_folded(names):
-        after = names[1:] + [None]
-        next_stage = {
-            "streaming.box_tile": "streaming.prescreen_tile",
-            "streaming.prescreen_tile": "streaming.screen_tile",
-        }
-        return names.count("streaming.select_tile") + sum(
-            name in next_stage and next_name != next_stage[name]
-            for name, next_name in zip(names, after)
-        )
-
-    assert sorted(tiles_folded(names) for names in per_tid.values()) == sorted(
-        len(run) for run in lane_tiles(2)
-    )
+    assert names.count("streaming.select_tile") == 2 * TILES - skipped
     assert recorder.tracer.open_spans() == 0
-
-    force_lanes(monkeypatch, 1)
-    model.forward_streaming(features)
-    assert recorder.snapshot()["gauges"]["pipeline.lanes"] == 1
 
     # Detached again: same bits, nothing new allocated.
     model.set_recorder(NULL_RECORDER)
-    force_lanes(monkeypatch, 2)
     quiet = model.forward_streaming(features)
     assert model.workspace.allocations == allocations
     for output in (traced, quiet):
@@ -575,17 +537,20 @@ def sharded_answers(engine, features):
 
 def test_fork_started_workers_after_and_with_lanes(monkeypatch, parts, sharded):
     """Per-call threads leave nothing behind for a fork to trip over:
-    workers forked after a multi-lane call in the host answer the
-    sequential bits, and so do workers that run their own shards in
-    lanes (the patch is inherited through the fork)."""
+    workers forked after a laned set-up in the host answer the
+    sequential bits, and so do workers that place their own screeners
+    in lanes (the patch is inherited through the fork)."""
     features = parts[2][:16]
     force_lanes(monkeypatch, 1)
     expected = sharded_answers(sharded, features)
     force_lanes(monkeypatch, 2)
     threads = threading.active_count()
-    assert_same_answers(sharded_answers(sharded, features), expected)  # lanes in the host
+    trained = parts[1]
+    rebuilt = ScreeningModule(trained.projection, trained.weight, trained.bias)  # in lanes
+    assert np.array_equal(rebuilt._fused_weight_t, trained._fused_weight_t)
+    assert_same_answers(sharded_answers(sharded, features), expected)
     assert threading.active_count() == threads
-    with sharded.parallel(start_method="fork") as engine:  # lanes in the workers
+    with sharded.parallel(start_method="fork") as engine:  # set-up in lanes in the workers
         assert_same_answers(sharded_answers(engine, features), expected)
     force_lanes(monkeypatch, 1)
     with sharded.parallel(start_method="fork") as engine:

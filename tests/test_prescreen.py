@@ -9,7 +9,9 @@ and never skips, and of the per-row oracle.  The proof rests on the
 bound ``E`` on |float32 score − float64 score|: the adversarial models
 put an entry one float64 ulp from the bound where float32 rounding
 alone would call the tile empty, and the property test draws magnitudes
-from 1e-30 to 1e30 (float32 underflow and overflow included).
+from 1e-30 to 1e30 (float32 underflow and overflow included).  The
+``lanes`` axis is the lane count of dense ``forward``'s plane pass, the
+reference the streaming calls are held to; the streaming loop is one lane.
 """
 
 import numpy as np
@@ -19,7 +21,6 @@ from hypothesis import strategies as st
 from oracles import forward_per_row
 
 from repro.core import ApproximateScreeningClassifier, ScreeningConfig, train_screener
-from repro.core import pipeline as pipeline_module
 from repro.core.candidates import CandidateSelector
 from repro.core.classifier import FullClassifier
 from repro.core import screener as screener_module
@@ -49,7 +50,7 @@ BLOCKS = (None, 5_000)
 
 def force_lanes(monkeypatch, lanes):
     monkeypatch.setattr(
-        pipeline_module, "lane_count", lambda rows, tiles: max(1, min(lanes, tiles - 1))
+        screener_module, "lane_count", lambda rows, tiles: max(1, min(lanes, tiles - 1))
     )
 
 
@@ -130,6 +131,27 @@ def test_late_tiles_are_skipped_and_dense_forward_skips_none(zipf, mode):
     assert 0 < skipped <= prescreened <= TILES
     _, prescreened, skipped = tiles_skipped(model, lambda: model.forward(features))
     assert prescreened == skipped == 0
+
+
+@pytest.mark.parametrize("mode", SELECTORS)
+def test_tile_0_is_never_prescreened_and_tile_1_always_is(monkeypatch, zipf, mode):
+    """The prescreen rule's start: tile 0, where the head sits, is scored
+    without a prescreen stage, and tile 1 meets the first one, though
+    tile 0 recorded."""
+    model = build(zipf, mode)
+    features = zipf[2]
+    tested = []
+    float32_left = TilePrescreen.float32_left
+
+    def spy(screen, start, *args):
+        tested.append(start // TILE_CATEGORIES)
+        return float32_left(screen, start, *args)
+
+    monkeypatch.setattr(TilePrescreen, "float32_left", spy)
+    for call in (lambda: model.forward_streaming(features), lambda: model.top_k(features, K)):
+        del tested[:]
+        call()
+        assert tested[0] == 1 and 0 not in tested
 
 
 @pytest.mark.parametrize("block", BLOCKS)
@@ -348,9 +370,9 @@ def box_counts(model, call) -> tuple:
 def test_boxes_skip_after_a_lanes_first_skip(monkeypatch, zipf, mode):
     model = build(zipf, mode)
     features = zipf[2]
-    force_lanes(monkeypatch, 1)
     _, skipped, box_skipped, _ = box_counts(model, lambda: model.forward_streaming(features))
-    # One lane, tiles 1–5: tile 1 is prescreened in float32 only.
+    # Tiles 1–5: tile 1 comes before the call's first skip, so it is
+    # prescreened in float32 only.
     assert 0 < box_skipped < skipped <= TILES - 1
     _, skipped, box_skipped, tested = box_counts(model, lambda: model.forward(features))
     assert skipped == box_skipped == tested == 0
@@ -442,7 +464,7 @@ def test_a_box_one_ulp_from_the_bound(monkeypatch, mode, lanes, call, side, axes
         assert np.array_equal(indices, want[0])
         assert np.array_equal(scores, want[1])
     assert_dense_is_the_oracle(model, features, dense)
-    # The last tile follows a skipped one in its lane: its boxes are tested.
+    # The last tile follows a skipped one: its boxes are tested.
     assert tested > 0
 
 
@@ -630,8 +652,7 @@ def assert_only_the_row_keeps_its_entries(model, features, columns, bound, side,
         assert np.array_equal(indices, want[0])
         assert np.array_equal(scores, want[1])
     assert_dense_is_the_oracle(model, features, dense)
-    # The last tile follows a skipped one in its lane: its coarse bounds
-    # are compared.
+    # The last tile follows a skipped one: its coarse bounds are compared.
     assert coarse > 0
     return coarse, box, float32
 
@@ -712,8 +733,8 @@ def lone_row_model(mode, call):
     columns that row :data:`ROW` scores 0.1 to 0.9 above the bound tile
     0 leaves, through multiples of the dual of its input and no bias, and
     every other row about 0.  Both tiles are prescreened — the first
-    after a skipped tile or at the start of its lane's run, the second
-    after a tile whose prescreen proved rows — and each leaves
+    after a skipped tile, the second after a tile whose prescreen proved
+    rows — and each leaves
     :data:`ROW` alone, though the first records.  No bias dominates the
     sum, so a 1-row GEMM's summation order shows in the scores' bits."""
     selector = adversarial_selector(mode)
@@ -831,8 +852,8 @@ def test_coarse_bounds_cover_their_boxes_and_columns(
 def test_warm_calls_allocate_nothing_whichever_rows_a_stage_leaves(monkeypatch, lanes):
     """One arena, two batches: on one the coarse stage leaves a single
     row, on the other every row.  Warmed on the second, which gathers
-    nothing, the first allocates nothing either: a lane's scratch is
-    sized at the call's full row count."""
+    nothing, the first allocates nothing either: the call's scratch is
+    sized at its full row count."""
     model, features, _, _ = row_adversarial_model(
         monkeypatch, "top_m", "forward_streaming", -1, "principal", "coarse"
     )

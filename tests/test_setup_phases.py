@@ -30,6 +30,5 @@ def test_prints_every_phase_and_settles_after_one_call():
         "plane", "screen plane", "scores", "calibration", "first call", "second call"
     ):
         assert len(lines[phase]) == 6, phase  # best / median per lane count
-    # The 2-lane loop forks its reducer; its second call allocates
-    # nothing, like the single-lane loop's.
+    # Whichever lanes set-up took, the second call allocates nothing.
     assert lines["calls to flat"] == ["2", "2"]

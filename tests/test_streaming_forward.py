@@ -13,7 +13,6 @@ import pytest
 
 from oracles import forward_per_row
 from repro.core import ApproximateScreeningClassifier, ScreeningConfig, train_screener
-from repro.core import pipeline as pipeline_module
 from repro.core.candidates import CandidateSelector
 from repro.core.pipeline import StreamedOutput
 from repro.core.screener import TILE_CATEGORIES
@@ -267,13 +266,11 @@ class TestWorkspaceSteadyState:
         assert model._arena is workspace
         assert workspace.allocations == settled
 
-    @pytest.mark.parametrize("lanes", (1, 2))
-    def test_replay_and_lanes_stay_flat_across_batches(self, monkeypatch, lanes):
-        """The benchmark's traced loop on one arena: a call (2-lane at
-        the benchmark's size), then the same batch folded on one lane by
-        a reducer from ``make_block_reducer``.  Warm on one batch, no
-        later batch may grow a slab, whatever its data: the reducer's
-        scratch, a lane's included, is sized by the call's shape (here
+    def test_replay_stays_flat_across_batches(self):
+        """The benchmark's traced loop on one arena: a call, then the
+        same batch folded by a reducer from ``make_block_reducer``.
+        Warm on one batch, no later batch may grow a slab, whatever its
+        data: the reducer's scratch is sized by the call's shape (here
         16 rows x 40K, five tiles), not by how many entries pass."""
         l, rows = 40_000, 16
         task = make_task(num_categories=l, hidden_dim=64, rng=41)
@@ -284,7 +281,6 @@ class TestWorkspaceSteadyState:
             solver="lstsq",
             rng=43,
         )
-        monkeypatch.setattr(pipeline_module, "lane_count", lambda rows, tiles: lanes)
         for seed in range(1, 6):
             model = ApproximateScreeningClassifier(
                 task.classifier, screener, num_candidates=32
