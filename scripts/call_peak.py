@@ -19,11 +19,11 @@ tile of scores is printed beside them for scale: a warm call that allocates
 a large share of it holds a tile-sized temporary somewhere, and the phase
 lines say where.  The last two lines count the canonical tiles of one call,
 how many of them a prescreen stage tested and skipped, and how many of
-those the box stages skipped before any float32 score, then the rows each
-prescreen stage ran on — compared against a coarse bound, tested against
-the tile's boxes, scored in float32 — and the rows the float64 tile GEMMs
-scored, tile 0's included (read from a ``Recorder`` on one more call,
-after the peaks).  The benchmark's ``call_peak_mb`` is the whole-call line at
+those the box stages skipped before the entry step, then the rows each
+stage ran on — compared against a coarse bound, tested against the tile's
+boxes, tested on their failing boxes' columns, scored in float64 by the
+tile GEMMs (tile 0's included) — read from a ``Recorder`` on one more
+call, after the peaks.  The benchmark's ``call_peak_mb`` is the whole-call line at
 its own sizes; put another tree's ``src`` on ``PYTHONPATH`` to read that
 tree.
 """
@@ -113,7 +113,7 @@ def measure(model, batch, repeats: int) -> dict:
         stage_rows=[
             int(counters.get(f"pipeline.{name}", 0))
             for name in (
-                "rows_coarse_tested", "rows_box_tested", "rows_float32_scored",
+                "rows_coarse_tested", "rows_box_tested", "rows_entry_tested",
                 "rows_float64_scored",
             )
         ],
@@ -144,12 +144,11 @@ def report(args, result: dict) -> str:
     lines.append(
         f"tiles per call {result['tiles']}: {result['prescreened']} prescreened, "
         f"{result['skipped']} skipped ({result['box_skipped']} by their boxes, "
-        f"{result['skipped'] - result['box_skipped']} by their float32 scores)"
+        f"{result['skipped'] - result['box_skipped']} by their entries)"
     )
-    coarse, box, float32, float64 = result["stage_rows"]
+    coarse, box, entry, float64 = result["stage_rows"]
     lines.append(
-        f"rows per call: {coarse} compared against coarse bounds, {box} box-tested, "
-        f"{float32} scored in float32, {float64} scored in float64"
+        f"rows per call: {coarse} coarse / {box} box / {entry} entry / {float64} float64"
     )
     return "\n".join(lines)
 

@@ -8,14 +8,11 @@ fit, calibration rows, a few batches), then times what a program pays from
 arrays in hand to a settled pipeline:
 
 * ``plane``        — ``ScreeningModule(...)``: the fused INT4 plane;
-* ``screen plane`` — the same constructor's float32 copy of that plane
-  and its per-tile magnitudes, placed tile by tile in the same lanes:
-  the slowest lane's share, taken out of ``plane`` (0 on a tree
-  without one);
 * ``boxes``        — the same constructor's box prescreen boxes, each
-  tile's weights rotated into the principal axes and reduced per
-  chunk, then per coarse box, in the same lanes: the slowest lane's
-  share, also taken out of ``plane`` (0 on a tree without them);
+  tile's largest magnitudes read and its weights rotated into the
+  principal axes and reduced per chunk, then per coarse box, in the
+  same lanes: the slowest lane's share, taken out of ``plane`` (0 on a
+  tree without them);
 * ``scores``       — ``approximate_logits`` of the ``ROWS`` calibration rows;
 * ``calibration``  — ``CandidateSelector.calibrate`` on those scores
   (threshold selector only);
@@ -26,8 +23,11 @@ Each phase is timed ``--repeats`` times (best / median, ms).  The
 ``allocations`` line lists how many workspace slabs each of the first
 calls (re)allocated, and ``calls to flat`` counts the calls until one
 allocates nothing — the warm-up a benchmark that repeats a call until its
-workspace is flat pays.  Everything runs twice, the lane rule patched to 1
-lane and then to 2 (``repro.core.screener.lane_count``, which the plane
+workspace is flat pays.  The ``resident`` lines list the bytes the
+screener keeps per derived array — the fused plane, the boxes, the coarse
+boxes, and any other array of a megabyte or more a tree keeps beside its
+master weights.  Everything runs twice, the lane rule patched to 1 lane
+and then to 2 (``repro.core.screener.lane_count``, which the plane
 placement and ``approximate_logits`` read; trees whose serving loop ran
 in lanes also import it into ``repro.core.pipeline``, patched there too),
 so a set-up change can be broken down by phase and by lane count without
@@ -66,7 +66,11 @@ from repro.core.screener import ScreeningConfig, ScreeningModule
 from repro.core.training import train_screener
 from repro.data import make_task
 
-PHASES = ("plane", "screen plane", "boxes", "scores", "calibration", "first call", "second call")
+PHASES = ("plane", "boxes", "scores", "calibration", "first call", "second call")
+#: The screener's derived arrays by attribute, as ``resident`` names them.
+DERIVED = {
+    "_fused_weight_t": "fused plane", "_tile_box": "boxes", "_tile_coarse": "coarse boxes"
+}
 #: Calls made to find where the workspace settles.
 MAX_WARM_CALLS = 6
 
@@ -94,11 +98,10 @@ def set_up_once(inputs: dict, args) -> dict:
     each warm-up call."""
     fit, clock, times = inputs["fit"], time.perf_counter, {}
     start = clock()
-    with lane_clock("_place_screen_tile") as screen, lane_clock("_place_box_tile") as boxes:
+    with lane_clock("_place_box_tile") as boxes:
         screener = ScreeningModule(fit.projection, fit.weight, fit.bias, quantization_bits=4)
-    times["screen plane"] = max(screen.values(), default=0.0)
     times["boxes"] = max(boxes.values(), default=0.0)
-    times["plane"] = clock() - start - times["screen plane"] - times["boxes"]
+    times["plane"] = clock() - start - times["boxes"]
     start = clock()
     scores = screener.approximate_logits(inputs["valid"])
     times["scores"] = clock() - start
@@ -119,7 +122,25 @@ def set_up_once(inputs: dict, args) -> dict:
         allocations.append(model.workspace.allocations - before)
         if call >= 1 and allocations[-1] == 0:
             break
-    return dict(times=times, allocations=allocations)
+    return dict(times=times, allocations=allocations, resident=resident_bytes(screener, fit))
+
+
+def resident_bytes(screener, fit) -> dict:
+    """Bytes of each array ``screener`` keeps beside the master weights
+    and bias it was built from: :data:`DERIVED` by name, any other of a
+    megabyte or more by attribute (such as an older tree's float32 copy
+    of the plane)."""
+    arrays = vars(screener)
+    resident = {
+        label: arrays[name].nbytes
+        for name, label in DERIVED.items()
+        if arrays.get(name) is not None
+    }
+    for name, value in arrays.items():
+        if isinstance(value, np.ndarray) and name not in DERIVED and value.nbytes >= 1 << 20:
+            if value is not fit.weight and value is not fit.bias:
+                resident[name] = value.nbytes
+    return resident
 
 
 @contextlib.contextmanager
@@ -167,6 +188,7 @@ def measure(inputs: dict, args, lanes: int) -> dict:
             phase: [run["times"][phase] * 1e3 for run in runs] for phase in PHASES
         },
         allocations=runs[-1]["allocations"],
+        resident=runs[-1]["resident"],
     )
 
 
@@ -200,6 +222,10 @@ def report(args, results: dict) -> str:
         f"{'calls to flat':<14}"
         + "".join(f"{len(results[n]['allocations']):>20}" for n in lanes)
     )
+    resident = results[lanes[0]]["resident"]
+    for name, size in resident.items():
+        lines.append(f"resident {name}: {size / 1e6:.1f} MB ({size:,} bytes)")
+    lines.append(f"resident total: {sum(resident.values()) / 1e6:.1f} MB")
     return "\n".join(lines)
 
 

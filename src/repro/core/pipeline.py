@@ -68,11 +68,11 @@ from repro.utils.memory import PHASE_SCRATCH, Workspace
 from repro.utils.validation import check_batch_features, check_positive
 
 #: The tile loop's per-call counters, in the order :meth:`_fold` tallies them:
-#: tiles a prescreen stage tested, tiles skipped, tiles skipped before
-#: any float32 score, the rows each prescreen stage tested — compared
-#: against a coarse bound, against the tile's boxes, scored in float32 —
-#: and the rows the float64 tile GEMMs scored (tile 0's included, a lone
-#: row's partner not).
+#: tiles a prescreen stage tested, tiles skipped, tiles the box stages
+#: skipped before the entry step, the rows each prescreen stage tested —
+#: compared against a coarse bound, against the tile's boxes, on their
+#: failing boxes' columns — and the rows the float64 tile GEMMs scored
+#: (tile 0's included, a lone row's partner not).
 _TALLIES = tuple(
     f"pipeline.{name}"
     for name in (
@@ -81,7 +81,7 @@ _TALLIES = tuple(
         "tiles_box_skipped",
         "rows_coarse_tested",
         "rows_box_tested",
-        "rows_float32_scored",
+        "rows_entry_tested",
         "rows_float64_scored",
     )
 )
@@ -578,7 +578,7 @@ class ApproximateScreeningClassifier:
             rows, l, workspace=ws, runner_ups=runner_ups
         )
         if plane is None:
-            screen = TilePrescreen(screener, augmented, ws)
+            screen = TilePrescreen.for_call(screener, augmented, ws)
         else:
             screen = None
             screener.score_plane(augmented, plane)
@@ -593,26 +593,25 @@ class ApproximateScreeningClassifier:
         scratch (or read it from ``plane``, scored already) and fold it
         into ``reducer``; returns the counts :data:`_TALLIES` names.
 
-        With a ``screen`` (the streaming path), tile 1, a tile that
-        follows one that recorded nothing and a tile that follows one
-        whose prescreen proved a row are prescreened (the prescreen
-        rule): a row whose scores are proven at most the reducer's bound,
-        by one stage or another, would record nothing, so the float64
-        GEMM and the update run on only the rows left — gathered from
-        ``augmented`` into ``ws`` scratch — and on none when no row is.
-        Tile 0 is not prescreened: it is where the head of a
-        frequency-ordered label space sits, and in top-m mode no bound
-        exists before it.  Once the call has skipped a tile, each tile's
-        coarse bounds are compared first, its boxes tested on the rows
-        they leave and its float32 scores on the rows those leave;
-        before, its float32 scores on every row.  A call that never
-        skips never builds a box query, and one whose prescreen never
-        proves a row scores every row of every tile."""
+        With a ``screen`` (the streaming path on a boxed screener), tile
+        1, a tile that follows one that recorded nothing and a tile that
+        follows one whose prescreen proved a row are prescreened (the
+        prescreen rule): a row whose scores are proven at most the
+        reducer's bound, by one stage or another, would record nothing,
+        so the float64 GEMM and the update run on only the rows left —
+        gathered from ``augmented`` into ``ws`` scratch — and on none
+        when no row is.  Tile 0 is not prescreened: it is where the head
+        of a frequency-ordered label space sits, and in top-m mode no
+        bound exists before it.  The box query is built at tile 1; then
+        each prescreened tile's coarse bounds are compared on every row,
+        its boxes tested on the rows they leave, and the columns of the
+        boxes each row left fails scored on those rows.  A call whose
+        prescreen never proves a row scores every row of every tile."""
         recorder = self.recorder
         rows = len(augmented)
         tiles = self.screener.tile_bounds()
         prescreened = skipped = box_skipped = 0
-        coarse_rows = box_rows = float32_rows = float64_rows = 0
+        coarse_rows = box_rows = entry_rows = float64_rows = 0
         boxes = None
         screening = False
         if screen is not None:
@@ -625,23 +624,19 @@ class ApproximateScreeningClassifier:
             left = None
             if screening:
                 bound = reducer.bound
-                if skipped and screen.boxed:
-                    with recorder.span("streaming.box_tile"):
-                        if boxes is None:
-                            first, last = (t // TILE_CATEGORIES for t in (t0, tiles[-1][0]))
-                            boxes = screen.query_boxes(ws, first, last + 1)
-                        left = screen.coarse_left(t0, bound, boxes)
-                        if left is not None:
-                            coarse_rows += rows
-                            box_rows += len(left)
-                            if len(left):
-                                left = screen.box_left(t0, t1, bound, ws, boxes, left)
-                    box_skipped += left is not None and not len(left)
-                if left is None or len(left):
-                    tested = rows if left is None else len(left)
-                    with recorder.span("streaming.prescreen_tile"):
-                        left = screen.float32_left(t0, t1, bound, ws, left)
-                    float32_rows += tested if left is not None else 0
+                with recorder.span("streaming.box_tile"):
+                    if boxes is None:
+                        boxes = screen.query_boxes(ws, t0 // TILE_CATEGORIES)
+                    left = screen.coarse_left(t0, bound, boxes)
+                    if left is not None:
+                        coarse_rows += rows
+                        box_rows += len(left)
+                        if len(left):
+                            left = screen.box_left(t0, t1, bound, ws, boxes, left)
+                        box_skipped += not len(left)
+                        entry_rows += len(left)
+                        if len(left):
+                            left = screen.entry_left(t0, t1, bound, ws)
                 prescreened += left is not None
                 if left is not None and not len(left):
                     skipped += 1
@@ -669,7 +664,7 @@ class ApproximateScreeningClassifier:
                     start = stop
             screening = screen is not None and (t0 == 0 or not recorded or left is not None)
         return (
-            prescreened, skipped, box_skipped, coarse_rows, box_rows, float32_rows, float64_rows
+            prescreened, skipped, box_skipped, coarse_rows, box_rows, entry_rows, float64_rows
         )
 
     def _exact_candidate_values(

@@ -11,77 +11,73 @@ transposed plane of fake-quantized weights, the input quantizer) is
 built once and cached on the module, and the hot matmul folds ``b̃``
 into one extra weight column — the same trick the compiler uses when
 tiling for the hardware — so one GEMM writes the full score matrix.
-The module holds five arrays: the FP64 master ``weight``, that fused
-plane — ``(k + 1)·l·8`` private bytes beside the master — the fused
-plane's values rounded to float32, the *screen plane* (``(k + 1)·l·4``
-bytes), the *boxes* (``_tile_box``, ``(2k + 1)·⌈l / 8⌉·8`` bytes) and
-the *coarse boxes* (``_tile_coarse``, ``(2k + 1)·8·⌈l / 8192⌉·8``
-bytes).  All four derived arrays are placed one canonical tile at a
-time, each block of categories transposed into a tile of scratch,
-quantized from there straight into its columns of the fused plane,
-rounded from those into the screen plane's, rotated from them into its
-boxes and reduced from those into its coarse boxes, so construction (training, a worker's start or respawn, a load from disk)
-holds the arrays and a tile or two per lane, never a plane-sized
-temporary.  The fake-quantized ``(l, k)`` view the compiler lowers from
-(``_weight_deq``, the same values quantized whole) is derived on
-demand, not kept as another copy.
+The module holds four arrays: the FP64 master ``weight``, that fused
+plane — ``(k + 1)·l·8`` private bytes beside the master — the *boxes*
+(``_tile_box``, ``(2k + 1)·⌈l / 8⌉·8`` bytes) and the *coarse boxes*
+(``_tile_coarse``, ``(2k + 1)·8·⌈l / 8192⌉·8`` bytes).  All three
+derived arrays are placed one canonical tile at a time, each block of
+categories transposed into a tile of scratch, quantized from there
+straight into its columns of the fused plane, rotated from those into
+its boxes and reduced from those into its coarse boxes, so construction
+(training, a worker's start or respawn, a load from disk) holds the
+arrays and a tile or two per lane, never a plane-sized temporary.  The
+fake-quantized ``(l, k)`` view the compiler lowers from (``_weight_deq``,
+the same values quantized whole) is derived on demand, not kept as
+another copy.
 
-The float32 prescreen (:class:`TilePrescreen`): once a streaming call's
-reducer holds a bound — its threshold, or with runner-ups each row's
-floor — a tile whose every float64 score is at most that bound would
-record nothing, so the loop may leave it out.  The screen plane proves
-as much at half the GEMM cost: scored in float32, a row of a tile is
-proven when its largest float32 score is at most ``bound − E`` rounded
-down, and the tile is left out when every row is, where ``E`` bounds |float32 score − float64 :meth:`score_tile`
-score| for that row and tile.  Per entry, over the ``n = k + 1``
-products ``a_j f_j`` of the augmented input and the fused plane, the
-gap is at most ``relative · P + mixed · Q + absolute`` with ``P =
-Σ|a_j f_j|`` and ``Q = Σ(|a_j| + |f_j|)``: rounding both operands to
-float32, both GEMMs' summation error in any order (``γ_n = n u / (1 −
-n u)`` at each width's unit roundoff ``u``) and float32 underflow
-(``_screen_error_terms`` derives the three coefficients).  Set-up keeps
-each tile's largest weight and bias magnitudes; a call sums ``|a_j|``
-per row, and ``P`` and ``Q`` follow — one multiply-add per row and
-tile.  A call whose magnitudes could overflow float32 (any operand past
-``2**100``, or a sum past ``2**125``) screens no such tile.  Which tiles
-are prescreened is the loop's prescreen rule: tile 1, a tile after one
-that recorded nothing, and a tile after one whose prescreen proved a
-row, never tile 0 — on a frequency-ordered label space, every tile past
-the head.  A left-out row leaves the reducer's record unchanged
+The prescreen (:class:`TilePrescreen`): once a streaming call's reducer
+holds a bound — its threshold, or with runner-ups each row's floor — a
+row of a tile whose every float64 :meth:`~ScreeningModule.score_tile`
+score is at most that bound would record nothing, so the loop may leave
+it out.  Set-up takes the principal axes ``Q`` of the head tile's
+weights (``eigh`` of their ``k × k`` Gram), rotates every quantized
+weight column into them, ``ỹ = Qᵀw``, and keeps per
+:data:`BOX_CATEGORIES` contiguous columns each axis's max and min and the
+largest bias, and the same per :data:`COARSE_CATEGORIES` columns,
+reduced from those.  A call rotates its input, ``c̃ = aQ``; one GEMM of
+``[max(c̃, 0) | min(c̃, 0) | 1]`` against boxes bounds every score in
+each box from above.  Three stages then prove rows, each on the rows
+the one before left:
+
+* the coarse boxes: a row is proven when its largest coarse bound of the
+  tile is at most ``bound − E_box`` rounded down — the coarse bounds of
+  every tile scored in one GEMM at the call's first prescreened tile,
+  then one compare per row and tile;
+* the boxes: the same test on each of the tile's boxes, one GEMM;
+* the entries: a row the boxes leave names the boxes above its limit —
+  a median of one of the tile's 1,024 — and only their columns are
+  scored, gathered from the fused plane against the row's input in
+  float64 and in any order; the row is proven when each score is at
+  most ``bound − E_entry`` rounded down.
+
+``E_box`` (``_box_error_terms``) covers the two rotations' and the box
+GEMM's rounding, the float64 tile GEMM's, underflow, and the axes'
+departure from orthogonality through ``a·w = (Qᵀa)·(Qᵀw) + aᵀ(I −
+QQᵀ)w``; ``E_entry = 2γ_{k+1}(A·W + B)`` plus underflow
+(``_entry_error_terms``) is its tile-GEMM term taken twice: any-order
+float64 against the tile GEMM's.  Both are one multiply-add per row and
+tile, from the tile's largest ``|w|`` and ``|b|`` (``W``, ``B``) and the
+row's ``A = Σ|a_j|``; ``E_box`` covers the coarse boxes unchanged, since
+a max or min of box extremes is exact.  A gathered score never records:
+its bits are not the tile GEMM's, so a row the entries leave is scored
+by the tile GEMM.  A call whose magnitudes are past
+:data:`_SCREEN_MAGNITUDE` prescreens no tile, and a tile past it is
+never prescreened.
+
+A tile is left out once every row is proven by some stage; else the
+float64 GEMM and the fold run on only the rows none proved.  A left-out
+row leaves the reducer's record unchanged
 (:meth:`~repro.linalg.topk.BlockwiseThreshold.update`), so every output
 bit is the full loop's by construction; dense ``forward``, which keeps
-the score plane, never leaves a row out.
-
-The box stages, ahead of the float32 one: set-up takes the principal
-axes ``Q`` of the head tile's weights (``eigh`` of their ``k × k``
-Gram), rotates every quantized weight column into them, ``ỹ = Qᵀw``,
-and keeps per :data:`BOX_CATEGORIES` contiguous columns each axis's max
-and min and the largest bias, and the same per
-:data:`COARSE_CATEGORIES` columns, reduced from those.  A call rotates
-its input, ``c̃ = aQ``; one GEMM of ``[max(c̃, 0) | min(c̃, 0) | 1]``
-against boxes bounds every score in each box from above, and a row of
-a tile is proven when its largest box bound is at most ``bound − E_box``
-rounded down.  ``E_box`` (``_box_error_terms``) covers the two
-rotations' and the box GEMM's rounding, the float64 tile GEMM's,
-underflow, and the axes' departure from orthogonality through ``a·w =
-(Qᵀa)·(Qᵀw) + aᵀ(I − QQᵀ)w``; it has the float32 stage's shape, one
-multiply-add per row and tile.  It covers the coarse boxes unchanged:
-its terms use only the tile's largest ``|w|`` and ``|b|``, the row's
-``Σ|a_j|`` and the axes, and a max or min of box extremes is exact, so
-a coarse box's extremes are attained by its own columns.  On a
-frequency-ordered label space the bias is smooth in the index and W̃ is
-strongly low-rank, so a tile's boxes prove most of what its 8,192
-float32 scores prove, and its 8 coarse boxes most of that.
-
-The stages prove rows, not tiles: each returns the rows it could not
-prove, and the next runs on only those — the coarse bounds (scored for
-every remaining tile in one GEMM at the call's first box test, then one
-compare per row and tile), the tile's boxes, then its float32 scores —
-a tile is left out once every row is proven by some stage, and the
-float64 GEMM and the fold run on only the rows none proved.  A call
-tests boxes only once it has skipped a tile, and before that a tile's
-float32 scores on every row; a call that never skips (a flat-prior
-shard) never builds a box query.
+the score plane, never leaves a row out.  Which tiles are prescreened is
+the loop's prescreen rule: tile 1, a tile after one that recorded
+nothing, and a tile after one whose prescreen proved a row, never tile
+0 — on a frequency-ordered label space, every tile past the head.  On
+such a space the bias is smooth in the index and W̃ is strongly
+low-rank, so a tile's boxes prove most rows and its coarse boxes most
+of those.  A screener whose axes cannot bound (non-finite, or off
+orthogonal by more than :data:`_BOX_DELTA`) has no boxes and prescreens
+nothing.
 
 Lanes: ENMC gives every rank its own slice of the screener, and the
 ranks work at once.  The plane-sized loops here — placing the plane and
@@ -135,20 +131,17 @@ TILE_CATEGORIES = 8192
 MIN_LANE_WORK = 1 << 22
 
 
-#: The float32 prescreen's range: a call screens a tile only when every
-#: operand magnitude is at most ``_SCREEN_MAGNITUDE`` and no row's
-#: ``Σ|a_j| max|w| + max|b|`` exceeds ``_SCREEN_SUM``, so no float32
-#: operand, product or partial sum can overflow (float32's largest finite
-#: value is just under 2**128).  A tile magnitude out of range is stored
-#: as ``_SCREEN_GUARD``, which fails the sum test for every call.
+#: The prescreen's range: a call prescreens a tile only when every row's
+#: ``Σ|a_j|`` and the tile's largest weight and bias magnitudes are at most
+#: ``_SCREEN_MAGNITUDE`` (NaN never is) — the range the absolute terms of
+#: ``E_box`` and ``E_entry`` are derived under, far inside float64's.
 _SCREEN_MAGNITUDE = 2.0**100
-_SCREEN_SUM = 2.0**125
-_SCREEN_GUARD = 2.0**126
 
 
 #: Categories per box of the box prescreen (:class:`TilePrescreen`): the
 #: width of the contiguous chunks whose per-axis extremes in the screener's
-#: principal axes bound a tile before its float32 scores do.  Measured on
+#: principal axes bound a tile's scores, and the columns the entry step
+#: scores per box a row fails.  Measured on
 #: the ``batch_topm`` model (64 × 670K, k = 16, m = 32, tile-0 floor; seeds
 #: 1–4; tiles proven empty of the 81 past tile 0):
 #:
@@ -167,16 +160,17 @@ BOX_CATEGORIES = 8
 #: tile has ``TILE_CATEGORIES // COARSE_CATEGORIES`` of them and a row's
 #: coarse bound of a tile is the largest of theirs.  Measured on the
 #: ``batch_threshold`` / ``batch_topm`` model (64 × 670K, k = 16, m = 32;
-#: seed 1, 16 calls, 2 lanes, one BLAS thread; rows per call each later
-#: stage runs on, and the median call over 6 alternating rounds):
+#: seed 1, 16 calls, 2 lanes, one BLAS thread; rows per call the 8-wide
+#: stage runs on — the stage after it ran on the same rows at every width
+#: — and the median call over 6 alternating rounds):
 #:
-#:     width     8-wide rows       float32 rows    per call (ms)
-#:     (none)    4,536 / 4,940     278 / 215       28.2 / 25.3
-#:     512         752 / 597       278 / 215       24.2 / 18.2
-#:     1024        941 / 792       278 / 215       24.0 / 18.8
-#:     2048      1,135 / 1,016     278 / 215       24.4 / 19.8
-#:     4096      1,345 / 1,275     278 / 215       24.2 / 18.9
-#:     8192      1,547 / 1,530     278 / 215       23.6 / 19.5
+#:     width     8-wide rows       per call (ms)
+#:     (none)    4,536 / 4,940     28.2 / 25.3
+#:     512         752 / 597       24.2 / 18.2
+#:     1024        941 / 792       24.0 / 18.8
+#:     2048      1,135 / 1,016     24.4 / 19.8
+#:     4096      1,345 / 1,275     24.2 / 18.9
+#:     8192      1,547 / 1,530     23.6 / 19.5
 #:
 #: Every width from 512 to 8192 is within the noise of the others; 1024
 #: leaves the 8-wide stage 61% of the rows 8192 does, for a coarse level
@@ -187,39 +181,6 @@ _COARSE_PER_TILE = TILE_CATEGORIES // COARSE_CATEGORIES
 #: The largest rigorous ``‖I − QQᵀ‖_F`` bound of principal axes ``Q``
 #: that a screener box-tests under; past it no tile is box-tested.
 _BOX_DELTA = 2.0**-20
-
-
-def _screen_error_terms(k: int) -> Tuple[float, float, float]:
-    """``(relative, mixed, absolute)``: the bound on |float32 tile score
-    − float64 :meth:`ScreeningModule.score_tile` score| for one entry,
-    ``relative·P + mixed·Q + absolute``, over ``n = k + 1`` products
-    ``a_j f_j`` with ``P = Σ|a_j f_j|`` and ``Q = Σ(|a_j| + |f_j|)``.
-
-    With float32 unit roundoff ``u`` and underflow unit ``η`` (half its
-    least subnormal), rounding the operands to float32 costs
-    ``(2u + u²) P + η(1 + u) Q + n η²``; the float32 GEMM adds
-    ``γ_n P' + 2 n η`` over the rounded operands (``γ_n = n u / (1 − n u)``,
-    any summation order, with or without FMA; ``P'`` is at most ``P``
-    plus the rounding just counted); the float64 GEMM adds ``γ_n P +
-    2 n η`` at float64's ``u`` and ``η``.  The sum, in the three
-    coefficients returned, is raised by ``2**-20`` of itself, which
-    covers the float64 rounding of the few operations a call spends
-    deriving ``E`` from them (fewer than ``2**30`` terms).
-    """
-    n = k + 1
-
-    def gamma(unit: float) -> float:
-        return n * unit / (1.0 - n * unit)
-
-    unit32, tiny32 = 2.0**-24, 2.0**-150
-    unit64, tiny64 = 2.0**-53, 2.0**-1074
-    rounding = 2.0 * unit32 + unit32**2
-    gamma32 = gamma(unit32)
-    relative = (1.0 + gamma32) * rounding + gamma32 + gamma(unit64)
-    mixed = (1.0 + gamma32) * tiny32 * (1.0 + unit32)
-    absolute = (1.0 + gamma32) * n * tiny32**2 + 2.0 * n * (tiny32 + tiny64)
-    slack = 1.0 + 2.0**-20
-    return relative * slack, mixed * slack, absolute * slack
 
 
 def _principal_axes(head: np.ndarray) -> Optional[np.ndarray]:
@@ -263,10 +224,11 @@ def _box_error_terms(axes: np.ndarray) -> Optional[Tuple[float, float, float]]:
       at most ``2**100``, ``|Q_ji| ≤ 2``) those losses sum to under
       ``(k + 1)**3 · 2**-960``, the ``absolute`` term.
 
-    Each coefficient is raised by ``2**-20`` of itself, as in
-    :func:`_screen_error_terms`.  Axes that are not finite, have an
-    entry past 2 in magnitude or whose ``δ`` exceeds :data:`_BOX_DELTA`
-    get ``None``.
+    Each coefficient is raised by ``2**-20`` of itself, which covers the
+    float64 rounding of the few operations a call spends deriving
+    ``E_box`` from them (fewer than ``2**30`` terms).  Axes that are not
+    finite, have an entry past 2 in magnitude or whose ``δ`` exceeds
+    :data:`_BOX_DELTA` get ``None``.
     """
     k = axes.shape[0]
     if not (np.isfinite(axes).all() and np.abs(axes).max(initial=0.0) <= 2.0):
@@ -297,6 +259,29 @@ def _box_error_terms(axes: np.ndarray) -> Optional[Tuple[float, float, float]]:
     offset = gamma(2 * k + 1) + gamma(k + 1)
     slack = 1.0 + 2.0**-20
     return slope * slack, offset * slack, (k + 1) ** 3 * 2.0**-960
+
+
+def _entry_error_terms(k: int) -> Tuple[float, float]:
+    """``(relative, absolute)``: with ``A = Σ|a_j|`` a row's and ``W``,
+    ``B`` a tile's largest weight and bias magnitudes, a gathered score —
+    one column of the fused plane against the row's augmented input, in
+    float64 and summed in any order — is within ``relative · (A W + B) +
+    absolute`` of that entry's float64 :meth:`ScreeningModule.score_tile`
+    score.
+
+    Both sums run over the same ``n = k + 1`` products ``a_j f_j``, with
+    ``Σ|a_j f_j| ≤ A W + B``.  Each is within ``γ_n (A W + B)`` of the
+    exact sum in any order, with or without FMA (``γ_n = n u / (1 − n
+    u)`` at float64's ``u``) — the tile-GEMM term of
+    :func:`_box_error_terms`, taken twice — and each of its ``n``
+    products and ``n`` sums may lose ``η = 2**-1074`` more to underflow.
+    Both terms are raised by ``2**-20`` of themselves, as
+    :func:`_box_error_terms`'s are.
+    """
+    n = k + 1
+    gamma = n * 2.0**-53 / (1.0 - n * 2.0**-53)
+    slack = 1.0 + 2.0**-20
+    return 2.0 * gamma * slack, 4.0 * n * 2.0**-1074 * slack
 
 
 def _chunk_tree(pick, values: np.ndarray, out: np.ndarray, levels: np.ndarray) -> None:
@@ -469,8 +454,6 @@ class ScreeningModule:
         k, l = self.projection_dim, self.num_categories
         tiles = self.tile_bounds()
         fused = np.empty((k + 1, l))
-        self._screen_plane_t = np.empty((k + 1, l), dtype=np.float32)
-        self._tile_tops = np.empty((2, len(tiles)))
         if self.quantization_bits is None:
             self._input_quantizer: Optional[Quantizer] = None
             per_category = None
@@ -486,6 +469,8 @@ class ScreeningModule:
         #: the boxes, or ``None`` when no tile of this screener is boxed.
         self._box_axes_t = None if box_terms is None else np.ascontiguousarray(axes.T)
         self._tile_box = self._tile_coarse = None
+        # Per tile, its largest weight and bias magnitudes (boxed only).
+        tops = np.empty((2, len(tiles)))
         if box_terms is not None:
             self._tile_box = np.empty((2 * k + 1, -(-l // BOX_CATEGORIES)))
             self._tile_coarse = np.empty((len(tiles) * _COARSE_PER_TILE, 2 * k + 1))
@@ -508,45 +493,28 @@ class ScreeningModule:
                     fused[:-1, start:stop] = block
                 else:
                     per_category.fake_quantize(block, out=fused[:-1, start:stop])
-                self._place_screen_tile(fused, start, stop)
                 if self._tile_box is not None:
-                    self._place_box_tile(fused, start, stop, tile)
+                    self._place_box_tile(fused, start, stop, tile, tops)
 
         run_in_lanes(place, tiles, lane_count(k, len(tiles)))
         fused[-1] = self.bias
         self._fused_weight_t = fused
-        # Per tile, E = Σ|a_j| · slope + offset (TilePrescreen), for the
-        # float32 stage and, with boxes, the box stage.
-        relative, mixed, absolute = _screen_error_terms(k)
-        weight_top, bias_top = self._tile_tops
-        self._tile_error = np.stack((
-            relative * weight_top + mixed,
-            relative * bias_top + mixed * (1.0 + k * weight_top + bias_top) + absolute,
-        ))
-        self._box_error = None
+        # Per tile, E = Σ|a_j| · slope + offset (TilePrescreen): E_box for
+        # the box stages, E_entry for the entry step; and whether the
+        # tile is in the prescreen's range.
+        self._box_error = self._entry_error = self._tile_in_range = None
         if box_terms is not None:
+            weight_top, bias_top = tops
             slope, offset, absolute = box_terms
             self._box_error = np.stack((slope * weight_top, offset * bias_top + absolute))
+            relative, absolute = _entry_error_terms(k)
+            self._entry_error = np.stack((relative * weight_top, relative * bias_top + absolute))
+            self._tile_in_range = tops.max(axis=0) <= _SCREEN_MAGNITUDE
 
-    def _place_screen_tile(self, fused: np.ndarray, start: int, stop: int) -> None:
-        """Tile ``[start, stop)`` of the float32 screen plane: the fused
-        plane's values (weights just placed, and the bias) rounded to
-        float32, and bounds on the tile's largest weight and bias
-        magnitudes — a bound past :data:`_SCREEN_MAGNITUDE` (or NaN) is
-        stored as :data:`_SCREEN_GUARD`, which no call screens under."""
-        index = start // TILE_CATEGORIES
-        tile = self._screen_plane_t[:, start:stop]
-        with np.errstate(over="ignore"):  # such a tile is never screened
-            tile[:-1] = fused[:-1, start:stop]
-            tile[-1] = self.bias[start:stop]
-        for row, values in enumerate((tile[:-1], tile[-1])):
-            # Rounding to float32 lowered a magnitude by at most 2**-24
-            # of it, or by 2**-150 below float32's normal range.
-            top = float(max(values.max(), -values.min())) * (1.0 + 2.0**-23) + 2.0**-149
-            self._tile_tops[row, index] = top if top <= _SCREEN_MAGNITUDE else _SCREEN_GUARD
-
-    def _place_box_tile(self, fused: np.ndarray, start: int, stop: int, scratch) -> None:
-        """The boxes of tile ``[start, stop)``: its quantized weight
+    def _place_box_tile(self, fused: np.ndarray, start: int, stop: int, scratch, tops) -> None:
+        """The largest weight and bias magnitudes of tile ``[start,
+        stop)``, read from its columns of the fused plane into ``tops``,
+        and its boxes: its quantized weight
         columns rotated into the principal axes (``ỹ = Qᵀw``) half a tile
         at a time, while they are still in cache, then per
         :data:`BOX_CATEGORIES` columns each axis's max and min, and the
@@ -567,6 +535,8 @@ class ScreeningModule:
         index = start // TILE_CATEGORIES
         coarse = self._tile_coarse[index * _COARSE_PER_TILE : (index + 1) * _COARSE_PER_TILE]
         starts = np.arange(0, boxes.shape[1], COARSE_CATEGORIES // BOX_CATEGORIES)
+        for row, values in enumerate((fused[:-1, start:stop], self.bias[start:stop])):
+            tops[row, index] = np.maximum(values.max(), -values.min())  # NaN stays NaN
         with np.errstate(over="ignore", invalid="ignore"):  # such a tile is never boxed
             for low in range(start, stop, half):
                 width = min(half, stop - low)
@@ -707,180 +677,218 @@ class ScreeningModule:
         )
 
 
-#: Workspace keys of the prescreen: per call its float32 input, each
-#: tile's bound per row and whether the tile can be screened, with the
-#: scratch they are derived in; the rows a stage gathers (its scores take
-#: the phase scratch), and the box stages' query, bound and coarse
-#: bounds, built at the call's first box test.
-_SCREEN_INPUT, _SCREEN_ERROR, _SCREEN_OK, _SCREEN_ABS, _SCREEN_SUMS, _SCREEN_RANGE = (
-    ("screen", name) for name in ("input", "error", "ok", "abs", "sums", "range")
+#: Workspace keys of the prescreen: per call each row's ``Σ|a_j|`` and the
+#: scratch it is summed in; the box stages' rotated input, query, bound and
+#: coarse bounds, built at the call's first prescreened tile, the query
+#: rows a box test gathers and the boxes each row it leaves has above its
+#: limit; and per failing box the entry step scores, its columns, its
+#: row's place among the left rows and in the call (their weights, inputs
+#: and scores take the phase scratch).
+_SCREEN_ABS, _SCREEN_SUMS = (("screen", name) for name in ("abs", "sums"))
+_BOX_ROTATED, _BOX_QUERY, _BOX_ERROR, _BOX_COARSE, _BOX_GATHERED, _BOX_ABOVE = (
+    ("box", name) for name in ("rotated", "query", "error", "coarse", "gathered", "above")
 )
-_SCREEN_GATHERED = ("screen", "gathered")
-_BOX_ROTATED, _BOX_QUERY, _BOX_ERROR, _BOX_COARSE, _BOX_GATHERED = (
-    ("box", name) for name in ("rotated", "query", "error", "coarse", "gathered")
-)
+_ENTRY_INDEX = ("entry", "index")
 
 
 class TilePrescreen:
-    """One streaming call's prescreen of the screener's tiles (module
+    """One streaming call's prescreen of a boxed screener's tiles (module
     docstring), in three stages that each prove rows of a tile empty and
     return the rows they could not prove, for the next stage to run on:
     the coarse boxes (:meth:`coarse_left`), one compare per row; the
-    tile's boxes (:meth:`box_left`), a row max over one GEMM; and its
-    float32 scores (:meth:`float32_left`), a row max over another.  A
-    tile with no row left would record nothing.  Per call: the augmented
-    input rounded to float32 and per tile and row the float32 stage's
-    bound ``E``, all in the call's arena.
+    tile's boxes (:meth:`box_left`), one GEMM; and the columns of the
+    boxes each row the boxes left has above its limit
+    (:meth:`entry_left`), gathered and scored in float64.  A tile with no
+    row left would record nothing.
 
-    Built once per call before its first tile; each stage tests in
-    scratch of the call's arena (:meth:`reserve`).  What a stage keeps
-    per row — its largest score, its limit, the rows it leaves — is a
+    Built once per call before its first tile; the stages test in scratch
+    of the call's arena, sized up front (:meth:`reserve`).  What a stage
+    keeps per row — its largest score, its limit, the rows it leaves — is a
     NumPy temporary of at most ``rows`` entries: an arena request costs
-    more than the compare it would serve.
+    more than the compare it would serve.  So are, per failing box the
+    entry step scores, at most :attr:`pairs` of them, its position (NumPy
+    compacts into no given buffer), its largest score and its row's limit.
     """
+
+    @classmethod
+    def for_call(cls, screener: "ScreeningModule", augmented: np.ndarray, ws):
+        """The call's prescreen, or ``None`` when ``screener`` has no boxes
+        and so prescreens nothing."""
+        return None if screener._tile_box is None else cls(screener, augmented, ws)
 
     def __init__(self, screener: "ScreeningModule", augmented: np.ndarray, ws) -> None:
         rows, width = augmented.shape
-        tiles = screener._tile_tops.shape[1]
-        self._plane = screener._screen_plane_t
         self._screener = screener
         self._augmented = augmented
-        #: Whether the box stages can prove anything for this screener.
-        self.boxed = screener._tile_box is not None
-        self.input = ws.buffer(_SCREEN_INPUT, (rows, width), np.float32)
-        self.error = ws.buffer(_SCREEN_ERROR, (tiles, rows))
-        self.screenable = ws.buffer(_SCREEN_OK, (tiles,), bool)
         magnitudes = ws.buffer(_SCREEN_ABS, (rows, width - 1))
         self.row_sums = ws.buffer(_SCREEN_SUMS, (rows,))
-        largest_sum = ws.buffer(_SCREEN_RANGE, (tiles,))
         np.abs(augmented[:, :-1], out=magnitudes)
         np.sum(magnitudes, axis=1, out=self.row_sums)
-        largest = self.row_sums.max(initial=0.0)
-        if not largest <= _SCREEN_MAGNITUDE:  # NaN included
-            self.screenable.fill(False)
-            return
-        self.input[...] = augmented
-        # No float32 operand, product or partial sum can overflow when
-        # the largest row's Σ|a_j| · max|w| + max|b| is in range.
-        weight_top, bias_top = screener._tile_tops
-        np.multiply(weight_top, largest, out=largest_sum)
-        largest_sum += bias_top
-        np.less_equal(largest_sum, _SCREEN_SUM, out=self.screenable)
-        slope, offset = screener._tile_error
-        np.multiply.outer(slope, self.row_sums, out=self.error)
-        self.error += offset[:, None]
+        #: Whether every row is in the prescreen's range (NaN is not).
+        self.in_range = bool(self.row_sums.max(initial=0.0) <= _SCREEN_MAGNITUDE)
+        tiles = len(screener._tile_in_range)
+        #: Columns per row of the phase scratch the call reserves: a
+        #: tile's, or one per coarse box, whichever is more.
+        self.scratch = max(
+            min(TILE_CATEGORIES, screener.num_categories), tiles * _COARSE_PER_TILE
+        )
+        # Phase scratch per failing box the entry step scores: the box's
+        # columns of the fused plane, the row's input, the scores.
+        self._floats = (BOX_CATEGORIES + 1) * width + BOX_CATEGORIES
+        #: Failing boxes that fit a row of that scratch, and those that fit
+        #: all of it: the most the entry step scores per row and per tile.
+        self.share = self.scratch // self._floats
+        self.pairs = rows * self.share
 
     def reserve(self, ws) -> None:
         """Size the call's scratch in its arena ``ws`` up front, at its
-        full row count — the phase scratch a tile is tested or
-        scored in, float32 or float64, the rows a stage gathers, and the
-        box stages' query, bound and coarse bounds — so whether, where,
-        in which stage and on how many rows a call prescreens never
+        full row count — the box stages' query, bound, coarse bounds,
+        gathered rows and failing boxes, the entry step's rows and columns,
+        and the phase scratch a tile is tested or scored in — so whether,
+        where, in which stage and on how many rows a call prescreens never
         allocates."""
-        rows, width = self.input.shape
-        tiles = len(self.error)
-        scratch = min(TILE_CATEGORIES, self._plane.shape[1])
-        ws.buffer(_SCREEN_GATHERED, (rows, width), np.float32)
-        if self.boxed:
-            k = width - 1
-            scratch = max(scratch, tiles * _COARSE_PER_TILE)
-            ws.buffer(_BOX_ROTATED, (rows, k))
-            ws.buffer(_BOX_QUERY, (rows, 2 * k + 1))
-            ws.buffer(_BOX_GATHERED, (rows, 2 * k + 1))
-            ws.buffer(_BOX_ERROR, (tiles, rows))
-            ws.buffer(_BOX_COARSE, (tiles, rows))
-        ws.buffer(PHASE_SCRATCH, (rows, scratch))
+        rows, width = self._augmented.shape
+        tiles = len(self._screener._tile_in_range)
+        boxes = -(-min(TILE_CATEGORIES, self._screener.num_categories) // BOX_CATEGORIES)
+        ws.buffer(_BOX_ROTATED, (rows, width - 1))
+        ws.buffer(_BOX_QUERY, (rows, 2 * width - 1))
+        ws.buffer(_BOX_GATHERED, (rows, 2 * width - 1))
+        ws.buffer(_BOX_ERROR, (2, tiles, rows))
+        ws.buffer(_BOX_COARSE, (tiles, rows))
+        ws.buffer(_BOX_ABOVE, (rows, boxes), bool)
+        ws.buffer(_ENTRY_INDEX, ((BOX_CATEGORIES + 2) * self.pairs,), np.intp)
+        ws.buffer(PHASE_SCRATCH, (rows, self.scratch))
 
-    def float32_left(self, start: int, stop: int, bound, ws, rows=None) -> Optional[np.ndarray]:
-        """The rows of ``rows`` (every row when ``None``) not proven to
-        have every float64 score of canonical tile ``[start, stop)`` at
-        most ``bound`` (a scalar or one per row) by its float32 scores:
-        a row is proven when its largest float32 score is at most
-        ``bound − E`` rounded down.  The rows are gathered first unless
-        they are every row, and the scores take the first half of the
-        phase scratch of ``ws``, which the tile's float64 scores
-        overwrite when they are needed.  ``None`` when the tile is not
-        screened: no ``bound`` (``None``), or magnitudes out of the
-        float32 range."""
-        index = start // TILE_CATEGORIES
-        if bound is None or not self.screenable[index]:
-            return None
-        source = self.input
-        if rows is not None and len(rows) < len(source):
-            gathered = ws.buffer(_SCREEN_GATHERED, (len(rows), source.shape[1]), np.float32)
-            source = np.take(source, rows, axis=0, out=gathered, mode="clip")
-        tile = ws.buffer(PHASE_SCRATCH, (len(source), stop - start))
-        scores = tile.reshape(-1).view(np.float32)[: tile.size].reshape(tile.shape)
-        np.matmul(source, self._plane[:, start:stop], out=scores)
-        return _left(scores.max(axis=1), bound, self.error[index], rows)
-
-    def query_boxes(self, ws, first: int, stop: int) -> tuple:
+    def query_boxes(self, ws, first: int) -> tuple:
         """The box stages' per-call operands, built in the call's arena
-        ``ws`` at its first box test: the query ``[max(c̃, 0) | min(c̃, 0)
-        | 1]`` with ``c̃ = aQ``; per tile and row the bound ``E_box`` on
-        how far a box bound may sit under a float64 score
-        (:func:`_box_error_terms`); and per row the coarse bound of each
-        tile ``first`` to ``stop`` (indices), the largest of the tile's
-        coarse boxes' bounds — one GEMM for all of them."""
+        ``ws`` at its first prescreened tile: the query ``[max(c̃, 0) |
+        min(c̃, 0) | 1]`` with ``c̃ = aQ``; per tile and row the bound
+        ``E_box`` on how far a box bound may sit under a float64 score
+        (:func:`_box_error_terms`), kept with ``E_entry`` beside it for
+        :meth:`entry_left`; and per row the coarse bound of each
+        tile from index ``first`` on, the largest of the tile's coarse
+        boxes' bounds — one GEMM for all of them."""
         screener, augmented = self._screener, self._augmented
         rows, k = len(augmented), screener.projection_dim
+        tiles = len(screener._tile_in_range)
         rotated = ws.buffer(_BOX_ROTATED, (rows, k))
         np.matmul(augmented[:, :-1], screener._box_axes_t.T, out=rotated)
         query = ws.buffer(_BOX_QUERY, (rows, 2 * k + 1))
         np.maximum(rotated, 0.0, out=query[:, :k])
         np.minimum(rotated, 0.0, out=query[:, k : 2 * k])
         query[:, -1] = 1.0
-        slope, offset = screener._box_error
-        error = ws.buffer(_BOX_ERROR, (len(self.error), rows))
-        np.multiply.outer(slope, self.row_sums, out=error)
-        error += offset[:, None]
-        coarse = ws.buffer(_BOX_COARSE, (len(self.error), rows))
-        boxes = screener._tile_coarse[first * _COARSE_PER_TILE : stop * _COARSE_PER_TILE]
+        # Per tile and row E_box, and E_entry for the entry step.
+        errors = ws.buffer(_BOX_ERROR, (2, tiles, rows))
+        for bounds, (slope, offset) in zip(errors, (screener._box_error, screener._entry_error)):
+            np.multiply.outer(slope, self.row_sums, out=bounds)
+            bounds += offset[:, None]
+        error, self._entry_errors = errors
+        coarse = ws.buffer(_BOX_COARSE, (tiles, rows))
+        boxes = screener._tile_coarse[first * _COARSE_PER_TILE :]
         scores = ws.buffer(PHASE_SCRATCH, (len(boxes), rows))
-        with np.errstate(over="ignore", invalid="ignore"):  # unscreenable tiles' boxes
+        with np.errstate(over="ignore", invalid="ignore"):  # out-of-range tiles' boxes
             np.matmul(boxes, query.T, out=scores)
-        scores = scores.reshape(stop - first, _COARSE_PER_TILE, rows)
-        np.max(scores, axis=1, out=coarse[first:stop])
+        scores = scores.reshape(tiles - first, _COARSE_PER_TILE, rows)
+        np.max(scores, axis=1, out=coarse[first:])
         return query, error, coarse
 
     def coarse_left(self, start: int, bound, boxes: tuple) -> Optional[np.ndarray]:
-        """:meth:`float32_left` of every row, proven from the coarse
-        bounds :meth:`query_boxes` built (``boxes``) instead: a row is
-        proven when its coarse bound of the tile starting at ``start`` is
-        at most ``bound − E_box`` rounded down — one compare per row."""
+        """The rows not proven to have every float64 score of the
+        canonical tile starting at ``start`` at most ``bound`` (a scalar
+        or one per row) by the coarse bounds :meth:`query_boxes` built
+        (``boxes``): a row is proven when its coarse bound of the tile is
+        at most ``bound − E_box`` rounded down — one compare per row.
+        ``None`` when the tile is not prescreened: no ``bound``
+        (``None``), or magnitudes past :data:`_SCREEN_MAGNITUDE`."""
         index = start // TILE_CATEGORIES
-        if bound is None or not self.screenable[index]:
+        if bound is None or not (self.in_range and self._screener._tile_in_range[index]):
             return None
         _, error, coarse = boxes
-        return _left(coarse[index], bound, error[index], None)
+        return np.flatnonzero(~(coarse[index] <= _limit(bound, error[index])))
 
     def box_left(self, start: int, stop: int, bound, ws, boxes: tuple, rows) -> np.ndarray:
-        """:meth:`float32_left` of the ``rows`` :meth:`coarse_left` left,
-        proven from the tile's boxes instead: a row is proven when its
-        largest box bound — one GEMM of the gathered query rows and the
-        tile's boxes, a :data:`BOX_CATEGORIES`-th of its columns — is at
-        most ``bound − E_box`` rounded down."""
+        """The ``rows`` :meth:`coarse_left` left not proven by the tile's
+        boxes instead: a row is proven when each of its box bounds — one
+        GEMM of the gathered query rows and the tile's boxes, a
+        :data:`BOX_CATEGORIES`-th of its columns — is at most ``bound −
+        E_box`` rounded down.  Which boxes each row it leaves has above
+        that limit is kept in the call's arena for :meth:`entry_left`."""
         query, error, _ = boxes
-        if len(rows) < len(query):
-            gathered = ws.buffer(_BOX_GATHERED, (len(rows), query.shape[1]))
+        tested = len(rows)
+        if tested < len(query):
+            gathered = ws.buffer(_BOX_GATHERED, (tested, query.shape[1]))
             query = np.take(query, rows, axis=0, out=gathered, mode="clip")
         tile = self._screener._tile_box[:, start // BOX_CATEGORIES : -(-stop // BOX_CATEGORIES)]
-        scores = ws.buffer(PHASE_SCRATCH, (len(query), tile.shape[1]))
-        np.matmul(query, tile, out=scores)
-        return _left(scores.max(axis=1), bound, error[start // TILE_CATEGORIES], rows)
+        # The box bounds, then a copy of the left rows' (tested rows at most).
+        scores = ws.buffer(PHASE_SCRATCH, (2 * tested, tile.shape[1]))
+        np.matmul(query, tile, out=scores[:tested])
+        limit = _limit(bound, error[start // TILE_CATEGORIES])[rows]
+        left = np.flatnonzero(~(scores[:tested].max(axis=1) <= limit))
+        if not len(left):
+            return left
+        kept = scores[tested : tested + len(left)]
+        np.take(scores[:tested], left, axis=0, out=kept, mode="clip")
+        above = ws.buffer(_BOX_ABOVE, kept.shape, bool)
+        np.less_equal(kept, limit[left, None], out=above)
+        np.logical_not(above, out=above)
+        self._above = rows[left], above
+        return self._above[0]
+
+    def entry_left(self, start: int, stop: int, bound, ws) -> np.ndarray:
+        """The rows :meth:`box_left` left not proven on the columns of
+        their boxes above its limit: each such column is scored against
+        the row's augmented input in float64 — gathered from the fused
+        plane, summed in any order — and the row is proven when every
+        score is at most ``bound − E_entry`` rounded down
+        (:func:`_entry_error_terms`).  Every row's failing boxes are
+        scored when they fit the phase scratch (:attr:`pairs`), and else
+        only those of the rows whose own fit a row of it (:attr:`share`):
+        the other rows are left.  A box proven is cleared from the kept
+        mask, so the rows left are those with a box still set."""
+        rows, above = self._above
+        screener, width = self._screener, self._augmented.shape[1]
+        unscored = None
+        if np.count_nonzero(above) > self.pairs:
+            unscored = np.array([np.count_nonzero(boxes) > self.share for boxes in above])
+            above[unscored] = False
+        failing = np.flatnonzero(above)
+        if not len(failing):  # every row's boxes overflow its share
+            return rows
+        count, per_row = len(failing), above.shape[1]
+        index = ws.buffer(_ENTRY_INDEX, ((BOX_CATEGORIES + 2) * count,), np.intp)
+        columns = index[: BOX_CATEGORIES * count].reshape(count, BOX_CATEGORIES)
+        kept, owners = index[BOX_CATEGORIES * count :].reshape(2, count)
+        np.remainder(failing, per_row, out=kept)  # each box's place in the tile
+        np.multiply(kept[:, None], BOX_CATEGORIES, out=columns)
+        columns += start + np.arange(BOX_CATEGORIES)
+        np.minimum(columns, stop - 1, out=columns)  # a narrower last box
+        np.floor_divide(failing, per_row, out=kept)
+        np.take(rows, kept, out=owners, mode="clip")
+        scratch = ws.buffer(PHASE_SCRATCH, (count * self._floats,))
+        used = BOX_CATEGORIES * width * count
+        weights = scratch[:used].reshape(width, count, BOX_CATEGORIES)
+        inputs = scratch[used : used + width * count].reshape(count, 1, width)
+        scores = scratch[used + width * count :].reshape(count, BOX_CATEGORIES)
+        np.take(screener._fused_weight_t, columns, axis=1, out=weights, mode="clip")
+        np.take(self._augmented, owners, axis=0, out=inputs[:, 0], mode="clip")
+        np.matmul(inputs, weights.transpose(1, 0, 2), out=scores[:, None])
+        limit = _limit(bound, self._entry_errors[start // TILE_CATEGORIES])[owners]
+        np.put(above.reshape(-1), failing, ~(scores.max(axis=1) <= limit))
+        left = above.any(axis=1)
+        if unscored is not None:
+            left |= unscored
+        return rows[left]
 
 
-def _left(top: np.ndarray, bound, error: np.ndarray, rows) -> np.ndarray:
-    """The rows of ``rows`` (every row when ``None``) whose ``top`` is not
-    at most ``bound − error`` rounded down (``nextafter`` toward −inf):
-    every float64 score the bounds cover in any other row is at most
-    ``bound``.  ``bound`` (a scalar or one per row) and ``error`` are per
-    row of the call, ``top`` per row of ``rows``."""
+def _limit(bound, error: np.ndarray) -> np.ndarray:
+    """``bound − error`` per row of the call, rounded down (``nextafter``
+    toward −inf): a value within ``error`` of a row's float64 scores, or
+    above them by at least that, proves them at most ``bound`` when it is
+    at most this limit.  A NaN limit proves nothing, since no compare
+    with it holds.  ``bound`` is a scalar or one per row."""
     limit = np.subtract(bound, error)
     np.nextafter(limit, -np.inf, out=limit)
-    if rows is None or len(rows) == len(limit):
-        return np.flatnonzero(~(top <= limit))  # a NaN is never proven
-    return rows[~(top <= limit[rows])]
+    return limit
 
 
 def draw_projection(

@@ -359,11 +359,10 @@ class ParallelShardedEngine:
         parameter segments, so the exact weights and the screener's
         stored ``W̃`` are held once per shard; each worker still
         re-derives a private fused GEMM plane of fake-quantized weights
-        from them, its float32 screen copy and its prescreen boxes,
-        ``(k + 1) · shard_l · 12 + (2k + 1) · ⌈shard_l / 8⌉ · 8`` bytes
-        per replica (8 for the float64 plane, 4 for the float32 one, and
-        one float64 box row per axis extreme and the bias, per 8
-        categories), plus ``(2k + 1) · 64`` per 8,192 categories for the
+        from them and its prescreen boxes, ``(k + 1) · shard_l · 8 +
+        (2k + 1) · ⌈shard_l / 8⌉ · 8`` bytes per replica (the float64
+        plane, and one float64 box row per axis extreme and the bias, per
+        8 categories), plus ``(2k + 1) · 64`` per 8,192 categories for the
         coarse boxes (the integer screening plane, ROADMAP item 3, is what
         would let the planes be shared too).  Requests dispatch to the least-loaded live
         replica; a replica whose share of the shard's restart budget is
@@ -910,6 +909,8 @@ class ParallelShardedEngine:
         :class:`DegradedOutput` whose result simply has no candidates
         from the missing ranges.
         """
+        if block_categories is not None and block_categories < 1:
+            raise ValueError(f"block_categories must be positive, got {block_categories}")
         return self._serve(
             "forward_streaming",
             features,

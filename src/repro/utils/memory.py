@@ -58,10 +58,10 @@ def configure_serving_allocator(threshold_bytes: int = 1 << 30) -> bool:
 
 
 #: The key of an arena's phase scratch: one slab the phases of a call take
-#: turns in — each screening tile (its float32 prescreen scores, then its
-#: float64 scores), then the exact phase's gathered operands — so a later
-#: phase grows nothing an earlier one sized.  A view of it is dead once its
-#: phase ends.
+#: turns in — each screening tile (its box bounds, the columns the entry
+#: step gathers and their scores, then its float64 scores), then the exact
+#: phase's gathered operands — so a later phase grows nothing an earlier
+#: one sized.  A view of it is dead once its phase ends.
 PHASE_SCRATCH = "tile"
 
 

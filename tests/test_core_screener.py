@@ -177,7 +177,9 @@ class TestPlaneBuiltTileByTile:
         """No second plane-sized temporary while the plane is built: each
         lane holds its scratch tile and the one tile-sized ``|x|`` the
         quantizer's abs-max takes (2.1 tiles measured), nothing more
-        beside the fused plane, its float32 screen copy and the boxes."""
+        beside the fused plane and the boxes.  And those are what the
+        module keeps beside its master weights: four arrays, and per tile
+        a few scalars."""
         l, k = 200_000, 16
         rng = np.random.default_rng(0)
         weight, bias = rng.standard_normal((l, k)), rng.standard_normal(l)
@@ -193,11 +195,16 @@ class TestPlaneBuiltTileByTile:
                 tracemalloc.stop()
             planes = (
                 module._fused_weight_t.nbytes
-                + module._screen_plane_t.nbytes
                 + module._tile_box.nbytes
                 + module._tile_coarse.nbytes
             )
             assert peak < planes + lanes * 2.5 * tile, f"{lanes} lanes"
+            resident = sum(
+                value.nbytes for value in vars(module).values() if isinstance(value, np.ndarray)
+            )
+            tiles = len(module.tile_bounds())
+            extra = resident - weight.nbytes - bias.nbytes - planes
+            assert 0 <= extra < 64 * tiles + 8 * k * k, f"{lanes} lanes"
 
 
 class TestScoresInLanes:

@@ -188,6 +188,25 @@ class TestParallelEngineBehavior:
             assert np.array_equal(par_indices, seq_indices)
             assert np.array_equal(par_scores, seq_scores)
 
+    @pytest.mark.parametrize("degraded", (False, True))
+    def test_non_positive_block_rejected_before_scatter(self, model_zoo, features, degraded):
+        """``block_categories=0`` is the caller's error, not the workers':
+        the same ``ValueError`` as the sequential backend, no degraded
+        request counted, and the workers serve the next call."""
+        model = model_zoo[(2, "top_m")]
+        with pytest.raises(ValueError, match="block_categories must be positive, got 0"):
+            model.forward_streaming(features, block_categories=0)
+        with model.parallel(degraded=degraded) as engine:
+            with pytest.raises(ValueError, match="block_categories must be positive, got 0"):
+                engine.forward_streaming(features, block_categories=0)
+            stats = engine.stats()
+            assert stats["requests"] == 0 and stats["degraded_requests"] == 0
+            streamed = engine.forward_streaming(features, block_categories=7)
+            want = model.forward_streaming(features, block_categories=7)
+            assert np.array_equal(streamed.candidates.flat()[1], want.candidates.flat()[1])
+            assert np.array_equal(streamed.exact_values, want.exact_values)
+            assert np.array_equal(streamed.approximate_values, want.approximate_values)
+
     def test_untrained_model_rejected(self, task):
         model = ShardedClassifier(task.classifier, num_shards=2)
         with pytest.raises(RuntimeError, match="train"):

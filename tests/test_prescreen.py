@@ -1,17 +1,20 @@
-"""The float32 prescreen of the streaming tile loop.
+"""The prescreen of the streaming tile loop: coarse boxes, boxes, entries.
 
-The contract under test: in ``forward_streaming`` and ``top_k``, a tile
-whose float32 scores prove every float64 score at most the reducer's
-bound (its threshold, or with runner-ups each row's floor) is neither
-scored in float64 nor folded.  Such a tile would have recorded nothing,
-so every output is the bits of dense ``forward``, which keeps its plane
-and never skips, and of the per-row oracle.  The proof rests on the
-bound ``E`` on |float32 score − float64 score|: the adversarial models
-put an entry one float64 ulp from the bound where float32 rounding
-alone would call the tile empty, and the property test draws magnitudes
-from 1e-30 to 1e30 (float32 underflow and overflow included).  The
-``lanes`` axis is the lane count of dense ``forward``'s plane pass, the
-reference the streaming calls are held to; the streaming loop is one lane.
+The contract under test: in ``forward_streaming`` and ``top_k``, a row
+of a tile whose scores the prescreen proves at most the reducer's bound
+(its threshold, or with runner-ups each row's floor) is neither scored
+in float64 nor folded, and a tile with no row left is skipped.  Such
+rows would have recorded nothing, so every output is the bits of dense
+``forward``, which keeps its plane and never skips, and of the per-row
+oracle.  The proofs rest on two bounds: ``E_box``, on how far a box
+bound may sit under a float64 score, and ``E_entry``, on |gathered
+score − float64 tile-GEMM score| for the columns of the boxes a row
+fails.  The adversarial models put an entry one float64 ulp from the
+bound in a late tile — in a box every row fails, in a coarse box, in a
+box only one row fails — and the property tests draw magnitudes from
+1e-30 to 1e30.  The ``lanes`` axis is the lane count of dense
+``forward``'s plane pass, the reference the streaming calls are held to;
+the streaming loop is one lane.
 """
 
 import numpy as np
@@ -136,18 +139,18 @@ def test_late_tiles_are_skipped_and_dense_forward_skips_none(zipf, mode):
 @pytest.mark.parametrize("mode", SELECTORS)
 def test_tile_0_is_never_prescreened_and_tile_1_always_is(monkeypatch, zipf, mode):
     """The prescreen rule's start: tile 0, where the head sits, is scored
-    without a prescreen stage, and tile 1 meets the first one, though
-    tile 0 recorded."""
+    without a prescreen stage, and tile 1 meets the first one — its
+    coarse bounds — though tile 0 recorded."""
     model = build(zipf, mode)
     features = zipf[2]
     tested = []
-    float32_left = TilePrescreen.float32_left
+    coarse_left = TilePrescreen.coarse_left
 
     def spy(screen, start, *args):
         tested.append(start // TILE_CATEGORIES)
-        return float32_left(screen, start, *args)
+        return coarse_left(screen, start, *args)
 
-    monkeypatch.setattr(TilePrescreen, "float32_left", spy)
+    monkeypatch.setattr(TilePrescreen, "coarse_left", spy)
     for call in (lambda: model.forward_streaming(features), lambda: model.top_k(features, K)):
         del tested[:]
         call()
@@ -190,10 +193,8 @@ def test_top_k_is_the_dense_ranking(monkeypatch, zipf, mode, lanes):
 # ----------------------------------------------------------------------
 ADVERSARIAL_L = 4 * TILE_CATEGORIES + 100
 #: Columns of tile 0 whose scores are their biases exactly (zero weight):
-#: 100, 99, ..., 81, each raised by ``NUDGE`` — far less than half a
-#: float32 ulp there (2**-17), far more than a float64 one (2**-46).  So
-#: every bound tile 0 leaves is a float32 value plus ``NUDGE``, and an
-#: entry one float64 ulp above it rounds to a float32 value under it.
+#: 100, 99, ..., 81, each raised by ``NUDGE`` — far more than a float64
+#: ulp there (2**-46) — so the bound tile 0 leaves is no round number.
 HEAD = 20
 NUDGE = 2.0**-30
 THRESHOLD = 90.0 + NUDGE
@@ -221,8 +222,7 @@ def adversarial_selector(mode):
 
 def tile_0_bound(selector, call) -> float:
     """The bound tile 0 of the adversarial parts leaves, in the reducer
-    the call itself builds: one value for every row, whose next float64
-    up rounds to a float32 under it."""
+    the call itself builds: one value for every row."""
     projection, weight, bias, _, features = adversarial_parts()
     screener = ScreeningModule(projection, weight, bias)
     augmented = screener.prepare_augmented(features)
@@ -232,7 +232,7 @@ def tile_0_bound(selector, call) -> float:
     scores = np.empty((len(features), TILE_CATEGORIES))
     reducer.update(0, screener.score_tile(augmented, 0, TILE_CATEGORIES, out=scores))
     bound = np.unique(reducer.bound)
-    assert bound.size == 1 and np.float32(np.nextafter(bound[0], np.inf)) < bound[0]
+    assert bound.size == 1
     return float(bound[0])
 
 
@@ -259,15 +259,19 @@ def adversarial_model(mode, call, side):
 def test_an_entry_one_ulp_from_the_bound(monkeypatch, mode, lanes, call, side):
     model, features, column, bound = adversarial_model(mode, call, side)
     screener = model.screener
-    # Float32 rounding alone puts the entry under the bound: with E = 0
-    # the last tile would be proven empty, and the entry above lost.
+    # Every row fails the entry's box, and its column is scored: within
+    # E_entry of the bound, on either side, no row is proven.
     ws = Workspace()
     screen = TilePrescreen(screener, screener.prepare_augmented(features), ws)
     screen.reserve(ws)
-    last = screener.tile_bounds()[-1]
-    assert list(screen.float32_left(*last, bound, ws)) == list(range(len(features)))
-    screen.error[...] = 0.0
-    assert len(screen.float32_left(*last, bound, ws)) == 0
+    tiles = screener.tile_bounds()
+    boxes = screen.query_boxes(ws, 1)
+    last, every = tiles[-1], list(range(len(features)))
+    assert list(screen.coarse_left(last[0], bound, boxes)) == every
+    assert list(screen.box_left(*last, bound, ws, boxes, np.array(every))) == every
+    rows, above = screen._above
+    assert above[:, (column - last[0]) // BOX_CATEGORIES].all()
+    assert list(screen.entry_left(*last, bound, ws)) == every
 
     force_lanes(monkeypatch, lanes)
     dense = model.forward(features)
@@ -288,8 +292,35 @@ def test_an_entry_one_ulp_from_the_bound(monkeypatch, mode, lanes, call, side):
 
 
 # ----------------------------------------------------------------------
-# property: E covers the float32 / float64 gap at every magnitude
+# property: E_entry covers any-order float64 against the tile GEMM
 # ----------------------------------------------------------------------
+def tile_reach(screener, augmented, start, stop):
+    """Per row ``A·W + B``: its ``Σ|a_j|`` times the tile's largest weight
+    magnitude, plus its largest bias magnitude — what the error bounds
+    scale with."""
+    weights = np.abs(screener._fused_weight_t[:, start:stop])
+    return np.abs(augmented[:, :-1]).sum(axis=1) * weights[:-1].max() + weights[-1].max()
+
+
+def entry_error(screener, screen, start):
+    """Per row of the call, the entry step's ``E_entry`` for the tile
+    starting at ``start``."""
+    slope, offset = screener._entry_error[:, start // TILE_CATEGORIES]
+    return slope * screen.row_sums + offset
+
+
+def any_order_scores(augmented, plane):
+    """Each row's scores of ``plane``'s columns summed in three orders a
+    gathered score may take: a 1-row GEMM, first to last, last to first."""
+    products = augmented[:, :, None] * plane[None]
+    forward, backward = products[:, 0].copy(), products[:, -1].copy()
+    for j in range(1, plane.shape[0]):
+        forward += products[:, j]
+        backward += products[:, -1 - j]
+    one_row = np.concatenate([row[None] @ plane for row in augmented])
+    return one_row, forward, backward
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     rows=st.integers(1, 4),
@@ -309,39 +340,39 @@ def test_no_tile_with_an_entry_above_its_bound_is_skipped(
     # Per-category scales over six decades, so tiles mix magnitudes.
     weight = rng.standard_normal((l, k)) * weight_scale * 10.0 ** rng.uniform(-3, 3, (l, 1))
     # A zero bias leaves tiny products nothing to hide behind: at
-    # 1e-30 × 1e-30 every float32 product underflows.
+    # 1e-30 × 1e-30 every product is subnormal or underflows.
     bias = np.zeros(l) if zero_bias else rng.standard_normal(l) * bias_scale
     augmented = np.ones((rows, k + 1))
     augmented[:, :-1] = rng.standard_normal((rows, k)) * input_scale
     projection = SparseRandomProjection(input_dim=8, output_dim=k, rng=0)
     screener = ScreeningModule(projection, weight, bias, quantization_bits=bits)
+    assert screener._tile_box is not None
     ws = Workspace()
     screen = TilePrescreen(screener, augmented, ws)
     screen.reserve(ws)
+    tiles = screener.tile_bounds()
+    boxes = screen.query_boxes(ws, 0)
     row = row % rows
-    for start, stop in screener.tile_bounds():
+    for start, stop in tiles:
         exact = screener.score_tile(augmented, start, stop, out=np.empty((rows, stop - start)))
         best = exact.max(axis=1)
-        # One row with an entry just above its bound, the rest unbounded.
+        # One row with an entry just above its bound, the rest unbounded:
+        # no stage proves that row, so the entry step tests it.
         bound = np.full(rows, np.inf)
         bound[row] = np.nextafter(best[row], -np.inf)
-        left = screen.float32_left(start, stop, bound, ws)
-        assert left is None or row in left
-        top = np.nextafter(best.max(), -np.inf)
-        assert left is None or len(screen.float32_left(start, stop, top, ws)) > 0
-        index = start // TILE_CATEGORIES
+        left = screen.coarse_left(start, bound, boxes)
         if left is None:
             continue
-        # Run on that row alone (gathered), the stage still leaves it.
-        assert list(screen.float32_left(start, stop, bound, ws, np.array([row]))) == [row]
-        # Screened: the float32 scores sit within E of the float64 ones,
-        # and E is a rounding error, not a vacuous bound.
-        approx = np.matmul(screen.input, screener._screen_plane_t[:, start:stop])
-        error = screen.error[index][:, None]
-        assert np.all(np.abs(exact - approx) <= error * (1 + 2.0**-40))
-        weight_top, bias_top = screener._tile_tops[:, index]
-        reach = np.abs(augmented[:, :-1]).sum(axis=1) * weight_top + bias_top
-        assert np.all(error[:, 0] <= 1e-5 * reach + 1e-40)
+        assert row in left
+        assert row in screen.box_left(start, stop, bound, ws, boxes, left)
+        assert row in screen.entry_left(start, stop, bound, ws)
+        # Every gathered score, in any order, sits within E_entry of the
+        # tile GEMM's, and E_entry is a rounding error, not a vacuous bound.
+        error = entry_error(screener, screen, start)[:, None]
+        for gathered in any_order_scores(augmented, screener._fused_weight_t[:, start:stop]):
+            assert np.all(np.abs(gathered - exact) <= error)
+        reach = tile_reach(screener, augmented, start, stop)
+        assert np.all(error[:, 0] <= 1e-14 * reach + 1e-300)
 
 
 # ----------------------------------------------------------------------
@@ -368,12 +399,18 @@ def box_counts(model, call) -> tuple:
 
 @pytest.mark.parametrize("mode", SELECTORS)
 def test_boxes_skip_after_a_lanes_first_skip(monkeypatch, zipf, mode):
+    """The box query is built at tile 1, the first prescreened tile, not
+    after the call's first skip, as the id's rule had it: every
+    prescreened tile's boxes are tested, and they skip tiles from tile 1
+    on."""
     model = build(zipf, mode)
     features = zipf[2]
-    _, skipped, box_skipped, _ = box_counts(model, lambda: model.forward_streaming(features))
-    # Tiles 1–5: tile 1 comes before the call's first skip, so it is
-    # prescreened in float32 only.
-    assert 0 < box_skipped < skipped <= TILES - 1
+    _, skipped, box_skipped, tested = box_counts(
+        model, lambda: model.forward_streaming(features)
+    )
+    _, prescreened, _ = tiles_skipped(model, lambda: model.forward_streaming(features))
+    # Tiles 1–5, each prescreened from its coarse bounds on.
+    assert 0 < box_skipped <= skipped <= tested == prescreened <= TILES - 1
     _, skipped, box_skipped, tested = box_counts(model, lambda: model.forward(features))
     assert skipped == box_skipped == tested == 0
 
@@ -507,7 +544,7 @@ def test_no_tile_with_an_entry_above_its_bound_is_box_skipped(
     ws = Workspace()
     screen = TilePrescreen(screener, augmented, ws)
     screen.reserve(ws)
-    boxes = screen.query_boxes(ws, 0, len(screener.tile_bounds()))
+    boxes = screen.query_boxes(ws, 0)
     query, error, _ = boxes
     row = row % rows
     every = np.arange(rows)
@@ -531,12 +568,15 @@ def test_no_tile_with_an_entry_above_its_bound_is_box_skipped(
         per_chunk = query @ chunks
         per_column = np.repeat(per_chunk, BOX_CATEGORIES, axis=1)[:, : stop - start]
         assert np.all(exact <= per_column + error[index][:, None])
-        weight_top, bias_top = screener._tile_tops[:, index]
-        reach = np.abs(augmented[:, :-1]).sum(axis=1) * weight_top + bias_top
+        reach = tile_reach(screener, augmented, start, stop)
         assert np.all(error[index] <= 1e-5 * reach + 1e-40)
 
 
 def test_axes_that_cannot_bound_leave_the_float32_stage(zipf):
+    """A screener whose axes cannot bound has no boxes and prescreens
+    nothing — the entry step names its columns from the boxes — and its
+    outputs are dense ``forward``'s.  (The id keeps the name of the stage
+    such a screener once fell back to.)"""
     k = 4
     assert screener_module._box_error_terms(np.eye(k)) is not None
     assert screener_module._box_error_terms(np.eye(k) * (1 + 2.0**-10)) is None
@@ -550,7 +590,7 @@ def test_axes_that_cannot_bound_leave_the_float32_stage(zipf):
         task.classifier, screener, CandidateSelector("top_m", num_candidates=M)
     )
     streamed, skipped, _, tested = box_counts(model, lambda: model.forward_streaming(features))
-    assert skipped > 0 and tested == 0
+    assert skipped == tested == 0
     assert_streamed_is_dense(streamed, model.forward(features))
 
 
@@ -560,13 +600,13 @@ def test_axes_that_cannot_bound_leave_the_float32_stage(zipf):
 #: The adversarial row: not row 0, so a stage that took its operands from
 #: rows ``0…n−1`` instead of the rows it was given tests the wrong row.
 ROW = 2
-#: The chunk of the last tile that holds the float32 stage's adversary.
-FLOAT32_CHUNK = 5
+#: The box of the last tile that holds the entry step's adversary.
+ENTRY_CHUNK = 5
 
 
 def row_counts(model, call) -> tuple:
     """``(result, rows compared against coarse bounds, rows box-tested,
-    rows scored in float32)`` of one call."""
+    rows tested on their failing boxes' columns)`` of one call."""
     recorder = Recorder()
     model.set_recorder(recorder)
     try:
@@ -576,7 +616,7 @@ def row_counts(model, call) -> tuple:
     counters = recorder.snapshot()["counters"]
     return (result,) + tuple(
         counters.get(f"pipeline.{name}", 0)
-        for name in ("rows_coarse_tested", "rows_box_tested", "rows_float32_scored")
+        for name in ("rows_coarse_tested", "rows_box_tested", "rows_entry_tested")
     )
 
 
@@ -590,10 +630,10 @@ def row_adversarial_model(monkeypatch, mode, call, side, axes, stage):
     its coarse box is a single point — the other rows are proven by their
     coarse bounds, and row ``ROW``'s sits within ``E_box`` of its score
     (with ``axes = "perturbed"``, ``2**-29`` under it).  ``stage =
-    "float32"``: only chunk :data:`FLOAT32_CHUNK` is, beside the random
+    "entry"``: only box :data:`ENTRY_CHUNK` is, beside the random
     columns — the coarse box is loose, the boxes prove every row but
-    ``ROW``, and its float32 score rounds to a float32 value at most the
-    bound, so only ``E`` keeps it."""
+    ``ROW``, which fails that box alone, and the entry step scores its
+    columns one float64 ulp from the bound."""
     if axes == "perturbed":
         monkeypatch.setattr(screener_module, "_principal_axes", perturbed_axes)
     selector = adversarial_selector(mode)
@@ -605,7 +645,7 @@ def row_adversarial_model(monkeypatch, mode, call, side, axes, stage):
     if stage == "coarse":
         columns = np.arange(last, ADVERSARIAL_L)
     else:
-        columns = last + BOX_CATEGORIES * FLOAT32_CHUNK + np.arange(BOX_CATEGORIES)
+        columns = last + BOX_CATEGORIES * ENTRY_CHUNK + np.arange(BOX_CATEGORIES)
     weight[columns] = np.linalg.inv(augmented[:, :-1]).T[ROW]
     bias[columns] = bound - 1.0
     screener = ScreeningModule(projection, weight, bias, quantization_bits=None)
@@ -638,14 +678,14 @@ def assert_only_the_row_keeps_its_entries(model, features, columns, bound, side,
     assert np.all(entries[ROW] - bound == side * np.spacing(bound))
     assert np.all(np.delete(entries, ROW, axis=0) < bound - 0.5)
     if call == "forward_streaming":
-        streamed, coarse, box, float32 = row_counts(
+        streamed, coarse, box, entry = row_counts(
             model, lambda: model.forward_streaming(features)
         )
         assert_streamed_is_dense(streamed, dense)
         kept = [bool(np.isin(columns, row).any()) for row in streamed.candidates.indices]
         assert kept == [side > 0 and row == ROW for row in range(len(features))]
     else:
-        (indices, scores), coarse, box, float32 = row_counts(
+        (indices, scores), coarse, box, entry = row_counts(
             model, lambda: model.top_k(features, K)
         )
         want = rank_dense(dense.logits, K)
@@ -654,7 +694,7 @@ def assert_only_the_row_keeps_its_entries(model, features, columns, bound, side,
     assert_dense_is_the_oracle(model, features, dense)
     # The last tile follows a skipped one: its coarse bounds are compared.
     assert coarse > 0
-    return coarse, box, float32
+    return coarse, box, entry
 
 
 @pytest.mark.parametrize("axes", ("principal", "perturbed"))
@@ -673,13 +713,13 @@ def test_one_row_one_ulp_from_the_bound_the_rest_proven_coarse(
     screen = TilePrescreen(screener, screener.prepare_augmented(features), ws)
     screen.reserve(ws)
     tiles = screener.tile_bounds()
-    boxes = screen.query_boxes(ws, 0, len(tiles))
+    boxes = screen.query_boxes(ws, 1)
     last = tiles[-1]
     # The other rows are proven by their coarse bounds alone, and the row
     # is left by every stage, each run on it alone.
     assert list(screen.coarse_left(last[0], bound, boxes)) == [ROW]
     assert list(screen.box_left(*last, bound, ws, boxes, np.array([ROW]))) == [ROW]
-    assert list(screen.float32_left(*last, bound, ws, np.array([ROW]))) == [ROW]
+    assert list(screen.entry_left(*last, bound, ws)) == [ROW]
 
     force_lanes(monkeypatch, lanes)
     _, box, _ = assert_only_the_row_keeps_its_entries(
@@ -697,31 +737,115 @@ def test_one_row_one_ulp_from_the_bound_the_rest_proven_coarse(
 def test_one_row_left_to_the_float32_stage_one_ulp_from_the_bound(
     monkeypatch, mode, lanes, call, side
 ):
+    """The entry step's adversary: an entry one float64 ulp from the
+    bound, inside the one box its row fails.  The step scores exactly
+    that box's columns, and within ``E_entry`` of the bound, on either
+    side, leaves the row to the float64 GEMM — outputs are dense
+    ``forward``'s, and the entry above the bound is kept.  (The id names
+    the float32 stage this step replaced.)"""
     model, features, columns, bound = row_adversarial_model(
-        monkeypatch, mode, call, side, "principal", "float32"
+        monkeypatch, mode, call, side, "principal", "entry"
     )
     screener = model.screener
     ws = Workspace()
     screen = TilePrescreen(screener, screener.prepare_augmented(features), ws)
     screen.reserve(ws)
     tiles = screener.tile_bounds()
-    boxes = screen.query_boxes(ws, 0, len(tiles))
+    boxes = screen.query_boxes(ws, 1)
     last = tiles[-1]
     coarse = screen.coarse_left(last[0], bound, boxes)
     assert ROW in coarse
     assert list(screen.box_left(*last, bound, ws, boxes, coarse)) == [ROW]
-    assert list(screen.float32_left(*last, bound, ws, np.array([ROW]))) == [ROW]
-    # Float32 rounding alone puts the row's entries at or under the
-    # bound: with E = 0 the stage would prove it, and the tile be skipped.
-    screen.error[...] = 0.0
-    assert len(screen.float32_left(*last, bound, ws, np.array([ROW]))) == 0
+    rows, above = screen._above
+    assert list(np.flatnonzero(above[list(rows).index(ROW)])) == [ENTRY_CHUNK]
+    assert list(screen.entry_left(*last, bound, ws)) == [ROW]
 
     force_lanes(monkeypatch, lanes)
-    _, box, float32 = assert_only_the_row_keeps_its_entries(
+    _, box, entry = assert_only_the_row_keeps_its_entries(
         model, features, columns, bound, side, call
     )
     assert box >= len(coarse)
-    assert float32 >= 1
+    assert entry >= 1
+
+
+def narrow_box_model(mode, call):
+    """A model whose last tile's last box — 4 columns, the tile being 100
+    wide — fails for every row, though each of its columns scores 0.5
+    under the bound tile 0 leaves: the first takes a weight every row
+    scores 1 and a bias 1.5 under the bound, the other three no weight
+    and a bias 0.5 under it, and a box bound adds the largest weight
+    term to the largest bias.  The entry step proves every row on those
+    4 columns, and so the tile is skipped."""
+    selector = adversarial_selector(mode)
+    bound = tile_0_bound(selector, call)
+    projection, weight, bias, classifier, features = adversarial_parts()
+    screener = ScreeningModule(projection, weight, bias, quantization_bits=None)
+    duals = np.linalg.inv(screener.prepare_augmented(features)[:, :-1]).T
+    first = ADVERSARIAL_L - ADVERSARIAL_L % BOX_CATEGORIES
+    weight[first] = duals.sum(axis=0)
+    bias[first] = bound - 1.5
+    weight[first + 1 :] = 0.0
+    bias[first + 1 :] = bound - 0.5
+    model = ApproximateScreeningClassifier(
+        classifier, ScreeningModule(projection, weight, bias, quantization_bits=None), selector
+    )
+    return model, features, bound
+
+
+def narrow_box_screen(model, features, bound):
+    """The model's prescreen, its last tile box-tested on every row."""
+    screener = model.screener
+    ws = Workspace()
+    screen = TilePrescreen(screener, screener.prepare_augmented(features), ws)
+    screen.reserve(ws)
+    tiles = screener.tile_bounds()
+    boxes = screen.query_boxes(ws, 1)
+    last, every = tiles[-1], list(range(len(features)))
+    coarse = screen.coarse_left(last[0], bound, boxes)
+    assert list(coarse) == every
+    assert list(screen.box_left(*last, bound, ws, boxes, coarse)) == every
+    assert screen._above[1][:, -1].all()
+    return screen, ws, last
+
+
+@pytest.mark.parametrize("call", ("forward_streaming", "top_k"))
+@pytest.mark.parametrize("mode", SELECTORS)
+def test_a_narrow_last_box_is_proven_on_its_own_columns(mode, call):
+    model, features, bound = narrow_box_model(mode, call)
+    screen, ws, last = narrow_box_screen(model, features, bound)
+    assert len(screen.entry_left(*last, bound, ws)) == 0
+    dense = model.forward(features)
+    recorder = Recorder()
+    model.set_recorder(recorder)
+    try:
+        if call == "forward_streaming":
+            assert_streamed_is_dense(model.forward_streaming(features), dense)
+        else:
+            indices, scores = model.top_k(features, K)
+            want = rank_dense(dense.logits, K)
+            assert np.array_equal(indices, want[0])
+            assert np.array_equal(scores, want[1])
+    finally:
+        model.set_recorder(NULL_RECORDER)
+    # Tile 0 on every row, and every later tile skipped.
+    counters = recorder.snapshot()["counters"]
+    assert counters["pipeline.rows_float64_scored"] == len(features)
+    assert counters["pipeline.tiles_skipped"] == len(model.screener.tile_bounds()) - 1
+    assert counters["pipeline.rows_entry_tested"] == len(features)
+
+
+@pytest.mark.parametrize("mode", SELECTORS)
+def test_failing_boxes_past_the_scratch_leave_their_rows(mode):
+    """The entry step scores every row's failing boxes — one per row
+    here — when they fit its scratch (``pairs``), and else only those of
+    the rows whose own fit a row of it (``share``): the rest are left
+    unproven."""
+    model, features, bound = narrow_box_model(mode, "forward_streaming")
+    every = list(range(len(features)))
+    for pairs, share, left in ((4, 0, []), (3, 1, []), (3, 0, every), (0, 0, every)):
+        screen, ws, last = narrow_box_screen(model, features, bound)
+        screen.pairs, screen.share = pairs, share
+        assert list(screen.entry_left(*last, bound, ws)) == left, (pairs, share)
 
 
 #: Columns per late tile holding row :data:`ROW`'s entries above the bound.
@@ -815,7 +939,7 @@ def test_coarse_bounds_cover_their_boxes_and_columns(
     screen = TilePrescreen(screener, augmented, ws)
     screen.reserve(ws)
     tiles = screener.tile_bounds()
-    query, error, coarse_top = screen.query_boxes(ws, 0, len(tiles))
+    query, error, coarse_top = screen.query_boxes(ws, 0)
     boxes, coarse = screener._tile_box, screener._tile_coarse
     per_coarse = COARSE_CATEGORIES // BOX_CATEGORIES
     per_tile = TILE_CATEGORIES // COARSE_CATEGORIES
@@ -837,7 +961,7 @@ def test_coarse_bounds_cover_their_boxes_and_columns(
             coarse_bound = (query[:, :, None] * spread_out[None]).sum(axis=1)
             box_bound = (query[:, :, None] * chunk[None]).sum(axis=1)
             assert np.all(coarse_bound >= box_bound)
-        if not screen.screenable[index]:
+        if not (screen.in_range and screener._tile_in_range[index]):
             continue
         # Every column sits under its tile's coarse bound plus E_box.
         exact = screener.score_tile(augmented, start, stop, out=np.empty((rows, stop - start)))
@@ -850,19 +974,25 @@ def test_coarse_bounds_cover_their_boxes_and_columns(
 
 @pytest.mark.parametrize("lanes", (1, 2))
 def test_warm_calls_allocate_nothing_whichever_rows_a_stage_leaves(monkeypatch, lanes):
-    """One arena, two batches: on one the coarse stage leaves a single
-    row, on the other every row.  Warmed on the second, which gathers
-    nothing, the first allocates nothing either: the call's scratch is
-    sized at its full row count."""
-    model, features, _, _ = row_adversarial_model(
-        monkeypatch, "top_m", "forward_streaming", -1, "principal", "coarse"
-    )
-    every = features[[ROW] * len(features)]
+    """One arena, two batches: on one the coarse stage (then, on a second
+    model, the box stage) leaves a single row — which the next stage
+    tests, the entry step on its failing box's columns — on the other
+    every row.  Warmed on the second, which gathers nothing, the first
+    allocates nothing either: the call's scratch is sized at its full
+    row count."""
     force_lanes(monkeypatch, lanes)
-    model.forward_streaming(every)
-    settled = model.workspace.allocations
-    tested = {}
-    for batch, name in ((features, "one"), (every, "every"), (features, "one"), (every, "every")):
-        _, _, tested[name], _ = row_counts(model, lambda: model.forward_streaming(batch))
-    assert tested == {"one": 1, "every": len(features)}
-    assert model.workspace.allocations == settled
+    for stage, counted in (("coarse", 2), ("entry", 3)):
+        model, features, _, _ = row_adversarial_model(
+            monkeypatch, "top_m", "forward_streaming", -1, "principal", stage
+        )
+        every = features[[ROW] * len(features)]
+        model.forward_streaming(every)
+        settled = model.workspace.allocations
+        tested = {}
+        for batch, name in (
+            (features, "one"), (every, "every"), (features, "one"), (every, "every")
+        ):
+            rows = row_counts(model, lambda: model.forward_streaming(batch))
+            tested[name] = rows[counted]
+        assert tested == {"one": 1, "every": len(features)}, stage
+        assert model.workspace.allocations == settled, stage

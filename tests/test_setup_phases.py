@@ -1,5 +1,6 @@
 """``scripts/setup_phases.py`` end to end at a small size: every phase is
-printed for 1 and 2 lanes, and both lane counts settle after one call."""
+printed for 1 and 2 lanes, both lane counts settle after one call, and the
+resident bytes of each derived array are printed."""
 
 import os
 import subprocess
@@ -26,9 +27,14 @@ def test_prints_every_phase_and_settles_after_one_call():
     )
     lines = {line[:14].strip(): line[14:].split() for line in result.stdout.splitlines()}
     assert lines["phase"] == ["1", "lane", "2", "lanes"]
-    for phase in (
-        "plane", "screen plane", "scores", "calibration", "first call", "second call"
-    ):
+    for phase in ("plane", "boxes", "scores", "calibration", "first call", "second call"):
         assert len(lines[phase]) == 6, phase  # best / median per lane count
     # Whichever lanes set-up took, the second call allocates nothing.
     assert lines["calls to flat"] == ["2", "2"]
+    # The screener keeps the fused plane, the boxes and the coarse boxes.
+    resident = [
+        line.split(":")[0] for line in result.stdout.splitlines() if line.startswith("resident")
+    ]
+    assert resident == [
+        "resident fused plane", "resident boxes", "resident coarse boxes", "resident total"
+    ]
