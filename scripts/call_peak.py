@@ -7,7 +7,9 @@ Builds a pipeline (``make_task``, a ``train_screener(solver="lstsq")`` fit,
 threshold calibration when the selector is ``threshold``, the exact weights
 quantized when ``--store`` is ``int8`` or ``float16``), repeats
 ``forward_streaming`` on one batch of ``--rows`` rows until the workspace is
-flat, then prints the ``tracemalloc`` peak above what was live before
+flat, counts the arena requests one more warm call makes (each a dict
+lookup, and a view when its shape changed), then prints the
+``tracemalloc`` peak above what was live before
 (median of ``--repeats``) of:
 
 * ``screen+select`` — the tile loop: screening, the reducer, finalize;
@@ -18,9 +20,9 @@ Both phases run on the pipeline's own arena, as the call runs them.  One
 tile of scores is printed beside them for scale: a warm call that allocates
 a large share of it holds a tile-sized temporary somewhere, and the phase
 lines say where.  The last two lines count the canonical tiles of one call,
-how many of them a prescreen stage tested and skipped, and how many of
-those the box stages skipped before the entry step, then the rows each
-stage ran on — compared against a coarse bound, tested against the tile's
+how many of them a prescreen pass covered and skipped, and how many of
+those its coarse and box stages skipped before the entry step, then the
+rows each stage ran on — compared against a coarse bound, tested against the tile's
 boxes, tested on their failing boxes' columns, scored in float64 by the
 tile GEMMs (tile 0's included) — read from a ``Recorder`` on one more
 call, after the peaks.  The benchmark's ``call_peak_mb`` is the whole-call line at
@@ -89,6 +91,9 @@ def measure(model, batch, repeats: int) -> dict:
         calls += 1
         if calls >= 2 and ws.allocations == before:
             break
+    requests = ws.requests
+    model.forward_streaming(batch)
+    requests = ws.requests - requests
     counts, cols, _ = model._screen_and_select(batch, ws)
     candidates = CandidateSet.from_flat(counts, cols)
     allocations = ws.allocations
@@ -119,6 +124,7 @@ def measure(model, batch, repeats: int) -> dict:
         ],
         warm_calls=calls,
         steady_allocations=ws.allocations - allocations,
+        requests=requests,
         workspace_bytes=ws.nbytes,
         tile_bytes=batch.shape[0] * TILE_CATEGORIES * model.screener.compute_dtype.itemsize,
         candidates=int(counts.sum()),
@@ -139,7 +145,7 @@ def report(args, result: dict) -> str:
     lines.append(
         f"workspace {result['workspace_bytes'] / 1e6:.3f} MB after {result['warm_calls']} "
         f"warm-up calls, {result['steady_allocations']} allocations while measured, "
-        f"{result['candidates']} candidates"
+        f"{result['requests']} requests per warm call, {result['candidates']} candidates"
     )
     lines.append(
         f"tiles per call {result['tiles']}: {result['prescreened']} prescreened, "

@@ -68,7 +68,7 @@ from repro.utils.memory import PHASE_SCRATCH, Workspace
 from repro.utils.validation import check_batch_features, check_positive
 
 #: The tile loop's per-call counters, in the order :meth:`_fold` tallies them:
-#: tiles a prescreen stage tested, tiles skipped, tiles the box stages
+#: tiles a prescreen pass covered, tiles skipped, tiles the box stages
 #: skipped before the entry step, the rows each prescreen stage tested —
 #: compared against a coarse bound, against the tile's boxes, on their
 #: failing boxes' columns — and the rows the float64 tile GEMMs scored
@@ -593,55 +593,56 @@ class ApproximateScreeningClassifier:
         scratch (or read it from ``plane``, scored already) and fold it
         into ``reducer``; returns the counts :data:`_TALLIES` names.
 
-        With a ``screen`` (the streaming path on a boxed screener), tile
-        1, a tile that follows one that recorded nothing and a tile that
-        follows one whose prescreen proved a row are prescreened (the
-        prescreen rule): a row whose scores are proven at most the
-        reducer's bound, by one stage or another, would record nothing,
-        so the float64 GEMM and the update run on only the rows left —
-        gathered from ``augmented`` into ``ws`` scratch — and on none
-        when no row is.  Tile 0 is not prescreened: it is where the head
-        of a frequency-ordered label space sits, and in top-m mode no
-        bound exists before it.  The box query is built at tile 1; then
-        each prescreened tile's coarse bounds are compared on every row,
-        its boxes tested on the rows they leave, and the columns of the
-        boxes each row left fails scored on those rows.  A call whose
-        prescreen never proves a row scores every row of every tile."""
+        With a ``screen`` (the streaming path on a boxed screener), a
+        prescreen pass (:meth:`~repro.core.screener.TilePrescreen.pass_left`)
+        starts at tile 1, at a tile that follows one that recorded
+        nothing and at a tile that follows a pass's last tile whose
+        prescreen proved a row (the prescreen rule), under the reducer's
+        bound there, and covers the tiles up to the first one its coarse
+        and box stages prove no row on; each pass is one
+        ``streaming.box_tile`` span, after which the loop only scores and
+        folds.  A row whose scores are proven at most that bound would
+        record nothing — a bound taken at an earlier tile is still one,
+        as the reducer's never falls — so the float64 GEMM and the update
+        run on only the rows left, gathered from ``augmented`` into ``ws``
+        scratch, and on none when no row is.  Tile 0 is not prescreened:
+        it is where the head of a frequency-ordered label space sits, and
+        in top-m mode no bound exists before it.  A call whose prescreen
+        never proves a row scores every row of every tile."""
         recorder = self.recorder
         rows = len(augmented)
         tiles = self.screener.tile_bounds()
         prescreened = skipped = box_skipped = 0
         coarse_rows = box_rows = entry_rows = float64_rows = 0
-        boxes = None
         screening = False
+        covered = None  # the pass over this tile, if one covers it
         if screen is not None:
             # Whichever tiles and rows the prescreen leaves, the scratch
             # a tile takes is sized up front.
             screen.reserve(ws)
             reducer.reserve(min(TILE_CATEGORIES, self.num_categories, block))
             ws.buffer(_GATHERED, augmented.shape)
-        for t0, t1 in tiles:
+        for index, (t0, t1) in enumerate(tiles):
             left = None
-            if screening:
-                bound = reducer.bound
+            if covered is not None and index == covered.stop:
+                covered = None
+            if screening and covered is None:
                 with recorder.span("streaming.box_tile"):
-                    if boxes is None:
-                        boxes = screen.query_boxes(ws, t0 // TILE_CATEGORIES)
-                    left = screen.coarse_left(t0, bound, boxes)
-                    if left is not None:
-                        coarse_rows += rows
-                        box_rows += len(left)
-                        if len(left):
-                            left = screen.box_left(t0, t1, bound, ws, boxes, left)
-                        box_skipped += not len(left)
-                        entry_rows += len(left)
-                        if len(left):
-                            left = screen.entry_left(t0, t1, bound, ws)
-                prescreened += left is not None
-                if left is not None and not len(left):
+                    covered = screen.pass_left(ws, index, reducer.bound)
+                if covered is not None:
+                    passed = covered.stop - index
+                    prescreened += passed
+                    coarse_rows += rows * passed
+                    box_rows += covered.box_tested
+                    box_skipped += covered.box_skipped
+                    entry_rows += covered.entry_tested
+            if covered is not None:
+                left = covered.rows(index)
+                if not len(left):
                     skipped += 1
+                    screening = True
                     continue
-                if left is not None and len(left) == rows:
+                if len(left) == rows:
                     left = None
             scored = rows if left is None else len(left)
             if plane is None:
@@ -662,7 +663,7 @@ class ApproximateScreeningClassifier:
                     stop = min(t1, (start // block + 1) * block)
                     recorded += reducer.update(start, tile[:, start - t0 : stop - t0], left)
                     start = stop
-            screening = screen is not None and (t0 == 0 or not recorded or left is not None)
+            screening = screen is not None and (index == 0 or not recorded or left is not None)
         return (
             prescreened, skipped, box_skipped, coarse_rows, box_rows, entry_rows, float64_rows
         )

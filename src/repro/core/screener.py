@@ -36,19 +36,28 @@ weight column into them, ``ỹ = Qᵀw``, and keeps per
 largest bias, and the same per :data:`COARSE_CATEGORIES` columns,
 reduced from those.  A call rotates its input, ``c̃ = aQ``; one GEMM of
 ``[max(c̃, 0) | min(c̃, 0) | 1]`` against boxes bounds every score in
-each box from above.  Three stages then prove rows, each on the rows
-the one before left:
+each box from above.  The prescreen runs in passes
+(:meth:`TilePrescreen.pass_left`): a pass takes the reducer's bound at
+the tile it starts at — a bound for every later tile too, since the
+threshold never moves and a floor only rises — and three stages prove
+(tile, row) pairs, each on the pairs the one before left:
 
-* the coarse boxes: a row is proven when its largest coarse bound of the
-  tile is at most ``bound − E_box`` rounded down — the coarse bounds of
-  every tile scored in one GEMM at the call's first prescreened tile,
-  then one compare per row and tile;
-* the boxes: the same test on each of the tile's boxes, one GEMM;
-* the entries: a row the boxes leave names the boxes above its limit —
+* the coarse boxes: a pair is proven when the row's largest coarse bound
+  of the tile is at most ``bound − E_box`` rounded down — the coarse
+  bounds of every tile scored in one GEMM at the call's first pass, and
+  compared with every remaining tile's limits at once per pass;
+* the boxes: the same test on each of the tile's boxes, one GEMM per
+  tile on the rows its coarse bounds left, each row reduced to its
+  largest box bound before any mask is built;
+* the entries: a pair the boxes leave names the boxes above its limit —
   a median of one of the tile's 1,024 — and only their columns are
-  scored, gathered from the fused plane against the row's input in
-  float64 and in any order; the row is proven when each score is at
-  most ``bound − E_entry`` rounded down.
+  scored, for every pair of the pass in one step, gathered from the
+  fused plane against the row's input in float64 and in any order; the
+  pair is proven when each score is at most ``bound − E_entry`` rounded
+  down.
+
+A pass covers tiles until the first on which the coarse and box stages
+prove no row, that tile included.
 
 ``E_box`` (``_box_error_terms``) covers the two rotations' and the box
 GEMM's rounding, the float64 tile GEMM's, underflow, and the axes'
@@ -69,10 +78,11 @@ float64 GEMM and the fold run on only the rows none proved.  A left-out
 row leaves the reducer's record unchanged
 (:meth:`~repro.linalg.topk.BlockwiseThreshold.update`), so every output
 bit is the full loop's by construction; dense ``forward``, which keeps
-the score plane, never leaves a row out.  Which tiles are prescreened is
-the loop's prescreen rule: tile 1, a tile after one that recorded
-nothing, and a tile after one whose prescreen proved a row, never tile
-0 — on a frequency-ordered label space, every tile past the head.  On
+the score plane, never leaves a row out.  Where passes start is the
+loop's prescreen rule: tile 1, a tile after one that recorded nothing,
+and a tile after a pass's last whose prescreen proved a row, never tile
+0 — on a frequency-ordered label space, one pass covers every tile past
+the head.  On
 such a space the bias is smooth in the index and W̃ is strongly
 low-rank, so a tile's boxes prove most rows and its coarse boxes most
 of those.  A screener whose axes cannot bound (non-finite, or off
@@ -100,7 +110,7 @@ import contextvars
 import os
 import threading
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Callable, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -177,6 +187,7 @@ BOX_CATEGORIES = 8
 #: of ``(2k + 1)·8·⌈l / 8192⌉·8`` bytes (173 KB at 670K × 16).
 COARSE_CATEGORIES = 1024
 _COARSE_PER_TILE = TILE_CATEGORIES // COARSE_CATEGORIES
+_BOXES_PER_TILE = TILE_CATEGORIES // BOX_CATEGORIES
 
 #: The largest rigorous ``‖I − QQᵀ‖_F`` bound of principal axes ``Q``
 #: that a screener box-tests under; past it no tile is box-tested.
@@ -678,36 +689,60 @@ class ScreeningModule:
 
 
 #: Workspace keys of the prescreen: per call each row's ``Σ|a_j|`` and the
-#: scratch it is summed in; the box stages' rotated input, query, bound and
-#: coarse bounds, built at the call's first prescreened tile, the query
-#: rows a box test gathers and the boxes each row it leaves has above its
-#: limit; and per failing box the entry step scores, its columns, its
-#: row's place among the left rows and in the call (their weights, inputs
-#: and scores take the phase scratch).
+#: scratch it is summed in, and the boxes' rotated input, query, errors and
+#: coarse bounds, built at the call's first pass; per pass the limits, the
+#: coarse compare and the entry verdicts, the box query rows a tile's box
+#: test gathers and the boxes each row it leaves fails, and the indices of
+#: the pass's pairs and of the failing boxes the entry step scores (their
+#: weights, inputs and scores take the phase scratch).
 _SCREEN_ABS, _SCREEN_SUMS = (("screen", name) for name in ("abs", "sums"))
 _BOX_ROTATED, _BOX_QUERY, _BOX_ERROR, _BOX_COARSE, _BOX_GATHERED, _BOX_ABOVE = (
     ("box", name) for name in ("rotated", "query", "error", "coarse", "gathered", "above")
 )
-_ENTRY_INDEX = ("entry", "index")
+_PASS_LIMITS, _PASS_FLAGS, _PASS_INDEX = (("pass", name) for name in ("limits", "flags", "index"))
+
+#: A box's columns, from its first.
+_BOX_COLUMNS = np.arange(BOX_CATEGORIES)
+
+
+class PassLeft(NamedTuple):
+    """What one pass of :meth:`TilePrescreen.pass_left` left: it covered
+    tiles ``first`` to ``stop − 1``, and the rows left of tile ``first + i``
+    are ``left[ends[i] : ends[i + 1]]``, ascending.  Beside them, the pairs
+    of a tile and a row the box stage and the entry step ran on, and the
+    covered tiles the coarse and box stages proved on every row."""
+
+    first: int
+    stop: int
+    ends: list
+    left: np.ndarray
+    box_tested: int
+    entry_tested: int
+    box_skipped: int
+
+    def rows(self, index: int) -> np.ndarray:
+        """The rows left of covered tile ``index``."""
+        i = index - self.first
+        return self.left[self.ends[i] : self.ends[i + 1]]
 
 
 class TilePrescreen:
     """One streaming call's prescreen of a boxed screener's tiles (module
-    docstring), in three stages that each prove rows of a tile empty and
-    return the rows they could not prove, for the next stage to run on:
-    the coarse boxes (:meth:`coarse_left`), one compare per row; the
-    tile's boxes (:meth:`box_left`), one GEMM; and the columns of the
-    boxes each row the boxes left has above its limit
-    (:meth:`entry_left`), gathered and scored in float64.  A tile with no
-    row left would record nothing.
+    docstring), run one pass at a time (:meth:`pass_left`): from the tile
+    a pass starts at, under the reducer's bound there, the coarse bounds of
+    every tile left are compared at once, each covered tile's boxes are
+    tested on the rows its coarse bounds left, and the columns of the boxes
+    each (tile, row) pair the boxes left fails are scored in one entry step
+    for the whole pass.  A pass covers tiles until the first on which the
+    coarse and box stages prove no row, that tile included.
 
-    Built once per call before its first tile; the stages test in scratch
-    of the call's arena, sized up front (:meth:`reserve`).  What a stage
-    keeps per row — its largest score, its limit, the rows it leaves — is a
-    NumPy temporary of at most ``rows`` entries: an arena request costs
-    more than the compare it would serve.  So are, per failing box the
-    entry step scores, at most :attr:`pairs` of them, its position (NumPy
-    compacts into no given buffer), its largest score and its row's limit.
+    Built once per call before its first tile; a pass works in scratch of
+    the call's arena, sized up front (:meth:`reserve`) for at most rows ×
+    tiles pairs.  What a pass keeps per tile — the rows it tested, their
+    largest box bounds and limits, the rows it leaves, the failing boxes'
+    positions (NumPy compacts into no given buffer) — is a NumPy temporary
+    of at most ``rows`` entries, or :attr:`pairs`: an arena request costs
+    more than the compare it would serve.
     """
 
     @classmethod
@@ -736,38 +771,56 @@ class TilePrescreen:
         # columns of the fused plane, the row's input, the scores.
         self._floats = (BOX_CATEGORIES + 1) * width + BOX_CATEGORIES
         #: Failing boxes that fit a row of that scratch, and those that fit
-        #: all of it: the most the entry step scores per row and per tile.
+        #: all of it: the most the entry step scores per row of a tile, and
+        #: per tile and at once.
         self.share = self.scratch // self._floats
         self.pairs = rows * self.share
+        # The box query, errors and coarse bounds: built at the first pass.
+        self._query = self._errors = self._coarse = None
 
     def reserve(self, ws) -> None:
         """Size the call's scratch in its arena ``ws`` up front, at its
-        full row count — the box stages' query, bound, coarse bounds,
-        gathered rows and failing boxes, the entry step's rows and columns,
-        and the phase scratch a tile is tested or scored in — so whether,
-        where, in which stage and on how many rows a call prescreens never
-        allocates."""
+        full row count and for passes over every tile — the boxes' query,
+        errors and coarse bounds, a pass's limits, flags and indices, the
+        gathered query rows and failing boxes of a tile, and the phase
+        scratch a tile is tested or scored in — so whether, where, how far
+        and on how many rows a call prescreens never allocates."""
         rows, width = self._augmented.shape
         tiles = len(self._screener._tile_in_range)
-        boxes = -(-min(TILE_CATEGORIES, self._screener.num_categories) // BOX_CATEGORIES)
         ws.buffer(_BOX_ROTATED, (rows, width - 1))
         ws.buffer(_BOX_QUERY, (rows, 2 * width - 1))
-        ws.buffer(_BOX_GATHERED, (rows, 2 * width - 1))
         ws.buffer(_BOX_ERROR, (2, tiles, rows))
         ws.buffer(_BOX_COARSE, (tiles, rows))
-        ws.buffer(_BOX_ABOVE, (rows, boxes), bool)
-        ws.buffer(_ENTRY_INDEX, ((BOX_CATEGORIES + 2) * self.pairs,), np.intp)
+        self._pass_buffers(ws)
         ws.buffer(PHASE_SCRATCH, (rows, self.scratch))
 
-    def query_boxes(self, ws, first: int) -> tuple:
-        """The box stages' per-call operands, built in the call's arena
-        ``ws`` at its first prescreened tile: the query ``[max(c̃, 0) |
-        min(c̃, 0) | 1]`` with ``c̃ = aQ``; per tile and row the bound
-        ``E_box`` on how far a box bound may sit under a float64 score
-        (:func:`_box_error_terms`), kept with ``E_entry`` beside it for
-        :meth:`entry_left`; and per row the coarse bound of each
-        tile from index ``first`` on, the largest of the tile's coarse
-        boxes' bounds — one GEMM for all of them."""
+    def _pass_buffers(self, ws) -> tuple:
+        """A pass's scratch, the same every pass: the limits of every tile
+        (``E_box``'s, ``E_entry``'s) and per pair its entry limit; the
+        coarse compare of every tile and per pair its verdict; per pair its
+        row and per covered tile the pairs before its end; per failing box
+        to score its pair, its box, its row and its columns; the gathered
+        query rows and the failing-box mask of a tile."""
+        rows, width = self._augmented.shape
+        cells = len(self._screener._tile_in_range) * rows
+        boxes = -(-min(TILE_CATEGORIES, self._screener.num_categories) // BOX_CATEGORIES)
+        return (
+            ws.buffer(_PASS_LIMITS, (3 * cells,)),
+            ws.buffer(_PASS_FLAGS, (2 * cells,), bool),
+            ws.buffer(_PASS_INDEX, (2 * cells + 1 + (BOX_CATEGORIES + 3) * self.pairs,), np.intp),
+            ws.buffer(_BOX_GATHERED, (rows, 2 * width - 1)),
+            ws.buffer(_BOX_ABOVE, (rows * boxes,), bool),
+            ws.buffer(PHASE_SCRATCH, (rows * self.scratch,)),
+        )
+
+    def _build_query(self, ws, first: int) -> None:
+        """The boxes' per-call operands, built in the call's arena ``ws``
+        at its first pass: the query ``[max(c̃, 0) | min(c̃, 0) | 1]`` with
+        ``c̃ = aQ``; per tile and row the bound ``E_box`` on how far a box
+        bound may sit under a float64 score (:func:`_box_error_terms`), and
+        ``E_entry`` beside it; and per row the coarse bound of each tile
+        from index ``first`` on, the largest of the tile's coarse boxes'
+        bounds — one GEMM for all of them."""
         screener, augmented = self._screener, self._augmented
         rows, k = len(augmented), screener.projection_dim
         tiles = len(screener._tile_in_range)
@@ -777,12 +830,13 @@ class TilePrescreen:
         np.maximum(rotated, 0.0, out=query[:, :k])
         np.minimum(rotated, 0.0, out=query[:, k : 2 * k])
         query[:, -1] = 1.0
-        # Per tile and row E_box, and E_entry for the entry step.
         errors = ws.buffer(_BOX_ERROR, (2, tiles, rows))
-        for bounds, (slope, offset) in zip(errors, (screener._box_error, screener._entry_error)):
-            np.multiply.outer(slope, self.row_sums, out=bounds)
-            bounds += offset[:, None]
-        error, self._entry_errors = errors
+        with np.errstate(over="ignore", invalid="ignore"):  # out-of-range tiles
+            for bounds, (slope, offset) in zip(
+                errors, (screener._box_error, screener._entry_error)
+            ):
+                np.multiply.outer(slope, self.row_sums, out=bounds)
+                bounds += offset[:, None]
         coarse = ws.buffer(_BOX_COARSE, (tiles, rows))
         boxes = screener._tile_coarse[first * _COARSE_PER_TILE :]
         scores = ws.buffer(PHASE_SCRATCH, (len(boxes), rows))
@@ -790,105 +844,190 @@ class TilePrescreen:
             np.matmul(boxes, query.T, out=scores)
         scores = scores.reshape(tiles - first, _COARSE_PER_TILE, rows)
         np.max(scores, axis=1, out=coarse[first:])
-        return query, error, coarse
+        self._query, self._errors, self._coarse = query, errors, coarse
 
-    def coarse_left(self, start: int, bound, boxes: tuple) -> Optional[np.ndarray]:
-        """The rows not proven to have every float64 score of the
-        canonical tile starting at ``start`` at most ``bound`` (a scalar
-        or one per row) by the coarse bounds :meth:`query_boxes` built
-        (``boxes``): a row is proven when its coarse bound of the tile is
-        at most ``bound − E_box`` rounded down — one compare per row.
-        ``None`` when the tile is not prescreened: no ``bound``
-        (``None``), or magnitudes past :data:`_SCREEN_MAGNITUDE`."""
-        index = start // TILE_CATEGORIES
-        if bound is None or not (self.in_range and self._screener._tile_in_range[index]):
+    def pass_left(self, ws, first: int, bound) -> Optional[PassLeft]:
+        """One pass from the canonical tile of index ``first`` under
+        ``bound`` (a scalar, or one per row: the reducer's at ``first``,
+        which bounds every later tile too, since it never falls): the rows
+        of each tile it covers not proven to have every float64 score at
+        most ``bound``.  ``None`` when tile ``first`` is not prescreened: no
+        ``bound`` (``None``), or magnitudes past :data:`_SCREEN_MAGNITUDE`.
+
+        Every tile's limits ``bound − E`` rounded down are taken in one
+        :func:`_limit`, and every tile's coarse bounds compared to them in
+        one operation.  Then tile by tile, each on only the rows its coarse
+        bounds left, one GEMM of the gathered query rows and the tile's
+        boxes gives each row's box bounds; a row whose largest is at most
+        its limit is proven, and for the others the boxes above it are
+        collected.  The pass covers tiles until the first on which the
+        coarse and box stages prove no row (that tile included), and stops
+        before a tile past :data:`_SCREEN_MAGNITUDE`.  Last, the entry step
+        scores the collected boxes' columns against their rows' inputs —
+        gathered from the fused plane, in float64 and any order — and a
+        pair is proven when each score is at most ``bound − E_entry``
+        rounded down (:func:`_entry_error_terms`).  A tile's failing boxes
+        are all scored when they fit the phase scratch (:attr:`pairs`), and
+        else only those of the rows whose own fit a row of it
+        (:attr:`share`): the other rows are left.  The entry step scores at
+        most :attr:`pairs` boxes at once."""
+        in_range = self._screener._tile_in_range
+        if bound is None or not (self.in_range and in_range[first]):
             return None
-        _, error, coarse = boxes
-        return np.flatnonzero(~(coarse[index] <= _limit(bound, error[index])))
+        if self._query is None:
+            self._build_query(ws, first)
+        rows, tiles = len(self._augmented), len(in_range)
+        floats, flags, index, gathered, above, scratch = self._pass_buffers(ws)
+        cells, count = len(flags) // 2, (tiles - first) * rows
+        # Every tile's limits, E_box's then E_entry's, and its coarse compare.
+        limits = floats[: 2 * count].reshape(2, tiles - first, rows)
+        with np.errstate(invalid="ignore"):  # out-of-range tiles' errors
+            _limit(bound, self._errors[:, first:], out=limits)
+        failing = flags[:count].reshape(tiles - first, rows)
+        np.less_equal(self._coarse[first:], limits[0], out=failing)
+        np.logical_not(failing, out=failing)
+        tested = np.flatnonzero(failing)  # (tile − first) · rows + row
+        ends = np.searchsorted(tested, np.arange(rows, count + 1, rows)).tolist()
+        box_limits = limits[0].reshape(-1)
+        # Per pair its row, entry limit and verdict; per covered tile its
+        # pairs' end; per failing box collected its pair and box.
+        pair_rows, pair_ends = index[:cells], index[cells : 2 * cells + 1]
+        pair_limits, verdicts = floats[2 * cells :], flags[cells:]
+        collected = index[2 * cells + 1 :].reshape(BOX_CATEGORIES + 3, self.pairs)
+        entries = (pair_rows, pair_limits, verdicts, collected, scratch)
+        pairs = held = box_tested = box_skipped = low = 0
+        pair_ends[0], stop = 0, tiles
+        for tile in range(first, tiles):
+            if tile > first and not in_range[tile]:
+                stop = tile
+                break
+            high = ends[tile - first]
+            box_tested += high - low
+            kept = 0
+            if high > low:
+                left, fails = self._box_test(
+                    tile, tested[low:high], (tile - first) * rows, box_limits,
+                    gathered, above, scratch,
+                )
+                kept = len(left)
+            low = high
+            pair_ends[tile - first + 1] = pairs + kept
+            if not kept:
+                box_skipped += 1
+                continue
+            new = slice(pairs, pairs + kept)
+            pair_rows[new] = left
+            np.take(limits[1, tile - first], left, out=pair_limits[new])
+            verdicts[new] = False
+            if np.count_nonzero(fails) > self.pairs:
+                for row, boxes in enumerate(fails):
+                    if np.count_nonzero(boxes) > self.share:  # left unscored
+                        boxes[:] = False
+                        verdicts[pairs + row] = True
+            held = self._collect(np.flatnonzero(fails), fails.shape[1], pairs,
+                                 tile * _BOXES_PER_TILE, held, entries)
+            pairs += kept
+            if kept == rows:  # the coarse and box stages proved no row
+                stop = tile + 1
+                break
+        if held:
+            self._score_entries(held, entries)
+        chosen = np.flatnonzero(verdicts[:pairs])
+        return PassLeft(
+            first,
+            stop,
+            np.searchsorted(chosen, pair_ends[: stop - first + 1]).tolist(),
+            np.take(pair_rows, chosen),
+            box_tested,
+            pairs,
+            box_skipped,
+        )
 
-    def box_left(self, start: int, stop: int, bound, ws, boxes: tuple, rows) -> np.ndarray:
-        """The ``rows`` :meth:`coarse_left` left not proven by the tile's
-        boxes instead: a row is proven when each of its box bounds — one
-        GEMM of the gathered query rows and the tile's boxes, a
-        :data:`BOX_CATEGORIES`-th of its columns — is at most ``bound −
-        E_box`` rounded down.  Which boxes each row it leaves has above
-        that limit is kept in the call's arena for :meth:`entry_left`."""
-        query, error, _ = boxes
-        tested = len(rows)
-        if tested < len(query):
-            gathered = ws.buffer(_BOX_GATHERED, (tested, query.shape[1]))
-            query = np.take(query, rows, axis=0, out=gathered, mode="clip")
-        tile = self._screener._tile_box[:, start // BOX_CATEGORIES : -(-stop // BOX_CATEGORIES)]
+    def _box_test(self, tile: int, cells, offset: int, box_limits, gathered, above, scratch):
+        """The box stage of canonical tile ``tile`` on its pairs ``cells``
+        (``offset`` plus the row) the coarse bounds left: one GEMM of the
+        gathered query rows and the tile's boxes, each row reduced to its
+        largest box bound, compared with its limit in ``box_limits``.
+        Returns the rows left and, only for those, the mask of the boxes
+        above their limit (a view of ``above``)."""
+        rows = cells - offset
+        count = len(rows)
+        query = self._query
+        if count < len(query):
+            query = np.take(query, rows, axis=0, out=gathered[:count], mode="clip")
+        boxes = self._screener._tile_box[
+            :, tile * _BOXES_PER_TILE : (tile + 1) * _BOXES_PER_TILE
+        ]
+        width = boxes.shape[1]
         # The box bounds, then a copy of the left rows' (tested rows at most).
-        scores = ws.buffer(PHASE_SCRATCH, (2 * tested, tile.shape[1]))
-        np.matmul(query, tile, out=scores[:tested])
-        limit = _limit(bound, error[start // TILE_CATEGORIES])[rows]
-        left = np.flatnonzero(~(scores[:tested].max(axis=1) <= limit))
+        scores = scratch[: 2 * count * width].reshape(2 * count, width)
+        np.matmul(query, boxes, out=scores[:count])
+        limit = np.take(box_limits, cells)
+        left = np.flatnonzero(~(scores[:count].max(axis=1) <= limit))
         if not len(left):
-            return left
-        kept = scores[tested : tested + len(left)]
-        np.take(scores[:tested], left, axis=0, out=kept, mode="clip")
-        above = ws.buffer(_BOX_ABOVE, kept.shape, bool)
-        np.less_equal(kept, limit[left, None], out=above)
-        np.logical_not(above, out=above)
-        self._above = rows[left], above
-        return self._above[0]
+            return left, None
+        kept = scores[count : count + len(left)]
+        np.take(scores[:count], left, axis=0, out=kept, mode="clip")
+        fails = above[: kept.size].reshape(kept.shape)
+        np.less_equal(kept, limit[left, None], out=fails)
+        np.logical_not(fails, out=fails)
+        return rows[left], fails
 
-    def entry_left(self, start: int, stop: int, bound, ws) -> np.ndarray:
-        """The rows :meth:`box_left` left not proven on the columns of
-        their boxes above its limit: each such column is scored against
-        the row's augmented input in float64 — gathered from the fused
-        plane, summed in any order — and the row is proven when every
-        score is at most ``bound − E_entry`` rounded down
-        (:func:`_entry_error_terms`).  Every row's failing boxes are
-        scored when they fit the phase scratch (:attr:`pairs`), and else
-        only those of the rows whose own fit a row of it (:attr:`share`):
-        the other rows are left.  A box proven is cleared from the kept
-        mask, so the rows left are those with a box still set."""
-        rows, above = self._above
+    def _collect(self, found, width: int, pairs: int, first_box: int, held: int, entries) -> int:
+        """Add the failing boxes ``found`` (flat in a tile's mask ``width``
+        boxes wide, whose rows are the pass's pairs from ``pairs`` and whose
+        first box is ``first_box``) to the ``held`` ones, scoring the held
+        ones first whenever :attr:`pairs` are; returns how many are held."""
+        collected = entries[3]
+        done = 0
+        while done < len(found):
+            if held == self.pairs:
+                self._score_entries(held, entries)
+                held = 0
+            take = min(len(found) - done, self.pairs - held)
+            piece, into = found[done : done + take], slice(held, held + take)
+            np.floor_divide(piece, width, out=collected[0, into])
+            collected[0, into] += pairs
+            np.remainder(piece, width, out=collected[1, into])
+            collected[1, into] += first_box
+            held, done = held + take, done + take
+        return held
+
+    def _score_entries(self, count: int, entries) -> None:
+        """The entry step on the ``count`` held failing boxes: their
+        columns are gathered from the fused plane and scored against their
+        rows' augmented inputs in the phase scratch, and a pair with a
+        score not at most its entry limit gets its verdict set: left."""
+        pair_rows, pair_limits, verdicts, collected, scratch = entries
         screener, width = self._screener, self._augmented.shape[1]
-        unscored = None
-        if np.count_nonzero(above) > self.pairs:
-            unscored = np.array([np.count_nonzero(boxes) > self.share for boxes in above])
-            above[unscored] = False
-        failing = np.flatnonzero(above)
-        if not len(failing):  # every row's boxes overflow its share
-            return rows
-        count, per_row = len(failing), above.shape[1]
-        index = ws.buffer(_ENTRY_INDEX, ((BOX_CATEGORIES + 2) * count,), np.intp)
-        columns = index[: BOX_CATEGORIES * count].reshape(count, BOX_CATEGORIES)
-        kept, owners = index[BOX_CATEGORIES * count :].reshape(2, count)
-        np.remainder(failing, per_row, out=kept)  # each box's place in the tile
-        np.multiply(kept[:, None], BOX_CATEGORIES, out=columns)
-        columns += start + np.arange(BOX_CATEGORIES)
-        np.minimum(columns, stop - 1, out=columns)  # a narrower last box
-        np.floor_divide(failing, per_row, out=kept)
-        np.take(rows, kept, out=owners, mode="clip")
-        scratch = ws.buffer(PHASE_SCRATCH, (count * self._floats,))
+        pairs, indices, owners = collected[:3, :count]
+        columns = collected[3:].reshape(-1)[: BOX_CATEGORIES * count]
+        columns = columns.reshape(count, BOX_CATEGORIES)
+        np.multiply(indices[:, None], BOX_CATEGORIES, out=columns)
+        columns += _BOX_COLUMNS
+        np.minimum(columns, screener.num_categories - 1, out=columns)  # a narrower last box
+        np.take(pair_rows, pairs, out=owners)
         used = BOX_CATEGORIES * width * count
         weights = scratch[:used].reshape(width, count, BOX_CATEGORIES)
         inputs = scratch[used : used + width * count].reshape(count, 1, width)
-        scores = scratch[used + width * count :].reshape(count, BOX_CATEGORIES)
+        scores = scratch[used + width * count : count * self._floats]
+        scores = scores.reshape(count, BOX_CATEGORIES)
         np.take(screener._fused_weight_t, columns, axis=1, out=weights, mode="clip")
         np.take(self._augmented, owners, axis=0, out=inputs[:, 0], mode="clip")
         np.matmul(inputs, weights.transpose(1, 0, 2), out=scores[:, None])
-        limit = _limit(bound, self._entry_errors[start // TILE_CATEGORIES])[owners]
-        np.put(above.reshape(-1), failing, ~(scores.max(axis=1) <= limit))
-        left = above.any(axis=1)
-        if unscored is not None:
-            left |= unscored
-        return rows[left]
+        unproven = np.flatnonzero(~(scores.max(axis=1) <= np.take(pair_limits, pairs)))
+        verdicts[np.take(pairs, unproven)] = True
 
 
-def _limit(bound, error: np.ndarray) -> np.ndarray:
+def _limit(bound, error: np.ndarray, out: np.ndarray) -> np.ndarray:
     """``bound − error`` per row of the call, rounded down (``nextafter``
-    toward −inf): a value within ``error`` of a row's float64 scores, or
-    above them by at least that, proves them at most ``bound`` when it is
-    at most this limit.  A NaN limit proves nothing, since no compare
-    with it holds.  ``bound`` is a scalar or one per row."""
-    limit = np.subtract(bound, error)
-    np.nextafter(limit, -np.inf, out=limit)
-    return limit
+    toward −inf), into ``out``: a value within ``error`` of a row's float64
+    scores, or above them by at least that, proves them at most ``bound``
+    when it is at most this limit.  A NaN limit proves nothing, since no
+    compare with it holds.  ``bound`` is a scalar or one per row, the last
+    axis of ``error``."""
+    np.subtract(bound, error, out=out)
+    return np.nextafter(out, -np.inf, out=out)
 
 
 def draw_projection(

@@ -94,11 +94,19 @@ def stable_top_m_indices(scores: np.ndarray, m: int, workspace=None) -> np.ndarr
         fill.partition(n - m, axis=1)
         kth = fill[:, n - m : n - m + 1]
         np.greater_equal(block, kth, out=ge)
-        excess = np.count_nonzero(ge, axis=1) - m
-        for row in np.flatnonzero(excess):
-            # Keep every entry above kth and the first tied ones only.
-            tied = np.flatnonzero(block[row] == kth[row])
-            ge[row, tied[tied.size - excess[row] :]] = False
+        # Every row passes at least m (no score is NaN, which passes no
+        # compare); only when the block passes more do ties straddle
+        # some row's cut.  (A count per row over the 2-D mask would cast
+        # it through NumPy's 64 KB buffer; a flat count, and one per row
+        # only then, casts nothing.)
+        if np.count_nonzero(ge) == m * len(block):
+            continue
+        for row, passed in enumerate(ge):
+            excess = np.count_nonzero(passed) - m
+            if excess:
+                # Keep every entry above kth and the first tied ones only.
+                tied = np.flatnonzero(block[row] == kth[row])
+                passed[tied[tied.size - excess :]] = False
     return np.nonzero(mask)[1].reshape(batch, m)
 
 
@@ -268,7 +276,7 @@ class BlockwiseThreshold:
             scores = np.take_along_axis(block, picked, axis=1)
             rejected = scores <= self.threshold
             queued = np.nonzero(rejected)[0]
-            held = np.count_nonzero(rejected, axis=1)
+            held = np.bincount(queued, minlength=len(block))
             if rows is None:
                 self._held += held
             else:

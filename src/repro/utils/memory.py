@@ -97,11 +97,16 @@ class Workspace:
 
     def __init__(self) -> None:
         self._slabs: Dict[Tuple[object, np.dtype], np.ndarray] = {}
+        # Per ``(key, dtype as requested)``: its slab, and the shape and
+        # view :meth:`buffer` served last — a repeated request is one dict
+        # lookup, with no dtype normalised and no view built.  Emptied
+        # whenever a slab is (re)allocated.
+        self._served: Dict[Tuple[object, object], list] = {}
         self.allocations = 0
         self.requests = 0
 
     def _slab(self, key: object, size: int, dtype: np.dtype, preserve: bool) -> np.ndarray:
-        slab_key = (key, np.dtype(dtype))
+        slab_key = (key, dtype)
         slab = self._slabs.get(slab_key)
         if slab is None or slab.size < size:
             # Growable slabs double so append-style use amortizes; exact
@@ -111,21 +116,38 @@ class Workspace:
             if slab is not None and preserve:
                 grown[: slab.size] = slab
             self._slabs[slab_key] = grown
+            self._served.clear()
             self.allocations += 1
             slab = grown
         return slab
 
     def buffer(self, key: object, shape: Tuple[int, ...], dtype=np.float64) -> np.ndarray:
         """An uninitialized C-contiguous array of ``shape`` under ``key``."""
-        size = math.prod(shape)
         self.requests += 1
-        return self._slab(key, size, np.dtype(dtype), preserve=False)[:size].reshape(shape)
+        served = self._served.get((key, dtype))
+        if served is not None:
+            if served[1] == shape:
+                return served[2]
+            size = math.prod(shape)
+            if size <= served[0].size:
+                served[1:] = shape, served[0][:size].reshape(shape)
+                return served[2]
+        size = math.prod(shape)
+        slab = self._slab(key, size, np.dtype(dtype), preserve=False)
+        view = slab[:size].reshape(shape)
+        self._served[key, dtype] = [slab, shape, view]
+        return view
 
     def growable(self, key: object, capacity: int, dtype=np.float64) -> np.ndarray:
         """The full slab for ``key``, grown (contents preserved) to at
         least ``capacity`` elements."""
         self.requests += 1
-        return self._slab(key, int(capacity), np.dtype(dtype), preserve=True)
+        served = self._served.get((key, dtype))
+        if served is not None and served[0].size >= capacity:
+            return served[0]
+        slab = self._slab(key, int(capacity), np.dtype(dtype), preserve=True)
+        self._served[key, dtype] = [slab, None, None]
+        return slab
 
     def release(self) -> None:
         """Drop every slab (footprint goes to zero).
@@ -136,6 +158,7 @@ class Workspace:
         assertions should see.
         """
         self._slabs.clear()
+        self._served.clear()
 
     @property
     def nbytes(self) -> int:

@@ -1,9 +1,11 @@
-"""The prescreen of the streaming tile loop: coarse boxes, boxes, entries.
+"""The prescreen of the streaming tile loop: coarse boxes, boxes, entries,
+run one pass over the remaining tiles at a time.
 
 The contract under test: in ``forward_streaming`` and ``top_k``, a row
-of a tile whose scores the prescreen proves at most the reducer's bound
-(its threshold, or with runner-ups each row's floor) is neither scored
-in float64 nor folded, and a tile with no row left is skipped.  Such
+of a tile whose scores a pass proves at most the reducer's bound (its
+threshold, or with runner-ups each row's floor, as the pass's first tile
+saw it) is neither scored in float64 nor folded, and a tile with no row
+left is skipped.  Such
 rows would have recorded nothing, so every output is the bits of dense
 ``forward``, which keeps its plane and never skips, and of the per-row
 oracle.  The proofs rest on two bounds: ``E_box``, on how far a box
@@ -19,6 +21,8 @@ the streaming loop is one lane.
 
 import numpy as np
 import pytest
+from unittest import mock
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import forward_per_row
@@ -34,6 +38,7 @@ from repro.core.screener import (
     ScreeningModule,
     TilePrescreen,
 )
+from repro.linalg.topk import BlockwiseThreshold
 from repro.data import make_task
 from repro.linalg.projection import SparseRandomProjection
 from repro.obs import NULL_RECORDER, Recorder
@@ -96,6 +101,51 @@ def tiles_skipped(model, call) -> tuple:
     )
 
 
+def spied_passes(call) -> tuple:
+    """``(result, passes)``: ``call()``'s result, and per pass its first
+    tile, the bound it took (a copy) and what it left."""
+    passes = []
+    pass_left = TilePrescreen.pass_left
+
+    def spy(screen, ws, first, bound):
+        taken = None if bound is None else np.array(bound, dtype=float)
+        result = pass_left(screen, ws, first, bound)
+        passes.append((first, taken, result))
+        return result
+
+    with mock.patch.object(TilePrescreen, "pass_left", spy):
+        result = call()
+    return result, passes
+
+
+def last_tile_pass(model, features, bound, scratch=None) -> tuple:
+    """A pass from the model's last tile under ``bound``, in an arena of
+    its own (with ``scratch``, the prescreen's ``(pairs, share)`` set to
+    it first), and the ``(row, box of the tile)`` pairs its entry step
+    scored, sorted.  It covers that tile alone."""
+    screener = model.screener
+    ws = Workspace()
+    screen = TilePrescreen(screener, screener.prepare_augmented(features), ws)
+    if scratch is not None:
+        screen.pairs, screen.share = scratch
+    screen.reserve(ws)
+    scored = []
+    score_entries = screen._score_entries
+
+    def spy(count, entries):
+        pair_rows, _, _, collected, _ = entries
+        rows = pair_rows[collected[0, :count]]
+        boxes = collected[1, :count] % (TILE_CATEGORIES // BOX_CATEGORIES)
+        scored.extend(zip(rows.tolist(), boxes.tolist()))
+        score_entries(count, entries)
+
+    screen._score_entries = spy
+    last = len(screener.tile_bounds()) - 1
+    result = screen.pass_left(ws, last, bound)
+    assert (result.first, result.stop) == (last, last + 1)
+    return result, sorted(scored)
+
+
 def rank_dense(logits, k):
     """Each row's best ``k`` under (score desc, index asc), by lexsort."""
     columns = np.arange(logits.shape[1])
@@ -139,22 +189,19 @@ def test_late_tiles_are_skipped_and_dense_forward_skips_none(zipf, mode):
 @pytest.mark.parametrize("mode", SELECTORS)
 def test_tile_0_is_never_prescreened_and_tile_1_always_is(monkeypatch, zipf, mode):
     """The prescreen rule's start: tile 0, where the head sits, is scored
-    without a prescreen stage, and tile 1 meets the first one — its
-    coarse bounds — though tile 0 recorded."""
+    without a prescreen stage, and the call's first pass starts at tile 1
+    though tile 0 recorded."""
     model = build(zipf, mode)
     features = zipf[2]
-    tested = []
-    coarse_left = TilePrescreen.coarse_left
-
-    def spy(screen, start, *args):
-        tested.append(start // TILE_CATEGORIES)
-        return coarse_left(screen, start, *args)
-
-    monkeypatch.setattr(TilePrescreen, "coarse_left", spy)
     for call in (lambda: model.forward_streaming(features), lambda: model.top_k(features, K)):
-        del tested[:]
-        call()
-        assert tested[0] == 1 and 0 not in tested
+        _, passes = spied_passes(call)
+        covered = [
+            tile
+            for _, _, result in passes
+            if result is not None
+            for tile in range(result.first, result.stop)
+        ]
+        assert passes[0][0] == 1 and covered[0] == 1 and 0 not in covered
 
 
 @pytest.mark.parametrize("block", BLOCKS)
@@ -261,17 +308,12 @@ def test_an_entry_one_ulp_from_the_bound(monkeypatch, mode, lanes, call, side):
     screener = model.screener
     # Every row fails the entry's box, and its column is scored: within
     # E_entry of the bound, on either side, no row is proven.
-    ws = Workspace()
-    screen = TilePrescreen(screener, screener.prepare_augmented(features), ws)
-    screen.reserve(ws)
-    tiles = screener.tile_bounds()
-    boxes = screen.query_boxes(ws, 1)
-    last, every = tiles[-1], list(range(len(features)))
-    assert list(screen.coarse_left(last[0], bound, boxes)) == every
-    assert list(screen.box_left(*last, bound, ws, boxes, np.array(every))) == every
-    rows, above = screen._above
-    assert above[:, (column - last[0]) // BOX_CATEGORIES].all()
-    assert list(screen.entry_left(*last, bound, ws)) == every
+    result, scored = last_tile_pass(model, features, bound)
+    last, every = len(screener.tile_bounds()) - 1, list(range(len(features)))
+    assert result.box_tested == result.entry_tested == len(every)
+    box = (column - last * TILE_CATEGORIES) // BOX_CATEGORIES
+    assert {row for row, failing in scored if failing == box} == set(every)
+    assert list(result.rows(last)) == every
 
     force_lanes(monkeypatch, lanes)
     dense = model.forward(features)
@@ -351,21 +393,18 @@ def test_no_tile_with_an_entry_above_its_bound_is_skipped(
     screen = TilePrescreen(screener, augmented, ws)
     screen.reserve(ws)
     tiles = screener.tile_bounds()
-    boxes = screen.query_boxes(ws, 0)
     row = row % rows
-    for start, stop in tiles:
+    for index, (start, stop) in enumerate(tiles):
         exact = screener.score_tile(augmented, start, stop, out=np.empty((rows, stop - start)))
         best = exact.max(axis=1)
         # One row with an entry just above its bound, the rest unbounded:
-        # no stage proves that row, so the entry step tests it.
+        # no stage proves that row, so the pass leaves it.
         bound = np.full(rows, np.inf)
         bound[row] = np.nextafter(best[row], -np.inf)
-        left = screen.coarse_left(start, bound, boxes)
-        if left is None:
+        result = screen.pass_left(ws, index, bound)
+        if result is None:
             continue
-        assert row in left
-        assert row in screen.box_left(start, stop, bound, ws, boxes, left)
-        assert row in screen.entry_left(start, stop, bound, ws)
+        assert row in result.rows(index)
         # Every gathered score, in any order, sits within E_entry of the
         # tile GEMM's, and E_entry is a rounding error, not a vacuous bound.
         error = entry_error(screener, screen, start)[:, None]
@@ -399,18 +438,19 @@ def box_counts(model, call) -> tuple:
 
 @pytest.mark.parametrize("mode", SELECTORS)
 def test_boxes_skip_after_a_lanes_first_skip(monkeypatch, zipf, mode):
-    """The box query is built at tile 1, the first prescreened tile, not
-    after the call's first skip, as the id's rule had it: every
-    prescreened tile's boxes are tested, and they skip tiles from tile 1
-    on."""
+    """The box query is built at tile 1, where the first pass starts, not
+    after the call's first skip, as the id's rule had it: the boxes skip
+    tiles from tile 1 on, and one ``streaming.box_tile`` span covers a
+    pass of one or more tiles."""
     model = build(zipf, mode)
     features = zipf[2]
-    _, skipped, box_skipped, tested = box_counts(
+    _, skipped, box_skipped, passes = box_counts(
         model, lambda: model.forward_streaming(features)
     )
     _, prescreened, _ = tiles_skipped(model, lambda: model.forward_streaming(features))
     # Tiles 1–5, each prescreened from its coarse bounds on.
-    assert 0 < box_skipped <= skipped <= tested == prescreened <= TILES - 1
+    assert 0 < box_skipped <= skipped <= prescreened <= TILES - 1
+    assert 0 < passes <= prescreened
     _, skipped, box_skipped, tested = box_counts(model, lambda: model.forward(features))
     assert skipped == box_skipped == tested == 0
 
@@ -544,24 +584,19 @@ def test_no_tile_with_an_entry_above_its_bound_is_box_skipped(
     ws = Workspace()
     screen = TilePrescreen(screener, augmented, ws)
     screen.reserve(ws)
-    boxes = screen.query_boxes(ws, 0)
-    query, error, _ = boxes
     row = row % rows
-    every = np.arange(rows)
-    for start, stop in screener.tile_bounds():
+    for index, (start, stop) in enumerate(screener.tile_bounds()):
         exact = screener.score_tile(augmented, start, stop, out=np.empty((rows, stop - start)))
         best = exact.max(axis=1)
         bound = np.full(rows, np.inf)
         bound[row] = np.nextafter(best[row], -np.inf)
-        left = screen.coarse_left(start, bound, boxes)
-        assert left is None or row in left
-        if left is None:
+        result = screen.pass_left(ws, index, bound)
+        if result is None:
             continue
-        assert row in screen.box_left(start, stop, bound, ws, boxes, every)
-        assert list(screen.box_left(start, stop, bound, ws, boxes, np.array([row]))) == [row]
+        assert row in result.rows(index)
         top = np.nextafter(best.max(), -np.inf)
-        assert len(screen.box_left(start, stop, top, ws, boxes, every)) > 0
-        index = start // TILE_CATEGORIES
+        assert len(screen.pass_left(ws, index, top).rows(index)) > 0
+        query, error = screen._query, screen._errors[0]
         # Boxed: each column's box bound, plus E_box, is at least its
         # float64 score, and E_box is a rounding error, not a vacuous bound.
         chunks = screener._tile_box[:, start // BOX_CATEGORIES : -(-stop // BOX_CATEGORIES)]
@@ -708,18 +743,12 @@ def test_one_row_one_ulp_from_the_bound_the_rest_proven_coarse(
     model, features, columns, bound = row_adversarial_model(
         monkeypatch, mode, call, side, axes, "coarse"
     )
-    screener = model.screener
-    ws = Workspace()
-    screen = TilePrescreen(screener, screener.prepare_augmented(features), ws)
-    screen.reserve(ws)
-    tiles = screener.tile_bounds()
-    boxes = screen.query_boxes(ws, 1)
-    last = tiles[-1]
     # The other rows are proven by their coarse bounds alone, and the row
     # is left by every stage, each run on it alone.
-    assert list(screen.coarse_left(last[0], bound, boxes)) == [ROW]
-    assert list(screen.box_left(*last, bound, ws, boxes, np.array([ROW]))) == [ROW]
-    assert list(screen.entry_left(*last, bound, ws)) == [ROW]
+    result, scored = last_tile_pass(model, features, bound)
+    assert result.box_tested == result.entry_tested == 1
+    assert {row for row, _ in scored} == {ROW}
+    assert list(result.rows(result.first)) == [ROW]
 
     force_lanes(monkeypatch, lanes)
     _, box, _ = assert_only_the_row_keeps_its_entries(
@@ -746,25 +775,16 @@ def test_one_row_left_to_the_float32_stage_one_ulp_from_the_bound(
     model, features, columns, bound = row_adversarial_model(
         monkeypatch, mode, call, side, "principal", "entry"
     )
-    screener = model.screener
-    ws = Workspace()
-    screen = TilePrescreen(screener, screener.prepare_augmented(features), ws)
-    screen.reserve(ws)
-    tiles = screener.tile_bounds()
-    boxes = screen.query_boxes(ws, 1)
-    last = tiles[-1]
-    coarse = screen.coarse_left(last[0], bound, boxes)
-    assert ROW in coarse
-    assert list(screen.box_left(*last, bound, ws, boxes, coarse)) == [ROW]
-    rows, above = screen._above
-    assert list(np.flatnonzero(above[list(rows).index(ROW)])) == [ENTRY_CHUNK]
-    assert list(screen.entry_left(*last, bound, ws)) == [ROW]
+    result, scored = last_tile_pass(model, features, bound)
+    assert result.box_tested >= 1 and result.entry_tested == 1
+    assert scored == [(ROW, ENTRY_CHUNK)]
+    assert list(result.rows(result.first)) == [ROW]
 
     force_lanes(monkeypatch, lanes)
     _, box, entry = assert_only_the_row_keeps_its_entries(
         model, features, columns, bound, side, call
     )
-    assert box >= len(coarse)
+    assert box >= result.box_tested
     assert entry >= 1
 
 
@@ -792,28 +812,25 @@ def narrow_box_model(mode, call):
     return model, features, bound
 
 
-def narrow_box_screen(model, features, bound):
-    """The model's prescreen, its last tile box-tested on every row."""
-    screener = model.screener
-    ws = Workspace()
-    screen = TilePrescreen(screener, screener.prepare_augmented(features), ws)
-    screen.reserve(ws)
-    tiles = screener.tile_bounds()
-    boxes = screen.query_boxes(ws, 1)
-    last, every = tiles[-1], list(range(len(features)))
-    coarse = screen.coarse_left(last[0], bound, boxes)
-    assert list(coarse) == every
-    assert list(screen.box_left(*last, bound, ws, boxes, coarse)) == every
-    assert screen._above[1][:, -1].all()
-    return screen, ws, last
+def narrow_box_pass(model, features, bound, scratch=None):
+    """A pass over the model's last tile, box-tested on every row, each
+    row failing the tile's last box (and, with ``scratch``, the prescreen's
+    ``(pairs, share)`` set to it first); returns what it left."""
+    result, scored = last_tile_pass(model, features, bound, scratch)
+    every = list(range(len(features)))
+    assert result.box_tested == result.entry_tested == len(every)
+    last_box = (model.num_categories - 1) % TILE_CATEGORIES // BOX_CATEGORIES
+    assert set(scored) <= {(row, last_box) for row in every}
+    return result, scored
 
 
 @pytest.mark.parametrize("call", ("forward_streaming", "top_k"))
 @pytest.mark.parametrize("mode", SELECTORS)
 def test_a_narrow_last_box_is_proven_on_its_own_columns(mode, call):
     model, features, bound = narrow_box_model(mode, call)
-    screen, ws, last = narrow_box_screen(model, features, bound)
-    assert len(screen.entry_left(*last, bound, ws)) == 0
+    result, scored = narrow_box_pass(model, features, bound)
+    assert len(scored) == len(features)
+    assert len(result.rows(result.first)) == 0
     dense = model.forward(features)
     recorder = Recorder()
     model.set_recorder(recorder)
@@ -843,9 +860,8 @@ def test_failing_boxes_past_the_scratch_leave_their_rows(mode):
     model, features, bound = narrow_box_model(mode, "forward_streaming")
     every = list(range(len(features)))
     for pairs, share, left in ((4, 0, []), (3, 1, []), (3, 0, every), (0, 0, every)):
-        screen, ws, last = narrow_box_screen(model, features, bound)
-        screen.pairs, screen.share = pairs, share
-        assert list(screen.entry_left(*last, bound, ws)) == left, (pairs, share)
+        result, _ = narrow_box_pass(model, features, bound, scratch=(pairs, share))
+        assert list(result.rows(result.first)) == left, (pairs, share)
 
 
 #: Columns per late tile holding row :data:`ROW`'s entries above the bound.
@@ -939,7 +955,8 @@ def test_coarse_bounds_cover_their_boxes_and_columns(
     screen = TilePrescreen(screener, augmented, ws)
     screen.reserve(ws)
     tiles = screener.tile_bounds()
-    query, error, coarse_top = screen.query_boxes(ws, 0)
+    screen._build_query(ws, 0)
+    query, error, coarse_top = screen._query, screen._errors[0], screen._coarse
     boxes, coarse = screener._tile_box, screener._tile_coarse
     per_coarse = COARSE_CATEGORIES // BOX_CATEGORIES
     per_tile = TILE_CATEGORIES // COARSE_CATEGORIES
@@ -963,13 +980,13 @@ def test_coarse_bounds_cover_their_boxes_and_columns(
             assert np.all(coarse_bound >= box_bound)
         if not (screen.in_range and screener._tile_in_range[index]):
             continue
-        # Every column sits under its tile's coarse bound plus E_box.
+        # Every column sits under its tile's coarse bound plus E_box, and
+        # just under each row's best, a pass proves no row of the tile.
         exact = screener.score_tile(augmented, start, stop, out=np.empty((rows, stop - start)))
         assert np.all(exact.max(axis=1) <= coarse_top[index] + error[index])
         bound = np.nextafter(exact.max(axis=1), -np.inf)
-        assert list(screen.coarse_left(start, bound, boxes=(query, error, coarse_top))) == list(
-            range(rows)
-        )
+        result = screen.pass_left(ws, index, bound)
+        assert (result.box_tested, list(result.rows(index))) == (rows, list(range(rows)))
 
 
 @pytest.mark.parametrize("lanes", (1, 2))
@@ -996,3 +1013,139 @@ def test_warm_calls_allocate_nothing_whichever_rows_a_stage_leaves(monkeypatch, 
             tested[name] = rows[counted]
         assert tested == {"one": 1, "every": len(features)}, stage
         assert model.workspace.allocations == settled, stage
+    # Passes of any length: on the lone-row model the row's batch is left
+    # whole by the first late tile, where its pass ends, and the next tile
+    # is scored unscreened; the batch beside it is covered by one pass
+    # from tile 1 to the last.  Warmed on the first, the second allocates
+    # nothing either: a pass's scratch is sized for every tile.
+    model, features = lone_row_model("top_m", "forward_streaming")
+    every = features[[ROW] * len(features)]
+    model.forward_streaming(every)
+    settled = model.workspace.allocations
+    lengths = {}
+    for batch, name in ((every, "every"), (features, "one"), (every, "every"), (features, "one")):
+        _, passes = spied_passes(lambda: model.forward_streaming(batch))
+        lengths[name] = [result.stop - result.first for _, _, result in passes]
+    tiles = len(model.screener.tile_bounds())
+    assert lengths == {"one": [tiles - 1], "every": [tiles - 2]}
+    assert model.workspace.allocations == settled
+
+
+# ----------------------------------------------------------------------
+# passes: one bound, many tiles, and a stop
+# ----------------------------------------------------------------------
+@pytest.fixture(scope="module")
+def priors():
+    """Per prior, a task, its screener and scores to calibrate on:
+    ``make_task``'s Zipf log-prior by index, and a flat one, under which a
+    tile's coarse bounds and boxes seldom prove a row."""
+    fitted = {}
+    for prior, exponent in (("zipf", 1.0), ("flat", 0.0)):
+        task = make_task(num_categories=L, hidden_dim=16, rng=3, zipf_exponent=exponent)
+        screener = train_screener(
+            task.classifier,
+            task.sample_features(64, rng=1),
+            config=ScreeningConfig(projection_dim=4),
+            solver="lstsq",
+            rng=2,
+        )
+        fitted[prior] = task, screener, screener.approximate_logits(task.sample_features(8, rng=7))
+    return fitted
+
+
+def prior_model(priors, prior, mode, candidates=M):
+    task, screener, calibration = priors[prior]
+    selector = CandidateSelector(mode, num_candidates=candidates)
+    if mode == "threshold":
+        selector.calibrate(calibration)
+    return ApproximateScreeningClassifier(task.classifier, screener, selector), task
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    prior=st.sampled_from(("zipf", "flat")),
+    mode=st.sampled_from(SELECTORS),
+    call=st.sampled_from(("forward_streaming", "top_k")),
+    rows=st.sampled_from((1, 2, 64)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_a_pass_leaves_every_row_above_its_bound(priors, prior, mode, call, rows, seed):
+    """In every tile a pass covers, each row with a float64 score above the
+    bound the pass took is among the rows it leaves — and the call's
+    outputs are dense ``forward``'s."""
+    model, task = prior_model(priors, prior, mode)
+    features = task.sample_features(rows, rng=seed)
+    if call == "forward_streaming":
+        streamed, passes = spied_passes(lambda: model.forward_streaming(features))
+    else:
+        (indices, values), passes = spied_passes(lambda: model.top_k(features, K))
+    dense = model.forward(features)
+    scores = dense.approximate_logits
+    tiles = model.screener.tile_bounds()
+    assert any(result is not None for _, _, result in passes)
+    for first, bound, result in passes:
+        if result is None:
+            continue
+        assert result.first == first < result.stop
+        for index in range(first, result.stop):
+            start, stop = tiles[index]
+            above = np.flatnonzero(~(scores[:, start:stop].max(axis=1) <= bound))
+            assert set(above.tolist()) <= set(result.rows(index).tolist()), index
+    if call == "forward_streaming":
+        assert_streamed_is_dense(streamed, dense)
+    else:
+        want = rank_dense(dense.logits, K)
+        assert np.array_equal(indices, want[0])
+        assert np.array_equal(values, want[1])
+
+
+@pytest.mark.parametrize("rows", (1, 2))
+def test_a_pass_stops_after_the_first_tile_its_boxes_prove_nothing_on(priors, rows):
+    """On the flat prior with room for thousands of candidates, every tile
+    holds entries above the threshold for every row, so neither the
+    coarse bounds nor the boxes prove a row of any: the call's one pass
+    covers tile 1 alone, box-tested on every row, and — each tile
+    recording, and none proven — no later tile is prescreened."""
+    model, task = prior_model(priors, "flat", "threshold", candidates=2000)
+    features = task.sample_features(rows, rng=11)
+    recorder = Recorder()
+    model.set_recorder(recorder)
+    try:
+        streamed, passes = spied_passes(lambda: model.forward_streaming(features))
+    finally:
+        model.set_recorder(NULL_RECORDER)
+    assert [(result.first, result.stop) for _, _, result in passes] == [(1, 2)]
+    counters = recorder.snapshot()["counters"]
+    assert counters["pipeline.rows_box_tested"] == counters["pipeline.rows_coarse_tested"] == rows
+    assert counters["pipeline.tiles_skipped"] == 0
+    assert_streamed_is_dense(streamed, model.forward(features))
+
+
+def test_a_pass_under_an_older_floor_stays_sound():
+    """On the top-m lone-row model, ``top_k``'s one pass covers every tile
+    past tile 0 under tile 0's floor.  Folding the first late tile raises
+    the row's floor above the pass's; the last tile is then folded under
+    the higher floor, on the rows the pass left under the lower one —
+    which hold every row above either — and the ranking is the dense
+    one."""
+    model, features = lone_row_model("top_m", "top_k")
+    floors = {}
+    update = BlockwiseThreshold.update
+
+    def spy(reducer, start, block, rows=None):
+        floors[start // TILE_CATEGORIES] = np.array(reducer.bound, dtype=float)
+        return update(reducer, start, block, rows)
+
+    with mock.patch.object(BlockwiseThreshold, "update", spy):
+        (indices, values), passes = spied_passes(lambda: model.top_k(features, K))
+    last = len(model.screener.tile_bounds()) - 1
+    [(first, bound, result)] = passes
+    assert (first, result.stop) == (1, last + 1)
+    assert floors[last][ROW] > bound[ROW]
+    dense = model.forward(features)
+    best = dense.approximate_logits[:, last * TILE_CATEGORIES :].max(axis=1)
+    assert list(np.flatnonzero(best > floors[last])) == [ROW]
+    assert list(result.rows(last)) == [ROW]
+    want = rank_dense(dense.logits, K)
+    assert np.array_equal(indices, want[0])
+    assert np.array_equal(values, want[1])
