@@ -19,20 +19,25 @@ lookup, and a view when its shape changed), then prints the
 Both phases run on the pipeline's own arena, as the call runs them.  One
 tile of scores is printed beside them for scale: a warm call that allocates
 a large share of it holds a tile-sized temporary somewhere, and the phase
-lines say where.  The last two lines count the canonical tiles of one call,
+lines say where.  The next two lines count the canonical tiles of one call,
 how many of them a prescreen pass covered and skipped, and how many of
 those its coarse and box stages skipped before the entry step, then the
 rows each stage ran on — compared against a coarse bound, tested against the tile's
 boxes, tested on their failing boxes' columns, scored in float64 by the
 tile GEMMs (tile 0's included) — read from a ``Recorder`` on one more
-call, after the peaks.  The benchmark's ``call_peak_mb`` is the whole-call line at
-its own sizes; put another tree's ``src`` on ``PYTHONPATH`` to read that
-tree.
+call, after the peaks.  The last line is a SHA-256 digest of the batch's
+``forward_streaming`` record (counts, columns, exact and approximate
+values) and of its ``top_k(16)`` indices and scores, also taken after the
+peaks.  The benchmark's ``call_peak_mb`` is the whole-call line at its own
+sizes; put another tree's ``src`` on ``PYTHONPATH`` and run this script
+(``make call-peak`` puts this tree's ``src`` first) to read that tree —
+two trees whose outputs are bit-identical print the same digest.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import statistics
 import tracemalloc
 
@@ -109,7 +114,7 @@ def measure(model, batch, repeats: int) -> dict:
     model.forward_streaming(batch)
     model.set_recorder(NULL_RECORDER)
     counters = recorder.snapshot()["counters"]
-    return dict(
+    result = dict(
         peaks=peaks,
         tiles=len(model.screener.tile_bounds()),
         prescreened=int(counters.get("pipeline.tiles_prescreened", 0)),
@@ -129,6 +134,23 @@ def measure(model, batch, repeats: int) -> dict:
         tile_bytes=batch.shape[0] * TILE_CATEGORIES * model.screener.compute_dtype.itemsize,
         candidates=int(counts.sum()),
     )
+    # Last: top_k's runner-up slots grow the arena.
+    result["digest"] = output_digest(model, batch)
+    return result
+
+
+def output_digest(model, batch) -> str:
+    """SHA-256 of ``forward_streaming(batch)``'s record — counts, columns,
+    exact and approximate values — then of ``top_k(batch, 16)``'s indices
+    and scores: equal digests from two trees mean equal output bits."""
+    output = model.forward_streaming(batch)
+    digest = hashlib.sha256()
+    for array in (
+        output.candidates.counts, output.candidates.flat()[1],
+        output.exact_values, output.approximate_values, *model.top_k(batch, 16),
+    ):
+        digest.update(np.ascontiguousarray(array).tobytes())
+    return digest.hexdigest()
 
 
 def report(args, result: dict) -> str:
@@ -156,6 +178,7 @@ def report(args, result: dict) -> str:
     lines.append(
         f"rows per call: {coarse} coarse / {box} box / {entry} entry / {float64} float64"
     )
+    lines.append(f"output sha256 (forward_streaming record, top_k 16): {result['digest']}")
     return "\n".join(lines)
 
 

@@ -67,12 +67,12 @@ from repro.obs.recorder import NULL_RECORDER
 from repro.utils.memory import PHASE_SCRATCH, Workspace
 from repro.utils.validation import check_batch_features, check_positive
 
-#: The tile loop's per-call counters, in the order :meth:`_fold` tallies them:
-#: tiles a prescreen pass covered, tiles skipped, tiles the box stages
-#: skipped before the entry step, the rows each prescreen stage tested —
-#: compared against a coarse bound, against the tile's boxes, on their
-#: failing boxes' columns — and the rows the float64 tile GEMMs scored
-#: (tile 0's included, a lone row's partner not).
+#: The tile loop's per-call counters: the prescreen's, in the order of
+#: :attr:`~repro.core.screener.TilePrescreen.tallies` — tiles a pass
+#: covered, tiles skipped, tiles the box stages skipped before the entry
+#: step, the rows each stage tested (against a coarse bound, against the
+#: tile's boxes, on their failing boxes' columns) — then the rows the
+#: float64 tile GEMMs scored (tile 0's included, a lone row's partner not).
 _TALLIES = tuple(
     f"pipeline.{name}"
     for name in (
@@ -582,68 +582,42 @@ class ApproximateScreeningClassifier:
         else:
             screen = None
             screener.score_plane(augmented, plane)
-        tallies = self._fold(reducer, ws, augmented, block, plane, screen)
-        for name, count in zip(_TALLIES, tallies):
+        float64_rows = self._fold(reducer, ws, augmented, block, plane, screen)
+        tallies = (0,) * 6 if screen is None else screen.tallies
+        for name, count in zip(_TALLIES, (*tallies, float64_rows)):
             recorder.increment(name, count)
         with recorder.span("streaming.select_finalize"):
             return reducer.finalize()
 
-    def _fold(self, reducer, ws: Workspace, augmented, block, plane, screen) -> Tuple[int, ...]:
+    def _fold(self, reducer, ws: Workspace, augmented, block, plane, screen) -> int:
         """The tile loop's body: screen each canonical tile into ``ws``
         scratch (or read it from ``plane``, scored already) and fold it
-        into ``reducer``; returns the counts :data:`_TALLIES` names.
+        into ``reducer``; returns the rows the float64 tile GEMMs scored
+        (a lone row's partner not).
 
-        With a ``screen`` (the streaming path on a boxed screener), a
-        prescreen pass (:meth:`~repro.core.screener.TilePrescreen.pass_left`)
-        starts at tile 1, at a tile that follows one that recorded
-        nothing and at a tile that follows a pass's last tile whose
-        prescreen proved a row (the prescreen rule), under the reducer's
-        bound there, and covers the tiles up to the first one its coarse
-        and box stages prove no row on; each pass is one
-        ``streaming.box_tile`` span, after which the loop only scores and
-        folds.  A row whose scores are proven at most that bound would
-        record nothing — a bound taken at an earlier tile is still one,
-        as the reducer's never falls — so the float64 GEMM and the update
-        run on only the rows left, gathered from ``augmented`` into ``ws``
-        scratch, and on none when no row is.  Tile 0 is not prescreened:
-        it is where the head of a frequency-ordered label space sits, and
-        in top-m mode no bound exists before it.  A call whose prescreen
-        never proves a row scores every row of every tile."""
+        With a ``screen`` (the streaming path on a boxed screener), the
+        loop asks it which rows of each tile to score, telling it what the
+        last tile scored recorded
+        (:meth:`~repro.core.screener.TilePrescreen.rows_to_score`); the
+        rule of where prescreen passes start, and their tallies, are the
+        screen's.  The rows it leaves out would record nothing, so the
+        float64 GEMM and the update run on only the rows left, gathered
+        from ``augmented`` into ``ws`` scratch, and on none when no row
+        is."""
         recorder = self.recorder
         rows = len(augmented)
-        tiles = self.screener.tile_bounds()
-        prescreened = skipped = box_skipped = 0
-        coarse_rows = box_rows = entry_rows = float64_rows = 0
-        screening = False
-        covered = None  # the pass over this tile, if one covers it
+        float64_rows = 0
         if screen is not None:
             # Whichever tiles and rows the prescreen leaves, the scratch
             # a tile takes is sized up front.
             screen.reserve(ws)
             reducer.reserve(min(TILE_CATEGORIES, self.num_categories, block))
             ws.buffer(_GATHERED, augmented.shape)
-        for index, (t0, t1) in enumerate(tiles):
-            left = None
-            if covered is not None and index == covered.stop:
-                covered = None
-            if screening and covered is None:
-                with recorder.span("streaming.box_tile"):
-                    covered = screen.pass_left(ws, index, reducer.bound)
-                if covered is not None:
-                    passed = covered.stop - index
-                    prescreened += passed
-                    coarse_rows += rows * passed
-                    box_rows += covered.box_tested
-                    box_skipped += covered.box_skipped
-                    entry_rows += covered.entry_tested
-            if covered is not None:
-                left = covered.rows(index)
-                if not len(left):
-                    skipped += 1
-                    screening = True
-                    continue
-                if len(left) == rows:
-                    left = None
+        recorded = 0
+        for index, (t0, t1) in enumerate(self.screener.tile_bounds()):
+            left = None if screen is None else screen.rows_to_score(ws, index, reducer, recorded)
+            if left is not None and not len(left):
+                continue
             scored = rows if left is None else len(left)
             if plane is None:
                 with recorder.span("streaming.screen_tile"):
@@ -663,10 +637,7 @@ class ApproximateScreeningClassifier:
                     stop = min(t1, (start // block + 1) * block)
                     recorded += reducer.update(start, tile[:, start - t0 : stop - t0], left)
                     start = stop
-            screening = screen is not None and (index == 0 or not recorded or left is not None)
-        return (
-            prescreened, skipped, box_skipped, coarse_rows, box_rows, entry_rows, float64_rows
-        )
+        return float64_rows
 
     def _exact_candidate_values(
         self,

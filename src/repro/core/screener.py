@@ -40,12 +40,13 @@ each box from above.  The prescreen runs in passes
 (:meth:`TilePrescreen.pass_left`): a pass takes the reducer's bound at
 the tile it starts at — a bound for every later tile too, since the
 threshold never moves and a floor only rises — and three stages prove
-(tile, row) pairs, each on the pairs the one before left:
+(tile, row) pairs, each on the pairs the one before left, and each
+against the one limit ``bound − E_box`` rounded down (:func:`_limit`):
 
 * the coarse boxes: a pair is proven when the row's largest coarse bound
-  of the tile is at most ``bound − E_box`` rounded down — the coarse
-  bounds of every tile scored in one GEMM at the call's first pass, and
-  compared with every remaining tile's limits at once per pass;
+  of the tile is at most its limit — the coarse bounds of every tile
+  scored in one GEMM at the call's first pass, and compared with every
+  remaining tile's limits at once per pass;
 * the boxes: the same test on each of the tile's boxes, one GEMM per
   tile on the rows its coarse bounds left, each row reduced to its
   largest box bound before any mask is built;
@@ -53,8 +54,7 @@ threshold never moves and a floor only rises — and three stages prove
   a median of one of the tile's 1,024 — and only their columns are
   scored, for every pair of the pass in one step, gathered from the
   fused plane against the row's input in float64 and in any order; the
-  pair is proven when each score is at most ``bound − E_entry`` rounded
-  down.
+  pair is proven when each score is at most its limit.
 
 A pass covers tiles until the first on which the coarse and box stages
 prove no row, that tile included.
@@ -62,16 +62,16 @@ prove no row, that tile included.
 ``E_box`` (``_box_error_terms``) covers the two rotations' and the box
 GEMM's rounding, the float64 tile GEMM's, underflow, and the axes'
 departure from orthogonality through ``a·w = (Qᵀa)·(Qᵀw) + aᵀ(I −
-QQᵀ)w``; ``E_entry = 2γ_{k+1}(A·W + B)`` plus underflow
-(``_entry_error_terms``) is its tile-GEMM term taken twice: any-order
-float64 against the tile GEMM's.  Both are one multiply-add per row and
-tile, from the tile's largest ``|w|`` and ``|b|`` (``W``, ``B``) and the
-row's ``A = Σ|a_j|``; ``E_box`` covers the coarse boxes unchanged, since
-a max or min of box extremes is exact.  A gathered score never records:
-its bits are not the tile GEMM's, so a row the entries leave is scored
-by the tile GEMM.  A call whose magnitudes are past
-:data:`_SCREEN_MAGNITUDE` prescreens no tile, and a tile past it is
-never prescreened.
+QQᵀ)w``.  It is one multiply-add per row and tile, from the tile's
+largest ``|w|`` and ``|b|`` (``W``, ``B``) and the row's ``A = Σ|a_j|``.
+It covers the coarse boxes unchanged, since a max or min of box extremes
+is exact, and the entry step too: a gathered score and the tile GEMM's
+are two any-order float64 sums of the same ``k + 1`` products, and
+``E_box`` holds at least twice the tile GEMM's rounding term.  A
+gathered score never records: its bits are not the tile GEMM's, so a
+row the entries leave is scored by the tile GEMM.  A call whose
+magnitudes are past :data:`_SCREEN_MAGNITUDE` prescreens no tile, and a
+tile past it is never prescreened.
 
 A tile is left out once every row is proven by some stage; else the
 float64 GEMM and the fold run on only the rows none proved.  A left-out
@@ -79,15 +79,14 @@ row leaves the reducer's record unchanged
 (:meth:`~repro.linalg.topk.BlockwiseThreshold.update`), so every output
 bit is the full loop's by construction; dense ``forward``, which keeps
 the score plane, never leaves a row out.  Where passes start is the
-loop's prescreen rule: tile 1, a tile after one that recorded nothing,
-and a tile after a pass's last whose prescreen proved a row, never tile
-0 — on a frequency-ordered label space, one pass covers every tile past
-the head.  On
-such a space the bias is smooth in the index and W̃ is strongly
-low-rank, so a tile's boxes prove most rows and its coarse boxes most
-of those.  A screener whose axes cannot bound (non-finite, or off
-orthogonal by more than :data:`_BOX_DELTA`) has no boxes and prescreens
-nothing.
+prescreen's rule (:meth:`TilePrescreen.rows_to_score`): tile 1, a tile
+after one that recorded nothing, and a tile after a pass's last whose
+prescreen proved a row, never tile 0 — on a frequency-ordered label
+space, one pass covers every tile past the head.  On such a space the
+bias is smooth in the index and W̃ is strongly low-rank, so a tile's
+boxes prove most rows and its coarse boxes most of those.  A screener
+whose axes cannot bound (non-finite, or off orthogonal by more than
+:data:`_BOX_DELTA`) has no boxes and prescreens nothing.
 
 Lanes: ENMC gives every rank its own slice of the screener, and the
 ranks work at once.  The plane-sized loops here — placing the plane and
@@ -143,8 +142,8 @@ MIN_LANE_WORK = 1 << 22
 
 #: The prescreen's range: a call prescreens a tile only when every row's
 #: ``Σ|a_j|`` and the tile's largest weight and bias magnitudes are at most
-#: ``_SCREEN_MAGNITUDE`` (NaN never is) — the range the absolute terms of
-#: ``E_box`` and ``E_entry`` are derived under, far inside float64's.
+#: ``_SCREEN_MAGNITUDE`` (NaN never is) — the range the absolute term of
+#: ``E_box`` is derived under, far inside float64's.
 _SCREEN_MAGNITUDE = 2.0**100
 
 
@@ -240,6 +239,16 @@ def _box_error_terms(axes: np.ndarray) -> Optional[Tuple[float, float, float]]:
     ``E_box`` from them (fewer than ``2**30`` terms).  Axes that are not
     finite, have an entry past 2 in magnitude or whose ``δ`` exceeds
     :data:`_BOX_DELTA` get ``None``.
+
+    ``E_box`` also covers the entry step, which proves a score from the
+    same ``k + 1`` products ``a_j f_j`` (``Σ|a_j f_j| ≤ A W + B``) summed
+    in float64 in any order: two such sums are within ``2γ_{k+1}(A W +
+    B)`` plus ``4(k + 1)η`` of underflow of each other.  Every singular
+    value of ``Q`` is at least ``√(1 − δ)``, so both reaches are at least
+    ``1 − 2**-20`` and the slope at least ``γ_{k+1} + γ_{2k+1}(1 −
+    2**-20) ≥ 2γ_{k+1}``; the offset ``γ_{2k+1} + γ_{k+1}`` is at least
+    ``2γ_{k+1}``; and ``(k + 1)**3 · 2**-960`` is at least ``4(k + 1) ·
+    2**-1074``.
     """
     k = axes.shape[0]
     if not (np.isfinite(axes).all() and np.abs(axes).max(initial=0.0) <= 2.0):
@@ -270,29 +279,6 @@ def _box_error_terms(axes: np.ndarray) -> Optional[Tuple[float, float, float]]:
     offset = gamma(2 * k + 1) + gamma(k + 1)
     slack = 1.0 + 2.0**-20
     return slope * slack, offset * slack, (k + 1) ** 3 * 2.0**-960
-
-
-def _entry_error_terms(k: int) -> Tuple[float, float]:
-    """``(relative, absolute)``: with ``A = Σ|a_j|`` a row's and ``W``,
-    ``B`` a tile's largest weight and bias magnitudes, a gathered score —
-    one column of the fused plane against the row's augmented input, in
-    float64 and summed in any order — is within ``relative · (A W + B) +
-    absolute`` of that entry's float64 :meth:`ScreeningModule.score_tile`
-    score.
-
-    Both sums run over the same ``n = k + 1`` products ``a_j f_j``, with
-    ``Σ|a_j f_j| ≤ A W + B``.  Each is within ``γ_n (A W + B)`` of the
-    exact sum in any order, with or without FMA (``γ_n = n u / (1 − n
-    u)`` at float64's ``u``) — the tile-GEMM term of
-    :func:`_box_error_terms`, taken twice — and each of its ``n``
-    products and ``n`` sums may lose ``η = 2**-1074`` more to underflow.
-    Both terms are raised by ``2**-20`` of themselves, as
-    :func:`_box_error_terms`'s are.
-    """
-    n = k + 1
-    gamma = n * 2.0**-53 / (1.0 - n * 2.0**-53)
-    slack = 1.0 + 2.0**-20
-    return 2.0 * gamma * slack, 4.0 * n * 2.0**-1074 * slack
 
 
 def _chunk_tree(pick, values: np.ndarray, out: np.ndarray, levels: np.ndarray) -> None:
@@ -510,16 +496,13 @@ class ScreeningModule:
         run_in_lanes(place, tiles, lane_count(k, len(tiles)))
         fused[-1] = self.bias
         self._fused_weight_t = fused
-        # Per tile, E = Σ|a_j| · slope + offset (TilePrescreen): E_box for
-        # the box stages, E_entry for the entry step; and whether the
-        # tile is in the prescreen's range.
-        self._box_error = self._entry_error = self._tile_in_range = None
+        # Per tile, E_box = Σ|a_j| · slope + offset (TilePrescreen), and
+        # whether the tile is in the prescreen's range.
+        self._box_error = self._tile_in_range = None
         if box_terms is not None:
             weight_top, bias_top = tops
             slope, offset, absolute = box_terms
             self._box_error = np.stack((slope * weight_top, offset * bias_top + absolute))
-            relative, absolute = _entry_error_terms(k)
-            self._entry_error = np.stack((relative * weight_top, relative * bias_top + absolute))
             self._tile_in_range = tops.max(axis=0) <= _SCREEN_MAGNITUDE
 
     def _place_box_tile(self, fused: np.ndarray, start: int, stop: int, scratch, tops) -> None:
@@ -689,20 +672,17 @@ class ScreeningModule:
 
 
 #: Workspace keys of the prescreen: per call each row's ``Σ|a_j|`` and the
-#: scratch it is summed in, and the boxes' rotated input, query, errors and
-#: coarse bounds, built at the call's first pass; per pass the limits, the
-#: coarse compare and the entry verdicts, the box query rows a tile's box
-#: test gathers and the boxes each row it leaves fails, and the indices of
-#: the pass's pairs and of the failing boxes the entry step scores (their
-#: weights, inputs and scores take the phase scratch).
+#: scratch it is summed in, and the boxes' rotated input, query, ``E_box``
+#: and coarse bounds, built at the call's first pass; per pass the limit of
+#: each *cell* — a (tile, row) pair, at ``(tile − first)·rows + row`` — and
+#: whether the pass leaves it, the box query rows a tile's box test gathers
+#: and the boxes each row it leaves fails, and the failing boxes held for
+#: the entry step (their weights, inputs and scores take the phase scratch).
 _SCREEN_ABS, _SCREEN_SUMS = (("screen", name) for name in ("abs", "sums"))
 _BOX_ROTATED, _BOX_QUERY, _BOX_ERROR, _BOX_COARSE, _BOX_GATHERED, _BOX_ABOVE = (
     ("box", name) for name in ("rotated", "query", "error", "coarse", "gathered", "above")
 )
-_PASS_LIMITS, _PASS_FLAGS, _PASS_INDEX = (("pass", name) for name in ("limits", "flags", "index"))
-
-#: A box's columns, from its first.
-_BOX_COLUMNS = np.arange(BOX_CATEGORIES)
+_CELL_LIMITS, _CELL_LEFT, _HELD_BOXES = ("cell", "limits"), ("cell", "left"), ("held", "boxes")
 
 
 class PassLeft(NamedTuple):
@@ -728,21 +708,33 @@ class PassLeft(NamedTuple):
 
 class TilePrescreen:
     """One streaming call's prescreen of a boxed screener's tiles (module
-    docstring), run one pass at a time (:meth:`pass_left`): from the tile
-    a pass starts at, under the reducer's bound there, the coarse bounds of
-    every tile left are compared at once, each covered tile's boxes are
-    tested on the rows its coarse bounds left, and the columns of the boxes
-    each (tile, row) pair the boxes left fails are scored in one entry step
-    for the whole pass.  A pass covers tiles until the first on which the
-    coarse and box stages prove no row, that tile included.
+    docstring) and its rule: which rows of each tile the loop scores,
+    given what the last tile scored recorded (:meth:`rows_to_score`).
+
+    Passes (:meth:`pass_left`) start at tile 1, at a tile after one that
+    recorded nothing, and at a tile after a pass's last tile whose
+    prescreen proved a row — never at tile 0, where the head of a
+    frequency-ordered label space sits and top-m has no bound yet.  A pass
+    takes the reducer's bound at the tile it starts at; from there the
+    coarse bounds of every tile left are compared at once, each covered
+    tile's boxes are tested on the rows its coarse bounds left, and the
+    columns of the boxes each (tile, row) pair the boxes left fails are
+    scored in one entry step for the whole pass, every stage under the one
+    limit ``bound − E_box`` rounded down.  A pass covers tiles until the
+    first on which the coarse and box stages prove no row, that tile
+    included, and is one ``streaming.box_tile`` span.  :attr:`tallies`
+    counts, in order, the tiles the passes covered, skipped, and skipped
+    before the entry step, and the rows each stage tested — against a
+    coarse bound, against the tile's boxes, on their failing boxes'
+    columns.
 
     Built once per call before its first tile; a pass works in scratch of
-    the call's arena, sized up front (:meth:`reserve`) for at most rows ×
-    tiles pairs.  What a pass keeps per tile — the rows it tested, their
-    largest box bounds and limits, the rows it leaves, the failing boxes'
-    positions (NumPy compacts into no given buffer) — is a NumPy temporary
-    of at most ``rows`` entries, or :attr:`pairs`: an arena request costs
-    more than the compare it would serve.
+    the call's arena, sized up front (:meth:`reserve`) for every cell.
+    What a pass keeps per tile — the rows it tested, their largest box
+    bounds and limits, the cells it leaves, the failing boxes' positions
+    (NumPy compacts into no given buffer) — is a NumPy temporary of at most
+    ``rows`` entries, or :attr:`pairs`: an arena request costs more than
+    the compare it would serve.
     """
 
     @classmethod
@@ -775,13 +767,45 @@ class TilePrescreen:
         #: per tile and at once.
         self.share = self.scratch // self._floats
         self.pairs = rows * self.share
-        # The box query, errors and coarse bounds: built at the first pass.
+        # The box query, E_box and coarse bounds: built at the first pass.
         self._query = self._errors = self._coarse = None
+        #: Tiles covered, skipped and box-skipped; rows coarse-, box- and
+        #: entry-tested: this call's so far.
+        self.tallies = [0] * 6
+        # The rule's state: the pass covering the last tile named, and that
+        # tile's rows left when a stage proved some.
+        self._covering = self._left = None
+
+    def rows_to_score(self, ws, index: int, reducer, recorded: int) -> Optional[np.ndarray]:
+        """The rows of canonical tile ``index`` the loop scores in float64
+        and folds, ascending: ``None`` for every row, none when the tile is
+        skipped.  Tiles are named in order, and ``recorded`` is what the
+        last one scored recorded.  A pass starts here, under
+        ``reducer.bound``, when none covers the tile and the tile before it
+        was tile 0, recorded nothing or had a row proven."""
+        covering = self._covering
+        if covering is not None and index == covering.stop:
+            covering = None
+        if covering is None and index and (index == 1 or not recorded or self._left is not None):
+            with self._screener.recorder.span("streaming.box_tile"):
+                covering = self.pass_left(ws, index, reducer.bound)
+            if covering is not None:
+                covered, rows = covering.stop - index, len(self._augmented)
+                counts = (covered, 0, covering.box_skipped, covered * rows,
+                          covering.box_tested, covering.entry_tested)
+                self.tallies = [tally + count for tally, count in zip(self.tallies, counts)]
+        self._covering = covering
+        self._left = None if covering is None else covering.rows(index)
+        if self._left is not None and not len(self._left):
+            self.tallies[1] += 1
+        elif self._left is not None and len(self._left) == len(self._augmented):
+            self._left = None
+        return self._left
 
     def reserve(self, ws) -> None:
         """Size the call's scratch in its arena ``ws`` up front, at its
         full row count and for passes over every tile — the boxes' query,
-        errors and coarse bounds, a pass's limits, flags and indices, the
+        ``E_box`` and coarse bounds, a pass's cells and held boxes, the
         gathered query rows and failing boxes of a tile, and the phase
         scratch a tile is tested or scored in — so whether, where, how far
         and on how many rows a call prescreens never allocates."""
@@ -789,25 +813,23 @@ class TilePrescreen:
         tiles = len(self._screener._tile_in_range)
         ws.buffer(_BOX_ROTATED, (rows, width - 1))
         ws.buffer(_BOX_QUERY, (rows, 2 * width - 1))
-        ws.buffer(_BOX_ERROR, (2, tiles, rows))
+        ws.buffer(_BOX_ERROR, (tiles, rows))
         ws.buffer(_BOX_COARSE, (tiles, rows))
         self._pass_buffers(ws)
-        ws.buffer(PHASE_SCRATCH, (rows, self.scratch))
 
     def _pass_buffers(self, ws) -> tuple:
-        """A pass's scratch, the same every pass: the limits of every tile
-        (``E_box``'s, ``E_entry``'s) and per pair its entry limit; the
-        coarse compare of every tile and per pair its verdict; per pair its
-        row and per covered tile the pairs before its end; per failing box
-        to score its pair, its box, its row and its columns; the gathered
-        query rows and the failing-box mask of a tile."""
+        """A pass's scratch, the same every pass: per cell of every tile
+        its limit and whether the pass leaves it (first, whether its
+        coarse bound fails); per failing box held for the entry step its
+        cell, its box, its row and its columns; the gathered query rows
+        and the failing-box mask of a tile; the phase scratch."""
         rows, width = self._augmented.shape
         cells = len(self._screener._tile_in_range) * rows
         boxes = -(-min(TILE_CATEGORIES, self._screener.num_categories) // BOX_CATEGORIES)
         return (
-            ws.buffer(_PASS_LIMITS, (3 * cells,)),
-            ws.buffer(_PASS_FLAGS, (2 * cells,), bool),
-            ws.buffer(_PASS_INDEX, (2 * cells + 1 + (BOX_CATEGORIES + 3) * self.pairs,), np.intp),
+            ws.buffer(_CELL_LIMITS, (cells,)),
+            ws.buffer(_CELL_LEFT, (cells,), bool),
+            ws.buffer(_HELD_BOXES, (BOX_CATEGORIES + 3, self.pairs), np.intp),
             ws.buffer(_BOX_GATHERED, (rows, 2 * width - 1)),
             ws.buffer(_BOX_ABOVE, (rows * boxes,), bool),
             ws.buffer(PHASE_SCRATCH, (rows * self.scratch,)),
@@ -816,11 +838,11 @@ class TilePrescreen:
     def _build_query(self, ws, first: int) -> None:
         """The boxes' per-call operands, built in the call's arena ``ws``
         at its first pass: the query ``[max(c̃, 0) | min(c̃, 0) | 1]`` with
-        ``c̃ = aQ``; per tile and row the bound ``E_box`` on how far a box
-        bound may sit under a float64 score (:func:`_box_error_terms`), and
-        ``E_entry`` beside it; and per row the coarse bound of each tile
-        from index ``first`` on, the largest of the tile's coarse boxes'
-        bounds — one GEMM for all of them."""
+        ``c̃ = aQ``; per tile and row ``E_box``, the bound on how far a box
+        bound may sit under a float64 score (:func:`_box_error_terms`); and
+        per row the coarse bound of each tile from index ``first`` on, the
+        largest of the tile's coarse boxes' bounds — one GEMM for all of
+        them."""
         screener, augmented = self._screener, self._augmented
         rows, k = len(augmented), screener.projection_dim
         tiles = len(screener._tile_in_range)
@@ -830,13 +852,15 @@ class TilePrescreen:
         np.maximum(rotated, 0.0, out=query[:, :k])
         np.minimum(rotated, 0.0, out=query[:, k : 2 * k])
         query[:, -1] = 1.0
-        errors = ws.buffer(_BOX_ERROR, (2, tiles, rows))
+        # E_box: slope · A + offset, each operand spread to tiles × rows
+        # first (a broadcast operand costs a 64 KB NumPy buffer).
+        errors = ws.buffer(_BOX_ERROR, (tiles, rows))
+        spread = ws.buffer(PHASE_SCRATCH, (tiles, rows))
+        np.copyto(errors, self.row_sums)
         with np.errstate(over="ignore", invalid="ignore"):  # out-of-range tiles
-            for bounds, (slope, offset) in zip(
-                errors, (screener._box_error, screener._entry_error)
-            ):
-                np.multiply.outer(slope, self.row_sums, out=bounds)
-                bounds += offset[:, None]
+            for terms, combine in zip(screener._box_error, (np.multiply, np.add)):
+                np.copyto(spread, terms[:, None])
+                combine(spread, errors, out=errors)
         coarse = ws.buffer(_BOX_COARSE, (tiles, rows))
         boxes = screener._tile_coarse[first * _COARSE_PER_TILE :]
         scores = ws.buffer(PHASE_SCRATCH, (len(boxes), rows))
@@ -854,7 +878,7 @@ class TilePrescreen:
         most ``bound``.  ``None`` when tile ``first`` is not prescreened: no
         ``bound`` (``None``), or magnitudes past :data:`_SCREEN_MAGNITUDE`.
 
-        Every tile's limits ``bound − E`` rounded down are taken in one
+        Every cell's limit ``bound − E_box`` rounded down is taken in one
         :func:`_limit`, and every tile's coarse bounds compared to them in
         one operation.  Then tile by tile, each on only the rows its coarse
         bounds left, one GEMM of the gathered query rows and the tile's
@@ -865,158 +889,138 @@ class TilePrescreen:
         before a tile past :data:`_SCREEN_MAGNITUDE`.  Last, the entry step
         scores the collected boxes' columns against their rows' inputs —
         gathered from the fused plane, in float64 and any order — and a
-        pair is proven when each score is at most ``bound − E_entry``
-        rounded down (:func:`_entry_error_terms`).  A tile's failing boxes
-        are all scored when they fit the phase scratch (:attr:`pairs`), and
-        else only those of the rows whose own fit a row of it
-        (:attr:`share`): the other rows are left.  The entry step scores at
-        most :attr:`pairs` boxes at once."""
+        cell is proven when each score is at most its limit, the same one.
+        A tile's failing boxes are all scored when they fit the phase
+        scratch (:attr:`pairs`), and else only those of the rows whose own
+        fit a row of it (:attr:`share`): the other rows are left.  The
+        entry step scores at most :attr:`pairs` boxes at once."""
         in_range = self._screener._tile_in_range
         if bound is None or not (self.in_range and in_range[first]):
             return None
         if self._query is None:
             self._build_query(ws, first)
         rows, tiles = len(self._augmented), len(in_range)
-        floats, flags, index, gathered, above, scratch = self._pass_buffers(ws)
-        cells, count = len(flags) // 2, (tiles - first) * rows
-        # Every tile's limits, E_box's then E_entry's, and its coarse compare.
-        limits = floats[: 2 * count].reshape(2, tiles - first, rows)
+        limits, left, held_boxes, gathered, above, scratch = self._pass_buffers(ws)
+        count = (tiles - first) * rows
+        limits, left = limits[:count], left[:count]
         with np.errstate(invalid="ignore"):  # out-of-range tiles' errors
-            _limit(bound, self._errors[:, first:], out=limits)
-        failing = flags[:count].reshape(tiles - first, rows)
-        np.less_equal(self._coarse[first:], limits[0], out=failing)
-        np.logical_not(failing, out=failing)
-        tested = np.flatnonzero(failing)  # (tile − first) · rows + row
+            _limit(bound, self._errors[first:], out=limits.reshape(tiles - first, rows))
+        # The cells the coarse bounds leave; from here on ``left`` holds
+        # the cells the pass leaves.
+        np.less_equal(self._coarse[first:].reshape(-1), limits, out=left)
+        np.logical_not(left, out=left)
+        tested = np.flatnonzero(left)
         ends = np.searchsorted(tested, np.arange(rows, count + 1, rows)).tolist()
-        box_limits = limits[0].reshape(-1)
-        # Per pair its row, entry limit and verdict; per covered tile its
-        # pairs' end; per failing box collected its pair and box.
-        pair_rows, pair_ends = index[:cells], index[cells : 2 * cells + 1]
-        pair_limits, verdicts = floats[2 * cells :], flags[cells:]
-        collected = index[2 * cells + 1 :].reshape(BOX_CATEGORIES + 3, self.pairs)
-        entries = (pair_rows, pair_limits, verdicts, collected, scratch)
-        pairs = held = box_tested = box_skipped = low = 0
-        pair_ends[0], stop = 0, tiles
+        left[:] = False
+        entries = (limits, left, held_boxes, scratch)
+        held = box_tested = entry_tested = box_skipped = low = 0
+        stop = tiles
         for tile in range(first, tiles):
             if tile > first and not in_range[tile]:
                 stop = tile
                 break
             high = ends[tile - first]
             box_tested += high - low
-            kept = 0
-            if high > low:
-                left, fails = self._box_test(
-                    tile, tested[low:high], (tile - first) * rows, box_limits,
-                    gathered, above, scratch,
-                )
-                kept = len(left)
+            cells, fails = self._box_test(tile, tested[low:high], (tile - first) * rows, limits,
+                                          gathered, above, scratch)
             low = high
-            pair_ends[tile - first + 1] = pairs + kept
-            if not kept:
+            if not len(cells):
                 box_skipped += 1
                 continue
-            new = slice(pairs, pairs + kept)
-            pair_rows[new] = left
-            np.take(limits[1, tile - first], left, out=pair_limits[new])
-            verdicts[new] = False
+            entry_tested += len(cells)
             if np.count_nonzero(fails) > self.pairs:
                 for row, boxes in enumerate(fails):
                     if np.count_nonzero(boxes) > self.share:  # left unscored
                         boxes[:] = False
-                        verdicts[pairs + row] = True
-            held = self._collect(np.flatnonzero(fails), fails.shape[1], pairs,
+                        left[cells[row]] = True
+            held = self._collect(np.flatnonzero(fails), fails.shape[1], cells,
                                  tile * _BOXES_PER_TILE, held, entries)
-            pairs += kept
-            if kept == rows:  # the coarse and box stages proved no row
+            if len(cells) == rows:  # the coarse and box stages proved no row
                 stop = tile + 1
                 break
         if held:
             self._score_entries(held, entries)
-        chosen = np.flatnonzero(verdicts[:pairs])
-        return PassLeft(
-            first,
-            stop,
-            np.searchsorted(chosen, pair_ends[: stop - first + 1]).tolist(),
-            np.take(pair_rows, chosen),
-            box_tested,
-            pairs,
-            box_skipped,
-        )
+        covered = (stop - first) * rows
+        cells = np.flatnonzero(left[:covered])
+        ends = np.searchsorted(cells, np.arange(0, covered + 1, rows)).tolist()
+        return PassLeft(first, stop, ends, cells % rows, box_tested, entry_tested, box_skipped)
 
-    def _box_test(self, tile: int, cells, offset: int, box_limits, gathered, above, scratch):
-        """The box stage of canonical tile ``tile`` on its pairs ``cells``
+    def _box_test(self, tile: int, cells, offset: int, limits, gathered, above, scratch):
+        """The box stage of canonical tile ``tile`` on its cells ``cells``
         (``offset`` plus the row) the coarse bounds left: one GEMM of the
         gathered query rows and the tile's boxes, each row reduced to its
-        largest box bound, compared with its limit in ``box_limits``.
-        Returns the rows left and, only for those, the mask of the boxes
+        largest box bound, compared with its cell's limit in ``limits``.
+        Returns the cells left and, only for those, the mask of the boxes
         above their limit (a view of ``above``)."""
+        count = len(cells)
+        if not count:
+            return cells, None
         rows = cells - offset
-        count = len(rows)
         query = self._query
         if count < len(query):
             query = np.take(query, rows, axis=0, out=gathered[:count], mode="clip")
-        boxes = self._screener._tile_box[
-            :, tile * _BOXES_PER_TILE : (tile + 1) * _BOXES_PER_TILE
-        ]
+        boxes = self._screener._tile_box[:, tile * _BOXES_PER_TILE : (tile + 1) * _BOXES_PER_TILE]
         width = boxes.shape[1]
-        # The box bounds, then a copy of the left rows' (tested rows at most).
-        scores = scratch[: 2 * count * width].reshape(2 * count, width)
+        # The box bounds, then the left rows' copy and their limits spread
+        # across their boxes (tested rows at most, each).
+        scores = scratch[: 3 * count * width].reshape(3 * count, width)
         np.matmul(query, boxes, out=scores[:count])
-        limit = np.take(box_limits, cells)
+        limit = np.take(limits, cells)
         left = np.flatnonzero(~(scores[:count].max(axis=1) <= limit))
         if not len(left):
             return left, None
         kept = scores[count : count + len(left)]
         np.take(scores[:count], left, axis=0, out=kept, mode="clip")
+        spread = scores[2 * count : 2 * count + len(left)]
+        np.copyto(spread, limit[left, None])
         fails = above[: kept.size].reshape(kept.shape)
-        np.less_equal(kept, limit[left, None], out=fails)
+        np.less_equal(kept, spread, out=fails)
         np.logical_not(fails, out=fails)
-        return rows[left], fails
+        return cells[left], fails
 
-    def _collect(self, found, width: int, pairs: int, first_box: int, held: int, entries) -> int:
+    def _collect(self, found, width: int, cells, first_box: int, held: int, entries) -> int:
         """Add the failing boxes ``found`` (flat in a tile's mask ``width``
-        boxes wide, whose rows are the pass's pairs from ``pairs`` and whose
-        first box is ``first_box``) to the ``held`` ones, scoring the held
-        ones first whenever :attr:`pairs` are; returns how many are held."""
-        collected = entries[3]
+        boxes wide, whose rows are the cells ``cells`` and whose first box
+        is ``first_box``) to the ``held`` ones, scoring the held ones first
+        whenever :attr:`pairs` are; returns how many are held."""
+        boxes = entries[2]
         done = 0
         while done < len(found):
             if held == self.pairs:
                 self._score_entries(held, entries)
                 held = 0
             take = min(len(found) - done, self.pairs - held)
-            piece, into = found[done : done + take], slice(held, held + take)
-            np.floor_divide(piece, width, out=collected[0, into])
-            collected[0, into] += pairs
-            np.remainder(piece, width, out=collected[1, into])
-            collected[1, into] += first_box
+            into = slice(held, held + take)
+            np.divmod(found[done : done + take], width, out=(boxes[0, into], boxes[1, into]))
+            np.take(cells, boxes[0, into], out=boxes[0, into])  # buffered: safe in place
+            boxes[1, into] += first_box
             held, done = held + take, done + take
         return held
 
     def _score_entries(self, count: int, entries) -> None:
         """The entry step on the ``count`` held failing boxes: their
         columns are gathered from the fused plane and scored against their
-        rows' augmented inputs in the phase scratch, and a pair with a
-        score not at most its entry limit gets its verdict set: left."""
-        pair_rows, pair_limits, verdicts, collected, scratch = entries
-        screener, width = self._screener, self._augmented.shape[1]
-        pairs, indices, owners = collected[:3, :count]
-        columns = collected[3:].reshape(-1)[: BOX_CATEGORIES * count]
-        columns = columns.reshape(count, BOX_CATEGORIES)
-        np.multiply(indices[:, None], BOX_CATEGORIES, out=columns)
-        columns += _BOX_COLUMNS
+        cells' rows' augmented inputs in the phase scratch, and a cell with
+        a score not at most its limit is left."""
+        limits, left, boxes, scratch = entries
+        screener, rows, width = self._screener, *self._augmented.shape
+        cells, indices, owners = boxes[:3, :count]
+        columns = boxes[3:].reshape(-1)[: BOX_CATEGORIES * count].reshape(count, BOX_CATEGORIES)
+        # Column by column: a broadcast operand costs a NumPy buffer.
+        np.multiply(indices, BOX_CATEGORIES, out=columns[:, 0])
+        for column in range(1, BOX_CATEGORIES):
+            np.add(columns[:, 0], column, out=columns[:, column])
         np.minimum(columns, screener.num_categories - 1, out=columns)  # a narrower last box
-        np.take(pair_rows, pairs, out=owners)
+        np.remainder(cells, rows, out=owners)
         used = BOX_CATEGORIES * width * count
         weights = scratch[:used].reshape(width, count, BOX_CATEGORIES)
         inputs = scratch[used : used + width * count].reshape(count, 1, width)
-        scores = scratch[used + width * count : count * self._floats]
-        scores = scores.reshape(count, BOX_CATEGORIES)
+        scores = scratch[used + width * count : count * self._floats].reshape(count, BOX_CATEGORIES)
         np.take(screener._fused_weight_t, columns, axis=1, out=weights, mode="clip")
         np.take(self._augmented, owners, axis=0, out=inputs[:, 0], mode="clip")
         np.matmul(inputs, weights.transpose(1, 0, 2), out=scores[:, None])
-        unproven = np.flatnonzero(~(scores.max(axis=1) <= np.take(pair_limits, pairs)))
-        verdicts[np.take(pairs, unproven)] = True
+        unproven = np.flatnonzero(~(scores.max(axis=1) <= np.take(limits, cells)))
+        left[np.take(cells, unproven)] = True
 
 
 def _limit(bound, error: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -1025,8 +1029,10 @@ def _limit(bound, error: np.ndarray, out: np.ndarray) -> np.ndarray:
     scores, or above them by at least that, proves them at most ``bound``
     when it is at most this limit.  A NaN limit proves nothing, since no
     compare with it holds.  ``bound`` is a scalar or one per row, the last
-    axis of ``error``."""
-    np.subtract(bound, error, out=out)
+    axis of ``error``, spread over ``out`` first (a broadcast operand costs
+    a 64 KB NumPy buffer)."""
+    np.copyto(out, bound)
+    np.subtract(out, error, out=out)
     return np.nextafter(out, -np.inf, out=out)
 
 

@@ -6,9 +6,10 @@ talks to it over a duplex pipe.  Two failure modes matter in serving:
 * a worker dying mid-request (OOM kill, segfault, operator error): a
   bare ``Connection.recv()`` would block forever, because with ``fork``
   sibling workers inherit each other's pipe write-ends and the EOF
-  never arrives.  :meth:`WorkerHandle.recv_tagged` therefore polls the
-  pipe *and* the process, so a dead worker surfaces as
-  :class:`WorkerDied` within one poll interval instead of a hang;
+  never arrives.  :meth:`WorkerHandle.recv_tagged` therefore waits on
+  the pipe *and* the process's sentinel at once
+  (``multiprocessing.connection.wait``), so a dead worker surfaces as
+  :class:`WorkerDied` as soon as it exits instead of a hang;
 * a worker answering *late*: if the host gives up on a request
   (:class:`WorkerTimeout`) the reply is still coming, and with an
   untagged pipe the next request on the same handle would receive the
@@ -26,14 +27,12 @@ Deadline semantics
 ------------------
 ``recv_tagged(..., timeout=t)`` promises a wait of **at most** ``t``
 seconds (plus one recv): the remaining budget is checked *before*
-every poll, each poll sleeps at most the remaining budget (clamped to
-``poll_interval``), and a zero or already-expired budget raises
-:class:`WorkerTimeout` immediately — it never pays a ``poll_interval``
-it does not have.  This is what makes per-request SLO budgets
-propagated by the serving front door (:mod:`repro.serving`) honest:
-a request arriving with 1 ms of budget left costs ~1 ms, not 20 ms,
-per hop.  ``timeout=None`` waits indefinitely (worker death is still
-detected within one poll interval).
+every wait, each wait lasts at most the remaining budget, and a zero or
+already-expired budget raises :class:`WorkerTimeout` immediately.  This
+is what makes per-request SLO budgets propagated by the serving front
+door (:mod:`repro.serving`) honest: a request arriving with 1 ms of
+budget left costs ~1 ms per hop.  ``timeout=None`` waits indefinitely
+(worker death still ends the wait).
 
 Protocol violations — a reply id *ahead* of the host's counter, which
 only a host/worker code mismatch can produce — raise
@@ -48,6 +47,7 @@ import time
 from typing import Any, Optional, Tuple
 
 import multiprocessing
+from multiprocessing.connection import wait as connection_wait
 
 from repro.obs.recorder import NULL_RECORDER
 
@@ -97,11 +97,9 @@ class WorkerHandle:
         target,
         args: tuple,
         name: str,
-        poll_interval: float = 0.02,
         recorder=NULL_RECORDER,
     ):
         self.name = name
-        self.poll_interval = poll_interval
         #: Observability sink for protocol events (``workers.*``
         #: counters); the no-op :data:`NULL_RECORDER` by default.
         self.recorder = recorder
@@ -181,84 +179,82 @@ class WorkerHandle:
         :attr:`stale_replies` and dropped, which is exactly what makes
         a post-timeout handle retry-safe.
 
-        Liveness and the deadline are checked on **every** loop
-        iteration, no matter how the poll branch exits.  (The earlier
-        shape ``continue``-d straight back to the poll after draining a
-        stale reply, so a worker streaming stale replies faster than
-        ``poll_interval`` starved the timeout forever and a
-        dead-but-draining pipe was never detected — the flood
-        regression test in ``tests/test_workers_protocol.py`` pins
-        this.)
+        Each wait is one ``multiprocessing.connection.wait`` on the pipe
+        and the process's sentinel, so a reply or a death ends it at
+        once.  Liveness and the deadline are checked on **every** loop
+        iteration, one reply at a time.  (An earlier shape
+        ``continue``-d straight back to the wait after draining a stale
+        reply, so a worker streaming stale replies starved the timeout
+        forever and a dead-but-draining pipe was never detected — the
+        flood regression test in ``tests/test_workers_protocol.py``
+        pins this.)
 
         Deadline semantics (exact, relied on by deadline propagation in
         the serving front door): the remaining budget is checked
-        *before* every poll and each poll waits at most the remaining
+        *before* every wait and each wait lasts at most the remaining
         budget, so the total wait never exceeds ``timeout`` by more
         than the cost of one recv.  A ``timeout`` of zero (or an
         already-spent budget) raises :class:`WorkerTimeout` immediately
-        without paying a single ``poll_interval`` — an expired request
-        is shed, never slept on.  (The earlier shape checked the
-        deadline after a full-length poll with strict ``>``, so a
-        zero-budget wait still cost up to ``poll_interval`` per hop.)
+        — an expired request is shed, never slept on, even when its
+        reply is queued.
         """
         deadline = None if timeout is None else time.monotonic() + timeout
         while True:
             if self._closed:
                 raise self._died()
-            wait = self.poll_interval
+            wait = None
             if deadline is not None:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0.0:
+                wait = deadline - time.monotonic()
+                if wait <= 0.0:
                     self.recorder.increment("workers.timeouts")
                     raise WorkerTimeout(
                         f"worker {self.name!r} gave no reply to request "
                         f"{expect_id} within {timeout}s"
                     )
-                wait = min(wait, remaining)
             try:
-                if self.connection.poll(wait):
-                    reply_id, kind, payload = self.connection.recv()
-                    if reply_id == expect_id:
-                        return kind, payload
-                    if reply_id > expect_id:
-                        raise self._from_the_future(reply_id, expect_id)
-                    # Stale reply: drop it and *fall through* — the
-                    # liveness and deadline checks below must run even
-                    # when stale replies arrive back to back.
-                    self.stale_replies += 1
-                    self.recorder.increment("workers.stale_replies")
-            except (EOFError, BrokenPipeError) as error:
+                sentinel = self.process.sentinel
+                ready = connection_wait([self.connection, sentinel], wait)
+                if self.connection in ready:
+                    reply = self._take_reply(expect_id)
+                    if reply is not None:
+                        return reply
+            except (EOFError, OSError, ValueError) as error:
+                # The pipe broke, or stop() closed the connection or the
+                # process under the wait from another thread: either way
+                # this worker is gone, never OSError or ValueError.
                 self.recorder.increment("workers.deaths_observed")
                 raise self._died() from error
-            except OSError as error:
-                # The connection vanished under the poll loop — either
-                # stop() closed it from another thread or the pipe
-                # broke; both mean "this worker is gone", never OSError.
-                self.recorder.increment("workers.deaths_observed")
-                raise self._died() from error
-            if not self.process.is_alive():
-                # One last drain: the reply may have landed between the
-                # poll above and the liveness check.  The drain applies
-                # the *same* protocol rules as the live loop — in
-                # particular a reply from the future still raises
-                # :class:`ProtocolError`.  (It used to be silently
-                # swallowed here, so a host/worker code mismatch could
-                # be masked by a concurrent death; the drain regression
-                # test in ``tests/test_workers_protocol.py`` pins the
-                # identical behaviour.)
+            if sentinel in ready:
+                # One last drain: the reply may have landed beside the
+                # death.  The drain applies the *same* protocol rules as
+                # the live loop — in particular a reply from the future
+                # still raises :class:`ProtocolError`.  (It used to be
+                # silently swallowed here, so a host/worker code mismatch
+                # could be masked by a concurrent death; the drain
+                # regression test in ``tests/test_workers_protocol.py``
+                # pins the identical behaviour.)
                 try:
                     while self.connection.poll(0):
-                        reply_id, kind, payload = self.connection.recv()
-                        if reply_id == expect_id:
-                            return kind, payload
-                        if reply_id > expect_id:
-                            raise self._from_the_future(reply_id, expect_id)
-                        self.stale_replies += 1
-                        self.recorder.increment("workers.stale_replies")
-                except (EOFError, OSError):
+                        reply = self._take_reply(expect_id)
+                        if reply is not None:
+                            return reply
+                except (EOFError, OSError, ValueError):
                     pass
                 self.recorder.increment("workers.deaths_observed")
                 raise self._died()
+
+    def _take_reply(self, expect_id: int) -> Optional[Tuple[str, Any]]:
+        """Receive one reply: ``(kind, payload)`` when it is tagged
+        ``expect_id``; ``None`` for a stale one, which is counted and
+        dropped; :class:`ProtocolError` for one from the future."""
+        reply_id, kind, payload = self.connection.recv()
+        if reply_id == expect_id:
+            return kind, payload
+        if reply_id > expect_id:
+            raise self._from_the_future(reply_id, expect_id)
+        self.stale_replies += 1
+        self.recorder.increment("workers.stale_replies")
+        return None
 
     def request(
         self, op: str, payload: Any = None, timeout: Optional[float] = None

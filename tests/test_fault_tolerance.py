@@ -46,7 +46,7 @@ DEADLINE = 0.5
 # Past the first deadline but safely inside the retry's window.  The
 # delayed reply lands at ~LATE; the retry waits over [DEADLINE,
 # 2*DEADLINE], so LATE sits 0.2s clear of both edges — recv_tagged now
-# honors deadlines exactly (no poll_interval overshoot to hide in).
+# honors deadlines exactly (no poll-interval overshoot to hide in).
 LATE = 0.8
 
 

@@ -8,10 +8,10 @@ saw it) is neither scored in float64 nor folded, and a tile with no row
 left is skipped.  Such
 rows would have recorded nothing, so every output is the bits of dense
 ``forward``, which keeps its plane and never skips, and of the per-row
-oracle.  The proofs rest on two bounds: ``E_box``, on how far a box
-bound may sit under a float64 score, and ``E_entry``, on |gathered
-score − float64 tile-GEMM score| for the columns of the boxes a row
-fails.  The adversarial models put an entry one float64 ulp from the
+oracle.  Every proof rests on one bound, ``E_box``: on how far a box
+bound may sit under a float64 score, and on |gathered score − float64
+tile-GEMM score| for the columns of the boxes a row fails.  The
+adversarial models put an entry one float64 ulp from the
 bound in a late tile — in a box every row fails, in a coarse box, in a
 box only one row fails — and the property tests draw magnitudes from
 1e-30 to 1e30.  The ``lanes`` axis is the lane count of dense
@@ -133,9 +133,9 @@ def last_tile_pass(model, features, bound, scratch=None) -> tuple:
     score_entries = screen._score_entries
 
     def spy(count, entries):
-        pair_rows, _, _, collected, _ = entries
-        rows = pair_rows[collected[0, :count]]
-        boxes = collected[1, :count] % (TILE_CATEGORIES // BOX_CATEGORIES)
+        held = entries[2]  # per held box its cell (here its row) and box
+        rows = held[0, :count] % len(features)
+        boxes = held[1, :count] % (TILE_CATEGORIES // BOX_CATEGORIES)
         scored.extend(zip(rows.tolist(), boxes.tolist()))
         score_entries(count, entries)
 
@@ -334,7 +334,7 @@ def test_an_entry_one_ulp_from_the_bound(monkeypatch, mode, lanes, call, side):
 
 
 # ----------------------------------------------------------------------
-# property: E_entry covers any-order float64 against the tile GEMM
+# property: E_box covers any-order float64 against the tile GEMM
 # ----------------------------------------------------------------------
 def tile_reach(screener, augmented, start, stop):
     """Per row ``A·W + B``: its ``Σ|a_j|`` times the tile's largest weight
@@ -344,10 +344,11 @@ def tile_reach(screener, augmented, start, stop):
     return np.abs(augmented[:, :-1]).sum(axis=1) * weights[:-1].max() + weights[-1].max()
 
 
-def entry_error(screener, screen, start):
-    """Per row of the call, the entry step's ``E_entry`` for the tile
-    starting at ``start``."""
-    slope, offset = screener._entry_error[:, start // TILE_CATEGORIES]
+def box_error(screener, screen, start):
+    """Per row of the call, ``E_box`` for the tile starting at ``start``:
+    the one error every prescreen stage proves under, the entry step's
+    included."""
+    slope, offset = screener._box_error[:, start // TILE_CATEGORIES]
     return slope * screen.row_sums + offset
 
 
@@ -405,13 +406,50 @@ def test_no_tile_with_an_entry_above_its_bound_is_skipped(
         if result is None:
             continue
         assert row in result.rows(index)
-        # Every gathered score, in any order, sits within E_entry of the
-        # tile GEMM's, and E_entry is a rounding error, not a vacuous bound.
-        error = entry_error(screener, screen, start)[:, None]
+        # Every gathered score, in any order, sits within E_box of the
+        # tile GEMM's.
+        error = box_error(screener, screen, start)[:, None]
         for gathered in any_order_scores(augmented, screener._fused_weight_t[:, start:stop]):
             assert np.all(np.abs(gathered - exact) <= error)
-        reach = tile_reach(screener, augmented, start, stop)
-        assert np.all(error[:, 0] <= 1e-14 * reach + 1e-300)
+
+
+def entry_error_terms(k):
+    """The entry step's own error terms before it proved under ``E_box``:
+    ``(relative, absolute)`` with ``E_entry = relative · (A·W + B) +
+    absolute`` — two any-order float64 sums of ``k + 1`` products are
+    within ``2γ_{k+1}`` of their magnitudes plus ``4(k + 1)`` underflows
+    of each other, raised by ``2**-20`` of itself.  The oracle ``E_box``
+    must cover."""
+    n = k + 1
+    gamma = n * 2.0**-53 / (1.0 - n * 2.0**-53)
+    slack = 1.0 + 2.0**-20
+    return 2.0 * gamma * slack, 4.0 * n * 2.0**-1074 * slack
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    k=st.integers(1, 32),
+    off=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_box_error_covers_the_entry_error(k, off, seed):
+    """For any axes ``_box_error_terms`` accepts — random orthogonal ones
+    moved off orthogonal toward :data:`_BOX_DELTA` — each term of
+    ``E_box`` is at least the matching term of ``E_entry``: its slope and
+    offset the relative term, its absolute term the absolute one."""
+    rng = np.random.default_rng(seed)
+    axes = np.linalg.qr(rng.standard_normal((k, k)))[0]
+    noise = rng.standard_normal((k, k))
+    noise *= 2.0**-30 / np.linalg.norm(noise)
+    # δ is k times the largest entry of I − QQᵀ, which moves linearly in a
+    # small perturbation: scaled to up to 0.9 of _BOX_DELTA.
+    departure = k * np.abs(np.eye(k) - (axes + noise) @ (axes + noise).T).max()
+    axes += off * 0.9 * screener_module._BOX_DELTA / departure * noise
+    terms = screener_module._box_error_terms(axes)
+    assert terms is not None
+    slope, offset, absolute = terms
+    relative, underflow = entry_error_terms(k)
+    assert slope >= relative and offset >= relative and absolute >= underflow
 
 
 # ----------------------------------------------------------------------
@@ -596,7 +634,7 @@ def test_no_tile_with_an_entry_above_its_bound_is_box_skipped(
         assert row in result.rows(index)
         top = np.nextafter(best.max(), -np.inf)
         assert len(screen.pass_left(ws, index, top).rows(index)) > 0
-        query, error = screen._query, screen._errors[0]
+        query, error = screen._query, screen._errors
         # Boxed: each column's box bound, plus E_box, is at least its
         # float64 score, and E_box is a rounding error, not a vacuous bound.
         chunks = screener._tile_box[:, start // BOX_CATEGORIES : -(-stop // BOX_CATEGORIES)]
@@ -956,7 +994,7 @@ def test_coarse_bounds_cover_their_boxes_and_columns(
     screen.reserve(ws)
     tiles = screener.tile_bounds()
     screen._build_query(ws, 0)
-    query, error, coarse_top = screen._query, screen._errors[0], screen._coarse
+    query, error, coarse_top = screen._query, screen._errors, screen._coarse
     boxes, coarse = screener._tile_box, screener._tile_coarse
     per_coarse = COARSE_CATEGORIES // BOX_CATEGORIES
     per_tile = TILE_CATEGORIES // COARSE_CATEGORIES

@@ -10,7 +10,7 @@ desync deterministically on the raw pipe and prove the tagged protocol
 is immune to it.
 
 Also covered: the stop/recv interaction contract — any operation on a
-handle closed by ``stop()`` (including a ``recv`` poll loop already in
+handle closed by ``stop()`` (including a ``recv`` wait already in
 flight on another thread) surfaces as ``WorkerDied``, never ``OSError``.
 """
 
@@ -21,6 +21,7 @@ import time
 
 import pytest
 
+from repro.utils import workers
 from repro.utils.workers import (
     HANDSHAKE_ID,
     ProtocolError,
@@ -99,11 +100,11 @@ def _immortal_main(connection):
 def _flood_main(connection):
     """Worker that floods stale replies (id 0 predates every request).
 
-    Models a desynced/misbehaving worker streaming late answers faster
-    than the host's poll interval — the starvation scenario: each stale
-    frame makes ``poll()`` return immediately, so a receive loop that
-    short-circuits back to the poll after draining a stale reply never
-    reaches its deadline (or liveness) check.
+    Models a desynced/misbehaving worker streaming late answers back to
+    back — the starvation scenario: each stale frame ends the host's wait
+    at once, so a receive loop that short-circuits back to the wait after
+    draining a stale reply never reaches its deadline (or liveness)
+    check.
     """
     while True:
         try:
@@ -180,9 +181,9 @@ class TestReplyDesync:
 
 class TestStaleFloodStarvation:
     """Regression: a stale reply used to ``continue`` straight back to
-    the poll, skipping the liveness and deadline checks — a worker
-    streaming stale replies faster than ``poll_interval`` starved the
-    timeout indefinitely."""
+    the wait, skipping the liveness and deadline checks — a worker
+    streaming stale replies back to back starved the timeout
+    indefinitely."""
 
     @pytest.fixture()
     def flood(self):
@@ -193,7 +194,7 @@ class TestStaleFloodStarvation:
         handle.stop()
 
     def test_deadline_fires_through_stale_flood(self, flood):
-        """WorkerTimeout must fire on schedule even when every poll
+        """WorkerTimeout must fire on schedule even when every wait
         yields another stale reply (fails by hanging on the old loop)."""
         rid = flood.post("noop")
         start = time.monotonic()
@@ -202,14 +203,14 @@ class TestStaleFloodStarvation:
         elapsed = time.monotonic() - start
         # The deadline, not the flood, ended the wait — and promptly.
         assert 0.4 <= elapsed < 10.0
-        # The flood really was arriving faster than the poll interval
-        # the whole time (i.e. the old code would never have slept).
+        # The flood really was arriving the whole time (i.e. the old
+        # code would never have slept).
         assert flood.stale_replies > 3
 
     def test_death_detected_through_stale_backlog(self, flood):
         """A worker that dies behind a backlog of stale replies must
         surface as WorkerDied/WorkerTimeout, not hang: liveness is
-        checked every iteration regardless of the poll branch."""
+        checked every iteration regardless of the wait's outcome."""
         rid = flood.post("noop")
         time.sleep(0.1)  # let a backlog accumulate
         flood.process.terminate()
@@ -229,7 +230,7 @@ class TestStopRecvInteraction:
             echo.post("echo", {"tag": "late"})
 
     def test_stop_during_inflight_recv_raises_worker_died(self, sink):
-        """A recv poll loop racing ``stop()`` on another thread must
+        """A recv wait racing ``stop()`` on another thread must
         observe the closed-handle state as WorkerDied, never an OSError
         from the concurrently closed pipe."""
         rid = sink.post("noop")
@@ -246,7 +247,7 @@ class TestStopRecvInteraction:
 
         thread = threading.Thread(target=waiter)
         thread.start()
-        time.sleep(0.15)  # let the waiter enter its poll loop
+        time.sleep(0.15)  # let the waiter enter its wait
         sink.stop()
         thread.join(timeout=10.0)
         assert not thread.is_alive()
@@ -259,26 +260,25 @@ class TestStopRecvInteraction:
         assert not echo.alive
 
 
-class _FirstPollMiss:
-    """Connection proxy whose first ``poll`` misses (returns ``False``).
+def _first_wait_misses_the_pipe(monkeypatch, handle):
+    """Make ``recv_tagged``'s first wait report only the worker's death,
+    not its readable pipe.
 
     Reproduces the race the dead-worker drain exists for: the reply
-    lands in the pipe *after* the main-loop poll gave up but before the
-    liveness check, so only the drain ever sees it.
+    lands in the pipe *after* the main-loop wait returned on the death,
+    so only the drain ever sees it.
     """
+    wait = workers.connection_wait
+    missed = []
 
-    def __init__(self, connection):
-        self._connection = connection
-        self._missed = False
+    def first_misses(objects, timeout=None):
+        ready = wait(objects, timeout)
+        if not missed:
+            missed.append(True)
+            return [obj for obj in ready if obj is not handle.connection]
+        return ready
 
-    def poll(self, timeout=0.0):
-        if not self._missed:
-            self._missed = True
-            return False
-        return self._connection.poll(timeout)
-
-    def __getattr__(self, name):
-        return getattr(self._connection, name)
+    monkeypatch.setattr(workers, "connection_wait", first_misses)
 
 
 class TestDeadWorkerDrainProtocol:
@@ -287,7 +287,7 @@ class TestDeadWorkerDrainProtocol:
     ``ProtocolError`` for the same condition — a host/worker code
     mismatch could be masked by a concurrent worker death."""
 
-    def test_drain_raises_protocol_error_for_future_reply(self):
+    def test_drain_raises_protocol_error_for_future_reply(self, monkeypatch):
         handle = WorkerHandle(
             default_context(),
             _future_reply_then_exit_main,
@@ -305,9 +305,9 @@ class TestDeadWorkerDrainProtocol:
                 rid = 1
             handle.process.join(timeout=10.0)
             assert not handle.process.is_alive()
-            # Force the main-loop poll to miss so only the drain sees
-            # the queued future reply.
-            handle.connection = _FirstPollMiss(handle.connection)
+            # Force the main-loop wait to miss the pipe so only the
+            # drain sees the queued future reply.
+            _first_wait_misses_the_pipe(monkeypatch, handle)
             with pytest.raises(ProtocolError):
                 handle.recv_tagged(rid, timeout=5.0)
         finally:
@@ -329,20 +329,21 @@ class TestDeadWorkerDrainProtocol:
 
 class TestZeroBudgetDeadline:
     """Regression: an expired or zero ``timeout`` used to pay a full
-    ``poll_interval`` before the (strict ``>``) deadline check ran, so
-    deadline-propagated requests with tiny remaining budgets over-waited
-    by up to ``poll_interval`` per hop."""
+    poll interval (then an option, 20 ms by default) before the (strict
+    ``>``) deadline check ran, so deadline-propagated requests with tiny
+    remaining budgets over-waited by up to that interval per hop.  The
+    wait now has no interval: it ends on a reply, a death or the
+    deadline."""
 
     @pytest.fixture()
     def slowpoll(self):
-        """Echo worker behind a deliberately huge poll interval, so any
+        """Echo worker whose replies the tests delay by seconds, so any
         over-wait is unmistakable against timer noise."""
         handle = WorkerHandle(
             default_context(),
             _echo_main,
             args=(),
             name="echo-slowpoll",
-            poll_interval=0.5,
         )
         yield handle
         handle.stop(goodbye="shutdown")
@@ -353,7 +354,7 @@ class TestZeroBudgetDeadline:
         with pytest.raises(WorkerTimeout):
             slowpoll.recv_tagged(rid, timeout=0)
         elapsed = time.monotonic() - start
-        # Pre-fix this waited >= poll_interval (0.5 s).
+        # Pre-fix this waited a whole poll interval.
         assert elapsed < 0.2
 
     def test_timeout_zero_sheds_even_when_reply_is_queued(self, slowpoll):
@@ -372,8 +373,8 @@ class TestZeroBudgetDeadline:
         with pytest.raises(WorkerTimeout):
             slowpoll.recv_tagged(rid, timeout=0.1)
         elapsed = time.monotonic() - start
-        # The poll wait is clamped to the remaining budget: ~0.1 s, not
-        # the 0.5 s poll interval the pre-fix loop slept.
+        # The wait lasts the remaining budget: ~0.1 s, not a whole poll
+        # interval rounded up.
         assert 0.08 <= elapsed < 0.4
 
     def test_positive_timeout_still_returns_replies(self, slowpoll):
