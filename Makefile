@@ -37,12 +37,14 @@ importtime:
 # Set-up of a single-node pipeline phase by phase (plane, calibration
 # scores, calibration, first and second call, workspace allocations per
 # call), once at 1 lane and once at 2: where a set-up claim's time sits.
+# A caller's PYTHONPATH goes before this tree's src (here and in
+# call-peak), so PYTHONPATH=<other tree>/src measures that tree.
 L ?= 670000
 K ?= 16
 ROWS ?= 16
 SELECTOR ?= threshold
 setup-phases:
-	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} $(PYTHON) scripts/setup_phases.py \
+	PYTHONPATH=$${PYTHONPATH:+$$PYTHONPATH:}src $(PYTHON) scripts/setup_phases.py \
 		--l $(L) --k $(K) --rows $(ROWS) --selector $(SELECTOR)
 
 # tracemalloc peak of one warm forward_streaming call of ROWS rows, split
@@ -50,7 +52,7 @@ setup-phases:
 # regression sits.  STORE is fp64, int8 or float16.
 STORE ?= fp64
 call-peak:
-	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} $(PYTHON) scripts/call_peak.py \
+	PYTHONPATH=$${PYTHONPATH:+$$PYTHONPATH:}src $(PYTHON) scripts/call_peak.py \
 		--l $(L) --k $(K) --rows $(ROWS) --selector $(SELECTOR) --store $(STORE)
 
 # The repo's benchmark (BENCHMARK.json) at smoke sizes: all four

@@ -29,9 +29,9 @@ call, after the peaks.  The last line is a SHA-256 digest of the batch's
 ``forward_streaming`` record (counts, columns, exact and approximate
 values) and of its ``top_k(16)`` indices and scores, also taken after the
 peaks.  The benchmark's ``call_peak_mb`` is the whole-call line at its own
-sizes; put another tree's ``src`` on ``PYTHONPATH`` and run this script
-(``make call-peak`` puts this tree's ``src`` first) to read that tree —
-two trees whose outputs are bit-identical print the same digest.
+sizes; put another tree's ``src`` on ``PYTHONPATH`` (``make call-peak``
+puts it before this tree's ``src``) to read that tree — two trees whose
+outputs are bit-identical print the same digest.
 """
 
 from __future__ import annotations

@@ -31,8 +31,9 @@ and then to 2 (``repro.core.screener.lane_count``, which the plane
 placement and ``approximate_logits`` read; trees whose serving loop ran
 in lanes also import it into ``repro.core.pipeline``, patched there too),
 so a set-up change can be broken down by phase and by lane count without
-running the benchmark; put another tree's ``src`` on ``PYTHONPATH`` to
-time that tree.  The two calls fold on one lane in this tree, so their
+running the benchmark; put another tree's ``src`` on ``PYTHONPATH``
+(``make setup-phases`` puts it before this tree's ``src``) to time that
+tree.  The two calls fold on one lane in this tree, so their
 rows differ by lane count only on such older trees.  Timings are the
 host's: a 2-lane figure needs two free cores.
 """

@@ -21,17 +21,13 @@ Two serving backends share one shard-plan/reduce code path:
 from repro.distributed.sharding import (
     ShardPlan,
     ShardedClassifier,
-    load_drift,
     merge_shard_outputs,
     merge_streamed_outputs,
-    normalize_loads,
     observed_category_frequencies,
     reduce_top_k,
     shard_ranges,
     shard_top_k,
-    suggest_replicas_for_loads,
 )
-from repro.distributed.autoscale import AutoScaler, ScaleDecision, ShardSignal
 from repro.distributed.cluster import ClusterModel, DistributedResult
 from repro.distributed.parallel import (
     DegradedOutput,
@@ -45,13 +41,7 @@ __all__ = [
     "ShardPlan",
     "ShardedClassifier",
     "ParallelShardedEngine",
-    "AutoScaler",
-    "ScaleDecision",
-    "ShardSignal",
     "observed_category_frequencies",
-    "load_drift",
-    "normalize_loads",
-    "suggest_replicas_for_loads",
     "WorkerDied",
     "WorkerError",
     "DegradedOutput",

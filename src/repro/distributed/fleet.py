@@ -3,18 +3,15 @@ one :class:`ShardGroup` per shard, no processes of its own.
 
 :class:`~repro.distributed.parallel.ParallelShardedEngine` (the data
 plane) scatters a request, collects the replies and merges them; every
-decision *about a shard's workers* lives here, behind seven methods:
+decision *about a shard's workers* lives here, behind four methods:
 
 =========== ========================== ========================================
 method      called by (data plane)     may mutate
 =========== ========================== ========================================
 ``pick``    scatter, before each send  nothing
 ``post``    scatter / collect re-issue ``Replica.dispatched``
-``record``  collect, on a reply        ``Replica.served``, the window
+``record``  collect, on a reply        ``Replica.served``
 ``recover`` collect, on death or wedge handle, ``Replica.dead``, budget, events
-``add``     ``scale_up``               membership, events
-``retire``  ``scale_down``             membership, retired totals, events
-``signal``  ``autoscale_tick``         nothing (``consume_window`` zeroes)
 =========== ========================== ========================================
 
 A group is handed ``spawn(replica_idx, fault_specs) -> handle`` and
@@ -24,31 +21,24 @@ state machine runs on fakes (``tests/test_fleet.py``).
 
 **Replicas.**  A shard's replicas are interchangeable workers over the
 *same* shared parameter segments (the model exists once in physical
-memory).  :meth:`ShardGroup.pick` returns the live replica with the
-fewest dispatch *attempts* (ties to the lowest index) — attempts, not
-answers, so a replica that keeps timing out does not stay "least
-loaded" and keep attracting traffic.
+memory), fixed when the engine starts.  :meth:`ShardGroup.pick` returns
+the live replica with the fewest dispatch *attempts* (ties to the lowest
+index) — attempts, not answers, so a replica that keeps timing out does
+not stay "least loaded" and keep attracting traffic.  Which replica
+answers never changes an output bit.
 
 **Supervision.**  :meth:`ShardGroup.recover` is the one escalation a
 dead or wedged replica goes through: stop the incumbent (always first —
 a stopped process can never write the shard's shared output plane under
-a sibling's answer), respawn it with its ``persistent`` fault specs
-against the shard's *shared* ``max_restarts`` budget, backing off
-``min(cap, backoff * 2**attempt)`` with ``attempt`` counted within this
-incident only; with the budget spent the replica becomes a dead
-tombstone and the request fails over to the least-loaded live sibling;
-with no sibling left the shard is dead (``None``) and the data plane
-degrades or fails fast.
-
-**Elasticity.**  :meth:`ShardGroup.add` spawns one more replica on the
-existing segments and :meth:`ShardGroup.retire` removes one (a
-tombstone first, never the last live replica, nothing on a dead shard),
-folding the retiree's answers and discarded late replies into
-``retired_served`` / ``retired_stale`` so ``answered()`` and
-``stale_replies()`` stay lifetime figures.  The autoscaler's
-observation :class:`Window` is zeroed when an evaluation consumes it.
-Membership only changes between requests; which replica answers never
-changes an output bit.
+a sibling's answer), respawn it in its slot with its ``persistent``
+fault specs against the shard's *shared* ``max_restarts`` budget,
+backing off ``min(cap, backoff * 2**attempt)`` with ``attempt`` counted
+within this incident only; with the budget spent the replica becomes a
+dead tombstone and the request fails over to the least-loaded live
+sibling; with no sibling left the shard is dead (``None``) and the data
+plane degrades or fails fast.  A respawn folds the replaced handle's
+discarded late replies into ``retired_stale``, so ``stale_replies()``
+stays a lifetime figure.
 """
 
 from __future__ import annotations
@@ -57,12 +47,11 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence
 
-from repro.distributed.autoscale import ShardSignal
 from repro.obs.recorder import NULL_RECORDER
 from repro.utils.faults import FaultSpec, surviving_specs
 from repro.utils.workers import WorkerDied, WorkerTimeout
 
-__all__ = ["Replica", "ShardGroup", "Window", "WorkerNotReady"]
+__all__ = ["Replica", "ShardGroup", "WorkerNotReady"]
 
 
 class WorkerNotReady(RuntimeError):
@@ -82,20 +71,8 @@ class Replica:
     dispatched: int = 0
 
 
-@dataclass
-class Window:
-    """What the autoscaler sees of one shard since its last evaluation:
-    replies, and exact-phase work / collect latency over ``samples``
-    successful ones."""
-
-    answered: int = 0
-    work: float = 0.0
-    latency_s: float = 0.0
-    samples: int = 0
-
-
 class ShardGroup:
-    """One shard's replicas, restart budget, event counts and window."""
+    """One shard's replicas, restart budget and event counts."""
 
     def __init__(
         self,
@@ -120,12 +97,8 @@ class ShardGroup:
         #: torn down concurrently): no replacement could ever attach.
         self.attachable = attachable
         self.recorder = recorder
-        self.events: Dict[str, int] = dict.fromkeys(
-            ("respawns", "failovers", "scale_up", "scale_down"), 0
-        )
-        self.retired_served = 0
+        self.events: Dict[str, int] = dict.fromkeys(("respawns", "failovers"), 0)
         self.retired_stale = 0
-        self.window = Window()
         #: Started but not yet handshaken: the engine spawns the whole
         #: fleet first and awaits it with :meth:`await_ready`.
         self.replicas: List[Replica] = []
@@ -152,8 +125,9 @@ class ShardGroup:
         return [idx for idx, replica in enumerate(self.replicas) if not replica.dead]
 
     def answered(self) -> int:
-        """Lifetime replies: current replicas plus retired slots."""
-        return sum(r.served for r in self.replicas) + self.retired_served
+        """Replies, summed over the replicas (a respawn keeps its slot's
+        count)."""
+        return sum(r.served for r in self.replicas)
 
     def stale_replies(self) -> int:
         """Lifetime late replies discarded by id, across every handle
@@ -178,16 +152,9 @@ class ShardGroup:
         replica.dispatched += 1
         return replica.handle.post(op, request)
 
-    def record(
-        self, replica_idx: int, work: Optional[float] = None, latency_s: float = 0.0
-    ) -> None:
-        """Count one reply; a successful one also feeds the window."""
+    def record(self, replica_idx: int) -> None:
+        """Count one reply."""
         self.replicas[replica_idx].served += 1
-        self.window.answered += 1
-        if work is not None:
-            self.window.work += work
-            self.window.latency_s += latency_s
-            self.window.samples += 1
 
     def recover(self, replica_idx: int) -> Optional[int]:
         """Respawn, else fail over, else fail: the replica to re-issue
@@ -230,63 +197,15 @@ class ShardGroup:
             raise
         return handle
 
-    # -- membership -----------------------------------------------------
+    # -- lifecycle ------------------------------------------------------
     def await_ready(self) -> None:
         """Handshake the replicas the constructor started."""
         for replica in self.replicas:
             self._ready(replica.handle)
 
-    def add(self) -> int:
-        """Grow by one ready replica with zero dispatch load (so the
-        next pick routes to it); returns its index."""
-        if self.dead:
-            raise RuntimeError(
-                f"shard {self.shard_id} is dead (restart budget exhausted); "
-                "scaling cannot revive it"
-            )
-        replica_idx = len(self.replicas)
-        self.replicas.append(Replica(self._ready(self.spawn(replica_idx, [])), []))
-        self._count("scale_up")
-        return replica_idx
-
-    def retire(self) -> bool:
-        """Remove one replica — the highest-index tombstone if there is
-        one (a spent slot costs nothing), else the highest-index live
-        replica; ``False`` for the last live one or a dead shard."""
-        live = self.live_indices()
-        tombstones = [idx for idx, replica in enumerate(self.replicas) if replica.dead]
-        if not live or (not tombstones and len(live) == 1):
-            return False
-        replica = self.replicas.pop((tombstones or live)[-1])
-        replica.handle.stop(goodbye="shutdown")
-        self.retired_served += replica.served
-        self.retired_stale += replica.handle.stale_replies
-        self._count("scale_down")
-        return True
-
     def close(self) -> None:
         for replica in self.replicas:
             replica.handle.stop(goodbye="shutdown")
-
-    # -- observation ----------------------------------------------------
-    def signal(self) -> ShardSignal:
-        """The window as the autoscaler's per-shard input."""
-        window = self.window
-        return ShardSignal(
-            shard_id=self.shard_id,
-            replicas=len(self.live_indices()),
-            observed_work=window.work,
-            answered=window.answered,
-            mean_latency_s=(
-                window.latency_s / window.samples if window.samples else float("nan")
-            ),
-            dead=self.dead,
-        )
-
-    def consume_window(self) -> None:
-        """An evaluation used the window: the next one sees fresh
-        observations only."""
-        self.window = Window()
 
     def stats(self) -> Dict[str, object]:
         return {
@@ -297,7 +216,6 @@ class ShardGroup:
             "respawns": self.restarts,
             "stale_replies": self.stale_replies(),
             "dead": self.dead,
-            "retired_served": self.retired_served,
             "replica_workers": [
                 {
                     "replica": replica_idx,

@@ -39,12 +39,12 @@ Data plane and control plane
 This module is the **data plane**: the worker entry point, the shared
 I/O segments, scatter, collect, merge and the serving API.  Everything
 *about a shard's workers* — which replica gets a request, respawn with
-backoff against the shard's restart budget, failover to a sibling,
-runtime scale-up / scale-down, the autoscaler's observation window —
+backoff against the shard's restart budget, failover to a sibling —
 is the **control plane** in :mod:`repro.distributed.fleet`: one
 :class:`~repro.distributed.fleet.ShardGroup` per shard, reached through
-``pick`` / ``post`` / ``record`` / ``recover`` / ``add`` / ``retire`` /
-``signal`` and handed a ``spawn`` callable, so it owns no process.
+``pick`` / ``post`` / ``record`` / ``recover`` and handed a ``spawn``
+callable, so it owns no process.  A fleet's replicas are fixed when the
+engine starts; supervision respawns a replica in its slot.
 
 Every pipe message carries a request id (:mod:`repro.utils.workers`),
 so a late reply to an abandoned request is discarded by id and a
@@ -77,7 +77,6 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.core.candidates import CandidateSet
-from repro.distributed.autoscale import AutoScaler, ScaleDecision
 from repro.core.pipeline import (
     ApproximateScreeningClassifier,
     DegradedOutput,
@@ -355,7 +354,8 @@ class ParallelShardedEngine:
         ``{shard_id: count}`` mapping sets hot shards individually
         (missing shards default to 1) —
         :meth:`~repro.distributed.sharding.ShardPlan.suggest_replicas`
-        produces exactly this shape.  Replicas attach the same shared
+        produces exactly this shape; the counts are fixed for the
+        engine's life.  Replicas attach the same shared
         parameter segments, so the exact weights and the screener's
         stored ``W̃`` are held once per shard; each worker still
         re-derives a private fused GEMM plane of fake-quantized weights
@@ -384,19 +384,6 @@ class ParallelShardedEngine:
         latency histograms, retry/respawn/stale/degraded/overrun
         counters and (if the recorder has a tracer) request spans;
         everything is readable through :meth:`stats`.
-    autoscaler:
-        Optional :class:`~repro.distributed.autoscale.AutoScaler`.
-        When set, the engine accumulates per-shard observation windows
-        (exact-phase work from served candidate records, collect
-        latency) and :meth:`autoscale_tick` — called between requests,
-        e.g. from the serving front door's batcher thread — evaluates
-        the policy and applies its decision by spawning replicas
-        against the existing shared parameter segments
-        (:meth:`scale_up`) or retiring them (:meth:`scale_down`).
-        Scaling changes placement only, never outputs: replicas of a
-        shard run the identical pipeline on the identical shared bytes,
-        so the engine stays bit-identical to the sequential backend
-        with the autoscaler on or off (differentially tested).
 
     The engine is a context manager; ``close()`` shuts workers down and
     unlinks every shared segment.
@@ -417,7 +404,6 @@ class ParallelShardedEngine:
         faults: Optional[Dict[object, Sequence[FaultSpec]]] = None,
         spawn_timeout: float = 60.0,
         recorder=None,
-        autoscaler: Optional[AutoScaler] = None,
     ):
         if not sharded.trained:
             raise RuntimeError("train the ShardedClassifier before serving it")
@@ -441,7 +427,6 @@ class ParallelShardedEngine:
         self.degraded_requests = 0
         self.retries = 0
         self.deadline_overruns = 0
-        self.replans = 0
         self.closed = False
         self._max_batch = int(max_batch)
         self._io_input: Optional[SharedArrayPack] = None
@@ -457,17 +442,6 @@ class ParallelShardedEngine:
         self._groups: List[ShardGroup] = []
         num_shards = len(self.ranges)
         fault_specs = _replica_fault_specs(replicas, faults, num_shards)
-        self.autoscaler = autoscaler
-        #: The per-shard load distribution the current replica
-        #: allocation was sized from — the drift reference a re-plan
-        #: resets to the freshly observed loads.
-        self._sizing_loads: Tuple[float, ...] = (
-            tuple(self.plan.loads)
-            if self.plan is not None
-            else tuple([1.0 / num_shards] * num_shards)
-        )
-        #: Requests since the autoscaler last consumed the windows.
-        self._window_requests = 0
         try:
             for shard_id, (shard, shard_range) in enumerate(
                 zip(sharded.shards, self.ranges)
@@ -537,81 +511,9 @@ class ParallelShardedEngine:
     def failovers(self) -> int:
         return self._events("failovers")
 
-    @property
-    def scale_ups(self) -> int:
-        return self._events("scale_up")
-
-    @property
-    def scale_downs(self) -> int:
-        return self._events("scale_down")
-
     def segment_names(self) -> List[str]:
         """Names of every shared-memory segment this engine created."""
         return list(self._segment_names)
-
-    # ------------------------------------------------------------------
-    # elastic scaling
-    # ------------------------------------------------------------------
-    def _group(self, shard_id: int) -> ShardGroup:
-        if self.closed:
-            raise RuntimeError("engine is closed")
-        if not 0 <= shard_id < self.num_shards:
-            raise ValueError(f"unknown shard {shard_id}")
-        return self._groups[shard_id]
-
-    def scale_up(self, shard_id: int) -> int:
-        """Spawn one additional replica for ``shard_id`` at runtime, on
-        the shard's *existing* shared parameter segments; returns the
-        new replica index (:meth:`ShardGroup.add`).  Must be called
-        between requests (the engine serves one request at a time; the
-        front door's batcher thread satisfies this)."""
-        return self._group(shard_id).add()
-
-    def scale_down(self, shard_id: int) -> bool:
-        """Retire one replica of ``shard_id``; ``False`` if impossible
-        (:meth:`ShardGroup.retire`: never the last live replica, never
-        on a dead shard)."""
-        return self._group(shard_id).retire()
-
-    def autoscale_tick(self) -> Optional[ScaleDecision]:
-        """One autoscaler evaluation over the window since the last one.
-
-        No-op (returns ``None``) without an autoscaler, on a closed
-        engine, or while the window is below the policy's
-        ``interval_requests``.  Otherwise evaluates one
-        :class:`~repro.distributed.autoscale.ShardSignal` per group,
-        consumes the windows, applies the decision — retires first,
-        then spawns, so the worker budget is never transiently exceeded
-        — and returns it.  A re-plan decision re-baselines the drift
-        reference to the observed loads it was sized from.
-
-        Call between requests only: the engine is not concurrency-safe,
-        and membership must not change under an in-flight scatter.  The
-        serving front door calls this from its batcher thread between
-        micro-batches.
-        """
-        if self.autoscaler is None or self.closed:
-            return None
-        decision = self.autoscaler.evaluate(
-            [group.signal() for group in self._groups],
-            sizing_loads=self._sizing_loads,
-            window_requests=self._window_requests,
-        )
-        if decision is None:
-            return None
-        self._window_requests = 0
-        for group in self._groups:
-            group.consume_window()
-        for shard_id in decision.scale_down:
-            self.scale_down(shard_id)
-        for shard_id in decision.scale_up:
-            self.scale_up(shard_id)
-        if decision.replan:
-            self.replans += 1
-            self.recorder.increment("parallel.replans")
-            if decision.sizing_loads is not None:
-                self._sizing_loads = tuple(decision.sizing_loads)
-        return decision
 
     # ------------------------------------------------------------------
     # request plumbing
@@ -685,8 +587,7 @@ class ParallelShardedEngine:
         """
         shard_id = group.shard_id
         recording = self.recorder.enabled
-        timing = recording or self.autoscaler is not None
-        started = time.perf_counter() if timing else 0.0
+        started = time.perf_counter() if recording else 0.0
         retries_left = self.request_retries
         while True:
             try:
@@ -725,27 +626,16 @@ class ParallelShardedEngine:
                     shard_id, self.ranges[shard_id], failed[0], str(failed[1])
                 )
                 return None
-        elapsed = (time.perf_counter() - started) if timing else 0.0
-        work = None
-        if self.autoscaler is not None and kind == "ok":
-            # Exact-phase work actually served: candidate hits for
-            # forward paths, result cells for top-k — the same signal
-            # observed_category_frequencies aggregates, and the load
-            # distribution the autoscaler re-plans from.
-            if op == "top_k":
-                work = float(payload["indices"].size)
-            else:
-                work = float(np.asarray(payload["counts"]).sum())
-        group.record(replica_idx, work, elapsed)
+        group.record(replica_idx)
         if recording:
+            self.recorder.observe(
+                f"parallel.shard.{shard_id}.latency_s",
+                time.perf_counter() - started,
+                bounds=latency_buckets(),
+            )
             self.recorder.increment(f"parallel.shard.{shard_id}.requests")
             self.recorder.increment(
                 f"parallel.shard.{shard_id}.replica.{replica_idx}.requests"
-            )
-            self.recorder.observe(
-                f"parallel.shard.{shard_id}.latency_s",
-                elapsed,
-                bounds=latency_buckets(),
             )
         if kind == "ok":
             return payload
@@ -853,7 +743,6 @@ class ParallelShardedEngine:
         when any shard is missing."""
         with self.recorder.span(f"engine.{op}"):
             self.requests_served += 1
-            self._window_requests += 1
             self.recorder.increment("parallel.requests")
             request = self._prepare(features, need_output=op == "forward")
             request.update(request_extra)
@@ -1029,10 +918,6 @@ class ParallelShardedEngine:
             "stale_replies": sum(group.stale_replies() for group in self._groups),
             "dead_shards": self.dead_shards,
             "replica_counts": self.replica_counts,
-            "autoscaling": self.autoscaler is not None,
-            "scale_ups": self.scale_ups,
-            "scale_downs": self.scale_downs,
-            "replans": self.replans,
             "plan_source": self.plan.source if self.plan is not None else None,
             "recording": recording,
             "shards": shards,

@@ -219,60 +219,28 @@ class ShardPlan:
         """Max-over-mean estimated shard load; ``1.0`` is perfect."""
         return max(self.loads) * self.num_shards
 
-    def suggest_replicas(
-        self, extra_workers: int, max_per_shard: Optional[int] = None
-    ) -> dict:
+    def suggest_replicas(self, extra_workers: int) -> dict:
         """Spread ``extra_workers`` replica processes over the hot shards.
 
         Greedy: each extra worker goes to the shard with the highest
         *effective* load (estimated load divided by its current replica
-        count), optionally capped at ``max_per_shard`` replicas per
-        shard.  Returns ``{shard_id: replica_count}`` with every shard
+        count).  Returns ``{shard_id: replica_count}`` with every shard
         present (count ≥ 1) — the shape
         :class:`~repro.distributed.parallel.ParallelShardedEngine`'s
         ``replicas`` parameter accepts directly.
         """
-        counts = suggest_replicas_for_loads(
-            self.loads, extra_workers, max_per_shard=max_per_shard
-        )
-        return dict(enumerate(counts))
-
-    # ------------------------------------------------------------------
-    # live-load drift (the elastic-scaling re-plan signal)
-    # ------------------------------------------------------------------
-    def shard_loads(self, frequencies: Sequence[float]) -> Tuple[float, ...]:
-        """Aggregate per-category frequencies to per-shard load fractions.
-
-        ``frequencies`` is the observed per-category serving weight
-        (:func:`observed_category_frequencies`); the return value is the
-        fraction of that mass landing in each shard's range, normalized
-        to sum to 1 (uniform when the mass is zero).  This is the
-        observed counterpart of ``self.loads``.
-        """
-        frequencies = np.asarray(frequencies, dtype=np.float64)
-        if frequencies.shape != (self.num_categories,):
+        if extra_workers < 0:
             raise ValueError(
-                f"{frequencies.size} frequencies for "
-                f"{self.num_categories} categories"
+                f"extra_workers must be >= 0, got {extra_workers}"
             )
-        sums = [
-            float(frequencies[r.start : r.stop].sum()) for r in self.ranges
-        ]
-        return normalize_loads(sums)
-
-    def drift(self, observed_loads: Sequence[float]) -> float:
-        """How far observed per-shard load drifted from this plan's
-        estimates (see :func:`load_drift`)."""
-        return load_drift(self.loads, observed_loads)
-
-    def with_loads(
-        self, loads: Sequence[float], source: str = "observed"
-    ) -> "ShardPlan":
-        """The same partition re-weighted with fresh load estimates —
-        the re-plan step of elastic serving: shard boundaries (and the
-        shared parameter segments behind them) stay fixed, only the
-        load vector that sizes replica placement is replaced."""
-        return ShardPlan(self.ranges, loads=loads, source=source)
+        counts = {shard_id: 1 for shard_id in range(self.num_shards)}
+        for _ in range(extra_workers):
+            hottest = max(
+                range(self.num_shards),
+                key=lambda sid: (self.loads[sid] / counts[sid], -sid),
+            )
+            counts[hottest] += 1
+        return counts
 
     def __eq__(self, other) -> bool:
         return (
@@ -348,9 +316,7 @@ def _minimax_contiguous_partition(
 def normalize_loads(loads: Sequence[float]) -> Tuple[float, ...]:
     """Non-negative load weights → fractions summing to 1.
 
-    Zero total mass (an empty observation window) degrades to uniform —
-    the honest "no signal" answer for every consumer (drift ≈ 0 against
-    a uniform reference, replica suggestions spread evenly).
+    Zero total mass carries no signal and degrades to uniform.
     """
     loads = [float(load) for load in loads]
     if not loads:
@@ -361,71 +327,6 @@ def normalize_loads(loads: Sequence[float]) -> Tuple[float, ...]:
     if mass <= 0:
         return tuple(1.0 / len(loads) for _ in loads)
     return tuple(load / mass for load in loads)
-
-
-def load_drift(
-    reference_loads: Sequence[float], observed_loads: Sequence[float]
-) -> float:
-    """Relative L∞ distance between two per-shard load distributions.
-
-    Both vectors are normalized to fractions first; the metric is
-
-        ``max_i |observed_i - reference_i| / max(reference_i, 1/n)``
-
-    — the worst per-shard deviation, expressed relative to what the
-    reference expected of that shard (floored at the uniform share so a
-    near-zero reference load cannot blow the ratio up).  ``0`` means
-    the live mix matches the plan that sized the fleet; ``1`` means
-    some shard's observed share is off by its full expected share.
-    This is the re-plan trigger for elastic replica scaling
-    (:mod:`repro.distributed.autoscale`).
-    """
-    reference = normalize_loads(reference_loads)
-    observed = normalize_loads(observed_loads)
-    if len(reference) != len(observed):
-        raise ValueError(
-            f"{len(observed)} observed loads for {len(reference)} reference loads"
-        )
-    floor = 1.0 / len(reference)
-    return max(
-        abs(obs - ref) / max(ref, floor)
-        for ref, obs in zip(reference, observed)
-    )
-
-
-def suggest_replicas_for_loads(
-    loads: Sequence[float],
-    extra_workers: int,
-    max_per_shard: Optional[int] = None,
-) -> List[int]:
-    """Greedy replica placement over raw per-shard loads.
-
-    The allocation rule behind :meth:`ShardPlan.suggest_replicas`,
-    usable without a plan (the autoscaler re-plans from *observed*
-    loads): every shard starts at one replica, then each of
-    ``extra_workers`` goes to the shard with the highest effective load
-    ``loads[i] / counts[i]``, skipping shards at ``max_per_shard``.
-    Returns the per-shard counts as a list.
-    """
-    if extra_workers < 0:
-        raise ValueError(f"extra_workers must be >= 0, got {extra_workers}")
-    if max_per_shard is not None and max_per_shard < 1:
-        raise ValueError(f"max_per_shard must be >= 1, got {max_per_shard}")
-    loads = normalize_loads(loads)
-    counts = [1] * len(loads)
-    for _ in range(extra_workers):
-        eligible = [
-            sid
-            for sid in range(len(loads))
-            if max_per_shard is None or counts[sid] < max_per_shard
-        ]
-        if not eligible:
-            break
-        hottest = max(
-            eligible, key=lambda sid: (loads[sid] / counts[sid], -sid)
-        )
-        counts[hottest] += 1
-    return counts
 
 
 def observed_category_frequencies(

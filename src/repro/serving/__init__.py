@@ -18,7 +18,6 @@ from repro.serving.backend import (
     EngineBackend,
     is_engine_backend,
     propagates_deadlines,
-    supports_autoscaling,
 )
 from repro.serving.cache import ResultCache, quantized_key
 from repro.serving.frontdoor import (
@@ -32,18 +31,12 @@ from repro.serving.frontdoor import (
     RowForward,
     RowStreamed,
 )
-from repro.serving.loadgen import (
-    DriftingZipfianMix,
-    LoadReport,
-    ZipfianMix,
-    run_open_loop,
-)
+from repro.serving.loadgen import LoadReport, ZipfianMix, run_open_loop
 
 __all__ = [
     "EngineBackend",
     "is_engine_backend",
     "propagates_deadlines",
-    "supports_autoscaling",
     "FrontDoor",
     "Reply",
     "RowForward",
@@ -56,7 +49,6 @@ __all__ = [
     "ResultCache",
     "quantized_key",
     "ZipfianMix",
-    "DriftingZipfianMix",
     "LoadReport",
     "run_open_loop",
 ]

@@ -50,7 +50,6 @@ __all__ = [
     "EngineBackend",
     "is_engine_backend",
     "propagates_deadlines",
-    "supports_autoscaling",
 ]
 
 
@@ -95,18 +94,3 @@ def propagates_deadlines(backend) -> bool:
     (the supervision deadline the front door narrows per micro-batch)."""
     return hasattr(backend, "request_timeout")
 
-
-def supports_autoscaling(backend) -> bool:
-    """``True`` when the backend runs an elastic scaling policy.
-
-    Like deadline propagation, this rides on a convention rather than
-    the protocol: a backend that scales exposes ``autoscale_tick()``
-    (safe to call between requests; evaluates the policy and applies
-    replica changes) plus a non-``None`` ``autoscaler`` attribute.
-    The front door drives the tick from its batcher thread — the only
-    thread that touches the backend — between micro-batches.
-    """
-    return (
-        hasattr(backend, "autoscale_tick")
-        and getattr(backend, "autoscaler", None) is not None
-    )

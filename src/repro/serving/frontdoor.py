@@ -58,7 +58,7 @@ import numpy as np
 
 from repro.core.pipeline import DegradedOutput, ScreenedOutput, StreamedOutput
 from repro.obs.recorder import NULL_RECORDER
-from repro.serving.backend import propagates_deadlines, supports_autoscaling
+from repro.serving.backend import propagates_deadlines
 
 __all__ = [
     "FrontDoor",
@@ -193,15 +193,10 @@ class FrontDoor:
     recorder:
         Observability sink (``repro.obs`` recorder contract); defaults
         to the no-op recorder.
-    autoscale_interval_s:
-        Minimum seconds between elastic-scaling ticks when the backend
-        runs an autoscaler
-        (:func:`~repro.serving.backend.supports_autoscaling`).  The
-        batcher thread — the only thread that touches the backend —
-        calls ``backend.autoscale_tick()`` between micro-batches (and
-        periodically while idle), so replica membership only ever
-        changes with no dispatch in flight.  Ignored for backends
-        without an autoscaler.
+
+    A caller may ``cancel()`` a queued request's future: the batcher
+    drops it when it claims the batch (``close(drain=False)`` likewise)
+    and counts it in ``stats()["cancelled"]``.
     """
 
     def __init__(
@@ -214,7 +209,6 @@ class FrontDoor:
         default_slo_s: Optional[float] = None,
         cache=None,
         recorder=None,
-        autoscale_interval_s: float = 0.05,
     ):
         if max_batch < 1:
             raise ValueError(f"max_batch must be >= 1, got {max_batch}")
@@ -228,16 +222,9 @@ class FrontDoor:
         self.queue_limit = int(queue_limit)
         _check_slo("default_slo_s", default_slo_s, ValueError)
         self.default_slo_s = default_slo_s
-        if autoscale_interval_s <= 0:
-            raise ValueError(
-                f"autoscale_interval_s must be > 0, got {autoscale_interval_s}"
-            )
         self.cache = cache
         self.recorder = recorder if recorder is not None else NULL_RECORDER
         self._default_request_timeout = getattr(backend, "request_timeout", None)
-        self.autoscale_interval_s = float(autoscale_interval_s)
-        self._autoscaling = supports_autoscaling(backend)
-        self._last_autoscale = time.monotonic()
 
         self._lock = threading.Lock()
         self._work = threading.Condition(self._lock)
@@ -256,8 +243,7 @@ class FrontDoor:
         self.flush_on_deadline = 0
         self.dispatch_errors = 0
         self.cached_replies = 0
-        self.autoscale_ticks = 0
-        self.autoscale_errors = 0
+        self.cancelled = 0
 
         self._batcher = threading.Thread(
             target=self._batch_loop, name="frontdoor-batcher", daemon=True
@@ -394,50 +380,20 @@ class FrontDoor:
                 return
             if batch:
                 self._dispatch(batch)
-            # The backend is quiescent between dispatches — the one
-            # moment replica membership may change under it.
-            self._maybe_autoscale()
-
-    def _maybe_autoscale(self) -> None:
-        """Drive the backend's elastic-scaling tick, rate-limited.
-
-        Batcher thread only.  A failing tick is counted and swallowed:
-        scaling is an optimization, serving must not die for it.
-        """
-        if not self._autoscaling:
-            return
-        now = time.monotonic()
-        if now - self._last_autoscale < self.autoscale_interval_s:
-            return
-        self._last_autoscale = now
-        self.autoscale_ticks += 1
-        self.recorder.increment("serving.autoscale_ticks")
-        try:
-            self.backend.autoscale_tick()
-        except Exception:  # noqa: BLE001 — scaling must never kill serving
-            self.autoscale_errors += 1
-            self.recorder.increment("serving.autoscale_errors")
 
     def _next_batch(self) -> Optional[List[_Pending]]:
         """Block until a micro-batch is due, then claim it.
 
         Returns ``None`` only at shutdown with an empty queue (a close
-        with queued work drains those batches first), and the empty
-        list as an idle heartbeat for autoscaling backends — the
-        batcher wakes every ``autoscale_interval_s`` to tick the
-        scaler even when no traffic arrives.
+        with queued work drains those batches first), and an empty list
+        when every request of the batch was cancelled.
         """
         with self._work:
             while True:
                 if not self._queue:
                     if self._closed:
                         return None
-                    if self._autoscaling:
-                        self._work.wait(timeout=self.autoscale_interval_s)
-                        if not self._queue and not self._closed:
-                            return []
-                    else:
-                        self._work.wait()
+                    self._work.wait()
                     continue
                 head = self._queue[0]
                 key = head.batch_key()
@@ -470,7 +426,15 @@ class FrontDoor:
                     continue
                 batch = [self._queue.popleft() for _ in range(compatible)]
                 self.recorder.add_gauge("serving.queue_depth", -float(compatible))
-                return batch
+                return self._claim(batch)
+
+    def _claim(self, popped: List[_Pending]) -> List[_Pending]:
+        """The popped requests whose callers have not cancelled them,
+        each future now running (so ``cancel()`` can no longer win);
+        the cancelled ones are counted and dropped.  Lock held."""
+        claimed = [p for p in popped if p.future.set_running_or_notify_cancel()]
+        self.cancelled += len(popped) - len(claimed)
+        return claimed
 
     def _dispatch(self, batch: List[_Pending]) -> None:
         batch_id = next(self._batch_ids)
@@ -578,9 +542,10 @@ class FrontDoor:
                 return
             self._closed = True
             if not drain:
-                while self._queue:
-                    pending = self._queue.popleft()
-                    self.recorder.add_gauge("serving.queue_depth", -1.0)
+                popped = list(self._queue)
+                self._queue.clear()
+                self.recorder.add_gauge("serving.queue_depth", -float(len(popped)))
+                for pending in self._claim(popped):
                     pending.future.set_exception(
                         FrontDoorClosedError("front door closed before dispatch")
                     )
@@ -607,9 +572,7 @@ class FrontDoor:
                 "flush_on_deadline": self.flush_on_deadline,
                 "dispatch_errors": self.dispatch_errors,
                 "cached_replies": self.cached_replies,
-                "autoscaling": self._autoscaling,
-                "autoscale_ticks": self.autoscale_ticks,
-                "autoscale_errors": self.autoscale_errors,
+                "cancelled": self.cancelled,
                 "queue_depth": len(self._queue),
             }
         if self.cache is not None:

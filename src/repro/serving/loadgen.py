@@ -23,7 +23,7 @@ import threading
 import time
 from concurrent.futures import Future
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -35,7 +35,6 @@ from repro.serving.frontdoor import (
 
 __all__ = [
     "ZipfianMix",
-    "DriftingZipfianMix",
     "LoadReport",
     "run_open_loop",
 ]
@@ -68,51 +67,6 @@ class ZipfianMix:
     def sample(self) -> np.ndarray:
         index = self.rng.choice(self.pool.shape[0], p=self.probabilities)
         return self.pool[index]
-
-
-class DriftingZipfianMix(ZipfianMix):
-    """A Zipfian mix whose hot head moves — the non-stationary model.
-
-    Production extreme-classification traffic shifts continuously (the
-    Amazon case study in PAPERS.md): the categories that are hot this
-    hour are not the ones the shard plan was sized on.  This mix models
-    that deterministically: every ``shift_every`` samples the
-    rank-to-row assignment rotates by ``shift`` positions
-    (``np.roll`` of the probability vector), so probability mass —
-    and with it the per-shard serving load — marches across the pool
-    while the marginal skew stays exactly Zipf(``s``).  Determinism
-    matters: the autoscaler differential tests replay the identical
-    request sequence with scaling on and off.
-    """
-
-    def __init__(
-        self,
-        hidden_dim: int,
-        pool_size: int = 256,
-        s: float = 1.1,
-        seed: int = 0,
-        *,
-        shift_every: int = 64,
-        shift: Optional[int] = None,
-    ):
-        super().__init__(hidden_dim, pool_size=pool_size, s=s, seed=seed)
-        if shift_every < 1:
-            raise ValueError(f"shift_every must be >= 1, got {shift_every}")
-        self.shift_every = int(shift_every)
-        # Default drift step: a quarter-pool jump, large enough that a
-        # couple of shifts move the head into a different shard stripe.
-        self.shift = (
-            max(1, pool_size // 4) if shift is None else int(shift) % pool_size
-        )
-        self.samples_drawn = 0
-        self.shifts_applied = 0
-
-    def sample(self) -> np.ndarray:
-        if self.samples_drawn and self.samples_drawn % self.shift_every == 0:
-            self.probabilities = np.roll(self.probabilities, self.shift)
-            self.shifts_applied += 1
-        self.samples_drawn += 1
-        return super().sample()
 
 
 @dataclass

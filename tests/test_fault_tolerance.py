@@ -478,10 +478,8 @@ class TestReplicaConfiguration:
 
 
 class TestElasticSupervision:
-    """Supervision fixes that ride with elastic scaling: per-incident
-    respawn backoff, dispatch-count replica picking, and the
-    reconciliation invariant across a scale-up → failover → scale-down
-    lifecycle."""
+    """Supervision fixes: per-incident respawn backoff and
+    dispatch-count replica picking."""
 
     def test_respawn_backoff_resets_per_incident(self, model, features, expected):
         """Two separate crash incidents each start at the *base*
@@ -542,50 +540,3 @@ class TestElasticSupervision:
             # Answer-count picking converges to an even [3, 3] split
             # because the delayed replica always looks least loaded.
             assert [r.served for r in group.replicas] == [2, 4]
-
-    def test_scale_up_failover_scale_down_reconciles(
-        self, model, features, expected
-    ):
-        """The satellite lifecycle: grow a shard at runtime, lose a
-        replica to a crash with no restart budget, retire the tombstone
-        — ``answered == requests`` holds at every step and the retired
-        replica's answers survive in ``retired_served``."""
-        with model.parallel(max_restarts=0, **FAST) as engine:
-            assert engine.scale_up(0) == 1
-            assert engine.replica_counts == [2, 1]
-
-            # F1 lands on replica 0, F2 on replica 1 (dispatch spread).
-            for _ in range(2):
-                assert_backend_identical(
-                    "forward", engine.forward(features), expected["forward"]
-                )
-            group = engine.replica_groups[0]
-            assert [r.served for r in group.replicas] == [1, 1]
-
-            # Kill replica 0: the next request fails over to the
-            # sibling (no budget to respawn), leaving a tombstone.
-            group.replicas[0].handle.process.kill()
-            assert_backend_identical(
-                "forward", engine.forward(features), expected["forward"]
-            )
-            assert engine.failovers == 1
-            assert engine.dead_shards == []
-            assert [r.dead for r in group.replicas] == [True, False]
-            assert group.answered() == 3
-
-            # Scale-down reclaims the tombstone slot, not a live one,
-            # and folds its answer count into retired_served.
-            assert engine.scale_down(0)
-            assert engine.replica_counts == [1, 1]
-            assert [r.dead for r in group.replicas] == [False]
-            assert group.retired_served == 1
-
-            assert_backend_identical(
-                "forward", engine.forward(features), expected["forward"]
-            )
-            stats = engine.stats()
-            assert stats["requests"] == 4
-            assert stats["scale_ups"] == 1
-            assert stats["scale_downs"] == 1
-            for shard_stats in stats["shards"]:
-                assert shard_stats["answered"] == 4

@@ -1,16 +1,16 @@
 """The control plane on fake handles: no process, no sleep.
 
 :class:`~repro.distributed.fleet.ShardGroup` is handed a ``spawn``
-callable and never creates a process, so every supervision and scaling
-decision — pick, respawn with per-incident backoff against the shared
-budget, failover, tombstones, add / retire, the autoscaler window, the
-lifetime ``answered`` / ``stale_replies`` figures — is driven here on
-:class:`FakeHandle` objects with the module's clock replaced by a list.
+callable and never creates a process, so every supervision decision —
+pick, respawn with per-incident backoff against the shared budget,
+failover, tombstones, the lifetime ``answered`` / ``stale_replies``
+figures — is driven here on :class:`FakeHandle` objects with the
+module's clock replaced by a list.
 
-Hand-written scenarios first (they pin the two bugs this file was
-introduced with: an orphaned scale-up worker and a resetting stale
-count), then a Hypothesis state machine that interleaves the same
-events in generated schedules and checks the invariants the docs state.
+Hand-written scenarios first (they pin an orphaned not-ready worker and
+a resetting stale count), then a Hypothesis state machine that
+interleaves the same events in generated schedules and checks the
+invariants the docs state.
 """
 
 from types import SimpleNamespace
@@ -26,7 +26,7 @@ from hypothesis.stateful import (
 )
 
 from repro.distributed import fleet
-from repro.distributed.fleet import ShardGroup, WorkerNotReady
+from repro.distributed.fleet import ShardGroup
 from repro.utils.faults import FaultSpec
 from repro.utils.workers import WorkerDied, WorkerTimeout
 
@@ -115,9 +115,9 @@ def naps(monkeypatch):
 
 
 class TestLifecycle:
-    def test_dispatch_recover_failover_scale_signal_stats(self, naps):
+    def test_dispatch_recover_failover_stats(self, naps):
         """One group end to end: dispatch, recovery through budget
-        exhaustion, failover, add, retire, window signal, stats."""
+        exhaustion, failover, stats."""
         spawn = FakeSpawn()
         group = make_group(spawn, replicas=2, max_restarts=2)
 
@@ -126,14 +126,9 @@ class TestLifecycle:
         for _ in range(4):
             replica_idx = group.pick()
             group.post(replica_idx, "forward", None)
-            group.record(replica_idx, work=3.0, latency_s=0.5)
+            group.record(replica_idx)
             picks.append(replica_idx)
         assert picks == [0, 1, 0, 1]
-        signal = group.signal()
-        assert (signal.replicas, signal.answered, signal.observed_work) == (2, 4, 12.0)
-        assert signal.mean_latency_s == 0.5 and not signal.dead
-        group.consume_window()
-        assert group.signal().answered == 0
 
         # Incident 1: one failed attempt, then a ready replacement.
         first = group.replicas[0].handle
@@ -147,25 +142,15 @@ class TestLifecycle:
         assert group.replicas[0].dead and not group.dead
         assert group.events["failovers"] == 1 and group.pick() == 1
 
-        # Scale-up joins with zero load; scale-down reclaims the
-        # tombstone first, then a live replica, never the last one.
-        assert group.add() == 2 and group.pick() == 2
-        assert group.retire() and [r.dead for r in group.replicas] == [False, False]
-        assert group.retire() and not group.retire()
-        assert group.retired_served == 2 and group.answered() == 4
-
         # The last replica dies with no budget: the shard is dead.
-        assert group.recover(0) is None
-        assert group.dead and group.pick() is None and not group.retire()
-        with pytest.raises(RuntimeError, match="scaling cannot revive"):
-            group.add()
+        assert group.recover(1) is None
+        assert group.dead and group.pick() is None
 
         stats = group.stats()
         assert stats["dead"] and stats["answered"] == 4 and stats["respawns"] == 2
-        assert stats["replicas"] == 1 and stats["replica_workers"][0]["dead"]
-        assert group.events == {
-            "respawns": 2, "failovers": 1, "scale_up": 1, "scale_down": 2,
-        }
+        assert stats["replicas"] == 2
+        assert all(worker["dead"] for worker in stats["replica_workers"])
+        assert group.events == {"respawns": 2, "failovers": 1}
         assert spawn.leaked(group) == []
 
     def test_respawn_inherits_persistent_specs_only(self, naps):
@@ -196,29 +181,23 @@ class TestLifecycle:
         [WorkerTimeout("silent"), WorkerDied("x", 1), ("fatal", "traceback")],
         ids=["timeout", "died", "fatal"],
     )
-    def test_add_stops_a_worker_that_is_not_ready(self, outcome):
-        """The scale-up orphan: a handshake that *raises* used to leave
-        the new worker running and in no group."""
+    def test_respawn_stops_a_worker_that_is_not_ready(self, naps, outcome):
+        """A respawn whose handshake fails or *raises* stops the new
+        worker before the next attempt: it must not run on in no group."""
         spawn = FakeSpawn()
-        group = make_group(spawn)
+        group = make_group(spawn, max_restarts=2)
         spawn.outcomes = [outcome]
-        with pytest.raises((WorkerTimeout, WorkerDied, WorkerNotReady)):
-            group.add()
-        assert len(group.replicas) == 1 and group.events["scale_up"] == 0
-        assert spawn.spawned[-1].stopped and spawn.leaked(group) == []
+        assert group.recover(0) == 0 and group.restarts == 2
+        assert spawn.spawned[1].stopped and spawn.leaked(group) == []
 
-    def test_stale_replies_survive_respawn_and_retire(self, naps):
+    def test_stale_replies_survive_respawn(self, naps):
         """A late reply the old handle discarded stays counted after
-        the handle is replaced (respawn) or removed (scale-down)."""
+        the handle is replaced."""
         group = make_group(FakeSpawn(), max_restarts=1)
         group.replicas[0].handle.stale_replies = 1  # delay -> stale reply
         assert group.recover(0) == 0  # kill -> respawn
         assert group.replicas[0].handle.stale_replies == 0
         assert group.stale_replies() == 1 == group.stats()["stale_replies"]
-        group.add()
-        group.replicas[1].handle.stale_replies = 2
-        assert group.retire()
-        assert group.stale_replies() == 3
 
 
 class GroupMachine(RuleBasedStateMachine):
@@ -237,7 +216,7 @@ class GroupMachine(RuleBasedStateMachine):
         self.spawn = FakeSpawn()
         self.group = make_group(self.spawn, replicas=2, max_restarts=self.MAX_RESTARTS)
         self.inflight = None
-        self.answered = self.window_answered = self.stale = 0
+        self.answered = self.stale = 0
 
     def teardown(self):
         fleet.time = self.clock
@@ -272,11 +251,10 @@ class GroupMachine(RuleBasedStateMachine):
         self.serve(self.group.pick())
 
     @precondition(lambda self: self.inflight is not None)
-    @rule(ok=st.booleans())
-    def answer(self, ok):
-        self.group.record(self.inflight, *((2.0, 0.25) if ok else ()))
+    @rule()
+    def answer(self):
+        self.group.record(self.inflight)
         self.answered += 1
-        self.window_answered += 1
         self.inflight = None
 
     @precondition(lambda self: self.inflight is not None)
@@ -310,38 +288,11 @@ class GroupMachine(RuleBasedStateMachine):
         }
         self.spawn.outcomes = [script[outcome] for outcome in outcomes]
 
-    @precondition(lambda self: self.inflight is None)
-    @rule()
-    def add(self):
-        size = len(self.group.replicas)
-        refused = self.group.dead or bool(self.spawn.outcomes)
-        try:
-            assert self.group.add() == size and not refused
-        except (RuntimeError, WorkerDied, WorkerTimeout):
-            assert refused and len(self.group.replicas) == size
-
-    @precondition(lambda self: self.inflight is None)
-    @rule()
-    def retire(self):
-        live = len(self.group.live_indices())
-        tombstones = len(self.group.replicas) - live
-        retired = self.group.retire()
-        assert retired == (live >= 1 and (tombstones >= 1 or live >= 2))
-        assert len(self.group.live_indices()) == live - (retired and not tombstones)
-
-    @rule()
-    def consume_window(self):
-        assert self.group.signal().answered == self.window_answered
-        self.group.consume_window()
-        self.window_answered = 0
-
     @invariant()
     def counts_are_lifetime_figures(self):
         group = self.group
-        served = sum(replica.served for replica in group.replicas)
-        assert group.answered() == served + group.retired_served == self.answered
+        assert group.answered() == self.answered
         assert group.stale_replies() == self.stale
-        assert group.signal().answered == self.window_answered
 
     @invariant()
     def budget_and_liveness(self):

@@ -12,7 +12,8 @@ Also covered: the size-or-deadline flush policy, admission control
 (typed ``QueueFullError``, engine outputs unaffected by overload), SLO
 deadlines (expired requests are shed, never served late; budgets narrow
 the backend's supervision deadline and the default is restored), and
-lifecycle (drain on close, typed error after close).
+lifecycle (drain on close, typed error after close, a cancelled request
+dropped and counted).
 """
 
 import threading
@@ -491,6 +492,31 @@ class TestFlushPolicyAndLifecycle:
         blocker.result(timeout=30)
         shutdown.join(timeout=30)
         assert not shutdown.is_alive()
+
+    def test_cancelled_request_is_dropped_not_fatal(self):
+        """A caller's ``cancel()`` on a queued future used to make the
+        batcher's ``set_result`` raise, killing the batcher thread: every
+        later request hung.  ``close(drain=False)`` raised the same way."""
+        backend = _GatedBackend()
+        door = FrontDoor(backend, max_batch=1, flush_window_s=0.0)
+        row = np.zeros(backend.hidden_dim)
+        blocker = door.submit(row)
+        assert backend.dispatching.wait(timeout=30)
+        assert door.submit(row).cancel()
+        backend.gate.set()
+        blocker.result(timeout=30)
+        door.submit(row).result(timeout=10)
+
+        backend.gate.clear()
+        backend.dispatching.clear()
+        blocker = door.submit(row)
+        assert backend.dispatching.wait(timeout=30)
+        assert door.submit(row).cancel()
+        threading.Timer(0.05, backend.gate.set).start()
+        door.close(drain=False)
+        blocker.result(timeout=30)
+        stats = door.stats()
+        assert (stats["submitted"], stats["served"], stats["cancelled"]) == (5, 3, 2)
 
     def test_submit_validates_shapes_and_ops(self, single_node):
         with FrontDoor(single_node, max_batch=2, flush_window_s=0.0) as door:

@@ -113,12 +113,14 @@ class TestShardPlanInvariants:
         plan = ShardPlan(ranges, loads=[3.0, 1.0])
         assert plan.loads == (0.75, 0.25)
         assert plan.imbalance == pytest.approx(1.5)
-        with pytest.raises(ValueError, match="2 shards"):
-            ShardPlan(ranges, loads=[1.0])
-        with pytest.raises(ValueError, match="finite"):
-            ShardPlan(ranges, loads=[1.0, -0.5])
-        with pytest.raises(ValueError, match="finite"):
-            ShardPlan(ranges, loads=[1.0, float("nan")])
+        three = [range(0, 1), range(1, 2), range(2, 4)]
+        assert ShardPlan(three, loads=[2.0, 1.0, 1.0]).loads == (0.5, 0.25, 0.25)
+        for loads in ([], [1.0]):
+            with pytest.raises(ValueError, match="2 shards"):
+                ShardPlan(ranges, loads=loads)
+        for bad in (-0.5, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="finite"):
+                ShardPlan(ranges, loads=[1.0, bad])
         # All-zero loads carry no signal: fall back to uniform loads.
         assert ShardPlan(ranges, loads=[0.0, 0.0]).loads == (0.5, 0.5)
 
