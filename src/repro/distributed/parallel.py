@@ -30,9 +30,9 @@ screener for its shard.  The data plane is built for zero-copy:
 
 Because workers execute the identical numpy pipeline on the identical
 bytes, the engine is bit-identical to the sequential
-``ShardedClassifier`` — the differential harness in
-``tests/test_distributed_parallel.py`` asserts exactly that, across
-selectors and shard counts.
+``ShardedClassifier`` — the differential matrix in
+``tests/test_matrix.py`` asserts exactly that, across selectors,
+stores and shard plans.
 
 Data plane and control plane
 ----------------------------

@@ -6,8 +6,8 @@ Both serving backends route through the same functions —
 :class:`ShardedClassifier` runs shards sequentially in-process, while
 :class:`repro.distributed.parallel.ParallelShardedEngine` scatters the
 batch to one process per shard — so their outputs are identical by
-construction, and the differential tests in
-``tests/test_distributed_parallel.py`` hold them to it bit for bit.
+construction, and the differential matrix in ``tests/test_matrix.py``
+holds them to it bit for bit.
 """
 
 from __future__ import annotations
@@ -504,7 +504,8 @@ class ShardedClassifier:
     over ``num_shards``), or plain ``num_shards`` (the classic uniform
     split).  Non-uniform plans flow through the same merge/reduce path,
     so global column indexing stays bit-exact regardless of where the
-    shard boundaries fall (``tests/test_skew_sharding.py``).
+    shard boundaries fall (``tests/test_skew_sharding.py`` slices and
+    merges over every plan; ``tests/test_matrix.py`` serves each).
     """
 
     def __init__(

@@ -14,8 +14,9 @@ are empty methods and whose span is one shared, stateless context
 manager — no instruments exist, nothing is timed, no per-call objects
 are created, and (crucially) the numeric hot path is untouched:
 outputs are bit-identical with observability off, and the streaming
-workspace's steady-state zero-allocation contract still holds (both
-asserted in ``tests/test_obs_offpath.py``).
+workspace's steady-state zero-allocation contract still holds (the
+first asserted in ``tests/test_matrix.py``, the second in
+``tests/test_obs_offpath.py``).
 
 :class:`Recorder` is the live implementation: spans are timed with the
 monotonic clock into ``span.<name>`` latency histograms and, when a

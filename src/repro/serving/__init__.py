@@ -8,10 +8,10 @@ process-parallel fleet all satisfy;
 :mod:`~repro.serving.frontdoor` coalesces single-request traffic into
 micro-batches under a size-or-deadline flush policy with admission
 control and SLO deadline propagation;
-:mod:`~repro.serving.cache` short-circuits repeated/near-duplicate
-queries through a bounded LRU keyed on the INT4-quantized hidden
-vector; and :mod:`~repro.serving.loadgen` offers open-loop
-Zipfian load for benchmarking the whole stack.
+:mod:`~repro.serving.cache` short-circuits byte-identical repeated
+queries through a bounded LRU keyed on the row's bytes; and
+:mod:`~repro.serving.loadgen` offers open-loop Zipfian load for
+benchmarking the whole stack.
 """
 
 from repro.serving.backend import (
@@ -19,7 +19,7 @@ from repro.serving.backend import (
     is_engine_backend,
     propagates_deadlines,
 )
-from repro.serving.cache import ResultCache, quantized_key
+from repro.serving.cache import ResultCache
 from repro.serving.frontdoor import (
     DeadlineExceededError,
     FrontDoor,
@@ -47,7 +47,6 @@ __all__ = [
     "FrontDoorClosedError",
     "InvalidRequestError",
     "ResultCache",
-    "quantized_key",
     "ZipfianMix",
     "LoadReport",
     "run_open_loop",

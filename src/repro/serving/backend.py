@@ -60,9 +60,7 @@ class EngineBackend(Protocol):
     ``isinstance(obj, EngineBackend)`` checks attribute presence (the
     :func:`typing.runtime_checkable` semantics); the behavioural half
     of the contract — row independence, bit-identity across backends —
-    is enforced by the differential tests in
-    ``tests/test_serving_frontdoor.py`` and
-    ``tests/test_distributed_parallel.py``.
+    is enforced by the differential matrix in ``tests/test_matrix.py``.
     """
 
     @property

@@ -182,12 +182,11 @@ class FrontDoor:
         ``None`` means no deadline by default.  Finite and >= 0.
     cache:
         Optional :class:`~repro.serving.cache.ResultCache`.  A request
-        whose quantized key (and, in the default verified mode, exact
-        float row) matches a cached entry is answered immediately from
-        ``submit`` — it never enters the queue, never joins a batch and
-        never touches the backend, so repeated/near-duplicate queries
-        under a Zipfian mix cost a dictionary lookup instead of a
-        screening pass.  Non-degraded dispatch results populate the
+        whose op, arguments and row bytes match a cached entry is
+        answered immediately from ``submit`` — it never enters the
+        queue, never joins a batch and never touches the backend, so
+        repeated queries under a Zipfian mix cost a dictionary lookup
+        instead of a screening pass.  Non-degraded dispatch results populate the
         cache; degraded results are never cached (a later healthy fleet
         must not keep serving holes).
     recorder:

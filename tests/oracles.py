@@ -30,6 +30,15 @@ def forward_per_row(model, features: np.ndarray) -> ScreenedOutput:
     return ScreenedOutput.from_planes(mixed, approx, candidates)
 
 
+def rank_dense(logits: np.ndarray, k: int):
+    """Each row's best ``min(k, l)`` under (score desc, index asc), by a
+    full lexsort: what ``top_k`` returns without building the plane."""
+    k = min(k, logits.shape[1])
+    columns = np.arange(logits.shape[1])
+    indices = np.stack([np.lexsort((columns, -row))[:k] for row in logits])
+    return indices, np.take_along_axis(logits, indices, axis=1)
+
+
 def merge_candidates_per_row(
     candidate_sets: Sequence[CandidateSet],
     ranges: Sequence[range],

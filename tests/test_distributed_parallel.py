@@ -1,16 +1,14 @@
-"""Differential test harness for the process-parallel serving engine.
+"""Behaviour of the process-parallel serving engine.
 
-The contract under test: :class:`ParallelShardedEngine` is the *same
-function* as the sequential ``ShardedClassifier`` — every output plane,
-candidate list and top-k reduce is bit-identical, across candidate
-selectors, feature widths and shard counts.  The engine ships
-because these tests say so, not because the implementation looks right.
-
-Also covered: single-node equivalence (a 1-shard parallel engine is the
-single-node ``ApproximateScreeningClassifier`` behind process
-indirection), the spawn start method, I/O-plane regrowth, and the
-worker-failure contract (``WorkerDied``, never a hang; every shared
-segment released).
+That :class:`ParallelShardedEngine` is the *same function* as the
+sequential ``ShardedClassifier`` — every output plane, candidate list and
+top-k reduce bit-identical, a 1-shard engine the single-node pipeline —
+is asserted by ``tests/test_matrix.py`` across selectors, stores, feature
+widths and shard plans; the corners this suite is named for are held
+below as named configurations of it.  Here also: buffer reuse across
+calls, the spawn start method, I/O-plane regrowth, requests refused
+before scatter, and the worker-failure contract (``WorkerDied``, never a
+hang; every shared segment released).
 """
 
 import subprocess
@@ -20,81 +18,23 @@ from multiprocessing import shared_memory
 
 import numpy as np
 import pytest
+from contracts import check_configuration
 
-from repro.core import ApproximateScreeningClassifier, ScreeningConfig, train_screener
-from repro.core.candidates import CandidateSelector
-from repro.data import make_task
 from repro.distributed import ShardedClassifier, WorkerDied
-from repro.utils.rng import spawn_rngs
 
 # A reintroduced protocol hang must fail fast, not stall the suite
 # (enforced when pytest-timeout is installed, as in CI).
 pytestmark = pytest.mark.timeout(600)
 
-NUM_CATEGORIES = 600
-HIDDEN_DIM = 32
-PROJECTION_DIM = 8
-CANDIDATES_PER_SHARD = 8
-TRAIN_RNG = 5
 
-SELECTORS = ("top_m", "threshold")
-#: Caller feature widths; every call casts to float64 at the door.
-FEATURE_DTYPES = ("float64", "float32")
-SHARD_COUNTS = (1, 2, 4)
+@pytest.fixture(scope="module")
+def model(zoo):
+    return zoo[("u2", "trained", "top_m", "fp64")]
 
 
 @pytest.fixture(scope="module")
-def task():
-    return make_task(num_categories=NUM_CATEGORIES, hidden_dim=HIDDEN_DIM, rng=4)
-
-
-@pytest.fixture(scope="module")
-def features(task):
-    return task.sample_features(16, rng=6)
-
-
-@pytest.fixture(scope="module")
-def calibration(task):
-    return task.sample_features(128, rng=9)
-
-
-@pytest.fixture(scope="module")
-def train_features(task):
-    return task.sample_features(256, rng=7)
-
-
-@pytest.fixture(scope="module")
-def model_zoo(task, calibration, train_features):
-    """Trained sequential models, one per (shards, selector).
-
-    Training is deterministic in the shard count, so the zoo is the
-    single source of truth both backends are built from.
-    """
-    zoo = {}
-    for shards in SHARD_COUNTS:
-        for selector_mode in SELECTORS:
-            model = ShardedClassifier(
-                task.classifier,
-                num_shards=shards,
-                config=ScreeningConfig(projection_dim=PROJECTION_DIM),
-            )
-            model.train(
-                train_features,
-                candidates_per_shard=CANDIDATES_PER_SHARD,
-                rng=TRAIN_RNG,
-            )
-            if selector_mode == "threshold":
-                for shard in model.shards:
-                    selector = CandidateSelector(
-                        mode="threshold",
-                        num_candidates=CANDIDATES_PER_SHARD,
-                    )
-                    selector.calibrate(
-                        shard.screener.approximate_logits(calibration)
-                    )
-                    shard.selector = selector
-            zoo[(shards, selector_mode)] = model
-    return zoo
+def features(zoo):
+    return zoo.features[:16]
 
 
 def assert_outputs_identical(actual, expected):
@@ -108,32 +48,40 @@ def assert_outputs_identical(actual, expected):
     assert actual.exact_count == expected.exact_count
 
 
+SELECTORS = ("top_m", "threshold")
+#: Caller feature widths; every call casts to float64 at the door.
+FEATURE_DTYPES = ("float64", "float32")
+SHARD_COUNTS = (1, 2, 4)
+
+
 @pytest.mark.parametrize("shards", SHARD_COUNTS)
 @pytest.mark.parametrize("feature_dtype", FEATURE_DTYPES)
 @pytest.mark.parametrize("selector_mode", SELECTORS)
 class TestParallelMatchesSequential:
-    def test_bit_identical(self, model_zoo, features, selector_mode, feature_dtype, shards):
-        model = model_zoo[(shards, selector_mode)]
-        features = features.astype(feature_dtype)
-        sequential = model.forward(features)
-        with model.parallel() as engine:
-            parallel = engine.forward(features)
-            assert_outputs_identical(parallel, sequential)
+    def test_bit_identical(self, zoo, engines, selector_mode, feature_dtype, shards):
+        check_configuration(
+            zoo, engines, (f"u{shards}", "trained", selector_mode, "fp64"),
+            rows=16, dtype=feature_dtype, k="m+5",
+        )
 
-            seq_indices, seq_scores = model.top_k(features, k=7)
-            par_indices, par_scores = engine.top_k(features, k=7)
-            assert np.array_equal(par_indices, seq_indices)
-            assert np.array_equal(par_scores, seq_scores)
 
-            assert np.array_equal(
-                engine.predict(features), model.predict(features)
-            )
+class TestSingleNodeEquivalence:
+    """A 1-shard fleet is the single-node pipeline, bit for bit."""
+
+    def test_parallel_matches_single_node(self, zoo, engines):
+        check_configuration(zoo, engines, ("u1", "trained", "top_m", "fp64"), rows=16)
+
+    def test_candidate_entries_match_exact_classifier(self, zoo, engines):
+        """Across shard counts, every candidate entry equals the exact
+        full-classifier score (the sharded pipelines compute them from
+        sliced planes, so this is allclose, not bitwise)."""
+        for shards in SHARD_COUNTS:
+            check_configuration(zoo, engines, (f"u{shards}", "trained", "top_m", "fp64"), rows=16)
 
 
 class TestParallelEngineBehavior:
-    def test_repeated_calls_are_stable(self, model_zoo, features):
+    def test_repeated_calls_are_stable(self, model, features):
         """Buffer reuse across calls must not leak state between batches."""
-        model = model_zoo[(2, "top_m")]
         with model.parallel() as engine:
             first = engine.forward(features)
             shuffled = features[::-1].copy()
@@ -142,11 +90,9 @@ class TestParallelEngineBehavior:
             assert np.array_equal(first.logits, second.logits)
             assert not np.array_equal(first.logits, middle.logits)
 
-    def test_io_plane_regrowth(self, model_zoo, task):
+    def test_io_plane_regrowth(self, model, zoo):
         """Batches beyond max_batch reallocate the shared I/O planes."""
-        model = model_zoo[(2, "top_m")]
-        small = task.sample_features(3, rng=21)
-        large = task.sample_features(40, rng=22)
+        small, large = zoo.features[:3], zoo.features[20:60]
         with model.parallel(max_batch=4) as engine:
             assert_outputs_identical(engine.forward(small), model.forward(small))
             assert_outputs_identical(engine.forward(large), model.forward(large))
@@ -158,26 +104,23 @@ class TestParallelEngineBehavior:
                 with pytest.raises(FileNotFoundError):
                     shared_memory.SharedMemory(name=name)
 
-    def test_spawn_start_method(self, model_zoo, features):
+    def test_spawn_start_method(self, model, features):
         """Fresh-interpreter workers compute the same bits as forked ones."""
-        model = model_zoo[(2, "top_m")]
         sequential = model.forward(features)
         with model.parallel(start_method="spawn") as engine:
             assert_outputs_identical(engine.forward(features), sequential)
 
-    def test_single_vector_input(self, model_zoo, task):
-        model = model_zoo[(2, "top_m")]
-        vector = task.sample_features(1, rng=23)[0]
+    def test_single_vector_input(self, model, zoo):
+        vector = zoo.features[23]
         with model.parallel() as engine:
             assert_outputs_identical(engine.forward(vector), model.forward(vector))
 
     def test_top_k_beyond_category_count_rejected_before_scatter(
-        self, model_zoo, features
+        self, model, features
     ):
         """Same ``ValueError`` as the sequential and single-node
         backends, raised before any worker sees the request; ``k``
         beyond one shard still clamps per shard."""
-        model = model_zoo[(2, "top_m")]
         with model.parallel() as engine:
             l = engine.num_categories
             with pytest.raises(ValueError, match=f"k={l + 1} exceeds score dimension {l}"):
@@ -187,13 +130,15 @@ class TestParallelEngineBehavior:
             seq_indices, seq_scores = model.top_k(features, k=l)
             assert np.array_equal(par_indices, seq_indices)
             assert np.array_equal(par_scores, seq_scores)
+            engine.predict(features)
+            # top_k and predict never asked for the shared output planes.
+            assert engine._io_output is None
 
     @pytest.mark.parametrize("degraded", (False, True))
-    def test_non_positive_block_rejected_before_scatter(self, model_zoo, features, degraded):
+    def test_non_positive_block_rejected_before_scatter(self, model, features, degraded):
         """``block_categories=0`` is the caller's error, not the workers':
         the same ``ValueError`` as the sequential backend, no degraded
         request counted, and the workers serve the next call."""
-        model = model_zoo[(2, "top_m")]
         with pytest.raises(ValueError, match="block_categories must be positive, got 0"):
             model.forward_streaming(features, block_categories=0)
         with model.parallel(degraded=degraded) as engine:
@@ -206,61 +151,19 @@ class TestParallelEngineBehavior:
             assert np.array_equal(streamed.candidates.flat()[1], want.candidates.flat()[1])
             assert np.array_equal(streamed.exact_values, want.exact_values)
             assert np.array_equal(streamed.approximate_values, want.approximate_values)
+            # Streaming never allocates the dense output planes.
+            assert engine._io_output is None
 
-    def test_untrained_model_rejected(self, task):
-        model = ShardedClassifier(task.classifier, num_shards=2)
+    def test_untrained_model_rejected(self, zoo):
+        model = ShardedClassifier(zoo.stacked, num_shards=2)
         with pytest.raises(RuntimeError, match="train"):
             model.parallel()
 
-    def test_forward_after_close_rejected(self, model_zoo, features):
-        model = model_zoo[(2, "top_m")]
+    def test_forward_after_close_rejected(self, model, features):
         engine = model.parallel()
         engine.close()
         with pytest.raises(RuntimeError, match="closed"):
             engine.forward(features)
-
-
-class TestSingleNodeEquivalence:
-    """A 1-shard fleet is the single-node pipeline, bit for bit."""
-
-    def test_parallel_matches_single_node(
-        self, task, features, model_zoo, train_features
-    ):
-        model = model_zoo[(1, "top_m")]
-        # Rebuild the single-node classifier exactly as train() does for
-        # its one shard: same spawned rng, same config, same solver.
-        screener = train_screener(
-            task.classifier,
-            train_features,
-            config=ScreeningConfig(projection_dim=PROJECTION_DIM),
-            solver="lstsq",
-            rng=spawn_rngs(TRAIN_RNG, 1)[0],
-        )
-        single = ApproximateScreeningClassifier(
-            task.classifier, screener, num_candidates=CANDIDATES_PER_SHARD
-        )
-        expected = single.forward(features)
-        with model.parallel() as engine:
-            assert_outputs_identical(engine.forward(features), expected)
-
-    def test_candidate_entries_match_exact_classifier(
-        self, task, features, model_zoo
-    ):
-        """Across shard counts, every candidate entry equals the exact
-        full-classifier score (the sharded pipelines compute them from
-        sliced planes, so this is allclose, not bitwise)."""
-        exact = task.classifier.logits(features)
-        for shards in SHARD_COUNTS:
-            model = model_zoo[(shards, "top_m")]
-            with model.parallel() as engine:
-                output = engine.forward(features)
-            for row, indices in enumerate(output.candidates):
-                assert np.allclose(
-                    output.logits[row, indices],
-                    exact[row, indices],
-                    rtol=1e-10,
-                    atol=1e-10,
-                )
 
 
 class TestWorkerFailure:
@@ -270,8 +173,7 @@ class TestWorkerFailure:
     are covered by ``tests/test_fault_tolerance.py``.
     """
 
-    def test_killed_worker_raises_not_hangs(self, model_zoo, features):
-        model = model_zoo[(2, "top_m")]
+    def test_killed_worker_raises_not_hangs(self, model, features):
         engine = model.parallel(max_restarts=0)
         try:
             engine.forward(features)
@@ -286,11 +188,10 @@ class TestWorkerFailure:
             with pytest.raises(FileNotFoundError):
                 shared_memory.SharedMemory(name=name)
 
-    def test_killed_worker_respawns_by_default(self, model_zoo, features):
+    def test_killed_worker_respawns_by_default(self, model, features):
         """With the default restart budget the same kill is absorbed:
         the replacement worker rebuilds from the shared segments and
         the fleet keeps answering bit-identically."""
-        model = model_zoo[(2, "top_m")]
         sequential = model.forward(features)
         with model.parallel() as engine:
             engine.workers[1].process.kill()
@@ -298,10 +199,9 @@ class TestWorkerFailure:
             assert engine.restarts[1] == 1
             assert not engine.closed
 
-    def test_death_mid_request_raises(self, model_zoo, features):
+    def test_death_mid_request_raises(self, model, features):
         """A worker that dies after the batch was scattered (request in
         flight, no reply coming) must surface as WorkerDied."""
-        model = model_zoo[(2, "top_m")]
         engine = model.parallel(max_restarts=0)
         try:
             engine.forward(features)
@@ -314,8 +214,7 @@ class TestWorkerFailure:
         finally:
             engine.close()
 
-    def test_close_is_idempotent_and_releases_segments(self, model_zoo, features):
-        model = model_zoo[(2, "top_m")]
+    def test_close_is_idempotent_and_releases_segments(self, model, features):
         engine = model.parallel()
         engine.forward(features)
         names = engine.segment_names()

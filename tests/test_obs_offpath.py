@@ -1,112 +1,72 @@
 """Observability must be free when off and honest when on.
 
-The off-path contract: with the default :data:`NULL_RECORDER` — and
-equally with a live recorder attached — instrumentation changes **no
-output bit** of the screening pipeline or the parallel engine, and the
-streaming workspace's steady-state zero-allocation contract still
-holds.  The on-path contract: the counters a recording engine reports
-reconcile exactly with the requests it served, per shard and in total,
-and the trace contains the nested per-tile streaming spans.
+The off-path contract: the default recorder is :data:`NULL_RECORDER`,
+and — with it or with a live recorder attached — instrumentation changes
+no output bit (recorder on ≡ off on every op of the in-process
+pipelines is asserted by ``tests/test_matrix.py``) and the streaming
+workspace's steady-state zero-allocation contract still holds.  The
+on-path contract: the counters a recording engine reports reconcile
+exactly with the requests it served, per shard and in total, and the
+trace contains the nested per-tile streaming spans.
 """
 
 import numpy as np
 import pytest
 
-from repro.core import ApproximateScreeningClassifier, ScreeningConfig, train_screener
-from repro.data import make_task
-from repro.distributed import ShardedClassifier
+from conftest import M
+from contracts import check_configuration
+from repro.core import ApproximateScreeningClassifier
 from repro.obs import NULL_RECORDER, Recorder, validate_chrome_events
 
 pytestmark = pytest.mark.timeout(600)
 
-NUM_CATEGORIES = 600
-HIDDEN_DIM = 32
-PROJECTION_DIM = 8
-NUM_CANDIDATES = 12
 BLOCK = 100
 
 
 @pytest.fixture(scope="module")
-def task():
-    return make_task(num_categories=NUM_CATEGORIES, hidden_dim=HIDDEN_DIM, rng=4)
+def model(zoo):
+    return zoo[("u2", "trained", "top_m", "fp64")]
 
 
 @pytest.fixture(scope="module")
-def features(task):
-    return task.sample_features(16, rng=6)
+def features(zoo):
+    return zoo.features[:16]
 
 
-@pytest.fixture(scope="module")
-def screener(task):
-    return train_screener(
-        task.classifier,
-        task.sample_features(256, rng=7),
-        config=ScreeningConfig(projection_dim=PROJECTION_DIM),
-        rng=5,
-    )
-
-
-def build_pipeline(task, screener, recorder=None):
+def build_pipeline(zoo, recorder=None):
     return ApproximateScreeningClassifier(
-        task.classifier,
-        screener,
-        num_candidates=NUM_CANDIDATES,
+        zoo.tasks["multi"].classifier,
+        zoo.trained("multi"),
+        num_candidates=M,
         recorder=recorder,
     )
 
 
-def assert_streamed_identical(actual, expected):
-    assert actual.candidates.counts.tolist() == expected.candidates.counts.tolist()
-    for mine, theirs in zip(actual.candidates, expected.candidates):
-        assert np.array_equal(mine, theirs)
-    assert np.array_equal(actual.exact_values, expected.exact_values)
-    assert np.array_equal(actual.approximate_values, expected.approximate_values)
-
-
 class TestBitIdentityOffAndOn:
-    def test_default_recorder_is_null(self, task, screener):
-        model = build_pipeline(task, screener)
+    """The pipeline's side of the off path; its bit identity is the
+    matrix's (``tests/test_matrix.py``), of which the two ``*_bits_*``
+    tests are named configurations."""
+
+    def test_default_recorder_is_null(self, zoo):
+        model = build_pipeline(zoo)
         assert model.recorder is NULL_RECORDER
         assert model.screener.recorder is NULL_RECORDER
 
-    def test_forward_bits_unchanged_by_recording(self, task, screener, features):
-        silent = build_pipeline(task, screener).forward(features)
-        recorded_model = build_pipeline(
-            task, screener, recorder=Recorder(trace=True)
-        )
-        recorded = recorded_model.forward(features)
-        assert recorded.logits.dtype == silent.logits.dtype
-        assert np.array_equal(recorded.logits, silent.logits)
-        assert np.array_equal(
-            recorded.approximate_logits, silent.approximate_logits
-        )
-        for mine, theirs in zip(recorded.candidates, silent.candidates):
-            assert np.array_equal(mine, theirs)
-        # Restore the shared screener's recorder for sibling tests.
-        recorded_model.set_recorder(NULL_RECORDER)
+    def test_forward_bits_unchanged_by_recording(self, zoo, engines):
+        check_configuration(zoo, engines, ("multi", "trained", "top_m", "fp64"), rows=16)
 
-    def test_streaming_bits_unchanged_by_recording(self, task, screener, features):
-        silent = build_pipeline(task, screener).forward_streaming(
-            features, block_categories=BLOCK
+    def test_streaming_bits_unchanged_by_recording(self, zoo, engines):
+        check_configuration(
+            zoo, engines, ("multi", "trained", "threshold", "int8"), rows=16, block=BLOCK
         )
-        recorded_model = build_pipeline(
-            task, screener, recorder=Recorder(trace=True)
-        )
-        recorded = recorded_model.forward_streaming(
-            features, block_categories=BLOCK
-        )
-        assert_streamed_identical(recorded, silent)
-        recorded_model.set_recorder(NULL_RECORDER)
 
     @pytest.mark.parametrize("recording", [False, True])
-    def test_streaming_steady_state_allocations_flat(
-        self, task, screener, features, recording
-    ):
+    def test_streaming_steady_state_allocations_flat(self, zoo, features, recording):
         """The zero-allocation steady state survives instrumentation:
         after warm-up, repeated streaming calls take every buffer from
         the workspace arena — recorder on or off."""
         recorder = Recorder(trace=True) if recording else None
-        model = build_pipeline(task, screener, recorder=recorder)
+        model = build_pipeline(zoo, recorder=recorder)
         model.forward_streaming(features, block_categories=BLOCK)  # warm-up
         allocations = model.workspace.allocations
         requests_before = model.workspace.requests
@@ -119,18 +79,19 @@ class TestBitIdentityOffAndOn:
             assert snap["gauges"]["pipeline.workspace_allocations"] == allocations
             model.set_recorder(NULL_RECORDER)
 
-    def test_streaming_trace_has_nested_tile_spans(self, task, screener, features):
+    def test_streaming_trace_has_nested_tile_spans(self, zoo, features):
         recorder = Recorder(trace=True)
-        model = build_pipeline(task, screener, recorder=recorder)
+        model = build_pipeline(zoo, recorder=recorder)
         model.forward_streaming(features, block_categories=BLOCK)
         names = recorder.tracer.span_names()
         # One screen/select span pair per *canonical column tile* (the
-        # GEMM granularity that makes streaming bit-identical to dense),
-        # regardless of the selection block size.
+        # GEMM granularity that makes streaming bit-identical to dense)
+        # a prescreen did not skip, regardless of the selection block.
         tiles = len(model.screener.tile_bounds())
-        assert tiles >= 1
-        assert names.count("streaming.screen_tile") == tiles
-        assert names.count("streaming.select_tile") == tiles
+        skipped = recorder.snapshot()["counters"].get("pipeline.tiles_skipped", 0)
+        assert tiles >= 2
+        assert names.count("streaming.screen_tile") == tiles - skipped
+        assert names.count("streaming.select_tile") == tiles - skipped
         assert names.count("streaming.exact") == 1
         assert names.count("forward_streaming") == 1
         events = validate_chrome_events(recorder.tracer.chrome_events())
@@ -146,18 +107,6 @@ class TestBitIdentityOffAndOn:
 
 
 class TestEngineReconciliation:
-    @pytest.fixture(scope="class")
-    def model(self, task):
-        model = ShardedClassifier(
-            task.classifier,
-            num_shards=2,
-            config=ScreeningConfig(projection_dim=PROJECTION_DIM),
-        )
-        model.train(
-            task.sample_features(256, rng=7), candidates_per_shard=8, rng=5
-        )
-        return model
-
     def test_engine_outputs_unchanged_by_recording(self, model, features):
         sequential = model.forward(features)
         with model.parallel(recorder=Recorder(trace=True)) as engine:

@@ -22,6 +22,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import answers, assert_same
 from oracles import forward_per_row
 
 from repro.core import ApproximateScreeningClassifier, ScreeningConfig, train_screener
@@ -30,7 +31,6 @@ from repro.core.candidates import CandidateSelector
 from repro.core.classifier import FullClassifier
 from repro.core.screener import MIN_LANE_WORK, TILE_CATEGORIES, ScreeningModule, lane_count
 from repro.data import make_task
-from repro.distributed import ShardedClassifier
 from repro.linalg.topk import BlockwiseThreshold, stable_top_m_indices
 from repro.obs import NULL_RECORDER, Recorder
 
@@ -40,9 +40,9 @@ TILES = 6
 L = (TILES - 1) * TILE_CATEGORIES + 37
 M = 12
 SELECTORS = ("top_m", "threshold")
+STORES = ("fp64", "int8")
 #: Caller feature widths; every call casts to float64 at the door.
 FEATURE_DTYPES = ("float64", "float32")
-STORES = ("fp64", "int8")
 ROWS = (1, 8, 64)
 MULTI_LANE = (2, 3, TILES - 1)
 #: Absolute-aligned selection blocks of this width straddle every tile
@@ -66,7 +66,7 @@ def parts():
         solver="lstsq",
         rng=2,
     )
-    return task, screener, task.sample_features(max(ROWS), rng=7)
+    return task, screener, task.sample_features(64, rng=7)
 
 
 def build(parts, mode, store="fp64", m=M, tied=False, zeroed=False):
@@ -93,54 +93,34 @@ def build(parts, mode, store="fp64", m=M, tied=False, zeroed=False):
     return model
 
 
-def answers(model, features, k=5):
-    """Every serving op's arrays, in a fixed order."""
-    arrays = []
-    for block in (None, STRADDLING_BLOCK):
-        streamed = model.forward_streaming(features, block_categories=block)
-        arrays += [
-            streamed.candidates.counts,
-            streamed.candidates.flat()[1],
-            streamed.exact_values,
-            streamed.approximate_values,
-        ]
-    dense = model.forward(features)
-    arrays += [dense.logits, dense.candidates.flat()[1], dense.approximate_logits]
-    arrays += list(model.top_k(features, k))
-    arrays.append(model.predict(features))
-    return arrays
+def lane_answers(model, features, k=5):
+    """Every serving op's arrays; streaming also in blocks that straddle
+    every tile boundary (the shared zoo's ``answers``)."""
+    return answers(model, features, STRADDLING_BLOCK, k)
 
 
-def assert_same_answers(actual, expected):
-    assert len(actual) == len(expected)
-    for index, (a, b) in enumerate(zip(actual, expected)):
-        assert a.dtype == b.dtype and np.array_equal(a, b), f"array {index} differs"
+@pytest.fixture(scope="module")
+def models(parts):
+    return {(mode, store): build(parts, mode, store) for mode in SELECTORS for store in STORES}
 
 
 # ----------------------------------------------------------------------
 # bit-identity
 # ----------------------------------------------------------------------
-@pytest.fixture(scope="module")
-def zoo(parts):
-    return {
-        (mode, store): build(parts, mode, store)
-        for mode in SELECTORS
-        for store in STORES
-    }
-
-
 @pytest.mark.parametrize("store", STORES)
 @pytest.mark.parametrize("feature_dtype", FEATURE_DTYPES)
 @pytest.mark.parametrize("rows", ROWS)
 @pytest.mark.parametrize("mode", SELECTORS)
-def test_every_op_returns_the_single_lane_bits(monkeypatch, parts, zoo, mode, rows, feature_dtype, store):
-    model, features = zoo[(mode, store)], parts[2][:rows].astype(feature_dtype)
+def test_every_op_returns_the_single_lane_bits(
+    monkeypatch, parts, models, mode, rows, feature_dtype, store
+):
+    model, features = models[(mode, store)], parts[2][:rows].astype(feature_dtype)
     force_lanes(monkeypatch, 1)
-    expected = answers(model, features)
-    assert expected[2].dtype == np.float64  # exact values, whatever arrived
+    expected = lane_answers(model, features)
+    assert expected["streamed.exact"].dtype == np.float64  # whatever arrived
     for lanes in MULTI_LANE:
         force_lanes(monkeypatch, lanes)
-        assert_same_answers(answers(model, features), expected)
+        assert_same(lane_answers(model, features), expected)
 
 
 @pytest.mark.parametrize("mode", SELECTORS)
@@ -154,12 +134,12 @@ def test_ties_across_lane_boundaries_keep_the_total_order(monkeypatch, parts, mo
     features = parts[2][:8]
     oracle = forward_per_row(model, features)
     force_lanes(monkeypatch, 1)
-    expected = answers(model, features, k=11)
+    expected = lane_answers(model, features, k=11)
     for call in (model.forward, model.forward_streaming):
         assert np.array_equal(call(features).candidates.flat()[1], oracle.candidates.flat()[1])
     for lanes in MULTI_LANE:
         force_lanes(monkeypatch, lanes)
-        assert_same_answers(answers(model, features, k=11), expected)
+        assert_same(lane_answers(model, features, k=11), expected)
 
 
 @pytest.mark.parametrize("mode", SELECTORS)
@@ -172,12 +152,12 @@ def test_more_slots_than_a_tile_holds(monkeypatch, parts, mode):
     features = parts[2][:3]
     k = TILE_CATEGORIES + 100
     force_lanes(monkeypatch, 1)
-    expected = answers(model, features, k=k)
+    expected = lane_answers(model, features, k=k)
     oracle = forward_per_row(model, features)
-    assert np.array_equal(expected[1], oracle.candidates.flat()[1])
+    assert np.array_equal(expected["streamed.cols"], oracle.candidates.flat()[1])
     for lanes in MULTI_LANE:
         force_lanes(monkeypatch, lanes)
-        assert_same_answers(answers(model, features, k=k), expected)
+        assert_same(lane_answers(model, features, k=k), expected)
 
 
 class TestReducerForks:
@@ -267,18 +247,18 @@ def test_small_calls_stay_on_the_callers_thread(monkeypatch, parts):
 
     assert lane_count(64, TILES) == 1
     monkeypatch.setattr(threading, "Thread", no_threads)
-    answers(build(parts, "top_m"), parts[2])
+    lane_answers(build(parts, "top_m"), parts[2])
 
 
 @pytest.mark.parametrize("store", STORES)
 @pytest.mark.parametrize("mode", SELECTORS)
-def test_no_serving_call_starts_a_thread(monkeypatch, parts, zoo, mode, store):
+def test_no_serving_call_starts_a_thread(monkeypatch, parts, models, mode, store):
     """With the lane rule at 3 lanes for every loop, ``forward_streaming``,
     ``top_k`` and ``predict`` answer without constructing a thread, and
     dense ``forward`` constructs its threads inside the plane pass only;
     every answer is the single-lane one."""
-    model, features = zoo[(mode, store)], parts[2]
-    expected = answers(model, features)
+    model, features = models[(mode, store)], parts[2]
+    expected = lane_answers(model, features)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
     monkeypatch.setattr(screener_module, "MIN_LANE_WORK", 1)
     assert lane_count(len(features), TILES) == 3
@@ -290,13 +270,15 @@ def test_no_serving_call_starts_a_thread(monkeypatch, parts, zoo, mode, store):
         return real_thread(*args, **kwargs)
 
     monkeypatch.setattr(threading, "Thread", thread)
-    streaming = [
-        model.forward_streaming(features).exact_values,
-        model.forward_streaming(features, block_categories=STRADDLING_BLOCK).exact_values,
-        *model.top_k(features, 5),
-        model.predict(features),
-    ]
-    assert_same_answers(streaming, [expected[2], expected[6], *expected[11:]])
+    streaming = {
+        "streamed.exact": model.forward_streaming(features).exact_values,
+        "blocked.exact": model.forward_streaming(
+            features, block_categories=STRADDLING_BLOCK
+        ).exact_values,
+        "predict": model.predict(features),
+    }
+    streaming["top_k.indices"], streaming["top_k.scores"] = model.top_k(features, 5)
+    assert_same(streaming, {name: expected[name] for name in streaming})
     score_plane = ScreeningModule.score_plane
 
     def plane_pass(screener, augmented, out):
@@ -307,7 +289,7 @@ def test_no_serving_call_starts_a_thread(monkeypatch, parts, zoo, mode, store):
             in_plane_pass.pop()
 
     monkeypatch.setattr(ScreeningModule, "score_plane", plane_pass)
-    assert_same_answers(answers(model, features), expected)
+    assert_same(lane_answers(model, features), expected)
     assert len(started) == 2  # dense forward's two helper lanes
 
 
@@ -328,7 +310,7 @@ def test_a_failing_lane_is_raised_after_every_join(monkeypatch, parts, mode, fai
     model = build(parts, mode)
     features = parts[2][:8]
     force_lanes(monkeypatch, 1)
-    expected = answers(model, features)
+    expected = lane_answers(model, features)
     force_lanes(monkeypatch, 2)
     model.forward(features)
 
@@ -360,7 +342,7 @@ def test_a_failing_lane_is_raised_after_every_join(monkeypatch, parts, mode, fai
     assert other <= set(finished)
     assert threading.active_count() == threads_before
     monkeypatch.setattr(model.screener, "score_tile", score_tile)
-    assert_same_answers(answers(model, features), expected)
+    assert_same(lane_answers(model, features), expected)
     assert threading.active_count() == threads_before
 
 
@@ -399,7 +381,7 @@ def test_lanes_allocate_nothing_from_the_second_call(monkeypatch, parts, mode):
     model.forward_streaming(parts[2])
     model.forward(parts[2])
     allocations = model.workspace.allocations
-    batch = parts[0].sample_features(max(ROWS), rng=11)
+    batch = parts[0].sample_features(64, rng=11)
     model.forward_streaming(batch)
     model.forward(batch)
     assert model.workspace.allocations == allocations
@@ -508,31 +490,22 @@ def test_lane_spans_land_under_their_own_tid(monkeypatch, parts):
 # process-parallel workers
 # ----------------------------------------------------------------------
 @pytest.fixture(scope="module")
-def sharded(parts):
-    task = parts[0]
-    model = ShardedClassifier(
-        task.classifier, num_shards=2, config=ScreeningConfig(projection_dim=4)
-    )
-    model.train(
-        task.sample_features(64, rng=1),
-        candidates_per_shard=M,
-        solver="lstsq",
-        rng=np.random.default_rng(5),
-    )
-    return model
+def sharded(zoo):
+    """One shard of three tiles: its worker places the screener in lanes."""
+    return zoo[("u1", "trained", "top_m", "fp64")]
 
 
 def sharded_answers(engine, features):
     streamed = engine.forward_streaming(features)
     indices, scores = engine.top_k(features, 7)
-    return [
-        streamed.candidates.counts,
-        streamed.candidates.flat()[1],
-        streamed.exact_values,
-        streamed.approximate_values,
-        indices,
-        scores,
-    ]
+    return {
+        "counts": streamed.candidates.counts,
+        "cols": streamed.candidates.flat()[1],
+        "exact": streamed.exact_values,
+        "approx": streamed.approximate_values,
+        "indices": indices,
+        "scores": scores,
+    }
 
 
 def test_fork_started_workers_after_and_with_lanes(monkeypatch, parts, sharded):
@@ -548,10 +521,10 @@ def test_fork_started_workers_after_and_with_lanes(monkeypatch, parts, sharded):
     trained = parts[1]
     rebuilt = ScreeningModule(trained.projection, trained.weight, trained.bias)  # in lanes
     assert np.array_equal(rebuilt._fused_weight_t, trained._fused_weight_t)
-    assert_same_answers(sharded_answers(sharded, features), expected)
+    assert_same(sharded_answers(sharded, features), expected)
     assert threading.active_count() == threads
     with sharded.parallel(start_method="fork") as engine:  # set-up in lanes in the workers
-        assert_same_answers(sharded_answers(engine, features), expected)
+        assert_same(sharded_answers(engine, features), expected)
     force_lanes(monkeypatch, 1)
     with sharded.parallel(start_method="fork") as engine:
-        assert_same_answers(sharded_answers(engine, features), expected)
+        assert_same(sharded_answers(engine, features), expected)

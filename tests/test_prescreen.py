@@ -25,7 +25,7 @@ from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import forward_per_row
+from oracles import forward_per_row, rank_dense
 
 from repro.core import ApproximateScreeningClassifier, ScreeningConfig, train_screener
 from repro.core.candidates import CandidateSelector
@@ -144,13 +144,6 @@ def last_tile_pass(model, features, bound, scratch=None) -> tuple:
     result = screen.pass_left(ws, last, bound)
     assert (result.first, result.stop) == (last, last + 1)
     return result, sorted(scored)
-
-
-def rank_dense(logits, k):
-    """Each row's best ``k`` under (score desc, index asc), by lexsort."""
-    columns = np.arange(logits.shape[1])
-    indices = np.stack([np.lexsort((columns, -row))[:k] for row in logits])
-    return indices, np.take_along_axis(logits, indices, axis=1)
 
 
 def assert_dense_is_the_oracle(model, features, dense):

@@ -2,19 +2,19 @@
 
 Contracts under test:
 
-* **selection is untouched** — screening and candidate selection never
-  read the exact weights, so a quantized pipeline picks bit-identical
-  candidate sets to its FP64 twin, across selectors and store kinds;
-* **quality is bounded** — the exact-value perturbation from INT8/FP16
-  storage stays within the per-tile half-step bound, and end-task P@1 /
-  perplexity deltas vs. the FP64 exact phase stay small;
-* **mmap == resident** — a store loaded with ``mmap=True`` serves the
-  same bytes as the resident load, bit for bit, across shard counts and
-  selectors;
+* **the store** — shapes, resident bytes, the per-tile half-step error
+  bound, gathers in bounded chunks;
+* **quality is bounded** — end-task P@1 / perplexity deltas vs. the FP64
+  exact phase stay small (that selection is untouched and values stay
+  inside the half-step, and that a memory-mapped store serves the
+  resident one's bits, ``tests/test_matrix.py`` asserts on every
+  backend; the stores, selectors and shard counts this suite is named
+  for are named configurations of it);
 * **zero-copy export** — ``export_arrays``/``from_arrays`` (the
-  shared-memory wire format) rebuilds a bit-identical quantized
-  pipeline, and the parallel engine serves from the quantized segments
-  through kill/respawn.
+  shared-memory wire format) rebuilds a bit-identical quantized pipeline;
+* **the arena** — quantized pipelines allocate nothing after warm-up;
+* **shared segments** — the parallel engine serves from the quantized
+  segments through kill/respawn.
 """
 
 import tracemalloc
@@ -22,71 +22,39 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from repro.core import (
-    ApproximateScreeningClassifier,
-    QuantizedExactStore,
-    ScreeningConfig,
-    load_quantized_store,
-    save_quantized_store,
-    train_screener,
-)
-from repro.core.candidates import CandidateSelector
+from conftest import HIDDEN_DIM, make_selector
+from contracts import check_configuration
+from repro.core import ApproximateScreeningClassifier, QuantizedExactStore
 from repro.core.weightstore import STORE_KINDS
-from repro.data import make_task
-from repro.distributed import ShardedClassifier
 from repro.metrics import perplexity_from_proba, precision_at_k
 from repro.utils.memory import Workspace
 
-NUM_CATEGORIES = 600
-HIDDEN_DIM = 32
-PROJECTION_DIM = 8
-NUM_CANDIDATES = 12
 TILE_ROWS = 128  # several tiles at this scale; production uses 8192
-
 SELECTORS = ("top_m", "threshold")
 SHARD_COUNTS = (1, 4)
 
 
 @pytest.fixture(scope="module")
-def task():
-    return make_task(num_categories=NUM_CATEGORIES, hidden_dim=HIDDEN_DIM, rng=21)
+def task(zoo):
+    return zoo.tasks["single"]
 
 
 @pytest.fixture(scope="module")
-def features(task):
-    return task.sample_features(16, rng=22)
+def features(zoo):
+    return zoo.features[:16]
 
 
-@pytest.fixture(scope="module")
-def screener(task):
-    return train_screener(
-        task.classifier,
-        task.sample_features(256, rng=23),
-        config=ScreeningConfig(projection_dim=PROJECTION_DIM),
-        rng=24,
-    )
+def build_pipeline(zoo, selector_mode):
+    return zoo[("single", "trained", selector_mode, "fp64")]
 
 
-def build_pipeline(task, screener, selector_mode, calibration):
+def quantized_twin(zoo, selector_mode, kind):
+    screener = zoo.trained("single")
     model = ApproximateScreeningClassifier(
-        task.classifier, screener, num_candidates=NUM_CANDIDATES
+        zoo.tasks["single"].classifier,
+        screener,
+        make_selector(selector_mode, screener, zoo.features),
     )
-    if selector_mode == "threshold":
-        selector = CandidateSelector(
-            mode="threshold", num_candidates=NUM_CANDIDATES
-        )
-        selector.calibrate(screener.approximate_logits(calibration))
-        model.selector = selector
-    return model
-
-
-@pytest.fixture(scope="module")
-def calibration(task):
-    return task.sample_features(128, rng=25)
-
-
-def quantized_twin(task, screener, selector_mode, calibration, kind):
-    model = build_pipeline(task, screener, selector_mode, calibration)
     return model.quantize_exact_weights(kind, tile_rows=TILE_ROWS)
 
 
@@ -98,10 +66,10 @@ class TestStoreSurface:
         store = QuantizedExactStore.from_classifier(
             task.classifier, kind="int8", tile_rows=TILE_ROWS
         )
-        assert store.num_categories == NUM_CATEGORIES
+        assert store.num_categories == task.classifier.num_categories
         assert store.hidden_dim == HIDDEN_DIM
         assert store.codes.dtype == np.int8
-        assert store.scales.shape == (-(-NUM_CATEGORIES // TILE_ROWS),)
+        assert store.scales.shape == (-(-store.num_categories // TILE_ROWS),)
 
     def test_resident_bytes_reduction(self, task):
         store = QuantizedExactStore.from_classifier(
@@ -137,7 +105,7 @@ class TestStoreSurface:
             task.classifier, kind="int8", tile_rows=TILE_ROWS
         )
         full = store.logits(features)
-        cols = np.array([0, 5, TILE_ROWS, NUM_CATEGORIES - 1])
+        cols = np.array([0, 5, TILE_ROWS, store.num_categories - 1])
         gathered = store.logits_for(cols, features)
         assert np.allclose(gathered, full[:, cols], atol=1e-10)
         rows = np.arange(4)
@@ -158,7 +126,7 @@ class TestStoreSurface:
         features = task.sample_features(8, rng=3)
         rng = np.random.default_rng(5)
         rows = np.sort(rng.integers(0, 8, 20_000))
-        cols = rng.integers(0, NUM_CATEGORIES, 20_000)
+        cols = rng.integers(0, store.num_categories, 20_000)
         want = (
             np.einsum("nd,nd->n", store.gather_rows(cols), features[rows])
             + store.bias[cols]
@@ -204,44 +172,22 @@ class TestStoreSurface:
 @pytest.mark.parametrize("kind", STORE_KINDS)
 @pytest.mark.parametrize("selector_mode", SELECTORS)
 class TestQuantizedPipelineDifferential:
-    def test_candidates_identical_values_bounded(
-        self, task, screener, features, calibration, selector_mode, kind
-    ):
-        reference = build_pipeline(task, screener, selector_mode, calibration)
-        quantized = quantized_twin(task, screener, selector_mode, calibration, kind)
-        ref = reference.forward_streaming(features)
-        out = quantized.forward_streaming(features)
-        # Screening/selection never touch the exact weights.
-        assert np.array_equal(ref.candidates.flat()[1], out.candidates.flat()[1])
-        assert np.array_equal(ref.approximate_values, out.approximate_values)
-        # Exact values shift by at most the worst-tile half-step times
-        # the feature l1 mass (|Δz| = |Δw · h| ≤ ||Δw||∞ ||h||1).
-        store = quantized.classifier
-        half_step = (
-            float(store.scales.max()) / 2
-            if kind == "int8"
-            else float(np.max(np.abs(task.classifier.weight))) * 2 ** -11
+    def test_candidates_identical_values_bounded(self, zoo, engines, selector_mode, kind):
+        """Screening and selection never touch the exact weights; exact
+        values shift by at most the worst-tile half-step times the
+        feature l1 mass (|Δz| = |Δw · h| ≤ ||Δw||∞ ||h||1)."""
+        check_configuration(zoo, engines, ("single", "trained", selector_mode, kind), rows=16)
+
+    def test_streaming_matches_dense_bitwise(self, zoo, engines, selector_mode, kind):
+        check_configuration(
+            zoo, engines, ("multi", "trained", selector_mode, kind), rows=16, block=5_000
         )
-        bound = half_step * np.abs(features).sum(axis=1).max() * (1 + 1e-9)
-        assert np.max(np.abs(ref.exact_values - out.exact_values)) <= bound
 
-    def test_streaming_matches_dense_bitwise(
-        self, task, screener, features, calibration, selector_mode, kind
-    ):
-        quantized = quantized_twin(task, screener, selector_mode, calibration, kind)
-        dense = quantized.forward(features)
-        streamed = quantized.forward_streaming(features)
-        rows, cols = dense.candidates.flat()
-        assert np.array_equal(streamed.candidates.flat()[1], cols)
-        assert np.array_equal(streamed.exact_values, dense.logits[rows, cols])
-
-    def test_p_at_1_delta_bounded(
-        self, task, screener, calibration, selector_mode, kind
-    ):
+    def test_p_at_1_delta_bounded(self, zoo, task, selector_mode, kind):
         batch = task.sample_features(64, rng=26)
         labels = task.classifier.predict(batch)
-        reference = build_pipeline(task, screener, selector_mode, calibration)
-        quantized = quantized_twin(task, screener, selector_mode, calibration, kind)
+        reference = build_pipeline(zoo, selector_mode)
+        quantized = quantized_twin(zoo, selector_mode, kind)
         p_ref = precision_at_k(
             reference.forward(batch).logits, labels[:, None], k=1
         )
@@ -250,21 +196,17 @@ class TestQuantizedPipelineDifferential:
         )
         assert abs(p_ref - p_q) <= 0.05
 
-    def test_perplexity_delta_bounded(
-        self, task, screener, calibration, selector_mode, kind
-    ):
+    def test_perplexity_delta_bounded(self, zoo, task, selector_mode, kind):
         batch = task.sample_features(64, rng=27)
         labels = task.classifier.predict(batch)
-        reference = build_pipeline(task, screener, selector_mode, calibration)
-        quantized = quantized_twin(task, screener, selector_mode, calibration, kind)
+        reference = build_pipeline(zoo, selector_mode)
+        quantized = quantized_twin(zoo, selector_mode, kind)
         ppl_ref = perplexity_from_proba(reference.predict_proba(batch), labels)
         ppl_q = perplexity_from_proba(quantized.predict_proba(batch), labels)
         assert abs(ppl_q - ppl_ref) / ppl_ref <= 0.05
 
-    def test_export_rebuild_bit_identical(
-        self, task, screener, features, calibration, selector_mode, kind
-    ):
-        quantized = quantized_twin(task, screener, selector_mode, calibration, kind)
+    def test_export_rebuild_bit_identical(self, zoo, features, selector_mode, kind):
+        quantized = quantized_twin(zoo, selector_mode, kind)
         arrays, meta = quantized.export_arrays()
         assert meta["exact_store"] == kind
         assert "weight" not in arrays
@@ -276,11 +218,23 @@ class TestQuantizedPipelineDifferential:
         assert np.array_equal(ref.exact_values, out.exact_values)
 
 
+# ----------------------------------------------------------------------
+# mmap vs resident bit-identity, across shard counts and selectors
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("num_shards", SHARD_COUNTS)
+@pytest.mark.parametrize("selector_mode", SELECTORS)
+class TestMmapBitIdentity:
+    def test_mmap_equals_resident(self, zoo, engines, num_shards, selector_mode):
+        """Every shard's store round-tripped through disk and mapped back
+        serves the resident store's bits, in process and by its workers."""
+        check_configuration(
+            zoo, engines, (f"u{num_shards}", "trained", selector_mode, "int8_mmap"), rows=16
+        )
+
+
 class TestWorkspaceDiscipline:
-    def test_streaming_allocation_flat_after_warmup(
-        self, task, screener, features, calibration
-    ):
-        quantized = quantized_twin(task, screener, "top_m", calibration, "int8")
+    def test_streaming_allocation_flat_after_warmup(self, zoo, features):
+        quantized = quantized_twin(zoo, "top_m", "int8")
         quantized.forward_streaming(features)
         quantized.forward_streaming(features)  # growable slabs settle
         allocations = quantized.workspace.allocations
@@ -288,12 +242,10 @@ class TestWorkspaceDiscipline:
             quantized.forward_streaming(features)
         assert quantized.workspace.allocations == allocations
 
-    def test_dense_exact_phase_uses_workspace(
-        self, task, screener, features, calibration
-    ):
+    def test_dense_exact_phase_uses_workspace(self, zoo, features):
         """Dense ``forward`` dequantizes into the arena it screens into:
         the call's arena, which a call alone is given the kept one."""
-        quantized = quantized_twin(task, screener, "top_m", calibration, "int8")
+        quantized = quantized_twin(zoo, "top_m", "int8")
         arenas = []
         exact_phase = quantized._exact_candidate_values
 
@@ -306,8 +258,8 @@ class TestWorkspaceDiscipline:
         assert arenas == [quantized._arena]
         assert arenas[0].requests > 0
 
-    def test_requantization_rejected(self, task, screener, calibration):
-        quantized = quantized_twin(task, screener, "top_m", calibration, "int8")
+    def test_requantization_rejected(self, zoo):
+        quantized = quantized_twin(zoo, "top_m", "int8")
         with pytest.raises(ValueError, match="already quantized"):
             quantized.quantize_exact_weights("float16")
         # Same kind is an idempotent no-op.
@@ -315,78 +267,16 @@ class TestWorkspaceDiscipline:
 
 
 # ----------------------------------------------------------------------
-# mmap vs resident bit-identity, across shard counts and selectors
-# ----------------------------------------------------------------------
-@pytest.mark.parametrize("num_shards", SHARD_COUNTS)
-@pytest.mark.parametrize("selector_mode", SELECTORS)
-class TestMmapBitIdentity:
-    def test_mmap_equals_resident(
-        self, task, calibration, tmp_path, num_shards, selector_mode
-    ):
-        sharded = ShardedClassifier(
-            task.classifier,
-            num_shards=num_shards,
-            config=ScreeningConfig(projection_dim=PROJECTION_DIM),
-        )
-        sharded.train(task.sample_features(128, rng=28), rng=29)
-        sharded.quantize_exact_weights("int8")
-        for shard in sharded.shards:
-            if selector_mode == "threshold":
-                selector = CandidateSelector(
-                    mode="threshold", num_candidates=NUM_CANDIDATES
-                )
-                selector.calibrate(
-                    shard.screener.approximate_logits(calibration)
-                )
-                shard.selector = selector
-        batch = task.sample_features(16, rng=30)
-        resident = sharded.forward_streaming(batch)
-
-        # Round-trip every shard's store through disk, once resident
-        # and once memory-mapped; both must serve identical bits.
-        for mmap in (False, True):
-            for shard_id, shard in enumerate(sharded.shards):
-                path = tmp_path / f"shard{shard_id}-{selector_mode}"
-                save_quantized_store(path, shard.classifier)
-                loaded = load_quantized_store(path, mmap=mmap)
-                assert loaded.kind == "int8"
-                if mmap:
-                    # The codes must actually be a mapping of the
-                    # sidecar, not an in-memory copy.
-                    base = loaded.codes
-                    while base.base is not None:
-                        if isinstance(base, np.memmap):
-                            break
-                        base = base.base
-                    assert isinstance(base, np.memmap)
-                shard.classifier = loaded
-            reloaded = sharded.forward_streaming(batch)
-            assert np.array_equal(
-                resident.candidates.flat()[1], reloaded.candidates.flat()[1]
-            )
-            assert np.array_equal(resident.exact_values, reloaded.exact_values)
-            assert np.array_equal(
-                resident.approximate_values, reloaded.approximate_values
-            )
-
-
-# ----------------------------------------------------------------------
 # quantized shared segments through the parallel engine
 # ----------------------------------------------------------------------
 @pytest.mark.timeout(300)
 class TestQuantizedParallelServing:
-    def test_parallel_serves_quantized_segments_through_respawn(self, task):
-        sharded = ShardedClassifier(
-            task.classifier,
-            num_shards=2,
-            config=ScreeningConfig(projection_dim=PROJECTION_DIM),
-        )
-        sharded.train(task.sample_features(128, rng=31), rng=32)
-        sharded.quantize_exact_weights("int8")
-        batch = task.sample_features(12, rng=33)
+    def test_parallel_serves_quantized_segments_through_respawn(self, zoo):
+        sharded = zoo[("u2", "trained", "top_m", "int8")]
+        batch = zoo.features[31:43]
         sequential = sharded.forward_streaming(batch)
 
-        fp64_bytes = task.classifier.weight.nbytes + task.classifier.bias.nbytes
+        fp64_bytes = zoo.stacked.weight.nbytes + zoo.stacked.bias.nbytes
         with sharded.parallel(
             max_restarts=2, restart_backoff=0.01, restart_backoff_cap=0.05
         ) as engine:

@@ -1,33 +1,31 @@
 """Contract tests for the serving front door.
 
-The load-bearing claim: putting the front door between a caller and an
-engine changes *scheduling*, never *answers*.  The differential tests
-replay the exact micro-batches the front door formed (via the
-``batch_id``/``batch_index`` metadata in every reply) directly against
-the backend and require bit-identical rows — across the single-node
-pipeline, the sequential sharded classifier and the process-parallel
-engine.
+The load-bearing claim — putting the front door between a caller and an
+engine changes *scheduling*, never *answers* — is asserted by
+``tests/test_matrix.py``: it replays the micro-batches the front door
+formed (via the ``batch_id``/``batch_index`` metadata in every reply)
+against the backend, on every backend, with the result cache off and on;
+the single-node and sharded backends, op by op, are named
+configurations of it below.
 
-Also covered: the size-or-deadline flush policy, admission control
-(typed ``QueueFullError``, engine outputs unaffected by overload), SLO
-deadlines (expired requests are shed, never served late; budgets narrow
-the backend's supervision deadline and the default is restored), and
-lifecycle (drain on close, typed error after close, a cancelled request
-dropped and counted).
+Covered here: the backend protocol, the size-or-deadline flush policy,
+admission control (typed ``QueueFullError``, engine outputs unaffected
+by overload), SLO deadlines (expired requests are shed, never served
+late; budgets narrow the backend's supervision deadline and the default
+is restored), and lifecycle (drain on close, typed error after close, a
+cancelled request dropped and counted).
 """
 
 import threading
 import time
-from collections import defaultdict
 
 import numpy as np
 import pytest
 
-from repro.core import ApproximateScreeningClassifier, ScreeningConfig, train_screener
+from conftest import HIDDEN_DIM, M
+from contracts import check_configuration, check_door
 from repro.core.candidates import CandidateSet
 from repro.core.pipeline import ScreenedOutput
-from repro.data import make_task
-from repro.distributed import ShardedClassifier
 from repro.serving import (
     DeadlineExceededError,
     EngineBackend,
@@ -42,46 +40,19 @@ from repro.serving import (
 
 pytestmark = pytest.mark.timeout(600)
 
-NUM_CATEGORIES = 300
-HIDDEN_DIM = 24
+@pytest.fixture(scope="module")
+def single_node(zoo):
+    return zoo[("single", "trained", "top_m", "fp64")]
 
 
 @pytest.fixture(scope="module")
-def task():
-    return make_task(num_categories=NUM_CATEGORIES, hidden_dim=HIDDEN_DIM, rng=4)
+def sharded(zoo):
+    return zoo[("u2", "trained", "top_m", "fp64")]
 
 
 @pytest.fixture(scope="module")
-def train_features(task):
-    return task.sample_features(128, rng=7)
-
-
-@pytest.fixture(scope="module")
-def single_node(task, train_features):
-    screener = train_screener(
-        task.classifier,
-        train_features,
-        config=ScreeningConfig(projection_dim=8),
-        epochs=3,
-        rng=5,
-    )
-    return ApproximateScreeningClassifier(
-        task.classifier, screener, num_candidates=16
-    )
-
-
-@pytest.fixture(scope="module")
-def sharded(task, train_features):
-    model = ShardedClassifier(
-        task.classifier, num_shards=2, config=ScreeningConfig(projection_dim=8)
-    )
-    model.train(train_features, candidates_per_shard=8, rng=5)
-    return model
-
-
-@pytest.fixture(scope="module")
-def request_rows(task):
-    return task.sample_features(24, rng=11)
+def request_rows(zoo):
+    return zoo.features[:24]
 
 
 class TestEngineBackendProtocol:
@@ -102,25 +73,6 @@ class TestEngineBackendProtocol:
         assert not isinstance(object(), EngineBackend)
 
 
-def replay_batches(door, backend, rows, op="forward", **submit_kwargs):
-    """Submit every row, then regroup replies into the micro-batches the
-    front door actually formed and return
-    ``[(stacked_features, [(reply, row_index), ...]), ...]``."""
-    futures = [door.submit(row, op, **submit_kwargs) for row in rows]
-    replies = [future.result(timeout=60) for future in futures]
-    batches = defaultdict(list)
-    for row, reply in zip(rows, replies):
-        batches[reply.batch_id].append((reply, row))
-    grouped = []
-    for batch_id, members in sorted(batches.items()):
-        members.sort(key=lambda pair: pair[0].batch_index)
-        sizes = {pair[0].batch_size for pair in members}
-        assert sizes == {len(members)}, "reply batch metadata inconsistent"
-        stacked = np.stack([row for _, row in members], axis=0)
-        grouped.append((stacked, [reply for reply, _ in members]))
-    return grouped
-
-
 class TestDifferentialBitIdentity:
     """Front-door replies are bit-identical to direct backend calls on
     the same micro-batches."""
@@ -130,96 +82,27 @@ class TestDifferentialBitIdentity:
         return request.getfixturevalue(request.param)
 
     def test_forward_rows_match_direct_call(self, backend, request_rows):
-        with FrontDoor(backend, max_batch=4, flush_window_s=0.05) as door:
-            for stacked, replies in replay_batches(door, backend, request_rows):
-                direct = backend.forward(stacked)
-                assert direct.logits.shape[0] == len(replies)
-                for i, reply in enumerate(replies):
-                    assert np.array_equal(reply.value.logits, direct.logits[i])
-                    assert np.array_equal(
-                        reply.value.candidates, direct.candidates.indices[i]
-                    )
-                    assert not reply.degraded
-                    assert reply.failures == ()
+        check_door(backend, request_rows, None, M, cache=None, ops=("forward",))
 
     def test_streaming_rows_match_direct_call(self, backend, request_rows):
-        with FrontDoor(backend, max_batch=4, flush_window_s=0.05) as door:
-            batches = replay_batches(
-                door, backend, request_rows, op="forward_streaming"
-            )
-            for stacked, replies in batches:
-                direct = backend.forward_streaming(stacked)
-                offsets = np.concatenate(
-                    ([0], np.cumsum(direct.candidates.counts))
-                )
-                for i, reply in enumerate(replies):
-                    assert np.array_equal(
-                        reply.value.candidates, direct.candidates.indices[i]
-                    )
-                    assert np.array_equal(
-                        reply.value.exact_values,
-                        direct.exact_values[offsets[i] : offsets[i + 1]],
-                    )
-                    assert np.array_equal(
-                        reply.value.approximate_values,
-                        direct.approximate_values[offsets[i] : offsets[i + 1]],
-                    )
+        check_door(backend, request_rows, None, M, cache=None, ops=("forward_streaming",))
 
     def test_top_k_and_predict_rows_match_direct_call(self, backend, request_rows):
-        with FrontDoor(backend, max_batch=4, flush_window_s=0.05) as door:
-            for stacked, replies in replay_batches(
-                door, backend, request_rows, op="top_k", k=7
-            ):
-                indices, scores = backend.top_k(stacked, k=7)
-                for i, reply in enumerate(replies):
-                    assert np.array_equal(reply.value[0], indices[i])
-                    assert np.array_equal(reply.value[1], scores[i])
-            for stacked, replies in replay_batches(
-                door, backend, request_rows, op="predict"
-            ):
-                direct = backend.predict(stacked)
-                for i, reply in enumerate(replies):
-                    assert reply.value == direct[i]
+        check_door(backend, request_rows, None, 7, cache=None, ops=("top_k", "predict"))
 
-    def test_unit_batches_match_direct_single_row_calls(
-        self, backend, request_rows
-    ):
+    def test_unit_batches_match_direct_single_row_calls(self, backend, request_rows):
         """``max_batch=1`` disables coalescing: each reply must equal a
         direct one-row backend call exactly (same shapes in, same bits
         out)."""
-        with FrontDoor(backend, max_batch=1, flush_window_s=0.0) as door:
-            for row in request_rows[:6]:
-                reply = door.call(row, timeout=60)
-                assert reply.batch_size == 1
-                direct = backend.forward(row[np.newaxis, :])
-                assert np.array_equal(reply.value.logits, direct.logits[0])
-                assert np.array_equal(
-                    reply.value.candidates, direct.candidates.indices[0]
-                )
+        check_door(backend, request_rows[:6], None, M, cache=None, max_batch=1)
 
 
 class TestParallelBackendThroughTheDoor:
-    """One process-fleet spin-up covering the parallel-specific claims:
-    bit-identity with the sequential model and deadline narrowing of the
-    supervision timeout."""
-
-    def test_parallel_replies_match_sequential_backend(
-        self, sharded, request_rows
-    ):
-        with sharded.parallel() as engine:
-            with FrontDoor(engine, max_batch=4, flush_window_s=0.05) as door:
-                for stacked, replies in replay_batches(
-                    door, engine, request_rows[:12]
-                ):
-                    direct = sharded.forward(stacked)
-                    for i, reply in enumerate(replies):
-                        assert np.array_equal(
-                            reply.value.logits, direct.logits[i]
-                        )
-                        assert np.array_equal(
-                            reply.value.candidates, direct.candidates.indices[i]
-                        )
-            assert engine.request_timeout is None  # restored after every batch
+    def test_parallel_replies_match_sequential_backend(self, zoo, engines):
+        """The fleet's replies through the door are its direct replies,
+        and those the sequential model's; the supervision timeout is
+        restored after every batch."""
+        check_configuration(zoo, engines, ("u2", "trained", "top_m", "fp64"), rows=12)
 
 
 class _RecordingBackend:
@@ -405,7 +288,7 @@ class TestAdmissionControl:
                     # Coalesced rows are checked by the replay tests;
                     # here it is enough that every admitted request got
                     # a well-formed answer despite the overload.
-                    assert reply.value.logits.shape == (NUM_CATEGORIES,)
+                    assert reply.value.logits.shape == (single_node.num_categories,)
 
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
@@ -474,7 +357,9 @@ class TestFlushPolicyAndLifecycle:
         futures = [door.submit(row) for row in request_rows[:3]]
         door.close()  # drain=True: flushes the partial batch immediately
         for future in futures:
-            assert future.result(timeout=1).value.logits.shape == (NUM_CATEGORIES,)
+            assert future.result(timeout=1).value.logits.shape == (
+                single_node.num_categories,
+            )
         with pytest.raises(FrontDoorClosedError):
             door.submit(request_rows[0])
 

@@ -9,10 +9,11 @@ Three layers of guarantees:
 * **Merge machinery, cross-plan** — slicing one reference global output
   into *any* contiguous plan and merging back is bit-exact, so global
   column indexing cannot depend on where the shard boundaries fall.
-* **Backends, per plan** — for every plan shape × candidate selector ×
-  feature width, the process-parallel engine is bit-identical to the
-  sequential backend (the cross-backend contract extended from uniform
-  plans in ``tests/test_distributed_parallel.py`` to skewed ones).
+* **Backends, per plan** — candidate entries exact on every plan shape,
+  replicas and observed-frequency plans serving the sequential bits
+  (``tests/test_matrix.py`` holds the process-parallel engine to the
+  sequential backend on every plan; the uniform, balanced and hot plans
+  are named configurations of it here).
 
 Cross-plan bit-identity of *trained model outputs* is deliberately not
 claimed: each shard trains its own screener from a per-shard spawned
@@ -25,10 +26,11 @@ and the exactness of candidate entries against the full classifier.
 import numpy as np
 import pytest
 
+from conftest import M, zipf_frequencies
+from contracts import check_configuration
 from repro.core import ScreeningConfig
-from repro.core.candidates import CandidateSelector, CandidateSet
+from repro.core.candidates import CandidateSet
 from repro.core.pipeline import ScreenedOutput, StreamedOutput
-from repro.data import make_task
 from repro.distributed import (
     ShardPlan,
     ShardedClassifier,
@@ -41,25 +43,13 @@ from repro.distributed.sharding import (
     _minimax_contiguous_partition,
     merge_shard_outputs,
     merge_streamed_outputs,
+    normalize_loads,
 )
 
 pytestmark = pytest.mark.timeout(600)
 
 NUM_CATEGORIES = 300
-HIDDEN_DIM = 24
-PROJECTION_DIM = 8
-CANDIDATES_PER_SHARD = 8
-TRAIN_RNG = 5
-
-SELECTORS = ("top_m", "threshold")
-#: Caller feature widths; every call casts to float64 at the door.
-FEATURE_DTYPES = ("float64", "float32")
 PLAN_KINDS = ("uniform", "balanced", "hot")
-
-
-def zipf_frequencies(num_categories, s=1.1):
-    ranks = np.arange(1, num_categories + 1, dtype=np.float64)
-    return ranks**-s
 
 
 def make_plan(kind, num_categories=NUM_CATEGORIES):
@@ -123,6 +113,17 @@ class TestShardPlanInvariants:
                 ShardPlan(ranges, loads=[1.0, bad])
         # All-zero loads carry no signal: fall back to uniform loads.
         assert ShardPlan(ranges, loads=[0.0, 0.0]).loads == (0.5, 0.5)
+
+    def test_normalize_loads_fractions(self):
+        assert normalize_loads([2.0, 1.0, 1.0]) == (0.5, 0.25, 0.25)
+
+    def test_normalize_zero_mass_degrades_to_uniform(self):
+        assert normalize_loads([0.0, 0.0]) == (0.5, 0.5)
+
+    def test_normalize_rejects_bad_loads(self):
+        for bad in ([], [1.0, -0.1], [1.0, float("nan")]):
+            with pytest.raises(ValueError):
+                normalize_loads(bad)
 
     def test_default_loads_are_size_fractions(self):
         plan = ShardPlan([range(0, 1), range(1, 4)])
@@ -273,14 +274,14 @@ class TestShardCountExceedsCategories:
         with pytest.raises(ValueError, match="exceed"):
             ShardPlan.balanced(None, 5, num_categories=3)
 
-    def test_sharded_classifier_raises(self, task):
+    def test_sharded_classifier_raises(self, zoo):
+        classifier = zoo.tasks["single"].classifier
+        l = classifier.num_categories
         with pytest.raises(ValueError, match="exceed"):
-            ShardedClassifier(task.classifier, num_shards=NUM_CATEGORIES + 1)
+            ShardedClassifier(classifier, num_shards=l + 1)
         with pytest.raises(ValueError, match="exceed"):
             ShardedClassifier(
-                task.classifier,
-                num_shards=NUM_CATEGORIES + 1,
-                frequencies=zipf_frequencies(NUM_CATEGORIES),
+                classifier, num_shards=l + 1, frequencies=zipf_frequencies(l)
             )
 
 
@@ -396,56 +397,6 @@ class TestCrossPlanMergeExactness:
 # ----------------------------------------------------------------------
 # backends over skewed plans
 # ----------------------------------------------------------------------
-@pytest.fixture(scope="module")
-def task():
-    return make_task(num_categories=NUM_CATEGORIES, hidden_dim=HIDDEN_DIM, rng=4)
-
-
-@pytest.fixture(scope="module")
-def features(task):
-    return task.sample_features(8, rng=6)
-
-
-@pytest.fixture(scope="module")
-def calibration(task):
-    return task.sample_features(96, rng=9)
-
-
-@pytest.fixture(scope="module")
-def train_features(task):
-    return task.sample_features(160, rng=7)
-
-
-@pytest.fixture(scope="module")
-def model_zoo(task, calibration, train_features):
-    """Trained sequential models, one per (plan kind, selector)."""
-    zoo = {}
-    for kind in PLAN_KINDS:
-        for selector_mode in SELECTORS:
-            model = ShardedClassifier(
-                task.classifier,
-                plan=make_plan(kind),
-                config=ScreeningConfig(projection_dim=PROJECTION_DIM),
-            )
-            model.train(
-                train_features,
-                candidates_per_shard=CANDIDATES_PER_SHARD,
-                rng=TRAIN_RNG,
-            )
-            if selector_mode == "threshold":
-                for shard in model.shards:
-                    selector = CandidateSelector(
-                        mode="threshold",
-                        num_candidates=CANDIDATES_PER_SHARD,
-                    )
-                    selector.calibrate(
-                        shard.screener.approximate_logits(calibration)
-                    )
-                    shard.selector = selector
-            zoo[(kind, selector_mode)] = model
-    return zoo
-
-
 def assert_outputs_identical(actual, expected):
     assert actual.logits.dtype == expected.logits.dtype
     assert np.array_equal(actual.logits, expected.logits)
@@ -455,46 +406,30 @@ def assert_outputs_identical(actual, expected):
     assert actual.exact_count == expected.exact_count
 
 
+#: The shared zoo's plan keys for this suite's plan kinds.
+ZOO_PLANS = {"uniform": "u3", "balanced": "balanced", "hot": "hot"}
+
+
 @pytest.mark.parametrize("kind", PLAN_KINDS)
-@pytest.mark.parametrize("feature_dtype", FEATURE_DTYPES)
-@pytest.mark.parametrize("selector_mode", SELECTORS)
+@pytest.mark.parametrize("feature_dtype", ("float64", "float32"))
+@pytest.mark.parametrize("selector_mode", ("top_m", "threshold"))
 class TestParallelMatchesSequentialOnSkewedPlans:
-    def test_bit_identical(self, model_zoo, features, kind, feature_dtype, selector_mode):
-        model = model_zoo[(kind, selector_mode)]
-        features = features.astype(feature_dtype)
-        assert model.plan == make_plan(kind)
-        sequential = model.forward(features)
-        streamed = model.forward_streaming(features)
-        with model.parallel() as engine:
-            assert_outputs_identical(engine.forward(features), sequential)
-
-            par_streamed = engine.forward_streaming(features)
-            assert np.array_equal(par_streamed.exact_values, streamed.exact_values)
-            assert np.array_equal(
-                par_streamed.approximate_values, streamed.approximate_values
-            )
-            for mine, theirs in zip(
-                par_streamed.candidates, streamed.candidates
-            ):
-                assert np.array_equal(mine, theirs)
-
-            seq_indices, seq_scores = model.top_k(features, k=7)
-            par_indices, par_scores = engine.top_k(features, k=7)
-            assert np.array_equal(par_indices, seq_indices)
-            assert np.array_equal(par_scores, seq_scores)
-            assert np.array_equal(engine.predict(features), model.predict(features))
+    def test_bit_identical(self, zoo, engines, kind, feature_dtype, selector_mode):
+        check_configuration(
+            zoo, engines, (ZOO_PLANS[kind], "trained", selector_mode, "fp64"),
+            dtype=feature_dtype, k="m+5",
+        )
 
 
 class TestSkewedPlanSemantics:
-    def test_candidate_entries_match_exact_classifier(
-        self, task, features, model_zoo
-    ):
+    def test_candidate_entries_match_exact_classifier(self, zoo):
         """On every plan shape, candidate entries equal the exact
         full-classifier scores at global indices (allclose: sharded
         pipelines compute them from sliced planes)."""
-        exact = task.classifier.logits(features)
-        for kind in PLAN_KINDS:
-            output = model_zoo[(kind, "top_m")].forward(features)
+        features = zoo.features[:8]
+        exact = zoo.stacked.logits(features)
+        for plan in ("u4", "balanced", "hot"):
+            output = zoo[(plan, "trained", "top_m", "fp64")].forward(features)
             for row, indices in enumerate(output.candidates):
                 assert np.allclose(
                     output.logits[row, indices],
@@ -503,10 +438,11 @@ class TestSkewedPlanSemantics:
                     atol=1e-10,
                 )
 
-    def test_replicated_hot_shard_bit_identical(self, model_zoo, features):
+    def test_replicated_hot_shard_bit_identical(self, zoo):
         """Replica workers serve the same bits as the lone worker, and
         the per-shard answer counts reconcile with the request count."""
-        model = model_zoo[("balanced", "threshold")]
+        model = zoo[("balanced", "trained", "threshold", "fp64")]
+        features = zoo.features[:8]
         sequential = model.forward(features)
         with model.parallel(replicas={0: 2}) as engine:
             for _ in range(3):
@@ -519,57 +455,43 @@ class TestSkewedPlanSemantics:
             group = engine.replica_groups[0]
             assert sorted(r.served for r in group.replicas) == [1, 2]  # least-loaded spread
 
-    def test_frequencies_argument_builds_balanced_plan(
-        self, task, train_features, features
-    ):
+    def test_frequencies_argument_builds_balanced_plan(self, zoo):
         """End-to-end: observe candidate frequencies from a trained
         model, rebuild with ``frequencies=``, and serve through both
         backends bit-identically."""
-        seed_model = ShardedClassifier(
-            task.classifier,
-            num_shards=3,
-            config=ScreeningConfig(projection_dim=PROJECTION_DIM),
-        )
-        seed_model.train(
-            train_features, candidates_per_shard=CANDIDATES_PER_SHARD, rng=TRAIN_RNG
-        )
+        features, l = zoo.features[:8], zoo.stacked.num_categories
+        seed_model = zoo[("u4", "trained", "top_m", "fp64")]
         outputs = [seed_model.forward(features[i : i + 4]) for i in range(0, 8, 4)]
-        frequencies = observed_category_frequencies(outputs, NUM_CATEGORIES)
+        frequencies = observed_category_frequencies(outputs, l)
         assert frequencies.sum() == sum(o.exact_count for o in outputs)
 
         model = ShardedClassifier(
-            task.classifier,
+            zoo.stacked,
             num_shards=3,
             frequencies=frequencies,
-            config=ScreeningConfig(projection_dim=PROJECTION_DIM),
+            config=ScreeningConfig(projection_dim=4),
         )
         assert model.plan.source == "balanced"
-        assert model.plan.num_categories == NUM_CATEGORIES
-        model.train(
-            train_features, candidates_per_shard=CANDIDATES_PER_SHARD, rng=TRAIN_RNG
-        )
+        assert model.plan.num_categories == l
+        model.train(zoo.train_features, candidates_per_shard=M, rng=5)
         sequential = model.forward(features)
         with model.parallel() as engine:
             assert_outputs_identical(engine.forward(features), sequential)
 
-    def test_plan_argument_validation(self, task):
-        plan = ShardPlan.uniform(NUM_CATEGORIES, 3)
+    def test_plan_argument_validation(self, zoo):
+        classifier = zoo.tasks["single"].classifier
+        l = classifier.num_categories
+        plan = ShardPlan.uniform(l, 3)
         with pytest.raises(ValueError, match="not both"):
-            ShardedClassifier(
-                task.classifier, plan=plan, frequencies=np.ones(NUM_CATEGORIES)
-            )
+            ShardedClassifier(classifier, plan=plan, frequencies=np.ones(l))
         with pytest.raises(ValueError, match="conflicts"):
-            ShardedClassifier(task.classifier, num_shards=4, plan=plan)
+            ShardedClassifier(classifier, num_shards=4, plan=plan)
         with pytest.raises(ValueError, match="covers"):
-            ShardedClassifier(
-                task.classifier, plan=ShardPlan.uniform(NUM_CATEGORIES - 1, 3)
-            )
+            ShardedClassifier(classifier, plan=ShardPlan.uniform(l - 1, 3))
         with pytest.raises(ValueError, match="require num_shards"):
-            ShardedClassifier(
-                task.classifier, frequencies=np.ones(NUM_CATEGORIES)
-            )
+            ShardedClassifier(classifier, frequencies=np.ones(l))
         with pytest.raises(ValueError, match="num_shards, frequencies or plan"):
-            ShardedClassifier(task.classifier)
+            ShardedClassifier(classifier)
 
     def test_weights_scale_observed_frequencies(self):
         candidates = CandidateSet(indices=[np.array([1, 3], dtype=np.intp)])
