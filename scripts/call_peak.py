@@ -14,7 +14,11 @@ lookup, and a view when its shape changed), then prints the
 
 * ``screen+select`` — the tile loop: screening, the reducer, finalize;
 * ``exact``         — the exact phase over the candidates the loop chose;
-* ``whole call``    — ``forward_streaming`` itself.
+* ``whole call``    — ``forward_streaming`` itself;
+
+then the call's result — the bytes of the arrays it returns (counts,
+columns, exact and approximate values), the floor any call must
+allocate — and the whole call's peak over it.
 
 Both phases run on the pipeline's own arena, as the call runs them.  One
 tile of scores is printed beside them for scale: a warm call that allocates
@@ -114,8 +118,16 @@ def measure(model, batch, repeats: int) -> dict:
     model.forward_streaming(batch)
     model.set_recorder(NULL_RECORDER)
     counters = recorder.snapshot()["counters"]
+    output = model.forward_streaming(batch)
     result = dict(
         peaks=peaks,
+        result_bytes=sum(
+            array.nbytes
+            for array in (
+                output.candidates.counts, output.candidates.flat()[1],
+                output.exact_values, output.approximate_values,
+            )
+        ),
         tiles=len(model.screener.tile_bounds()),
         prescreened=int(counters.get("pipeline.tiles_prescreened", 0)),
         skipped=int(counters.get("pipeline.tiles_skipped", 0)),
@@ -164,6 +176,11 @@ def report(args, result: dict) -> str:
         share = value / result["tile_bytes"]
         lines.append(f"{phase:<16}{value / 1e6:>10.3f}{value:>12,}{share:>11.3f}")
     lines.append(f"{'one tile':<16}{result['tile_bytes'] / 1e6:>10.3f}{result['tile_bytes']:>12,}")
+    floor = result["result_bytes"]
+    lines.append(
+        f"{'result':<16}{floor / 1e6:>10.3f}{floor:>12,}   whole call ÷ result "
+        f"{result['peaks']['whole call'] / floor:.2f}"
+    )
     lines.append(
         f"workspace {result['workspace_bytes'] / 1e6:.3f} MB after {result['warm_calls']} "
         f"warm-up calls, {result['steady_allocations']} allocations while measured, "

@@ -8,7 +8,6 @@ Screener's comparator array writing indices to the index buffer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -18,34 +17,45 @@ from repro.linalg.topk import (
     calibrate_threshold,
     select_above_threshold,
     stable_top_m_indices,
+    stable_top_m_mask,
 )
 from repro.utils.validation import check_positive
 
 SELECTION_MODES = ("top_m", "threshold")
 
 
-@dataclass
+def entry_rows(counts: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """``np.repeat(np.arange(len(counts)), counts)`` — the row of each
+    entry of a flat record — into ``out`` (intp, ``counts.sum()`` long;
+    fresh when ``None``): a row's first entry carries its jump from the
+    last nonempty row, and a running sum spreads it."""
+    if out is None:
+        out = np.empty(int(counts.sum()), dtype=np.intp)
+    out.fill(0)
+    nonempty = np.flatnonzero(counts)
+    out[(np.cumsum(counts) - counts)[nonempty]] = np.diff(nonempty, prepend=0)
+    return np.cumsum(out, out=out)
+
+
 class CandidateSet:
     """Per-batch-row candidate indices produced by screening.
 
     ``indices`` is a ragged list (threshold mode selects variable
     counts); ``rows`` pairs each index array with its batch row.
 
-    The derived views (``counts``, ``union``, ``flat``) are cached —
-    the vectorized pipeline asks for them repeatedly on the hot path.
-    Treat a ``CandidateSet`` as immutable once constructed.
+    The derived views (``counts``, ``union``, ``columns``, ``flat``)
+    are cached — the vectorized pipeline asks for them repeatedly on the
+    hot path — and a set built :meth:`from_flat` splits its columns into
+    ``indices`` only when they are first asked for.  Treat a
+    ``CandidateSet`` as immutable once constructed.
     """
 
-    indices: List[np.ndarray]
-    _counts: Optional[np.ndarray] = field(
-        default=None, init=False, repr=False, compare=False
-    )
-    _union: Optional[np.ndarray] = field(
-        default=None, init=False, repr=False, compare=False
-    )
-    _flat: Optional[Tuple[np.ndarray, np.ndarray]] = field(
-        default=None, init=False, repr=False, compare=False
-    )
+    def __init__(self, indices: Optional[List[np.ndarray]]):
+        self._indices = indices  # None: split from ``_columns`` on first use
+        self._counts: Optional[np.ndarray] = None
+        self._union: Optional[np.ndarray] = None
+        self._columns: Optional[np.ndarray] = None
+        self._flat: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
     @classmethod
     def from_flat(cls, counts: np.ndarray, cols: np.ndarray) -> "CandidateSet":
@@ -55,7 +65,8 @@ class CandidateSet:
         all candidate columns concatenated in row order — the compact
         form a serving worker ships back to the host.  Round-trips
         exactly: ``CandidateSet.from_flat(cs.counts, cs.flat()[1])``
-        equals ``cs`` row for row.
+        equals ``cs`` row for row.  ``cols`` itself is kept as
+        :meth:`columns`, and the row lists are views of it.
         """
         counts = np.asarray(counts, dtype=np.intp)
         cols = np.asarray(cols, dtype=np.intp)
@@ -63,21 +74,30 @@ class CandidateSet:
             raise ValueError(
                 f"counts sum to {int(counts.sum())} but {cols.size} columns given"
             )
-        candidate_set = cls(
-            indices=np.split(cols, np.cumsum(counts)[:-1]) if counts.size else []
-        )
+        candidate_set = cls(None)
         candidate_set._counts = counts
+        candidate_set._columns = cols
         return candidate_set
 
     @property
+    def indices(self) -> List[np.ndarray]:
+        """One ascending index array per batch row."""
+        if self._indices is None:
+            counts = self._counts
+            self._indices = (
+                np.split(self._columns, np.cumsum(counts)[:-1]) if counts.size else []
+            )
+        return self._indices
+
+    @property
     def batch_size(self) -> int:
-        return len(self.indices)
+        return self.counts.size if self._indices is None else len(self._indices)
 
     @property
     def counts(self) -> np.ndarray:
         """Number of candidates per batch row."""
         if self._counts is None:
-            self._counts = np.array([idx.size for idx in self.indices])
+            self._counts = np.array([idx.size for idx in self.indices], dtype=np.intp)
         return self._counts
 
     @property
@@ -92,17 +112,24 @@ class CandidateSet:
         batch tile, so this is the weight traffic the Executor sees.
         """
         if self._union is None:
-            if not self.indices:
-                self._union = np.array([], dtype=np.intp)
-            else:
-                # np.unique's own sort + adjacent-difference mask, spelled
-                # out: NumPy 2 imports numpy.ma inside np.unique, and a
-                # fresh worker's first request would pay that import.
-                merged = np.sort(np.concatenate(self.indices))
-                first = np.ones(merged.size, dtype=bool)
-                np.not_equal(merged[1:], merged[:-1], out=first[1:])
-                self._union = merged[first]
+            # np.unique's own sort + adjacent-difference mask, spelled
+            # out: NumPy 2 imports numpy.ma inside np.unique, and a
+            # fresh worker's first request would pay that import.
+            merged = np.sort(self.columns())
+            first = np.ones(merged.size, dtype=bool)
+            np.not_equal(merged[1:], merged[:-1], out=first[1:])
+            self._union = merged[first]
         return self._union
+
+    def columns(self) -> np.ndarray:
+        """Every candidate's column, concatenated in row order —
+        ``flat()[1]`` without building its rows."""
+        if self._columns is None:
+            if not self.indices:
+                self._columns = np.array([], dtype=np.intp)
+            else:
+                self._columns = np.concatenate(self.indices).astype(np.intp, copy=False)
+        return self._columns
 
     def flat(self) -> Tuple[np.ndarray, np.ndarray]:
         """``(rows, cols)`` of every candidate as flat aligned arrays.
@@ -112,17 +139,14 @@ class CandidateSet:
         one fancy-indexed assignment instead of a per-row Python loop.
         """
         if self._flat is None:
-            if not self.indices:
-                empty = np.array([], dtype=np.intp)
-                self._flat = (empty, empty.copy())
-            else:
-                rows = np.repeat(np.arange(len(self.indices)), self.counts)
-                cols = np.concatenate(self.indices).astype(np.intp, copy=False)
-                self._flat = (rows, cols)
+            self._flat = (entry_rows(self.counts), self.columns())
         return self._flat
 
     def __iter__(self):
         return iter(self.indices)
+
+    def __repr__(self) -> str:
+        return f"CandidateSet(batch={self.batch_size}, total={self.total})"
 
 
 class CandidateSelector:
@@ -215,17 +239,16 @@ class CandidateSelector:
             runner_ups=min(slots, num_categories),
         )
 
-    def is_candidate(self, values: np.ndarray, batch: int) -> np.ndarray:
+    def is_candidate(self, values: np.ndarray, batch: int, workspace=None) -> np.ndarray:
         """Which entries of a ``runner_ups`` reducer's flat record
         :meth:`select` would have picked (a mask aligned with
-        ``values``; the rest are the runner-ups)."""
+        ``values``; the rest are the runner-ups).  In top-m mode the mask
+        is a view of ``workspace``'s arena
+        (:func:`~repro.linalg.topk.stable_top_m_mask`)."""
         if self.mode == "threshold":
             return values > float(self.threshold)  # the reducer's compare
         slots = values.reshape(batch, -1)
-        picked = stable_top_m_indices(slots, min(self.num_candidates, slots.shape[1]))
-        mask = np.zeros(slots.shape, dtype=bool)
-        np.put_along_axis(mask, picked, True, axis=1)
-        return mask.reshape(-1)
+        return stable_top_m_mask(slots, self.num_candidates, workspace).reshape(-1)
 
     def __repr__(self) -> str:
         return (

@@ -45,7 +45,9 @@ def gathered_candidate_scores(
     operand buffers made once per call — the phase scratch of
     ``workspace`` when one is given, which a streaming call's tiles have
     already sized — so nothing grows with the candidate count but the
-    result.  Each score is its own dot product, so chunking moves no
+    result (the features' buffer is the store's dequantization scratch
+    before it takes the features, and the weights' takes the bias after
+    the dot products).  Each score is its own dot product, so chunking moves no
     bits.  ``rows`` are range-checked once here and ``cols`` by the
     store's ``gather_rows``; ``np.take`` under its default
     ``mode="raise"`` would buffer a copy of every chunk instead.
@@ -61,10 +63,12 @@ def gathered_candidate_scores(
     for start in range(0, cols.size, _GATHER_CHUNK):
         chunk = slice(start, start + _GATHER_CHUNK)
         size = len(cols[chunk])
-        store.gather_rows(cols[chunk], out=weights[:size])
+        store.gather_rows(cols[chunk], out=weights[:size], scratch=features[:size])
         np.take(batch, rows[chunk], axis=0, out=features[:size], mode="wrap")
         np.einsum("nd,nd->n", weights[:size], features[:size], out=scores[chunk])
-        scores[chunk] += store.bias[cols[chunk]]
+        # The weights are spent: their first ``size`` entries take the bias.
+        bias = np.take(store.bias, cols[chunk], out=weights.reshape(-1)[:size], mode="wrap")
+        scores[chunk] += bias
     return scores
 
 
@@ -157,22 +161,28 @@ class FullClassifier:
         """Exact scores for selected categories only (candidates-only form).
 
         Touches only ``len(indices)`` weight rows, mirroring the data
-        access of the ENMC Executor.  ``workspace`` is unused here (see
-        :meth:`logits`).
+        access of the ENMC Executor; they are gathered into the phase
+        scratch of ``workspace`` when one is given.
         """
         batch = check_batch_features(features, self.hidden_dim)
         index_array = np.asarray(indices, dtype=np.intp)
         if index_array.ndim != 1:
             raise ValueError(f"indices must be 1-D, got shape {index_array.shape}")
-        return batch @ self.weight[index_array].T + self.bias[index_array]
+        out = None
+        if workspace is not None:
+            out = workspace.buffer(PHASE_SCRATCH, (index_array.size, self.hidden_dim))
+        return batch @ self.gather_rows(index_array, out=out).T + self.bias[index_array]
 
     def gather_rows(
-        self, indices: np.ndarray, out: Optional[np.ndarray] = None
+        self,
+        indices: np.ndarray,
+        out: Optional[np.ndarray] = None,
+        scratch: Optional[np.ndarray] = None,
     ) -> np.ndarray:
         """Weight rows for arbitrary category indices, into ``out`` when
         given (range-checked, then gathered without a buffered copy) —
         the surface :class:`~repro.core.weightstore.QuantizedExactStore`
-        dequantizes through."""
+        dequantizes through (``scratch`` is its; FP64 rows need none)."""
         index_array = np.asarray(indices, dtype=np.intp)
         _check_indices(index_array, self.num_categories)
         return np.take(self.weight, index_array, axis=0, out=out, mode="wrap")

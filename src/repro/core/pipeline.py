@@ -54,7 +54,7 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.core.candidates import CandidateSelector, CandidateSet
+from repro.core.candidates import CandidateSelector, CandidateSet, entry_rows
 from repro.core.classifier import FullClassifier
 from repro.core.screener import (
     TILE_CATEGORIES,
@@ -89,6 +89,13 @@ _TALLIES = tuple(
 #: Workspace key of the rows of the augmented input a partly proven
 #: tile's float64 GEMM runs on.
 _GATHERED = ("fold", "gathered")
+
+#: Workspace keys of the exact phase's scratch — the sorted copy of the
+#: candidate columns and its change mask, which count the union, and each
+#: candidate's row — and of :meth:`ApproximateScreeningClassifier.top_k`'s
+#: record rows and rank positions.
+_SORTED, _CHANGE, _ROWS = ("exact", "sorted"), ("exact", "change"), ("exact", "rows")
+_RECORD_ROWS, _RANK = ("rank", "rows"), ("rank", "positions")
 
 
 def _gather_rows(ws: Workspace, augmented: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -662,14 +669,21 @@ class ApproximateScreeningClassifier:
         on both (a quantized store dequantizes into it), keeping the
         steady state allocation-flat.
         """
-        rows, cols = candidates.flat()
-        if rows.size == 0:
+        cols = candidates.columns()
+        if cols.size == 0:
             return np.empty(0, dtype=np.float64)
-        union = candidates.union()
         # The union matmul computes batch×union exact entries to use
-        # only ``rows.size`` of them; prefer it only when candidate
-        # overlap keeps that overcompute within a small factor.
-        if candidates.batch_size * union.size <= 2 * rows.size:
+        # only ``cols.size`` of them; prefer it only when candidate
+        # overlap keeps that overcompute within a small factor.  The
+        # union is counted on a sorted copy in scratch and built only then.
+        ordered = workspace.buffer(_SORTED, cols.shape, np.intp)
+        np.copyto(ordered, cols)
+        ordered.sort()
+        change = workspace.buffer(_CHANGE, (cols.size - 1,), bool)
+        np.not_equal(ordered[1:], ordered[:-1], out=change)
+        rows = entry_rows(candidates.counts, workspace.buffer(_ROWS, cols.shape, np.intp))
+        if candidates.batch_size * (1 + np.count_nonzero(change)) <= 2 * cols.size:
+            union = candidates.union()
             exact = self.classifier.logits_for(union, batch, workspace=workspace)
             return exact[rows, np.searchsorted(union, cols)]
         return self.classifier.candidate_scores(
@@ -770,27 +784,40 @@ class ApproximateScreeningClassifier:
             batch = check_batch_features(features, self.hidden_dim)
             check_positive("k", k)
             k = int(k)
+            size = batch.shape[0]
             with self._call_arena() as ws:
                 counts, cols, values = self._screen_and_select(
                     batch, ws, runner_ups=k
                 )
-                rows = np.repeat(np.arange(batch.shape[0]), counts)
-                chosen = self.selector.is_candidate(values, batch.shape[0])
-                candidates = CandidateSet.from_flat(
-                    np.bincount(rows[chosen], minlength=batch.shape[0]), cols[chosen]
-                )
+                rows = entry_rows(counts, ws.buffer(_RECORD_ROWS, cols.shape, np.intp))
+                chosen = self.selector.is_candidate(values, size, ws)
+                exact_count = int(np.count_nonzero(chosen))
                 with recorder.span("exact"):
+                    # The candidate set is gone before the rank.
                     values[chosen] = self._exact_candidate_values(
-                        batch, candidates, ws
+                        batch,
+                        CandidateSet.from_flat(
+                            np.bincount(rows[chosen], minlength=size), cols[chosen]
+                        ),
+                        ws,
                     )
-            with recorder.span("rank"):
-                order = np.lexsort((cols, -values, rows))
-                first = np.cumsum(counts) - counts
-                best = order[first[:, None] + np.arange(k)]
+                with recorder.span("rank"):
+                    # Ascending on -values, negated in place and back.
+                    np.negative(values, out=values)
+                    order = np.lexsort((cols, values, rows))
+                    np.negative(values, out=values)
+                    # Each row's first k: its first entry plus 0 … k − 1,
+                    # both spread to (size, k) so the sum broadcasts nothing.
+                    first, step = ws.buffer(_RANK, (2, size, k), np.intp)
+                    np.copyto(first, (np.cumsum(counts) - counts)[:, None])
+                    np.copyto(step, np.arange(k))
+                    first += step
+                    best = np.take(order, first, out=step, mode="wrap")
+                    indices, scores = np.take(cols, best), np.take(values, best)
             recorder.increment("pipeline.top_k_requests")
-            recorder.increment("pipeline.rows", batch.shape[0])
-            recorder.increment("pipeline.exact_candidates", candidates.total)
-            return cols[best], values[best]
+            recorder.increment("pipeline.rows", size)
+            recorder.increment("pipeline.exact_candidates", exact_count)
+            return indices, scores
 
     # ------------------------------------------------------------------
     # EngineBackend conformance (repro.serving.backend)

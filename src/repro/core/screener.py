@@ -116,7 +116,7 @@ import numpy as np
 from repro.linalg.projection import SparseRandomProjection
 from repro.linalg.quantize import Quantizer
 from repro.obs.recorder import NULL_RECORDER
-from repro.utils.memory import PHASE_SCRATCH
+from repro.utils.memory import PHASE_SCRATCH, per_row
 from repro.utils.rng import RngLike, ensure_rng
 from repro.utils.validation import check_batch_features, check_positive
 
@@ -852,15 +852,13 @@ class TilePrescreen:
         np.maximum(rotated, 0.0, out=query[:, :k])
         np.minimum(rotated, 0.0, out=query[:, k : 2 * k])
         query[:, -1] = 1.0
-        # E_box: slope · A + offset, each operand spread to tiles × rows
-        # first (a broadcast operand costs a 64 KB NumPy buffer).
+        # E_box: slope · A + offset, per tile × row.
         errors = ws.buffer(_BOX_ERROR, (tiles, rows))
         spread = ws.buffer(PHASE_SCRATCH, (tiles, rows))
         np.copyto(errors, self.row_sums)
         with np.errstate(over="ignore", invalid="ignore"):  # out-of-range tiles
             for terms, combine in zip(screener._box_error, (np.multiply, np.add)):
-                np.copyto(spread, terms[:, None])
-                combine(spread, errors, out=errors)
+                per_row(combine, errors, terms[:, None], errors, spread)
         coarse = ws.buffer(_BOX_COARSE, (tiles, rows))
         boxes = screener._tile_coarse[first * _COARSE_PER_TILE :]
         scores = ws.buffer(PHASE_SCRATCH, (len(boxes), rows))
@@ -961,8 +959,8 @@ class TilePrescreen:
             query = np.take(query, rows, axis=0, out=gathered[:count], mode="clip")
         boxes = self._screener._tile_box[:, tile * _BOXES_PER_TILE : (tile + 1) * _BOXES_PER_TILE]
         width = boxes.shape[1]
-        # The box bounds, then the left rows' copy and their limits spread
-        # across their boxes (tested rows at most, each).
+        # The box bounds, then the left rows' copy and the scratch their
+        # limits are compared through (tested rows at most, each).
         scores = scratch[: 3 * count * width].reshape(3 * count, width)
         np.matmul(query, boxes, out=scores[:count])
         limit = np.take(limits, cells)
@@ -971,10 +969,9 @@ class TilePrescreen:
             return left, None
         kept = scores[count : count + len(left)]
         np.take(scores[:count], left, axis=0, out=kept, mode="clip")
-        spread = scores[2 * count : 2 * count + len(left)]
-        np.copyto(spread, limit[left, None])
         fails = above[: kept.size].reshape(kept.shape)
-        np.less_equal(kept, spread, out=fails)
+        spread = scores[2 * count : 2 * count + len(left)]
+        per_row(np.less_equal, kept, limit[left, None], fails, spread)
         np.logical_not(fails, out=fails)
         return cells[left], fails
 

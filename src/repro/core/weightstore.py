@@ -210,16 +210,20 @@ class QuantizedExactStore:
         return out
 
     def gather_rows(
-        self, indices: np.ndarray, out: Optional[np.ndarray] = None
+        self,
+        indices: np.ndarray,
+        out: Optional[np.ndarray] = None,
+        scratch: Optional[np.ndarray] = None,
     ) -> np.ndarray:
         """Dequantized FP64 weight rows for arbitrary category indices.
 
-        ``out`` lets the exact phase reuse workspace scratch; rows keep
-        their tile's scale, so the result is bit-identical to gathering
-        from :meth:`dequantize_tile` outputs.
+        ``out`` (and ``scratch``, of its shape, for the codes and the row
+        scales) lets the exact phase reuse workspace scratch; rows keep their tile's
+        scale, so the result is bit-identical to gathering from
+        :meth:`dequantize_tile` outputs.
         """
         if self._tiles is not None:
-            return self._tiles.dequantize_rows(indices, out=out)
+            return self._tiles.dequantize_rows(indices, out=out, scratch=scratch)
         index_array = np.asarray(indices, dtype=np.intp)
         if out is None:
             out = np.empty((index_array.size, self.hidden_dim), dtype=np.float64)
@@ -271,10 +275,10 @@ class QuantizedExactStore:
         index_array = np.asarray(indices, dtype=np.intp)
         if index_array.ndim != 1:
             raise ValueError(f"indices must be 1-D, got shape {index_array.shape}")
-        rows = self._scratch(
-            workspace, "exact_store.gather", (index_array.size, self.hidden_dim)
-        )
-        self.gather_rows(index_array, out=rows)
+        shape = (index_array.size, self.hidden_dim)
+        rows = self._scratch(workspace, "exact_store.gather", shape)
+        scales = self._scratch(workspace, "exact_store.scales", shape)
+        self.gather_rows(index_array, out=rows, scratch=scales)
         return batch @ rows.T + self.bias[index_array]
 
     def candidate_scores(

@@ -20,6 +20,7 @@ from typing import Optional
 
 import numpy as np
 
+from repro.utils.memory import per_row
 from repro.utils.validation import check_positive
 
 #: Bit-widths accepted by the hardware model (INT2 appears only in the
@@ -96,19 +97,31 @@ class TileQuantized:
         return self.scales[np.asarray(indices, dtype=np.intp) // self.tile_rows]
 
     def dequantize_rows(
-        self, indices: np.ndarray, out: Optional[np.ndarray] = None
+        self,
+        indices: np.ndarray,
+        out: Optional[np.ndarray] = None,
+        scratch: Optional[np.ndarray] = None,
     ) -> np.ndarray:
         """Gathered rows reconstructed in float64.
 
         ``out`` (shape ``(len(indices), d)``) lets callers reuse
-        workspace scratch so the gather stays allocation-flat.
+        workspace scratch so the gather stays allocation-flat, and
+        ``scratch`` (float64, of the same shape; fresh when ``None``)
+        takes the gathered codes, then the row scales spread out, so
+        neither the gather copies nor the multiply broadcasts.
         """
         index_array = np.asarray(indices, dtype=np.intp)
         if out is None:
             out = np.empty((index_array.size, self.values.shape[1]))
-        np.copyto(out, self.values[index_array], casting="unsafe")
-        out *= self.row_scales(index_array)[:, None]
-        return out
+        if scratch is None:
+            scratch = np.empty(out.shape)
+        size = len(self.values)
+        if index_array.size and not -size <= index_array.min() <= index_array.max() < size:
+            raise IndexError(f"index out of bounds for axis of size {size}")
+        codes = scratch.reshape(-1).view(self.values.dtype)[: out.size].reshape(out.shape)
+        np.take(self.values, index_array, axis=0, out=codes, mode="wrap")
+        np.copyto(out, codes, casting="unsafe")
+        return per_row(np.multiply, out, self.row_scales(index_array)[:, None], out, scratch)
 
     def dequantize_tile(
         self, start: int, stop: int, out: Optional[np.ndarray] = None

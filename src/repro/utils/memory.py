@@ -65,6 +65,40 @@ def configure_serving_allocator(threshold_bytes: int = 1 << 30) -> bool:
 PHASE_SCRATCH = "tile"
 
 
+#: NumPy's ufunc buffer, in elements (read once: ``np.getbufsize()`` is a
+#: context lookup on every call).
+_UFUNC_BUFFER = np.getbufsize()
+
+
+def per_row(ufunc, array: np.ndarray, column: np.ndarray, out: np.ndarray, scratch: np.ndarray):
+    """``ufunc(array, column, out=out)`` for a ``column`` of one value per
+    row of the 2-D ``array``, allocating nothing.
+
+    NumPy runs a ufunc whose operand is broadcast (stride 0) along rows
+    shorter than its iterator buffer (``np.getbufsize()`` elements)
+    through that buffer, 64 KB allocated per call, while ``np.copyto``
+    from a broadcast source allocates none.  So on such rows the column
+    is spread over ``scratch`` first: all at once when it has
+    ``array``'s shape, else (contiguous, at least one row of it) as many
+    rows at a time as it holds.
+    """
+    n = array.shape[1]
+    if n >= _UFUNC_BUFFER:
+        return ufunc(array, column, out=out)
+    if scratch.shape == array.shape:
+        np.copyto(scratch, column)
+        return ufunc(array, scratch, out=out)
+    step = max(1, scratch.size // n)
+    flat = scratch.reshape(-1)
+    for start in range(0, len(array), step):
+        part = slice(start, start + step)
+        rows = array[part]
+        spread = flat[: rows.size].reshape(rows.shape)
+        np.copyto(spread, column[part])
+        ufunc(rows, spread, out=out[part])
+    return out
+
+
 class Workspace:
     """A keyed arena of reusable scratch buffers.
 

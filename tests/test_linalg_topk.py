@@ -168,6 +168,22 @@ class TestStableTopM:
                 reference_stable_top_m(scores, m),
             )
 
+    def test_a_warm_call_allocates_only_its_result(self):
+        """With a workspace, the one array a warm call allocates is its
+        result: a ``flatnonzero`` of the mask, reduced to columns in place
+        (``np.nonzero`` would make a row index array beside it)."""
+        scores = np.random.default_rng(4).standard_normal((64, 8192))
+        workspace = Workspace()
+        stable_top_m_indices(scores, 32, workspace)
+        tracemalloc.start()
+        try:
+            got = stable_top_m_indices(scores, 32, workspace)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(got, reference_stable_top_m(scores, 32))
+        assert peak < got.nbytes + 4 * 1024
+
     @pytest.mark.parametrize("width", (8192, 40_000))
     def test_tie_branch_runs_in_bounded_scratch(self, width):
         """A tied plane (``np.round``) with ties straddling every row's
@@ -537,41 +553,113 @@ class TestReducerWorstCase:
         assert np.array_equal(counts, [row.size for row in expected])
         assert np.array_equal(cols, np.concatenate(expected))
 
-    def update_peaks(self, scores, m=32):
-        """``tracemalloc`` peak of each tile's ``update`` on a workspace
-        a first pass over the same plane has already warmed."""
+    @pytest.mark.parametrize("threshold", (np.inf, 1.5), ids=("top_m", "threshold"))
+    def test_every_block_layout_records_the_same_entries(self, threshold):
+        """Contiguous tiles, column slices of a wider plane, reversed rows
+        and Fortran order: the reducer reads each block's entries where
+        they lie, and records the dense answer."""
+        scores = np.random.default_rng(12).standard_normal((6, 900))
+        wide = np.zeros((6, 1000))
+        wide[:, 50:950] = scores
+        layouts = {
+            "tile": lambda cols: np.ascontiguousarray(scores[:, cols]),
+            "slice": lambda cols: wide[:, 50:950][:, cols],
+            "reversed": lambda cols: np.ascontiguousarray(scores[::-1, cols])[::-1],
+            "fortran": lambda cols: np.asfortranarray(scores[:, cols]),
+        }
+        expected = dense_hits_and_runner_ups(scores, threshold, 4)
+        for name, layout in layouts.items():
+            reducer = BlockwiseThreshold(6, threshold, runner_ups=4)
+            for start in range(0, 900, 128):
+                reducer.update(start, layout(slice(start, start + 128)))
+            counts, cols, _ = reducer.finalize()
+            assert np.array_equal(counts, [row.size for row in expected]), name
+            assert np.array_equal(cols, np.concatenate(expected)), name
+
+    #: What a warm update or finalize may allocate beyond the arrays it
+    #: must: small per-row arrays (counts, floors, shifts) and the
+    #: in-place sort's own few KB.
+    SLACK = 6 * 1024
+
+    def run_peaks(self, scores, layout, make):
+        """``tracemalloc`` peak of each tile's ``update``, then of
+        ``finalize``, on a workspace a first pass over the same plane has
+        already warmed, and ``finalize``'s result; ``make(workspace)``
+        builds the reducer.  ``layout`` "tile" passes each tile as a
+        contiguous copy, "slice" as a strided column slice of ``scores``."""
         workspace = Workspace()
         cuts = range(self.TILE, scores.shape[1], self.TILE)
-        batch, n = scores.shape
-        run_blocked(top_m_reducer(batch, n, m, workspace=workspace), scores, cuts)
-        reducer = top_m_reducer(batch, n, m, workspace=workspace)
+        run_blocked(make(workspace), scores, cuts)
+        reducer = make(workspace)
+        tiles = [scores[:, start : start + self.TILE] for start in (0, *cuts)]
+        if layout == "tile":
+            tiles = [np.ascontiguousarray(tile) for tile in tiles]
+        assert all(tile.flags.c_contiguous == (layout == "tile") for tile in tiles)
         peaks = []
         tracemalloc.start()
         try:
-            for start in range(0, scores.shape[1], self.TILE):
+            for start, tile in zip((0, *cuts), tiles):
                 tracemalloc.reset_peak()
                 before = tracemalloc.get_traced_memory()[0]
-                reducer.update(start, scores[:, start : start + self.TILE])
+                reducer.update(start, tile)
                 peaks.append(tracemalloc.get_traced_memory()[1] - before)
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            result = reducer.finalize()
+            finalize_peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
-        return peaks
+        return peaks, finalize_peak, sum(array.nbytes for array in result)
+
+    def check_peaks(self, scores, m=32):
+        """On both layouts the pipeline folds — a contiguous tile (the
+        streaming tile buffer) and a column slice of a wider plane (dense
+        forward's, or a block narrower than its tile; read in place, not
+        through index pairs) — every update, the first fill's partition
+        included, allocates one ``flatnonzero`` of at most ``batch × (k +
+        most)`` positions (at +inf ``most`` is 0) plus the slack, and
+        ``finalize`` its result plus the slack.  The rest is arena
+        scratch, written in place."""
+        batch, n = scores.shape
+        for layout in ("tile", "slice"):
+            peaks, finalize_peak, result_bytes = self.run_peaks(
+                scores, layout, lambda ws: top_m_reducer(batch, n, m, workspace=ws)
+            )
+            assert max(peaks) < len(scores) * m * np.dtype(np.intp).itemsize + self.SLACK, layout
+            assert finalize_peak < result_bytes + self.SLACK, layout
 
     def test_later_block_allocates_a_fraction_of_the_block(self):
-        """Every update, the first fill's partition included, works in
-        arena scratch: none allocates a quarter of its block."""
-        scores = np.random.default_rng(7).standard_normal((16, 4 * self.TILE))
-        block_bytes = scores[:, : self.TILE].nbytes
-        assert max(self.update_peaks(scores)) < block_bytes / 4
+        self.check_peaks(np.random.default_rng(7).standard_normal((64, 4 * self.TILE)))
 
     def test_ascending_block_allocates_no_more_than_first_fill(self):
         """Dense blocks take the first fill's path, the block's own top,
         in the same bounded scratch."""
-        scores = np.sort(
-            np.random.default_rng(8).standard_normal((16, 4 * self.TILE)), axis=1
+        self.check_peaks(
+            np.sort(np.random.default_rng(8).standard_normal((64, 4 * self.TILE)), axis=1)
         )
-        block_bytes = scores[:, : self.TILE].nbytes
-        assert max(self.update_peaks(scores)) < block_bytes / 4
+
+    @pytest.mark.parametrize("ascending", (False, True), ids=("random", "ascending"))
+    def test_threshold_runner_ups_allocate_their_positions(self, ascending):
+        """Under a finite threshold (threshold ``top_k``'s reducer) an
+        update also holds its hits' positions: it allocates under ``hits
+        + batch × (k + most)`` of them, ``most`` the most hits a row of
+        the tile has, plus the slack — whether ``block > floor`` splits
+        the hits from the contenders or the block takes the dense path
+        (the ascending plane's last tile)."""
+        scores = np.random.default_rng(9).standard_normal((64, 4 * self.TILE))
+        if ascending:
+            scores.sort(axis=1)
+        threshold, k = float(np.quantile(scores, 0.999)), 32
+        hits = (scores > threshold).reshape(len(scores), -1, self.TILE).sum(axis=2)
+        allowed = (hits.sum(axis=0) + len(scores) * (k + hits.max(axis=0))) * 8 + self.SLACK
+        for layout in ("tile", "slice"):
+            peaks, finalize_peak, result_bytes = self.run_peaks(
+                scores,
+                layout,
+                lambda ws: BlockwiseThreshold(len(scores), threshold, ws, runner_ups=k),
+            )
+            assert np.all(np.array(peaks) < allowed), (layout, peaks, allowed)
+            assert finalize_peak < result_bytes + self.SLACK, layout
 
 
 class TestCalibrate:
