@@ -49,11 +49,15 @@ setup-phases:
 
 # tracemalloc peak of one warm forward_streaming call of ROWS rows, split
 # into screen+select, exact and the whole call: where a call_peak_mb
-# regression sits.  STORE is fp64, int8 or float16.
+# regression sits.  STORE is fp64, int8 or float16.  SHARDS above 1
+# serves serve_open's top-m sharded model instead (SELECTOR=top_m): each
+# shard call's peak, the merge's and the whole call's.
 STORE ?= fp64
+SHARDS ?= 1
 call-peak:
 	PYTHONPATH=$${PYTHONPATH:+$$PYTHONPATH:}src $(PYTHON) scripts/call_peak.py \
-		--l $(L) --k $(K) --rows $(ROWS) --selector $(SELECTOR) --store $(STORE)
+		--l $(L) --k $(K) --rows $(ROWS) --selector $(SELECTOR) --store $(STORE) \
+		--shards $(SHARDS)
 
 # The repo's benchmark (BENCHMARK.json) at smoke sizes: all four
 # workloads, untraced then traced, every correctness gate on.

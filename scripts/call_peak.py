@@ -1,7 +1,7 @@
 """Peak memory of one warm ``forward_streaming`` call, phase by phase.
 
     PYTHONPATH=src python3 scripts/call_peak.py --l 670000 --rows 64 --selector top_m
-    make call-peak [L=670000] [ROWS=16] [SELECTOR=threshold] [STORE=fp64]
+    make call-peak [L=670000] [ROWS=16] [SELECTOR=threshold] [STORE=fp64] [SHARDS=1]
 
 Builds a pipeline (``make_task``, a ``train_screener(solver="lstsq")`` fit,
 threshold calibration when the selector is ``threshold``, the exact weights
@@ -36,6 +36,17 @@ peaks.  The benchmark's ``call_peak_mb`` is the whole-call line at its own
 sizes; put another tree's ``src`` on ``PYTHONPATH`` (``make call-peak``
 puts it before this tree's ``src``) to read that tree — two trees whose
 outputs are bit-identical print the same digest.
+
+With ``--shards N`` above 1 it builds instead the top-m
+``ShardedClassifier`` the benchmark's ``serve_open`` serves
+(``train(candidates_per_shard=--m, solver="lstsq")``, its shards'
+exact weights quantized as above; a threshold selector is refused),
+warms it the same way, and prints the peak of each
+shard's ``forward_streaming``, of ``merge_streamed_outputs`` over their
+records, and of the whole sharded call, then the merged result's bytes,
+the whole call's peak over them, and the digest of the merged record and
+``top_k(16)``.  At ``--l 100000 --rows 32 --shards 2`` the whole-call
+line is ``serve_open``'s ``call_peak_mb`` on this script's model.
 """
 
 from __future__ import annotations
@@ -52,6 +63,7 @@ from repro.core.pipeline import ApproximateScreeningClassifier
 from repro.core.screener import TILE_CATEGORIES, ScreeningConfig
 from repro.core.training import train_screener
 from repro.data import make_task
+from repro.distributed import ShardedClassifier, merge_streamed_outputs
 from repro.obs import NULL_RECORDER, Recorder
 
 #: Calls made to find where the workspace settles.
@@ -77,14 +89,32 @@ def build(args) -> tuple:
     return model, task.sample_features(args.rows, rng=rng)
 
 
-def peak_bytes(operation, repeats: int) -> int:
-    """Median ``tracemalloc`` peak above the bytes live at the start."""
+def build_sharded(args) -> tuple:
+    rng = np.random.default_rng(args.seed)
+    task = make_task(args.l, args.d, rng=rng)
+    sharded = ShardedClassifier(
+        task.classifier, num_shards=args.shards,
+        config=ScreeningConfig(projection_dim=args.k),
+    )
+    sharded.train(
+        task.sample_features(args.train_rows, rng=rng),
+        candidates_per_shard=args.m, solver="lstsq", rng=rng,
+    )
+    if args.store != "fp64":
+        sharded.quantize_exact_weights(args.store)
+    return sharded, task.sample_features(args.rows, rng=rng)
+
+
+def peak_bytes(operation, repeats: int, prepare=tuple) -> int:
+    """Median ``tracemalloc`` peak above the bytes live at the start of
+    ``operation(*prepare())``; ``prepare`` runs before tracing starts."""
     peaks = []
     for _ in range(repeats):
+        arguments = prepare()
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            operation()
+            operation(*arguments)
             peaks.append(tracemalloc.get_traced_memory()[1] - before)
         finally:
             tracemalloc.stop()
@@ -121,13 +151,7 @@ def measure(model, batch, repeats: int) -> dict:
     output = model.forward_streaming(batch)
     result = dict(
         peaks=peaks,
-        result_bytes=sum(
-            array.nbytes
-            for array in (
-                output.candidates.counts, output.candidates.flat()[1],
-                output.exact_values, output.approximate_values,
-            )
-        ),
+        result_bytes=record_bytes(output),
         tiles=len(model.screener.tile_bounds()),
         prescreened=int(counters.get("pipeline.tiles_prescreened", 0)),
         skipped=int(counters.get("pipeline.tiles_skipped", 0)),
@@ -151,6 +175,73 @@ def measure(model, batch, repeats: int) -> dict:
     return result
 
 
+def record_bytes(output) -> int:
+    """The bytes of a record's arrays: counts, columns, exact and
+    approximate values."""
+    return sum(
+        array.nbytes
+        for array in (
+            output.candidates.counts, output.candidates.columns(),
+            output.exact_values, output.approximate_values,
+        )
+    )
+
+
+def measure_sharded(sharded, batch, repeats: int) -> dict:
+    """Each shard call's, the merge's and the whole sharded call's peak,
+    on workspaces flat after the warm-up calls; the merge traces fresh
+    shard records each repeat, as a call merges them."""
+    workspaces = [shard.workspace for shard in sharded.shards]
+    calls = 0
+    while calls < MAX_WARM_CALLS:
+        before = [ws.allocations for ws in workspaces]
+        sharded.forward_streaming(batch)
+        calls += 1
+        if calls >= 2 and [ws.allocations for ws in workspaces] == before:
+            break
+    peaks = {
+        f"shard {index}": peak_bytes(lambda: shard.forward_streaming(batch), repeats)
+        for index, shard in enumerate(sharded.shards)
+    }
+    peaks["merge"] = peak_bytes(
+        lambda outputs: merge_streamed_outputs(outputs, sharded.ranges),
+        repeats,
+        prepare=lambda: ([shard.forward_streaming(batch) for shard in sharded.shards],),
+    )
+    peaks["whole call"] = peak_bytes(lambda: sharded.forward_streaming(batch), repeats)
+    output = sharded.forward_streaming(batch)
+    return dict(
+        peaks=peaks,
+        result_bytes=record_bytes(output),
+        warm_calls=calls,
+        candidates=output.candidates.total,
+        digest=output_digest(sharded, batch),
+    )
+
+
+def report_sharded(args, result: dict) -> str:
+    lines = [
+        f"sharded call peak: l={args.l} shards={args.shards} rows={args.rows} "
+        f"k={args.k} d={args.d} m={args.m} per shard, selector=top_m store={args.store}, "
+        f"tracemalloc peak above live, median of {args.repeats}",
+        f"{'phase':<16}{'MB':>10}{'bytes':>12}",
+    ]
+    for phase, value in result["peaks"].items():
+        lines.append(f"{phase:<16}{value / 1e6:>10.3f}{value:>12,}")
+    floor = result["result_bytes"]
+    lines.append(
+        f"{'result':<16}{floor / 1e6:>10.3f}{floor:>12,}   whole call ÷ result "
+        f"{result['peaks']['whole call'] / floor:.2f}"
+    )
+    lines.append(
+        f"{result['warm_calls']} warm-up calls, {result['candidates']} merged candidates"
+    )
+    lines.append(
+        f"output sha256 (merged forward_streaming record, top_k 16): {result['digest']}"
+    )
+    return "\n".join(lines)
+
+
 def output_digest(model, batch) -> str:
     """SHA-256 of ``forward_streaming(batch)``'s record — counts, columns,
     exact and approximate values — then of ``top_k(batch, 16)``'s indices
@@ -158,7 +249,7 @@ def output_digest(model, batch) -> str:
     output = model.forward_streaming(batch)
     digest = hashlib.sha256()
     for array in (
-        output.candidates.counts, output.candidates.flat()[1],
+        output.candidates.counts, output.candidates.columns(),
         output.exact_values, output.approximate_values, *model.top_k(batch, 16),
     ):
         digest.update(np.ascontiguousarray(array).tobytes())
@@ -211,7 +302,17 @@ def main(argv=None) -> dict:
     parser.add_argument("--train-rows", type=int, default=256)
     parser.add_argument("--repeats", type=int, default=5)
     parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--shards", type=int, default=1, help="category shards")
     args = parser.parse_args(argv)
+    if args.shards < 1:
+        parser.error("--shards must be at least 1")
+    if args.shards > 1:
+        if args.selector != "top_m":
+            parser.error("--shards above 1 serves serve_open's top-m model: --selector top_m")
+        sharded, batch = build_sharded(args)
+        result = measure_sharded(sharded, batch, args.repeats)
+        print(report_sharded(args, result))
+        return result
     model, batch = build(args)
     result = measure(model, batch, args.repeats)
     print(report(args, result))

@@ -243,7 +243,7 @@ def _serve_request(
         output = engine.forward_streaming(batch, block_categories=payload["block"])
     return {
         "counts": output.candidates.counts,
-        "cols": output.candidates.flat()[1],
+        "cols": output.candidates.columns(),
         "exact": output.exact_values,
         "approx": output.approximate_values,
     }
@@ -816,8 +816,9 @@ class ParallelShardedEngine:
     ) -> StreamedOutput:
         """One shard's record reply as its output: with ``plane``, a
         :class:`ScreenedOutput` over a view of the shard's slot in the
-        shared output segment (the merge concatenates, so the merged
-        output owns its memory and survives buffer reuse)."""
+        shared output segment (the merge copies the record into fresh
+        arrays and concatenates the planes, so the merged output owns
+        its memory and survives buffer reuse)."""
         record = (
             CandidateSet.from_flat(reply["counts"], reply["cols"]),
             reply["exact"],

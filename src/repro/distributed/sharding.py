@@ -362,10 +362,6 @@ def observed_category_frequencies(
 # ----------------------------------------------------------------------
 # reduce: per-shard outputs -> global order
 # ----------------------------------------------------------------------
-def _concat(parts: List[np.ndarray], empty_dtype) -> np.ndarray:
-    return np.concatenate(parts) if parts else np.empty(0, dtype=empty_dtype)
-
-
 def merge_streamed_outputs(
     outputs: Sequence[Optional[StreamedOutput]],
     ranges: Sequence[range],
@@ -375,11 +371,18 @@ def merge_streamed_outputs(
 
     ``outputs[i]`` is shard ``i``'s record, or ``None`` for a failed
     shard, which contributes no candidates: the record is sparse, so
-    absence needs no NaN plane.  Columns are offset to global ids and
-    one stable row sort groups the entries by row while preserving
-    shard order (hence ascending columns) within a row.
+    absence needs no NaN plane.  Within a merged row, shard order comes
+    first (hence ascending columns), then each shard's own order.
     ``batch_size=None`` takes the first survivor's; it is only needed
     when every entry is ``None``.
+
+    Each shard's record is already in row order, so nothing is sorted:
+    an entry's place is its row's merged start, plus the earlier shards'
+    entries in that row, plus its offset in its own shard's row.  The
+    merged arrays are allocated once and each shard's entries written
+    into their places, columns offset to global ids on the way; a
+    shard's destinations and shifted columns are the merge's only
+    transients.
     """
     live = [
         (output, shard_range.start)
@@ -390,20 +393,31 @@ def merge_streamed_outputs(
         if not live:
             raise ValueError("no surviving shard output: the merge needs batch_size")
         batch_size = live[0][0].batch_size
-    rows = _concat([output.candidates.flat()[0] for output, _ in live], np.intp)
-    cols = _concat(
-        [output.candidates.flat()[1] + start for output, start in live], np.intp
+    shard_counts = np.array(
+        [output.candidates.counts for output, _ in live], dtype=np.intp
+    ).reshape(len(live), batch_size)
+    counts = shard_counts.sum(axis=0)
+    # Entry j of shard s, in row r, goes to j + offsets[s, r]: the row's
+    # merged start, plus shards 0..s's entries in row r, less shard s's
+    # own entries in rows 0..r.
+    offsets = (
+        np.cumsum(shard_counts, axis=0)
+        - np.cumsum(shard_counts, axis=1)
+        + (np.cumsum(counts) - counts)
     )
-    order = np.argsort(rows, kind="stable")
-    counts = np.bincount(rows, minlength=batch_size).astype(np.intp)
-    # Each array is put in row order as soon as it is gathered, so at
-    # most one unordered copy is alive at a time: that sets the merge's
-    # peak memory.
-    cols = cols[order]
-    exact = _concat([output.exact_values for output, _ in live], np.float64)[order]
-    approximate = _concat(
-        [output.approximate_values for output, _ in live], np.float64
-    )[order]
+    total = int(counts.sum())
+    cols = np.empty(total, dtype=np.intp)
+    exact = np.empty(total, dtype=np.float64)
+    approximate = np.empty(total, dtype=np.float64)
+    for (output, start), shard_row_counts, shard_offsets in zip(
+        live, shard_counts, offsets
+    ):
+        shard_cols = output.candidates.columns()
+        destination = np.arange(shard_cols.size, dtype=np.intp)
+        destination += np.repeat(shard_offsets, shard_row_counts)
+        cols[destination] = shard_cols + start if start else shard_cols
+        exact[destination] = output.exact_values
+        approximate[destination] = output.approximate_values
     return StreamedOutput(
         candidates=CandidateSet.from_flat(counts, cols),
         exact_values=exact,

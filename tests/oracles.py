@@ -10,7 +10,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from repro.core.candidates import CandidateSet
-from repro.core.pipeline import ScreenedOutput
+from repro.core.pipeline import ScreenedOutput, StreamedOutput
 from repro.dram.scheduler import ChannelScheduler, _Candidate
 from repro.utils.validation import check_batch_features
 
@@ -55,6 +55,42 @@ def merge_candidates_per_row(
         ]
         merged.append(np.concatenate(parts))
     return CandidateSet(indices=merged)
+
+
+def merge_streamed_sorted(
+    outputs: Sequence[Optional[StreamedOutput]],
+    ranges: Sequence[range],
+    batch_size: Optional[int] = None,
+) -> StreamedOutput:
+    """:func:`~repro.distributed.sharding.merge_streamed_outputs` by
+    sorting: concatenate every live shard's rows, offset columns and
+    values, then one stable row sort groups the entries by row in shard
+    order."""
+    live = [
+        (output, shard_range.start)
+        for output, shard_range in zip(outputs, ranges)
+        if output is not None
+    ]
+    if batch_size is None:
+        batch_size = live[0][0].batch_size
+
+    def concat(parts, dtype):
+        return np.concatenate(parts) if parts else np.empty(0, dtype=dtype)
+
+    rows = concat([output.candidates.flat()[0] for output, _ in live], np.intp)
+    cols = concat(
+        [output.candidates.flat()[1] + start for output, start in live], np.intp
+    )
+    order = np.argsort(rows, kind="stable")
+    counts = np.bincount(rows, minlength=batch_size).astype(np.intp)
+    return StreamedOutput(
+        candidates=CandidateSet.from_flat(counts, cols[order]),
+        exact_values=concat([o.exact_values for o, _ in live], np.float64)[order],
+        approximate_values=concat(
+            [o.approximate_values for o, _ in live], np.float64
+        )[order],
+        num_categories=sum(len(shard_range) for shard_range in ranges),
+    )
 
 
 class UncachedChannelScheduler(ChannelScheduler):

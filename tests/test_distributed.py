@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from repro.distributed import (
 )
 from repro.distributed.cluster import NetworkModel
 
-from oracles import merge_candidates_per_row
+from oracles import merge_candidates_per_row, merge_streamed_sorted
 
 
 class TestShardRanges:
@@ -118,6 +119,77 @@ class TestMergeCandidates:
             assert merged_row.size == 0
             assert np.array_equal(merged_row, ref_row)
 
+    @staticmethod
+    def random_record(rng, batch_size, width, kind, from_flat):
+        """One shard's record: ``ragged`` rows of 0..width candidates in
+        any order (empty rows included), ``empty`` (no entries at all),
+        or ``None`` (a failed shard)."""
+        if kind == "none":
+            return None
+        most = width if kind == "ragged" else 0
+        rows = [
+            rng.choice(width, size=int(rng.integers(0, most + 1)), replace=False)
+            .astype(np.intp)
+            for _ in range(batch_size)
+        ]
+        candidates = CandidateSet(indices=rows)
+        if from_flat:
+            candidates = CandidateSet.from_flat(candidates.counts, candidates.columns())
+        return StreamedOutput(
+            candidates, rng.standard_normal(candidates.total),
+            rng.standard_normal(candidates.total), width,
+        )
+
+    @given(
+        sizes=st.lists(st.integers(1, 9), min_size=1, max_size=4),
+        kinds=st.lists(st.sampled_from(["ragged", "ragged", "empty", "none"]), min_size=4, max_size=4),
+        batch_size=st.integers(1, 6),
+        pass_batch_size=st.booleans(),
+        from_flat=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_equals_the_sorted_merge_bit_for_bit(
+        self, sizes, kinds, batch_size, pass_batch_size, from_flat, seed
+    ):
+        """Placing each shard's entries is the concatenate-and-row-sort
+        merge (``oracles.merge_streamed_sorted``): same counts, columns
+        and value bits, over uneven ranges, empty rows, shards with no
+        entries, failed shards and all shards failed."""
+        rng = np.random.default_rng(seed)
+        stops = np.cumsum(sizes)
+        ranges = [range(int(stop - size), int(stop)) for size, stop in zip(sizes, stops)]
+        outputs = [
+            self.random_record(rng, batch_size, size, kind, from_flat)
+            for size, kind in zip(sizes, kinds)
+        ]
+        if all(output is None for output in outputs):
+            pass_batch_size = True
+        given_size = batch_size if pass_batch_size else None
+        merged = merge_streamed_outputs(outputs, ranges, given_size)
+        reference = merge_streamed_sorted(outputs, ranges, batch_size)
+        assert merged.num_categories == reference.num_categories == stops[-1]
+        for got, want in (
+            (merged.candidates.counts, reference.candidates.counts),
+            (merged.candidates.columns(), reference.candidates.columns()),
+            (merged.exact_values, reference.exact_values),
+            (merged.approximate_values, reference.approximate_values),
+        ):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    def test_builds_no_shard_row_array(self):
+        """The merge reads each shard's counts and columns, never the
+        ``flat()`` rows a ``from_flat`` record would build and cache."""
+        rng = np.random.default_rng(7)
+        ranges = shard_ranges(20, 2)
+        outputs = [
+            self.random_record(rng, 5, len(shard_range), "ragged", True)
+            for shard_range in ranges
+        ]
+        merge_streamed_outputs(outputs, ranges)
+        assert all(output.candidates._flat is None for output in outputs)
+
     def test_preserves_shard_order_within_row(self):
         """Within a row, shard 0's candidates come before shard 1's —
         the order the sequential backend produces."""
@@ -128,6 +200,65 @@ class TestMergeCandidates:
         ]
         merged = self.merge_candidates(sets, ranges, 1)
         assert np.array_equal(merged.indices[0], [3, 1, 6, 4])
+
+
+def record_bytes(output):
+    candidates = output.candidates
+    return sum(
+        array.nbytes
+        for array in (
+            candidates.counts, candidates.columns(),
+            output.exact_values, output.approximate_values,
+        )
+    )
+
+
+def traced_peak(call):
+    tracemalloc.start()
+    try:
+        result = call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+class TestMergePeak:
+    """A warm merge allocates its result plus, one shard at a time, that
+    shard's destinations and offset columns (16 B an entry) and a few
+    (shard, row)-sized arrays; a warm sharded ``forward_streaming``
+    adds the shards' own records, alive until the merge returns, and
+    each shard call's few KB.  A concatenate-and-sort merge holds about
+    four arrays the size of the merged columns beyond its result, which
+    fails both bounds."""
+
+    ROWS = 64
+
+    @pytest.fixture
+    def sharded(self, zoo):
+        model = zoo[("u2", "trained", "top_m", "fp64")]
+        features = zoo.features[: self.ROWS]
+        for _ in range(3):
+            model.forward_streaming(features)
+        return model, features
+
+    def test_warm_merge(self, sharded):
+        model, features = sharded
+        outputs = [shard.forward_streaming(features) for shard in model.shards]
+        merge_streamed_outputs(
+            [shard.forward_streaming(features) for shard in model.shards], model.ranges
+        )
+        merged, peak = traced_peak(lambda: merge_streamed_outputs(outputs, model.ranges))
+        largest = max(output.candidates.total for output in outputs)
+        assert peak < record_bytes(merged) + 16 * largest + 6 * 1024
+
+    def test_warm_sharded_forward_streaming(self, sharded):
+        model, features = sharded
+        outputs = [shard.forward_streaming(features) for shard in model.shards]
+        merged, peak = traced_peak(lambda: model.forward_streaming(features))
+        largest = max(output.candidates.total for output in outputs)
+        shard_records = sum(record_bytes(output) for output in outputs)
+        assert peak < record_bytes(merged) + shard_records + 16 * largest + 12 * 1024
 
 
 class TestMergeToleratesFailedShards:
