@@ -7,9 +7,11 @@ one persistent worker process per shard.  Each worker attaches the
 shard's classifier and screener planes from a shared-memory segment
 (zero-copy — the weights exist once in physical memory no matter how
 many workers map them), screens its slice of the category space, and
-the host merges the per-shard results through the same reduce path the
-sequential backend uses.  The two backends are bit-identical, which
-this example checks on every output it prints.
+the host merges the per-shard candidate records through the same reduce
+path the sequential backend uses.  The two backends are bit-identical,
+which this example checks on every output it prints.  The fleet serves
+records and top-k pairs, never a ``batch × l`` plane: the dense plane
+is ``ShardedClassifier.forward``'s, in-process.
 
 The second half demonstrates the supervision layer: a worker is killed
 mid-service and transparently respawned from the still-live shared
@@ -40,7 +42,19 @@ def main() -> None:
     sharded.train(task.sample_features(768), candidates_per_shard=16, rng=12)
     features = task.sample_features(64, rng=13)
 
-    sequential = sharded.forward(features)
+    sequential = sharded.forward_streaming(features)
+
+    def same_record(output, reference):
+        return (
+            np.array_equal(output.candidates.counts, reference.candidates.counts)
+            and np.array_equal(
+                output.candidates.columns(), reference.candidates.columns()
+            )
+            and np.array_equal(output.exact_values, reference.exact_values)
+            and np.array_equal(
+                output.approximate_values, reference.approximate_values
+            )
+        )
 
     start = time.perf_counter()
     with sharded.parallel() as engine:
@@ -50,17 +64,9 @@ def main() -> None:
         print(f"started {engine.num_shards} workers in {startup_ms:.1f} ms "
               f"({segments} shared-memory segments)")
 
-        parallel = engine.forward(features)
-        identical = (
-            np.array_equal(parallel.logits, sequential.logits)
-            and all(
-                np.array_equal(mine, theirs)
-                for mine, theirs in zip(
-                    parallel.candidates, sequential.candidates
-                )
-            )
-        )
-        print(f"parallel output bit-identical to sequential: {identical}")
+        parallel = engine.forward_streaming(features)
+        print(f"parallel record bit-identical to sequential: "
+              f"{same_record(parallel, sequential)}")
 
         indices, scores = engine.top_k(features[:2], k=5)
         seq_indices, _ = sharded.top_k(features[:2], k=5)
@@ -73,33 +79,35 @@ def main() -> None:
         print(f"top-1 agreement with the exact classifier: {agreement:.3f}")
 
         repeats = 5
-        start = time.perf_counter()
-        for _ in range(repeats):
-            engine.forward(features)
-        parallel_ms = 1e3 * (time.perf_counter() - start) / repeats
-        start = time.perf_counter()
-        for _ in range(repeats):
-            sharded.forward(features)
-        sequential_ms = 1e3 * (time.perf_counter() - start) / repeats
-        print(f"forward (batch=64): sequential {sequential_ms:.2f} ms, "
-              f"parallel {parallel_ms:.2f} ms "
-              f"(speedup tracks available cores; bench/run.py "
-              f"--workload parallel_cycle measures it)")
+        for name, call in (
+            ("forward_streaming", lambda backend: backend.forward_streaming(features)),
+            ("top_k(16)", lambda backend: backend.top_k(features, 16)),
+        ):
+            timings = []
+            for backend in (sharded, engine):
+                start = time.perf_counter()
+                for _ in range(repeats):
+                    call(backend)
+                timings.append(1e3 * (time.perf_counter() - start) / repeats)
+            print(f"{name} (batch=64): sequential {timings[0]:.2f} ms, "
+                  f"parallel {timings[1]:.2f} ms")
+        print("(speedup tracks available cores; bench/run.py "
+              "--workload parallel_cycle measures it)")
 
     print(f"after close: {engine!r}, segments unlinked")
 
     # --- fault tolerance: respawn ------------------------------------
     print("\n-- supervision: kill a worker mid-service --")
     with sharded.parallel(restart_backoff=0.01) as engine:
-        engine.forward(features)
+        engine.forward_streaming(features)
         engine.workers[2].process.kill()
         start = time.perf_counter()
-        recovered = engine.forward(features)
+        recovered = engine.forward_streaming(features)
         recovery_ms = 1e3 * (time.perf_counter() - start)
         print(f"shard 2 killed; next request answered in {recovery_ms:.1f} ms "
               f"(restarts per shard: {engine.restarts})")
-        print(f"post-respawn output bit-identical to sequential: "
-              f"{np.array_equal(recovered.logits, sequential.logits)}")
+        print(f"post-respawn record bit-identical to sequential: "
+              f"{same_record(recovered, sequential)}")
 
     # --- fault tolerance: graceful degradation -----------------------
     print("\n-- degraded mode: serve with a shard permanently down --")
@@ -110,7 +118,7 @@ def main() -> None:
     with sharded.parallel(
         degraded=True, max_restarts=1, restart_backoff=0.01, faults=faults
     ) as engine:
-        result = engine.forward(features)
+        result = engine.forward_streaming(features)
         assert isinstance(result, DegradedOutput)
         ranges = [f"[{r.start}, {r.stop})" for r in result.missing_ranges]
         print(f"degraded result: {result.available_fraction:.0%} of "
@@ -119,16 +127,16 @@ def main() -> None:
             print(f"  shard {failure.shard_id}: {failure.kind} "
                   f"(categories [{failure.categories.start}, "
                   f"{failure.categories.stop}))")
-        surviving = np.concatenate([
-            result.result.logits[:, : 2000], result.result.logits[:, 4000:]
-        ], axis=1)
-        reference = np.concatenate([
-            sequential.logits[:, : 2000], sequential.logits[:, 4000:]
-        ], axis=1)
-        print(f"surviving columns bit-identical to sequential: "
-              f"{np.array_equal(surviving, reference)}; "
-              f"missing columns are NaN: "
-              f"{bool(np.isnan(result.result.logits[:, 2000:4000]).all())}")
+        # The record simply has no entries in the missing range; every
+        # surviving entry is the sequential backend's.
+        missing = result.missing_ranges[0]
+        columns = sequential.candidates.columns()
+        kept = (columns < missing.start) | (columns >= missing.stop)
+        identical = np.array_equal(
+            result.result.candidates.columns(), columns[kept]
+        ) and np.array_equal(result.result.exact_values, sequential.exact_values[kept])
+        print(f"surviving entries bit-identical to sequential: {identical} "
+              f"({np.count_nonzero(~kept)} entries of the missing range dropped)")
 
 
 if __name__ == "__main__":

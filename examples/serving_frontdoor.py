@@ -76,7 +76,7 @@ def main() -> None:
         admitted, shed = 0, 0
         for row in task.sample_features(12, rng=26):
             try:
-                tiny.submit(row)
+                tiny.submit(row)  # the default op: a RowStreamed reply
                 admitted += 1
             except QueueFullError:
                 shed += 1

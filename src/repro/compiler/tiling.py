@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
 
 from repro.enmc.config import ENMCConfig
 from repro.utils.validation import check_positive
@@ -64,14 +63,3 @@ def plan_screening_tiles(
         projection_dim=projection_dim,
         rows_per_tile=rows_per_tile,
     )
-
-
-def tile_addresses(base: int, plan: TilePlan, bytes_per_tile_row: float) -> List[int]:
-    """DRAM addresses of each weight tile under a row-major layout."""
-    addresses = []
-    offset = base
-    for rows in plan:
-        addresses.append(offset)
-        offset += int(len(rows) * bytes_per_tile_row) + 63
-        offset -= offset % 64  # next tile starts burst-aligned
-    return addresses

@@ -251,12 +251,11 @@ class DegradedOutput:
 
     Returned (instead of raising) by a fleet running in graceful-
     degradation mode when one or more shards could not answer:
-    ``result`` is the merge of the *surviving* shards — a
-    :class:`ScreenedOutput` whose missing columns are NaN, a
-    :class:`StreamedOutput` with no candidates from the missing ranges,
-    or a ``(indices, scores)`` top-k pair reduced over survivors only —
-    and ``failures`` records exactly which category ranges are absent
-    and why.  Callers that can tolerate partial answers (the Amazon-
+    ``result`` is the merge of the *surviving* shards — either a
+    :class:`StreamedOutput` with no candidates from the missing ranges
+    or a ``(indices, scores)`` top-k pair reduced over survivors only,
+    never a dense plane (the fleet serves none) — and ``failures``
+    records exactly which category ranges are absent and why.  Callers that can tolerate partial answers (the Amazon-
     scale XC deployments this models) read ``result`` and log the
     report; callers that cannot should check ``missing_ranges`` and
     fall back.

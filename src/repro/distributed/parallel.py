@@ -14,17 +14,16 @@ screener for its shard.  The data plane is built for zero-copy:
   how many workers serve them;
 * **scatter** — the host writes the feature batch into a shared input
   segment once; every worker reads the same pages;
-* **gather** — ``forward`` and ``forward_streaming`` ship one reply
-  over the pipe, the shard's candidate record (counts, columns, exact
-  and approximate values); only dense ``forward`` also writes its
-  shard's mixed logits into its slot of a shared output segment.
-  ``top_k`` (hence ``predict``) ships its ``k`` ranked (index, score)
-  pairs.  All three run the worker's one tile loop, and an engine that
-  never calls ``forward`` never allocates the output segments;
-* **reduce** — the host rebuilds each shard's output from its record
-  and merges them through the *same*
+* **gather** — ``forward_streaming`` ships one reply over the pipe,
+  the shard's candidate record (counts, columns, exact and approximate
+  values); ``top_k`` (hence ``predict``) ships its ``k`` ranked (index,
+  score) pairs.  Both run the worker's one tile loop, and no ``batch ×
+  l`` plane crosses the process boundary: the dense plane is served
+  in-process only (:meth:`ShardedClassifier.forward
+  <repro.distributed.sharding.ShardedClassifier.forward>`);
+* **reduce** — the host rebuilds each shard's record and merges them
+  through the *same*
   :func:`~repro.distributed.sharding.merge_streamed_outputs` /
-  :func:`~repro.distributed.sharding.merge_shard_outputs` /
   :func:`~repro.distributed.sharding.reduce_top_k` code path the
   sequential backend uses.
 
@@ -37,7 +36,7 @@ stores and shard plans.
 Data plane and control plane
 ----------------------------
 This module is the **data plane**: the worker entry point, the shared
-I/O segments, scatter, collect, merge and the serving API.  Everything
+input segment, scatter, collect, merge and the serving API.  Everything
 *about a shard's workers* — which replica gets a request, respawn with
 backoff against the shard's restart budget, failover to a sibling —
 is the **control plane** in :mod:`repro.distributed.fleet`: one
@@ -80,14 +79,12 @@ from repro.core.candidates import CandidateSet
 from repro.core.pipeline import (
     ApproximateScreeningClassifier,
     DegradedOutput,
-    ScreenedOutput,
     ShardFailure,
     StreamedOutput,
 )
 from repro.distributed.fleet import ShardGroup
 from repro.distributed.sharding import (
     ShardedClassifier,
-    merge_shard_outputs,
     merge_streamed_outputs,
     reduce_top_k,
 )
@@ -115,7 +112,7 @@ __all__ = [
 
 #: Ops that do real inference work; only these advance the fault
 #: injector's request counter (control traffic stays deterministic).
-_SERVING_OPS = ("forward", "top_k", "forward_streaming")
+_SERVING_OPS = ("top_k", "forward_streaming")
 
 
 class WorkerError(RuntimeError):
@@ -184,7 +181,7 @@ def _worker_main(
                     # externally observable failure shapes.
                     injector.on_request()
                     reply = _serve_request(
-                        engine, shard_id, shard_range, io_packs, op, payload
+                        engine, shard_range, io_packs, op, payload
                     )
                 else:
                     raise ValueError(f"unknown op {op!r}")
@@ -214,7 +211,6 @@ def _attach_cached(
 
 def _serve_request(
     engine: ApproximateScreeningClassifier,
-    shard_id: int,
     shard_range: range,
     io_packs: Dict[str, SharedArrayPack],
     op: str,
@@ -231,16 +227,10 @@ def _serve_request(
         )
         return {"indices": indices + shard_range.start, "scores": scores}
 
-    # Both record ops reply with the candidate record alone; dense
-    # ``forward`` also writes its plane into its slot of the shared
-    # output segment.  The worker's pipeline-owned workspace persists
-    # across requests, so steady-state serving allocates no new scratch.
-    if op == "forward":
-        output = engine.forward(batch)
-        output_pack = _attach_cached(io_packs, payload["output"])
-        np.copyto(output_pack[f"logits{shard_id}"][:rows], output.logits)
-    else:
-        output = engine.forward_streaming(batch, block_categories=payload["block"])
+    # The candidate record alone.  The worker's pipeline-owned workspace
+    # persists across requests, so steady-state serving allocates no new
+    # scratch.
+    output = engine.forward_streaming(batch, block_categories=payload["block"])
     return {
         "counts": output.candidates.counts,
         "cols": output.candidates.columns(),
@@ -315,9 +305,9 @@ class ParallelShardedEngine:
         ``"fork"`` (default where available; millisecond startup) or
         ``"spawn"`` (fresh interpreters, required on Windows).
     max_batch:
-        Initial capacity of the shared input/output planes in batch
-        rows.  Larger batches are accepted — the engine reallocates the
-        I/O segments transparently.
+        Initial capacity of the shared input plane in batch rows.
+        Larger batches are accepted — the engine reallocates the input
+        segment transparently.
     request_timeout:
         Seconds to wait for a *live* worker's reply before the retry /
         respawn policy kicks in; ``None`` waits indefinitely (worker
@@ -430,7 +420,6 @@ class ParallelShardedEngine:
         self.closed = False
         self._max_batch = int(max_batch)
         self._io_input: Optional[SharedArrayPack] = None
-        self._io_output: Optional[SharedArrayPack] = None
         self._segment_names: List[str] = []
 
         context = (
@@ -615,8 +604,7 @@ class ParallelShardedEngine:
                 failed = ("died", error)
             # Replace the replica (heals future requests); this request
             # continues on the replacement, or on a live sibling once
-            # the budget is spent — the incumbent is stopped first, so
-            # whoever answers owns the shared output plane alone.
+            # the budget is spent — the incumbent is stopped first.
             replica_idx = group.recover(replica_idx)
             if replica_idx is None:
                 if not self.degraded:
@@ -652,7 +640,7 @@ class ParallelShardedEngine:
 
         Unlike :meth:`_scatter_gather` (one replica per shard), control
         traffic like ``detach-io`` must reach each process individually
-        — every replica caches its own mapping of the I/O planes.
+        — every replica caches its own mapping of the input plane.
         Failures are tolerated without recovery: a dead replica's
         mappings die with its process (the next serving request runs
         the regular recovery policy), and a worker that never detaches
@@ -674,66 +662,47 @@ class ParallelShardedEngine:
                 continue
 
     # ------------------------------------------------------------------
-    # shared I/O planes
+    # shared input plane
     # ------------------------------------------------------------------
-    def _ensure_io(self, rows: int, need_output: bool = True) -> None:
-        """Size the shared I/O planes for a ``rows``-row batch.
-
-        The output planes (per-shard dense logits) are only allocated
-        when a dense ``forward`` asks for them — streaming and top-k
-        requests ship candidates-only records over the pipe, so a
-        streaming-only engine never materializes ``batch × l`` shared
-        memory at all.
-        """
-        input_capacity = (
+    def _ensure_io(self, rows: int) -> None:
+        """Size the shared input plane for a ``rows``-row batch.  It is
+        the engine's only I/O segment: every reply is a record over the
+        pipe, so no ``batch × l`` shared memory exists at all."""
+        capacity = (
             self._io_input["features"].shape[0]
             if self._io_input is not None
             else 0
         )
-        if rows > input_capacity:
-            input_capacity = max(self._max_batch, rows)
-            if self._io_input is not None:
-                # Workers hold mappings of the old planes; have every
-                # live replica detach before the segments are unlinked
-                # and replaced.  Failures are tolerable here: a dead
-                # worker's mapping dies with its process, and the
-                # replacement attaches the new layout lazily on its
-                # next request.
-                self._broadcast_all("detach-io")
-                self._release_io()
-            self._io_input = SharedArrayPack.zeros(
-                {"features": ((input_capacity, self.hidden_dim), np.float64)}
-            )
-            self._segment_names.append(self._io_input.name)
-        if need_output and self._io_output is None:
-            self._io_output = SharedArrayPack.zeros(
-                {
-                    f"logits{shard_id}": ((input_capacity, len(shard_range)), np.float64)
-                    for shard_id, shard_range in enumerate(self.ranges)
-                }
-            )
-            self._segment_names.append(self._io_output.name)
+        if rows <= capacity:
+            return
+        if self._io_input is not None:
+            # Workers hold mappings of the old plane; have every live
+            # replica detach before the segment is unlinked and
+            # replaced.  Failures are tolerable here: a dead worker's
+            # mapping dies with its process, and the replacement
+            # attaches the new layout lazily on its next request.
+            self._broadcast_all("detach-io")
+            self._release_io()
+        self._io_input = SharedArrayPack.zeros(
+            {"features": ((max(self._max_batch, rows), self.hidden_dim), np.float64)}
+        )
+        self._segment_names.append(self._io_input.name)
 
     def _release_io(self) -> None:
-        for pack in (self._io_input, self._io_output):
-            if pack is not None:
-                pack.destroy()
+        if self._io_input is not None:
+            self._io_input.destroy()
         self._io_input = None
-        self._io_output = None
 
-    def _prepare(self, features: np.ndarray, need_output: bool) -> Dict[str, object]:
+    def _prepare(self, features: np.ndarray) -> Dict[str, object]:
         """Stage the batch in the shared input plane; returns the base
-        request every worker receives (row count + I/O layouts)."""
+        request every worker receives (row count + input layout)."""
         if self.closed:
             raise RuntimeError("engine is closed")
         batch = check_batch_features(features, self.hidden_dim)
         rows = batch.shape[0]
-        self._ensure_io(rows, need_output=need_output)
+        self._ensure_io(rows)
         np.copyto(self._io_input["features"][:rows], batch)
-        request = {"rows": rows, "input": self._io_input.layout}
-        if need_output:
-            request["output"] = self._io_output.layout
-        return request
+        return {"rows": rows, "input": self._io_input.layout}
 
     def _serve(self, op: str, features: np.ndarray, request_extra, rebuild, merge):
         """One serving request: scatter ``op`` to every shard, rebuild
@@ -744,7 +713,7 @@ class ParallelShardedEngine:
         with self.recorder.span(f"engine.{op}"):
             self.requests_served += 1
             self.recorder.increment("parallel.requests")
-            request = self._prepare(features, need_output=op == "forward")
+            request = self._prepare(features)
             request.update(request_extra)
             with self.recorder.span("engine.scatter_gather"):
                 replies, failures = self._scatter_gather(op, request)
@@ -763,28 +732,6 @@ class ParallelShardedEngine:
     # ------------------------------------------------------------------
     # serving API — mirrors the sequential backend
     # ------------------------------------------------------------------
-    def forward(
-        self, features: np.ndarray
-    ) -> Union[ScreenedOutput, DegradedOutput]:
-        """All-shard screened inference, merged to global order.
-
-        Bit-identical to ``ShardedClassifier.forward`` on the same
-        shards (differentially tested) — including across worker
-        respawns, because replacement workers rebuild from the same
-        shared parameter bytes.  In degraded mode a request with failed
-        shards returns a :class:`DegradedOutput` whose missing columns
-        are NaN.
-        """
-        return self._serve(
-            "forward",
-            features,
-            {},
-            partial(self._rebuild_record, plane=True),
-            merge_shard_outputs,
-        )
-
-    __call__ = forward
-
     def forward_streaming(
         self,
         features: np.ndarray,
@@ -793,13 +740,14 @@ class ParallelShardedEngine:
         """All-shard blocked streaming inference, merged to global order.
 
         Every worker streams its category stripe block by block and
-        ships back only its candidate record — no shared output plane
-        exists, so the engine's shared memory stays O(batch × d)
-        regardless of ``l``.  Candidates and values are bit-identical
-        to ``ShardedClassifier.forward_streaming`` on the same shards.
-        In degraded mode a request with failed shards returns a
-        :class:`DegradedOutput` whose result simply has no candidates
-        from the missing ranges.
+        ships back only its candidate record, so the engine's shared
+        memory stays O(batch × d) regardless of ``l``.  Candidates and
+        values are bit-identical to
+        ``ShardedClassifier.forward_streaming`` on the same shards —
+        including across worker respawns, because replacement workers
+        rebuild from the same shared parameter bytes.  In degraded mode
+        a request with failed shards returns a :class:`DegradedOutput`
+        whose result simply has no candidates from the missing ranges.
         """
         if block_categories is not None and block_categories < 1:
             raise ValueError(f"block_categories must be positive, got {block_categories}")
@@ -807,27 +755,18 @@ class ParallelShardedEngine:
             "forward_streaming",
             features,
             {"block": block_categories},
-            partial(self._rebuild_record, plane=False),
+            self._rebuild_record,
             merge_streamed_outputs,
         )
 
-    def _rebuild_record(
-        self, shard_id: int, reply: dict, plane: bool
-    ) -> StreamedOutput:
-        """One shard's record reply as its output: with ``plane``, a
-        :class:`ScreenedOutput` over a view of the shard's slot in the
-        shared output segment (the merge copies the record into fresh
-        arrays and concatenates the planes, so the merged output owns
-        its memory and survives buffer reuse)."""
-        record = (
+    def _rebuild_record(self, shard_id: int, reply: dict) -> StreamedOutput:
+        """One shard's record reply as its output."""
+        return StreamedOutput(
             CandidateSet.from_flat(reply["counts"], reply["cols"]),
             reply["exact"],
             reply["approx"],
+            len(self.ranges[shard_id]),
         )
-        if plane:
-            rows = len(reply["counts"])
-            return ScreenedOutput(*record, self._io_output[f"logits{shard_id}"][:rows])
-        return StreamedOutput(*record, len(self.ranges[shard_id]))
 
     def top_k(
         self, features: np.ndarray, k: int

@@ -427,32 +427,17 @@ def merge_streamed_outputs(
 
 
 def merge_shard_outputs(
-    outputs: Sequence[Optional[ScreenedOutput]],
-    ranges: Sequence[range],
-    batch_size: Optional[int] = None,
+    outputs: Sequence[ScreenedOutput], ranges: Sequence[range]
 ) -> ScreenedOutput:
     """Merge per-shard dense outputs to global order: the records
     through :func:`merge_streamed_outputs`, the logits planes
     concatenated along the category axis — so the merged output's
     ``approximate_logits`` stays lazy exactly like a single-node
-    output's.
-
-    ``outputs[i] is None`` marks shard ``i`` as failed: its stripe is
-    NaN (the honest "no answer" value — downstream argmax/top-k must
-    treat these columns as unavailable) and it contributes no
-    candidates, so surviving columns keep their global indices.
-    ``batch_size`` is only needed when every entry is ``None``.
-    """
-    record = merge_streamed_outputs(outputs, ranges, batch_size)
-    logits = np.concatenate(
-        [
-            output.logits
-            if output is not None
-            else np.full((record.batch_size, len(shard_range)), np.nan)
-            for output, shard_range in zip(outputs, ranges)
-        ],
-        axis=1,
-    )
+    output's.  Every entry is a shard's output: a failed shard
+    (``None``) is the record merge's case only, because the
+    process-parallel engine, whose shards fail, serves no plane."""
+    record = merge_streamed_outputs(outputs, ranges)
+    logits = np.concatenate([output.logits for output in outputs], axis=1)
     return ScreenedOutput(
         record.candidates, record.exact_values, record.approximate_values, logits
     )

@@ -28,7 +28,6 @@ from repro.serving.frontdoor import (
     InvalidRequestError,
     QueueFullError,
     Reply,
-    RowForward,
     RowStreamed,
 )
 from repro.serving.loadgen import LoadReport, ZipfianMix, run_open_loop
@@ -39,7 +38,6 @@ __all__ = [
     "propagates_deadlines",
     "FrontDoor",
     "Reply",
-    "RowForward",
     "RowStreamed",
     "FrontDoorError",
     "QueueFullError",

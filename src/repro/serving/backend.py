@@ -5,9 +5,9 @@ Three execution engines grew up in this repository — the single-node
 sequential :class:`~repro.distributed.sharding.ShardedClassifier` and
 the process-parallel
 :class:`~repro.distributed.parallel.ParallelShardedEngine` — and they
-already answer the same questions (``forward`` / ``forward_streaming``
-/ ``top_k`` / ``predict`` over a feature batch).  This module writes
-that shared surface down as a :class:`typing.Protocol` so the serving
+already answer the same questions (``forward_streaming`` / ``top_k`` /
+``predict`` over a feature batch).  This module writes that shared
+surface down as a :class:`typing.Protocol` so the serving
 front door (:mod:`repro.serving.frontdoor`), the load generator and the
 benchmarks can hold *any* of them behind one name — and so the next
 backend (a sketch-based screener, a replicated fleet) plugs in by
@@ -17,12 +17,12 @@ The contract
 ------------
 * ``num_categories`` / ``hidden_dim`` — the model geometry; the front
   door validates request shapes against ``hidden_dim``.
-* ``forward(features)`` — dense screened inference over a ``(batch,
-  hidden_dim)`` float array; rows are independent, which is what makes
-  request coalescing legal (per-row results do not depend on batch
-  membership; the differential tests hold the front door to this).
-* ``forward_streaming(features, block_categories=None)`` — the
-  candidates-only blocked path.
+* ``forward_streaming(features, block_categories=None)`` — screened
+  inference over a ``(batch, hidden_dim)`` float array, returned as
+  the candidate record (no ``batch × l`` plane); rows are independent,
+  which is what makes request coalescing legal (per-row results do
+  not depend on batch membership; the differential tests hold the
+  front door to this).
 * ``top_k(features, k)`` — ``(indices, scores)``: per-row top-k of
   the mixed scores, best first, ties to the lowest index, ranked inside
   the tile loop (no ``batch × l`` plane on any backend); the front
@@ -30,6 +30,11 @@ The contract
 * ``predict(features)`` — per-row argmax category: ``top_k(·, 1)``.
 * ``close()`` — release serving resources (worker fleets, shared
   segments, workspaces); idempotent.  Backends are context managers.
+
+The dense plane (``forward``) is not part of the contract: it is served
+in-process only, by the single-node pipeline and
+:meth:`ShardedClassifier.forward
+<repro.distributed.sharding.ShardedClassifier.forward>`.
 
 Deadline propagation rides on a *conventional* attribute rather than a
 method: a backend that honors per-request reply budgets exposes a
@@ -68,8 +73,6 @@ class EngineBackend(Protocol):
 
     @property
     def hidden_dim(self) -> int: ...
-
-    def forward(self, features: np.ndarray): ...
 
     def forward_streaming(
         self, features: np.ndarray, block_categories: Optional[int] = None

@@ -56,14 +56,13 @@ from typing import Any, Deque, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.pipeline import DegradedOutput, ScreenedOutput, StreamedOutput
+from repro.core.pipeline import DegradedOutput, StreamedOutput
 from repro.obs.recorder import NULL_RECORDER
 from repro.serving.backend import propagates_deadlines
 
 __all__ = [
     "FrontDoor",
     "Reply",
-    "RowForward",
     "RowStreamed",
     "FrontDoorError",
     "QueueFullError",
@@ -93,19 +92,6 @@ class InvalidRequestError(FrontDoorError, ValueError):
     """The request row holds NaN/inf, or its ``slo_s`` is non-finite or
     negative; rejected at ``submit`` so it can never fail (or strip the
     deadline from) the micro-batch it would have joined."""
-
-
-@dataclass(frozen=True)
-class RowForward:
-    """One request's slice of a batched ``forward`` result.
-
-    ``logits`` is the mixed approximate/exact score row and
-    ``candidates`` the indices that are exact — copies, so the reply
-    outlives the batch arrays.
-    """
-
-    logits: np.ndarray
-    candidates: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -156,7 +142,7 @@ class _Pending:
         return (self.op, tuple(sorted(self.kwargs.items())))
 
 
-_VALID_OPS = ("forward", "forward_streaming", "top_k", "predict")
+_VALID_OPS = ("forward_streaming", "top_k", "predict")
 
 
 class FrontDoor:
@@ -256,7 +242,7 @@ class FrontDoor:
     def submit(
         self,
         features: np.ndarray,
-        op: str = "forward",
+        op: str = "forward_streaming",
         *,
         k: Optional[int] = None,
         block_categories: Optional[int] = None,
@@ -265,9 +251,11 @@ class FrontDoor:
         """Queue one single-row request; returns a future of its reply.
 
         ``features`` is one example — shape ``(hidden_dim,)`` or
-        ``(1, hidden_dim)``.  ``op`` selects the backend entry point;
-        ``k`` is required for ``top_k`` and ``block_categories`` is
-        optional for ``forward_streaming``.  ``slo_s`` is this
+        ``(1, hidden_dim)``.  ``op`` selects the backend entry point, a
+        record op: the door serves no dense plane (in-process callers
+        read one from ``ShardedClassifier.forward``).  ``k`` is required
+        for ``top_k`` and ``block_categories`` is optional for
+        ``forward_streaming``.  ``slo_s`` is this
         request's end-to-end budget (seconds from now); expired
         requests are shed, never served late.  A non-finite row, or a
         non-finite or negative ``slo_s``, raises
@@ -355,7 +343,7 @@ class FrontDoor:
     def call(
         self,
         features: np.ndarray,
-        op: str = "forward",
+        op: str = "forward_streaming",
         *,
         k: Optional[int] = None,
         block_categories: Optional[int] = None,
@@ -590,8 +578,6 @@ def _split_rows(op: str, result, batch_size: int) -> List[Any]:
     Every value is a copy — replies must outlive the batch arrays the
     backend may reuse or that the next request overwrites.
     """
-    if op == "forward":
-        return _split_forward(result, batch_size)
     if op == "forward_streaming":
         return _split_streamed(result, batch_size)
     if op == "top_k":
@@ -601,17 +587,6 @@ def _split_rows(op: str, result, batch_size: int) -> List[Any]:
         _check_rows(op, len(values), batch_size)
         return [values[i].copy() for i in range(batch_size)]
     raise ValueError(f"unknown op {op!r}")
-
-
-def _split_forward(result: ScreenedOutput, batch_size: int) -> List[RowForward]:
-    _check_rows("forward", result.logits.shape[0], batch_size)
-    return [
-        RowForward(
-            logits=result.logits[i].copy(),
-            candidates=np.asarray(result.candidates.indices[i]).copy(),
-        )
-        for i in range(batch_size)
-    ]
 
 
 def _split_streamed(result: StreamedOutput, batch_size: int) -> List[RowStreamed]:

@@ -142,7 +142,7 @@ def run_open_loop(
     *,
     rate_rps: float,
     duration_s: float,
-    op: str = "forward",
+    op: str = "forward_streaming",
     k: Optional[int] = None,
     slo_s: Optional[float] = None,
     seed: int = 0,

@@ -16,8 +16,6 @@ from repro.utils.units import (
     KIB,
     MIB,
     bytes_to_gib,
-    bytes_to_mib,
-    cycles_to_seconds,
     seconds_to_cycles,
 )
 from repro.utils.tables import render_table
@@ -43,9 +41,7 @@ __all__ = [
     "KIB",
     "MIB",
     "GIB",
-    "bytes_to_mib",
     "bytes_to_gib",
-    "cycles_to_seconds",
     "seconds_to_cycles",
     "render_table",
     "check_positive",

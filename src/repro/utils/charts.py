@@ -13,20 +13,6 @@ from typing import List, Optional, Sequence, Tuple
 
 from repro.utils.validation import check_positive
 
-_BLOCKS = " ▁▂▃▄▅▆▇█"
-
-
-def sparkline(values: Sequence[float]) -> str:
-    """A one-line block-character series."""
-    data = [float(v) for v in values]
-    if not data:
-        raise ValueError("no values")
-    low, high = min(data), max(data)
-    if math.isclose(low, high):
-        return _BLOCKS[4] * len(data)
-    scale = (len(_BLOCKS) - 2) / (high - low)
-    return "".join(_BLOCKS[1 + int((v - low) * scale)] for v in data)
-
 
 def bar_chart(
     labels: Sequence[str],

@@ -6,30 +6,10 @@ KIB = 1024
 MIB = 1024 * KIB
 GIB = 1024 * MIB
 
-KILO = 1_000
-MEGA = 1_000_000
-GIGA = 1_000_000_000
-
-NANOSECOND = 1e-9
-MICROSECOND = 1e-6
-MILLISECOND = 1e-3
-
-
-def bytes_to_mib(num_bytes: float) -> float:
-    """Convert a byte count to mebibytes."""
-    return num_bytes / MIB
-
 
 def bytes_to_gib(num_bytes: float) -> float:
     """Convert a byte count to gibibytes."""
     return num_bytes / GIB
-
-
-def cycles_to_seconds(cycles: float, frequency_hz: float) -> float:
-    """Convert a cycle count at ``frequency_hz`` to wall-clock seconds."""
-    if frequency_hz <= 0:
-        raise ValueError(f"frequency must be positive, got {frequency_hz}")
-    return cycles / frequency_hz
 
 
 def seconds_to_cycles(seconds: float, frequency_hz: float) -> int:
@@ -40,13 +20,3 @@ def seconds_to_cycles(seconds: float, frequency_hz: float) -> int:
     # Tolerate float representation error (e.g. 7.5 ns × 400 MHz giving
     # 2.9999999999999996) before taking the ceiling.
     return int(-(-(cycles - 1e-9) // 1))
-
-
-def ns_to_cycles(nanoseconds: float, frequency_hz: float) -> int:
-    """Convert nanoseconds to a ceiling cycle count."""
-    return seconds_to_cycles(nanoseconds * NANOSECOND, frequency_hz)
-
-
-def gbps(bytes_per_second: float) -> float:
-    """Express a byte rate in GB/s (decimal gigabytes, as DRAM vendors do)."""
-    return bytes_per_second / GIGA

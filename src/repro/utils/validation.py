@@ -15,12 +15,6 @@ def check_positive(name: str, value: float) -> None:
         raise ValueError(f"{name} must be positive, got {value}")
 
 
-def check_non_negative(name: str, value: float) -> None:
-    """Raise ``ValueError`` unless ``value`` is >= 0."""
-    if value < 0:
-        raise ValueError(f"{name} must be non-negative, got {value}")
-
-
 def check_probability(name: str, value: float) -> None:
     """Raise ``ValueError`` unless ``value`` lies in [0, 1]."""
     if not 0.0 <= value <= 1.0:

@@ -216,15 +216,21 @@ def no_plane(*args, **kwargs):
     raise AssertionError("top_k / predict called forward")
 
 
+#: The dense plane's arrays in ``answers``: only the in-process models
+#: serve a plane, the worker fleet serves the records alone.
+DENSE_KEYS = ("logits", "approx", "counts", "cols")
+
+
 def answers(backend, features, block, k):
-    """Every op's arrays, by name."""
-    dense = backend.forward(features)
-    got = {
-        "logits": dense.logits,
-        "approx": dense.approximate_logits,
-        "counts": dense.candidates.counts,
-        "cols": dense.candidates.flat()[1],
-    }
+    """Every op's arrays, by name: the dense plane's (``DENSE_KEYS``)
+    where the backend serves one, then every record op's."""
+    got = {}
+    if hasattr(backend, "forward"):
+        dense = backend.forward(features)
+        got["logits"] = dense.logits
+        got["approx"] = dense.approximate_logits
+        got["counts"] = dense.candidates.counts
+        got["cols"] = dense.candidates.flat()[1]
     for name, width in (("streamed", None), ("blocked", block)):
         streamed = backend.forward_streaming(features, block_categories=width)
         assert streamed.num_categories == backend.num_categories
@@ -236,6 +242,12 @@ def answers(backend, features, block, k):
         got["top_k.indices"], got["top_k.scores"] = backend.top_k(features, k)
         got["predict"] = backend.predict(features)
     return got
+
+
+def records(got):
+    """``answers`` without the dense plane's arrays: what every backend
+    serves."""
+    return {name: value for name, value in got.items() if name not in DENSE_KEYS}
 
 
 def assert_same(actual, expected):

@@ -6,7 +6,8 @@ entry keeps its approximate value.  :func:`check_configuration` takes a
 model of the shared zoo (``conftest.py``), the batch's row count,
 feature dtype and content, the selection block and ``k``, runs every op
 (``forward``, ``forward_streaming``, ``top_k``, ``predict``) on every
-backend of that model and asserts:
+backend of that model (the worker fleet and the front door serve the
+record ops, not the dense plane) and asserts:
 
 * dense ≡ streaming for every selection block, both ≡ the per-row oracle
   (``oracles.forward_per_row``, shard by shard); ``top_k`` / ``predict``
@@ -35,7 +36,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from conftest import M, SHARD_RNG, answers, assert_same, no_plane
+from conftest import M, SHARD_RNG, answers, assert_same, no_plane, records
 from oracles import forward_per_row, merge_candidates_per_row, rank_dense
 
 from repro.core import ApproximateScreeningClassifier, ScreeningConfig, train_screener
@@ -48,7 +49,7 @@ from repro.utils.rng import spawn_rngs
 
 #: Rows the front door serves (each under every op).
 DOOR_ROWS = 5
-DOOR_OPS = ("forward", "forward_streaming", "top_k", "predict")
+DOOR_OPS = ("forward_streaming", "top_k", "predict")
 
 
 @contextlib.contextmanager
@@ -156,8 +157,6 @@ def check_stores(zoo, key, model, features, block, k, got):
 def row_values(op, result, size):
     """One batched result cut into per-row tuples, independently of the
     front door's own split."""
-    if op == "forward":
-        return [(result.logits[i], result.candidates.indices[i]) for i in range(size)]
     if op == "forward_streaming":
         ends = np.cumsum(result.candidates.counts)
         return [
@@ -171,8 +170,6 @@ def row_values(op, result, size):
 
 
 def reply_values(op, value):
-    if op == "forward":
-        return (value.logits, value.candidates)
     if op == "forward_streaming":
         return (value.candidates, value.exact_values, value.approximate_values)
     return tuple(value) if op == "top_k" else (value,)
@@ -196,7 +193,7 @@ def check_door(backend, features, block, k, cache, ops=DOOR_OPS, max_batch=4):
     streaming = {} if block is None else {"block_categories": block}
     ops = [
         (op, kwargs)
-        for op, kwargs in (("forward", {}), ("forward_streaming", streaming), ("top_k", {"k": k}),
+        for op, kwargs in (("forward_streaming", streaming), ("top_k", {"k": k}),
                            ("top_k", {"k": 1}), ("predict", {}))
         if op in ops
     ]
@@ -290,7 +287,7 @@ def check_configuration(
             assert np.array_equal(single.bias, model.shards[0].screener.bias)
             assert_same(answers(model.shards[0], features, block, k), got)
         backend = engines[key]
-        assert_same(answers(backend, features, block, k), got)
+        assert_same(answers(backend, features, block, k), records(got))
         for other in ks[:-1]:
             for mine, theirs in zip(backend.top_k(features, other), model.top_k(features, other)):
                 assert np.array_equal(mine, theirs)

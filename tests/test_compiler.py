@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from repro.compiler import compile_screened_classification, plan_screening_tiles
-from repro.compiler.tiling import TilePlan, tile_addresses
+from repro.compiler.tiling import TilePlan
 from repro.enmc.config import ENMCConfig, DEFAULT_CONFIG
 from repro.isa.opcodes import Opcode
 
@@ -37,13 +37,6 @@ class TestTilePlan:
     def test_projection_dim_exceeding_buffer_rejected(self):
         with pytest.raises(ValueError, match="feature buffer"):
             plan_screening_tiles(100, 4096, DEFAULT_CONFIG)
-
-    def test_tile_addresses_aligned(self):
-        plan = TilePlan(num_categories=100, projection_dim=16, rows_per_tile=32)
-        addrs = tile_addresses(0x1000, plan, bytes_per_tile_row=8)
-        assert len(addrs) == plan.num_tiles
-        assert all(a % 64 == 0 for a in addrs)
-        assert addrs == sorted(set(addrs))
 
 
 class TestLowering:

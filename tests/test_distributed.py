@@ -7,12 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.candidates import CandidateSet
-from repro.core.pipeline import ScreenedOutput, StreamedOutput
+from repro.core.pipeline import StreamedOutput
 from repro.data.registry import get_workload
 from repro.distributed import (
     ClusterModel,
     ShardedClassifier,
-    merge_shard_outputs,
     merge_streamed_outputs,
     shard_ranges,
 )
@@ -262,14 +261,13 @@ class TestMergePeak:
 
 
 class TestMergeToleratesFailedShards:
-    """``None`` entries in the one merge: a failed shard's candidates
-    vanish, its dense stripe is NaN, and every surviving entry keeps
-    its global column — for every subset of failed shards."""
+    """``None`` entries in the record merge: a failed shard's candidates
+    vanish and every surviving entry keeps its global column — for
+    every subset of failed shards."""
 
     @staticmethod
     def random_shard(rng, batch_size, width):
-        """One shard's (dense, streamed) outputs over the same random
-        candidate record."""
+        """One shard's record over random candidates and values."""
         indices = [
             np.sort(
                 rng.choice(width, size=int(rng.integers(0, width + 1)), replace=False)
@@ -277,17 +275,13 @@ class TestMergeToleratesFailedShards:
             for _ in range(batch_size)
         ]
         candidates = CandidateSet(indices=indices)
-        rows, cols = candidates.flat()
-        logits = rng.standard_normal((batch_size, width))
-        approx = rng.standard_normal(rows.size)
-        dense = ScreenedOutput(candidates, logits[rows, cols], approx, logits)
-        streamed = StreamedOutput(
+        size = int(candidates.counts.sum())
+        return StreamedOutput(
             candidates=candidates,
-            exact_values=logits[rows, cols],
-            approximate_values=approx,
+            exact_values=rng.standard_normal(size),
+            approximate_values=rng.standard_normal(size),
             num_categories=width,
         )
-        return dense, streamed
 
     @given(
         sizes=st.lists(st.integers(1, 6), min_size=1, max_size=4),
@@ -302,8 +296,7 @@ class TestMergeToleratesFailedShards:
         stops = np.cumsum(sizes)
         ranges = [range(int(stop - size), int(stop)) for size, stop in zip(sizes, stops)]
         shards = [self.random_shard(rng, batch_size, size) for size in sizes]
-        full_dense = merge_shard_outputs([d for d, _ in shards], ranges)
-        full_streamed = merge_streamed_outputs([s for _, s in shards], ranges)
+        full_streamed = merge_streamed_outputs(shards, ranges)
         rows, cols = full_streamed.candidates.flat()
         for failed in itertools.product([False, True], repeat=len(sizes)):
             missing = np.zeros(int(stops[-1]), dtype=bool)
@@ -312,7 +305,7 @@ class TestMergeToleratesFailedShards:
             keep = ~missing[cols]
 
             streamed = merge_streamed_outputs(
-                [None if dead else s for (_, s), dead in zip(shards, failed)],
+                [None if dead else s for s, dead in zip(shards, failed)],
                 ranges,
                 batch_size,
             )
@@ -327,24 +320,9 @@ class TestMergeToleratesFailedShards:
                     getattr(streamed, name), getattr(full_streamed, name)[keep]
                 )
 
-            dense = merge_shard_outputs(
-                [None if dead else d for (d, _), dead in zip(shards, failed)],
-                ranges,
-                batch_size,
-            )
-            assert dense.logits.dtype == np.float64
-            assert np.array_equal(dense.candidates.flat()[0], rows[keep])
-            assert np.array_equal(dense.candidates.flat()[1], cols[keep])
-            for name in ("logits", "approximate_logits"):
-                expected = getattr(full_dense, name).copy()
-                expected[:, missing] = np.nan
-                assert np.array_equal(getattr(dense, name), expected, equal_nan=True)
-
     def test_all_failed_merge_needs_a_batch_size(self):
-        ranges = shard_ranges(6, 2)
-        for merge in (merge_shard_outputs, merge_streamed_outputs):
-            with pytest.raises(ValueError, match="batch_size"):
-                merge([None, None], ranges)
+        with pytest.raises(ValueError, match="batch_size"):
+            merge_streamed_outputs([None, None], shard_ranges(6, 2))
 
 
 class TestShardedClassifier:
@@ -461,14 +439,15 @@ class TestShardedClassifier:
         features = task.sample_features(3)
         features[1, 5] = np.nan
         with model.parallel() as engine:
-            for backend in (model, engine):
-                for call in (
-                    backend.forward,
-                    backend.forward_streaming,
-                    lambda batch: backend.top_k(batch, k=3),
-                ):
-                    with pytest.raises(ValueError, match="row 1 contains NaN/inf"):
-                        call(features)
+            for call in (
+                model.forward,
+                model.forward_streaming,
+                engine.forward_streaming,
+                lambda batch: model.top_k(batch, k=3),
+                lambda batch: engine.top_k(batch, k=3),
+            ):
+                with pytest.raises(ValueError, match="row 1 contains NaN/inf"):
+                    call(features)
             # The workers never saw the bad batch and still serve.
             assert engine.predict(task.sample_features(2)).shape == (2,)
 

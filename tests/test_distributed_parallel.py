@@ -1,12 +1,12 @@
 """Behaviour of the process-parallel serving engine.
 
 That :class:`ParallelShardedEngine` is the *same function* as the
-sequential ``ShardedClassifier`` — every output plane, candidate list and
-top-k reduce bit-identical, a 1-shard engine the single-node pipeline —
+sequential ``ShardedClassifier`` — every candidate record and top-k
+reduce bit-identical, a 1-shard engine the single-node pipeline —
 is asserted by ``tests/test_matrix.py`` across selectors, stores, feature
 widths and shard plans; the corners this suite is named for are held
 below as named configurations of it.  Here also: buffer reuse across
-calls, the spawn start method, I/O-plane regrowth, requests refused
+calls, the spawn start method, input-plane regrowth, requests refused
 before scatter, and the worker-failure contract (``WorkerDied``, never a
 hang; every shared segment released).
 """
@@ -38,14 +38,14 @@ def features(zoo):
 
 
 def assert_outputs_identical(actual, expected):
-    """Bitwise equality of everything a ScreenedOutput exposes."""
-    assert actual.logits.dtype == expected.logits.dtype
-    assert np.array_equal(actual.logits, expected.logits)
-    assert np.array_equal(actual.approximate_logits, expected.approximate_logits)
+    """Bitwise equality of everything a StreamedOutput exposes."""
+    assert actual.num_categories == expected.num_categories
     assert actual.candidates.batch_size == expected.candidates.batch_size
     for mine, theirs in zip(actual.candidates, expected.candidates):
         assert np.array_equal(mine, theirs)
-    assert actual.exact_count == expected.exact_count
+    for name in ("exact_values", "approximate_values"):
+        assert getattr(actual, name).dtype == getattr(expected, name).dtype
+        assert np.array_equal(getattr(actual, name), getattr(expected, name))
 
 
 SELECTORS = ("top_m", "threshold")
@@ -83,37 +83,44 @@ class TestParallelEngineBehavior:
     def test_repeated_calls_are_stable(self, model, features):
         """Buffer reuse across calls must not leak state between batches."""
         with model.parallel() as engine:
-            first = engine.forward(features)
+            first = engine.forward_streaming(features)
             shuffled = features[::-1].copy()
-            middle = engine.forward(shuffled)
-            second = engine.forward(features)
-            assert np.array_equal(first.logits, second.logits)
-            assert not np.array_equal(first.logits, middle.logits)
+            middle = engine.forward_streaming(shuffled)
+            second = engine.forward_streaming(features)
+            assert_outputs_identical(second, first)
+            assert not np.array_equal(first.exact_values, middle.exact_values)
 
     def test_io_plane_regrowth(self, model, zoo):
-        """Batches beyond max_batch reallocate the shared I/O planes."""
+        """Batches beyond max_batch reallocate the shared input plane."""
         small, large = zoo.features[:3], zoo.features[20:60]
         with model.parallel(max_batch=4) as engine:
-            assert_outputs_identical(engine.forward(small), model.forward(small))
-            assert_outputs_identical(engine.forward(large), model.forward(large))
-            # The outgrown segments were unlinked at regrowth time.
-            live = {engine._io_input.name, engine._io_output.name}
-            for name in set(engine.segment_names()) - live:
-                if name in {p.name for p in engine._param_packs}:
-                    continue
-                with pytest.raises(FileNotFoundError):
-                    shared_memory.SharedMemory(name=name)
+            assert_outputs_identical(
+                engine.forward_streaming(small), model.forward_streaming(small)
+            )
+            assert_outputs_identical(
+                engine.forward_streaming(large), model.forward_streaming(large)
+            )
+            # The live segments are the parameter packs plus one input
+            # segment; the outgrown input segment was unlinked at
+            # regrowth time.
+            live = {p.name for p in engine._param_packs} | {engine._io_input.name}
+            outgrown = set(engine.segment_names()) - live
+            assert len(outgrown) == 1
+            with pytest.raises(FileNotFoundError):
+                shared_memory.SharedMemory(name=outgrown.pop())
 
     def test_spawn_start_method(self, model, features):
         """Fresh-interpreter workers compute the same bits as forked ones."""
-        sequential = model.forward(features)
+        sequential = model.forward_streaming(features)
         with model.parallel(start_method="spawn") as engine:
-            assert_outputs_identical(engine.forward(features), sequential)
+            assert_outputs_identical(engine.forward_streaming(features), sequential)
 
     def test_single_vector_input(self, model, zoo):
         vector = zoo.features[23]
         with model.parallel() as engine:
-            assert_outputs_identical(engine.forward(vector), model.forward(vector))
+            assert_outputs_identical(
+                engine.forward_streaming(vector), model.forward_streaming(vector)
+            )
 
     def test_top_k_beyond_category_count_rejected_before_scatter(
         self, model, features
@@ -131,8 +138,6 @@ class TestParallelEngineBehavior:
             assert np.array_equal(par_indices, seq_indices)
             assert np.array_equal(par_scores, seq_scores)
             engine.predict(features)
-            # top_k and predict never asked for the shared output planes.
-            assert engine._io_output is None
 
     @pytest.mark.parametrize("degraded", (False, True))
     def test_non_positive_block_rejected_before_scatter(self, model, features, degraded):
@@ -151,8 +156,6 @@ class TestParallelEngineBehavior:
             assert np.array_equal(streamed.candidates.flat()[1], want.candidates.flat()[1])
             assert np.array_equal(streamed.exact_values, want.exact_values)
             assert np.array_equal(streamed.approximate_values, want.approximate_values)
-            # Streaming never allocates the dense output planes.
-            assert engine._io_output is None
 
     def test_untrained_model_rejected(self, zoo):
         model = ShardedClassifier(zoo.stacked, num_shards=2)
@@ -163,7 +166,7 @@ class TestParallelEngineBehavior:
         engine = model.parallel()
         engine.close()
         with pytest.raises(RuntimeError, match="closed"):
-            engine.forward(features)
+            engine.forward_streaming(features)
 
 
 class TestWorkerFailure:
@@ -176,10 +179,10 @@ class TestWorkerFailure:
     def test_killed_worker_raises_not_hangs(self, model, features):
         engine = model.parallel(max_restarts=0)
         try:
-            engine.forward(features)
+            engine.forward_streaming(features)
             engine.workers[1].process.kill()
             with pytest.raises(WorkerDied) as excinfo:
-                engine.forward(features)
+                engine.forward_streaming(features)
             assert excinfo.value.worker == "enmc-shard-1"
             assert engine.closed
         finally:
@@ -192,10 +195,10 @@ class TestWorkerFailure:
         """With the default restart budget the same kill is absorbed:
         the replacement worker rebuilds from the shared segments and
         the fleet keeps answering bit-identically."""
-        sequential = model.forward(features)
+        sequential = model.forward_streaming(features)
         with model.parallel() as engine:
             engine.workers[1].process.kill()
-            assert_outputs_identical(engine.forward(features), sequential)
+            assert_outputs_identical(engine.forward_streaming(features), sequential)
             assert engine.restarts[1] == 1
             assert not engine.closed
 
@@ -204,19 +207,19 @@ class TestWorkerFailure:
         flight, no reply coming) must surface as WorkerDied."""
         engine = model.parallel(max_restarts=0)
         try:
-            engine.forward(features)
+            engine.forward_streaming(features)
             # Test hook: the worker exits without replying, exactly as a
             # crash between recv() and send() would.
             engine.workers[0].post("die", 17)
             with pytest.raises(WorkerDied):
-                engine.forward(features)
+                engine.forward_streaming(features)
             assert engine.closed
         finally:
             engine.close()
 
     def test_close_is_idempotent_and_releases_segments(self, model, features):
         engine = model.parallel()
-        engine.forward(features)
+        engine.forward_streaming(features)
         names = engine.segment_names()
         engine.close()
         engine.close()
@@ -252,14 +255,14 @@ class TestWorkerFailure:
 
                     # Clean lifecycle.
                     with model.parallel() as engine:
-                        engine.forward(features)
+                        engine.forward_streaming(features)
 
                     # Kill-mid-service lifecycle (fail-fast mode).
                     engine = model.parallel(max_restarts=0)
-                    engine.forward(features)
+                    engine.forward_streaming(features)
                     engine.workers[0].process.kill()
                     try:
-                        engine.forward(features)
+                        engine.forward_streaming(features)
                     except WorkerDied:
                         pass
                     else:

@@ -1,9 +1,9 @@
 """Smoke tests: every example script runs to completion.
 
 Examples are part of the public deliverable; a refactor that breaks one
-must fail CI.  The two heavier sequence examples are exercised with a
-reduced-scope environment knob? No — they finish in tens of seconds and
-run here unmodified, keeping the check honest.
+must fail CI.  Every script runs unmodified, under the suite's own
+environment: the two heavier sequence examples finish in tens of
+seconds, so none needs a reduced-scope variant.
 """
 
 import pathlib

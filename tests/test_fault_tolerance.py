@@ -1,8 +1,8 @@
 """Fault-injection matrix for the supervised parallel serving fleet.
 
 Every injected fault kind (kill, delay-past-deadline, wedge, raise) is
-driven through both serving backends (dense ``forward`` and
-``forward_streaming``) and must end in one of exactly two states:
+driven through both record ops the fleet serves (``forward_streaming``
+and ``top_k``) and must end in one of exactly two states:
 
 * **bit-identical recovery** — the respawned/retried fleet answers the
   same bits as the sequential ``ShardedClassifier``, or
@@ -25,8 +25,8 @@ from repro.distributed import (
     ShardedClassifier,
     WorkerDied,
     WorkerError,
-    merge_shard_outputs,
     merge_streamed_outputs,
+    reduce_top_k,
 )
 from repro.obs import Recorder
 from repro.utils.faults import FaultSpec
@@ -36,7 +36,9 @@ pytestmark = pytest.mark.timeout(300)
 NUM_CATEGORIES = 300
 HIDDEN_DIM = 32
 BATCH = 8
-BACKENDS = ("forward", "forward_streaming")
+BACKENDS = ("forward_streaming", "top_k")
+#: The ``k`` every ``top_k`` call of the matrix ranks.
+K = 5
 
 #: Supervision knobs tuned for test speed: near-instant backoff, and a
 #: deadline/delay pair with wide margins on both sides (the late reply
@@ -71,46 +73,48 @@ def features(task):
 
 @pytest.fixture(scope="module")
 def expected(model, features):
-    return {
-        "forward": model.forward(features),
-        "forward_streaming": model.forward_streaming(features),
-    }
+    return {backend: run_backend(model, backend, features) for backend in BACKENDS}
 
 
 def run_backend(engine_or_model, backend, features):
+    if backend == "top_k":
+        return engine_or_model.top_k(features, K)
     return getattr(engine_or_model, backend)(features)
+
+
+def assert_same_result(backend, actual, reference):
+    if backend == "top_k":
+        for mine, theirs in zip(actual, reference):
+            assert np.array_equal(mine, theirs)
+        return
+    assert np.array_equal(actual.exact_values, reference.exact_values)
+    assert np.array_equal(actual.approximate_values, reference.approximate_values)
+    for mine, theirs in zip(actual.candidates, reference.candidates):
+        assert np.array_equal(mine, theirs)
 
 
 def assert_backend_identical(backend, actual, reference):
     """Bitwise equality of a full (non-degraded) backend result."""
     assert not isinstance(actual, DegradedOutput)
-    if backend == "forward":
-        assert np.array_equal(actual.logits, reference.logits)
-        assert np.array_equal(
-            actual.approximate_logits, reference.approximate_logits
-        )
-    else:
-        assert np.array_equal(actual.exact_values, reference.exact_values)
-        assert np.array_equal(
-            actual.approximate_values, reference.approximate_values
-        )
-    for mine, theirs in zip(actual.candidates, reference.candidates):
-        assert np.array_equal(mine, theirs)
+    assert_same_result(backend, actual, reference)
 
 
 def expected_degraded(model, features, backend, failed_shard):
     """What the degraded merge must equal: the sequential shards'
-    outputs with the failed shard's entry ``None``."""
+    outputs, the failed shard's left out."""
+    if backend == "top_k":
+        indices, scores = [], []
+        for shard_id, (shard, shard_range) in enumerate(zip(model.shards, model.ranges)):
+            if shard_id != failed_shard:
+                shard_indices, shard_scores = shard.top_k(features, K)
+                indices.append(shard_indices + shard_range.start)
+                scores.append(shard_scores)
+        return reduce_top_k(indices, scores, K)
     outputs = [
-        None
-        if shard_id == failed_shard
-        else run_backend(shard, backend, features)
+        None if shard_id == failed_shard else shard.forward_streaming(features)
         for shard_id, shard in enumerate(model.shards)
     ]
-    merge = (
-        merge_shard_outputs if backend == "forward" else merge_streamed_outputs
-    )
-    return merge(outputs, model.ranges)
+    return merge_streamed_outputs(outputs, model.ranges)
 
 
 def assert_degraded_result(model, backend, actual, reference, failed_shard):
@@ -121,23 +125,12 @@ def assert_degraded_result(model, backend, actual, reference, failed_shard):
     assert actual.missing_categories == len(model.ranges[failed_shard])
     assert 0.0 < actual.available_fraction < 1.0
     assert {f.shard_id for f in actual.failures} == {failed_shard}
-    if backend == "forward":
-        assert np.array_equal(
-            actual.result.logits, reference.logits, equal_nan=True
-        )
-        missing = model.ranges[failed_shard]
-        assert np.all(
-            np.isnan(actual.result.logits[:, missing.start : missing.stop])
-        )
-    else:
-        assert np.array_equal(actual.result.exact_values, reference.exact_values)
-        missing = model.ranges[failed_shard]
-        flat_cols = actual.result.candidates.flat()[1]
-        assert not np.any(
-            (flat_cols >= missing.start) & (flat_cols < missing.stop)
-        )
-    for mine, theirs in zip(actual.result.candidates, reference.candidates):
-        assert np.array_equal(mine, theirs)
+    assert_same_result(backend, actual.result, reference)
+    missing = model.ranges[failed_shard]
+    columns = (
+        actual.result[0] if backend == "top_k" else actual.result.candidates.flat()[1]
+    )
+    assert not np.any((columns >= missing.start) & (columns < missing.stop))
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -262,7 +255,7 @@ class TestSupervisionPolicy:
         engine = model.parallel(max_restarts=2, faults=faults, **FAST)
         try:
             with pytest.raises(WorkerDied):
-                engine.forward(features)
+                engine.forward_streaming(features)
             assert engine.restarts[0] == 2
             assert engine.closed
         finally:
@@ -273,7 +266,7 @@ class TestSupervisionPolicy:
         engine = model.parallel(max_restarts=0, faults=faults)
         try:
             with pytest.raises(WorkerDied):
-                engine.forward(features)
+                engine.forward_streaming(features)
             assert engine.closed
         finally:
             engine.close()
@@ -335,11 +328,13 @@ class TestSupervisionPolicy:
         small = task.sample_features(3, rng=44)
         large = task.sample_features(20, rng=45)
         with model.parallel(max_batch=4, **FAST) as engine:
-            engine.forward(small)
+            engine.forward_streaming(small)
             engine.workers[0].process.kill()
-            actual = engine.forward(large)  # respawn + regrow in one request
+            actual = engine.forward_streaming(large)  # respawn + regrow in one request
             assert engine.restarts[0] == 1
-            assert np.array_equal(actual.logits, model.forward(large).logits)
+            assert_backend_identical(
+                "forward_streaming", actual, model.forward_streaming(large)
+            )
 
     def test_fault_spec_validation(self):
         with pytest.raises(ValueError, match="kind"):
@@ -466,7 +461,7 @@ class TestReplicaConfiguration:
         the benchmark's reconciliation check relies on."""
         with model.parallel(replicas=2, **FAST) as engine:
             for _ in range(4):
-                engine.forward(features)
+                engine.forward_streaming(features)
             stats = engine.stats()
             assert stats["requests"] == 4
             assert stats["replica_counts"] == [2, 2]
@@ -492,14 +487,18 @@ class TestElasticSupervision:
             # Incident 1: the injected kill; the respawned worker
             # serves the retried request bit-identically.
             assert_backend_identical(
-                "forward", engine.forward(features), expected["forward"]
+                "forward_streaming",
+                engine.forward_streaming(features),
+                expected["forward_streaming"],
             )
             assert engine.restarts[0] == 1
             # Incident 2, much later in worker-lifetime terms: kill the
             # *respawned* process by hand.
             engine.workers[0].process.kill()
             assert_backend_identical(
-                "forward", engine.forward(features), expected["forward"]
+                "forward_streaming",
+                engine.forward_streaming(features),
+                expected["forward_streaming"],
             )
             assert engine.restarts[0] == 2
         backoffs = recorder.snapshot()["histograms"]["parallel.respawn_backoff_s"]
@@ -531,7 +530,9 @@ class TestElasticSupervision:
         ) as engine:
             for _ in range(6):
                 assert_backend_identical(
-                    "forward", engine.forward(features), expected["forward"]
+                    "forward_streaming",
+                    engine.forward_streaming(features),
+                    expected["forward_streaming"],
                 )
             assert engine.dead_shards == []
             group = engine.replica_groups[0]

@@ -125,7 +125,7 @@ class TestLifecycle:
         picks = []
         for _ in range(4):
             replica_idx = group.pick()
-            group.post(replica_idx, "forward", None)
+            group.post(replica_idx, "forward_streaming", None)
             group.record(replica_idx)
             picks.append(replica_idx)
         assert picks == [0, 1, 0, 1]
@@ -239,7 +239,7 @@ class GroupMachine(RuleBasedStateMachine):
     def serve(self, replica_idx):
         while replica_idx is not None:
             try:
-                self.group.post(replica_idx, "forward", None)
+                self.group.post(replica_idx, "forward_streaming", None)
                 break
             except WorkerDied:  # die-on-post
                 replica_idx = self.recover(replica_idx)

@@ -108,16 +108,19 @@ class TestBitIdentityOffAndOn:
 
 class TestEngineReconciliation:
     def test_engine_outputs_unchanged_by_recording(self, model, features):
-        sequential = model.forward(features)
+        sequential = model.forward_streaming(features)
         with model.parallel(recorder=Recorder(trace=True)) as engine:
-            parallel = engine.forward(features)
-        assert np.array_equal(parallel.logits, sequential.logits)
+            parallel = engine.forward_streaming(features)
+        assert np.array_equal(parallel.candidates.counts, sequential.candidates.counts)
+        assert np.array_equal(parallel.candidates.columns(), sequential.candidates.columns())
+        assert np.array_equal(parallel.exact_values, sequential.exact_values)
+        assert np.array_equal(parallel.approximate_values, sequential.approximate_values)
 
     def test_counters_reconcile_with_requests(self, model, features):
         requests = 3
         with model.parallel(recorder=Recorder(trace=True)) as engine:
             for _ in range(requests):
-                engine.forward(features)
+                engine.forward_streaming(features)
             stats = engine.stats()
         assert stats["recording"] is True
         assert stats["requests"] == requests
@@ -146,7 +149,7 @@ class TestEngineReconciliation:
 
     def test_stats_available_without_recorder(self, model, features):
         with model.parallel() as engine:
-            engine.forward(features)
+            engine.forward_streaming(features)
             stats = engine.stats()
         assert stats["recording"] is False
         assert "metrics" not in stats
@@ -158,7 +161,7 @@ class TestEngineReconciliation:
         self, model, features, tmp_path
     ):
         with model.parallel(recorder=Recorder(trace=True)) as engine:
-            engine.forward(features)
+            engine.forward_streaming(features)
             engine.top_k(features, k=5)
             path = tmp_path / "engine_trace.json"
             count = engine.write_trace(path)
@@ -167,7 +170,7 @@ class TestEngineReconciliation:
 
         events = validate_chrome_events(json.loads(path.read_text()))
         names = [event["name"] for event in events]
-        assert "engine.forward" in names
+        assert "engine.forward_streaming" in names
         assert "engine.top_k" in names
         assert "engine.scatter_gather" in names
         assert "engine.merge" in names

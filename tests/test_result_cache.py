@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 
 from repro.core.candidates import CandidateSet
-from repro.core.pipeline import DegradedOutput, ScreenedOutput, ShardFailure
+from repro.core.pipeline import DegradedOutput, ShardFailure, StreamedOutput
 from repro.obs import Recorder
 from repro.serving import FrontDoor, ResultCache
 
@@ -47,9 +47,9 @@ class TestResultCacheSemantics:
         recorder = Recorder()
         cache = ResultCache(capacity=4, recorder=recorder)
         row = np.arange(6.0)
-        assert cache.get("forward", {}, row) is None
-        cache.put("forward", {}, row, "value")
-        assert cache.get("forward", {}, row) == "value"
+        assert cache.get("forward_streaming", {}, row) is None
+        cache.put("forward_streaming", {}, row, "value")
+        assert cache.get("forward_streaming", {}, row) == "value"
         stats = cache.stats()
         assert stats["hits"] == 1 and stats["misses"] == 1
         assert stats["hit_rate"] == pytest.approx(0.5)
@@ -62,10 +62,10 @@ class TestResultCacheSemantics:
         row = np.arange(6.0)
         cache.put("top_k", {"k": 5}, row, "k5")
         cache.put("top_k", {"k": 9}, row, "k9")
-        cache.put("forward", {}, row, "fwd")
+        cache.put("forward_streaming", {}, row, "fwd")
         assert cache.get("top_k", {"k": 5}, row) == "k5"
         assert cache.get("top_k", {"k": 9}, row) == "k9"
-        assert cache.get("forward", {}, row) == "fwd"
+        assert cache.get("forward_streaming", {}, row) == "fwd"
         assert cache.get("predict", {}, row) is None
 
     def test_near_duplicates_keep_their_own_entries(self):
@@ -76,18 +76,18 @@ class TestResultCacheSemantics:
         row = np.array([1.0, 0.5, -0.25, 0.125])
         near = row.copy()
         near[2] += 0.1 * 1.0 / 7  # scale = max|row| / 7
-        cache.put("forward", {}, row, "original")
-        cache.put("forward", {}, near, "near")
+        cache.put("forward_streaming", {}, row, "original")
+        cache.put("forward_streaming", {}, near, "near")
         assert len(cache) == 2
-        assert cache.get("forward", {}, row) == "original"
-        assert cache.get("forward", {}, near) == "near"
+        assert cache.get("forward_streaming", {}, row) == "original"
+        assert cache.get("forward_streaming", {}, near) == "near"
 
     def test_stored_row_is_a_copy(self):
         cache = ResultCache(capacity=4)
         row = np.arange(4.0)
-        cache.put("forward", {}, row, "value")
+        cache.put("forward_streaming", {}, row, "value")
         row[0] = 99.0  # caller mutates its buffer after the put
-        assert cache.get("forward", {}, np.array([0.0, 1.0, 2.0, 3.0])) == "value"
+        assert cache.get("forward_streaming", {}, np.array([0.0, 1.0, 2.0, 3.0])) == "value"
 
     def test_capacity_validated(self):
         with pytest.raises(ValueError):
@@ -102,46 +102,46 @@ class TestEvictionOrder:
         cache = ResultCache(capacity=3)
         rows = self.rows(4)
         for i in range(3):
-            cache.put("forward", {}, rows[i], i)
+            cache.put("forward_streaming", {}, rows[i], i)
         keys_before = cache.keys()
-        cache.put("forward", {}, rows[3], 3)
+        cache.put("forward_streaming", {}, rows[3], 3)
         assert cache.evictions == 1
         assert len(cache) == 3
         # The oldest key fell out; insertion order is preserved.
         assert cache.keys() == keys_before[1:] + [
-            ("forward", (), rows[3].tobytes(), 4)
+            ("forward_streaming", (), rows[3].tobytes(), 4)
         ]
-        assert cache.get("forward", {}, rows[0]) is None
+        assert cache.get("forward_streaming", {}, rows[0]) is None
 
     def test_hit_refreshes_lru_position(self):
         cache = ResultCache(capacity=3)
         rows = self.rows(4)
         for i in range(3):
-            cache.put("forward", {}, rows[i], i)
-        assert cache.get("forward", {}, rows[0]) == 0  # refresh oldest
-        cache.put("forward", {}, rows[3], 3)  # evicts rows[1], not rows[0]
-        assert cache.get("forward", {}, rows[0]) == 0
-        assert cache.get("forward", {}, rows[1]) is None
+            cache.put("forward_streaming", {}, rows[i], i)
+        assert cache.get("forward_streaming", {}, rows[0]) == 0  # refresh oldest
+        cache.put("forward_streaming", {}, rows[3], 3)  # evicts rows[1], not rows[0]
+        assert cache.get("forward_streaming", {}, rows[0]) == 0
+        assert cache.get("forward_streaming", {}, rows[1]) is None
 
     def test_re_put_refreshes_and_replaces(self):
         cache = ResultCache(capacity=3)
         rows = self.rows(4)
         for i in range(3):
-            cache.put("forward", {}, rows[i], i)
-        cache.put("forward", {}, rows[0], "updated")  # refresh + replace
-        cache.put("forward", {}, rows[3], 3)
-        assert cache.get("forward", {}, rows[0]) == "updated"
-        assert cache.get("forward", {}, rows[1]) is None
+            cache.put("forward_streaming", {}, rows[i], i)
+        cache.put("forward_streaming", {}, rows[0], "updated")  # refresh + replace
+        cache.put("forward_streaming", {}, rows[3], 3)
+        assert cache.get("forward_streaming", {}, rows[0]) == "updated"
+        assert cache.get("forward_streaming", {}, rows[1]) is None
         assert len(cache) == 3
 
     def test_clear_empties_but_keeps_counters(self):
         cache = ResultCache(capacity=3)
-        cache.put("forward", {}, np.ones(4), "v")
-        assert cache.get("forward", {}, np.ones(4)) == "v"
+        cache.put("forward_streaming", {}, np.ones(4), "v")
+        assert cache.get("forward_streaming", {}, np.ones(4)) == "v"
         cache.clear()
         assert len(cache) == 0
         assert cache.hits == 1
-        assert cache.get("forward", {}, np.ones(4)) is None
+        assert cache.get("forward_streaming", {}, np.ones(4)) is None
 
 
 # ----------------------------------------------------------------------
@@ -174,8 +174,8 @@ class TestThreadSafety:
             rng = np.random.default_rng(index)
             for _ in range(self.ROUNDS):
                 row = pool[int(rng.integers(len(pool)))]
-                if cache.get("forward", {}, row) is None:
-                    cache.put("forward", {}, row, float(row[0]))
+                if cache.get("forward_streaming", {}, row) is None:
+                    cache.put("forward_streaming", {}, row, float(row[0]))
                 gets[index] += 1
 
         poller = threading.Thread(target=reader)
@@ -197,7 +197,7 @@ class TestThreadSafety:
         assert stats["evictions"] > 0  # the pool overflowed capacity
         # Every surviving entry still round-trips to its own value.
         for row in pool:
-            value = cache.get("forward", {}, row)
+            value = cache.get("forward_streaming", {}, row)
             assert value is None or value == float(row[0])
 
 
@@ -237,8 +237,11 @@ class TestFrontDoorReplayIdentity:
         hit_one = False
         for mine, theirs in zip(cached, baseline):
             assert not mine.degraded and not theirs.degraded
-            assert np.array_equal(mine.value.logits, theirs.value.logits)
             assert np.array_equal(mine.value.candidates, theirs.value.candidates)
+            assert np.array_equal(mine.value.exact_values, theirs.value.exact_values)
+            assert np.array_equal(
+                mine.value.approximate_values, theirs.value.approximate_values
+            )
             if mine.cached:
                 hit_one = True
                 assert mine.batch_id == -1
@@ -275,15 +278,14 @@ class _DegradedBackend:
     hidden_dim = 4
     num_categories = 6
 
-    def forward(self, features):
+    def forward_streaming(self, features, block_categories=None):
         batch = features.shape[0]
-        logits = np.zeros((batch, self.num_categories))
         empty = np.empty(0, dtype=np.intp)
-        output = ScreenedOutput(
+        output = StreamedOutput(
             CandidateSet.from_flat(np.zeros(batch, dtype=np.intp), empty),
             np.empty(0),
             np.empty(0),
-            logits,
+            self.num_categories,
         )
         failure = ShardFailure(0, range(0, 3), "died", "test")
         return DegradedOutput(output, (failure,), self.num_categories)

@@ -25,7 +25,7 @@ import pytest
 from conftest import HIDDEN_DIM, M
 from contracts import check_configuration, check_door
 from repro.core.candidates import CandidateSet
-from repro.core.pipeline import ScreenedOutput
+from repro.core.pipeline import StreamedOutput
 from repro.serving import (
     DeadlineExceededError,
     EngineBackend,
@@ -81,9 +81,6 @@ class TestDifferentialBitIdentity:
     def backend(self, request):
         return request.getfixturevalue(request.param)
 
-    def test_forward_rows_match_direct_call(self, backend, request_rows):
-        check_door(backend, request_rows, None, M, cache=None, ops=("forward",))
-
     def test_streaming_rows_match_direct_call(self, backend, request_rows):
         check_door(backend, request_rows, None, M, cache=None, ops=("forward_streaming",))
 
@@ -123,16 +120,13 @@ class _RecordingBackend:
     def hidden_dim(self):
         return self._hidden_dim
 
-    def forward(self, features):
+    def forward_streaming(self, features, block_categories=None):
         self.seen_timeouts.append(self.request_timeout)
-        logits = np.zeros((features.shape[0], self._num_categories))
         candidates = CandidateSet(
             indices=[np.arange(2, dtype=np.intp) for _ in range(features.shape[0])]
         )
-        return ScreenedOutput.from_planes(logits, logits.copy(), candidates)
-
-    def forward_streaming(self, features, block_categories=None):
-        return self.forward(features)
+        values = np.zeros(2 * features.shape[0])
+        return StreamedOutput(candidates, values, values.copy(), self._num_categories)
 
     def top_k(self, features, k):
         self.seen_timeouts.append(self.request_timeout)
@@ -156,10 +150,10 @@ class _GatedBackend(_RecordingBackend):
         self.gate = threading.Event()
         self.dispatching = threading.Event()
 
-    def forward(self, features):
+    def forward_streaming(self, features, block_categories=None):
         self.dispatching.set()
         assert self.gate.wait(timeout=60), "test never released the gate"
-        return super().forward(features)
+        return super().forward_streaming(features, block_categories)
 
 
 class TestDeadlinePropagation:
@@ -281,14 +275,17 @@ class TestAdmissionControl:
                         pass
             for row, future in zip(rows, futures):
                 reply = future.result(timeout=60)
-                direct = single_node.forward(row[np.newaxis, :])
+                direct = single_node.forward_streaming(row[np.newaxis, :])
                 if reply.batch_size == 1:
-                    assert np.array_equal(reply.value.logits, direct.logits[0])
+                    assert np.array_equal(reply.value.exact_values, direct.exact_values)
+                    assert np.array_equal(
+                        reply.value.approximate_values, direct.approximate_values
+                    )
                 else:
                     # Coalesced rows are checked by the replay tests;
                     # here it is enough that every admitted request got
                     # a well-formed answer despite the overload.
-                    assert reply.value.logits.shape == (single_node.num_categories,)
+                    assert reply.value.exact_values.shape == reply.value.candidates.shape
 
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
@@ -339,7 +336,7 @@ class TestFlushPolicyAndLifecycle:
         with FrontDoor(single_node, max_batch=8, flush_window_s=0.05) as door:
             futures = []
             for i, row in enumerate(request_rows[:8]):
-                op = "predict" if i % 2 else "forward"
+                op = "predict" if i % 2 else "forward_streaming"
                 futures.append(door.submit(row, op))
             replies = [future.result(timeout=30) for future in futures]
         for i, reply in enumerate(replies):
@@ -357,9 +354,8 @@ class TestFlushPolicyAndLifecycle:
         futures = [door.submit(row) for row in request_rows[:3]]
         door.close()  # drain=True: flushes the partial batch immediately
         for future in futures:
-            assert future.result(timeout=1).value.logits.shape == (
-                single_node.num_categories,
-            )
+            value = future.result(timeout=1).value
+            assert value.candidates.shape == value.exact_values.shape
         with pytest.raises(FrontDoorClosedError):
             door.submit(request_rows[0])
 
@@ -413,6 +409,8 @@ class TestFlushPolicyAndLifecycle:
                 door.submit(np.zeros(HIDDEN_DIM), "top_k")  # k missing
             with pytest.raises(ValueError):
                 door.submit(np.zeros(HIDDEN_DIM), "nonsense")
+            with pytest.raises(ValueError, match="forward_streaming"):
+                door.submit(np.zeros(HIDDEN_DIM), "forward")  # no dense plane
         # A NaN budget never compares expired and, folded into the
         # batch's request_timeout, switched the worker reply deadline
         # off for every request coalesced with it.

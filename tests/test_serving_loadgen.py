@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from repro.core.candidates import CandidateSet
-from repro.core.pipeline import ScreenedOutput
+from repro.core.pipeline import StreamedOutput
 from repro.serving import (
     FrontDoor,
     LoadReport,
@@ -32,16 +32,13 @@ class _StubBackend:
     def __init__(self):
         self.rows_served = 0
 
-    def forward(self, features):
+    def forward_streaming(self, features, block_categories=None):
         self.rows_served += features.shape[0]
-        logits = np.zeros((features.shape[0], self.num_categories))
         candidates = CandidateSet(
             indices=[np.arange(2, dtype=np.intp) for _ in range(features.shape[0])]
         )
-        return ScreenedOutput.from_planes(logits, logits.copy(), candidates)
-
-    def forward_streaming(self, features, block_categories=None):
-        return self.forward(features)
+        values = np.zeros(2 * features.shape[0])
+        return StreamedOutput(candidates, values, values.copy(), self.num_categories)
 
     def top_k(self, features, k):
         self.rows_served += features.shape[0]

@@ -398,12 +398,13 @@ class TestCrossPlanMergeExactness:
 # backends over skewed plans
 # ----------------------------------------------------------------------
 def assert_outputs_identical(actual, expected):
-    assert actual.logits.dtype == expected.logits.dtype
-    assert np.array_equal(actual.logits, expected.logits)
-    assert np.array_equal(actual.approximate_logits, expected.approximate_logits)
+    """Bitwise equality of two candidate records."""
     for mine, theirs in zip(actual.candidates, expected.candidates):
         assert np.array_equal(mine, theirs)
     assert actual.exact_count == expected.exact_count
+    for name in ("exact_values", "approximate_values"):
+        assert getattr(actual, name).dtype == getattr(expected, name).dtype
+        assert np.array_equal(getattr(actual, name), getattr(expected, name))
 
 
 #: The shared zoo's plan keys for this suite's plan kinds.
@@ -443,10 +444,10 @@ class TestSkewedPlanSemantics:
         the per-shard answer counts reconcile with the request count."""
         model = zoo[("balanced", "trained", "threshold", "fp64")]
         features = zoo.features[:8]
-        sequential = model.forward(features)
+        sequential = model.forward_streaming(features)
         with model.parallel(replicas={0: 2}) as engine:
             for _ in range(3):
-                assert_outputs_identical(engine.forward(features), sequential)
+                assert_outputs_identical(engine.forward_streaming(features), sequential)
             stats = engine.stats()
             assert stats["replica_counts"] == [2, 1, 1]
             assert stats["plan_source"] == "balanced"
@@ -474,9 +475,9 @@ class TestSkewedPlanSemantics:
         assert model.plan.source == "balanced"
         assert model.plan.num_categories == l
         model.train(zoo.train_features, candidates_per_shard=M, rng=5)
-        sequential = model.forward(features)
+        sequential = model.forward_streaming(features)
         with model.parallel() as engine:
-            assert_outputs_identical(engine.forward(features), sequential)
+            assert_outputs_identical(engine.forward_streaming(features), sequential)
 
     def test_plan_argument_validation(self, zoo):
         classifier = zoo.tasks["single"].classifier

@@ -102,10 +102,6 @@ class TestShardedStreaming:
         self, zoo, engines, shards, feature_dtype, selector_mode
     ):
         key = (f"u{shards}", "trained", selector_mode, "int8")
-        with zoo[key].parallel() as engine:
-            engine.forward_streaming(zoo.features[:16], block_categories=32)
-            # Streaming never allocates the dense output planes.
-            assert engine._io_output is None
         check_configuration(zoo, engines, key, rows=16, dtype=feature_dtype, block=32)
 
 

@@ -1,22 +1,6 @@
 import pytest
 
-from repro.utils.charts import bar_chart, scatter, sparkline
-
-
-class TestSparkline:
-    def test_length(self):
-        assert len(sparkline([1, 2, 3, 4])) == 4
-
-    def test_monotone_series_monotone_blocks(self):
-        line = sparkline([0, 1, 2, 3, 4, 5, 6, 7])
-        assert list(line) == sorted(line, key=lambda c: "▁▂▃▄▅▆▇█".find(c))
-
-    def test_constant_series(self):
-        assert sparkline([5, 5, 5]) == "▄▄▄"
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            sparkline([])
+from repro.utils.charts import bar_chart, scatter
 
 
 class TestBarChart:

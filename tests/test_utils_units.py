@@ -1,14 +1,8 @@
-import pytest
-
 from repro.utils.units import (
     GIB,
     KIB,
     MIB,
     bytes_to_gib,
-    bytes_to_mib,
-    cycles_to_seconds,
-    gbps,
-    ns_to_cycles,
     seconds_to_cycles,
 )
 
@@ -19,22 +13,8 @@ def test_binary_prefixes():
     assert GIB == 1024**3
 
 
-def test_bytes_to_mib():
-    assert bytes_to_mib(MIB) == 1.0
-    assert bytes_to_mib(512 * KIB) == 0.5
-
-
 def test_bytes_to_gib():
     assert bytes_to_gib(2 * GIB) == 2.0
-
-
-def test_cycles_to_seconds():
-    assert cycles_to_seconds(1_000_000, 1e6) == 1.0
-
-
-def test_cycles_to_seconds_rejects_zero_freq():
-    with pytest.raises(ValueError):
-        cycles_to_seconds(100, 0)
 
 
 def test_seconds_to_cycles_ceils():
@@ -43,12 +23,3 @@ def test_seconds_to_cycles_ceils():
 
 def test_seconds_to_cycles_exact():
     assert seconds_to_cycles(5e-9, 1e9) == 5
-
-
-def test_ns_to_cycles():
-    # 7.5 ns at 400 MHz = 3 cycles exactly.
-    assert ns_to_cycles(7.5, 400e6) == 3
-
-
-def test_gbps_decimal():
-    assert gbps(19.2e9) == pytest.approx(19.2)

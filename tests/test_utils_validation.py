@@ -3,7 +3,6 @@ import pytest
 
 from repro.utils.validation import (
     check_batch_features,
-    check_non_negative,
     check_positive,
     check_probability,
 )
@@ -18,15 +17,6 @@ class TestCheckPositive:
     def test_rejects_non_positive(self, value):
         with pytest.raises(ValueError, match="x must be positive"):
             check_positive("x", value)
-
-
-class TestCheckNonNegative:
-    def test_accepts_zero(self):
-        check_non_negative("x", 0)
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            check_non_negative("x", -1e-9)
 
 
 class TestCheckProbability:

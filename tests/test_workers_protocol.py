@@ -124,7 +124,7 @@ def echo():
 def sink():
     handle = WorkerHandle(default_context(), _sink_main, args=(), name="sink")
     yield handle
-    handle.stop()
+    handle.stop(timeout=0.2)
 
 
 class TestReplyDesync:
@@ -191,7 +191,7 @@ class TestStaleFloodStarvation:
             default_context(), _flood_main, args=(), name="flood"
         )
         yield handle
-        handle.stop()
+        handle.stop(timeout=0.2)
 
     def test_deadline_fires_through_stale_flood(self, flood):
         """WorkerTimeout must fire on schedule even when every wait
@@ -248,7 +248,7 @@ class TestStopRecvInteraction:
         thread = threading.Thread(target=waiter)
         thread.start()
         time.sleep(0.15)  # let the waiter enter its wait
-        sink.stop()
+        sink.stop(timeout=0.2)
         thread.join(timeout=10.0)
         assert not thread.is_alive()
         assert outcomes == ["died"]
@@ -324,7 +324,7 @@ class TestDeadWorkerDrainProtocol:
             with pytest.raises(ProtocolError):
                 handle.recv_tagged(rid, timeout=5.0)
         finally:
-            handle.stop()
+            handle.stop(timeout=0.2)
 
 
 class TestZeroBudgetDeadline:
@@ -346,7 +346,7 @@ class TestZeroBudgetDeadline:
             name="echo-slowpoll",
         )
         yield handle
-        handle.stop(goodbye="shutdown")
+        handle.stop(goodbye="shutdown", timeout=0.2)
 
     def test_timeout_zero_raises_immediately(self, slowpoll):
         rid = slowpoll.post("echo", {"sleep": 5.0, "tag": "never"})
